@@ -6,8 +6,8 @@ compositions of k into the row's alphabet size.  Grid points are indexed
 mixed-radix over rows, first row most significant, so scan order and reported
 witnesses are deterministic.
 
-Two interchangeable evaluators compute the per-cut mutual-information terms:
-an @njit kernel and a batched numpy one (selected via backend.numba_enabled).
+The per-cut mutual-information terms are evaluated for a batch of grid
+points at once, with one-hot projection matrices in numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import math
 
 import numpy as np
 
-from . import backend
-from .backend import njit
-from .errors import ResourceCapError
+from .errors import DomainError, ResourceCapError
 from .model import NetworkSpec, NodeSet, x_var, y_var
 
 MI_CLAMP = 1e-12
@@ -64,7 +62,7 @@ def positive_delay_term_groups(spec: NetworkSpec, cut: NodeSet):
 def _normalize_mode(which: str) -> str:
     w = which.replace("_", "-").lower()
     if w not in ("capacity", "positive-delay"):
-        raise ValueError(f"mode must be capacity or positive-delay, got {which!r}")
+        raise DomainError(f"mode must be capacity or positive-delay, got {which!r}")
     return w
 
 
@@ -79,7 +77,7 @@ class GridProblem:
         self.which = _normalize_mode(which)
         self.k = int(k)
         if self.k < 1:
-            raise ValueError("grid resolution k must be >= 1")
+            raise DomainError(f"grid resolution k must be >= 1, got {self.k}")
 
         names = spec.all_x_vars() + spec.all_y_vars()
         sizes = np.array([spec.var_size(n) for n in names], dtype=np.int64)
@@ -180,7 +178,6 @@ class GridProblem:
                 to_c = c_of.astype(np.int32)
                 self._terms.append((ci, s, abc_of, to_ac, to_bc, to_c,
                                     m_abc, ma * mc, mb * mc, mc))
-        self._packed = None
         self._np_cache = None
 
     # -- point decoding ----------------------------------------------------
@@ -209,11 +206,6 @@ class GridProblem:
 
     def eval_batch(self, start: int, count: int) -> np.ndarray:
         """Terms array (count, n_cuts, n_slots); empty-group terms stay 0."""
-        if backend.numba_enabled():
-            return self._eval_numba(start, count)
-        return self._eval_numpy(start, count)
-
-    def _eval_numpy(self, start: int, count: int) -> np.ndarray:
         if self._np_cache is None:
             cache = []
             for (_, _, abc_of, to_ac, to_bc, to_c, m_abc, m_ac, m_bc, m_c) in self._terms:
@@ -257,95 +249,3 @@ class GridProblem:
             mi[(mi < 0.0) & (mi >= -MI_CLAMP)] = 0.0
             out[:, ci, s] = mi
         return out
-
-    def _pack(self):
-        if self._packed is not None:
-            return self._packed
-        nt = len(self._terms)
-        term_cut = np.array([t[0] for t in self._terms], dtype=np.int64)
-        term_slot = np.array([t[1] for t in self._terms], dtype=np.int64)
-        abc_of = (np.vstack([t[2] for t in self._terms]) if nt
-                  else np.zeros((0, self.d), dtype=np.int32))
-        m_abc = np.array([t[6] for t in self._terms], dtype=np.int64)
-        m_ac = np.array([t[7] for t in self._terms], dtype=np.int64)
-        m_bc = np.array([t[8] for t in self._terms], dtype=np.int64)
-        m_c = np.array([t[9] for t in self._terms], dtype=np.int64)
-        off = np.zeros(nt + 1, dtype=np.int64)
-        for i in range(nt):
-            off[i + 1] = off[i] + m_abc[i]
-        to_ac = np.zeros(int(off[-1]), dtype=np.int32)
-        to_bc = np.zeros(int(off[-1]), dtype=np.int32)
-        to_c = np.zeros(int(off[-1]), dtype=np.int32)
-        for i, t in enumerate(self._terms):
-            to_ac[off[i]:off[i + 1]] = t[3]
-            to_bc[off[i]:off[i + 1]] = t[4]
-            to_c[off[i]:off[i + 1]] = t[5]
-        frow = (np.vstack(self.factor_row_maps) if self.n_factors
-                else np.zeros((0, self.d), dtype=np.int32))
-        fcol = (np.vstack(self.factor_col_maps) if self.n_factors
-                else np.zeros((0, self.d), dtype=np.int32))
-        comp_m = np.array(self.factor_n_cols, dtype=np.int64)
-        comp_off = np.zeros(self.n_factors + 1, dtype=np.int64)
-        for f in range(self.n_factors):
-            comp_off[f + 1] = comp_off[f] + self.comp_tables[f].size
-        comp_flat = (np.concatenate([c.reshape(-1) for c in self.comp_tables])
-                     if self.n_factors else np.zeros(0))
-        self._packed = (term_cut, term_slot, abc_of, m_abc, m_ac, m_bc, m_c,
-                        off, to_ac, to_bc, to_c, frow, fcol, comp_m, comp_off,
-                        comp_flat)
-        return self._packed
-
-    def _eval_numba(self, start: int, count: int) -> np.ndarray:
-        (term_cut, term_slot, abc_of, m_abc, m_ac, m_bc, m_c, off,
-         to_ac, to_bc, to_c, frow, fcol, comp_m, comp_off, comp_flat) = self._pack()
-        out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
-        _scan_kernel(start, count, self.radix, self.row_offset, frow, fcol,
-                     comp_m, comp_off, comp_flat, self.q,
-                     term_cut, term_slot, abc_of, m_abc, m_ac, m_bc, m_c,
-                     off, to_ac, to_bc, to_c, out)
-        return out
-
-
-@njit(cache=True, nogil=True)
-def _scan_kernel(start, count, radix, row_offset, frow, fcol, comp_m, comp_off,
-                 comp_flat, q, term_cut, term_slot, abc_of, m_abc, m_ac, m_bc,
-                 m_c, off, to_ac, to_bc, to_c, out):  # pragma: no cover - jitted
-    n_rows = radix.shape[0]
-    n_fac = frow.shape[0]
-    d = q.shape[0]
-    nt = term_cut.shape[0]
-    digits = np.zeros(n_rows, dtype=np.int64)
-    p = np.zeros(d, dtype=np.float64)
-    for b in range(count):
-        g = start + b
-        for r in range(n_rows - 1, -1, -1):
-            digits[r] = g % radix[r]
-            g //= radix[r]
-        for j in range(d):
-            v = q[j]
-            for f in range(n_fac):
-                dg = digits[row_offset[f] + frow[f, j]]
-                v *= comp_flat[comp_off[f] + dg * comp_m[f] + fcol[f, j]]
-            p[j] = v
-        for t in range(nt):
-            pabc = np.zeros(m_abc[t], dtype=np.float64)
-            for j in range(d):
-                pabc[abc_of[t, j]] += p[j]
-            pac = np.zeros(m_ac[t], dtype=np.float64)
-            pbc = np.zeros(m_bc[t], dtype=np.float64)
-            pc = np.zeros(m_c[t], dtype=np.float64)
-            base = off[t]
-            for cell in range(m_abc[t]):
-                v = pabc[cell]
-                pac[to_ac[base + cell]] += v
-                pbc[to_bc[base + cell]] += v
-                pc[to_c[base + cell]] += v
-            mi = 0.0
-            for cell in range(m_abc[t]):
-                v = pabc[cell]
-                if v > 0.0:
-                    mi += v * math.log2(v * pc[to_c[base + cell]]
-                                        / (pac[to_ac[base + cell]] * pbc[to_bc[base + cell]]))
-            if mi < 0.0 and mi >= -MI_CLAMP:
-                mi = 0.0
-            out[b, term_cut[t], term_slot[t]] = mi

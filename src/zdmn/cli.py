@@ -288,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: ZDMN_THREADS or the available parallelism)",
+        help="worker threads (default: ZDMN_THREADS, else 1)",
     )
     p.add_argument("--trace-out", help="also write the trial-0 trace CSV here")
     p.set_defaults(func=_cmd_simulate)

@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import stats
 
-from . import backend, bounds
+from . import bounds
 from .errors import DomainError, ResourceCapError
 
 __all__ = [
@@ -264,7 +264,7 @@ class CodebookResult:
         )
 
 
-def _nn_decode_np(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
+def _nn_decode(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     """Nearest-codeword indices by min ||y - 2c||^2, lowest index on ties."""
     two_c = 2.0 * codebook
     base = np.einsum("ij,ij->i", two_c, two_c)
@@ -275,31 +275,6 @@ def _nn_decode_np(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
         scores = base[None, :] - 2.0 * (block @ two_c.T)
         out[start : start + chunk] = np.argmin(scores, axis=1)
     return out
-
-
-@backend.njit(cache=True)
-def _nn_decode_nb(codebook, received, out):  # pragma: no cover - jitted
-    m, n = codebook.shape
-    for t in range(received.shape[0]):
-        best = 0
-        best_dist = np.inf
-        for j in range(m):
-            acc = 0.0
-            for i in range(n):
-                d = received[t, i] - 2.0 * codebook[j, i]
-                acc += d * d
-            if acc < best_dist:
-                best_dist = acc
-                best = j
-        out[t] = best
-    return out
-
-
-def _nn_decode(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
-    if backend.numba_enabled():
-        out = np.empty(received.shape[0], dtype=np.int64)
-        return _nn_decode_nb(codebook, received, out)
-    return _nn_decode_np(codebook, received)
 
 
 def _trial_draws(

@@ -123,6 +123,9 @@ class ChannelTable:
 
     def stochasticity_violations(self, label: str = "channel") -> list[str]:
         out = []
+        n_bad = int(np.count_nonzero(~np.isfinite(self.table)))
+        if n_bad:
+            out.append(f"{label}: {n_bad} non-finite entries")
         if np.any(self.table < 0.0) or np.any(self.table > 1.0):
             out.append(f"{label}: entries outside [0, 1]")
         sums = self.table.sum(axis=1)

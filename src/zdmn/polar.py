@@ -4,11 +4,10 @@ A natural-order polar transform (lower-triangular kernel, no bit reversal)
 of size 2^ceil(log2 n), shortened down to n by freezing the tail inputs,
 which pins the tail codeword bits to 0 so they need not be transmitted.
 Decoding is CRC-aided successive-cancellation list decoding with an integer
-min-sum update rule, so the jitted and vectorized backends agree bit for
-bit.  The information set is picked by a seeded genie-aided Monte Carlo
-construction: run the L=1 decoder on random blocks with every decision
-corrected to the truth, count per-position decision errors, keep the most
-reliable positions.
+min-sum update rule, batched over blocks in numpy.  The information set
+is picked by a seeded genie-aided Monte Carlo construction: run the L=1
+decoder on random blocks with every decision corrected to the truth, count
+per-position decision errors, keep the most reliable positions.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import math
 
 import numpy as np
 
-from . import backend
-from .backend import njit
 from .errors import DomainError
 
 BIG = np.int64(1) << np.int64(40)  # pseudo-infinite LLR of a shortened (known-zero) bit
@@ -35,7 +32,7 @@ _construction_cache: dict = {}
 # encoding
 
 
-def _encode_np(u: np.ndarray) -> np.ndarray:
+def _encode_batch(u: np.ndarray) -> np.ndarray:
     """Butterfly transform of (B, n) bit blocks; xor pairs (i, i + step)."""
     x = u.copy()
     b, n = x.shape
@@ -45,28 +42,6 @@ def _encode_np(u: np.ndarray) -> np.ndarray:
         v[:, :, 0, :] ^= v[:, :, 1, :]
         step *= 2
     return x
-
-
-@njit(cache=True, nogil=True)
-def _encode_nb(u):  # pragma: no cover - jitted
-    x = u.copy()
-    n = x.shape[0]
-    step = 1
-    while step < n:
-        for start in range(0, n, 2 * step):
-            for i in range(step):
-                x[start + i] ^= x[start + step + i]
-        step *= 2
-    return x
-
-
-def _encode_batch(u: np.ndarray) -> np.ndarray:
-    if backend.numba_enabled():
-        out = np.empty_like(u)
-        for t in range(u.shape[0]):
-            out[t] = _encode_nb(u[t])
-        return out
-    return _encode_np(u)
 
 
 def _crc_bits(bits: np.ndarray, nc: int) -> np.ndarray:
@@ -107,7 +82,12 @@ def _bl_offsets(n: int, m: int) -> list[int]:
     return off
 
 
-def _scl_np(llr0, frozen, L, genie_u, errs):
+def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
+    """Run the list decoder on (B, n_code) LLR blocks; returns (U, PM).
+
+    With ``genie_u`` (construction mode, L == 1) every decision is corrected
+    to the true bit and per-position decision errors are added to ``errs``.
+    """
     B, n = llr0.shape
     m = n.bit_length() - 1
     offP = _p_offsets(n, m)
@@ -194,182 +174,6 @@ def _scl_np(llr0, frozen, L, genie_u, errs):
     return U, PM
 
 
-@njit(cache=True, nogil=True)
-def _scl_kernel(llr0, frozen, L, genie_u, genie_on, U_out, PM_out, errs):  # pragma: no cover
-    B, n = llr0.shape
-    m = 0
-    while (1 << m) < n:
-        m += 1
-    offP = np.zeros(m + 1, dtype=np.int64)
-    for d in range(m):
-        offP[d + 1] = offP[d] + (n >> d)
-    offBL = np.zeros(m, dtype=np.int64)
-    for d in range(m - 1):
-        offBL[d + 1] = offBL[d] + (n >> (d + 1))
-    P = np.zeros((L, 2 * n), dtype=np.int64)
-    BLa = np.zeros((L, n), dtype=np.uint8)
-    xbuf = np.zeros((L, n), dtype=np.uint8)
-    bitv = np.zeros(L, dtype=np.uint8)
-    pmc = np.zeros(2 * L, dtype=np.int64)
-    ordv = np.zeros(2 * L, dtype=np.int64)
-    par = np.zeros(L, dtype=np.int64)
-    tmp_pm = np.zeros(L, dtype=np.int64)
-    tmp_p = np.zeros((L, 2 * n), dtype=np.int64)
-    tmp_bl = np.zeros((L, n), dtype=np.uint8)
-    tmp_u = np.zeros((L, n), dtype=np.uint8)
-    for t in range(B):
-        U = U_out[t]
-        PM = PM_out[t]
-        for l in range(L):
-            PM[l] = 0
-            for j in range(n):
-                P[l, j] = llr0[t, j]
-        a = 1
-        for phi in range(n):
-            if phi == 0:
-                lo = 1
-            else:
-                v = phi
-                tz = 0
-                while v & 1 == 0:
-                    v >>= 1
-                    tz += 1
-                l0 = m - tz
-                w = n >> l0
-                base = offP[l0 - 1]
-                dst = offP[l0]
-                bb = offBL[l0 - 1]
-                for l in range(L):
-                    for i in range(w):
-                        av = P[l, base + i]
-                        cv = P[l, base + w + i]
-                        P[l, dst + i] = cv - av if BLa[l, bb + i] else cv + av
-                lo = l0 + 1
-            for d in range(lo, m + 1):
-                w = n >> d
-                base = offP[d - 1]
-                dst = offP[d]
-                for l in range(L):
-                    for i in range(w):
-                        av = P[l, base + i]
-                        cv = P[l, base + w + i]
-                        sa = -1 if av < 0 else 1
-                        sc = -1 if cv < 0 else 1
-                        mn = min(abs(av), abs(cv))
-                        P[l, dst + i] = sa * sc * mn
-            leaf = offP[m]
-            if frozen[phi]:
-                for l in range(L):
-                    lv = P[l, leaf]
-                    if lv < 0:
-                        PM[l] += -lv
-                    U[l, phi] = 0
-                    bitv[l] = 0
-            elif genie_on:
-                lv = P[0, leaf]
-                dec = 1 if lv < 0 else 0
-                tru = genie_u[t, phi]
-                if dec != tru:
-                    errs[phi] += 1
-                U[0, phi] = tru
-                bitv[0] = tru
-            else:
-                if 2 * a <= L:
-                    l2 = 2 * a
-                    for c in range(l2 - 1, -1, -1):
-                        src = c >> 1
-                        lv = P[src, leaf]
-                        if c & 1:
-                            pen = lv if lv > 0 else 0
-                        else:
-                            pen = -lv if lv < 0 else 0
-                        if src != c:
-                            for j in range(2 * n):
-                                P[c, j] = P[src, j]
-                            for j in range(n):
-                                BLa[c, j] = BLa[src, j]
-                                U[c, j] = U[src, j]
-                        PM[c] = PM[src] + pen
-                        U[c, phi] = c & 1
-                        bitv[c] = c & 1
-                    a = l2
-                else:
-                    nc = 2 * L
-                    for p in range(L):
-                        lv = P[p, leaf]
-                        pmc[2 * p] = PM[p] + (-lv if lv < 0 else 0)
-                        pmc[2 * p + 1] = PM[p] + (lv if lv > 0 else 0)
-                    for i in range(nc):
-                        ordv[i] = i
-                    for i in range(1, nc):
-                        key = ordv[i]
-                        kv = pmc[key]
-                        j = i - 1
-                        while j >= 0 and pmc[ordv[j]] > kv:
-                            ordv[j + 1] = ordv[j]
-                            j -= 1
-                        ordv[j + 1] = key
-                    identity = True
-                    for l in range(L):
-                        c = ordv[l]
-                        par[l] = c >> 1
-                        bitv[l] = c & 1
-                        tmp_pm[l] = pmc[c]
-                        if par[l] != l:
-                            identity = False
-                    if not identity:
-                        for l in range(L):
-                            s = par[l]
-                            for j in range(2 * n):
-                                tmp_p[l, j] = P[s, j]
-                            for j in range(n):
-                                tmp_bl[l, j] = BLa[s, j]
-                                tmp_u[l, j] = U[s, j]
-                        for l in range(L):
-                            for j in range(2 * n):
-                                P[l, j] = tmp_p[l, j]
-                            for j in range(n):
-                                BLa[l, j] = tmp_bl[l, j]
-                                U[l, j] = tmp_u[l, j]
-                    for l in range(L):
-                        PM[l] = tmp_pm[l]
-                        U[l, phi] = bitv[l]
-            w = 1
-            for l in range(L):
-                xbuf[l, 0] = bitv[l]
-            d = m
-            ph = phi
-            while d > 0 and (ph & 1) == 1:
-                bb = offBL[d - 1]
-                for l in range(L):
-                    for i in range(w):
-                        xbuf[l, w + i] = xbuf[l, i]
-                    for i in range(w):
-                        xbuf[l, i] = BLa[l, bb + i] ^ xbuf[l, w + i]
-                w *= 2
-                ph >>= 1
-                d -= 1
-            if d > 0:
-                bb = offBL[d - 1]
-                for l in range(L):
-                    for i in range(w):
-                        BLa[l, bb + i] = xbuf[l, i]
-
-
-def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
-    """Run the list decoder on (B, n_code) LLR blocks; returns (U, PM)."""
-    if errs is None:
-        errs = np.zeros(1, dtype=np.int64)
-    if backend.numba_enabled():
-        b, n = llr0.shape
-        u_out = np.zeros((b, L, n), dtype=np.uint8)
-        pm_out = np.zeros((b, L), dtype=np.int64)
-        gu = genie_u if genie_u is not None else np.zeros((1, 1), dtype=np.uint8)
-        _scl_kernel(llr0, frozen, L, gu, genie_u is not None, u_out, pm_out, errs)
-        return u_out, pm_out
-    return _scl_np(llr0, frozen, L, genie_u, errs)
-
-
 # ---------------------------------------------------------------------------
 # code construction and the code classes
 
@@ -406,9 +210,8 @@ class PolarCode:
 
     ``decode`` returns the payload of the best-metric path whose CRC checks
     (falling back to the best-metric path when none does), so the whole
-    pipeline stays in integer arithmetic and is reproducible across
-    backends.  ``list_size=1, crc_bits=0`` reduces to plain successive
-    cancellation.
+    pipeline stays in integer arithmetic and is reproducible bit for bit.
+    ``list_size=1, crc_bits=0`` reduces to plain successive cancellation.
     """
 
     def __init__(self, n: int, k: int, eps: float, *, list_size: int = 16,

@@ -52,9 +52,12 @@ class JointPmf:
 
     def validate(self) -> list[str]:
         out = []
+        n_bad = int(np.count_nonzero(~np.isfinite(self.probs)))
+        if n_bad:
+            out.append(f"{n_bad} non-finite entries")
         if np.any(self.probs < 0.0):
             out.append("negative entries")
-        if abs(float(self.probs.sum()) - 1.0) > SUM_TOL:
+        if not n_bad and abs(float(self.probs.sum()) - 1.0) > SUM_TOL:
             out.append(f"entries sum to {self.probs.sum():.9f} (not 1 within {SUM_TOL:g})")
         n_cells = int(np.prod(self.sizes, dtype=np.int64)) if self.variables else 1
         if self.probs.size != n_cells:

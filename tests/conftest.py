@@ -1,18 +1,6 @@
 import pytest
 
-from zdmn import backend, networks
-
-BACKENDS = ("numpy", "numba") if backend.HAS_NUMBA else ("numpy",)
-
-
-@pytest.fixture(params=BACKENDS)
-def both_backends(request, monkeypatch):
-    """Run the decorated test once per kernel backend."""
-    if request.param == "numpy":
-        monkeypatch.setenv("ZDMN_NO_NUMBA", "1")
-    else:
-        monkeypatch.delenv("ZDMN_NO_NUMBA", raising=False)
-    return request.param
+from zdmn import networks
 
 
 @pytest.fixture(scope="session")

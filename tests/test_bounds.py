@@ -1,7 +1,6 @@
 """Per-cut outer bounds: exact caps, factorization checks, grid search."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from zdmn.bounds import (
 )
 from zdmn.errors import DomainError
 from zdmn.model import ChannelTable
-from zdmn import backend
 from zdmn.probability import (
     JointPmf,
     binary_entropy,
@@ -224,7 +222,7 @@ def test_factorization_rejects_perturbed_joint():
 # grid search
 
 
-def test_grid_hull_noisy_feedback_capacity(both_backends):
+def test_grid_hull_noisy_feedback_capacity():
     eps = 0.11
     spec = networks.bscfb_spec(eps)
     hull, n_points, _ = grid_hull(spec, "capacity", 8)
@@ -234,30 +232,13 @@ def test_grid_hull_noisy_feedback_capacity(both_backends):
     assert n_points > 0
 
 
-def test_grid_hull_noisy_feedback_positive_delay(both_backends):
+def test_grid_hull_noisy_feedback_positive_delay():
     eps = 0.11
     spec = networks.bscfb_spec(eps)
     hull, _, _ = grid_hull(spec, "positive-delay", 8)
     cap = 1.0 - binary_entropy(eps)
     for c in hull:
         assert c.cap <= cap + 0.01
-
-
-@pytest.mark.skipif(not backend.HAS_NUMBA, reason="numba not installed")
-def test_grid_hull_backend_agreement():
-    spec = networks.bscfb_spec(0.11)
-    results = {}
-    for flag in ("1", "0"):
-        os.environ["ZDMN_NO_NUMBA"] = flag
-        try:
-            hull, n, points = grid_hull(spec, "capacity", 6)
-            results[flag] = (tuple(c.cap for c in hull), n, points)
-        finally:
-            os.environ.pop("ZDMN_NO_NUMBA", None)
-    caps_np, n_np, pts_np = results["1"]
-    caps_nb, n_nb, pts_nb = results["0"]
-    assert n_np == n_nb and pts_np == pts_nb
-    assert np.allclose(caps_np, caps_nb, atol=1e-12)
 
 
 def test_grid_hull_classical_channel():

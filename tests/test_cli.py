@@ -42,14 +42,16 @@ def test_validate_ok(capsys, spec_path):
 
 
 def test_validate_invalid_spec(capsys, tmp_path):
-    d = model.spec_to_dict(networks.bscfb_spec(0.11))
-    d["channels"][0]["rows"][0][0] = 0.9  # row no longer sums to one
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(d))
-    rc, out, _ = _run(capsys, "validate", "--spec", str(path))
-    assert rc == EXIT_DOMAIN
-    assert out.startswith("spec INVALID:")
-    assert "- " in out
+    # 0.9: the row no longer sums to one; NaN: every comparison with it is false
+    for entry, why in ((0.9, "sums to"), (float("nan"), "non-finite")):
+        d = model.spec_to_dict(networks.bscfb_spec(0.11))
+        d["channels"][0]["rows"][0][0] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        rc, out, _ = _run(capsys, "validate", "--spec", str(path))
+        assert rc == EXIT_DOMAIN
+        assert out.startswith("spec INVALID:")
+        assert "- " in out and why in out
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -135,6 +137,13 @@ def test_bound_distribution_cap(capsys, spec_path):
     rc, _, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "8",
                       "--max-distributions", "10")
     assert rc == EXIT_CAP and err.startswith("error: ")
+
+
+def test_bound_rejects_nonpositive_grid(capsys, spec_path):
+    for k in ("0", "-3"):
+        rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", k)
+        assert rc == EXIT_DOMAIN and out == ""
+        assert err == f"error: grid resolution k must be >= 1, got {k}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Relay chain: slot identities, gate statistics, codebook error estimates."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from zdmn import backend
 from zdmn.errors import DomainError, ResourceCapError
 from zdmn.gaussian import (
     RELAY_POWER_MARGIN,
@@ -187,20 +185,6 @@ def test_codebook_rate_effective_rounding():
     assert res.rate_requested == 0.55
     exact = codebook_experiment(_config(n=10), 0.5, trials=1, method="analytic")
     assert exact.codebook_size == 1 << 5  # exact products stay exact
-
-
-@pytest.mark.skipif(not backend.HAS_NUMBA, reason="numba not installed")
-def test_codebook_backends_agree_on_error_counts():
-    cfg = _config(n=12)
-    counts = {}
-    for flag in ("1", "0"):
-        os.environ["ZDMN_NO_NUMBA"] = flag
-        try:
-            res = codebook_experiment(cfg, 0.9, trials=300, method="exhaustive")
-            counts[flag] = res.errors
-        finally:
-            os.environ.pop("ZDMN_NO_NUMBA", None)
-    assert counts["1"] == counts["0"]
 
 
 def test_codebook_validation_and_caps():

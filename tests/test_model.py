@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ def test_channel_table_stochasticity_reporting():
     bad = ChannelTable(("X1",), ("Y2",), np.array([[0.3, 0.6], [1.2, -0.2]]))
     msgs = "\n".join(bad.stochasticity_violations("ch"))
     assert "outside [0, 1]" in msgs and "row 0" in msgs
+
+
+def test_channel_table_reports_non_finite_entries():
+    # every comparison with NaN is false, so range and row-sum checks miss it
+    for value in (math.nan, math.inf):
+        table = np.array([[0.3, 0.7], [value, 0.5]])
+        msgs = ChannelTable(("X1",), ("Y2",), table).stochasticity_violations("ch")
+        assert "ch: 1 non-finite entries" in msgs
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Block code: transform oracle, SC reference decoder, CRC vectors, backends."""
+"""Block code: transform oracle, SC reference decoder, CRC vectors."""
 
 import numpy as np
 import pytest
 
-from zdmn import backend, polar
+from zdmn import polar
 from zdmn.errors import DomainError
 from zdmn.polar import BIG, PolarCode, RandomCodebookCode, _crc_bits, _encode_batch
 
@@ -81,7 +81,7 @@ def test_noiseless_roundtrip():
 # list decoder against the recursive reference
 
 
-def test_list_of_one_matches_recursive_reference(both_backends):
+def test_list_of_one_matches_recursive_reference():
     rng = np.random.Generator(np.random.Philox(4))
     for n in (2, 4, 8, 16, 32):
         for _ in range(20):
@@ -106,7 +106,7 @@ def test_decoder_handles_shortened_llr_like_reference():
         assert np.array_equal(got[t], full_u[code.info_positions][:4])
 
 
-def test_batched_decode_equals_single(both_backends):
+def test_batched_decode_equals_single():
     code = PolarCode(16, 6, 0.2, list_size=4, crc_bits=8,
                      construction_blocks=500)
     rng = np.random.Generator(np.random.Philox(6))
@@ -156,7 +156,7 @@ def test_crc_detects_every_single_bit_flip():
 
 
 # ---------------------------------------------------------------------------
-# construction determinism and backend agreement
+# construction determinism
 
 
 def test_construction_cached_and_deterministic():
@@ -171,31 +171,6 @@ def test_construction_cached_and_deterministic():
     assert a.sc_union_bound == c.sc_union_bound
     assert len(a.info_positions) == 12 + 16
     assert np.all(a.info_positions < 48)  # shortened tail never carries info
-
-
-@pytest.mark.skipif(not backend.HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_bit_for_bit():
-    import os
-
-    results = {}
-    rng_blocks = np.random.Generator(np.random.Philox(8))
-    ys = rng_blocks.integers(0, 2, size=(120, 40), dtype=np.uint8)
-    for flag in ("1", "0"):
-        os.environ["ZDMN_NO_NUMBA"] = flag
-        try:
-            polar._construction_cache.clear()
-            code = PolarCode(40, 10, 0.11, list_size=8, crc_bits=8,
-                             construction_blocks=2000)
-            results[flag] = (code.info_positions.copy(),
-                             code.sc_union_bound,
-                             code.decode_batch(ys).copy())
-        finally:
-            os.environ.pop("ZDMN_NO_NUMBA", None)
-    info_np, ub_np, dec_np = results["1"]
-    info_nb, ub_nb, dec_nb = results["0"]
-    assert np.array_equal(info_np, info_nb)
-    assert ub_np == ub_nb
-    assert np.array_equal(dec_np, dec_nb)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,12 @@ def test_joint_validate_catches_problems():
     assert _joint((("A", 2),), [0.5, 0.3, 0.2]).validate()
 
 
+def test_joint_validate_reports_non_finite_entries():
+    # a NaN cell makes the sum NaN, and NaN compares false against SUM_TOL
+    assert "1 non-finite entries" in _joint((("A", 2),), [math.nan, 1.0]).validate()
+    assert "2 non-finite entries" in _joint((("A", 2),), [math.inf, -math.inf]).validate()
+
+
 def test_marginalize_product_structure():
     # independent pair: p(a, b) = p(a) p(b)
     pa = np.array([0.3, 0.7])
