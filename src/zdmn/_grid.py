@@ -83,27 +83,9 @@ class GridProblem:
         sizes = np.array([spec.var_size(n) for n in names], dtype=np.int64)
         self._names = names
         pos = {n: i for i, n in enumerate(names)}
-        d = int(sizes.prod())
-        self.d = d
-        vals = np.array(np.unravel_index(np.arange(d), tuple(sizes))).T  # (D, nvars)
 
-        def group_index(group) -> tuple[np.ndarray, int]:
-            idx = np.zeros(d, dtype=np.int64)
-            m = 1
-            for n in group:
-                s = int(sizes[pos[n]])
-                idx = idx * s + vals[:, pos[n]]
-                m *= s
-            return idx.astype(np.int32), m
-
-        # Fixed channel factor product Q[j].
-        q = np.ones(d, dtype=np.float64)
-        for h in range(1, spec.alpha + 1):
-            ch = spec.channels[h - 1]
-            row_idx, _ = group_index(ch.input_vars)
-            col_idx, _ = group_index(ch.output_vars)
-            q *= ch.table[row_idx, col_idx]
-        self.q = q
+        def group_size(group) -> int:
+            return math.prod(int(sizes[pos[n]]) for n in group)
 
         # Free factors: (row-group vars, col-group vars) per factor.
         if self.which == "capacity":
@@ -118,23 +100,39 @@ class GridProblem:
         self.n_factors = len(factors)
         self.factor_vars = factors
 
-        self.factor_row_maps = []
-        self.factor_col_maps = []
-        self.factor_n_rows = []
-        self.factor_n_cols = []
+        # The cap is checked from the alphabet sizes alone, before any
+        # length-D table is built.
+        self.factor_n_rows = [group_size(fin) for fin, _ in factors]
+        self.factor_n_cols = [group_size(fout) for _, fout in factors]
         n_points = 1
-        for fvars_in, fvars_out in factors:
-            row_idx, n_rows = group_index(fvars_in)
-            col_idx, n_cols = group_index(fvars_out)
-            self.factor_row_maps.append(row_idx)
-            self.factor_col_maps.append(col_idx)
-            self.factor_n_rows.append(n_rows)
-            self.factor_n_cols.append(n_cols)
+        for n_rows, n_cols in zip(self.factor_n_rows, self.factor_n_cols):
             n_points *= math.comb(self.k + n_cols - 1, n_cols - 1) ** n_rows
         if n_points > max_distributions:
             raise ResourceCapError(
                 f"grid has {n_points} distributions, above the cap {max_distributions}")
         self.n_points = n_points
+
+        d = group_size(names)
+        self.d = d
+        vals = np.array(np.unravel_index(np.arange(d), tuple(sizes))).T  # (D, nvars)
+
+        def group_index(group) -> np.ndarray:
+            idx = np.zeros(d, dtype=np.int64)
+            for n in group:
+                idx = idx * int(sizes[pos[n]]) + vals[:, pos[n]]
+            return idx.astype(np.int32)
+
+        # Fixed channel factor product Q[j].
+        q = np.ones(d, dtype=np.float64)
+        for h in range(1, spec.alpha + 1):
+            ch = spec.channels[h - 1]
+            row_idx = group_index(ch.input_vars)
+            col_idx = group_index(ch.output_vars)
+            q *= ch.table[row_idx, col_idx]
+        self.q = q
+
+        self.factor_row_maps = [group_index(fin) for fin, _ in factors]
+        self.factor_col_maps = [group_index(fout) for _, fout in factors]
 
         # Composition tables and the global row radix.
         self.comp_tables = [compositions(self.k, m) / float(self.k)
@@ -165,9 +163,9 @@ class GridProblem:
                     a, b, c = positive_delay_term_groups(spec, cut.nodes)
                 if not a or not b:
                     continue
-                abc_of, m_abc = group_index(a + b + c)
-                ma, mb, mc = (int(np.prod([sizes[pos[n]] for n in g], dtype=np.int64))
-                              if g else 1 for g in (a, b, c))
+                abc_of = group_index(a + b + c)
+                ma, mb, mc = (group_size(g) for g in (a, b, c))
+                m_abc = ma * mb * mc
                 cells = np.arange(m_abc, dtype=np.int64)
                 c_of = cells % mc
                 ab = cells // mc

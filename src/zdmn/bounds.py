@@ -20,7 +20,7 @@ from ._grid import (GridProblem, capacity_term_groups,
 from .errors import DomainError
 from .model import ChannelTable, NetworkSpec, NodeSet
 from .probability import (JointPmf, binary_entropy,
-                          conditional_mutual_information, condition,
+                          conditional_mutual_information,
                           input_conditional_vars, marginalize,
                           product_input_joint)
 
@@ -64,6 +64,8 @@ class RateTuple:
         r = np.asarray(self.rates, dtype=np.float64)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DomainError("rates must be a square matrix")
+        if not np.all(np.isfinite(r)):
+            raise DomainError("rates must be finite")
         if np.any(r < 0.0):
             raise DomainError("rates must be nonnegative")
         if np.any(np.diag(r) != 0.0):

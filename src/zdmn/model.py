@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpecIOError
+from .errors import DomainError, ResourceCapError, SpecIOError
 
 ROW_TOL = 1e-9
+PROFILE_CAP = 2 ** 16  # candidates enumerate_feasible_profiles may scan
 
 
 def x_var(i: int) -> str:
@@ -291,6 +292,10 @@ def is_feasible(spec: NetworkSpec, profile: DelayProfile) -> bool:
 
 def enumerate_feasible_profiles(spec: NetworkSpec) -> list[DelayProfile]:
     """All feasible profiles out of the 2^N candidates, lexicographic order."""
+    if 2 ** spec.n_nodes > PROFILE_CAP:
+        raise ResourceCapError(
+            f"{spec.n_nodes} nodes give {2 ** spec.n_nodes} delay profiles, "
+            f"above the cap of {PROFILE_CAP}")
     out = []
     for bits in itertools.product((0, 1), repeat=spec.n_nodes):
         p = DelayProfile(bits)

@@ -4,7 +4,11 @@ A natural-order polar transform (lower-triangular kernel, no bit reversal)
 of size 2^ceil(log2 n), shortened down to n by freezing the tail inputs,
 which pins the tail codeword bits to 0 so they need not be transmitted.
 Decoding is CRC-aided successive-cancellation list decoding with an integer
-min-sum update rule, batched over blocks in numpy.  The information set
+min-sum update rule, batched over blocks in numpy.  The list engine copies
+path state lazily: it keeps one LLR and one partial-sum buffer per tree
+depth, each read through a per-depth map from path to buffer row, so a
+list reorder only composes index maps; the decided bits are recovered by
+tracing the recorded parent rows back once at the end.  The information set
 is picked by a seeded genie-aided Monte Carlo construction: run the L=1
 decoder on random blocks with every decision corrected to the truth, count
 per-position decision errors, keep the most reliable positions.
@@ -60,26 +64,51 @@ def _crc_bits(bits: np.ndarray, nc: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # successive-cancellation list engine
 #
-# Iterative formulation over flat per-depth buffers.  P holds LLR sections
-# (depth d at _offsets; width n >> d), BL holds the codeword of the most
-# recent completed left child per depth, U the decided input bits, PM the
-# path metrics (sum of magnitudes of violated LLRs).  The update schedule
-# per leaf phi: one g-step at depth m - trailing_zeros(phi), f-steps below
-# it, then a partial-sum ripple across the trailing ones of phi.
+# Lazy path copies (Tal & Vardy 2015, "List decoding of polar codes", IV).
+# P[d] holds the LLRs at depth d (width n >> d) and S[d] the partial sums of
+# the most recent completed left child at depth d, as 0/-1 int8 masks; both
+# are (B, lanes, width) arrays.  A lane axis of size 1 means the data is
+# shared by every path: depth 0 is the channel LLR, and every buffer written
+# before the first information bit stays shared.  maps[0, d] / maps[1, d]
+# give, for each path (flat row b * L + j), the flat row that holds its
+# P[d] / S[d] data, so a reorder of the list composes the parent rows into
+# the maps and moves no data.  A buffer is gathered only when it is read
+# through a moved map: the g-step reads P[l0 - 1], the partial-sum ripple
+# reads the left children S[d].  Every write makes a fresh buffer in path
+# order and resets its map.  The f-steps read buffers written in the same
+# leaf, and the g-step's S[l0] was written by the previous leaf after its
+# reorder, so neither is ever gathered.  Decided bits are not stored per
+# path: each information leaf records its bits and parent rows, and U is
+# traced back once at the end.
+#
+# The update schedule per leaf phi: one g-step at depth m - trailing_zeros(phi),
+# f-steps below it, then a partial-sum ripple across the trailing ones of phi.
+# PM is the path metric (sum of magnitudes of violated leaf LLRs).
 
 
-def _p_offsets(n: int, m: int) -> list[int]:
-    off = [0]
-    for d in range(m):
-        off.append(off[-1] + (n >> d))
-    return off
+def _f_step(av, cv):
+    """Min-sum check update: sign(a) sign(c) min(|a|, |c|).
+
+    Built in place from an integer sign mask, which allocates fewer
+    temporaries than multiplying by np.sign.  A zero operand makes the
+    minimum 0, so its sign does not matter.
+    """
+    out = np.abs(av)
+    tmp = np.abs(cv)
+    np.minimum(out, tmp, out=out)
+    np.bitwise_xor(av, cv, out=tmp)
+    tmp >>= 63  # -1 where the signs differ, else 0
+    out ^= tmp
+    out -= tmp
+    return out
 
 
-def _bl_offsets(n: int, m: int) -> list[int]:
-    off = [0]
-    for d in range(m - 1):
-        off.append(off[-1] + (n >> (d + 1)))
-    return off
+def _g_step(av, cv, s):
+    """Variable update: c + a, or c - a where the partial-sum mask s is -1."""
+    out = np.bitwise_xor(av, s)
+    out -= s  # (a ^ -1) + 1 == -a
+    out += cv
+    return out
 
 
 def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
@@ -90,14 +119,27 @@ def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
     """
     B, n = llr0.shape
     m = n.bit_length() - 1
-    offP = _p_offsets(n, m)
-    offBL = _bl_offsets(n, m)
-    P = np.zeros((B, L, 2 * n), dtype=np.int64)
-    P[:, :, :n] = llr0[:, None, :]
-    BL = np.zeros((B, L, n), dtype=np.uint8)
-    U = np.zeros((B, L, n), dtype=np.uint8)
+    P = [llr0[:, None, :]] + [None] * m
+    S = [None] * (m + 1)
+    ident = np.arange(B * L)
+    maps = np.tile(ident, (2, m + 1, 1))
+    moved = np.zeros((2, m + 1), dtype=bool)
+    row = (np.arange(B) * L)[:, None]
+    row_dtype = np.min_scalar_type(B * L - 1)
     PM = np.zeros((B, L), dtype=np.int64)
-    lane = np.arange(L)
+    trace = []  # (phi, bits, flat parent rows or None) per information leaf
+
+    def read(k, d):  # k = 0: P[d], k = 1: S[d], in path order
+        buf = (P, S)[k][d]
+        if not moved[k, d] or buf.shape[1] == 1:
+            return buf
+        w = buf.shape[2]
+        return buf.reshape(B * L, w).take(maps[k, d], axis=0).reshape(B, L, w)
+
+    def wrote(k, d):
+        maps[k, d] = ident
+        moved[k, d] = False
+
     a = 1
     for phi in range(n):
         if phi == 0:
@@ -106,71 +148,69 @@ def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
             tz = (phi & -phi).bit_length() - 1
             l0 = m - tz
             w = n >> l0
-            seg = P[:, :, offP[l0 - 1]:offP[l0 - 1] + 2 * w]
-            av, cv = seg[..., :w], seg[..., w:]
-            bl = BL[:, :, offBL[l0 - 1]:offBL[l0 - 1] + w]
-            P[:, :, offP[l0]:offP[l0] + w] = np.where(bl == 1, cv - av, cv + av)
+            seg = read(0, l0 - 1)
+            P[l0] = _g_step(seg[..., :w], seg[..., w:], S[l0])
+            wrote(0, l0)
             lo = l0 + 1
         for d in range(lo, m + 1):
             w = n >> d
-            seg = P[:, :, offP[d - 1]:offP[d - 1] + 2 * w]
-            av, cv = seg[..., :w], seg[..., w:]
-            P[:, :, offP[d]:offP[d] + w] = (
-                np.sign(av) * np.sign(cv) * np.minimum(np.abs(av), np.abs(cv)))
-        llr = P[:, :, offP[m]]
+            seg = P[d - 1]
+            P[d] = _f_step(seg[..., :w], seg[..., w:])
+            wrote(0, d)
+        llr = P[m][:, :, 0]
         if frozen[phi]:
             PM += np.maximum(-llr, 0)
-            U[:, :, phi] = 0
-            bit = np.zeros((B, L), dtype=np.uint8)
+            bit = np.zeros((B, 1), dtype=np.uint8)
         elif genie_u is not None:  # construction mode, L == 1
             dec = (llr[:, 0] < 0).astype(np.uint8)
-            tru = genie_u[:, phi]
-            errs[phi] += int(np.count_nonzero(dec != tru))
-            U[:, 0, phi] = tru
-            bit = tru[:, None]
+            bit = genie_u[:, phi:phi + 1]
+            errs[phi] += int(np.count_nonzero(dec != bit[:, 0]))
+            trace.append((phi, bit, None))
         else:
+            llr = np.broadcast_to(llr, (B, L))
             pen0 = np.maximum(-llr, 0)
             pen1 = np.maximum(llr, 0)
             if 2 * a <= L:  # list still growing: keep every extension
                 l2 = 2 * a
-                pmg = np.empty((B, l2), dtype=np.int64)
-                pmg[:, 0::2] = PM[:, :a] + pen0[:, :a]
-                pmg[:, 1::2] = PM[:, :a] + pen1[:, :a]
-                par = np.arange(l2) >> 1
-                P[:, :l2] = P[:, par]
-                BL[:, :l2] = BL[:, par]
-                U[:, :l2] = U[:, par]
-                PM[:, :l2] = pmg
-                bitrow = (np.arange(l2) & 1).astype(np.uint8)
-                U[:, :l2, phi] = bitrow
+                PM[:, :l2] = np.repeat(PM[:, :a], 2, axis=1)
+                PM[:, 0:l2:2] += pen0[:, :a]
+                PM[:, 1:l2:2] += pen1[:, :a]
+                parent = np.arange(L)
+                parent[:l2] >>= 1
                 bit = np.zeros((B, L), dtype=np.uint8)
-                bit[:, :l2] = bitrow
+                bit[:, 1:l2:2] = 1
                 a = l2
             else:  # keep the L best of 2L extensions; ties keep lower index
                 pmc = np.empty((B, 2 * L), dtype=np.int64)
                 pmc[:, 0::2] = PM + pen0
                 pmc[:, 1::2] = PM + pen1
                 order = np.argsort(pmc, axis=1, kind="stable")[:, :L]
-                parent = order >> 1
-                bit = (order & 1).astype(np.uint8)
                 PM = np.take_along_axis(pmc, order, axis=1)
-                sub = np.nonzero(~np.all(parent == lane, axis=1))[0]
-                if sub.size:  # reorder state only where paths actually moved
-                    ps = parent[sub]
-                    P[sub] = P[sub[:, None], ps]
-                    BL[sub] = BL[sub[:, None], ps]
-                    U[sub] = U[sub[:, None], ps]
-                U[:, :, phi] = bit
-        x = bit[..., None]
+                bit = (order & 1).astype(np.uint8)
+                parent = order >> 1
+            flat = (parent + row).reshape(-1)
+            if np.array_equal(flat, ident):
+                trace.append((phi, bit, None))
+            else:  # reorder the list: compose the maps, move no data
+                maps[...] = maps[..., flat]
+                moved[...] = True
+                trace.append((phi, bit, flat.astype(row_dtype)))
+        x = -bit.astype(np.int8)[..., None]
         d, ph = m, phi
         while d > 0 and (ph & 1) == 1:
-            w = n >> d
-            xl = BL[:, :, offBL[d - 1]:offBL[d - 1] + w]
-            x = np.concatenate([xl ^ x, x], axis=2)
+            y = read(1, d) ^ x
+            x = np.concatenate([y, np.broadcast_to(x, y.shape)], axis=2)
             ph >>= 1
             d -= 1
         if d > 0:
-            BL[:, :, offBL[d - 1]:offBL[d - 1] + (n >> d)] = x
+            S[d] = x
+            wrote(1, d)
+    U = np.zeros((B, L, n), dtype=np.uint8)
+    cur = None  # flat row of each final path's ancestor; None = identity
+    for phi, bit, flat in reversed(trace):
+        U[:, :, phi] = bit if cur is None else bit.reshape(-1)[cur].reshape(B, L)
+        if flat is not None:
+            cur = flat if cur is None else flat[cur]
     return U, PM
 
 

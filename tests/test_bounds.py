@@ -1,11 +1,13 @@
 """Per-cut outer bounds: exact caps, factorization checks, grid search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zdmn import networks
+from zdmn._grid import GridProblem
 from zdmn.bounds import (
     Cut,
     INSIDE,
@@ -22,8 +24,8 @@ from zdmn.bounds import (
     positive_delay_cut_cap,
     region_membership,
 )
-from zdmn.errors import DomainError
-from zdmn.model import ChannelTable
+from zdmn.errors import DomainError, ResourceCapError
+from zdmn.model import ChannelTable, NetworkSpec, NodeSet, Partition
 from zdmn.probability import (
     JointPmf,
     binary_entropy,
@@ -95,6 +97,11 @@ def test_enumerate_cuts_counts():
 def test_rate_tuple_validation_and_flow():
     with pytest.raises(DomainError):
         RateTuple(np.array([[0.0, -1.0], [0.0, 0.0]]))
+    # NaN compares false with everything, so it must not slip past the sign
+    # check into region_membership, which would answer NOT_FOUND
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            RateTuple(np.array([[0.0, bad], [0.0, 0.0]]))
     with pytest.raises(DomainError):
         RateTuple(np.array([[1.0, 0.0], [0.0, 0.0]]))
     r = RateTuple.from_pairs(3, {(1, 2): 0.5, (1, 3): 0.25, (2, 1): 1.0})
@@ -220,6 +227,31 @@ def test_factorization_rejects_perturbed_joint():
 
 # ---------------------------------------------------------------------------
 # grid search
+
+
+def _qary_feedback_spec(q):
+    """bscfb's two-channel layout over q letters: Y2 = X1, Y1 = X2 - Y2 mod q."""
+    x1, x2, y2 = np.unravel_index(np.arange(q ** 3), (q, q, q))
+    rows = np.zeros((q ** 3, q))
+    rows[np.arange(q ** 3), (x2 - y2) % q] = 1.0
+    return NetworkSpec(
+        2, (q, q), (q, q), 2,
+        Partition((NodeSet((1,)), NodeSet((2,)))),
+        Partition((NodeSet((2,)), NodeSet((1,)))),
+        (ChannelTable(("X1",), ("Y2",), np.eye(q)),
+         ChannelTable(("X1", "X2", "Y2"), ("Y1",), rows)))
+
+
+def test_grid_cap_checked_before_length_d_tables():
+    spec = _qary_feedback_spec(32)  # D = 32^4 = 2^20 joint cells
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            GridProblem(spec, "capacity", 2, max_distributions=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # under one byte per joint cell: no length-D table
 
 
 def test_grid_hull_noisy_feedback_capacity():

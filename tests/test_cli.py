@@ -82,6 +82,16 @@ def test_feasible_listing(capsys, spec_path):
     assert lines[1:] == ["1,0", "1,1"]
 
 
+def test_feasible_listing_over_cap(capsys, tmp_path, one_letter_spec):
+    path = tmp_path / "wide.json"
+    n = model.PROFILE_CAP.bit_length()
+    model.save_spec(one_letter_spec(n), path)
+    rc, out, err = _run(capsys, "feasible", "--spec", str(path), "--all")
+    assert rc == EXIT_CAP and out == ""
+    assert err == (f"error: {n} nodes give {2 ** n} delay profiles, "
+                   f"above the cap of {model.PROFILE_CAP}\n")
+
+
 def test_feasible_malformed_profile(capsys, spec_path):
     rc, _, err = _run(capsys, "feasible", "--spec", spec_path, "--profile", "2,0")
     assert rc == EXIT_DOMAIN and err.startswith("error: ")

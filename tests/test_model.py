@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zdmn import model, networks
-from zdmn.errors import DomainError, SpecIOError
+from zdmn.errors import DomainError, ResourceCapError, SpecIOError
 from zdmn.model import (
     ChannelTable,
     DelayProfile,
@@ -114,6 +114,16 @@ def test_relay_chain_feasible_profiles(bundled_specs):
     spec = bundled_specs["causal-relay"]
     got = [p.delays for p in enumerate_feasible_profiles(spec)]
     assert got == [(1, 0, 1), (1, 1, 1)]
+
+
+def test_feasible_enumeration_cap(one_letter_spec):
+    # one-letter alphabets keep the spec tiny while 2^N grows
+    n = model.PROFILE_CAP.bit_length() - 1
+    spec = one_letter_spec(n)
+    assert validate_spec(spec).ok
+    assert [p.delays for p in enumerate_feasible_profiles(spec)] == [(1,) * n]
+    with pytest.raises(ResourceCapError):
+        enumerate_feasible_profiles(one_letter_spec(n + 1))
 
 
 def test_feasibility_matches_bruteforce_oracle(bundled_specs):

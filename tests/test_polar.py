@@ -40,6 +40,55 @@ def _sc_reference(llr, frozen):
     return np.array(u, dtype=np.uint8)
 
 
+_KRON = [_kron_transform(m) for m in range(7)]
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _leaf_llr(llr, u, phi):
+    """LLR of leaf ``phi`` from the channel LLRs and the decided prefix ``u``.
+
+    Walks the recursive min-sum formula down one branch: the left half of a
+    segment sees f(a, c); the right half sees c +/- a, with the sign taken
+    from the codeword of the left half's decided bits (Kronecker oracle).
+    """
+    llr = [int(v) for v in llr]
+    while len(llr) > 1:
+        w = len(llr) // 2
+        a, c = llr[:w], llr[w:]
+        if phi < w:
+            llr = [_sign(x) * _sign(y) * min(abs(x), abs(y)) for x, y in zip(a, c)]
+        else:
+            xl = (np.asarray(u[:w]) @ _KRON[w.bit_length() - 1]) % 2
+            llr = [y - x if b else y + x for x, y, b in zip(a, c, xl)]
+            u, phi = u[w:], phi - w
+    return llr[0]
+
+
+def _scl_reference(llr, frozen, L):
+    """Per-path list decoder: each path recomputes its leaf LLRs from scratch.
+
+    While the list grows every extension is kept (0 then 1 per parent); once
+    it is full, the interleaved 2L candidates are stably sorted by metric and
+    the best L kept.  Returns the paths' decided bits and metrics.
+    """
+    paths = [([], 0)]
+    for phi in range(len(llr)):
+        ext = []
+        for u, pm in paths:
+            v = _leaf_llr(llr, u, phi)
+            ext.append((u + [0], pm + max(-v, 0)))
+            if not frozen[phi]:
+                ext.append((u + [1], pm + max(v, 0)))
+        if len(ext) > L:
+            ext = sorted(ext, key=lambda p: p[1])[:L]  # sorted() is stable
+        paths = ext
+    return (np.array([u for u, _ in paths], dtype=np.uint8),
+            np.array([pm for _, pm in paths], dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # encoding
 
@@ -90,6 +139,25 @@ def test_list_of_one_matches_recursive_reference():
             u, _pm = polar._scl_run(llr, frozen, 1)
             want = _sc_reference(llr[0], frozen)
             assert np.array_equal(u[0, 0], want)
+
+
+def test_list_decoder_matches_per_path_reference():
+    rng = np.random.Generator(np.random.Philox(8))
+    for n in (2, 4, 8, 16, 32, 64):
+        for L in (2, 4, 8, 16):
+            for trial in range(3):
+                frozen = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+                llr = rng.integers(-3, 4, size=(2, n)).astype(np.int64)  # zeros tie
+                if trial == 2:  # shortened tail: known-zero bits at +BIG
+                    t = int(rng.integers(n // 2, n))
+                    llr[:, t:] = BIG
+                    frozen[t:] = 1
+                u, pm = polar._scl_run(llr, frozen, L)
+                for b in range(2):
+                    want_u, want_pm = _scl_reference(llr[b], frozen, L)
+                    live = len(want_pm)  # fewer than L when the list never filled
+                    assert np.array_equal(u[b, :live], want_u), (n, L, trial, b)
+                    assert np.array_equal(pm[b, :live], want_pm), (n, L, trial, b)
 
 
 def test_decoder_handles_shortened_llr_like_reference():

@@ -1,6 +1,5 @@
 """Exact pmf machinery: marginals, conditioning, information, composition."""
 
-import json
 import math
 
 import numpy as np
