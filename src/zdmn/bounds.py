@@ -318,8 +318,8 @@ class GaussianRelayBounds:
 
 def gaussian_relay_bounds(p: float) -> GaussianRelayBounds:
     """Positive-delay cap 0.5 log2(3 + 2P/5) vs achievable 0.5 log2(1 + 2P)."""
-    if p <= 0.0:
-        raise DomainError(f"power must be positive, got {p}")
+    if not math.isfinite(p) or p <= 0.0:
+        raise DomainError(f"power must be positive and finite, got {p}")
     cap = 0.5 * math.log2(3.0 + 2.0 * p / 5.0)
     ach = 0.5 * math.log2(1.0 + 2.0 * p)
     return GaussianRelayBounds(cap, ach, ach > cap)

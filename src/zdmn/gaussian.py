@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import chndtr
 
 from . import bounds
 from .errors import DomainError, ResourceCapError
@@ -353,7 +353,7 @@ def codebook_experiment(
         s = 4.0 * (config.P - config.delta)
         d0 = np.einsum("ij,ij->i", resid, resid) / s
         nc = np.einsum("ij,ij->i", y3, y3) / s
-        p_closer = np.clip(stats.ncx2.cdf(d0, df=n, nc=nc), 0.0, 1.0)
+        p_closer = np.clip(chndtr(d0, n, nc), 0.0, 1.0)
         if m == 1:
             per_trial = np.zeros(trials)
         else:

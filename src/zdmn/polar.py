@@ -9,9 +9,11 @@ path state lazily: it keeps one LLR and one partial-sum buffer per tree
 depth, each read through a per-depth map from path to buffer row, so a
 list reorder only composes index maps; the decided bits are recovered by
 tracing the recorded parent rows back once at the end.  The information set
-is picked by a seeded genie-aided Monte Carlo construction: run the L=1
-decoder on random blocks with every decision corrected to the truth, count
-per-position decision errors, keep the most reliable positions.
+is picked by exact density evolution of this decoder (Mori & Tanaka 2009;
+Tal & Vardy 2013, "How to construct polar codes"): every LLR of the
+genie-aided successive-cancellation decoder is an integer, so its law under
+the all-zero codeword is a finite pmf, and each position's decision error
+probability follows exactly; the most reliable positions carry information.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 
 BIG = np.int64(1) << np.int64(40)  # pseudo-infinite LLR of a shortened (known-zero) bit
-_CONSTRUCTION_SEED = 0x5EED_C0DE
-_CONSTRUCTION_BLOCKS = 25000
-_CONSTRUCTION_CHUNK = 2048
+MAX_N = 2 ** 14  # largest blocklength PolarCode accepts
 _DECODE_CHUNK = 256
 _CRC_POLYS = {0: 0, 8: 0x07, 16: 0x1021}
 
@@ -111,11 +111,11 @@ def _g_step(av, cv, s):
     return out
 
 
-def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
+def _scl_run(llr0, frozen, L):
     """Run the list decoder on (B, n_code) LLR blocks; returns (U, PM).
 
-    With ``genie_u`` (construction mode, L == 1) every decision is corrected
-    to the true bit and per-position decision errors are added to ``errs``.
+    While the list grows, only its first lanes hold paths; when it never
+    fills, the remaining lanes of U and PM are meaningless.
     """
     B, n = llr0.shape
     m = n.bit_length() - 1
@@ -161,11 +161,6 @@ def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
         if frozen[phi]:
             PM += np.maximum(-llr, 0)
             bit = np.zeros((B, 1), dtype=np.uint8)
-        elif genie_u is not None:  # construction mode, L == 1
-            dec = (llr[:, 0] < 0).astype(np.uint8)
-            bit = genie_u[:, phi:phi + 1]
-            errs[phi] += int(np.count_nonzero(dec != bit[:, 0]))
-            trace.append((phi, bit, None))
         else:
             llr = np.broadcast_to(llr, (B, L))
             pen0 = np.maximum(-llr, 0)
@@ -180,14 +175,15 @@ def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
                 bit = np.zeros((B, L), dtype=np.uint8)
                 bit[:, 1:l2:2] = 1
                 a = l2
-            else:  # keep the L best of 2L extensions; ties keep lower index
-                pmc = np.empty((B, 2 * L), dtype=np.int64)
-                pmc[:, 0::2] = PM + pen0
-                pmc[:, 1::2] = PM + pen1
+            else:  # keep the L best of 2a extensions; ties keep lower index
+                pmc = np.empty((B, 2 * a), dtype=np.int64)
+                pmc[:, 0::2] = PM[:, :a] + pen0[:, :a]
+                pmc[:, 1::2] = PM[:, :a] + pen1[:, :a]
                 order = np.argsort(pmc, axis=1, kind="stable")[:, :L]
                 PM = np.take_along_axis(pmc, order, axis=1)
                 bit = (order & 1).astype(np.uint8)
                 parent = order >> 1
+                a = L
             flat = (parent + row).reshape(-1)
             if np.array_equal(flat, ident):
                 trace.append((phi, bit, None))
@@ -218,31 +214,88 @@ def _scl_run(llr0, frozen, L, genie_u=None, errs=None):
 # code construction and the code classes
 
 
-def _construct(n: int, k_total: int, eps: float, blocks: int):
-    """Genie Monte Carlo construction: per-position error counts -> info set."""
+# Density evolution (Mori & Tanaka 2009).  By the symmetry of the channel
+# and of the min-sum rules, the genie-aided decoder (every earlier decision
+# set to the truth) errs at a position with the same probability as under
+# the all-zero codeword, where every partial sum is 0 and the g-step is
+# c + a.  The channel LLR is +1 or -1, so an LLR at depth d is an integer
+# in [-2^d, 2^d]: it is held as a pmf array p with p[h + v] = P(LLR = v),
+# h = len(p) // 2.  A shortened bit's LLR is the +inf atom, which never
+# mixes with a finite law: g(a, inf) = inf and f(a, inf) = a.  The two
+# halves of a node's LLRs depend on disjoint channel outputs, so each
+# step combines independent laws.
+
+
+def _de_side(q, k):
+    """P(A = t), P(A >= t), P(A >= t + 1) for t = 1..k, from q[t-1] = P(A = t)."""
+    ge = np.append(np.cumsum(q[::-1])[::-1], 0.0)
+    return q[:k], ge[:k], ge[1:k + 1]
+
+
+def _de_f(pa, pc):
+    """Law of sign(A) sign(C) min(|A|, |C|), from tail sums of A and C."""
+    ha, hc = len(pa) // 2, len(pc) // 2
+    k = min(ha, hc)
+    ap, ap_ge, ap_gt = _de_side(pa[ha + 1:], k)
+    an, an_ge, an_gt = _de_side(pa[ha - 1::-1], k)
+    cp, cp_ge, cp_gt = _de_side(pc[hc + 1:], k)
+    cn, cn_ge, cn_gt = _de_side(pc[hc - 1::-1], k)
+    # min(|A|, |C|) = t: one magnitude is t and the other at least t
+    pos = ap * cp_ge + ap_gt * cp + an * cn_ge + an_gt * cn
+    neg = ap * cn_ge + ap_gt * cn + an * cp_ge + an_gt * cp
+    zero = pa[ha] + pc[hc] * (ap_ge[0] + an_ge[0])  # A = 0, or A != 0 and C = 0
+    return np.concatenate([neg[::-1], [zero], pos])
+
+
+def _genie_errors(n: int, eps: float) -> np.ndarray:
+    """Exact genie-aided decision error probability of every input position.
+
+    Walks the decoding tree of the length-2^ceil(log2 n) code depth first.
+    A node holds its distinct LLR laws and, per element, the index of its
+    law (-1 for +inf); each f/g step is computed once per distinct pair of
+    input laws.  A leaf errs with probability P(L < 0) + P(L = 0) / 2,
+    because the decoder decides 0 on a tie and the genie's bit is uniform.
+    """
     n_code = 1 << max(1, math.ceil(math.log2(n)))
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=_CONSTRUCTION_SEED,
-                               spawn_key=(n_code, n, k_total))))
-    frz = np.zeros(n_code, dtype=np.uint8)
-    frz[n:] = 1  # shortened tail, transmitted as known zeros
-    errs = np.zeros(n_code, dtype=np.int64)
-    done = 0
-    while done < blocks:
-        b = min(_CONSTRUCTION_CHUNK, blocks - done)
-        u = rng.integers(0, 2, size=(b, n_code), dtype=np.uint8)
-        u[:, n:] = 0
-        noise = (rng.random((b, n)) < eps).astype(np.uint8)
-        x = _encode_batch(u)
-        llr = np.empty((b, n_code), dtype=np.int64)
-        llr[:, :n] = 1 - 2 * (x[:, :n] ^ noise).astype(np.int64)
-        llr[:, n:] = BIG
-        _scl_run(llr, frz, 1, genie_u=u, errs=errs)
-        done += b
+    errs = np.zeros(n_code)
+
+    def visit(laws, ids, lo):
+        w = ids.size // 2
+        if w == 0:
+            p = laws[ids[0]]
+            h = p.size // 2
+            errs[lo] = p[:h].sum() + 0.5 * p[h]
+            return
+        a, c = ids[:w], ids[w:]
+        _, first, inv = np.unique((a + 1) * (len(laws) + 1) + c + 1,
+                                  return_index=True, return_inverse=True)
+        for off, op in ((0, _de_f), (w, np.convolve)):
+            child, cid = [], []
+            for ia, ic in zip(a[first], c[first]):
+                if ia >= 0 and ic >= 0:
+                    law = op(laws[ia], laws[ic])
+                elif op is _de_f and max(ia, ic) >= 0:
+                    law = laws[max(ia, ic)]  # f(a, inf) = a
+                else:  # g(a, inf) = f(inf, inf) = inf
+                    cid.append(-1)
+                    continue
+                cid.append(len(child))
+                child.append(law)
+            if child:  # an all-inf subtree never errs
+                visit(child, np.array(cid)[inv], lo + off)
+
+    ids = np.full(n_code, -1)
+    ids[:n] = 0
+    visit([np.array([eps, 0.0, 1.0 - eps])], ids, 0)
+    return errs
+
+
+def _construct(n: int, k_total: int, eps: float):
+    """Info set: the k_total positions below n with the least genie error."""
+    errs = _genie_errors(n, eps)
     order = np.argsort(errs[:n], kind="stable")
     info = np.sort(order[:k_total])
-    union_bound = float(errs[info].sum()) / blocks
-    return n_code, info, union_bound
+    return errs.size, info, float(errs[info].sum())
 
 
 class PolarCode:
@@ -255,8 +308,7 @@ class PolarCode:
     """
 
     def __init__(self, n: int, k: int, eps: float, *, list_size: int = 16,
-                 crc_bits: int = 16,
-                 construction_blocks: int = _CONSTRUCTION_BLOCKS):
+                 crc_bits: int = 16):
         if crc_bits not in _CRC_POLYS:
             raise DomainError(f"crc_bits must be one of {sorted(_CRC_POLYS)}")
         if not (1 <= k and k + crc_bits <= n):
@@ -266,16 +318,17 @@ class PolarCode:
             raise DomainError(f"crossover eps must be in [0, 0.5), got {eps}")
         if list_size < 1:
             raise DomainError("list_size must be >= 1")
+        if n > MAX_N:
+            raise ResourceCapError(f"blocklength {n} is above the cap of {MAX_N}")
         self.n = int(n)
         self.k = int(k)
         self.eps = float(eps)
         self.list_size = int(list_size)
         self.crc_bits = int(crc_bits)
         self.k_total = self.k + self.crc_bits
-        key = (self.n, self.k_total, round(self.eps, 12), construction_blocks)
+        key = (self.n, self.k_total, round(self.eps, 12))
         if key not in _construction_cache:
-            _construction_cache[key] = _construct(self.n, self.k_total,
-                                                  self.eps, construction_blocks)
+            _construction_cache[key] = _construct(self.n, self.k_total, self.eps)
         self.n_code, self.info_positions, self.sc_union_bound = \
             _construction_cache[key]
         self.frozen = np.ones(self.n_code, dtype=np.uint8)

@@ -619,8 +619,8 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
     if forward_rate >= cap:
         raise DomainError(f"forward rate {forward_rate} is not below the "
                           f"forward capacity {cap:.6f}")
-    if forward_rate <= 0.0:
-        raise DomainError("forward rate must be positive")
+    if not forward_rate > 0.0:  # NaN fails this check too
+        raise DomainError(f"forward rate must be positive, got {forward_rate}")
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be >= 1")
     k = max(1, int(math.floor(forward_rate * n + 1e-9)))

@@ -378,5 +378,6 @@ def test_gaussian_relay_bounds_closed_form():
     assert not b125.separated
     b1 = gaussian_relay_bounds(1.0)
     assert b1.positive_delay_cap > b1.achievable_rate and not b1.separated
-    with pytest.raises(DomainError):
-        gaussian_relay_bounds(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gaussian_relay_bounds(bad)

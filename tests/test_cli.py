@@ -1,10 +1,11 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from zdmn import model, networks
+from zdmn import model, networks, polar
 from zdmn.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 
 
@@ -210,6 +211,26 @@ def test_bscfb_rate_above_capacity(capsys):
     assert rc == EXIT_DOMAIN and err.startswith("error: ")
 
 
+def test_bscfb_nan_rate_is_a_domain_error(capsys):
+    rc, out, err = _run(capsys, "bscfb", "--eps", "0.11", "--n", "64",
+                        "--rate", "nan", "--trials", "5")
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err == "error: forward rate must be positive, got nan\n"
+
+
+def test_bscfb_blocklength_over_cap(capsys):
+    n = polar.MAX_N + 1
+    tracemalloc.start()
+    try:
+        rc, out, err = _run(capsys, "bscfb", "--eps", "0.11", "--n", str(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_CAP and out == ""
+    assert err == f"error: blocklength {n} is above the cap of {polar.MAX_N}\n"
+    assert peak < 2 ** 20  # nothing of size n was allocated
+
+
 def test_gaussian_report_only(capsys):
     rc, out, _ = _run(capsys, "gaussian", "--power", "5")
     assert rc == EXIT_OK
@@ -218,6 +239,13 @@ def test_gaussian_report_only(capsys):
     assert "separated:            yes" in out
     assert "exceeds cap:          yes" in out
     assert "gate-open frequency" not in out
+
+
+def test_gaussian_non_finite_power(capsys):
+    for power in ("nan", "inf"):
+        rc, out, err = _run(capsys, "gaussian", "--power", power)
+        assert rc == EXIT_DOMAIN and out == ""
+        assert err == f"error: power must be positive and finite, got {power}\n"
 
 
 def test_gaussian_experiment(capsys):

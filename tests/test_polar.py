@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zdmn import polar
-from zdmn.errors import DomainError
+from zdmn.errors import DomainError, ResourceCapError
 from zdmn.polar import BIG, PolarCode, RandomCodebookCode, _crc_bits, _encode_batch
 
 
@@ -104,8 +104,7 @@ def test_encode_matches_kronecker_power_oracle():
 
 
 def test_shortened_tail_is_all_zero():
-    code = PolarCode(100, 30, 0.11, list_size=1, crc_bits=8,
-                     construction_blocks=500)
+    code = PolarCode(100, 30, 0.11, list_size=1, crc_bits=8)
     assert code.n_code == 128
     rng = np.random.Generator(np.random.Philox(2))
     msgs = rng.integers(0, 2, size=(40, 30), dtype=np.uint8)
@@ -120,8 +119,7 @@ def test_shortened_tail_is_all_zero():
 def test_noiseless_roundtrip():
     rng = np.random.Generator(np.random.Philox(3))
     for n, k, crc, lst in ((16, 4, 0, 1), (32, 10, 8, 4), (100, 20, 16, 8)):
-        code = PolarCode(n, k, 0.11, list_size=lst, crc_bits=crc,
-                         construction_blocks=500)
+        code = PolarCode(n, k, 0.11, list_size=lst, crc_bits=crc)
         msgs = rng.integers(0, 2, size=(25, k), dtype=np.uint8)
         assert np.array_equal(code.decode_batch(code.encode_batch(msgs)), msgs)
 
@@ -144,7 +142,7 @@ def test_list_of_one_matches_recursive_reference():
 def test_list_decoder_matches_per_path_reference():
     rng = np.random.Generator(np.random.Philox(8))
     for n in (2, 4, 8, 16, 32, 64):
-        for L in (2, 4, 8, 16):
+        for L in (2, 3, 4, 5, 6, 8, 16):
             for trial in range(3):
                 frozen = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.uint8)
                 llr = rng.integers(-3, 4, size=(2, n)).astype(np.int64)  # zeros tie
@@ -161,8 +159,7 @@ def test_list_decoder_matches_per_path_reference():
 
 
 def test_decoder_handles_shortened_llr_like_reference():
-    code = PolarCode(12, 4, 0.11, list_size=1, crc_bits=0,
-                     construction_blocks=500)
+    code = PolarCode(12, 4, 0.11, list_size=1, crc_bits=0)
     rng = np.random.Generator(np.random.Philox(5))
     ys = rng.integers(0, 2, size=(30, 12), dtype=np.uint8)
     got = code.decode_batch(ys)
@@ -175,8 +172,7 @@ def test_decoder_handles_shortened_llr_like_reference():
 
 
 def test_batched_decode_equals_single():
-    code = PolarCode(16, 6, 0.2, list_size=4, crc_bits=8,
-                     construction_blocks=500)
+    code = PolarCode(16, 6, 0.2, list_size=4, crc_bits=8)
     rng = np.random.Generator(np.random.Philox(6))
     ys = rng.integers(0, 2, size=(300, 16), dtype=np.uint8)  # crosses chunking
     batch = code.decode_batch(ys)
@@ -185,7 +181,7 @@ def test_batched_decode_equals_single():
 
 
 def test_list_decoding_improves_on_plain_sc():
-    kw = dict(crc_bits=16, construction_blocks=4000)
+    kw = dict(crc_bits=16)
     code1 = PolarCode(128, 32, 0.11, list_size=1, **kw)
     code16 = PolarCode(128, 32, 0.11, list_size=16, **kw)
     rng = np.random.Generator(np.random.Philox(42))
@@ -224,17 +220,79 @@ def test_crc_detects_every_single_bit_flip():
 
 
 # ---------------------------------------------------------------------------
+# construction: exact genie error against independent oracles
+
+
+def _genie_leaf_llrs(llr, u):
+    """Leaf LLRs of every row of ``llr`` when each earlier decision is the
+    true bit of ``u``, by the recursive min-sum formula."""
+    w = llr.shape[1] // 2
+    if w == 0:
+        return llr
+    a, c = llr[:, :w], llr[:, w:]
+    f = np.sign(a) * np.sign(c) * np.minimum(np.abs(a), np.abs(c))
+    xl = (u[:w] @ _KRON[w.bit_length() - 1]) % 2
+    g = np.where(xl == 1, c - a, c + a)
+    return np.hstack([_genie_leaf_llrs(f, u[:w]), _genie_leaf_llrs(g, u[w:])])
+
+
+def _exhaustive_genie_errors(n, eps):
+    """Per-position genie decision error, averaged over every input u (zero
+    on the shortened tail) and every noise pattern, weighted exactly."""
+    n_code = 1 << max(1, (n - 1).bit_length())
+    m = n_code.bit_length() - 1
+    patterns = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    weight = eps ** patterns.sum(axis=1) * (1 - eps) ** (n - patterns.sum(axis=1))
+    errs = np.zeros(n_code)
+    for bits in patterns:
+        u = np.zeros(n_code, dtype=np.int64)
+        u[:n] = bits
+        x = (u @ _KRON[m]) % 2
+        assert not x[n:].any()  # shortened tail codeword bits are 0
+        llr = np.full((len(patterns), n_code), BIG, dtype=np.int64)
+        llr[:, :n] = 1 - 2 * (x[:n] ^ patterns).astype(np.int64)
+        dec = (_genie_leaf_llrs(llr, u) < 0).astype(np.int64)
+        errs += weight @ (dec != u)
+    return errs / len(patterns)
+
+
+def test_genie_errors_match_exhaustive_enumeration():
+    for n in (2, 3, 4, 5, 6, 7, 8):
+        for eps in (0.11, 0.3):
+            want = _exhaustive_genie_errors(n, eps)
+            got = polar._genie_errors(n, eps)
+            assert np.max(np.abs(got - want)) <= 1e-12, (n, eps)
+
+
+def test_construction_two_position_closed_form():
+    for eps in (0.05, 0.11, 0.3):
+        errs = polar._genie_errors(2, eps)
+        assert errs[0] == pytest.approx(2 * eps * (1 - eps), abs=1e-15)
+        assert errs[1] == pytest.approx(eps, abs=1e-15)
+        code = PolarCode(2, 1, eps, crc_bits=0, list_size=1)
+        assert code.info_positions.tolist() == [1]
+        assert code.sc_union_bound == pytest.approx(eps, abs=1e-15)
+
+
+def test_noiseless_construction_picks_first_positions():
+    for n, k, crc in ((16, 4, 0), (100, 30, 8), (300, 60, 16)):
+        code = PolarCode(n, k, 0.0, crc_bits=crc)
+        assert code.info_positions.tolist() == list(range(k + crc))
+        assert code.sc_union_bound == 0.0
+
+
+# ---------------------------------------------------------------------------
 # construction determinism
 
 
 def test_construction_cached_and_deterministic():
     polar._construction_cache.clear()
-    a = PolarCode(48, 12, 0.11, construction_blocks=1000)
-    b = PolarCode(48, 12, 0.11, construction_blocks=1000)
+    a = PolarCode(48, 12, 0.11)
+    b = PolarCode(48, 12, 0.11)
     assert a.info_positions is b.info_positions  # cache hit
     assert a.sc_union_bound == b.sc_union_bound
     polar._construction_cache.clear()
-    c = PolarCode(48, 12, 0.11, construction_blocks=1000)
+    c = PolarCode(48, 12, 0.11)
     assert np.array_equal(a.info_positions, c.info_positions)
     assert a.sc_union_bound == c.sc_union_bound
     assert len(a.info_positions) == 12 + 16
@@ -270,13 +328,15 @@ def test_code_parameter_validation():
         PolarCode(16, 4, -0.1)
     with pytest.raises(DomainError):
         PolarCode(16, 4, 0.11, list_size=0)
+    with pytest.raises(ResourceCapError):
+        PolarCode(polar.MAX_N + 1, 8, 0.11)
     with pytest.raises(DomainError):
         RandomCodebookCode(32, 17)
     with pytest.raises(DomainError):
         RandomCodebookCode(4, 5)
     with pytest.raises(DomainError):
         RandomCodebookCode(4, 0)
-    code = PolarCode(16, 4, 0.11, construction_blocks=500, crc_bits=0)
+    code = PolarCode(16, 4, 0.11, crc_bits=0)
     with pytest.raises(DomainError):
         code.encode_batch(np.zeros((2, 5), dtype=np.uint8))
     with pytest.raises(DomainError):

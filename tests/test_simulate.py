@@ -31,8 +31,7 @@ _UNIT = DelayProfile.of((1, 1))
 
 
 def _tiny_polar(n, k):
-    return PolarCode(n, k, 0.11, list_size=1, crc_bits=0,
-                     construction_blocks=64)
+    return PolarCode(n, k, 0.11, list_size=1, crc_bits=0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def test_trace_csv_layout():
 
 
 def test_scheme_reverse_always_exact_forward_reasonable():
-    fwd = PolarCode(64, 16, 0.11, construction_blocks=2000)
+    fwd = PolarCode(64, 16, 0.11)
     res = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=50, forward_code=fwd)
     assert res.forward_bits == 16
     assert res.achieved_rates == (0.25, 1.0)
@@ -235,6 +234,8 @@ def test_scheme_validation():
         bscfb_scheme(0.11, 8, 0.75, seed=0)  # at/above forward capacity
     with pytest.raises(DomainError):
         bscfb_scheme(0.11, 8, -0.1, seed=0)
+    with pytest.raises(DomainError):
+        bscfb_scheme(0.11, 8, float("nan"), seed=0)
     with pytest.raises(DomainError):
         bscfb_scheme(0.11, 0, 0.2, seed=0)
 
