@@ -173,9 +173,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = model.load_spec(args.spec)
     code = simulate.load_code(args.code)
-    report = simulate.estimate_error(
-        spec, code, trials=args.trials, seed=args.seed, threads=args.threads
-    )
+    report = simulate.estimate_error(spec, code, trials=args.trials, seed=args.seed)
     print(f"trials: {args.trials}  seed: {args.seed}")
     print(report)
     if args.trace_out is not None:
@@ -284,12 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True, help="code JSON file")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: ZDMN_THREADS, else 1)",
-    )
     p.add_argument("--trace-out", help="also write the trial-0 trace CSV here")
     p.set_defaults(func=_cmd_simulate)
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import chndtr
 
 from . import bounds
 from .errors import DomainError, ResourceCapError
@@ -347,6 +346,10 @@ def codebook_experiment(
     budget = config.relay_budget
 
     if method == "analytic":
+        # imported here: scipy.special roughly doubles the memory and start-up
+        # time of `import zdmn`, and only this branch needs it
+        from scipy.special import chndtr
+
         x1, z2, z3 = _trial_draws(config, trials, scale)
         _, _, y3, _ = _relay_core(x1, z2, z3, budget)
         resid = y3 - 2.0 * x1

@@ -26,7 +26,8 @@ from .errors import DomainError, ResourceCapError
 
 BIG = np.int64(1) << np.int64(40)  # pseudo-infinite LLR of a shortened (known-zero) bit
 MAX_N = 2 ** 14  # largest blocklength PolarCode accepts
-_DECODE_CHUNK = 256
+_DECODE_CHUNK = 256  # most blocks per decoder call
+_DECODE_LANES = 2 ** 23  # blocks x list paths x code length per decoder call
 _CRC_POLYS = {0: 0, 8: 0x07, 16: 0x1021}
 
 _construction_cache: dict = {}
@@ -298,6 +299,12 @@ def _construct(n: int, k_total: int, eps: float):
     return errs.size, info, float(errs[info].sum())
 
 
+def _decode_chunk_blocks(n_code: int, list_size: int) -> int:
+    """Blocks per decoder call: at most _DECODE_CHUNK, and few enough that the
+    list decoder's int64 LLRs stay within the _DECODE_LANES budget."""
+    return max(1, min(_DECODE_CHUNK, _DECODE_LANES // (list_size * n_code)))
+
+
 class PolarCode:
     """Shortened polar code, CRC-aided list decoding over hard decisions.
 
@@ -351,8 +358,9 @@ class PolarCode:
         if ys.shape[1] != self.n:
             raise DomainError(f"received blocks must have {self.n} bits")
         out = np.empty((ys.shape[0], self.k), dtype=np.uint8)
-        for s in range(0, ys.shape[0], _DECODE_CHUNK):
-            out[s:s + _DECODE_CHUNK] = self._decode_chunk(ys[s:s + _DECODE_CHUNK])
+        step = _decode_chunk_blocks(self.n_code, self.list_size)
+        for s in range(0, ys.shape[0], step):
+            out[s:s + step] = self._decode_chunk(ys[s:s + step])
         return out
 
     def _decode_chunk(self, ys: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Runs the exact per-slot generation order (channels fire in index order
 inside each slot; a zero-delay node sees its current-slot received symbol
-because its receive channel fired earlier in the same slot), estimates
-error probabilities by seeded Monte Carlo, computes exact induced joints
-by enumeration at tiny scale, and implements the masked-feedback scheme
-for the binary symmetric channel with correlated feedback.
+because its receive channel fired earlier in the same slot) over a whole
+batch of trials at once, estimates error probabilities by seeded Monte
+Carlo, computes exact induced joints by enumeration at tiny scale, and
+implements the masked-feedback scheme for the binary symmetric channel
+with correlated feedback.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +26,14 @@ from .probability import (JointPmf, binary_entropy, compose_channels,
                           conditional_mutual_information)
 
 JOINT_CAP = 2 ** 24
+CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a random table code
+MESSAGE_SIZE_CAP = 2 ** 53  # floor(u * m) of a 53-bit uniform u is exact up to here
+_TRIAL_CHUNK = 4096  # trials per batch of the slot loop; bounds its memory
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based per-trial stream: parallel trials reproduce serial ones."""
+    """Independent stream of one ``bscfb_scheme`` trial, keyed by (seed, trial)."""
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
 
@@ -51,6 +53,14 @@ def _unfold_index(idx: int, sizes) -> list[int]:
     return out
 
 
+def _radix_powers(sizes) -> np.ndarray:
+    """Place values that fold digits most-significant first: ``digits @ powers``."""
+    out = np.ones(len(sizes), dtype=np.int64)
+    for pos in range(len(sizes) - 2, -1, -1):
+        out[pos] = out[pos + 1] * sizes[pos + 1]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # codes
 
@@ -64,6 +74,11 @@ class Code:
     node i lists the messages i originates, destinations in ascending
     order.  The engine passes exactly k - b_i received symbols, so a code
     cannot peek past its delay profile.
+
+    The engine calls the batch forms over trial-major arrays: ``w`` is
+    (trials, N - 1) message rows, ``y_prefix`` (trials, k - b_i) and ``y``
+    (trials, n) received symbols; each returns one int64 per trial.  By
+    default they loop over the scalar forms.
     """
 
     n: int
@@ -75,6 +90,18 @@ class Code:
 
     def decode(self, i: int, j: int, w_row: tuple, y_seq: tuple) -> int:
         raise NotImplementedError
+
+    def encode_batch(self, i: int, k: int, w: np.ndarray,
+                     y_prefix: np.ndarray) -> np.ndarray:
+        return np.array([self.encode(i, k, tuple(wr), tuple(yp))
+                         for wr, yp in zip(w.tolist(), y_prefix.tolist())],
+                        dtype=np.int64)
+
+    def decode_batch(self, i: int, j: int, w: np.ndarray,
+                     y: np.ndarray) -> np.ndarray:
+        return np.array([self.decode(i, j, tuple(wr), tuple(ys))
+                         for wr, ys in zip(w.tolist(), y.tolist())],
+                        dtype=np.int64)
 
     # shared helpers -------------------------------------------------------
     def message_pairs(self):
@@ -158,6 +185,18 @@ class TableCode(Code):
         y_idx = _fold_index(y_seq, (self.output_sizes[j - 1],) * len(y_seq))
         return int(self.decoder_tables[(i, j)][w_idx, y_idx])
 
+    def _fold_batch(self, node: int, w: np.ndarray, y: np.ndarray):
+        """(message index, received-word index) per trial at ``node``."""
+        y_powers = self.output_sizes[node - 1] ** np.arange(
+            y.shape[1] - 1, -1, -1, dtype=np.int64)
+        return w @ _radix_powers(self._w_radices(node)), y @ y_powers
+
+    def encode_batch(self, i, k, w, y_prefix):
+        return self.encoder_tables[i - 1][k - 1][self._fold_batch(i, w, y_prefix)]
+
+    def decode_batch(self, i, j, w, y):
+        return self.decoder_tables[(i, j)][self._fold_batch(j, w, y)]
+
 
 def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
                       seed: int, message_size: int = 2) -> TableCode:
@@ -166,30 +205,42 @@ def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
         raise DomainError(f"delay profile {profile.delays} infeasible for this network")
     if n < 1:
         raise DomainError("blocklength must be >= 1")
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed)))
+    if message_size < 1:
+        raise DomainError("message size must be >= 1")
     nn = spec.n_nodes
     sizes = tuple(tuple(1 if i == j else message_size for j in range(nn))
                   for i in range(nn))
-    w_spaces = [int(np.prod([sizes[i][j] for j in range(nn) if j != i],
-                            dtype=np.int64)) for i in range(nn)]
+    w_space = message_size ** (nn - 1)  # message index space of every node
+    outs = spec.output_alphabet_sizes
+    cells = 0
+    for k in range(1, n + 1):  # slot by slot, so growing tables stop this early
+        cells += w_space * sum(outs[i] ** (k - profile.delays[i]) for i in range(nn))
+        if cells > CODE_CELL_CAP:
+            break
+    else:
+        if message_size > 1:
+            cells += w_space * (nn - 1) * sum(s ** n for s in outs)
+    if cells > CODE_CELL_CAP:
+        raise ResourceCapError(f"a random table code of blocklength {n} needs "
+                               f"more than the cap of {CODE_CELL_CAP} table cells")
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed)))
     enc = []
     for i in range(1, nn + 1):
         per_slot = []
         b = profile.delay_of(i)
         for k in range(1, n + 1):
-            y_space = spec.output_alphabet_sizes[i - 1] ** (k - b)
+            y_space = outs[i - 1] ** (k - b)
             per_slot.append(rng.integers(
                 0, spec.input_alphabet_sizes[i - 1],
-                size=(w_spaces[i - 1], y_space), dtype=np.int64))
+                size=(w_space, y_space), dtype=np.int64))
         enc.append(tuple(per_slot))
     dec = {}
     for i in range(1, nn + 1):
         for j in range(1, nn + 1):
-            if i != j and sizes[i - 1][j - 1] > 1:
-                y_space = spec.output_alphabet_sizes[j - 1] ** n
-                dec[(i, j)] = rng.integers(0, sizes[i - 1][j - 1],
-                                           size=(w_spaces[j - 1], y_space),
+            if i != j and message_size > 1:
+                dec[(i, j)] = rng.integers(0, message_size,
+                                           size=(w_space, outs[j - 1] ** n),
                                            dtype=np.int64)
     return TableCode(n=n, message_sizes=sizes, delay_profile=profile,
                      input_sizes=tuple(spec.input_alphabet_sizes),
@@ -314,6 +365,36 @@ def _require_valid(spec: NetworkSpec) -> None:
         raise DomainError("invalid network: " + "; ".join(report.violations))
 
 
+def _check_tables(spec: NetworkSpec, code: TableCode) -> None:
+    """Every table the engine will gather from has the shape its indices need."""
+    if (code.input_sizes != tuple(spec.input_alphabet_sizes)
+            or code.output_sizes != tuple(spec.output_alphabet_sizes)):
+        raise DomainError(
+            f"code alphabet sizes {code.input_sizes} / {code.output_sizes} differ "
+            f"from the network's {tuple(spec.input_alphabet_sizes)} / "
+            f"{tuple(spec.output_alphabet_sizes)}")
+    w_spaces = [math.prod(code._w_radices(i)) for i in range(1, spec.n_nodes + 1)]
+    if len(code.encoder_tables) != spec.n_nodes:
+        raise DomainError("code needs one list of encoder tables per node")
+    for i, tables in enumerate(code.encoder_tables, start=1):
+        if tables is None or len(tables) != code.n:
+            raise DomainError(f"node {i} needs {code.n} encoder tables, one per slot")
+        b = code.delay_profile.delay_of(i)
+        for k, table in enumerate(tables, start=1):
+            want = (w_spaces[i - 1], code.output_sizes[i - 1] ** (k - b))
+            if np.shape(table) != want:
+                raise DomainError(f"encoder table of node {i}, slot {k} has shape "
+                                  f"{np.shape(table)}, expected {want}")
+    for (i, j) in code.message_pairs():
+        if (i, j) not in code.decoder_tables:
+            raise DomainError(f"code has no decoder table for message {i}->{j}")
+        want = (w_spaces[j - 1], code.output_sizes[j - 1] ** code.n)
+        table = code.decoder_tables[(i, j)]
+        if np.shape(table) != want:
+            raise DomainError(f"decoder table of message {i}->{j} has shape "
+                              f"{np.shape(table)}, expected {want}")
+
+
 def _check_code(spec: NetworkSpec, code: Code) -> None:
     _require_valid(spec)
     if len(code.message_sizes) != spec.n_nodes:
@@ -323,97 +404,108 @@ def _check_code(spec: NetworkSpec, code: Code) -> None:
             f"delay profile {code.delay_profile.delays} infeasible for this network")
     if code.n < 1:
         raise DomainError("blocklength must be >= 1")
+    for (i, j) in code.message_pairs():
+        if code.message_sizes[i - 1][j - 1] > MESSAGE_SIZE_CAP:
+            raise DomainError(f"message size {code.message_sizes[i - 1][j - 1]} "
+                              f"of {i}->{j} is above the cap of 2**53")
+    if isinstance(code, TableCode):
+        _check_tables(spec, code)
+
+
+def _run_batch(spec: NetworkSpec, code: Code, seed: int, lo: int, hi: int):
+    """Run trials [lo, hi) together through one slot loop.
+
+    All randomness comes from one Philox stream seeded by ``seed``.  Trial t
+    owns the counter window [t*c, (t+1)*c), c = ceil((P + n*alpha) / 4)
+    blocks of four doubles: its first P doubles u give the messages
+    floor(u * m) in ``message_pairs`` order, the next n*alpha its channel
+    uniforms in slot-then-channel order.  A trial's outcome is therefore the
+    same in every batch that contains it.
+
+    Returns trial-major arrays ``(w, x, y, est)``: messages and estimates
+    (trials, P) in ``message_pairs`` order, inputs and outputs (trials, n, N).
+    """
+    pairs = code.message_pairs()
+    nn, n, alpha, P = spec.n_nodes, code.n, spec.alpha, len(pairs)
+    c = -(-(P + n * alpha) // 4)
+    bits = np.random.Philox(np.random.SeedSequence(entropy=seed))
+    bits.advance(lo * c)
+    u = np.random.Generator(bits).random((hi - lo, 4 * c))
+    m = np.array([code.message_sizes[i - 1][j - 1] for i, j in pairs], dtype=float)
+    w = np.floor(u[:, :P] * m).astype(np.int64)
+    w_rows = {}  # node -> (trials, N - 1) messages it originates, as w_row_of
+    for i in range(1, nn + 1):
+        w_rows[i] = np.zeros((hi - lo, nn - 1), dtype=np.int64)
+        others = [j for j in range(1, nn + 1) if j != i]
+        for pos, j in enumerate(others):
+            if (i, j) in pairs:
+                w_rows[i][:, pos] = w[:, pairs.index((i, j))]
+    x = np.zeros((hi - lo, n, nn), dtype=np.int64)
+    y = np.zeros((hi - lo, n, nn), dtype=np.int64)
+    steps = []
+    for h in range(1, alpha + 1):
+        in_vars, out_vars = spec.channel_input_vars(h), spec.channel_output_vars(h)
+        out_sizes = [spec.var_size(v) for v in out_vars]
+        steps.append((
+            spec.input_partition.blocks[h - 1].members,
+            [(x if v[0] == "X" else y, int(v[1:]) - 1) for v in in_vars],
+            _radix_powers([spec.var_size(v) for v in in_vars]),
+            list(zip([int(v[1:]) - 1 for v in out_vars],
+                     _radix_powers(out_sizes), out_sizes)),
+            np.cumsum(spec.channels[h - 1].table, axis=1)))
+    for k in range(n):
+        for h, (members, ins, in_powers, outs, cums) in enumerate(steps):
+            for i in members:
+                plen = k + 1 - code.delay_profile.delay_of(i)
+                sym = code.encode_batch(i, k + 1, w_rows[i], y[:, :plen, i - 1])
+                bad = (sym < 0) | (sym >= spec.input_alphabet_sizes[i - 1])
+                if bad.any():
+                    raise DomainError(
+                        f"encoder at node {i}, slot {k + 1} produced symbol "
+                        f"{sym[bad][0]} outside its alphabet")
+                x[:, k, i - 1] = sym
+            row = np.zeros(hi - lo, dtype=np.int64)
+            for (arr, node), power in zip(ins, in_powers):
+                row += arr[:, k, node] * power
+            cum = cums[row]
+            # the number of cumulative entries <= u is searchsorted(side="right")
+            col = np.minimum((cum <= u[:, P + k * alpha + h, None]).sum(axis=1),
+                             cum.shape[1] - 1)
+            for node, power, size in outs:
+                y[:, k, node] = col // power % size
+    est = np.empty_like(w)
+    for q, (i, j) in enumerate(pairs):
+        est[:, q] = code.decode_batch(i, j, w_rows[j], y[:, :, j - 1])
+    return w, x, y, est
 
 
 def run_trial(spec: NetworkSpec, code: Code, seed: int, trial: int = 0) -> SimTrace:
-    """Execute one block: draw messages, run every slot, decode."""
+    """Execute one block, trial ``trial`` of ``estimate_error``'s batch."""
+    if trial < 0:
+        raise DomainError("trial must be >= 0")
     _check_code(spec, code)
-    rng = _trial_rng(seed, trial)
-    nn, n, alpha = spec.n_nodes, code.n, spec.alpha
-    messages = {}
-    for i in range(1, nn + 1):
-        for j in range(1, nn + 1):
-            m = code.message_sizes[i - 1][j - 1]
-            if m > 1:
-                messages[(i, j)] = int(rng.integers(0, m))
-    w_rows = {i: code.w_row_of(i, messages) for i in range(1, nn + 1)}
-    x = np.zeros((n, nn), dtype=np.int64)
-    y = np.zeros((n, nn), dtype=np.int64)
-    cums = [np.cumsum(spec.channels[h - 1].table, axis=1)
-            for h in range(1, alpha + 1)]
-    for k in range(1, n + 1):
-        for h in range(1, alpha + 1):
-            for i in spec.input_partition.blocks[h - 1].members:
-                plen = k - code.delay_profile.delay_of(i)
-                prefix = tuple(int(v) for v in y[:plen, i - 1])
-                sym = code.encode(i, k, w_rows[i], prefix)
-                if not 0 <= sym < spec.input_alphabet_sizes[i - 1]:
-                    raise DomainError(
-                        f"encoder at node {i}, slot {k} produced symbol {sym} "
-                        f"outside its alphabet")
-                x[k - 1, i - 1] = sym
-            in_vars = spec.channel_input_vars(h)
-            row_idx = _fold_index(
-                [x[k - 1, int(v[1:]) - 1] if v[0] == "X" else y[k - 1, int(v[1:]) - 1]
-                 for v in in_vars],
-                [spec.var_size(v) for v in in_vars])
-            cum = cums[h - 1][row_idx]
-            col = int(np.searchsorted(cum, rng.random(), side="right"))
-            col = min(col, cum.shape[0] - 1)
-            out_vars = spec.channel_output_vars(h)
-            for v, sym in zip(out_vars,
-                              _unfold_index(col, [spec.var_size(v) for v in out_vars])):
-                y[k - 1, int(v[1:]) - 1] = sym
-    estimates = {}
-    for (i, j) in code.message_pairs():
-        estimates[(i, j)] = code.decode(i, j, w_rows[j],
-                                        tuple(int(v) for v in y[:, j - 1]))
-    return SimTrace(seed=seed, trial=trial, messages=messages, x=x, y=y,
-                    estimates=estimates)
+    w, x, y, est = _run_batch(spec, code, seed, trial, trial + 1)
+    pairs = code.message_pairs()
+    return SimTrace(seed=seed, trial=trial,
+                    messages={p: int(w[0, q]) for q, p in enumerate(pairs)},
+                    x=x[0], y=y[0],
+                    estimates={p: int(est[0, q]) for q, p in enumerate(pairs)})
 
 
-def default_thread_count() -> int:
-    env = os.environ.get("ZDMN_THREADS", "")
-    if env.strip():
-        try:
-            v = int(env)
-        except ValueError as exc:
-            raise DomainError(f"ZDMN_THREADS must be an integer, got {env!r}") from exc
-        if v < 1:
-            raise DomainError("ZDMN_THREADS must be >= 1")
-        return v
-    return 1
-
-
-def estimate_error(spec: NetworkSpec, code: Code, trials: int, seed: int,
-                   threads: int | None = None) -> ErrorReport:
+def estimate_error(spec: NetworkSpec, code: Code, trials: int,
+                   seed: int) -> ErrorReport:
     """Monte Carlo error estimate per message pair; deterministic given seed."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     _check_code(spec, code)
-    threads = threads if threads is not None else default_thread_count()
     pairs = code.message_pairs()
-
-    def count_range(lo: int, hi: int) -> dict:
-        counts = {p: 0 for p in pairs}
-        for t in range(lo, hi):
-            trace = run_trial(spec, code, seed, t)
-            for p in pairs:
-                if trace.estimates[p] != trace.messages[p]:
-                    counts[p] += 1
-        return counts
-
-    totals = {p: 0 for p in pairs}
-    if threads <= 1:
-        totals = count_range(0, trials)
-    else:
-        step = -(-trials // threads)
-        chunks = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for counts in pool.map(lambda c: count_range(*c), chunks):
-                for p in pairs:
-                    totals[p] += counts[p]
-    return ErrorReport(pairs={p: _pair_stats(totals[p], trials) for p in pairs})
+    errors = np.zeros(len(pairs), dtype=np.int64)
+    for lo in range(0, trials, _TRIAL_CHUNK):
+        w, _x, _y, est = _run_batch(spec, code, seed, lo,
+                                    min(lo + _TRIAL_CHUNK, trials))
+        errors += (est != w).sum(axis=0)
+    return ErrorReport(pairs={p: _pair_stats(int(errors[q]), trials)
+                              for q, p in enumerate(pairs)})
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +534,7 @@ def induced_joint(spec: NetworkSpec, code: Code, cap: int = JOINT_CAP) -> JointP
     if total > cap:
         raise ResourceCapError(
             f"induced joint needs {total} cells, above the cap of {cap}")
-    strides = np.ones(len(sizes), dtype=np.int64)
-    for pos in range(len(sizes) - 2, -1, -1):
-        strides[pos] = strides[pos + 1] * sizes[pos + 1]
+    strides = _radix_powers(sizes)
     axis_of = {name: pos for pos, (name, _) in enumerate(variables)}
     nn, n, alpha = spec.n_nodes, code.n, spec.alpha
     pairs = code.message_pairs()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from zdmn import model, networks, polar
+from zdmn import model, networks, polar, simulate
 from zdmn.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 
 
@@ -187,6 +187,80 @@ def test_simulate_missing_code(capsys, tmp_path, spec_path):
     rc, _, err = _run(capsys, "simulate", "--spec", spec_path,
                       "--code", str(tmp_path / "nocode.json"))
     assert rc == EXIT_IO and err.startswith("error: ")
+
+
+def test_simulate_threads_flag_is_gone(capsys, spec_path, code_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--spec", spec_path, "--code", code_path, "--threads", "2"])
+    assert exc.value.code == EXIT_IO  # argparse usage error
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def relay_files(tmp_path, capsys):
+    """The causal relay and a random n=2 table code for it, written by the CLI."""
+    spec_f, code_f = str(tmp_path / "relay.json"), str(tmp_path / "code.json")
+    assert _run(capsys, "generate", "spec", "--name", "causal-relay",
+                "--out", spec_f)[0] == EXIT_OK
+    assert _run(capsys, "generate", "code", "--spec", spec_f, "--n", "2",
+                "--out", code_f)[0] == EXIT_OK
+    return spec_f, code_f
+
+
+def _narrow_encoder(d):
+    d["encoders"][0]["tables"][0] = [[0]]
+
+
+def _narrow_decoder(d):
+    d["decoders"][0]["table"] = [[0]]
+
+
+def _drop_slot_table(d):
+    d["encoders"][1]["tables"].pop()
+
+
+def _huge_message_size(d):
+    d["message_sizes"][0][1] = 10 ** 30
+
+
+def _drop_decoder_pair(d):
+    d["decoders"].pop(2)
+
+
+def _wrong_output_sizes(d):
+    d["output_sizes"] = [1, 1, 1]
+
+
+@pytest.mark.parametrize("edit", [_wrong_output_sizes, _narrow_encoder,
+                                  _narrow_decoder, _drop_slot_table,
+                                  _huge_message_size, _drop_decoder_pair])
+def test_simulate_malformed_code_is_a_domain_error(capsys, tmp_path, relay_files, edit):
+    spec_f, code_f = relay_files
+    with open(code_f, encoding="utf-8") as fh:
+        d = json.load(fh)
+    edit(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    rc, out, err = _run(capsys, "simulate", "--spec", spec_f, "--code", str(bad),
+                        "--trials", "5")
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_generate_code_over_cell_cap(capsys, tmp_path, relay_files):
+    spec_f, _ = relay_files
+    out_f = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        rc, out, err = _run(capsys, "generate", "code", "--spec", spec_f,
+                            "--n", "40", "--out", str(out_f))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_CAP and out == "" and not out_f.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(simulate.CODE_CELL_CAP) in err
+    assert peak < 2 ** 20  # the cap is checked before any table is drawn
 
 
 # ---------------------------------------------------------------------------

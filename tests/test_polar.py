@@ -180,6 +180,26 @@ def test_batched_decode_equals_single():
         assert np.array_equal(code.decode(ys[t]), batch[t])
 
 
+def test_decode_chunk_stays_within_lane_budget():
+    # forward-code's n=2000 (n_code 2048) keeps the full 256 blocks
+    assert polar._decode_chunk_blocks(2048, 16) == 256
+    # at MAX_N 32 blocks of 16 paths: 2**23 int64 lanes, about 128 MB
+    assert polar._decode_chunk_blocks(polar.MAX_N, 16) == 32
+    assert polar._decode_chunk_blocks(polar.MAX_N, 16) * 16 * polar.MAX_N <= 2 ** 23
+    assert polar._decode_chunk_blocks(2 ** 30, 16) == 1
+
+
+def test_chunked_decode_equals_single_blocks(monkeypatch):
+    code = PolarCode(16, 6, 0.2, list_size=4, crc_bits=8)
+    monkeypatch.setattr(polar, "_DECODE_LANES", 3 * 4 * code.n_code)
+    assert polar._decode_chunk_blocks(code.n_code, 4) == 3
+    rng = np.random.Generator(np.random.Philox(8))
+    ys = rng.integers(0, 2, size=(10, 16), dtype=np.uint8)
+    batch = code.decode_batch(ys)
+    for t in range(10):
+        assert np.array_equal(code.decode(ys[t]), batch[t])
+
+
 def test_list_decoding_improves_on_plain_sc():
     kw = dict(crc_bits=16)
     code1 = PolarCode(128, 32, 0.11, list_size=1, **kw)

@@ -1,11 +1,14 @@
 """Engine: slot ordering, determinism, exact joints, scheme behavior."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from zdmn import networks, simulate
 from zdmn.errors import DomainError, ResourceCapError, SpecIOError
-from zdmn.model import DelayProfile
+from zdmn.model import DelayProfile, enumerate_feasible_profiles
 from zdmn.polar import PolarCode
 from zdmn.probability import marginalize
 from zdmn.simulate import (
@@ -16,7 +19,6 @@ from zdmn.simulate import (
     check_positive_delay_markov,
     code_from_dict,
     code_to_dict,
-    default_thread_count,
     equivalence_check,
     estimate_error,
     induced_joint,
@@ -77,28 +79,120 @@ def test_scheme_engine_reverse_stream_exact_per_slot():
         assert trace.estimates[(2, 1)] == w_rev
 
 
-def test_estimate_error_threaded_equals_serial():
+def test_estimate_error_batch_window_invariance(monkeypatch):
+    spec = networks.bundled_spec("causal-relay")
+    code = random_table_code(spec, 2, DelayProfile.of((1, 0, 1)), seed=4)
+    trials = 40
+    report = estimate_error(spec, code, trials=trials, seed=8)
+    counts = {p: 0 for p in code.message_pairs()}
+    for t in range(trials):
+        trace = run_trial(spec, code, seed=8, trial=t)
+        for p in counts:
+            counts[p] += trace.estimates[p] != trace.messages[p]
+    assert {p: s.errors for p, s in report.pairs.items()} == counts
+    for stats in report.pairs.values():
+        assert stats.trials == trials
+        assert stats.estimate == stats.errors / trials
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", chunk)
+        assert estimate_error(spec, code, trials=trials, seed=8).pairs == report.pairs
+
+
+def _serial_trial(spec, code, seed, trial):
+    """Reference engine: one trial, one slot and one channel at a time.
+
+    It reads the stream layout on its own: trial t owns counter blocks
+    [t*c, (t+1)*c) of one Philox stream, c = ceil((P + n*alpha) / 4); the
+    first P doubles give the messages, the next n*alpha the channel draws.
+    """
+    pairs = code.message_pairs()
+    nn, n, alpha = spec.n_nodes, code.n, spec.alpha
+    blocks = math.ceil((len(pairs) + n * alpha) / 4)
+    bits = np.random.Philox(np.random.SeedSequence(entropy=seed))
+    bits.advance(trial * blocks)
+    draws = iter(np.random.Generator(bits).random(4 * blocks).tolist())
+    messages = {(i, j): math.floor(next(draws) * code.message_sizes[i - 1][j - 1])
+                for (i, j) in pairs}
+    w_rows = {i: code.w_row_of(i, messages) for i in range(1, nn + 1)}
+    x = np.zeros((n, nn), dtype=np.int64)
+    y = np.zeros((n, nn), dtype=np.int64)
+    for k in range(1, n + 1):
+        for h in range(1, alpha + 1):
+            for i in spec.input_partition.blocks[h - 1].members:
+                plen = k - code.delay_profile.delay_of(i)
+                prefix = tuple(int(v) for v in y[:plen, i - 1])
+                x[k - 1, i - 1] = code.encode(i, k, w_rows[i], prefix)
+            in_vars = spec.channel_input_vars(h)
+            row = simulate._fold_index(
+                [(x if v[0] == "X" else y)[k - 1, int(v[1:]) - 1] for v in in_vars],
+                [spec.var_size(v) for v in in_vars])
+            cum = np.cumsum(spec.channels[h - 1].table[row])
+            col = min(int(np.searchsorted(cum, next(draws), side="right")),
+                      cum.shape[0] - 1)
+            out_vars = spec.channel_output_vars(h)
+            for v, sym in zip(out_vars, simulate._unfold_index(
+                    col, [spec.var_size(v) for v in out_vars])):
+                y[k - 1, int(v[1:]) - 1] = sym
+    estimates = {(i, j): code.decode(i, j, w_rows[j], tuple(int(v) for v in y[:, j - 1]))
+                 for (i, j) in pairs}
+    return messages, x, y, estimates
+
+
+def _assert_matches_serial(spec, code, seed, trials):
+    errors = {p: 0 for p in code.message_pairs()}
+    for t in range(trials):
+        messages, x, y, estimates = _serial_trial(spec, code, seed, t)
+        trace = run_trial(spec, code, seed=seed, trial=t)
+        assert trace.messages == messages and trace.estimates == estimates
+        assert np.array_equal(trace.x, x) and np.array_equal(trace.y, y)
+        for p in errors:
+            errors[p] += estimates[p] != messages[p]
+    report = estimate_error(spec, code, trials=trials, seed=seed)
+    assert {p: s.errors for p, s in report.pairs.items()} == errors
+
+
+def test_batch_engine_matches_serial_reference_table_codes(bundled_specs):
+    for (name, spec), n in itertools.product(sorted(bundled_specs.items()), (1, 2, 3)):
+        for r, profile in enumerate(enumerate_feasible_profiles(spec)):
+            code = random_table_code(spec, n, profile, seed=10 * n + r)
+            _assert_matches_serial(spec, code, seed=n + r, trials=12)
+
+
+def test_batch_engine_matches_serial_reference_zero_delay_scheme():
     spec = networks.bscfb_spec(0.11)
-    code = random_table_code(spec, 2, _UNIT, seed=4)
-    serial = estimate_error(spec, code, trials=40, seed=8, threads=1)
-    threaded = estimate_error(spec, code, trials=40, seed=8, threads=4)
-    assert serial.pairs == threaded.pairs
-    for stats in serial.pairs.values():
-        assert stats.trials == 40
-        assert stats.estimate == stats.errors / 40
+    for n in (2, 3, 4):
+        _assert_matches_serial(spec, bscfb_engine_code(n, _tiny_polar(n, 1)),
+                               seed=n, trials=12)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("ZDMN_THREADS", raising=False)
-    assert default_thread_count() == 1
-    monkeypatch.setenv("ZDMN_THREADS", "3")
-    assert default_thread_count() == 3
-    monkeypatch.setenv("ZDMN_THREADS", "0")
-    with pytest.raises(DomainError):
-        default_thread_count()
-    monkeypatch.setenv("ZDMN_THREADS", "soon")
-    with pytest.raises(DomainError):
-        default_thread_count()
+def _exact_error_probabilities(spec, code):
+    """P(estimate != message) per pair, from the exact induced joint."""
+    joint = induced_joint(spec, code)
+    pairs = code.message_pairs()
+    w_names = [f"W{i}.{j}" for (i, j) in pairs]
+    out = {}
+    for (i, j) in pairs:
+        y_names = [f"Y{j}.{k}" for k in range(1, code.n + 1)]
+        marg = marginalize(joint, w_names + y_names).as_array()
+        err = 0.0
+        for cell in itertools.product(*map(range, marg.shape)):
+            messages = dict(zip(pairs, cell[:len(pairs)]))
+            est = code.decode(i, j, code.w_row_of(j, messages), cell[len(pairs):])
+            if est != messages[(i, j)]:
+                err += float(marg[cell])
+        out[(i, j)] = err
+    return out
+
+
+def test_error_counts_match_exact_probabilities():
+    spec = networks.bundled_spec("causal-relay")
+    code = random_table_code(spec, 2, DelayProfile.of((1, 0, 1)), seed=12)
+    exact = _exact_error_probabilities(spec, code)
+    trials = 20000
+    report = estimate_error(spec, code, trials=trials, seed=2024)
+    for pair, stats in report.pairs.items():
+        p = exact[pair]
+        assert abs(stats.errors - trials * p) <= 6 * math.sqrt(trials * p * (1 - p)) + 1
 
 
 # ---------------------------------------------------------------------------
