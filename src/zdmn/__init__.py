@@ -9,7 +9,7 @@ zero-delay node's transmit block comes strictly after its receive block.
 
 The package computes exact per-cut outer bounds on the achievable-rate
 region (in both the unconstrained and the all-delayed settings), simulates
-arbitrary table/function codes slot by slot, verifies the factorization and
+arbitrary table codes slot by slot, verifies the factorization and
 Markov structure of the induced joint distributions by exact enumeration,
 and reproduces two separations between the zero-delay and all-delayed
 regimes: a noisy/noiseless binary pair whose feedback link reaches a full
@@ -73,7 +73,7 @@ from .networks import (
     classical_bsc_spec,
     deterministic_two_node_spec,
 )
-from .polar import PolarCode, RandomCodebookCode
+from .polar import PolarCode
 from .probability import (
     JointPmf,
     binary_entropy,
@@ -86,7 +86,6 @@ from .probability import (
 from .simulate import (
     BscFbSchemeResult,
     ErrorReport,
-    FunctionCode,
     SimTrace,
     TableCode,
     bscfb_engine_code,

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .model import NetworkSpec, NodeSet, x_var, y_var
+from .model import NetworkSpec, NodeSet, require_valid, x_var, y_var
 
 MI_CLAMP = 1e-12
 
@@ -73,6 +73,7 @@ class GridProblem:
                  max_distributions: int = 10**7):
         from .bounds import enumerate_cuts  # local import to avoid a cycle
 
+        require_valid(spec)
         self.spec = spec
         self.which = _normalize_mode(which)
         self.k = int(k)

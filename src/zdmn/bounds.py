@@ -185,20 +185,6 @@ def check_factorization(spec: NetworkSpec, joint: JointPmf, which: str) -> bool:
 # ---------------------------------------------------------------------------
 # Grid search.
 
-def grid_distribution_count(spec: NetworkSpec, which: str, k: int) -> int:
-    """Number of grid points without building anything large."""
-    if which.replace("_", "-").lower() == "capacity":
-        total = 1
-        for h in range(1, spec.alpha + 1):
-            in_vars, out_vars = input_conditional_vars(spec, h)
-            rows = int(np.prod([spec.var_size(v) for v in in_vars], dtype=np.int64)) if in_vars else 1
-            cols = int(np.prod([spec.var_size(v) for v in out_vars], dtype=np.int64)) if out_vars else 1
-            total *= math.comb(k + cols - 1, cols - 1) ** rows
-        return total
-    cols = int(np.prod([spec.var_size(v) for v in spec.all_x_vars()], dtype=np.int64))
-    return math.comb(k + cols - 1, cols - 1)
-
-
 _BATCH = 4096
 
 

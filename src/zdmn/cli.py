@@ -112,9 +112,6 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     spec = model.load_spec(args.spec)
-    report = model.validate_spec(spec)
-    if not report.ok:
-        raise DomainError("invalid network: " + "; ".join(report.violations))
     hull, n_points, _ = bounds.grid_hull(
         spec, args.mode, args.grid, max_distributions=args.max_distributions
     )

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import bounds
 from .errors import DomainError, ResourceCapError
+from .model import require_seed
 
 __all__ = [
     "RELAY_POWER_MARGIN",
@@ -95,6 +96,7 @@ class GaussianRelayConfig:
             raise DomainError(
                 f"power back-off must satisfy 0 <= delta < P, got delta={self.delta}, P={self.P}"
             )
+        require_seed(self.seed)
 
     @property
     def relay_power(self) -> float:
@@ -131,11 +133,6 @@ class RelayTrace:
     @property
     def n(self) -> int:
         return self.x1.shape[0]
-
-    @property
-    def source_power(self) -> float:
-        """Total transmitted source power, sum of x1**2."""
-        return float(np.sum(self.x1 * self.x1))
 
     @property
     def relay_power(self) -> float:

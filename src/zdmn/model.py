@@ -123,14 +123,19 @@ class ChannelTable:
         return self.table.shape[1]
 
     def stochasticity_violations(self, label: str = "channel") -> list[str]:
+        # whole-table reductions: a valid table costs O(rows) scratch, not O(cells)
         out = []
-        n_bad = int(np.count_nonzero(~np.isfinite(self.table)))
-        if n_bad:
-            out.append(f"{label}: {n_bad} non-finite entries")
-        if np.any(self.table < 0.0) or np.any(self.table > 1.0):
+        t = self.table
+        sums = t.sum(axis=1)
+        if not np.isfinite(sums).all():  # a non-finite entry spoils its row sum
+            n_bad = int(np.count_nonzero(~np.isfinite(t)))
+            if n_bad:
+                out.append(f"{label}: {n_bad} non-finite entries")
+        if t.size and (np.fmin.reduce(t, axis=None) < 0.0
+                       or np.fmax.reduce(t, axis=None) > 1.0):
             out.append(f"{label}: entries outside [0, 1]")
-        sums = self.table.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_TOL)
+        dev = sums - 1.0
+        bad = np.flatnonzero(np.abs(dev, out=dev) > ROW_TOL)
         for r in bad[:8]:
             out.append(f"{label}: row {r} sums to {sums[r]:.9f} (not 1 within {ROW_TOL:g})")
         if len(bad) > 8:
@@ -266,6 +271,19 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         else:
             v += ch.stochasticity_violations(f"channel {h}")
     return ValidationReport(not v, tuple(v))
+
+
+def require_valid(spec: NetworkSpec) -> None:
+    """Raise DomainError naming every violated invariant, if there is one."""
+    report = validate_spec(spec)
+    if not report.ok:
+        raise DomainError("invalid network: " + "; ".join(report.violations))
+
+
+def require_seed(seed: int) -> None:
+    """Seeds key numpy SeedSequence streams, which take non-negative integers."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
 
 def locate_node(spec: NetworkSpec, i: int) -> tuple[int, int]:

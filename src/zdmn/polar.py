@@ -389,44 +389,3 @@ class PolarCode:
 
     def decode(self, y: np.ndarray) -> np.ndarray:
         return self.decode_batch(y)[0]
-
-
-class RandomCodebookCode:
-    """Random binary codebook with minimum-Hamming-distance decoding.
-
-    Only viable at tiny blocklengths (the codebook is materialized); kept as
-    a pluggable alternative to the polar default.
-    """
-
-    MAX_K = 16
-
-    def __init__(self, n: int, k: int, seed: int = 0):
-        if not (1 <= k <= min(n, self.MAX_K)):
-            raise DomainError(f"need 1 <= k <= min(n, {self.MAX_K}), got k={k}")
-        self.n = int(n)
-        self.k = int(k)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(n, k))))
-        self.codebook = rng.integers(0, 2, size=(1 << k, n), dtype=np.uint8)
-
-    def _index(self, msg: np.ndarray) -> np.ndarray:
-        weights = 1 << np.arange(self.k - 1, -1, -1, dtype=np.int64)
-        return np.asarray(msg, dtype=np.int64) @ weights
-
-    def encode_batch(self, msgs: np.ndarray) -> np.ndarray:
-        msgs = np.atleast_2d(np.asarray(msgs, dtype=np.uint8))
-        return self.codebook[self._index(msgs)]
-
-    def decode_batch(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.atleast_2d(np.asarray(ys, dtype=np.uint8))
-        # Hamming distance to every codeword; ties go to the lowest index.
-        dist = (ys[:, None, :] ^ self.codebook[None, :, :]).sum(axis=2)
-        idx = np.argmin(dist, axis=1)
-        bits = (idx[:, None] >> np.arange(self.k - 1, -1, -1)) & 1
-        return bits.astype(np.uint8)
-
-    def encode(self, msg: np.ndarray) -> np.ndarray:
-        return self.encode_batch(msg)[0]
-
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        return self.decode_batch(y)[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpecIOError, ZeroProbabilityEvent
-from .model import ChannelTable, NetworkSpec, validate_spec, x_var
+from .model import ChannelTable, NetworkSpec, require_valid, x_var
 
 SUM_TOL = 1e-9
 MI_CLAMP = 1e-12
@@ -173,15 +173,9 @@ def _aligned_factor(spec: NetworkSpec, in_vars, out_vars, table: np.ndarray) -> 
     return arr.reshape(shape)
 
 
-def _require_valid(spec: NetworkSpec) -> None:
-    rep = validate_spec(spec)
-    if not rep.ok:
-        raise DomainError("invalid spec: " + "; ".join(rep.violations))
-
-
 def compose_channels(spec: NetworkSpec) -> ChannelTable:
     """Single equivalent channel q^(1) q^(2) ... q^(alpha) over all nodes."""
-    _require_valid(spec)
+    require_valid(spec)
     names, sizes = _full_layout(spec)
     arr = np.ones(sizes, dtype=np.float64)
     for h in range(1, spec.alpha + 1):
@@ -202,7 +196,7 @@ def input_conditional_vars(spec: NetworkSpec, h: int) -> tuple[tuple[str, ...], 
 
 def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
     """Joint from the interleaved product of input conditionals and channels."""
-    _require_valid(spec)
+    require_valid(spec)
     conds = tuple(input_conditionals)
     if len(conds) != spec.alpha:
         raise DomainError(f"expected {spec.alpha} input conditionals, got {len(conds)}")
@@ -235,7 +229,7 @@ def _group_dim(spec: NetworkSpec, names) -> int:
 
 def product_input_joint(spec: NetworkSpec, p_x: JointPmf) -> JointPmf:
     """Joint p_{X_I} times the composed channel (the positive-delay factorization)."""
-    _require_valid(spec)
+    require_valid(spec)
     want = spec.all_x_vars()
     if set(p_x.names) != set(want):
         raise DomainError(f"p_X must be over exactly {want}, got {p_x.names}")

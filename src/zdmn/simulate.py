@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
-from .model import (DelayProfile, NetworkSpec, is_feasible,
-                    validate_spec, x_var, y_var)
+from .model import (DelayProfile, NetworkSpec, is_feasible, require_seed,
+                    require_valid, x_var, y_var)
 from .polar import PolarCode
 from .probability import (JointPmf, binary_entropy, compose_channels,
                           conditional_mutual_information)
 
 JOINT_CAP = 2 ** 24
-CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a random table code
+CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a table code built here
 MESSAGE_SIZE_CAP = 2 ** 53  # floor(u * m) of a 53-bit uniform u is exact up to here
 _TRIAL_CHUNK = 4096  # trials per batch of the slot loop; bounds its memory
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
@@ -65,97 +65,23 @@ def _radix_powers(sizes) -> np.ndarray:
 # codes
 
 
-class Code:
-    """A deterministic block code for a network.
+@dataclass(frozen=True)
+class TableCode:
+    """A deterministic block code for a network, held as tables.
 
-    ``encode(i, k, w_row, y_prefix)`` maps node i's own messages and its
-    permitted received prefix to the slot-k input symbol; ``decode(i, j,
-    w_row, y_seq)`` estimates the message from i at node j.  ``w_row`` for
-    node i lists the messages i originates, destinations in ascending
-    order.  The engine passes exactly k - b_i received symbols, so a code
+    Per node i and slot k an encoder table maps (message index, prefix
+    index) to the slot-k input symbol; per message pair (i, j) a decoder
+    table maps (message index at j, received-word index) to the estimate of
+    the message from i.  The messages node i originates form its ``w_row``,
+    destinations in ascending order.  Indices fold symbol tuples
+    most-significant first (ascending destination order; ascending slot
+    order).  The engine passes exactly k - b_i received symbols, so a code
     cannot peek past its delay profile.
 
+    ``encode``/``decode`` take one trial's ``w_row`` and received symbols.
     The engine calls the batch forms over trial-major arrays: ``w`` is
     (trials, N - 1) message rows, ``y_prefix`` (trials, k - b_i) and ``y``
-    (trials, n) received symbols; each returns one int64 per trial.  By
-    default they loop over the scalar forms.
-    """
-
-    n: int
-    message_sizes: tuple
-    delay_profile: DelayProfile
-
-    def encode(self, i: int, k: int, w_row: tuple, y_prefix: tuple) -> int:
-        raise NotImplementedError
-
-    def decode(self, i: int, j: int, w_row: tuple, y_seq: tuple) -> int:
-        raise NotImplementedError
-
-    def encode_batch(self, i: int, k: int, w: np.ndarray,
-                     y_prefix: np.ndarray) -> np.ndarray:
-        return np.array([self.encode(i, k, tuple(wr), tuple(yp))
-                         for wr, yp in zip(w.tolist(), y_prefix.tolist())],
-                        dtype=np.int64)
-
-    def decode_batch(self, i: int, j: int, w: np.ndarray,
-                     y: np.ndarray) -> np.ndarray:
-        return np.array([self.decode(i, j, tuple(wr), tuple(ys))
-                         for wr, ys in zip(w.tolist(), y.tolist())],
-                        dtype=np.int64)
-
-    # shared helpers -------------------------------------------------------
-    def message_pairs(self):
-        n_nodes = len(self.message_sizes)
-        return [(i, j) for i in range(1, n_nodes + 1)
-                for j in range(1, n_nodes + 1)
-                if self.message_sizes[i - 1][j - 1] > 1]
-
-    def w_row_of(self, i: int, messages: dict) -> tuple:
-        n_nodes = len(self.message_sizes)
-        return tuple(messages.get((i, j), 0)
-                     for j in range(1, n_nodes + 1) if j != i)
-
-
-def _check_message_sizes(message_sizes) -> tuple:
-    sizes = tuple(tuple(int(v) for v in row) for row in message_sizes)
-    n_nodes = len(sizes)
-    for i, row in enumerate(sizes):
-        if len(row) != n_nodes:
-            raise DomainError("message_sizes must be square")
-        for j, v in enumerate(row):
-            if v < 1 or (i == j and v != 1):
-                raise DomainError("message sizes must be >= 1 with unit diagonal")
-    return sizes
-
-
-@dataclass(frozen=True)
-class FunctionCode(Code):
-    """Code defined by per-node encoder and per-pair decoder callables."""
-
-    n: int
-    message_sizes: tuple
-    delay_profile: DelayProfile
-    encoders: dict
-    decoders: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "message_sizes",
-                           _check_message_sizes(self.message_sizes))
-
-    def encode(self, i, k, w_row, y_prefix):
-        return int(self.encoders[i](k, w_row, y_prefix))
-
-    def decode(self, i, j, w_row, y_seq):
-        return int(self.decoders[(i, j)](w_row, y_seq))
-
-
-@dataclass(frozen=True)
-class TableCode(Code):
-    """Table-driven code: per node and slot, (message index, prefix index)
-    -> input symbol; per pair, (message index, received-word index) -> estimate.
-
-    Message and received-word indices fold symbol tuples most-significant
-    first (ascending destination order; ascending slot order).
+    (trials, n) received symbols; each returns one int64 per trial.
     """
 
     n: int
@@ -167,20 +93,37 @@ class TableCode(Code):
     decoder_tables: dict    # (i, j) -> 2-D int array
 
     def __post_init__(self):
-        object.__setattr__(self, "message_sizes",
-                           _check_message_sizes(self.message_sizes))
+        sizes = tuple(tuple(int(v) for v in row) for row in self.message_sizes)
+        for i, row in enumerate(sizes):
+            if len(row) != len(sizes):
+                raise DomainError("message_sizes must be square")
+            for j, v in enumerate(row):
+                if v < 1 or (i == j and v != 1):
+                    raise DomainError("message sizes must be >= 1 with unit diagonal")
+        object.__setattr__(self, "message_sizes", sizes)
+
+    def message_pairs(self):
+        n_nodes = len(self.message_sizes)
+        return [(i, j) for i in range(1, n_nodes + 1)
+                for j in range(1, n_nodes + 1)
+                if self.message_sizes[i - 1][j - 1] > 1]
+
+    def w_row_of(self, i: int, messages: dict) -> tuple:
+        n_nodes = len(self.message_sizes)
+        return tuple(messages.get((i, j), 0)
+                     for j in range(1, n_nodes + 1) if j != i)
 
     def _w_radices(self, i: int) -> tuple:
         n_nodes = len(self.message_sizes)
         return tuple(self.message_sizes[i - 1][j - 1]
                      for j in range(1, n_nodes + 1) if j != i)
 
-    def encode(self, i, k, w_row, y_prefix):
+    def encode(self, i: int, k: int, w_row: tuple, y_prefix: tuple) -> int:
         w_idx = _fold_index(w_row, self._w_radices(i))
         y_idx = _fold_index(y_prefix, (self.output_sizes[i - 1],) * len(y_prefix))
         return int(self.encoder_tables[i - 1][k - 1][w_idx, y_idx])
 
-    def decode(self, i, j, w_row, y_seq):
+    def decode(self, i: int, j: int, w_row: tuple, y_seq: tuple) -> int:
         w_idx = _fold_index(w_row, self._w_radices(j))
         y_idx = _fold_index(y_seq, (self.output_sizes[j - 1],) * len(y_seq))
         return int(self.decoder_tables[(i, j)][w_idx, y_idx])
@@ -191,10 +134,12 @@ class TableCode(Code):
             y.shape[1] - 1, -1, -1, dtype=np.int64)
         return w @ _radix_powers(self._w_radices(node)), y @ y_powers
 
-    def encode_batch(self, i, k, w, y_prefix):
+    def encode_batch(self, i: int, k: int, w: np.ndarray,
+                     y_prefix: np.ndarray) -> np.ndarray:
         return self.encoder_tables[i - 1][k - 1][self._fold_batch(i, w, y_prefix)]
 
-    def decode_batch(self, i, j, w, y):
+    def decode_batch(self, i: int, j: int, w: np.ndarray,
+                     y: np.ndarray) -> np.ndarray:
         return self.decoder_tables[(i, j)][self._fold_batch(j, w, y)]
 
 
@@ -207,6 +152,7 @@ def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
         raise DomainError("blocklength must be >= 1")
     if message_size < 1:
         raise DomainError("message size must be >= 1")
+    require_seed(seed)
     nn = spec.n_nodes
     sizes = tuple(tuple(1 if i == j else message_size for j in range(nn))
                   for i in range(nn))
@@ -359,14 +305,21 @@ def _pair_stats(errors: int, trials: int) -> PairStats:
                      half_width=wilson_half_width(errors, trials))
 
 
-def _require_valid(spec: NetworkSpec) -> None:
-    report = validate_spec(spec)
-    if not report.ok:
-        raise DomainError("invalid network: " + "; ".join(report.violations))
-
-
-def _check_tables(spec: NetworkSpec, code: TableCode) -> None:
-    """Every table the engine will gather from has the shape its indices need."""
+def _check_code(spec: NetworkSpec, code: TableCode) -> None:
+    """The code fits the network, and every table the engine will gather from
+    has the shape its indices need."""
+    require_valid(spec)
+    if len(code.message_sizes) != spec.n_nodes:
+        raise DomainError("code message matrix does not match node count")
+    if not is_feasible(spec, code.delay_profile):
+        raise DomainError(
+            f"delay profile {code.delay_profile.delays} infeasible for this network")
+    if code.n < 1:
+        raise DomainError("blocklength must be >= 1")
+    for (i, j) in code.message_pairs():
+        if code.message_sizes[i - 1][j - 1] > MESSAGE_SIZE_CAP:
+            raise DomainError(f"message size {code.message_sizes[i - 1][j - 1]} "
+                              f"of {i}->{j} is above the cap of 2**53")
     if (code.input_sizes != tuple(spec.input_alphabet_sizes)
             or code.output_sizes != tuple(spec.output_alphabet_sizes)):
         raise DomainError(
@@ -395,24 +348,7 @@ def _check_tables(spec: NetworkSpec, code: TableCode) -> None:
                               f"{np.shape(table)}, expected {want}")
 
 
-def _check_code(spec: NetworkSpec, code: Code) -> None:
-    _require_valid(spec)
-    if len(code.message_sizes) != spec.n_nodes:
-        raise DomainError("code message matrix does not match node count")
-    if not is_feasible(spec, code.delay_profile):
-        raise DomainError(
-            f"delay profile {code.delay_profile.delays} infeasible for this network")
-    if code.n < 1:
-        raise DomainError("blocklength must be >= 1")
-    for (i, j) in code.message_pairs():
-        if code.message_sizes[i - 1][j - 1] > MESSAGE_SIZE_CAP:
-            raise DomainError(f"message size {code.message_sizes[i - 1][j - 1]} "
-                              f"of {i}->{j} is above the cap of 2**53")
-    if isinstance(code, TableCode):
-        _check_tables(spec, code)
-
-
-def _run_batch(spec: NetworkSpec, code: Code, seed: int, lo: int, hi: int):
+def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
     """Run trials [lo, hi) together through one slot loop.
 
     All randomness comes from one Philox stream seeded by ``seed``.  Trial t
@@ -479,10 +415,11 @@ def _run_batch(spec: NetworkSpec, code: Code, seed: int, lo: int, hi: int):
     return w, x, y, est
 
 
-def run_trial(spec: NetworkSpec, code: Code, seed: int, trial: int = 0) -> SimTrace:
+def run_trial(spec: NetworkSpec, code: TableCode, seed: int, trial: int = 0) -> SimTrace:
     """Execute one block, trial ``trial`` of ``estimate_error``'s batch."""
     if trial < 0:
         raise DomainError("trial must be >= 0")
+    require_seed(seed)
     _check_code(spec, code)
     w, x, y, est = _run_batch(spec, code, seed, trial, trial + 1)
     pairs = code.message_pairs()
@@ -492,11 +429,12 @@ def run_trial(spec: NetworkSpec, code: Code, seed: int, trial: int = 0) -> SimTr
                     estimates={p: int(est[0, q]) for q, p in enumerate(pairs)})
 
 
-def estimate_error(spec: NetworkSpec, code: Code, trials: int,
+def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
                    seed: int) -> ErrorReport:
     """Monte Carlo error estimate per message pair; deterministic given seed."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    require_seed(seed)
     _check_code(spec, code)
     pairs = code.message_pairs()
     errors = np.zeros(len(pairs), dtype=np.int64)
@@ -512,7 +450,7 @@ def estimate_error(spec: NetworkSpec, code: Code, trials: int,
 # exact induced joints and the Markov / equivalence checks
 
 
-def _joint_variables(spec: NetworkSpec, code: Code):
+def _joint_variables(spec: NetworkSpec, code: TableCode):
     variables = [(f"W{i}.{j}", code.message_sizes[i - 1][j - 1])
                  for (i, j) in code.message_pairs()]
     for k in range(1, code.n + 1):
@@ -523,7 +461,7 @@ def _joint_variables(spec: NetworkSpec, code: Code):
     return variables
 
 
-def induced_joint(spec: NetworkSpec, code: Code, cap: int = JOINT_CAP) -> JointPmf:
+def induced_joint(spec: NetworkSpec, code: TableCode, cap: int = JOINT_CAP) -> JointPmf:
     """Exact joint of (W, X^n, Y^n) by enumerating outcome sequences."""
     _check_code(spec, code)
     variables = _joint_variables(spec, code)
@@ -597,7 +535,7 @@ def induced_joint(spec: NetworkSpec, code: Code, cap: int = JOINT_CAP) -> JointP
     return JointPmf(variables=tuple(variables), probs=flat)
 
 
-def _past_vars(spec: NetworkSpec, code: Code, k: int):
+def _past_vars(spec: NetworkSpec, code: TableCode, k: int):
     names = [f"W{i}.{j}" for (i, j) in code.message_pairs()]
     for kk in range(1, k):
         for i in range(1, spec.n_nodes + 1):
@@ -607,7 +545,7 @@ def _past_vars(spec: NetworkSpec, code: Code, k: int):
     return names
 
 
-def check_memoryless_markov(spec: NetworkSpec, code: Code,
+def check_memoryless_markov(spec: NetworkSpec, code: TableCode,
                             cap: int = JOINT_CAP) -> list:
     """I(past; current channel output | current channel input) per (k, h).
 
@@ -629,7 +567,7 @@ def check_memoryless_markov(spec: NetworkSpec, code: Code,
     return out
 
 
-def check_positive_delay_markov(spec: NetworkSpec, code: Code,
+def check_positive_delay_markov(spec: NetworkSpec, code: TableCode,
                                 cap: int = JOINT_CAP) -> list:
     """I(past, X_{S_h,k}; Y_{G^{h-1},k} | X_{S^{h-1},k}) per (k, h).
 
@@ -655,7 +593,7 @@ def check_positive_delay_markov(spec: NetworkSpec, code: Code,
     return out
 
 
-def equivalence_check(spec: NetworkSpec, code: Code, cap: int = JOINT_CAP) -> float:
+def equivalence_check(spec: NetworkSpec, code: TableCode, cap: int = JOINT_CAP) -> float:
     """L1 distance between the stepwise joint and the single composed-channel
     joint; zero (to rounding) for every unit-delay code."""
     if any(b != 1 for b in code.delay_profile.delays):
@@ -713,6 +651,7 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
         raise DomainError(f"forward rate must be positive, got {forward_rate}")
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be >= 1")
+    require_seed(seed)
     k = max(1, int(math.floor(forward_rate * n + 1e-9)))
     if forward_code is None:
         forward_code = PolarCode(n, k, eps)
@@ -739,39 +678,44 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
                              forward_bits=k, n=n)
 
 
-def bscfb_engine_code(n: int, forward_code) -> FunctionCode:
-    """The masked-feedback scheme as a generic engine code (tiny n only):
-    message sizes (2^k forward, 2^n reverse), delay profile (1, 0)."""
+def bscfb_engine_code(n: int, forward_code) -> TableCode:
+    """The masked-feedback scheme as an engine code: message sizes (2^k
+    forward, 2^n reverse), delay profile (1, 0), binary alphabets.  Its
+    tables are capped at ``CODE_CELL_CAP`` cells."""
     k = forward_code.k
-    if n > 24:
-        raise DomainError("engine form of the scheme is for tiny blocklengths")
-    codewords = {}
-
-    def fwd_codeword(w):
-        if w not in codewords:
-            bits = np.array([(w >> (k - 1 - b)) & 1 for b in range(k)],
-                            dtype=np.uint8)
-            codewords[w] = forward_code.encode_batch(bits[None, :])[0]
-        return codewords[w]
-
-    def enc1(kk, w_row, y_prefix):
-        return int(fwd_codeword(w_row[0])[kk - 1])
-
-    def enc2(kk, w_row, y_prefix):
-        # zero delay: the prefix ends with the current-slot received symbol
-        return ((w_row[0] >> (kk - 1)) & 1) ^ y_prefix[-1]
-
-    def dec_rev(w_row, y_seq):
-        return sum(int(b) << kk for kk, b in enumerate(y_seq))
-
-    def dec_fwd(w_row, y_seq):
-        bits = forward_code.decode_batch(
-            np.asarray(y_seq, dtype=np.uint8)[None, :])[0]
-        return int(sum(int(b) << (k - 1 - pos) for pos, b in enumerate(bits)))
-
-    return FunctionCode(
+    if n < 1:
+        raise DomainError("blocklength must be >= 1")
+    # cells of node 1's and node 2's encoder tables, then of the two decoders;
+    # the forward decoder alone has 4^n, so a large n stops before 2^n is formed
+    if 2 * n >= CODE_CELL_CAP.bit_length() or (
+            2 ** k * (2 ** n - 1) + 2 ** n * (2 ** (n + 1) - 2)
+            + 4 ** n + 2 ** k * 2 ** n) > CODE_CELL_CAP:
+        raise ResourceCapError(f"the engine form of the scheme at blocklength {n} "
+                               f"needs more than the cap of {CODE_CELL_CAP} table cells")
+    words = np.arange(2 ** n, dtype=np.int64)
+    messages = np.arange(2 ** k, dtype=np.int64)
+    word_bits = (words[:, None] >> np.arange(n - 1, -1, -1)) & 1  # slot 1 first
+    msg_bits = (messages[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    codewords = np.asarray(forward_code.encode_batch(msg_bits.astype(np.uint8)),
+                           dtype=np.int64)
+    if codewords.shape != (2 ** k, n):
+        raise DomainError(f"forward code has blocklength {codewords.shape[-1]}, "
+                          f"not {n}")
+    # node 1 sends codeword bit k whatever it has received
+    enc1 = tuple(np.broadcast_to(codewords[:, kk, None], (2 ** k, 2 ** kk))
+                 for kk in range(n))
+    # zero delay: the last prefix digit, y_idx & 1, is the current-slot symbol
+    enc2 = tuple(((words[:, None] >> kk) & 1) ^ (np.arange(2 ** (kk + 1)) & 1)
+                 for kk in range(n))
+    decoded = np.asarray(forward_code.decode_batch(word_bits.astype(np.uint8)),
+                         dtype=np.int64) @ _radix_powers((2,) * k)
+    reversed_words = word_bits @ (1 << np.arange(n, dtype=np.int64))
+    return TableCode(
         n=n,
         message_sizes=((1, 2 ** k), (2 ** n, 1)),
         delay_profile=DelayProfile.of((1, 0)),
-        encoders={1: enc1, 2: enc2},
-        decoders={(1, 2): dec_fwd, (2, 1): dec_rev})
+        input_sizes=(2, 2),
+        output_sizes=(2, 2),
+        encoder_tables=(enc1, enc2),
+        decoder_tables={(1, 2): np.broadcast_to(decoded, (2 ** n, 2 ** n)),
+                        (2, 1): np.broadcast_to(reversed_words, (2 ** k, 2 ** n))})

@@ -1,13 +1,14 @@
 """Per-cut outer bounds: exact caps, factorization checks, grid search."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from zdmn import networks
-from zdmn._grid import GridProblem
+from zdmn import model, networks
+from zdmn._grid import GridProblem, capacity_term_groups, positive_delay_term_groups
 from zdmn.bounds import (
     Cut,
     INSIDE,
@@ -292,6 +293,55 @@ def test_grid_point_report_terms_nonnegative():
             assert abs(c.cap - sum(c.per_channel_terms)) < 1e-9
     with pytest.raises(DomainError):
         grid_point_report(spec, "capacity", 4, 10**9)
+
+
+def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
+    # the joint is rebuilt from the point's conditionals outside the grid's
+    # own index maps, and every term is recomputed by the log-sum oracle
+    rng = np.random.Generator(np.random.Philox(5))
+    for (name, spec), mode in itertools.product(sorted(bundled_specs.items()),
+                                                ("capacity", "positive-delay")):
+        n_points = GridProblem(spec, mode, 4).n_points
+        points = {0, n_points - 1} | {int(p) for p in rng.integers(0, n_points, 4)}
+        for point in sorted(points):
+            report = grid_point_report(spec, mode, 4, point)
+            dist = grid_conditionals(spec, mode, 4, point)
+            if mode == "capacity":
+                joint = factorized_joint(spec, dist)
+                groups = [[capacity_term_groups(spec, c.cut.nodes, h)
+                           for h in range(1, spec.alpha + 1)]
+                          for c in report.constraints]
+            else:
+                joint = product_input_joint(spec, dist)
+                groups = [[positive_delay_term_groups(spec, c.cut.nodes)]
+                          for c in report.constraints]
+            for c, cut_groups in zip(report.constraints, groups):
+                want = [_cmi_oracle(joint, a, b, cc) if a and b else 0.0
+                        for a, b, cc in cut_groups]
+                assert np.allclose(c.per_channel_terms, want, rtol=0.0, atol=1e-12), \
+                    (name, mode, point, c.cut.nodes.members)
+
+
+def _with_channel_1_rows(rows):
+    d = model.spec_to_dict(networks.bscfb_spec(0.11))
+    d["channels"][0]["rows"] = rows
+    return model.spec_from_dict(d)
+
+
+def test_grid_rejects_invalid_spec():
+    # 1.8 bits into a binary Y2, or NaN read as zero information, at the parent
+    nan = float("nan")
+    for spec in (_with_channel_1_rows([[0.9, 0.9], [0.9, 0.9]]),
+                 _with_channel_1_rows([[nan, nan], [0.11, 0.89]])):
+        with pytest.raises(DomainError, match="invalid network"):
+            grid_hull(spec, "capacity", 4)
+        with pytest.raises(DomainError, match="invalid network"):
+            grid_hull(spec, "positive-delay", 4)
+        with pytest.raises(DomainError, match="invalid network"):
+            region_membership(spec, RateTuple.from_pairs(2, {(1, 2): 0.1}),
+                              "capacity", 4)
+        with pytest.raises(DomainError, match="invalid network"):
+            grid_point_report(spec, "capacity", 4, 0)
 
 
 def test_grid_conditionals_are_stochastic():

@@ -263,6 +263,20 @@ def test_generate_code_over_cell_cap(capsys, tmp_path, relay_files):
     assert peak < 2 ** 20  # the cap is checked before any table is drawn
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--spec", "{spec}", "--code", "{code}", "--trials", "5"),
+    ("bscfb", "--eps", "0.11", "--n", "16", "--rate", "0.25", "--trials", "5"),
+    ("gaussian", "--power", "5", "--experiment", "--n", "8", "--blocks", "2",
+     "--trials", "2"),
+    ("generate", "code", "--spec", "{spec}", "--n", "1", "--out", "{out}"),
+], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "generate" else argv[0])
+def test_negative_seed_is_a_domain_error(capsys, tmp_path, spec_path, code_path, argv):
+    paths = {"spec": spec_path, "code": code_path, "out": str(tmp_path / "out.json")}
+    rc, _, err = _run(capsys, *[a.format(**paths) for a in argv], "--seed", "-1")
+    assert rc == EXIT_DOMAIN and not (tmp_path / "out.json").exists()
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # the two worked examples
 

@@ -46,6 +46,8 @@ def test_config_validation():
         GaussianRelayConfig(P=5.0, n=4, delta=-0.1)
     with pytest.raises(DomainError):
         GaussianRelayConfig(P=5.0, n=4, delta=5.0)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        GaussianRelayConfig(P=5.0, n=4, seed=-1)
 
 
 def test_trace_identities_and_budget_invariant():

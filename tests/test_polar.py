@@ -5,7 +5,7 @@ import pytest
 
 from zdmn import polar
 from zdmn.errors import DomainError, ResourceCapError
-from zdmn.polar import BIG, PolarCode, RandomCodebookCode, _crc_bits, _encode_batch
+from zdmn.polar import BIG, PolarCode, _crc_bits, _encode_batch
 
 
 def _kron_transform(m: int) -> np.ndarray:
@@ -319,22 +319,6 @@ def test_construction_cached_and_deterministic():
     assert np.all(a.info_positions < 48)  # shortened tail never carries info
 
 
-# ---------------------------------------------------------------------------
-# random codebook baseline
-
-
-def test_random_codebook_roundtrip_and_tiebreak():
-    code = RandomCodebookCode(8, 3, seed=1)
-    msgs = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(np.uint8)
-    if len({tuple(r) for r in code.codebook}) == len(code.codebook):
-        assert np.array_equal(code.decode_batch(code.encode_batch(msgs)), msgs)
-    # forced tie: equidistant received word decodes to the lowest index
-    tie = RandomCodebookCode(2, 1, seed=0)
-    tie.codebook = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    assert np.array_equal(tie.decode(np.array([0, 0], dtype=np.uint8)), [0])
-    assert np.array_equal(tie.decode(np.array([1, 1], dtype=np.uint8)), [0])
-
-
 def test_code_parameter_validation():
     with pytest.raises(DomainError):
         PolarCode(16, 4, 0.11, crc_bits=4)
@@ -350,12 +334,6 @@ def test_code_parameter_validation():
         PolarCode(16, 4, 0.11, list_size=0)
     with pytest.raises(ResourceCapError):
         PolarCode(polar.MAX_N + 1, 8, 0.11)
-    with pytest.raises(DomainError):
-        RandomCodebookCode(32, 17)
-    with pytest.raises(DomainError):
-        RandomCodebookCode(4, 5)
-    with pytest.raises(DomainError):
-        RandomCodebookCode(4, 0)
     code = PolarCode(16, 4, 0.11, crc_bits=0)
     with pytest.raises(DomainError):
         code.encode_batch(np.zeros((2, 5), dtype=np.uint8))

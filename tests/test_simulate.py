@@ -1,7 +1,9 @@
 """Engine: slot ordering, determinism, exact joints, scheme behavior."""
 
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from zdmn.model import DelayProfile, enumerate_feasible_profiles
 from zdmn.polar import PolarCode
 from zdmn.probability import marginalize
 from zdmn.simulate import (
-    FunctionCode,
+    TableCode,
     bscfb_engine_code,
     bscfb_scheme,
     check_memoryless_markov,
@@ -158,6 +160,48 @@ def test_batch_engine_matches_serial_reference_table_codes(bundled_specs):
             _assert_matches_serial(spec, code, seed=n + r, trials=12)
 
 
+def test_scheme_engine_code_tables_equal_closure_form():
+    # node 1 sends codeword bit k whatever it heard; node 2 masks message bit
+    # k-1 with its current-slot symbol; node 1 reads the reverse message off
+    # its received word, node 2 decodes the forward one
+    for n, k in ((1, 1), (3, 2), (4, 1), (4, 4)):
+        fwd = _tiny_polar(n, k)
+        code = bscfb_engine_code(n, fwd)
+        assert isinstance(code, TableCode)
+        for w in range(2 ** k):
+            bits = np.array([(w >> (k - 1 - b)) & 1 for b in range(k)], dtype=np.uint8)
+            codeword = fwd.encode_batch(bits[None, :])[0]
+            for slot in range(1, n + 1):
+                assert np.all(code.encoder_tables[0][slot - 1][w] == codeword[slot - 1])
+        for w in range(2 ** n):
+            for slot in range(1, n + 1):
+                for y_idx in range(2 ** slot):
+                    want = ((w >> (slot - 1)) & 1) ^ (y_idx & 1)
+                    assert code.encoder_tables[1][slot - 1][w, y_idx] == want
+        for y_idx in range(2 ** n):
+            y_seq = [(y_idx >> (n - 1 - s)) & 1 for s in range(n)]
+            est = fwd.decode_batch(np.array(y_seq, dtype=np.uint8)[None, :])[0]
+            want_fwd = sum(int(b) << (k - 1 - pos) for pos, b in enumerate(est))
+            assert np.all(code.decoder_tables[(1, 2)][:, y_idx] == want_fwd)
+            want_rev = sum(b << s for s, b in enumerate(y_seq))
+            assert np.all(code.decoder_tables[(2, 1)][:, y_idx] == want_rev)
+
+
+def test_scheme_engine_code_over_cell_cap():
+    fwd = {n: _tiny_polar(n, 1) for n in (12, 40)}
+    tracemalloc.start()
+    try:
+        for n, code in fwd.items():
+            with pytest.raises(ResourceCapError, match=str(simulate.CODE_CELL_CAP)):
+                bscfb_engine_code(n, code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # checked before any table is built or word decoded
+    with pytest.raises(DomainError):
+        bscfb_engine_code(3, _tiny_polar(4, 1))  # codewords of the wrong length
+
+
 def test_batch_engine_matches_serial_reference_zero_delay_scheme():
     spec = networks.bscfb_spec(0.11)
     for n in (2, 3, 4):
@@ -280,18 +324,28 @@ def test_code_validation_errors():
         random_table_code(spec, 1, DelayProfile.of((0, 1)), seed=0)  # infeasible
     with pytest.raises(DomainError):
         random_table_code(spec, 0, _UNIT, seed=0)
+    good = random_table_code(spec, 1, _UNIT, seed=0)
     with pytest.raises(DomainError):
-        FunctionCode(n=1, message_sizes=((1, 2),), delay_profile=_UNIT,
-                     encoders={}, decoders={})  # not square
+        dataclasses.replace(good, message_sizes=((1, 2),))  # not square
     with pytest.raises(DomainError):
-        FunctionCode(n=1, message_sizes=((2, 2), (2, 1)), delay_profile=_UNIT,
-                     encoders={}, decoders={})  # diagonal must be unit
-    rogue = FunctionCode(
-        n=1, message_sizes=((1, 2), (2, 1)), delay_profile=_UNIT,
-        encoders={1: lambda k, w, y: 7, 2: lambda k, w, y: 0},
-        decoders={(1, 2): lambda w, y: 0, (2, 1): lambda w, y: 0})
+        dataclasses.replace(good, message_sizes=((2, 2), (2, 1)))  # diagonal must be unit
+    seven = np.full_like(good.encoder_tables[0][0], 7)
+    rogue = dataclasses.replace(good, encoder_tables=((seven,), good.encoder_tables[1]))
     with pytest.raises(DomainError):
         run_trial(spec, rogue, seed=0)  # symbol outside the input alphabet
+
+
+def test_negative_seed_is_a_domain_error():
+    spec = networks.bscfb_spec(0.11)
+    code = random_table_code(spec, 1, _UNIT, seed=0)
+    calls = (lambda: estimate_error(spec, code, trials=3, seed=-1),
+             lambda: run_trial(spec, code, seed=-1),
+             lambda: random_table_code(spec, 1, _UNIT, seed=-1),
+             lambda: bscfb_scheme(0.11, 8, 0.25, seed=-1, trials=3,
+                                  forward_code=_tiny_polar(8, 2)))
+    for call in calls:
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            call()
 
 
 def test_trace_csv_layout():
