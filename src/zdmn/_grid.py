@@ -6,8 +6,12 @@ compositions of k into the row's alphabet size.  Grid points are indexed
 mixed-radix over rows, first row most significant, so scan order and reported
 witnesses are deterministic.
 
-The per-cut mutual-information terms are evaluated for a batch of grid
-points at once, with one-hot projection matrices in numpy.
+A batch of grid points is a (count, D) array of joints over the full
+(X_1..X_N, Y_1..Y_N) layout.  Each cut term marginalises it onto (A, B, C)
+with one one-hot (D, |ABC|) matrix and hands the batch-last table to
+``probability.cmi_table``, the one I(A;B|C) kernel of the package.  The
+point count, and the cells of those matrices plus one scan batch, are capped
+from the alphabet sizes before any length-D array exists.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .model import NetworkSpec, NodeSet, require_valid, x_var, y_var
+from .probability import (_group_size, cmi_table, compose_channels,
+                          input_conditional_vars)
 
-MI_CLAMP = 1e-12
+BATCH = 4096  # grid points per eval_batch call of a scan
+GRID_CELL_CAP = 2 ** 26  # float64 cells of the one-hot marginals plus one scan batch
 
 
 def compositions(k: int, m: int) -> np.ndarray:
@@ -74,34 +81,22 @@ class GridProblem:
         from .bounds import enumerate_cuts  # local import to avoid a cycle
 
         require_valid(spec)
-        self.spec = spec
         self.which = _normalize_mode(which)
         self.k = int(k)
         if self.k < 1:
             raise DomainError(f"grid resolution k must be >= 1, got {self.k}")
 
-        names = spec.all_x_vars() + spec.all_y_vars()
-        sizes = np.array([spec.var_size(n) for n in names], dtype=np.int64)
-        self._names = names
-        pos = {n: i for i, n in enumerate(names)}
-
         def group_size(group) -> int:
-            return math.prod(int(sizes[pos[n]]) for n in group)
+            return _group_size(spec.var_size, group)
 
         # Free factors: (row-group vars, col-group vars) per factor.
         if self.which == "capacity":
-            factors = []
-            for h in range(1, spec.alpha + 1):
-                xs = tuple(x_var(i) for i in spec.input_partition.prefix(h - 1))
-                ys = tuple(y_var(i) for i in spec.output_partition.prefix(h - 1))
-                out = tuple(x_var(i) for i in spec.input_partition.blocks[h - 1])
-                factors.append((xs + ys, out))
+            factors = [input_conditional_vars(spec, h) for h in range(1, spec.alpha + 1)]
         else:
             factors = [((), spec.all_x_vars())]
         self.n_factors = len(factors)
-        self.factor_vars = factors
 
-        # The cap is checked from the alphabet sizes alone, before any
+        # Both caps are checked from the alphabet sizes alone, before any
         # length-D table is built.
         self.factor_n_rows = [group_size(fin) for fin, _ in factors]
         self.factor_n_cols = [group_size(fout) for _, fout in factors]
@@ -113,71 +108,55 @@ class GridProblem:
                 f"grid has {n_points} distributions, above the cap {max_distributions}")
         self.n_points = n_points
 
+        self.cuts = enumerate_cuts(spec.n_nodes)
+        self.n_cuts = len(self.cuts)
+        self.n_slots = spec.alpha if self.which == "capacity" else 1
+        groups = []  # (cut_idx, slot_idx, (A, B, C)) of every non-empty term
+        for ci, cut in enumerate(self.cuts):
+            for s in range(self.n_slots):
+                if self.which == "capacity":
+                    abc = capacity_term_groups(spec, cut.nodes, s + 1)
+                else:
+                    abc = positive_delay_term_groups(spec, cut.nodes)
+                if abc[0] and abc[1]:
+                    groups.append((ci, s, abc))
+        names = spec.all_x_vars() + spec.all_y_vars()
         d = group_size(names)
-        self.d = d
-        vals = np.array(np.unravel_index(np.arange(d), tuple(sizes))).T  # (D, nvars)
+        cells = d * (sum(group_size(a + b + c) for _, _, (a, b, c) in groups)
+                     + min(BATCH, n_points))
+        if cells > GRID_CELL_CAP:
+            raise ResourceCapError(
+                f"grid needs {cells} table cells, above the cap {GRID_CELL_CAP}")
+
+        sizes = tuple(spec.var_size(n) for n in names)
+        pos = {n: i for i, n in enumerate(names)}
+        vals = np.array(np.unravel_index(np.arange(d), sizes)).T  # (D, nvars)
 
         def group_index(group) -> np.ndarray:
             idx = np.zeros(d, dtype=np.int64)
             for n in group:
-                idx = idx * int(sizes[pos[n]]) + vals[:, pos[n]]
-            return idx.astype(np.int32)
+                idx = idx * sizes[pos[n]] + vals[:, pos[n]]
+            return idx
 
-        # Fixed channel factor product Q[j].
-        q = np.ones(d, dtype=np.float64)
-        for h in range(1, spec.alpha + 1):
-            ch = spec.channels[h - 1]
-            row_idx = group_index(ch.input_vars)
-            col_idx = group_index(ch.output_vars)
-            q *= ch.table[row_idx, col_idx]
-        self.q = q
-
+        self.q = compose_channels(spec).table.reshape(-1)  # fixed channel product
         self.factor_row_maps = [group_index(fin) for fin, _ in factors]
         self.factor_col_maps = [group_index(fout) for _, fout in factors]
 
         # Composition tables and the global row radix.
         self.comp_tables = [compositions(self.k, m) / float(self.k)
                             for m in self.factor_n_cols]
-        radix = []
-        row_factor = []
-        for f in range(self.n_factors):
-            nc = self.comp_tables[f].shape[0]
-            radix += [nc] * self.factor_n_rows[f]
-            row_factor += [f] * self.factor_n_rows[f]
-        self.radix = np.array(radix, dtype=np.int64)
-        self.row_factor = np.array(row_factor, dtype=np.int64)
-        self.row_offset = np.zeros(self.n_factors, dtype=np.int64)
-        for f in range(1, self.n_factors):
-            self.row_offset[f] = self.row_offset[f - 1] + self.factor_n_rows[f - 1]
+        self.radix = np.repeat([table.shape[0] for table in self.comp_tables],
+                               self.factor_n_rows)
+        self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
         self.n_rows_total = int(self.radix.size)
 
-        # Cut terms.
-        self.cuts = enumerate_cuts(spec.n_nodes)
-        self.n_cuts = len(self.cuts)
-        self.n_slots = spec.alpha if self.which == "capacity" else 1
-        self._terms = []  # (cut_idx, slot_idx, abc_of, to_ac, to_bc, to_c)
-        for ci, cut in enumerate(self.cuts):
-            for s in range(self.n_slots):
-                if self.which == "capacity":
-                    a, b, c = capacity_term_groups(spec, cut.nodes, s + 1)
-                else:
-                    a, b, c = positive_delay_term_groups(spec, cut.nodes)
-                if not a or not b:
-                    continue
-                abc_of = group_index(a + b + c)
-                ma, mb, mc = (group_size(g) for g in (a, b, c))
-                m_abc = ma * mb * mc
-                cells = np.arange(m_abc, dtype=np.int64)
-                c_of = cells % mc
-                ab = cells // mc
-                a_of = ab // mb
-                b_of = ab % mb
-                to_ac = (a_of * mc + c_of).astype(np.int32)
-                to_bc = (b_of * mc + c_of).astype(np.int32)
-                to_c = c_of.astype(np.int32)
-                self._terms.append((ci, s, abc_of, to_ac, to_bc, to_c,
-                                    m_abc, ma * mc, mb * mc, mc))
-        self._np_cache = None
+        # Cut terms: (cut_idx, slot_idx, one-hot (D, |ABC|) marginal, (|A|, |B|, |C|)).
+        self._terms = []
+        for ci, s, (a, b, c) in groups:
+            shape = tuple(group_size(g) for g in (a, b, c))
+            onehot = np.zeros((d, math.prod(shape)), dtype=np.float64)
+            onehot[np.arange(d), group_index(a + b + c)] = 1.0
+            self._terms.append((ci, s, onehot, shape))
 
     # -- point decoding ----------------------------------------------------
 
@@ -205,46 +184,18 @@ class GridProblem:
 
     def eval_batch(self, start: int, count: int) -> np.ndarray:
         """Terms array (count, n_cuts, n_slots); empty-group terms stay 0."""
-        if self._np_cache is None:
-            cache = []
-            for (_, _, abc_of, to_ac, to_bc, to_c, m_abc, m_ac, m_bc, m_c) in self._terms:
-                m = np.zeros((self.d, m_abc), dtype=np.float64)
-                m[np.arange(self.d), abc_of] = 1.0
-                proj_ac = np.zeros((m_abc, m_ac), dtype=np.float64)
-                proj_ac[np.arange(m_abc), to_ac] = 1.0
-                proj_bc = np.zeros((m_abc, m_bc), dtype=np.float64)
-                proj_bc[np.arange(m_abc), to_bc] = 1.0
-                proj_c = np.zeros((m_abc, m_c), dtype=np.float64)
-                proj_c[np.arange(m_abc), to_c] = 1.0
-                cache.append((m, proj_ac, proj_bc, proj_c))
-            self._np_cache = cache
-        cache = self._np_cache
-
         idx = start + np.arange(count, dtype=np.int64)
         digits = np.empty((count, self.n_rows_total), dtype=np.int64)
         work = idx.copy()
         for r in range(self.n_rows_total - 1, -1, -1):
             digits[:, r] = work % self.radix[r]
             work //= self.radix[r]
-        p = np.broadcast_to(self.q, (count, self.d)).copy()
+        p = np.tile(self.q, (count, 1))
         for f in range(self.n_factors):
             dg = digits[:, int(self.row_offset[f]) + self.factor_row_maps[f]]
             p *= self.comp_tables[f][dg, self.factor_col_maps[f][None, :]]
 
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
-        for t, (ci, s, abc_of, to_ac, to_bc, to_c, *_sizes) in enumerate(self._terms):
-            m_onehot, proj_ac, proj_bc, proj_c = cache[t]
-            pabc = p @ m_onehot
-            pac = pabc @ proj_ac
-            pbc = pabc @ proj_bc
-            pc = pabc @ proj_c
-            mask = pabc > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(mask,
-                                 pabc * pc[:, to_c] / (pac[:, to_ac] * pbc[:, to_bc]),
-                                 1.0)
-                vals = np.where(mask, pabc * np.log2(ratio), 0.0)
-            mi = vals.sum(axis=1)
-            mi[(mi < 0.0) & (mi >= -MI_CLAMP)] = 0.0
-            out[:, ci, s] = mi
+        for ci, s, onehot, shape in self._terms:
+            out[:, ci, s] = cmi_table((onehot.T @ p.T).reshape(shape + (count,)))
         return out

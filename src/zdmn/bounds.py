@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._grid import (GridProblem, capacity_term_groups,
+from ._grid import (BATCH, GridProblem, _normalize_mode, capacity_term_groups,
                     positive_delay_term_groups)
 from .errors import DomainError
 from .model import ChannelTable, NetworkSpec, NodeSet
@@ -154,9 +154,7 @@ def check_factorization(spec: NetworkSpec, joint: JointPmf, which: str) -> bool:
     positive-delay mode additionally requires the joint to equal its own input
     marginal pushed through the composed channel.
     """
-    which = which.replace("_", "-").lower()
-    if which not in ("capacity", "positive-delay"):
-        raise DomainError(f"mode must be capacity or positive-delay, got {which!r}")
+    which = _normalize_mode(which)
     _require_joint_over_all(spec, joint)
     for h in range(1, spec.alpha + 1):
         ch = spec.channels[h - 1]
@@ -185,14 +183,11 @@ def check_factorization(spec: NetworkSpec, joint: JointPmf, which: str) -> bool:
 # ---------------------------------------------------------------------------
 # Grid search.
 
-_BATCH = 4096
-
-
 def _scan(problem: GridProblem):
     """Yield (start, caps, terms) per batch; caps has shape (count, n_cuts)."""
     start = 0
     while start < problem.n_points:
-        count = min(_BATCH, problem.n_points - start)
+        count = min(BATCH, problem.n_points - start)
         terms = problem.eval_batch(start, count)
         yield start, terms.sum(axis=2), terms
         start += count

@@ -53,6 +53,10 @@ __all__ = [
 # The relay's per-slot power budget exceeds the source's by this amount.
 RELAY_POWER_MARGIN = 10.0
 
+# Cells of one (trials, n) or (codewords, n) float64 array of the codebook
+# experiment, checked before any draw.
+CELL_CAP = 1 << 25
+
 _SOURCES = ("gaussian", "deterministic")
 _METHODS = ("auto", "exhaustive", "analytic", "redraw")
 
@@ -306,7 +310,8 @@ def codebook_experiment(
     Methods:
 
     * ``exhaustive`` — one fixed codebook for the whole experiment;
-      requires ``codebook_size <= cap`` (raises otherwise).
+      requires ``codebook_size <= cap`` and ``codebook_size * n <=
+      CELL_CAP`` (raises otherwise).
     * ``redraw`` — a fresh codebook every trial (the codebook-ensemble
       average); same cap.
     * ``analytic`` — averages, per trial, the exact conditional error
@@ -318,8 +323,10 @@ def codebook_experiment(
       ``1 - (1 - p)**(M - 1)``.  Equals the ``redraw`` ensemble average
       in expectation, needs no codebook in memory, and has far lower
       variance than 0/1 outcomes.
-    * ``auto`` — ``exhaustive`` when the codebook fits the cap,
-      ``analytic`` otherwise.
+    * ``auto`` — ``exhaustive`` when the codebook fits the cap and
+      ``CELL_CAP``, ``analytic`` otherwise.
+
+    ``trials * n`` above ``CELL_CAP`` raises before anything is drawn.
     """
     if not math.isfinite(rate) or rate < 0.0:
         raise DomainError(f"rate must be a finite nonnegative number, got {rate}")
@@ -334,10 +341,16 @@ def codebook_experiment(
     if k > 512:
         raise ResourceCapError(f"codebook too large: 2**{k} codewords")
     m = 1 << k
+    if trials * n > CELL_CAP:
+        raise ResourceCapError(f"{trials} trials of blocklength {n} need "
+                               f"{trials * n} cells > cap {CELL_CAP}")
     if method == "auto":
-        method = "exhaustive" if m <= cap else "analytic"
+        method = "exhaustive" if m <= cap and m * n <= CELL_CAP else "analytic"
     if method in ("exhaustive", "redraw") and m > cap:
         raise ResourceCapError(f"codebook too large: {m} codewords > cap {cap}")
+    if method in ("exhaustive", "redraw") and m * n > CELL_CAP:
+        raise ResourceCapError(f"codebook of {m} codewords of length {n} needs "
+                               f"{m * n} cells > cap {CELL_CAP}")
 
     scale = math.sqrt(config.P - config.delta)
     budget = config.relay_budget

@@ -126,7 +126,8 @@ class ChannelTable:
         # whole-table reductions: a valid table costs O(rows) scratch, not O(cells)
         out = []
         t = self.table
-        sums = t.sum(axis=1)
+        with np.errstate(invalid="ignore"):  # inf + -inf in a row sums to NaN
+            sums = t.sum(axis=1)
         if not np.isfinite(sums).all():  # a non-finite entry spoils its row sum
             n_bad = int(np.count_nonzero(~np.isfinite(t)))
             if n_bad:

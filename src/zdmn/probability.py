@@ -106,8 +106,27 @@ def condition(p: JointPmf, given: dict) -> JointPmf:
     return JointPmf(remaining, (sliced / mass).reshape(-1))
 
 
-def _group_sizes(p: JointPmf, names) -> int:
-    return int(np.prod([p.size_of(n) for n in names], dtype=np.int64)) if names else 1
+def _group_size(size_of, names) -> int:
+    """Product of the alphabet sizes `size_of(name)` over `names` (1 for none)."""
+    return math.prod(size_of(n) for n in names)
+
+
+def cmi_table(pabc: np.ndarray) -> np.ndarray:
+    """I(A;B|C) in bits of an (na, nb, nc, *batch) table, one per batch entry.
+
+    Batch axes come last, so the reductions over the small A, B, C axes
+    vectorise over contiguous batch entries; with no batch axes the result
+    is a 0-d array.
+    """
+    pac = pabc.sum(axis=1, keepdims=True)
+    pbc = pabc.sum(axis=0, keepdims=True)
+    pc = pabc.sum(axis=(0, 1), keepdims=True)
+    mask = pabc > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(mask, pabc * pc / (pac * pbc), 1.0)
+        terms = np.where(mask, pabc * np.log2(ratio), 0.0)
+    mi = terms.sum(axis=(0, 1, 2))
+    return np.where((mi < 0.0) & (mi >= -MI_CLAMP), 0.0, mi)
 
 
 def conditional_mutual_information(p: JointPmf, a_vars, b_vars, c_vars=()) -> float:
@@ -119,19 +138,8 @@ def conditional_mutual_information(p: JointPmf, a_vars, b_vars, c_vars=()) -> fl
     if not a_vars or not b_vars:
         return 0.0
     m = marginalize(p, groups)
-    na, nb, nc = (_group_sizes(p, g) for g in (a_vars, b_vars, c_vars))
-    pabc = m.probs.reshape(na, nb, nc)
-    pac = pabc.sum(axis=1, keepdims=True)
-    pbc = pabc.sum(axis=0, keepdims=True)
-    pc = pabc.sum(axis=(0, 1), keepdims=True)
-    mask = pabc > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mask, pabc * pc / (pac * pbc), 1.0)
-        terms = np.where(mask, pabc * np.log2(ratio), 0.0)
-    mi = float(terms.sum())
-    if -MI_CLAMP <= mi < 0.0:
-        mi = 0.0
-    return mi
+    na, nb, nc = (_group_size(p.size_of, g) for g in (a_vars, b_vars, c_vars))
+    return float(cmi_table(m.probs.reshape(na, nb, nc)))
 
 
 def mutual_information(p: JointPmf, a_vars, b_vars) -> float:
@@ -210,8 +218,8 @@ def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
                 f"input conditional {h}: variables ({c.input_vars} -> {c.output_vars})"
                 f" != expected ({want_in} -> {want_out})"
             )
-        rows = _group_dim(spec, want_in)
-        cols = _group_dim(spec, want_out)
+        rows = _group_size(spec.var_size, want_in)
+        cols = _group_size(spec.var_size, want_out)
         if c.table.shape != (rows, cols):
             raise DomainError(f"input conditional {h}: table shape {c.table.shape} != ({rows}, {cols})")
         bad = c.stochasticity_violations(f"input conditional {h}")
@@ -221,10 +229,6 @@ def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
         ch = spec.channels[h - 1]
         arr = arr * _aligned_factor(spec, ch.input_vars, ch.output_vars, ch.table)
     return JointPmf(tuple(zip(names, sizes)), arr.reshape(-1))
-
-
-def _group_dim(spec: NetworkSpec, names) -> int:
-    return int(np.prod([spec.var_size(n) for n in names], dtype=np.int64)) if names else 1
 
 
 def product_input_joint(spec: NetworkSpec, p_x: JointPmf) -> JointPmf:

@@ -28,7 +28,7 @@ from .probability import (JointPmf, binary_entropy, compose_channels,
 JOINT_CAP = 2 ** 24
 CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a table code built here
 MESSAGE_SIZE_CAP = 2 ** 53  # floor(u * m) of a 53-bit uniform u is exact up to here
-_TRIAL_CHUNK = 4096  # trials per batch of the slot loop; bounds its memory
+_TRIAL_CHUNK = 4096  # trials per batch of the slot loop and of bscfb_scheme; bounds memory
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -657,21 +657,24 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
         forward_code = PolarCode(n, k, eps)
     else:
         k = forward_code.k
-    msgs = np.empty((trials, k), dtype=np.uint8)
-    xprime = np.empty((trials, n), dtype=np.uint8)
-    flips = np.empty((trials, n), dtype=np.uint8)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        msgs[t] = rng.integers(0, 2, size=k, dtype=np.uint8)
-        xprime[t] = rng.integers(0, 2, size=n, dtype=np.uint8)
-        flips[t] = (rng.random(n) < eps).astype(np.uint8)
-    x1 = np.atleast_2d(forward_code.encode_batch(msgs))
-    y2 = x1 ^ flips                       # forward channel output at node 2
-    x2 = xprime ^ y2                      # node 2 masks with its received bit
-    y1 = x2 ^ y2                          # feedback channel output at node 1
-    rev_errors = int(np.count_nonzero(np.any(y1 != xprime, axis=1)))
-    decoded = np.atleast_2d(forward_code.decode_batch(y2))
-    fwd_errors = int(np.count_nonzero(np.any(decoded != msgs, axis=1)))
+    fwd_errors = rev_errors = 0
+    for lo in range(0, trials, _TRIAL_CHUNK):  # every trial draws from its own stream
+        hi = min(trials, lo + _TRIAL_CHUNK)
+        msgs = np.empty((hi - lo, k), dtype=np.uint8)
+        xprime = np.empty((hi - lo, n), dtype=np.uint8)
+        flips = np.empty((hi - lo, n), dtype=np.uint8)
+        for t in range(lo, hi):
+            rng = _trial_rng(seed, t)
+            msgs[t - lo] = rng.integers(0, 2, size=k, dtype=np.uint8)
+            xprime[t - lo] = rng.integers(0, 2, size=n, dtype=np.uint8)
+            flips[t - lo] = (rng.random(n) < eps).astype(np.uint8)
+        x1 = np.atleast_2d(forward_code.encode_batch(msgs))
+        y2 = x1 ^ flips                       # forward channel output at node 2
+        x2 = xprime ^ y2                      # node 2 masks with its received bit
+        y1 = x2 ^ y2                          # feedback channel output at node 1
+        rev_errors += int(np.count_nonzero(np.any(y1 != xprime, axis=1)))
+        decoded = np.atleast_2d(forward_code.decode_batch(y2))
+        fwd_errors += int(np.count_nonzero(np.any(decoded != msgs, axis=1)))
     report = ErrorReport(pairs={(1, 2): _pair_stats(fwd_errors, trials),
                                 (2, 1): _pair_stats(rev_errors, trials)})
     return BscFbSchemeResult(report=report, achieved_rates=(k / n, 1.0),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from zdmn import model, networks
-from zdmn._grid import GridProblem, capacity_term_groups, positive_delay_term_groups
+from zdmn._grid import (GRID_CELL_CAP, GridProblem, capacity_term_groups,
+                        positive_delay_term_groups)
 from zdmn.bounds import (
     Cut,
     INSIDE,
@@ -30,6 +31,8 @@ from zdmn.model import ChannelTable, NetworkSpec, NodeSet, Partition
 from zdmn.probability import (
     JointPmf,
     binary_entropy,
+    cmi_table,
+    conditional_mutual_information,
     factorized_joint,
     input_conditional_vars,
     product_input_joint,
@@ -113,6 +116,30 @@ def test_rate_tuple_validation_and_flow():
 
 # ---------------------------------------------------------------------------
 # exact per-cut caps against independent oracles
+
+
+def test_cmi_table_batch_matches_scalar_path_and_oracle():
+    # the batch axis is last; a slice may differ from the scalar path only in
+    # the order numpy sums it (contiguous pairwise there, slice by slice here)
+    rng = np.random.Generator(np.random.Philox(13))
+    for na, nb, nc in ((2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 3, 4), (4, 3, 3), (1, 3, 2)):
+        batch = rng.random((na, nb, nc, 12)) ** 3
+        batch[rng.random(batch.shape) < 0.3] = 0.0  # zero cells
+        batch[..., 0] = 0.0
+        batch[0, 0, 0, 0] = 1.0  # a point mass: I = 0
+        batch[0, 0, 0] += 1e-3  # no all-zero slice
+        batch /= batch.sum(axis=(0, 1, 2))
+        got = cmi_table(batch)
+        assert got.shape == (12,)
+        for j in range(12):
+            joint = JointPmf((("A", na), ("B", nb), ("C", nc)), batch[..., j])
+            scalar = conditional_mutual_information(joint, ("A",), ("B",), ("C",))
+            assert abs(got[j] - scalar) <= 1e-14, (na, nb, nc, j)
+            assert abs(got[j] - _cmi_oracle(joint, ("A",), ("B",), ("C",))) < 1e-12
+        assert got[0] == 0.0
+        assert cmi_table(batch[..., 3]) == conditional_mutual_information(
+            JointPmf((("A", na), ("B", nb), ("C", nc)), batch[..., 3]),
+            ("A",), ("B",), ("C",))  # no batch axis: the scalar path itself
 
 
 def test_capacity_cut_caps_uniform_inputs():
@@ -253,6 +280,20 @@ def test_grid_cap_checked_before_length_d_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20  # under one byte per joint cell: no length-D table
+
+
+def test_grid_cell_cap_checked_before_allocation(binary_chain_spec):
+    # 128 points only, but the one-hot marginals of the 126 cut terms hold
+    # about 4.3e9 cells; the count comes from the alphabet sizes alone
+    spec = binary_chain_spec(7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=f"above the cap {GRID_CELL_CAP}"):
+            GridProblem(spec, "positive-delay", 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_grid_hull_noisy_feedback_capacity():

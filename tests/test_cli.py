@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -53,6 +55,22 @@ def test_validate_invalid_spec(capsys, tmp_path):
         assert rc == EXIT_DOMAIN
         assert out.startswith("spec INVALID:")
         assert "- " in out and why in out
+
+
+def test_infinite_channel_entries_print_no_warning(tmp_path):
+    # inf + -inf in one row sums to NaN; numpy's warning must not reach stderr
+    d = model.spec_to_dict(networks.bscfb_spec(0.11))
+    d["channels"][1]["rows"][0] = [float("inf"), float("-inf")]
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(d))
+    runs = {cmd: subprocess.run([sys.executable, "-m", "zdmn.cli", cmd, "--spec", str(path)],
+                                capture_output=True, text=True, timeout=300)
+            for cmd in ("validate", "bound")}
+    for proc in runs.values():
+        assert proc.returncode == EXIT_DOMAIN and "Warning" not in proc.stderr
+    assert runs["validate"].stdout.startswith("spec INVALID:")
+    bound_err = runs["bound"].stderr
+    assert bound_err.startswith("error: ") and bound_err.count("\n") == 1
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -148,6 +166,16 @@ def test_bound_distribution_cap(capsys, spec_path):
     rc, _, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "8",
                       "--max-distributions", "10")
     assert rc == EXIT_CAP and err.startswith("error: ")
+
+
+def test_bound_grid_cell_cap(capsys, tmp_path, binary_chain_spec):
+    # 128 grid points whose one-hot marginals would need about 34 GB
+    path = tmp_path / "chain.json"
+    model.save_spec(binary_chain_spec(7), path)
+    rc, out, err = _run(capsys, "bound", "--spec", str(path),
+                        "--mode", "positive-delay", "--grid", "1")
+    assert rc == EXIT_CAP and out == ""
+    assert err.startswith("error: grid needs ") and err.count("\n") == 1
 
 
 def test_bound_rejects_nonpositive_grid(capsys, spec_path):
@@ -345,6 +373,16 @@ def test_gaussian_experiment(capsys):
     assert "codebook: M=" in out
     rc2, out2, _ = _run(capsys, *args)
     assert out2 == out
+
+
+def test_gaussian_cell_caps(capsys):
+    for extra in (("--n", "64", "--trials", "100000000"),
+                  ("--n", "4096", "--rate", "0.004", "--trials", "2",
+                   "--method", "exhaustive")):
+        rc, out, err = _run(capsys, "gaussian", "--power", "5", "--experiment",
+                            "--blocks", "2", *extra)
+        assert rc == EXIT_CAP and "codebook: M=" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gaussian_codebook_cap(capsys):

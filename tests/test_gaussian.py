@@ -1,6 +1,7 @@
 """Relay chain: slot identities, gate statistics, codebook error estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 
 from zdmn.errors import DomainError, ResourceCapError
 from zdmn.gaussian import (
+    CELL_CAP,
     RELAY_POWER_MARGIN,
     CodebookResult,
     GaussianRelayConfig,
@@ -209,6 +211,24 @@ def test_codebook_validation_and_caps():
         codebook_experiment(_config(n=512), 1.5, trials=1)  # 2**768 codewords
     capped = codebook_experiment(cfg, 2.0, trials=10, cap=4, method="auto")
     assert capped.method == "analytic"
+
+
+def test_codebook_cell_caps_checked_before_any_draw():
+    # 10^8 trials of n = 64 would be 47.7 GiB of float64 per trial array; a
+    # 2^17-word codebook at n = 4096 passes the codeword cap at 4.3 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+            codebook_experiment(_config(n=64), 1.2, trials=10 ** 8)
+        for method in ("exhaustive", "redraw"):
+            with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+                codebook_experiment(_config(n=4096), 0.004, trials=2, method=method)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    res = codebook_experiment(_config(n=4096), 0.004, trials=1, method="auto")
+    assert res.method == "analytic" and res.codebook_size == 2 ** 17
 
 
 def test_codebook_result_string():

@@ -75,3 +75,22 @@ def test_every_module_level_definition_is_referenced():
                        for p, line in refs.get(node.name, ())):
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def test_every_instance_attribute_is_read():
+    # a `self.<attr> = ...` in src must be read as `.<attr>` somewhere in src,
+    # tests or perfbench; one that is only ever written is dead state
+    files = (sorted(_SRC.glob("*.py")) + sorted((_ROOT / "tests").glob("*.py"))
+             + sorted((_ROOT / "perfbench").glob("*.py")))
+    read = set()
+    for tree in _parsed(files).values():
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in _parsed(sorted(_SRC.glob("*.py"))).items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and node.attr not in read):
+                unread.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert unread == []

@@ -364,6 +364,15 @@ def test_trace_csv_layout():
 # the masked-feedback scheme at full speed
 
 
+def test_scheme_trial_windows_leave_counts_unchanged(monkeypatch):
+    # trials run in windows of _TRIAL_CHUNK; each trial has its own stream
+    fwd = PolarCode(64, 16, 0.11)
+    whole = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=30, forward_code=fwd)
+    monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 7)
+    windowed = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=30, forward_code=fwd)
+    assert windowed == whole
+
+
 def test_scheme_reverse_always_exact_forward_reasonable():
     fwd = PolarCode(64, 16, 0.11)
     res = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=50, forward_code=fwd)
