@@ -193,17 +193,19 @@ def _cmd_bscfb(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaussian(args: argparse.Namespace) -> int:
-    print(gaussian.separation_report(args.power, operating_rate=args.rate))
+    # every computation runs before the first print, so a failure prints nothing
+    lines = [str(gaussian.separation_report(args.power, operating_rate=args.rate))]
     if args.experiment:
         config = gaussian.GaussianRelayConfig(
             P=args.power, n=args.n, seed=args.seed, delta=args.delta
         )
         open_rate = gaussian.neutralization_rate(config, blocks=args.blocks)
-        print(f"gate-open frequency:  {_fmt(open_rate)} ({args.blocks} blocks, n={args.n})")
         result = gaussian.codebook_experiment(
             config, rate=args.rate, trials=args.trials, cap=args.cap, method=args.method
         )
-        print(result)
+        lines += [f"gate-open frequency:  {_fmt(open_rate)} ({args.blocks} blocks, n={args.n})",
+                  str(result)]
+    print("\n".join(lines))
     return EXIT_OK
 
 

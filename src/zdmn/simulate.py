@@ -1,17 +1,18 @@
 """Execution engine for codes on a discrete memoryless network.
 
-Runs the exact per-slot generation order (channels fire in index order
-inside each slot; a zero-delay node sees its current-slot received symbol
-because its receive channel fired earlier in the same slot) over a whole
-batch of trials at once, estimates error probabilities by seeded Monte
-Carlo, computes exact induced joints by enumeration at tiny scale, and
-implements the masked-feedback scheme for the binary symmetric channel
-with correlated feedback.
+One slot loop runs the exact per-slot generation order (channels fire in
+index order inside each slot; a zero-delay node sees its current-slot
+received symbol because its receive channel fired earlier in the same slot)
+over a batch of rows at once.  Seeded Monte Carlo feeds it one trial per
+row and draws each channel column from the trial's uniforms; the exact
+induced joint feeds it one (message, column-per-step) outcome per row, at
+tiny scale.  The module also estimates error probabilities and implements
+the masked-feedback scheme for the binary symmetric channel with correlated
+feedback.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
-from .model import (DelayProfile, NetworkSpec, is_feasible, require_seed,
-                    require_valid, x_var, y_var)
+from .model import (DelayProfile, NetworkSpec, NodeSet, Partition, is_feasible,
+                    require_seed, require_valid, x_var, y_var)
 from .polar import PolarCode
 from .probability import (JointPmf, binary_entropy, compose_channels,
                           conditional_mutual_information)
@@ -43,14 +44,6 @@ def _fold_index(values, sizes) -> int:
     for v, s in zip(values, sizes):
         idx = idx * s + v
     return idx
-
-
-def _unfold_index(idx: int, sizes) -> list[int]:
-    out = [0] * len(sizes)
-    for pos in range(len(sizes) - 1, -1, -1):
-        out[pos] = idx % sizes[pos]
-        idx //= sizes[pos]
-    return out
 
 
 def _radix_powers(sizes) -> np.ndarray:
@@ -78,8 +71,8 @@ class TableCode:
     order).  The engine passes exactly k - b_i received symbols, so a code
     cannot peek past its delay profile.
 
-    ``encode``/``decode`` take one trial's ``w_row`` and received symbols.
-    The engine calls the batch forms over trial-major arrays: ``w`` is
+    ``decode`` takes one trial's ``w_row`` and received word.  The engine
+    calls the batch forms over trial-major arrays: ``w`` is
     (trials, N - 1) message rows, ``y_prefix`` (trials, k - b_i) and ``y``
     (trials, n) received symbols; each returns one int64 per trial.
     """
@@ -117,11 +110,6 @@ class TableCode:
         n_nodes = len(self.message_sizes)
         return tuple(self.message_sizes[i - 1][j - 1]
                      for j in range(1, n_nodes + 1) if j != i)
-
-    def encode(self, i: int, k: int, w_row: tuple, y_prefix: tuple) -> int:
-        w_idx = _fold_index(w_row, self._w_radices(i))
-        y_idx = _fold_index(y_prefix, (self.output_sizes[i - 1],) * len(y_prefix))
-        return int(self.encoder_tables[i - 1][k - 1][w_idx, y_idx])
 
     def decode(self, i: int, j: int, w_row: tuple, y_seq: tuple) -> int:
         w_idx = _fold_index(w_row, self._w_radices(j))
@@ -306,8 +294,9 @@ def _pair_stats(errors: int, trials: int) -> PairStats:
 
 
 def _check_code(spec: NetworkSpec, code: TableCode) -> None:
-    """The code fits the network, and every table the engine will gather from
-    has the shape its indices need."""
+    """The code fits the network, every table the engine will gather from has
+    the shape its indices need, and every encoder entry is an input symbol
+    (exact enumeration also runs prefixes that never occur)."""
     require_valid(spec)
     if len(code.message_sizes) != spec.n_nodes:
         raise DomainError("code message matrix does not match node count")
@@ -338,6 +327,11 @@ def _check_code(spec: NetworkSpec, code: TableCode) -> None:
             if np.shape(table) != want:
                 raise DomainError(f"encoder table of node {i}, slot {k} has shape "
                                   f"{np.shape(table)}, expected {want}")
+            lo, hi = table.min(), table.max()
+            if lo < 0 or hi >= code.input_sizes[i - 1]:
+                raise DomainError(
+                    f"encoder at node {i}, slot {k} has symbol {lo if lo < 0 else hi} "
+                    f"outside its alphabet")
     for (i, j) in code.message_pairs():
         if (i, j) not in code.decoder_tables:
             raise DomainError(f"code has no decoder table for message {i}->{j}")
@@ -346,6 +340,58 @@ def _check_code(spec: NetworkSpec, code: TableCode) -> None:
         if np.shape(table) != want:
             raise DomainError(f"decoder table of message {i}->{j} has shape "
                               f"{np.shape(table)}, expected {want}")
+
+
+def _w_rows(code: TableCode, n_nodes: int, w: np.ndarray) -> dict:
+    """node -> (rows, N - 1) messages it originates, as ``w_row_of``, from
+    messages ``w`` (rows, P) in ``message_pairs`` order."""
+    pairs = code.message_pairs()
+    out = {}
+    for i in range(1, n_nodes + 1):
+        out[i] = np.zeros((w.shape[0], n_nodes - 1), dtype=np.int64)
+        others = [j for j in range(1, n_nodes + 1) if j != i]
+        for pos, j in enumerate(others):
+            if (i, j) in pairs:
+                out[i][:, pos] = w[:, pairs.index((i, j))]
+    return out
+
+
+def _slots(spec: NetworkSpec, code: TableCode, w_rows: dict, trials: int, column):
+    """Run the slot order over ``trials`` rows at once.
+
+    In slot k, channel h after channel h - 1: every node of S_h encodes from
+    its messages ``w_rows`` and its first k - b_i received symbols, the
+    channel's input symbols fold to a row index, ``column(step, h, row)``
+    (step = k * alpha + h, both zero-based) gives the column the channel
+    emits per row, and that column splits into its output nodes' symbols.
+
+    Returns inputs and outputs, (trials, n, N) each.
+    """
+    nn, n = spec.n_nodes, code.n
+    x = np.zeros((trials, n, nn), dtype=np.int64)
+    y = np.zeros((trials, n, nn), dtype=np.int64)
+    steps = []
+    for h in range(1, spec.alpha + 1):
+        in_vars, out_vars = spec.channel_input_vars(h), spec.channel_output_vars(h)
+        out_sizes = [spec.var_size(v) for v in out_vars]
+        steps.append((
+            spec.input_partition.blocks[h - 1].members,
+            [(x if v[0] == "X" else y, int(v[1:]) - 1) for v in in_vars],
+            _radix_powers([spec.var_size(v) for v in in_vars]),
+            list(zip([int(v[1:]) - 1 for v in out_vars],
+                     _radix_powers(out_sizes), out_sizes))))
+    for k in range(n):
+        for h, (members, ins, in_powers, outs) in enumerate(steps):
+            for i in members:
+                plen = k + 1 - code.delay_profile.delay_of(i)
+                x[:, k, i - 1] = code.encode_batch(i, k + 1, w_rows[i], y[:, :plen, i - 1])
+            row = np.zeros(trials, dtype=np.int64)
+            for (arr, node), power in zip(ins, in_powers):
+                row += arr[:, k, node] * power
+            col = column(k * spec.alpha + h, h, row)
+            for node, power, size in outs:
+                y[:, k, node] = col // power % size
+    return x, y
 
 
 def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
@@ -362,53 +408,22 @@ def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
     (trials, P) in ``message_pairs`` order, inputs and outputs (trials, n, N).
     """
     pairs = code.message_pairs()
-    nn, n, alpha, P = spec.n_nodes, code.n, spec.alpha, len(pairs)
-    c = -(-(P + n * alpha) // 4)
+    P = len(pairs)
+    c = -(-(P + code.n * spec.alpha) // 4)
     bits = np.random.Philox(np.random.SeedSequence(entropy=seed))
     bits.advance(lo * c)
     u = np.random.Generator(bits).random((hi - lo, 4 * c))
     m = np.array([code.message_sizes[i - 1][j - 1] for i, j in pairs], dtype=float)
     w = np.floor(u[:, :P] * m).astype(np.int64)
-    w_rows = {}  # node -> (trials, N - 1) messages it originates, as w_row_of
-    for i in range(1, nn + 1):
-        w_rows[i] = np.zeros((hi - lo, nn - 1), dtype=np.int64)
-        others = [j for j in range(1, nn + 1) if j != i]
-        for pos, j in enumerate(others):
-            if (i, j) in pairs:
-                w_rows[i][:, pos] = w[:, pairs.index((i, j))]
-    x = np.zeros((hi - lo, n, nn), dtype=np.int64)
-    y = np.zeros((hi - lo, n, nn), dtype=np.int64)
-    steps = []
-    for h in range(1, alpha + 1):
-        in_vars, out_vars = spec.channel_input_vars(h), spec.channel_output_vars(h)
-        out_sizes = [spec.var_size(v) for v in out_vars]
-        steps.append((
-            spec.input_partition.blocks[h - 1].members,
-            [(x if v[0] == "X" else y, int(v[1:]) - 1) for v in in_vars],
-            _radix_powers([spec.var_size(v) for v in in_vars]),
-            list(zip([int(v[1:]) - 1 for v in out_vars],
-                     _radix_powers(out_sizes), out_sizes)),
-            np.cumsum(spec.channels[h - 1].table, axis=1)))
-    for k in range(n):
-        for h, (members, ins, in_powers, outs, cums) in enumerate(steps):
-            for i in members:
-                plen = k + 1 - code.delay_profile.delay_of(i)
-                sym = code.encode_batch(i, k + 1, w_rows[i], y[:, :plen, i - 1])
-                bad = (sym < 0) | (sym >= spec.input_alphabet_sizes[i - 1])
-                if bad.any():
-                    raise DomainError(
-                        f"encoder at node {i}, slot {k + 1} produced symbol "
-                        f"{sym[bad][0]} outside its alphabet")
-                x[:, k, i - 1] = sym
-            row = np.zeros(hi - lo, dtype=np.int64)
-            for (arr, node), power in zip(ins, in_powers):
-                row += arr[:, k, node] * power
-            cum = cums[row]
-            # the number of cumulative entries <= u is searchsorted(side="right")
-            col = np.minimum((cum <= u[:, P + k * alpha + h, None]).sum(axis=1),
-                             cum.shape[1] - 1)
-            for node, power, size in outs:
-                y[:, k, node] = col // power % size
+    w_rows = _w_rows(code, spec.n_nodes, w)
+    cums = [np.cumsum(channel.table, axis=1) for channel in spec.channels]
+
+    def column(step, h, row):
+        cum = cums[h][row]
+        # the number of cumulative entries <= u is searchsorted(side="right")
+        return np.minimum((cum <= u[:, P + step, None]).sum(axis=1), cum.shape[1] - 1)
+
+    x, y = _slots(spec, code, w_rows, hi - lo, column)
     est = np.empty_like(w)
     for q, (i, j) in enumerate(pairs):
         est[:, q] = code.decode_batch(i, j, w_rows[j], y[:, :, j - 1])
@@ -461,77 +476,49 @@ def _joint_variables(spec: NetworkSpec, code: TableCode):
     return variables
 
 
-def induced_joint(spec: NetworkSpec, code: TableCode, cap: int = JOINT_CAP) -> JointPmf:
-    """Exact joint of (W, X^n, Y^n) by enumerating outcome sequences."""
+def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
+    """Exact joint of (W, X^n, Y^n), enumerated through the slot loop.
+
+    An outcome is the messages and the column each channel emits in each
+    step, numbered in mixed radix (messages in ``message_pairs`` order, then
+    steps in slot-then-channel order) and run ``_TRIAL_CHUNK`` at a time.
+    Its probability is p_w times the chosen channel entries, multiplied in
+    step order.  Distinct outcomes give distinct (W, Y^n), so each one writes
+    its own cell and there are at most as many outcomes as cells.
+    """
     _check_code(spec, code)
     variables = _joint_variables(spec, code)
     sizes = [s for _, s in variables]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > cap:
+    total = math.prod(sizes)
+    if total > JOINT_CAP:
         raise ResourceCapError(
-            f"induced joint needs {total} cells, above the cap of {cap}")
-    strides = _radix_powers(sizes)
-    axis_of = {name: pos for pos, (name, _) in enumerate(variables)}
-    nn, n, alpha = spec.n_nodes, code.n, spec.alpha
+            f"induced joint needs {total} cells, above the cap of {JOINT_CAP}")
     pairs = code.message_pairs()
-    flat = np.zeros(total)
+    P = len(pairs)
+    radices = ([code.message_sizes[i - 1][j - 1] for (i, j) in pairs]
+               + [channel.table.shape[1] for channel in spec.channels] * code.n)
+    powers = _radix_powers(radices)
+    strides = _radix_powers(sizes)
     p_w = 1.0
     for (i, j) in pairs:
         p_w /= code.message_sizes[i - 1][j - 1]
-    x = [[0] * nn for _ in range(n)]
-    y = [[0] * nn for _ in range(n)]
-    in_meta = []
-    for h in range(1, alpha + 1):
-        in_vars = spec.channel_input_vars(h)
-        out_vars = spec.channel_output_vars(h)
-        in_meta.append((
-            [(v[0] == "X", int(v[1:]) - 1) for v in in_vars],
-            [spec.var_size(v) for v in in_vars],
-            [int(v[1:]) - 1 for v in out_vars],
-            [spec.var_size(v) for v in out_vars],
-        ))
+    flat = np.zeros(total)
+    outcomes = math.prod(radices)
+    for lo in range(0, outcomes, _TRIAL_CHUNK):
+        rows = min(_TRIAL_CHUNK, outcomes - lo)
+        digits = np.arange(lo, lo + rows, dtype=np.int64)[:, None] // powers % radices
+        prob = np.full(rows, p_w)
 
-    def walk(step: int, idx: int, prob: float, w_rows: dict) -> None:
-        if step == n * alpha:
-            flat[idx] += prob
-            return
-        k, h = step // alpha + 1, step % alpha + 1
-        x_add = 0
-        for i in spec.input_partition.blocks[h - 1].members:
-            plen = k - code.delay_profile.delay_of(i)
-            prefix = tuple(y[kk][i - 1] for kk in range(plen))
-            sym = code.encode(i, k, w_rows[i], prefix)
-            if not 0 <= sym < spec.input_alphabet_sizes[i - 1]:
-                raise DomainError(
-                    f"encoder at node {i}, slot {k} produced symbol {sym} "
-                    f"outside its alphabet")
-            x[k - 1][i - 1] = sym
-            x_add += sym * strides[axis_of[f"{x_var(i)}.{k}"]]
-        kinds, in_sizes, out_nodes, out_sizes = in_meta[h - 1]
-        row_idx = _fold_index(
-            [x[k - 1][node] if is_x else y[k - 1][node] for is_x, node in kinds],
-            in_sizes)
-        row = spec.channels[h - 1].table[row_idx]
-        for col in range(row.shape[0]):
-            q = row[col]
-            if q <= 0.0:
-                continue
-            y_add = 0
-            for node, sym in zip(out_nodes, _unfold_index(col, out_sizes)):
-                y[k - 1][node] = sym
-                y_add += sym * strides[axis_of[f"{y_var(node + 1)}.{k}"]]
-            walk(step + 1, idx + x_add + y_add, prob * q, w_rows)
+        def column(step, h, row):
+            col = digits[:, P + step]
+            np.multiply(prob, spec.channels[h].table[row, col], out=prob)
+            return col
 
-    w_ranges = [range(code.message_sizes[i - 1][j - 1]) for (i, j) in pairs]
-    for wcell in itertools.product(*w_ranges):
-        messages = dict(zip(pairs, wcell))
-        w_rows = {i: code.w_row_of(i, messages) for i in range(1, nn + 1)}
-        base = 0
-        for (pair, val) in zip(pairs, wcell):
-            base += val * strides[axis_of[f"W{pair[0]}.{pair[1]}"]]
-        walk(0, base, p_w, w_rows)
+        w = digits[:, :P]
+        x, y = _slots(spec, code, _w_rows(code, spec.n_nodes, w), rows, column)
+        # per slot X_1..X_N then Y_1..Y_N, the order of _joint_variables
+        cells = np.concatenate([w, np.concatenate([x, y], axis=2).reshape(rows, -1)], axis=1)
+        flat[cells @ strides] = prob
     return JointPmf(variables=tuple(variables), probs=flat)
 
 
@@ -545,14 +532,13 @@ def _past_vars(spec: NetworkSpec, code: TableCode, k: int):
     return names
 
 
-def check_memoryless_markov(spec: NetworkSpec, code: TableCode,
-                            cap: int = JOINT_CAP) -> list:
+def check_memoryless_markov(spec: NetworkSpec, code: TableCode) -> list:
     """I(past; current channel output | current channel input) per (k, h).
 
     Every value must vanish: the output of channel h in slot k depends on
     the history only through the symbols the channel actually reads.
     """
-    joint = induced_joint(spec, code, cap=cap)
+    joint = induced_joint(spec, code)
     out = []
     for k in range(1, code.n + 1):
         past = _past_vars(spec, code, k)
@@ -567,8 +553,7 @@ def check_memoryless_markov(spec: NetworkSpec, code: TableCode,
     return out
 
 
-def check_positive_delay_markov(spec: NetworkSpec, code: TableCode,
-                                cap: int = JOINT_CAP) -> list:
+def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
     """I(past, X_{S_h,k}; Y_{G^{h-1},k} | X_{S^{h-1},k}) per (k, h).
 
     Holds only for unit-delay codes, where no input of slot k can react to
@@ -577,7 +562,7 @@ def check_positive_delay_markov(spec: NetworkSpec, code: TableCode,
     if any(b != 1 for b in code.delay_profile.delays):
         raise DomainError("positive-delay factorization check requires the "
                           "all-one delay profile")
-    joint = induced_joint(spec, code, cap=cap)
+    joint = induced_joint(spec, code)
     out = []
     for k in range(1, code.n + 1):
         past = _past_vars(spec, code, k)
@@ -593,13 +578,12 @@ def check_positive_delay_markov(spec: NetworkSpec, code: TableCode,
     return out
 
 
-def equivalence_check(spec: NetworkSpec, code: TableCode, cap: int = JOINT_CAP) -> float:
+def equivalence_check(spec: NetworkSpec, code: TableCode) -> float:
     """L1 distance between the stepwise joint and the single composed-channel
     joint; zero (to rounding) for every unit-delay code."""
     if any(b != 1 for b in code.delay_profile.delays):
         raise DomainError("channel composition requires the all-one delay profile")
-    stepwise = induced_joint(spec, code, cap=cap)
-    from .model import NodeSet, Partition  # local import to avoid cycle at module load
+    stepwise = induced_joint(spec, code)
     everyone = Partition(blocks=(NodeSet.of(range(1, spec.n_nodes + 1)),))
     composed = NetworkSpec(
         n_nodes=spec.n_nodes,
@@ -609,7 +593,7 @@ def equivalence_check(spec: NetworkSpec, code: TableCode, cap: int = JOINT_CAP) 
         input_partition=everyone,
         output_partition=everyone,
         channels=(compose_channels(spec),))
-    merged = induced_joint(composed, code, cap=cap)
+    merged = induced_joint(composed, code)
     return float(np.abs(stepwise.probs - merged.probs).sum())
 
 

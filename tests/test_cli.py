@@ -275,6 +275,24 @@ def test_simulate_malformed_code_is_a_domain_error(capsys, tmp_path, relay_files
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_simulate_unreachable_out_of_range_symbol(capsys, tmp_path):
+    # identity network, n=2: node 1 sends 0 in slot 1, so the 7 in its slot-2
+    # column for a received 1 is never reached, and is still refused
+    spec_f, code_f = tmp_path / "det.json", tmp_path / "rogue.json"
+    spec = networks.bundled_spec("deterministic")
+    model.save_spec(spec, spec_f)
+    d = simulate.code_to_dict(simulate.random_table_code(
+        spec, 2, model.DelayProfile.all_one(2), seed=0))
+    first, second = d["encoders"][0]["tables"]
+    d["encoders"][0]["tables"] = [[[0] for _ in first], [[r[0], 7] for r in second]]
+    code_f.write_text(json.dumps(d))
+    rc, out, err = _run(capsys, "simulate", "--spec", str(spec_f), "--code", str(code_f),
+                        "--trials", "5")
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "node 1, slot 2" in err
+
+
 def test_generate_code_over_cell_cap(capsys, tmp_path, relay_files):
     spec_f, _ = relay_files
     out_f = tmp_path / "big.json"
@@ -300,8 +318,8 @@ def test_generate_code_over_cell_cap(capsys, tmp_path, relay_files):
 ], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "generate" else argv[0])
 def test_negative_seed_is_a_domain_error(capsys, tmp_path, spec_path, code_path, argv):
     paths = {"spec": spec_path, "code": code_path, "out": str(tmp_path / "out.json")}
-    rc, _, err = _run(capsys, *[a.format(**paths) for a in argv], "--seed", "-1")
-    assert rc == EXIT_DOMAIN and not (tmp_path / "out.json").exists()
+    rc, out, err = _run(capsys, *[a.format(**paths) for a in argv], "--seed", "-1")
+    assert rc == EXIT_DOMAIN and out == "" and not (tmp_path / "out.json").exists()
     assert err == "error: seed must be >= 0, got -1\n"
 
 
@@ -381,15 +399,22 @@ def test_gaussian_cell_caps(capsys):
                    "--method", "exhaustive")):
         rc, out, err = _run(capsys, "gaussian", "--power", "5", "--experiment",
                             "--blocks", "2", *extra)
-        assert rc == EXIT_CAP and "codebook: M=" not in out
+        assert rc == EXIT_CAP and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gaussian_codebook_cap(capsys):
-    rc, _, err = _run(capsys, "gaussian", "--power", "5", "--experiment",
-                      "--n", "8", "--rate", "2.0", "--cap", "2",
-                      "--method", "exhaustive", "--trials", "5")
-    assert rc == EXIT_CAP and err.startswith("error: ")
+    rc, out, err = _run(capsys, "gaussian", "--power", "5", "--experiment",
+                        "--n", "8", "--rate", "2.0", "--cap", "2",
+                        "--method", "exhaustive", "--trials", "5")
+    assert rc == EXIT_CAP and out == "" and err.startswith("error: ")
+
+
+def test_gaussian_bad_delta_prints_nothing(capsys):
+    rc, out, err = _run(capsys, "gaussian", "--power", "5", "--experiment",
+                        "--delta", "7")
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err.startswith("error: power back-off") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

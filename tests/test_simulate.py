@@ -46,11 +46,8 @@ def test_fold_unfold_roundtrip():
     rng = np.random.Generator(np.random.Philox(0))
     for _ in range(200):
         sizes = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 6)))
-        total = int(np.prod(sizes))
-        idx = int(rng.integers(0, total))
-        vals = simulate._unfold_index(idx, sizes)
-        assert all(0 <= v < s for v, s in zip(vals, sizes))
-        assert simulate._fold_index(vals, sizes) == idx
+        vals = tuple(int(rng.integers(0, s)) for s in sizes)
+        assert simulate._fold_index(vals, sizes) == np.ravel_multi_index(vals, sizes)
     assert simulate._fold_index((1, 0, 1), (2, 3, 2)) == 1 * 6 + 0 * 2 + 1
 
 
@@ -100,44 +97,82 @@ def test_estimate_error_batch_window_invariance(monkeypatch):
         assert estimate_error(spec, code, trials=trials, seed=8).pairs == report.pairs
 
 
+def _serial_slots(spec, code, messages, picks, prob=1.0):
+    """Reference slot order: one trial, one slot and one channel at a time.
+
+    ``picks`` yields one item per step in slot-then-channel order: a float
+    is a uniform that picks the channel's column by inverse cdf, an int is
+    the column itself.  Returns x and y (n, N) and ``prob`` times the chosen
+    channel entries, multiplied in step order.
+    """
+    nn, n = spec.n_nodes, code.n
+    x = np.zeros((n, nn), dtype=np.int64)
+    y = np.zeros((n, nn), dtype=np.int64)
+    for k in range(1, n + 1):
+        for h in range(1, spec.alpha + 1):
+            for i in spec.input_partition.blocks[h - 1].members:
+                plen = k - code.delay_profile.delay_of(i)
+                w_idx = np.ravel_multi_index(
+                    code.w_row_of(i, messages),
+                    [code.message_sizes[i - 1][j - 1] for j in range(1, nn + 1) if j != i])
+                y_idx = np.ravel_multi_index(tuple(y[:plen, i - 1]),
+                                             (code.output_sizes[i - 1],) * plen)
+                x[k - 1, i - 1] = code.encoder_tables[i - 1][k - 1][w_idx, y_idx]
+            in_vars = spec.channel_input_vars(h)
+            row = spec.channels[h - 1].table[np.ravel_multi_index(
+                [(x if v[0] == "X" else y)[k - 1, int(v[1:]) - 1] for v in in_vars],
+                [spec.var_size(v) for v in in_vars])]
+            col = next(picks)
+            if isinstance(col, float):
+                cum = np.cumsum(row)
+                col = min(int(np.searchsorted(cum, col, side="right")), cum.shape[0] - 1)
+            prob *= row[col]
+            out_vars = spec.channel_output_vars(h)
+            for v, sym in zip(out_vars, np.unravel_index(
+                    col, [spec.var_size(v) for v in out_vars])):
+                y[k - 1, int(v[1:]) - 1] = sym
+    return x, y, prob
+
+
 def _serial_trial(spec, code, seed, trial):
-    """Reference engine: one trial, one slot and one channel at a time.
+    """Reference engine: one trial through ``_serial_slots``.
 
     It reads the stream layout on its own: trial t owns counter blocks
     [t*c, (t+1)*c) of one Philox stream, c = ceil((P + n*alpha) / 4); the
     first P doubles give the messages, the next n*alpha the channel draws.
     """
     pairs = code.message_pairs()
-    nn, n, alpha = spec.n_nodes, code.n, spec.alpha
-    blocks = math.ceil((len(pairs) + n * alpha) / 4)
+    blocks = math.ceil((len(pairs) + code.n * spec.alpha) / 4)
     bits = np.random.Philox(np.random.SeedSequence(entropy=seed))
     bits.advance(trial * blocks)
     draws = iter(np.random.Generator(bits).random(4 * blocks).tolist())
     messages = {(i, j): math.floor(next(draws) * code.message_sizes[i - 1][j - 1])
                 for (i, j) in pairs}
-    w_rows = {i: code.w_row_of(i, messages) for i in range(1, nn + 1)}
-    x = np.zeros((n, nn), dtype=np.int64)
-    y = np.zeros((n, nn), dtype=np.int64)
-    for k in range(1, n + 1):
-        for h in range(1, alpha + 1):
-            for i in spec.input_partition.blocks[h - 1].members:
-                plen = k - code.delay_profile.delay_of(i)
-                prefix = tuple(int(v) for v in y[:plen, i - 1])
-                x[k - 1, i - 1] = code.encode(i, k, w_rows[i], prefix)
-            in_vars = spec.channel_input_vars(h)
-            row = simulate._fold_index(
-                [(x if v[0] == "X" else y)[k - 1, int(v[1:]) - 1] for v in in_vars],
-                [spec.var_size(v) for v in in_vars])
-            cum = np.cumsum(spec.channels[h - 1].table[row])
-            col = min(int(np.searchsorted(cum, next(draws), side="right")),
-                      cum.shape[0] - 1)
-            out_vars = spec.channel_output_vars(h)
-            for v, sym in zip(out_vars, simulate._unfold_index(
-                    col, [spec.var_size(v) for v in out_vars])):
-                y[k - 1, int(v[1:]) - 1] = sym
-    estimates = {(i, j): code.decode(i, j, w_rows[j], tuple(int(v) for v in y[:, j - 1]))
+    x, y, _ = _serial_slots(spec, code, messages, draws)
+    estimates = {(i, j): code.decode(i, j, code.w_row_of(j, messages),
+                                     tuple(int(v) for v in y[:, j - 1]))
                  for (i, j) in pairs}
     return messages, x, y, estimates
+
+
+def _serial_joint(spec, code):
+    """Reference induced joint: ``_serial_slots`` summed over every message
+    tuple and every column per step, cells ordered (W, then per slot
+    X_1..X_N, Y_1..Y_N)."""
+    pairs = code.message_pairs()
+    m = [code.message_sizes[i - 1][j - 1] for (i, j) in pairs]
+    sizes = m + [*spec.input_alphabet_sizes, *spec.output_alphabet_sizes] * code.n
+    columns = [spec.channels[h].table.shape[1] for h in range(spec.alpha)] * code.n
+    p_w = 1.0
+    for size in m:
+        p_w /= size
+    flat = np.zeros(math.prod(sizes))
+    for wcell in itertools.product(*map(range, m)):
+        for cols in itertools.product(*map(range, columns)):
+            x, y, prob = _serial_slots(spec, code, dict(zip(pairs, wcell)), iter(cols), p_w)
+            xy = np.concatenate([x, y], axis=1).reshape(-1)
+            flat[np.ravel_multi_index((*wcell, *xy), sizes)] += prob
+    return flat
 
 
 def _assert_matches_serial(spec, code, seed, trials):
@@ -283,11 +318,29 @@ def test_zero_delay_code_accepted_only_where_meaningful():
         equivalence_check(spec, code)
 
 
-def test_induced_joint_resource_cap():
+def test_induced_joint_matches_serial_reference(bundled_specs):
+    for (name, spec), n in itertools.product(sorted(bundled_specs.items()), (1, 2)):
+        for r, profile in enumerate(enumerate_feasible_profiles(spec)):
+            code = random_table_code(spec, n, profile, seed=20 * n + r)
+            assert np.array_equal(induced_joint(spec, code).probs,
+                                  _serial_joint(spec, code)), (name, n, profile)
+
+
+def test_induced_joint_chunk_invariance(monkeypatch):
+    spec = networks.bundled_spec("causal-relay")
+    code = random_table_code(spec, 1, DelayProfile.of((1, 0, 1)), seed=5)
+    whole = induced_joint(spec, code).probs
+    for chunk in (1, 7):
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", chunk)
+        assert np.array_equal(induced_joint(spec, code).probs, whole)
+
+
+def test_induced_joint_resource_cap(monkeypatch):
     spec = networks.bscfb_spec(0.11)
     code = random_table_code(spec, 2, _UNIT, seed=0)
-    with pytest.raises(ResourceCapError):
-        induced_joint(spec, code, cap=10)
+    monkeypatch.setattr(simulate, "JOINT_CAP", 10)
+    with pytest.raises(ResourceCapError, match="cap of 10"):
+        induced_joint(spec, code)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +386,26 @@ def test_code_validation_errors():
     rogue = dataclasses.replace(good, encoder_tables=((seven,), good.encoder_tables[1]))
     with pytest.raises(DomainError):
         run_trial(spec, rogue, seed=0)  # symbol outside the input alphabet
+
+
+def _unreachable_rogue_code():
+    """Identity network, n=2: node 1 always sends 0 in slot 1, so it never
+    hears 1 before slot 2; that slot-2 entry holds the out-of-range 7."""
+    spec = networks.bundled_spec("deterministic")
+    code = random_table_code(spec, 2, _UNIT, seed=0)
+    first, second = code.encoder_tables[0]
+    second = second.copy()
+    second[:, 1] = 7
+    tables = ((np.zeros_like(first), second), code.encoder_tables[1])
+    return spec, dataclasses.replace(code, encoder_tables=tables)
+
+
+def test_unreachable_out_of_range_encoder_symbol_rejected():
+    spec, rogue = _unreachable_rogue_code()
+    for call in (lambda: estimate_error(spec, rogue, trials=20, seed=0),
+                 lambda: induced_joint(spec, rogue)):
+        with pytest.raises(DomainError, match="node 1, slot 2 has symbol 7"):
+            call()
 
 
 def test_negative_seed_is_a_domain_error():
