@@ -4,11 +4,16 @@ A natural-order polar transform (lower-triangular kernel, no bit reversal)
 of size 2^ceil(log2 n), shortened down to n by freezing the tail inputs,
 which pins the tail codeword bits to 0 so they need not be transmitted.
 Decoding is CRC-aided successive-cancellation list decoding with an integer
-min-sum update rule, batched over blocks in numpy.  The list engine copies
-path state lazily: it keeps one LLR and one partial-sum buffer per tree
-depth, each read through a per-depth map from path to buffer row, so a
-list reorder only composes index maps; the decided bits are recovered by
-tracing the recorded parent rows back once at the end.  The information set
+min-sum update rule, batched over blocks in numpy.  The decoder walks the
+tree node by node rather than leaf by leaf (Sarkis, Giard, Vardy, Thibeault
+& Gross 2014, "Fast polar decoders"): a subtree whose leaves are all frozen
+(Rate-0) or all frozen but the last (Rep) is decoded in one step from its
+input LLRs, with the same path metrics, decisions and list order as the
+leaf-by-leaf decoder.  The list engine copies path state lazily: it keeps
+one LLR and one partial-sum buffer per tree depth, each read through a
+per-depth map from path to buffer row, so a list reorder only composes
+index maps; the decided bits are recovered by tracing the recorded parent
+rows back once at the end.  The information set
 is picked by exact density evolution of this decoder (Mori & Tanaka 2009;
 Tal & Vardy 2013, "How to construct polar codes"): every LLR of the
 genie-aided successive-cancellation decoder is an integer, so its law under
@@ -68,39 +73,48 @@ def _crc_bits(bits: np.ndarray, nc: int) -> np.ndarray:
 # Lazy path copies (Tal & Vardy 2015, "List decoding of polar codes", IV).
 # P[d] holds the LLRs at depth d (width n >> d) and S[d] the partial sums of
 # the most recent completed left child at depth d, as 0/-1 int8 masks; both
-# are (B, lanes, width) arrays.  A lane axis of size 1 means the data is
-# shared by every path: depth 0 is the channel LLR, and every buffer written
-# before the first information bit stays shared.  maps[0, d] / maps[1, d]
+# are (width, B, lanes) arrays, position first, so the halves that an f- or
+# g-step combines are contiguous blocks however narrow the node.  A lane
+# axis of size 1 means the data is shared by every path: depth 0 is the
+# channel LLR, and every buffer written before the first information bit
+# stays shared.  A width axis of size 1 in S[d] means one value for every
+# position (a Rate-0 or Rep node's partial sums).  maps[0, d] / maps[1, d]
 # give, for each path (flat row b * L + j), the flat row that holds its
 # P[d] / S[d] data, so a reorder of the list composes the parent rows into
 # the maps and moves no data.  A buffer is gathered only when it is read
 # through a moved map: the g-step reads P[l0 - 1], the partial-sum ripple
 # reads the left children S[d].  Every write makes a fresh buffer in path
 # order and resets its map.  The f-steps read buffers written in the same
-# leaf, and the g-step's S[l0] was written by the previous leaf after its
+# node, and the g-step's S[l0] was written by the previous node after its
 # reorder, so neither is ever gathered.  Decided bits are not stored per
-# path: each information leaf records its bits and parent rows, and U is
-# traced back once at the end.
+# path: each Rep node records its bits and parent rows at its last leaf,
+# and U is traced back once at the end.
 #
-# The update schedule per leaf phi: one g-step at depth m - trailing_zeros(phi),
-# f-steps below it, then a partial-sum ripple across the trailing ones of phi.
-# PM is the path metric (sum of magnitudes of violated leaf LLRs).
+# The tree is split once into nodes (_node_split): the largest subtrees
+# that are Rate-0 or Rep, a single leaf being one or the other.  The update
+# schedule per node (phi, depth d, width w = n >> d): one g-step at depth
+# m - trailing_zeros(phi), f-steps down to depth d, the node's rule on its
+# input alpha = P[d], then a partial-sum ripple from depth d across the
+# trailing ones of phi >> (m - d).  PM is the path metric, the sum of the
+# magnitudes of the leaf LLRs that the decisions violate.  Under min-sum
+# this sum over a Rate-0 node is sum(max(-alpha, 0)), and over a Rep node
+# whose bits are all b it is sum(max(-alpha, 0)) for b = 0 and
+# sum(max(alpha, 0)) for b = 1, so a Rep node branches once, exactly like
+# an information leaf.
 
 
 def _f_step(av, cv):
     """Min-sum check update: sign(a) sign(c) min(|a|, |c|).
 
-    Built in place from an integer sign mask, which allocates fewer
-    temporaries than multiplying by np.sign.  A zero operand makes the
-    minimum 0, so its sign does not matter.
+    Computed as max(min(a, c), -max(a, c)) in four passes: with equal
+    signs one candidate is min(|a|, |c|) and the other is negative; with
+    opposite signs or a zero operand both are <= 0, and the larger is
+    -min(|a|, |c|).
     """
-    out = np.abs(av)
-    tmp = np.abs(cv)
-    np.minimum(out, tmp, out=out)
-    np.bitwise_xor(av, cv, out=tmp)
-    tmp >>= 63  # -1 where the signs differ, else 0
-    out ^= tmp
-    out -= tmp
+    out = np.minimum(av, cv)
+    tmp = np.maximum(av, cv)
+    np.negative(tmp, out=tmp)
+    np.maximum(out, tmp, out=out)
     return out
 
 
@@ -112,15 +126,42 @@ def _g_step(av, cv, s):
     return out
 
 
+def _node_split(frozen):
+    """Decoding-tree nodes (phi, depth, rep) of a frozen mask, in decoding order.
+
+    Each node is the largest subtree whose leaves are all frozen (Rate-0,
+    rep False) or all frozen but the last (Rep, rep True); a single leaf is
+    one of the two.  phi is the node's first leaf.
+    """
+    n = len(frozen)
+    info = np.concatenate([[0], np.cumsum(np.asarray(frozen) == 0)]).tolist()
+    nodes = []
+
+    def visit(phi, d):
+        w = n >> d
+        k = info[phi + w] - info[phi]
+        if k == 0 or (k == 1 and not frozen[phi + w - 1]):
+            nodes.append((phi, d, k == 1))
+        else:
+            visit(phi, d + 1)
+            visit(phi + w // 2, d + 1)
+
+    visit(0, 0)
+    return nodes
+
+
 def _scl_run(llr0, frozen, L):
     """Run the list decoder on (B, n_code) LLR blocks; returns (U, PM).
 
-    While the list grows, only its first lanes hold paths; when it never
-    fills, the remaining lanes of U and PM are meaningless.
+    The list holds min(L, 2**k) paths, k the number of information leaves,
+    so it is full at the end and every returned lane is a decoded path.
+    The LLRs are copied position first unless llr0 is already the
+    transpose of a contiguous (n_code, B) array.
     """
     B, n = llr0.shape
     m = n.bit_length() - 1
-    P = [llr0[:, None, :]] + [None] * m
+    L = min(L, 1 << int(np.count_nonzero(np.asarray(frozen) == 0)))
+    P = [np.ascontiguousarray(llr0.T)[:, :, None]] + [None] * m
     S = [None] * (m + 1)
     ident = np.arange(B * L)
     maps = np.tile(ident, (2, m + 1, 1))
@@ -128,21 +169,22 @@ def _scl_run(llr0, frozen, L):
     row = (np.arange(B) * L)[:, None]
     row_dtype = np.min_scalar_type(B * L - 1)
     PM = np.zeros((B, L), dtype=np.int64)
-    trace = []  # (phi, bits, flat parent rows or None) per information leaf
+    zeros = np.zeros((1, B, 1), dtype=np.int8)
+    trace = []  # (leaf, bits, flat parent rows or None) per Rep node
 
     def read(k, d):  # k = 0: P[d], k = 1: S[d], in path order
         buf = (P, S)[k][d]
-        if not moved[k, d] or buf.shape[1] == 1:
+        if not moved[k, d] or buf.shape[2] == 1:
             return buf
-        w = buf.shape[2]
-        return buf.reshape(B * L, w).take(maps[k, d], axis=0).reshape(B, L, w)
+        w = buf.shape[0]
+        return buf.reshape(w, B * L).take(maps[k, d], axis=1).reshape(w, B, L)
 
     def wrote(k, d):
         maps[k, d] = ident
         moved[k, d] = False
 
     a = 1
-    for phi in range(n):
+    for phi, depth, rep in _node_split(frozen):
         if phi == 0:
             lo = 1
         else:
@@ -150,22 +192,21 @@ def _scl_run(llr0, frozen, L):
             l0 = m - tz
             w = n >> l0
             seg = read(0, l0 - 1)
-            P[l0] = _g_step(seg[..., :w], seg[..., w:], S[l0])
+            P[l0] = _g_step(seg[:w], seg[w:], S[l0])
             wrote(0, l0)
             lo = l0 + 1
-        for d in range(lo, m + 1):
+        for d in range(lo, depth + 1):
             w = n >> d
             seg = P[d - 1]
-            P[d] = _f_step(seg[..., :w], seg[..., w:])
+            P[d] = _f_step(seg[:w], seg[w:])
             wrote(0, d)
-        llr = P[m][:, :, 0]
-        if frozen[phi]:
-            PM += np.maximum(-llr, 0)
-            bit = np.zeros((B, 1), dtype=np.uint8)
-        else:
-            llr = np.broadcast_to(llr, (B, L))
-            pen0 = np.maximum(-llr, 0)
-            pen1 = np.maximum(llr, 0)
+        alpha = P[depth]
+        pen0 = np.maximum(-alpha, 0).sum(axis=0)
+        if not rep:  # Rate-0: every bit 0
+            PM += pen0
+            x = zeros
+        else:  # Rep: every bit a copy of one decided bit
+            pen1 = pen0 + alpha.sum(axis=0)  # sum of max(alpha, 0)
             if 2 * a <= L:  # list still growing: keep every extension
                 l2 = 2 * a
                 PM[:, :l2] = np.repeat(PM[:, :a], 2, axis=1)
@@ -186,17 +227,21 @@ def _scl_run(llr0, frozen, L):
                 parent = order >> 1
                 a = L
             flat = (parent + row).reshape(-1)
+            leaf = phi + (n >> depth) - 1
             if np.array_equal(flat, ident):
-                trace.append((phi, bit, None))
+                trace.append((leaf, bit, None))
             else:  # reorder the list: compose the maps, move no data
                 maps[...] = maps[..., flat]
                 moved[...] = True
-                trace.append((phi, bit, flat.astype(row_dtype)))
-        x = -bit.astype(np.int8)[..., None]
-        d, ph = m, phi
-        while d > 0 and (ph & 1) == 1:
+                trace.append((leaf, bit, flat.astype(row_dtype)))
+            x = -bit.astype(np.int8)[None]
+        d, ph = depth, phi >> (m - depth)
+        while d > 0 and (ph & 1) == 1:  # x: the partial sums of the right child
             y = read(1, d) ^ x
-            x = np.concatenate([y, np.broadcast_to(x, y.shape)], axis=2)
+            w = n >> d
+            x, right = np.empty((2 * w,) + y.shape[1:], dtype=np.int8), x
+            x[:w] = y
+            x[w:] = right
             ph >>= 1
             d -= 1
         if d > 0:
@@ -204,8 +249,8 @@ def _scl_run(llr0, frozen, L):
             wrote(1, d)
     U = np.zeros((B, L, n), dtype=np.uint8)
     cur = None  # flat row of each final path's ancestor; None = identity
-    for phi, bit, flat in reversed(trace):
-        U[:, :, phi] = bit if cur is None else bit.reshape(-1)[cur].reshape(B, L)
+    for leaf, bit, flat in reversed(trace):
+        U[:, :, leaf] = bit if cur is None else bit.reshape(-1)[cur].reshape(B, L)
         if flat is not None:
             cur = flat if cur is None else flat[cur]
     return U, PM
@@ -248,6 +293,11 @@ def _de_f(pa, pc):
     return np.concatenate([neg[::-1], [zero], pos])
 
 
+def _code_length(n: int) -> int:
+    """Length 2^ceil(log2 n), at least 2, of the code shortened to n."""
+    return 1 << max(1, math.ceil(math.log2(n)))
+
+
 def _genie_errors(n: int, eps: float) -> np.ndarray:
     """Exact genie-aided decision error probability of every input position.
 
@@ -257,7 +307,7 @@ def _genie_errors(n: int, eps: float) -> np.ndarray:
     input laws.  A leaf errs with probability P(L < 0) + P(L = 0) / 2,
     because the decoder decides 0 on a tie and the genie's bit is uniform.
     """
-    n_code = 1 << max(1, math.ceil(math.log2(n)))
+    n_code = _code_length(n)
     errs = np.zeros(n_code)
 
     def visit(laws, ids, lo):
@@ -296,7 +346,7 @@ def _construct(n: int, k_total: int, eps: float):
     errs = _genie_errors(n, eps)
     order = np.argsort(errs[:n], kind="stable")
     info = np.sort(order[:k_total])
-    return errs.size, info, float(errs[info].sum())
+    return info, float(errs[info].sum())
 
 
 def _decode_chunk_blocks(n_code: int, list_size: int) -> int:
@@ -327,6 +377,11 @@ class PolarCode:
             raise DomainError("list_size must be >= 1")
         if n > MAX_N:
             raise ResourceCapError(f"blocklength {n} is above the cap of {MAX_N}")
+        n_code = _code_length(n)
+        if list_size * n_code > _DECODE_LANES:
+            raise ResourceCapError(f"list size {list_size} at code length {n_code} "
+                                   f"is above the decoder budget of {_DECODE_LANES} "
+                                   f"paths x code bits")
         self.n = int(n)
         self.k = int(k)
         self.eps = float(eps)
@@ -336,8 +391,8 @@ class PolarCode:
         key = (self.n, self.k_total, round(self.eps, 12))
         if key not in _construction_cache:
             _construction_cache[key] = _construct(self.n, self.k_total, self.eps)
-        self.n_code, self.info_positions, self.sc_union_bound = \
-            _construction_cache[key]
+        self.n_code = n_code
+        self.info_positions, self.sc_union_bound = _construction_cache[key]
         self.frozen = np.ones(self.n_code, dtype=np.uint8)
         self.frozen[self.info_positions] = 0
 
@@ -365,17 +420,17 @@ class PolarCode:
 
     def _decode_chunk(self, ys: np.ndarray) -> np.ndarray:
         b = ys.shape[0]
-        llr = np.empty((b, self.n_code), dtype=np.int64)
-        llr[:, :self.n] = 1 - 2 * ys.astype(np.int64)
-        llr[:, self.n:] = BIG
-        u_all, pm = _scl_run(llr, self.frozen, self.list_size)
+        llr = np.empty((self.n_code, b), dtype=np.int64)  # the decoder's layout
+        llr[:self.n] = 1 - 2 * ys.T.astype(np.int64)
+        llr[self.n:] = BIG
+        u_all, pm = _scl_run(llr.T, self.frozen, self.list_size)
         cand = u_all[:, :, self.info_positions]
         pay = cand[:, :, :self.k]
         order = np.argsort(pm, axis=1, kind="stable")
         if self.crc_bits:
             calc = _crc_bits(pay.reshape(-1, self.k), self.crc_bits)
             stored = cand[:, :, self.k:].reshape(-1, self.crc_bits)
-            ok = np.all(calc == stored, axis=1).reshape(b, self.list_size)
+            ok = np.all(calc == stored, axis=1).reshape(pm.shape)
             ok_ord = np.take_along_axis(ok, order, axis=1)
             first = np.argmax(ok_ord, axis=1)
             pick = np.where(ok_ord.any(axis=1), first, 0)

@@ -40,7 +40,7 @@ def _sc_reference(llr, frozen):
     return np.array(u, dtype=np.uint8)
 
 
-_KRON = [_kron_transform(m) for m in range(7)]
+_KRON = [_kron_transform(m) for m in range(9)]
 
 
 def _sign(x):
@@ -153,9 +153,59 @@ def test_list_decoder_matches_per_path_reference():
                 u, pm = polar._scl_run(llr, frozen, L)
                 for b in range(2):
                     want_u, want_pm = _scl_reference(llr[b], frozen, L)
-                    live = len(want_pm)  # fewer than L when the list never filled
-                    assert np.array_equal(u[b, :live], want_u), (n, L, trial, b)
-                    assert np.array_equal(pm[b, :live], want_pm), (n, L, trial, b)
+                    assert np.array_equal(u[b], want_u), (n, L, trial, b)
+                    assert np.array_equal(pm[b], want_pm), (n, L, trial, b)
+
+
+def test_node_split_of_forward_code():
+    frozen = PolarCode(2000, 800, 0.11).frozen
+    m = 11
+    nodes = polar._node_split(frozen)
+    end = 0
+    for phi, d, rep in nodes:
+        w = 1 << (m - d)
+        assert phi == end and phi % w == 0  # the nodes tile the leaves in order
+        leaves = frozen[phi:phi + w]
+        assert np.all(leaves[:-1]) and rep == (leaves[-1] == 0)
+        if d > 0:  # the enclosing subtree is neither Rate-0 nor Rep
+            lo = phi - phi % (2 * w)
+            assert not np.all(frozen[lo:lo + 2 * w - 1])
+        end = phi + w
+    assert end == 2048
+    kinds = [(d == m, rep) for _phi, d, rep in nodes]
+    assert kinds.count((False, False)) == 32  # Rate-0 nodes
+    assert kinds.count((False, True)) == 84  # Rep nodes
+    assert sum(leaf for leaf, _rep in kinds) == 732  # single leaves
+    assert len(nodes) == 848
+
+
+def test_node_shortcuts_match_per_path_reference():
+    code = PolarCode(200, 60, 0.11, crc_bits=0)
+    assert code.n_code == 256
+    wide = {rep for _phi, d, rep in polar._node_split(code.frozen) if d <= 5}
+    assert wide == {False, True}  # Rate-0 and Rep nodes of width >= 8
+    rng = np.random.Generator(np.random.Philox(9))
+    msgs = rng.integers(0, 2, size=(2, 60), dtype=np.uint8)
+    x = code.encode_batch(msgs)
+    y = x ^ (rng.random(x.shape) < 0.11).astype(np.uint8)
+    llr = np.full((2, 256), BIG, dtype=np.int64)
+    llr[:, :200] = 1 - 2 * y.astype(np.int64)
+    for L in (1, 4, 8):
+        u, pm = polar._scl_run(llr, code.frozen, L)
+        for b in range(2):
+            want_u, want_pm = _scl_reference(llr[b], code.frozen, L)
+            assert np.array_equal(u[b], want_u), (L, b)
+            assert np.array_equal(pm[b], want_pm), (L, b)
+
+
+def test_list_larger_than_codebook_changes_nothing():
+    # a list of 2**k paths holds every codeword, so a longer list decodes alike
+    words = ((np.arange(2 ** 16)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
+    for k in (1, 2, 3):
+        want = PolarCode(16, k, 0.11, list_size=2 ** k, crc_bits=0).decode_batch(words)
+        for lst in (8, 16):
+            got = PolarCode(16, k, 0.11, list_size=lst, crc_bits=0).decode_batch(words)
+            assert np.array_equal(got, want), (k, lst)
 
 
 def test_decoder_handles_shortened_llr_like_reference():
@@ -334,6 +384,9 @@ def test_code_parameter_validation():
         PolarCode(16, 4, 0.11, list_size=0)
     with pytest.raises(ResourceCapError):
         PolarCode(polar.MAX_N + 1, 8, 0.11)
+    with pytest.raises(ResourceCapError):  # before construction or any decoding
+        PolarCode(32, 4, 0.11, list_size=2 ** 40)
+    assert PolarCode(32, 4, 0.11, list_size=polar._DECODE_LANES // 32).n_code == 32
     code = PolarCode(16, 4, 0.11, crc_bits=0)
     with pytest.raises(DomainError):
         code.encode_batch(np.zeros((2, 5), dtype=np.uint8))
