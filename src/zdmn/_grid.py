@@ -6,18 +6,21 @@ compositions of k into the row's alphabet size.  Grid points are indexed
 mixed-radix over rows, first row most significant, so scan order and reported
 witnesses are deterministic.
 
-A batch of grid points is a (count, D) array of joints over the full
-(X_1..X_N, Y_1..Y_N) layout.  Each cut term marginalises it onto (A, B, C)
-with one one-hot (D, |ABC|) matrix and hands the batch-last table to
-``probability.cmi_table``, the one I(A;B|C) kernel of the package.  The
-point count, and the cells of those matrices plus one scan batch, are capped
-from the alphabet sizes before any length-D array exists.
+A batch of grid points is a batch-last (D, count) array of joints over the
+full (X_1..X_N, Y_1..Y_N) layout: the channel product times each free
+factor's point table, expanded to D by one gather.  Each cut term sums the
+joint over the variable axes outside (A, B, C), orders the rest as A+B+C and
+hands the (|A|, |B|, |C|, count) table to ``probability.cmi_table``, the one
+I(A;B|C) kernel of the package.  The point count, and the cells of one scan
+batch's joint plus its largest term marginal, are capped from the alphabet
+sizes before any length-D array exists.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -27,21 +30,16 @@ from .probability import (_group_size, cmi_table, compose_channels,
                           input_conditional_vars)
 
 BATCH = 4096  # grid points per eval_batch call of a scan
-GRID_CELL_CAP = 2 ** 26  # float64 cells of the one-hot marginals plus one scan batch
+GRID_CELL_CAP = 2 ** 26  # float64 cells of one scan batch's joint plus its largest term marginal
 
 
 def compositions(k: int, m: int) -> np.ndarray:
     """All m-part compositions of k, shape (C(k+m-1, m-1), m), stable order."""
-    if m == 1:
-        return np.array([[k]], dtype=np.int64)
-    out = np.empty((math.comb(k + m - 1, m - 1), m), dtype=np.int64)
-    for r, bars in enumerate(itertools.combinations(range(k + m - 1), m - 1)):
-        prev = -1
-        for j, b in enumerate(bars):
-            out[r, j] = b - prev - 1
-            prev = b
-        out[r, m - 1] = k + m - 2 - prev
-    return out
+    n = math.comb(k + m - 1, m - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(k + m - 1), m - 1)),
+        dtype=np.int64, count=n * (m - 1)).reshape(n, m - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=k + m - 1) - 1
 
 
 def capacity_term_groups(spec: NetworkSpec, cut: NodeSet, h: int):
@@ -82,9 +80,13 @@ class GridProblem:
 
         require_valid(spec)
         self.which = _normalize_mode(which)
+        if not isinstance(k, numbers.Integral) or isinstance(k, bool):
+            raise DomainError(f"grid resolution k must be an integer, got {k!r}")
         self.k = int(k)
         if self.k < 1:
             raise DomainError(f"grid resolution k must be >= 1, got {self.k}")
+        if max_distributions < 1:
+            raise DomainError(f"max_distributions must be >= 1, got {max_distributions}")
 
         def group_size(group) -> int:
             return _group_size(spec.var_size, group)
@@ -122,25 +124,27 @@ class GridProblem:
                     groups.append((ci, s, abc))
         names = spec.all_x_vars() + spec.all_y_vars()
         d = group_size(names)
-        cells = d * (sum(group_size(a + b + c) for _, _, (a, b, c) in groups)
-                     + min(BATCH, n_points))
+        largest_term = max((group_size(a + b + c) for _, _, (a, b, c) in groups), default=0)
+        cells = (d + largest_term) * min(BATCH, n_points)
         if cells > GRID_CELL_CAP:
             raise ResourceCapError(
                 f"grid needs {cells} table cells, above the cap {GRID_CELL_CAP}")
 
-        sizes = tuple(spec.var_size(n) for n in names)
+        self.sizes = tuple(spec.var_size(n) for n in names)
         pos = {n: i for i, n in enumerate(names)}
-        vals = np.array(np.unravel_index(np.arange(d), sizes)).T  # (D, nvars)
+        vals = np.array(np.unravel_index(np.arange(d), self.sizes)).T  # (D, nvars)
 
         def group_index(group) -> np.ndarray:
             idx = np.zeros(d, dtype=np.int64)
             for n in group:
-                idx = idx * sizes[pos[n]] + vals[:, pos[n]]
+                idx = idx * self.sizes[pos[n]] + vals[:, pos[n]]
             return idx
 
         self.q = compose_channels(spec).table.reshape(-1)  # fixed channel product
-        self.factor_row_maps = [group_index(fin) for fin, _ in factors]
-        self.factor_col_maps = [group_index(fout) for _, fout in factors]
+        # Per factor, the flat (row, col) cell of its point table under each
+        # of the D joint cells.
+        self.factor_cells = [group_index(fin) * n_cols + group_index(fout)
+                             for (fin, fout), n_cols in zip(factors, self.factor_n_cols)]
 
         # Composition tables and the global row radix.
         self.comp_tables = [compositions(self.k, m) / float(self.k)
@@ -150,13 +154,16 @@ class GridProblem:
         self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
         self.n_rows_total = int(self.radix.size)
 
-        # Cut terms: (cut_idx, slot_idx, one-hot (D, |ABC|) marginal, (|A|, |B|, |C|)).
+        # Cut terms: (cut_idx, slot_idx, axes summed out, A+B+C order of the
+        # axes kept, (|A|, |B|, |C|)).
         self._terms = []
         for ci, s, (a, b, c) in groups:
+            abc = [pos[n] for n in a + b + c]
+            drop = tuple(i for i in range(len(names)) if i not in abc)
+            kept = sorted(abc)
+            order = tuple(kept.index(i) for i in abc) + (len(abc),)  # batch axis last
             shape = tuple(group_size(g) for g in (a, b, c))
-            onehot = np.zeros((d, math.prod(shape)), dtype=np.float64)
-            onehot[np.arange(d), group_index(a + b + c)] = 1.0
-            self._terms.append((ci, s, onehot, shape))
+            self._terms.append((ci, s, drop, order, shape))
 
     # -- point decoding ----------------------------------------------------
 
@@ -190,12 +197,18 @@ class GridProblem:
         for r in range(self.n_rows_total - 1, -1, -1):
             digits[:, r] = work % self.radix[r]
             work //= self.radix[r]
-        p = np.tile(self.q, (count, 1))
+        p = self.q[:, None]
         for f in range(self.n_factors):
-            dg = digits[:, int(self.row_offset[f]) + self.factor_row_maps[f]]
-            p *= self.comp_tables[f][dg, self.factor_col_maps[f][None, :]]
+            off = int(self.row_offset[f])
+            dg = digits[:, off:off + self.factor_n_rows[f]]
+            table = self.comp_tables[f][dg].reshape(count, -1).T  # (rows*cols, count)
+            expanded = table.take(self.factor_cells[f], axis=0)
+            expanded *= p
+            p = expanded
+        p = p.reshape(self.sizes + (count,))
 
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
-        for ci, s, onehot, shape in self._terms:
-            out[:, ci, s] = cmi_table((onehot.T @ p.T).reshape(shape + (count,)))
+        for ci, s, drop, order, shape in self._terms:
+            pabc = p.sum(axis=drop).transpose(order).reshape(shape + (count,))
+            out[:, ci, s] = cmi_table(pabc)
         return out

@@ -1,5 +1,6 @@
 """Per-cut outer bounds: exact caps, factorization checks, grid search."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 from zdmn import model, networks
 from zdmn._grid import (GRID_CELL_CAP, GridProblem, capacity_term_groups,
-                        positive_delay_term_groups)
+                        compositions, positive_delay_term_groups)
 from zdmn.bounds import (
     Cut,
     INSIDE,
@@ -270,6 +271,70 @@ def _qary_feedback_spec(q):
          ChannelTable(("X1", "X2", "Y2"), ("Y1",), rows)))
 
 
+def _ternary_spec(seed):
+    """Seeded 3-node ternary network, S = ({1}, {2}, {3}), G = ({2}, {3}, {1}),
+    every channel row a Dirichlet(1, 1, 1) draw."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = Partition((NodeSet((1,)), NodeSet((2,)), NodeSet((3,))))
+    g = Partition((NodeSet((2,)), NodeSet((3,)), NodeSet((1,))))
+    shell = NetworkSpec(3, (3, 3, 3), (3, 3, 3), 3, s, g, ())
+    channels = []
+    for h in range(1, 4):
+        in_vars, out_vars = shell.channel_input_vars(h), shell.channel_output_vars(h)
+        rows = rng.dirichlet(np.ones(3 ** len(out_vars)), size=3 ** len(in_vars))
+        channels.append(ChannelTable(in_vars, out_vars, rows))
+    return dataclasses.replace(shell, channels=tuple(channels))
+
+
+def _compositions_by_bars(k, m):
+    """Compositions of k into m parts from stars and bars, one row at a time."""
+    out = []
+    for bars in itertools.combinations(range(k + m - 1), m - 1):
+        edges = (-1,) + bars + (k + m - 1,)
+        out.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+    return np.array(out, dtype=np.int64).reshape(-1, m)
+
+
+def test_compositions_match_stars_and_bars():
+    for k, m in list(itertools.product(range(1, 7), range(1, 7))) + [(20, 1)]:
+        got = compositions(k, m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _compositions_by_bars(k, m)), (k, m)
+        assert got.shape == (math.comb(k + m - 1, m - 1), m)
+        assert np.all(got.sum(axis=1) == k)
+
+
+def test_grid_resolution_must_be_an_integer():
+    spec = networks.bscfb_spec(0.11)
+    for k in (2.5, 2.0, "2", True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            GridProblem(spec, "capacity", k)
+        with pytest.raises(DomainError, match="must be an integer"):
+            grid_hull(spec, "positive-delay", k)
+    assert GridProblem(spec, "capacity", np.int64(2)).k == 2
+
+
+def test_grid_rejects_nonpositive_max_distributions():
+    spec = networks.bscfb_spec(0.11)
+    for cap in (0, -1):
+        with pytest.raises(DomainError, match="max_distributions must be >= 1"):
+            grid_hull(spec, "capacity", 2, max_distributions=cap)
+
+
+def test_grid_batch_rows_equal_single_points(bundled_specs):
+    # a point's terms do not depend on the batch it is scanned in; the
+    # ternary capacity grid (6^91 points at k=2) is far beyond the cap
+    cases = [(spec, mode) for _, spec in sorted(bundled_specs.items())
+             for mode in ("capacity", "positive-delay")]
+    cases += [(_ternary_spec(seed), "positive-delay") for seed in (1, 2, 3)]
+    for spec, mode in cases:
+        problem = GridProblem(spec, mode, 2)
+        batch = problem.eval_batch(0, problem.n_points)
+        assert batch.shape == (problem.n_points, problem.n_cuts, problem.n_slots)
+        for i in range(problem.n_points):
+            assert np.allclose(batch[i], problem.eval_batch(i, 1)[0], rtol=0.0, atol=1e-15)
+
+
 def test_grid_cap_checked_before_length_d_tables():
     spec = _qary_feedback_spec(32)  # D = 32^4 = 2^20 joint cells
     tracemalloc.start()
@@ -282,10 +347,10 @@ def test_grid_cap_checked_before_length_d_tables():
     assert peak < 2 ** 20  # under one byte per joint cell: no length-D table
 
 
-def test_grid_cell_cap_checked_before_allocation(binary_chain_spec):
-    # 128 points only, but the one-hot marginals of the 126 cut terms hold
-    # about 4.3e9 cells; the count comes from the alphabet sizes alone
-    spec = binary_chain_spec(7)
+def test_grid_cell_cap_checked_before_allocation():
+    # 1,024 points only, but one scan batch of D = 2^20 joints holds 2^30
+    # cells; the count comes from the alphabet sizes alone
+    spec = _qary_feedback_spec(32)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match=f"above the cap {GRID_CELL_CAP}"):
@@ -340,8 +405,10 @@ def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
     # the joint is rebuilt from the point's conditionals outside the grid's
     # own index maps, and every term is recomputed by the log-sum oracle
     rng = np.random.Generator(np.random.Philox(5))
-    for (name, spec), mode in itertools.product(sorted(bundled_specs.items()),
-                                                ("capacity", "positive-delay")):
+    cases = list(itertools.product(sorted(bundled_specs.items()),
+                                   ("capacity", "positive-delay")))
+    cases.append((("ternary", _ternary_spec(7)), "positive-delay"))
+    for (name, spec), mode in cases:
         n_points = GridProblem(spec, mode, 4).n_points
         points = {0, n_points - 1} | {int(p) for p in rng.integers(0, n_points, 4)}
         for point in sorted(points):

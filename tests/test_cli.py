@@ -168,10 +168,18 @@ def test_bound_distribution_cap(capsys, spec_path):
     assert rc == EXIT_CAP and err.startswith("error: ")
 
 
+def test_bound_rejects_nonpositive_max_distributions(capsys, spec_path):
+    for cap in ("0", "-1"):
+        rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "2",
+                            "--max-distributions", cap)
+        assert rc == EXIT_DOMAIN and out == ""
+        assert err == f"error: max_distributions must be >= 1, got {cap}\n"
+
+
 def test_bound_grid_cell_cap(capsys, tmp_path, binary_chain_spec):
-    # 128 grid points whose one-hot marginals would need about 34 GB
+    # 512 grid points whose scan batch of D = 2^18 joints would need 1.6 GB
     path = tmp_path / "chain.json"
-    model.save_spec(binary_chain_spec(7), path)
+    model.save_spec(binary_chain_spec(9), path)
     rc, out, err = _run(capsys, "bound", "--spec", str(path),
                         "--mode", "positive-delay", "--grid", "1")
     assert rc == EXIT_CAP and out == ""

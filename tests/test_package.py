@@ -77,20 +77,85 @@ def test_every_module_level_definition_is_referenced():
     assert unreferenced == []
 
 
-def test_every_instance_attribute_is_read():
-    # a `self.<attr> = ...` in src must be read as `.<attr>` somewhere in src,
-    # tests or perfbench; one that is only ever written is dead state
-    files = (sorted(_SRC.glob("*.py")) + sorted((_ROOT / "tests").glob("*.py"))
-             + sorted((_ROOT / "perfbench").glob("*.py")))
-    read = set()
-    for tree in _parsed(files).values():
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+def _attribute_uses(tree):
+    """(stores, self_reads, other_reads, named) of one module.
+
+    stores are (line, class, attr) of every `self.<attr> = ...` in a class,
+    self_reads (class, attr) of every `self.<attr>` read in a class,
+    other_reads the attrs read through any other object, and named every
+    name the module mentions (classes it defines or imports included).
+    """
+    stores, self_reads, other_reads, named = [], set(), set(), set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            named.add(node.name)
+            cls = node.name
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name.split(".")[-1])
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+            on_self = (cls is not None and isinstance(node.value, ast.Name)
+                       and node.value.id == "self")
+            if isinstance(node.ctx, ast.Store) and on_self:
+                stores.append((node.lineno, cls, node.attr))
+            elif isinstance(node.ctx, ast.Load):
+                if on_self:
+                    self_reads.add((cls, node.attr))
+                else:
+                    other_reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return stores, self_reads, other_reads, named
+
+
+def _unread_attributes(src_trees, other_trees):
+    """`path:line Class.attr` of every attribute stored on `self` in a src
+    class and never read.  A `self.<attr>` read counts only for the class it
+    is read in; a read through any other object counts only in a module that
+    names the owning class, so `args.spec` in a module that never mentions
+    GridProblem does not read `GridProblem.spec`."""
+    uses = {path: _attribute_uses(tree) for path, tree in {**src_trees, **other_trees}.items()}
+    self_reads = set().union(*(u[1] for u in uses.values()))
     unread = []
-    for path, tree in _parsed(sorted(_SRC.glob("*.py"))).items():
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                    and isinstance(node.value, ast.Name) and node.value.id == "self"
-                    and node.attr not in read):
-                unread.append(f"{path.name}:{node.lineno} {node.attr}")
-    assert unread == []
+    for path in src_trees:
+        for line, cls, attr in uses[path][0]:
+            if (cls, attr) in self_reads:
+                continue
+            if any(cls in named and attr in other for _, _, other, named in uses.values()):
+                continue
+            unread.append(f"{path}:{line} {cls}.{attr}")
+    return unread
+
+
+def test_every_instance_attribute_is_read():
+    # a `self.<attr> = ...` in src must be read in src, tests or perfbench;
+    # one that is only ever written is dead state
+    others = sorted((_ROOT / "tests").glob("*.py")) + sorted((_ROOT / "perfbench").glob("*.py"))
+    assert _unread_attributes(_parsed(sorted(_SRC.glob("*.py"))), _parsed(others)) == []
+
+
+def test_attribute_guard_matches_owners_not_names():
+    grid = ast.parse(
+        "class GridProblem:\n"
+        "    def __init__(self, spec, k):\n"
+        "        self.spec = spec\n"
+        "        self.k = k\n"
+        "    def points(self):\n"
+        "        return self.k + 1\n")
+    cli = ast.parse("def run(args):\n    return args.spec\n")
+    # the write-only GridProblem.spec is not read by a namesake elsewhere
+    assert _unread_attributes({"_grid.py": grid}, {"cli.py": cli}) == [
+        "_grid.py:3 GridProblem.spec"]
+    # nor by a `self.spec` read inside another class
+    other = ast.parse("class Other:\n    def f(self):\n        return self.spec\n")
+    assert _unread_attributes({"_grid.py": grid}, {"other.py": other}) == [
+        "_grid.py:3 GridProblem.spec"]
+    # a read in a module that names the owning class does count
+    bounds = ast.parse("from ._grid import GridProblem\n\n"
+                       "def hull(problem: GridProblem):\n    return problem.spec\n")
+    assert _unread_attributes({"_grid.py": grid}, {"bounds.py": bounds}) == []
