@@ -11,9 +11,9 @@ full (X_1..X_N, Y_1..Y_N) layout: the channel product times each free
 factor's point table, expanded to D by one gather.  Each cut term sums the
 joint over the variable axes outside (A, B, C), orders the rest as A+B+C and
 hands the (|A|, |B|, |C|, count) table to ``probability.cmi_table``, the one
-I(A;B|C) kernel of the package.  The point count, and the cells of one scan
-batch's joint plus its largest term marginal, are capped from the alphabet
-sizes before any length-D array exists.
+I(A;B|C) kernel of the package.  The point count, and the cells one scan
+batch holds, are capped from the alphabet sizes before any length-D array
+exists.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .probability import (_group_size, cmi_table, compose_channels,
                           input_conditional_vars)
 
 BATCH = 4096  # grid points per eval_batch call of a scan
-GRID_CELL_CAP = 2 ** 26  # float64 cells of one scan batch's joint plus its largest term marginal
+GRID_CELL_CAP = 2 ** 26  # float64 cells one scan batch holds at once
 
 
 def compositions(k: int, m: int) -> np.ndarray:
@@ -125,7 +125,13 @@ class GridProblem:
         names = spec.all_x_vars() + spec.all_y_vars()
         d = group_size(names)
         largest_term = max((group_size(a + b + c) for _, _, (a, b, c) in groups), default=0)
-        cells = (d + largest_term) * min(BATCH, n_points)
+        # per point of a batch: the previous joint and its gathered expansion,
+        # one factor's point table, its digits and its output terms; then a
+        # term's marginal and about four cmi_table temporaries of its size
+        table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
+        per_point = (2 * d + table + sum(self.factor_n_rows)
+                     + self.n_cuts * self.n_slots + 5 * largest_term)
+        cells = per_point * min(BATCH, n_points)
         if cells > GRID_CELL_CAP:
             raise ResourceCapError(
                 f"grid needs {cells} table cells, above the cap {GRID_CELL_CAP}")
@@ -169,6 +175,8 @@ class GridProblem:
 
     def coordinates(self, point: int) -> tuple[int, ...]:
         """Per-row composition indices, first row most significant."""
+        if not 0 <= point < self.n_points:
+            raise DomainError(f"point {point} outside 0..{self.n_points - 1}")
         digits = [0] * self.n_rows_total
         g = point
         for r in range(self.n_rows_total - 1, -1, -1):

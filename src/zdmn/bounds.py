@@ -194,6 +194,7 @@ def _scan(problem: GridProblem):
 
 
 def _point_report(problem: GridProblem, point: int) -> RateRegionReport:
+    coordinates = problem.coordinates(point)  # refuses a point off the grid
     terms = problem.eval_batch(point, 1)[0]
     constraints = tuple(
         CutConstraint(cut, tuple(terms[ci]), float(terms[ci].sum()))
@@ -202,7 +203,7 @@ def _point_report(problem: GridProblem, point: int) -> RateRegionReport:
         mode=problem.which,
         grid_resolution=problem.k,
         point_index=point,
-        coordinates=problem.coordinates(point),
+        coordinates=coordinates,
         distribution=tuple(problem.distribution_rows(point)),
         constraints=constraints,
     )
@@ -254,10 +255,7 @@ def region_membership(spec: NetworkSpec, rates: RateTuple, which: str, k: int,
 
 def grid_point_report(spec: NetworkSpec, which: str, k: int, point: int,
                       max_distributions: int = 10**7) -> RateRegionReport:
-    problem = GridProblem(spec, which, k, max_distributions)
-    if not (0 <= point < problem.n_points):
-        raise DomainError(f"point {point} outside 0..{problem.n_points - 1}")
-    return _point_report(problem, point)
+    return _point_report(GridProblem(spec, which, k, max_distributions), point)
 
 
 def grid_conditionals(spec: NetworkSpec, which: str, k: int, point: int,

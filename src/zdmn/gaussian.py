@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import bounds
+from . import bounds, simulate
 from .errors import DomainError, ResourceCapError
 from .model import require_seed
 
@@ -60,17 +60,26 @@ CELL_CAP = 1 << 25
 _SOURCES = ("gaussian", "deterministic")
 _METHODS = ("auto", "exhaustive", "analytic", "redraw")
 
-# Seed-stream domains (first element of the Philox spawn key).
-_DOMAIN_CODEBOOK = 0  # one fixed codebook per experiment
-_DOMAIN_TRIAL = 1  # per-trial message/codeword + noise
-_DOMAIN_REDRAW = 2  # per-trial fresh codebook (redraw method)
 
+def _normals(seed: int, purpose: Tuple[int, ...], lo: int, hi: int, width: int) -> np.ndarray:
+    """Standard normals of trials [lo, hi), shape (hi - lo, width).
 
-def _stream(seed: int, key: Tuple[int, ...]) -> np.random.Generator:
-    """Counter-based generator for one independent simulation stream."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
+    Box-Muller on each trial's row of ``trial_uniforms``, rounded up to an
+    even width: uniforms (u, v) from the row's two halves give
+    ``sqrt(-2 ln(1 - u))`` times ``cos(2 pi v)`` and ``sin(2 pi v)``.  One
+    uniform per normal keeps every trial's window fixed.  ``1 - u`` is exact
+    for the 53-bit uniforms, so ``log`` needs no ``log1p``.
+    """
+    half = -(-width // 2)
+    u = simulate.trial_uniforms(seed, purpose, lo, hi, 2 * half)
+    radius, angle = u[:, :half], u[:, half:]  # views; the normals overwrite u
+    np.sqrt(-2.0 * np.log(1.0 - radius), out=radius)
+    angle *= 2.0 * np.pi
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    radius *= cos
+    return u[:, :width]
 
 
 @dataclass(frozen=True)
@@ -184,20 +193,22 @@ def simulate_relay(
 ) -> RelayTrace:
     """Run one block of the relay chain on a given source sequence.
 
-    Per block, the noise stream draws ``z2`` (n slots) then ``z3``
-    (n slots) from the counter-based stream keyed by ``(block,)``, so
-    traces are reproducible per (seed, block) and independent across
-    blocks.  ``budget`` overrides the total relay power budget
-    ``n * (P + 10)`` (pass ``0.0`` to force the gate shut for testing).
+    Block b's window holds 3n normals: ``z2``, ``z3``, then the unit draw
+    of a Gaussian source (read by ``neutralization_rate``), so traces are
+    reproducible per (seed, block) and independent across blocks.
+    ``budget`` overrides the total relay power budget ``n * (P + 10)``
+    (pass ``0.0`` to force the gate shut for testing).
     """
     x1 = np.asarray(source_sequence, dtype=np.float64)
     if x1.shape != (config.n,):
         raise DomainError(
             f"source sequence must have shape ({config.n},), got {x1.shape}"
         )
-    rng = _stream(config.seed, (block,))
-    z2 = rng.standard_normal(config.n)
-    z3 = rng.standard_normal(config.n)
+    if block < 0:
+        raise DomainError(f"block must be >= 0, got {block}")
+    n = config.n
+    z = _normals(config.seed, (2,), block, block + 1, 3 * n)[0]
+    z2, z3 = z[:n], z[n:2 * n]
     cap = config.relay_budget if budget is None else float(budget)
     y2, x2, y3, gate = _relay_core(x1, z2, z3, cap)
     return RelayTrace(x1=x1, z2=z2, y2=y2, x2=x2, z3=z3, y3=y3, gate=gate, budget=cap)
@@ -210,8 +221,8 @@ def neutralization_rate(
 
     ``source="gaussian"`` draws the source i.i.d. normal at per-slot power
     ``P - delta``; ``source="deterministic"`` transmits the constant
-    ``sqrt(P)`` every slot.  Per block, the stream keyed by ``(block,)``
-    draws the source first (when stochastic), then ``z2``.  The relay's
+    ``sqrt(P)`` every slot.  Block b reads the window of
+    ``simulate_relay(block=b)``, so both see the same ``z2``.  The relay's
     mean reception power is at most ``P + 9`` per slot against a budget of
     ``P + 10``, so the open fraction tends to one as ``n`` grows.
     """
@@ -219,19 +230,17 @@ def neutralization_rate(
         raise DomainError(f"block count must be >= 1, got {blocks}")
     if source not in _SOURCES:
         raise DomainError(f"source must be one of {_SOURCES}, got {source!r}")
-    scale = math.sqrt(config.P - config.delta)
-    const = math.sqrt(config.P)
-    budget = config.relay_budget
+    n = config.n
+    step = max(1, simulate.DRAW_CELLS // (3 * n))
     open_blocks = 0
-    for b in range(blocks):
-        rng = _stream(config.seed, (b,))
+    for lo in range(0, blocks, step):
+        z = _normals(config.seed, (2,), lo, min(blocks, lo + step), 3 * n)
         if source == "gaussian":
-            x1 = scale * rng.standard_normal(config.n)
+            x1 = math.sqrt(config.P - config.delta) * z[:, 2 * n:]
         else:
-            x1 = np.full(config.n, const)
-        y2 = x1 + 3.0 * rng.standard_normal(config.n)
-        if np.all(np.cumsum(y2 * y2) <= budget):
-            open_blocks += 1
+            x1 = math.sqrt(config.P)
+        gate = _relay_core(x1, z[:, :n], z[:, n:2 * n], config.relay_budget)[3]
+        open_blocks += int(np.count_nonzero(gate.all(axis=1)))
     return open_blocks / blocks
 
 
@@ -277,22 +286,6 @@ def _nn_decode(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trial_draws(
-    config: GaussianRelayConfig, trials: int, scale: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial streams: draw (codeword, z2, z3) rows for every trial."""
-    n = config.n
-    x1 = np.empty((trials, n))
-    z2 = np.empty((trials, n))
-    z3 = np.empty((trials, n))
-    for t in range(trials):
-        rng = _stream(config.seed, (_DOMAIN_TRIAL, t))
-        x1[t] = scale * rng.standard_normal(n)
-        z2[t] = rng.standard_normal(n)
-        z3[t] = rng.standard_normal(n)
-    return x1, z2, z3
-
-
 def codebook_experiment(
     config: GaussianRelayConfig,
     rate: float,
@@ -327,6 +320,9 @@ def codebook_experiment(
       ``CELL_CAP``, ``analytic`` otherwise.
 
     ``trials * n`` above ``CELL_CAP`` raises before anything is drawn.
+    Trials run in batches; trial t's window holds 3n normals, its codeword's
+    unit draw (analytic, redraw), ``z2`` and ``z3``, so every method sees the
+    same noise in trial t.
     """
     if not math.isfinite(rate) or rate < 0.0:
         raise DomainError(f"rate must be a finite nonnegative number, got {rate}")
@@ -353,70 +349,43 @@ def codebook_experiment(
                                f"{m * n} cells > cap {CELL_CAP}")
 
     scale = math.sqrt(config.P - config.delta)
-    budget = config.relay_budget
-
+    seed = config.seed
     if method == "analytic":
         # imported here: scipy.special roughly doubles the memory and start-up
         # time of `import zdmn`, and only this branch needs it
         from scipy.special import chndtr
 
-        x1, z2, z3 = _trial_draws(config, trials, scale)
-        _, _, y3, _ = _relay_core(x1, z2, z3, budget)
-        resid = y3 - 2.0 * x1
         s = 4.0 * (config.P - config.delta)
-        d0 = np.einsum("ij,ij->i", resid, resid) / s
-        nc = np.einsum("ij,ij->i", y3, y3) / s
-        p_closer = np.clip(chndtr(d0, n, nc), 0.0, 1.0)
-        if m == 1:
-            per_trial = np.zeros(trials)
-        else:
+    elif method == "exhaustive":
+        codebook = scale * _normals(seed, (4,), 0, m, n)
+        u = simulate.trial_uniforms(seed, (5,), 0, trials, 1)[:, 0]
+        messages = np.floor(u * m).astype(np.int64)
+    # per trial, the exact error probability (analytic) or a 0/1 error
+    outcome = np.empty(trials)
+    step = max(1, simulate.DRAW_CELLS // (m * n if method == "redraw" else 3 * n))
+    for lo in range(0, trials, step):
+        hi = min(trials, lo + step)
+        z = _normals(seed, (3,), lo, hi, 3 * n)  # trial t: codeword unit draw, z2, z3
+        sent = codebook[messages[lo:hi]] if method == "exhaustive" else scale * z[:, :n]
+        y3 = _relay_core(sent, z[:, n:2 * n], z[:, 2 * n:], config.relay_budget)[2]
+        if method == "analytic":
+            resid = y3 - 2.0 * sent
+            d0 = np.einsum("ij,ij->i", resid, resid) / s
+            nc = np.einsum("ij,ij->i", y3, y3) / s
+            p_closer = np.clip(chndtr(d0, n, nc), 0.0, 1.0)
             with np.errstate(divide="ignore"):
-                per_trial = np.where(
-                    p_closer >= 1.0,
-                    1.0,
-                    -np.expm1(float(m - 1) * np.log1p(-p_closer)),
-                )
-        return CodebookResult(
-            method="analytic",
-            n=n,
-            codebook_size=m,
-            trials=trials,
-            rate_requested=rate,
-            rate_effective=k / n,
-            error_rate=float(np.mean(per_trial)),
-            errors=None,
-        )
-
-    if method == "exhaustive":
-        codebook = scale * _stream(config.seed, (_DOMAIN_CODEBOOK,)).standard_normal(
-            (m, n)
-        )
-        messages = np.empty(trials, dtype=np.int64)
-        z2 = np.empty((trials, n))
-        z3 = np.empty((trials, n))
-        for t in range(trials):
-            rng = _stream(config.seed, (_DOMAIN_TRIAL, t))
-            messages[t] = rng.integers(m)
-            z2[t] = rng.standard_normal(n)
-            z3[t] = rng.standard_normal(n)
-        _, _, y3, _ = _relay_core(codebook[messages], z2, z3, budget)
-        decoded = _nn_decode(codebook, y3)
-        errors = int(np.sum(decoded != messages))
-    else:  # redraw: fresh codebook per trial, message fixed to index 0
-        errors = 0
-        for t in range(trials):
-            rng = _stream(config.seed, (_DOMAIN_TRIAL, t))
-            sent = scale * rng.standard_normal(n)
-            z2 = rng.standard_normal(n)
-            z3 = rng.standard_normal(n)
-            _, _, y3, _ = _relay_core(sent, z2, z3, budget)
-            others = scale * _stream(config.seed, (_DOMAIN_REDRAW, t)).standard_normal(
-                (m - 1, n)
-            )
-            codebook = np.concatenate([sent[None, :], others], axis=0)
-            decoded = _nn_decode(codebook, y3[None, :])
-            if decoded[0] != 0:
-                errors += 1
+                outcome[lo:hi] = 0.0 if m == 1 else np.where(
+                    p_closer >= 1.0, 1.0, -np.expm1(float(m - 1) * np.log1p(-p_closer)))
+        elif method == "exhaustive":
+            outcome[lo:hi] = _nn_decode(codebook, y3) != messages[lo:hi]
+        else:  # redraw: a fresh codebook per trial, message fixed to index 0
+            diff = np.empty((hi - lo, m, n))  # the codebook, then y3 - 2c in its place
+            diff[:, 0] = sent
+            diff[:, 1:] = scale * _normals(seed, (6,), lo, hi, (m - 1) * n).reshape(
+                hi - lo, m - 1, n)
+            diff *= -2.0
+            diff += y3[:, None, :]
+            outcome[lo:hi] = np.einsum("tmn,tmn->tm", diff, diff).argmin(axis=1) != 0
     return CodebookResult(
         method=method,
         n=n,
@@ -424,8 +393,8 @@ def codebook_experiment(
         trials=trials,
         rate_requested=rate,
         rate_effective=k / n,
-        error_rate=errors / trials,
-        errors=errors,
+        error_rate=float(np.mean(outcome)),
+        errors=None if method == "analytic" else int(outcome.sum()),
     )
 
 

@@ -30,13 +30,26 @@ JOINT_CAP = 2 ** 24
 CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a table code built here
 MESSAGE_SIZE_CAP = 2 ** 53  # floor(u * m) of a 53-bit uniform u is exact up to here
 _TRIAL_CHUNK = 4096  # trials per batch of the slot loop and of bscfb_scheme; bounds memory
+DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent stream of one ``bscfb_scheme`` trial, keyed by (seed, trial)."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(trial,))))
+def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,
+                   width: int) -> np.ndarray:
+    """Uniforms on [0, 1) of trials [lo, hi), shape (hi - lo, width).
+
+    Every simulator draws here: one Philox stream per (seed, purpose), in
+    which trial t owns the counter window [t*c, (t+1)*c), c = ceil(width / 4)
+    blocks of four doubles, and its row is the first ``width`` of them.  A
+    trial's row is therefore the same in every call that contains it.
+    Purposes: () the slot engine, (1,) ``bscfb_scheme``; in ``gaussian``
+    (2,) relay blocks, (3,) codebook trials, (4,) the fixed codebook, (5,)
+    its messages, (6,) the redrawn competitor codewords.
+    """
+    c = -(-width // 4)
+    bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=purpose))
+    bits.advance(lo * c)
+    return np.random.Generator(bits).random((hi - lo, 4 * c))[:, :width]
 
 
 def _fold_index(values, sizes) -> int:
@@ -397,22 +410,17 @@ def _slots(spec: NetworkSpec, code: TableCode, w_rows: dict, trials: int, column
 def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
     """Run trials [lo, hi) together through one slot loop.
 
-    All randomness comes from one Philox stream seeded by ``seed``.  Trial t
-    owns the counter window [t*c, (t+1)*c), c = ceil((P + n*alpha) / 4)
-    blocks of four doubles: its first P doubles u give the messages
-    floor(u * m) in ``message_pairs`` order, the next n*alpha its channel
-    uniforms in slot-then-channel order.  A trial's outcome is therefore the
-    same in every batch that contains it.
+    Trial t's row of ``trial_uniforms(seed, ())``, P + n*alpha wide: its
+    first P uniforms u give the messages floor(u * m) in ``message_pairs``
+    order, the rest its channel uniforms in slot-then-channel order.  A
+    trial's outcome is therefore the same in every batch that contains it.
 
     Returns trial-major arrays ``(w, x, y, est)``: messages and estimates
     (trials, P) in ``message_pairs`` order, inputs and outputs (trials, n, N).
     """
     pairs = code.message_pairs()
     P = len(pairs)
-    c = -(-(P + code.n * spec.alpha) // 4)
-    bits = np.random.Philox(np.random.SeedSequence(entropy=seed))
-    bits.advance(lo * c)
-    u = np.random.Generator(bits).random((hi - lo, 4 * c))
+    u = trial_uniforms(seed, (), lo, hi, P + code.n * spec.alpha)
     m = np.array([code.message_sizes[i - 1][j - 1] for i, j in pairs], dtype=float)
     w = np.floor(u[:, :P] * m).astype(np.int64)
     w_rows = _w_rows(code, spec.n_nodes, w)
@@ -642,16 +650,14 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
     else:
         k = forward_code.k
     fwd_errors = rev_errors = 0
-    for lo in range(0, trials, _TRIAL_CHUNK):  # every trial draws from its own stream
-        hi = min(trials, lo + _TRIAL_CHUNK)
-        msgs = np.empty((hi - lo, k), dtype=np.uint8)
-        xprime = np.empty((hi - lo, n), dtype=np.uint8)
-        flips = np.empty((hi - lo, n), dtype=np.uint8)
-        for t in range(lo, hi):
-            rng = _trial_rng(seed, t)
-            msgs[t - lo] = rng.integers(0, 2, size=k, dtype=np.uint8)
-            xprime[t - lo] = rng.integers(0, 2, size=n, dtype=np.uint8)
-            flips[t - lo] = (rng.random(n) < eps).astype(np.uint8)
+    step = max(1, min(_TRIAL_CHUNK, DRAW_CELLS // (k + 2 * n)))
+    for lo in range(0, trials, step):
+        # trial t's row: k message bits, n mask bits, n forward flips
+        u = trial_uniforms(seed, (1,), lo, min(trials, lo + step), k + 2 * n)
+        msgs = (u[:, :k] < 0.5).astype(np.uint8)
+        xprime = (u[:, k:k + n] < 0.5).astype(np.uint8)
+        flips = (u[:, k + n:] < eps).astype(np.uint8)
+        del u  # released before the decoder allocates its buffers
         x1 = np.atleast_2d(forward_code.encode_batch(msgs))
         y2 = x1 ^ flips                       # forward channel output at node 2
         x2 = xprime ^ y2                      # node 2 masks with its received bit

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zdmn import model, networks
-from zdmn._grid import (GRID_CELL_CAP, GridProblem, capacity_term_groups,
+from zdmn import _grid, model, networks
+from zdmn._grid import (BATCH, GRID_CELL_CAP, GridProblem, capacity_term_groups,
                         compositions, positive_delay_term_groups)
 from zdmn.bounds import (
     Cut,
@@ -361,6 +361,24 @@ def test_grid_cell_cap_checked_before_allocation():
     assert peak < 2 ** 20
 
 
+def test_grid_cell_count_covers_a_full_batch(monkeypatch):
+    # the tracemalloc peak of one full scan batch stays within 8 bytes per
+    # counted cell: a cap one cell below peak / 8 refuses the grid
+    for spec, mode, k in ((_ternary_spec(7), "positive-delay", 4),
+                          (networks.causal_relay_spec(), "capacity", 12)):
+        problem = GridProblem(spec, mode, k)
+        assert problem.n_points >= BATCH
+        tracemalloc.start()
+        try:
+            problem.eval_batch(0, BATCH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
+        with pytest.raises(ResourceCapError):
+            GridProblem(spec, mode, k)
+
+
 def test_grid_hull_noisy_feedback_capacity():
     eps = 0.11
     spec = networks.bscfb_spec(eps)
@@ -397,8 +415,13 @@ def test_grid_point_report_terms_nonnegative():
         for c in rep.constraints:
             assert all(t >= 0.0 for t in c.per_channel_terms)
             assert abs(c.cap - sum(c.per_channel_terms)) < 1e-9
-    with pytest.raises(DomainError):
-        grid_point_report(spec, "capacity", 4, 10**9)
+    # a point off the grid is refused where it is decoded, by both callers
+    for mode in ("capacity", "positive-delay"):
+        n_points = GridProblem(spec, mode, 4).n_points
+        for call, point in itertools.product((grid_point_report, grid_conditionals),
+                                             (-1, n_points, 10**9)):
+            with pytest.raises(DomainError, match="outside"):
+                call(spec, mode, 4, point)
 
 
 def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from zdmn import simulate
 from zdmn.errors import DomainError, ResourceCapError
 from zdmn.gaussian import (
     CELL_CAP,
     RELAY_POWER_MARGIN,
     CodebookResult,
     GaussianRelayConfig,
+    _normals,
     codebook_experiment,
     neutralization_rate,
     separation_report,
@@ -69,6 +71,40 @@ def test_trace_identities_and_budget_invariant():
     assert np.array_equal(tr.z2, again.z2) and np.array_equal(tr.z3, again.z3)
     other = simulate_relay(cfg, x1, block=1)
     assert not np.array_equal(tr.z2, other.z2)
+
+
+def test_relay_noise_is_its_block_row():
+    cfg = _config(n=7)  # a window of 21 normals, drawn from 22 uniforms
+    rows = _normals(cfg.seed, (2,), 0, 5, 3 * cfg.n)
+    for b in (0, 3, 4):
+        tr = simulate_relay(cfg, np.zeros(7), block=b)
+        assert np.array_equal(tr.z2, rows[b, :7]) and np.array_equal(tr.z3, rows[b, 7:14])
+    with pytest.raises(DomainError):
+        simulate_relay(cfg, np.zeros(7), block=-1)
+    # neutralization_rate's block b hears the z2 of simulate_relay(block=b)
+    const = np.full(cfg.n, math.sqrt(cfg.P))
+    opened = [simulate_relay(cfg, const, block=b).all_open for b in range(40)]
+    assert 0 < sum(opened) < 40
+    assert neutralization_rate(cfg, blocks=40, source="deterministic") == sum(opened) / 40
+
+
+def test_batched_draws_leave_results_unchanged(monkeypatch):
+    cfg = _config(n=12)
+    methods = ("analytic", "exhaustive", "redraw")
+    rates = [neutralization_rate(cfg, blocks=50, source=s) for s in ("gaussian", "deterministic")]
+    results = [codebook_experiment(cfg, 0.5, trials=50, method=m) for m in methods]
+    monkeypatch.setattr(simulate, "DRAW_CELLS", 100)  # 1 redraw trial, else 2 per batch
+    assert [neutralization_rate(cfg, blocks=50, source=s)
+            for s in ("gaussian", "deterministic")] == rates
+    assert [codebook_experiment(cfg, 0.5, trials=50, method=m) for m in methods] == results
+
+
+def test_box_muller_normals_pass_ks():
+    # 10^5 draws from odd-width windows; 1.628 / sqrt(N) is the two-sided 1%
+    # critical value of the Kolmogorov-Smirnov statistic
+    z = _normals(3, (3,), 0, 4000, 25).ravel()
+    assert z.size == 10 ** 5
+    assert stats.kstest(z, stats.norm.cdf).statistic < 1.628 / math.sqrt(z.size)
 
 
 def test_open_gate_cancels_relay_noise():

@@ -14,11 +14,15 @@ def test_backend_name_is_numpy():
 
 
 def test_import_leaves_scipy_unloaded():
-    # only the analytic codebook method needs scipy, and it imports it itself
-    code = "import sys, zdmn; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120).stdout
-    assert out == "[]\n"
+    # only the analytic codebook method needs scipy, and it imports it itself;
+    # the exhaustive gaussian experiment draws its normals without it
+    experiment = ("from zdmn.cli import main; main(['gaussian', '--power', '5', "
+                  "'--experiment', '--n', '8', '--trials', '10', '--method', 'exhaustive'])")
+    for run in ("import zdmn", experiment):
+        code = f"import sys; {run}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120).stdout
+        assert out.splitlines()[-1] == "[]"
 
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -75,6 +79,33 @@ def test_every_module_level_definition_is_referenced():
                        for p, line in refs.get(node.name, ())):
                 unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def test_random_streams_are_built_in_two_places():
+    # one counter-stream layout: trial_uniforms builds every simulator's
+    # stream, random_table_code keeps its sequential one so generated codes
+    # stay the same, and neither builds a stream inside a loop
+    builders = {"SeedSequence", "Philox", "Generator", "default_rng"}
+    built = set()
+
+    def visit(node, path, where, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, in_loop = node.name, False
+        elif isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                               ast.DictComp, ast.GeneratorExp)):
+            in_loop = True
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in builders:
+                built.add((path.name, where, in_loop))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where, in_loop)
+
+    for path, tree in _parsed(sorted(_SRC.glob("*.py"))).items():
+        visit(tree, path, None, False)
+    assert built == {("simulate.py", "trial_uniforms", False),
+                     ("simulate.py", "random_table_code", False)}
 
 
 def _attribute_uses(tree):

@@ -97,6 +97,19 @@ def test_estimate_error_batch_window_invariance(monkeypatch):
         assert estimate_error(spec, code, trials=trials, seed=8).pairs == report.pairs
 
 
+def test_trial_uniforms_window_invariance():
+    # rows [lo, hi) of a call equal the same rows of a [0, hi) call at every
+    # width, so a trial's draws never depend on the batch that holds it
+    for purpose, width in itertools.product(((), (1,), (6,)), (1, 3, 4, 5, 17)):
+        whole = simulate.trial_uniforms(11, purpose, 0, 30, width)
+        assert whole.shape == (30, width)
+        for lo, hi in ((0, 1), (7, 8), (5, 30), (29, 30)):
+            assert np.array_equal(simulate.trial_uniforms(11, purpose, lo, hi, width),
+                                  whole[lo:hi])
+    assert not np.array_equal(simulate.trial_uniforms(11, (), 0, 4, 8),
+                              simulate.trial_uniforms(11, (1,), 0, 4, 8))
+
+
 def _serial_slots(spec, code, messages, picks, prob=1.0):
     """Reference slot order: one trial, one slot and one channel at a time.
 
