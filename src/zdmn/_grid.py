@@ -6,14 +6,14 @@ compositions of k into the row's alphabet size.  Grid points are indexed
 mixed-radix over rows, first row most significant, so scan order and reported
 witnesses are deterministic.
 
-A batch of grid points is a batch-last (D, count) array of joints over the
-full (X_1..X_N, Y_1..Y_N) layout: the channel product times each free
-factor's point table, expanded to D by one gather.  Each cut term sums the
-joint over the variable axes outside (A, B, C), orders the rest as A+B+C and
-hands the (|A|, |B|, |C|, count) table to ``probability.cmi_table``, the one
-I(A;B|C) kernel of the package.  The point count, and the cells one scan
-batch holds, are capped from the alphabet sizes before any length-D array
-exists.
+The grid only enumerates points; ``probability`` owns the full
+(X_1..X_N, Y_1..Y_N) layout.  A batch of grid points is one layout array with
+a trailing batch axis: the channel product times each free factor's
+(rows, cols, count) point tables, placed by ``_aligned_factor``.  Each cut
+term is the joint's ``_marginal`` on A+B+C, handed as an
+(|A|, |B|, |C|, count) table to ``cmi_table``, the one I(A;B|C) kernel of the
+package.  The point count, and the cells one scan batch holds, are capped
+from the alphabet sizes before any length-D array exists.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .model import NetworkSpec, NodeSet, require_valid, x_var, y_var
-from .probability import (_group_size, cmi_table, compose_channels,
-                          input_conditional_vars)
+from .probability import (_aligned_factor, _channel_product, _full_layout,
+                          _group_size, _marginal, cmi_table, input_conditional_vars)
 
 BATCH = 4096  # grid points per eval_batch call of a scan
 GRID_CELL_CAP = 2 ** 26  # float64 cells one scan batch holds at once
@@ -72,7 +72,7 @@ def _normalize_mode(which: str) -> str:
 
 
 class GridProblem:
-    """Precomputed index maps for scanning one spec/mode/resolution triple."""
+    """Point enumeration for scanning one spec/mode/resolution triple."""
 
     def __init__(self, spec: NetworkSpec, which: str, k: int,
                  max_distributions: int = 10**7):
@@ -93,15 +93,14 @@ class GridProblem:
 
         # Free factors: (row-group vars, col-group vars) per factor.
         if self.which == "capacity":
-            factors = [input_conditional_vars(spec, h) for h in range(1, spec.alpha + 1)]
+            self.factors = [input_conditional_vars(spec, h) for h in range(1, spec.alpha + 1)]
         else:
-            factors = [((), spec.all_x_vars())]
-        self.n_factors = len(factors)
+            self.factors = [((), spec.all_x_vars())]
 
         # Both caps are checked from the alphabet sizes alone, before any
-        # length-D table is built.
-        self.factor_n_rows = [group_size(fin) for fin, _ in factors]
-        self.factor_n_cols = [group_size(fout) for _, fout in factors]
+        # length-D array is built.
+        self.factor_n_rows = [group_size(fin) for fin, _ in self.factors]
+        self.factor_n_cols = [group_size(fout) for _, fout in self.factors]
         n_points = 1
         for n_rows, n_cols in zip(self.factor_n_rows, self.factor_n_cols):
             n_points *= math.comb(self.k + n_cols - 1, n_cols - 1) ** n_rows
@@ -113,21 +112,24 @@ class GridProblem:
         self.cuts = enumerate_cuts(spec.n_nodes)
         self.n_cuts = len(self.cuts)
         self.n_slots = spec.alpha if self.which == "capacity" else 1
-        groups = []  # (cut_idx, slot_idx, (A, B, C)) of every non-empty term
+        # Cut terms: (cut_idx, slot_idx, A+B+C names, (|A|, |B|, |C|)) of
+        # every term whose A and B are non-empty.
+        self._terms = []
         for ci, cut in enumerate(self.cuts):
             for s in range(self.n_slots):
                 if self.which == "capacity":
-                    abc = capacity_term_groups(spec, cut.nodes, s + 1)
+                    a, b, c = capacity_term_groups(spec, cut.nodes, s + 1)
                 else:
-                    abc = positive_delay_term_groups(spec, cut.nodes)
-                if abc[0] and abc[1]:
-                    groups.append((ci, s, abc))
-        names = spec.all_x_vars() + spec.all_y_vars()
-        d = group_size(names)
-        largest_term = max((group_size(a + b + c) for _, _, (a, b, c) in groups), default=0)
-        # per point of a batch: the previous joint and its gathered expansion,
-        # one factor's point table, its digits and its output terms; then a
-        # term's marginal and about four cmi_table temporaries of its size
+                    a, b, c = positive_delay_term_groups(spec, cut.nodes)
+                if a and b:
+                    self._terms.append((ci, s, a + b + c, tuple(map(group_size, (a, b, c)))))
+        self.names, sizes = _full_layout(spec)
+        d = math.prod(sizes)
+        largest_term = max((math.prod(shape) for *_, shape in self._terms), default=0)
+        # per point of a batch: the joint, counted twice as headroom (the
+        # factors multiply it in place), one factor's point table, its digits
+        # and its output terms; then a term's marginal and about four
+        # cmi_table temporaries of its size
         table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
         per_point = (2 * d + table + sum(self.factor_n_rows)
                      + self.n_cuts * self.n_slots + 5 * largest_term)
@@ -136,21 +138,8 @@ class GridProblem:
             raise ResourceCapError(
                 f"grid needs {cells} table cells, above the cap {GRID_CELL_CAP}")
 
-        self.sizes = tuple(spec.var_size(n) for n in names)
-        pos = {n: i for i, n in enumerate(names)}
-        vals = np.array(np.unravel_index(np.arange(d), self.sizes)).T  # (D, nvars)
-
-        def group_index(group) -> np.ndarray:
-            idx = np.zeros(d, dtype=np.int64)
-            for n in group:
-                idx = idx * self.sizes[pos[n]] + vals[:, pos[n]]
-            return idx
-
-        self.q = compose_channels(spec).table.reshape(-1)  # fixed channel product
-        # Per factor, the flat (row, col) cell of its point table under each
-        # of the D joint cells.
-        self.factor_cells = [group_index(fin) * n_cols + group_index(fout)
-                             for (fin, fout), n_cols in zip(factors, self.factor_n_cols)]
+        self.spec = spec
+        self.q = _channel_product(spec)  # fixed channel product, layout shape
 
         # Composition tables and the global row radix.
         self.comp_tables = [compositions(self.k, m) / float(self.k)
@@ -160,63 +149,43 @@ class GridProblem:
         self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
         self.n_rows_total = int(self.radix.size)
 
-        # Cut terms: (cut_idx, slot_idx, axes summed out, A+B+C order of the
-        # axes kept, (|A|, |B|, |C|)).
-        self._terms = []
-        for ci, s, (a, b, c) in groups:
-            abc = [pos[n] for n in a + b + c]
-            drop = tuple(i for i in range(len(names)) if i not in abc)
-            kept = sorted(abc)
-            order = tuple(kept.index(i) for i in abc) + (len(abc),)  # batch axis last
-            shape = tuple(group_size(g) for g in (a, b, c))
-            self._terms.append((ci, s, drop, order, shape))
-
     # -- point decoding ----------------------------------------------------
+
+    def _digits(self, points: np.ndarray) -> np.ndarray:
+        """(len(points), n_rows_total) per-row composition indices, first
+        row most significant."""
+        digits = np.empty((points.size, self.n_rows_total), dtype=np.int64)
+        for r in range(self.n_rows_total - 1, -1, -1):
+            points, digits[:, r] = np.divmod(points, self.radix[r])
+        return digits
+
+    def _tables(self, f: int, digits: np.ndarray) -> np.ndarray:
+        """Factor f's (len(digits), rows, cols) point tables."""
+        off = int(self.row_offset[f])
+        return self.comp_tables[f][digits[:, off:off + self.factor_n_rows[f]]]
 
     def coordinates(self, point: int) -> tuple[int, ...]:
         """Per-row composition indices, first row most significant."""
         if not 0 <= point < self.n_points:
             raise DomainError(f"point {point} outside 0..{self.n_points - 1}")
-        digits = [0] * self.n_rows_total
-        g = point
-        for r in range(self.n_rows_total - 1, -1, -1):
-            g, digits[r] = divmod(g, int(self.radix[r]))
-        return tuple(digits)
+        return tuple(int(v) for v in self._digits(np.array([point], dtype=np.int64))[0])
 
     def distribution_rows(self, point: int) -> list[np.ndarray]:
         """One row-stochastic table per free factor at this grid point."""
-        digits = self.coordinates(point)
-        out = []
-        for f in range(self.n_factors):
-            rows = self.factor_n_rows[f]
-            table = np.empty((rows, self.factor_n_cols[f]), dtype=np.float64)
-            for r in range(rows):
-                table[r] = self.comp_tables[f][digits[int(self.row_offset[f]) + r]]
-            out.append(table)
-        return out
+        digits = np.array([self.coordinates(point)], dtype=np.int64)
+        return [self._tables(f, digits)[0] for f in range(len(self.factors))]
 
     # -- evaluation --------------------------------------------------------
 
     def eval_batch(self, start: int, count: int) -> np.ndarray:
         """Terms array (count, n_cuts, n_slots); empty-group terms stay 0."""
-        idx = start + np.arange(count, dtype=np.int64)
-        digits = np.empty((count, self.n_rows_total), dtype=np.int64)
-        work = idx.copy()
-        for r in range(self.n_rows_total - 1, -1, -1):
-            digits[:, r] = work % self.radix[r]
-            work //= self.radix[r]
-        p = self.q[:, None]
-        for f in range(self.n_factors):
-            off = int(self.row_offset[f])
-            dg = digits[:, off:off + self.factor_n_rows[f]]
-            table = self.comp_tables[f][dg].reshape(count, -1).T  # (rows*cols, count)
-            expanded = table.take(self.factor_cells[f], axis=0)
-            expanded *= p
-            p = expanded
-        p = p.reshape(self.sizes + (count,))
+        digits = self._digits(start + np.arange(count, dtype=np.int64))
+        p = np.repeat(self.q[..., None], count, axis=-1)
+        for f, (fin, fout) in enumerate(self.factors):
+            tables = np.moveaxis(self._tables(f, digits), 0, -1)  # (rows, cols, count)
+            p *= _aligned_factor(self.spec, fin, fout, tables)
 
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
-        for ci, s, drop, order, shape in self._terms:
-            pabc = p.sum(axis=drop).transpose(order).reshape(shape + (count,))
-            out[:, ci, s] = cmi_table(pabc)
+        for ci, s, abc, shape in self._terms:
+            out[:, ci, s] = cmi_table(_marginal(p, self.names, abc).reshape(shape + (count,)))
         return out

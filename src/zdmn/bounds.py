@@ -19,7 +19,7 @@ from ._grid import (BATCH, GridProblem, _normalize_mode, capacity_term_groups,
                     positive_delay_term_groups)
 from .errors import DomainError
 from .model import ChannelTable, NetworkSpec, NodeSet
-from .probability import (JointPmf, binary_entropy,
+from .probability import (JointPmf, _marginal, binary_entropy,
                           conditional_mutual_information,
                           input_conditional_vars, marginalize,
                           product_input_joint)
@@ -156,21 +156,16 @@ def check_factorization(spec: NetworkSpec, joint: JointPmf, which: str) -> bool:
     """
     which = _normalize_mode(which)
     _require_joint_over_all(spec, joint)
-    for h in range(1, spec.alpha + 1):
-        ch = spec.channels[h - 1]
+    arr = joint.as_array()
+    for ch in spec.channels:
         if not ch.output_vars:
             continue
-        cond_vars = ch.input_vars
-        m = marginalize(joint, cond_vars + ch.output_vars)
-        rows = int(np.prod([spec.var_size(v) for v in cond_vars], dtype=np.int64)) if cond_vars else 1
-        cols = ch.n_cols
-        table = m.probs.reshape(rows, cols)
+        table = _marginal(arr, joint.names, ch.input_vars + ch.output_vars)
+        table = table.reshape(ch.table.shape)
         mass = table.sum(axis=1)
-        for r in range(rows):
-            if mass[r] <= 0.0:
-                continue
-            if np.max(np.abs(table[r] / mass[r] - ch.table[r])) > FACT_TOL:
-                return False
+        seen = mass > 0.0
+        if np.any(np.abs(table[seen] / mass[seen, None] - ch.table[seen]) > FACT_TOL):
+            return False
     if which == "positive-delay":
         px = marginalize(joint, spec.all_x_vars())
         rebuilt = product_input_joint(spec, px)

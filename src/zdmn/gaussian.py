@@ -274,15 +274,28 @@ class CodebookResult:
 
 
 def _nn_decode(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
-    """Nearest-codeword indices by min ||y - 2c||^2, lowest index on ties."""
-    two_c = 2.0 * codebook
-    base = np.einsum("ij,ij->i", two_c, two_c)
-    out = np.empty(received.shape[0], dtype=np.int64)
-    chunk = max(1, (1 << 24) // max(1, codebook.shape[0]))
-    for start in range(0, received.shape[0], chunk):
-        block = received[start : start + chunk]
-        scores = base[None, :] - 2.0 * (block @ two_c.T)
-        out[start : start + chunk] = np.argmin(scores, axis=1)
+    """Nearest-codeword indices by min ||y - 2c||^2, lowest index on ties.
+
+    Scores ||c||^2 - y.c, exactly a quarter of ||y - 2c||^2 - ||y||^2, in
+    blocks of at most ``simulate.DRAW_CELLS`` scores.
+    """
+    m = codebook.shape[0]
+    norms = np.einsum("ij,ij->i", codebook, codebook)
+    cols = min(m, simulate.DRAW_CELLS)
+    rows = max(1, simulate.DRAW_CELLS // cols)
+    out = np.zeros(received.shape[0], dtype=np.int64)
+    for lo in range(0, received.shape[0], rows):
+        block = received[lo:lo + rows]
+        best = np.full(block.shape[0], np.inf)
+        for c0 in range(0, m, cols):
+            scores = block @ codebook[c0:c0 + cols].T
+            np.subtract(norms[c0:c0 + cols], scores, out=scores)
+            idx = scores.argmin(axis=1)
+            low = scores[np.arange(idx.size), idx]
+            del scores  # freed before the next block is scored
+            won = low < best  # strict: an earlier block keeps a tie
+            best[won] = low[won]
+            out[lo:lo + rows][won] = c0 + idx[won]
     return out
 
 
@@ -357,7 +370,8 @@ def codebook_experiment(
 
         s = 4.0 * (config.P - config.delta)
     elif method == "exhaustive":
-        codebook = scale * _normals(seed, (4,), 0, m, n)
+        codebook = _normals(seed, (4,), 0, m, n)
+        codebook *= scale
         u = simulate.trial_uniforms(seed, (5,), 0, trials, 1)[:, 0]
         messages = np.floor(u * m).astype(np.int64)
     # per trial, the exact error probability (analytic) or a 0/1 error

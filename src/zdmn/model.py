@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +87,8 @@ class Partition:
         raise DomainError(f"node {i} is in no block of the partition")
 
 
-def _parse_blocks(blocks) -> Partition:
-    return Partition(tuple(NodeSet(tuple(int(i) for i in b)) for b in blocks))
+def _parse_blocks(blocks, what: str) -> Partition:
+    return Partition(tuple(NodeSet(tuple(json_int(i, what) for i in b)) for b in blocks))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -340,14 +341,34 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
     }
 
 
+def json_int(value, what: str) -> int:
+    """`value` as an int if it is an integer; a float, a boolean or anything
+    else is a SpecIOError, never truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise SpecIOError(f"{what} must be an integer, got {value!r}")
+
+
+def json_int_table(value, what: str) -> np.ndarray:
+    """A nested list of integers as an int64 array; see ``json_int``."""
+    arr = np.asarray(value, dtype=object)
+    if set(map(type, arr.flat)) - {int}:
+        for v in arr.flat:
+            json_int(v, what)
+    try:
+        return arr.astype(np.int64)
+    except OverflowError as e:
+        raise SpecIOError(f"{what}: entry out of the int64 range") from e
+
+
 def spec_from_dict(d: dict) -> NetworkSpec:
     try:
-        n = int(d["n_nodes"])
-        in_sizes = tuple(int(s) for s in d["input_alphabets"])
-        out_sizes = tuple(int(s) for s in d["output_alphabets"])
-        alpha = int(d["alpha"])
-        s_part = _parse_blocks(d["input_partition"])
-        g_part = _parse_blocks(d["output_partition"])
+        n = json_int(d["n_nodes"], "n_nodes")
+        in_sizes = tuple(json_int(s, "input alphabet size") for s in d["input_alphabets"])
+        out_sizes = tuple(json_int(s, "output alphabet size") for s in d["output_alphabets"])
+        alpha = json_int(d["alpha"], "alpha")
+        s_part = _parse_blocks(d["input_partition"], "input partition node")
+        g_part = _parse_blocks(d["output_partition"], "output partition node")
         raw_channels = d["channels"]
     except (KeyError, TypeError, ValueError) as e:
         raise SpecIOError(f"malformed spec structure: {e}") from e

@@ -65,14 +65,30 @@ class JointPmf:
         return out
 
 
-def _axes_of(p: JointPmf, names) -> list[int]:
-    order = {n: i for i, (n, _) in enumerate(p.variables)}
+def _axes_of(names, wanted) -> list[int]:
+    """Axis of each `wanted` variable in the variable list `names`."""
+    order = {n: i for i, n in enumerate(names)}
     axes = []
-    for n in names:
+    for n in wanted:
         if n not in order:
             raise DomainError(f"unknown variable {n!r}")
         axes.append(order[n])
     return axes
+
+
+def _marginal(arr: np.ndarray, names, keep) -> np.ndarray:
+    """Sum `arr` over the variables of `names` outside `keep`.
+
+    `arr` has one axis per name, then any batch axes.  The kept axes come
+    first in `keep` order, then the summed ones, then the batch axes, so the
+    result is (*keep sizes, *batch).
+    """
+    keep_axes = _axes_of(names, keep)
+    rest = [i for i in range(len(names)) if i not in keep_axes]
+    arr = arr.transpose(keep_axes + rest + list(range(len(names), arr.ndim)))
+    if rest:
+        arr = arr.sum(axis=tuple(range(len(keep), len(keep) + len(rest))))
+    return arr
 
 
 def marginalize(p: JointPmf, keep) -> JointPmf:
@@ -80,24 +96,19 @@ def marginalize(p: JointPmf, keep) -> JointPmf:
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
         raise DomainError("duplicate variable in keep list")
-    keep_axes = _axes_of(p, keep)
-    rest = [i for i in range(len(p.variables)) if i not in keep_axes]
-    arr = p.as_array().transpose(keep_axes + rest)
-    if rest:
-        arr = arr.sum(axis=tuple(range(len(keep), len(keep) + len(rest))))
-    return JointPmf(tuple(p.variables[i] for i in keep_axes), arr.reshape(-1))
+    arr = _marginal(p.as_array(), p.names, keep)
+    return JointPmf(tuple(zip(keep, arr.shape)), arr.reshape(-1))
 
 
 def condition(p: JointPmf, given: dict) -> JointPmf:
     """Conditional pmf over the remaining variables; zero-probability events raise."""
-    axes = _axes_of(p, given.keys())
+    axes = _axes_of(p.names, given)
     idx: list = [slice(None)] * len(p.variables)
-    for n, v in given.items():
-        size = p.size_of(n)
+    for (n, v), axis in zip(given.items(), axes):
         v = int(v)
-        if not (0 <= v < size):
+        if not (0 <= v < p.sizes[axis]):
             raise DomainError(f"value {v} outside alphabet of {n!r}")
-        idx[_axes_of(p, [n])[0]] = v
+        idx[axis] = v
     sliced = p.as_array()[tuple(idx)]
     mass = float(sliced.sum())
     if mass <= 0.0:
@@ -165,33 +176,42 @@ def _full_layout(spec: NetworkSpec) -> tuple[tuple[str, ...], tuple[int, ...]]:
 
 
 def _aligned_factor(spec: NetworkSpec, in_vars, out_vars, table: np.ndarray) -> np.ndarray:
-    """Reshape a (rows, cols) conditional into the full-layout broadcast shape."""
-    names, sizes = _full_layout(spec)
+    """View a (rows, cols, *batch) conditional in the full-layout broadcast shape.
+
+    Each variable's axis moves to its layout position and every other layout
+    axis has length 1; batch axes stay last.
+    """
+    names, _ = _full_layout(spec)
     pos = {n: i for i, n in enumerate(names)}
     vars_all = tuple(in_vars) + tuple(out_vars)
     dims = [spec.var_size(v) for v in vars_all]
-    arr = np.asarray(table, dtype=np.float64).reshape(dims if dims else (1,))
-    if not vars_all:
-        return arr.reshape((1,) * len(names))
+    arr = np.asarray(table, dtype=np.float64)
+    batch = arr.shape[2:]
     perm = sorted(range(len(vars_all)), key=lambda j: pos[vars_all[j]])
-    arr = arr.transpose(perm)
+    arr = arr.reshape(tuple(dims) + batch).transpose(
+        perm + list(range(len(dims), len(dims) + len(batch))))
     shape = [1] * len(names)
     for j in perm:
         shape[pos[vars_all[j]]] = dims[j]
-    return arr.reshape(shape)
+    return arr.reshape(tuple(shape) + batch)
+
+
+def _channel_product(spec: NetworkSpec) -> np.ndarray:
+    """q^(1) q^(2) ... q^(alpha) as one array over the full layout."""
+    _, sizes = _full_layout(spec)
+    arr = np.ones(sizes, dtype=np.float64)
+    for ch in spec.channels[: spec.alpha]:
+        arr = arr * _aligned_factor(spec, ch.input_vars, ch.output_vars, ch.table)
+    return arr
 
 
 def compose_channels(spec: NetworkSpec) -> ChannelTable:
     """Single equivalent channel q^(1) q^(2) ... q^(alpha) over all nodes."""
     require_valid(spec)
-    names, sizes = _full_layout(spec)
-    arr = np.ones(sizes, dtype=np.float64)
-    for h in range(1, spec.alpha + 1):
-        ch = spec.channels[h - 1]
-        arr = arr * _aligned_factor(spec, ch.input_vars, ch.output_vars, ch.table)
-    n_x = int(np.prod(sizes[: spec.n_nodes], dtype=np.int64))
-    n_y = int(np.prod(sizes[spec.n_nodes:], dtype=np.int64))
-    return ChannelTable(spec.all_x_vars(), spec.all_y_vars(), arr.reshape(n_x, n_y))
+    _, sizes = _full_layout(spec)
+    n_x = math.prod(sizes[: spec.n_nodes])
+    return ChannelTable(spec.all_x_vars(), spec.all_y_vars(),
+                        _channel_product(spec).reshape(n_x, -1))
 
 
 def input_conditional_vars(spec: NetworkSpec, h: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -203,13 +223,13 @@ def input_conditional_vars(spec: NetworkSpec, h: int) -> tuple[tuple[str, ...], 
 
 
 def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
-    """Joint from the interleaved product of input conditionals and channels."""
+    """Joint from the product of the input conditionals and the channels."""
     require_valid(spec)
     conds = tuple(input_conditionals)
     if len(conds) != spec.alpha:
         raise DomainError(f"expected {spec.alpha} input conditionals, got {len(conds)}")
     names, sizes = _full_layout(spec)
-    arr = np.ones(sizes, dtype=np.float64)
+    arr = _channel_product(spec)
     for h in range(1, spec.alpha + 1):
         want_in, want_out = input_conditional_vars(spec, h)
         c = conds[h - 1]
@@ -226,8 +246,6 @@ def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
         if bad:
             raise DomainError("; ".join(bad))
         arr = arr * _aligned_factor(spec, c.input_vars, c.output_vars, c.table)
-        ch = spec.channels[h - 1]
-        arr = arr * _aligned_factor(spec, ch.input_vars, ch.output_vars, ch.table)
     return JointPmf(tuple(zip(names, sizes)), arr.reshape(-1))
 
 
@@ -241,11 +259,8 @@ def product_input_joint(spec: NetworkSpec, p_x: JointPmf) -> JointPmf:
     if px.sizes != tuple(spec.var_size(n) for n in want):
         raise DomainError("p_X alphabet sizes differ from the spec")
     names, sizes = _full_layout(spec)
-    composed = compose_channels(spec)
-    arr = _aligned_factor(spec, composed.input_vars, composed.output_vars, composed.table)
-    n = spec.n_nodes
-    x_shape = sizes[:n] + (1,) * n
-    joint = px.probs.reshape(x_shape) * arr
+    x_shape = sizes[: spec.n_nodes] + (1,) * spec.n_nodes
+    joint = px.probs.reshape(x_shape) * _channel_product(spec)
     return JointPmf(tuple(zip(names, sizes)), joint.reshape(-1))
 
 

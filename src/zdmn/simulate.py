@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
 from .model import (DelayProfile, NetworkSpec, NodeSet, Partition, is_feasible,
-                    require_seed, require_valid, x_var, y_var)
+                    json_int, json_int_table, require_seed, require_valid, x_var,
+                    y_var)
 from .polar import PolarCode
 from .probability import (JointPmf, binary_entropy, compose_channels,
                           conditional_mutual_information)
@@ -212,19 +213,32 @@ def code_to_dict(code: TableCode) -> dict:
 
 def code_from_dict(data: dict) -> TableCode:
     try:
-        enc = [None] * len(data["input_sizes"])
+        n_nodes = len(data["input_sizes"])
+        enc = [None] * n_nodes
         for entry in data["encoders"]:
-            enc[entry["node"] - 1] = tuple(
-                np.asarray(t, dtype=np.int64) for t in entry["tables"])
-        dec = {(e["source"], e["sink"]): np.asarray(e["table"], dtype=np.int64)
-               for e in data["decoders"]}
+            node = json_int(entry["node"], "encoder node")
+            if not 1 <= node <= n_nodes:
+                raise SpecIOError(f"encoder node {node} outside 1..{n_nodes}")
+            if enc[node - 1] is not None:
+                raise SpecIOError(f"encoder node {node} given twice")
+            enc[node - 1] = tuple(json_int_table(t, f"encoder {node} table entry")
+                                  for t in entry["tables"])
+        dec = {}
+        for e in data["decoders"]:
+            pair = (json_int(e["source"], "decoder source"), json_int(e["sink"], "decoder sink"))
+            if not all(1 <= i <= n_nodes for i in pair):
+                raise SpecIOError(f"decoder pair {pair} outside 1..{n_nodes}")
+            if pair in dec:
+                raise SpecIOError(f"decoder pair {pair} given twice")
+            dec[pair] = json_int_table(e["table"], f"decoder {pair} table entry")
         return TableCode(
-            n=int(data["n"]),
-            message_sizes=tuple(tuple(int(v) for v in row)
+            n=json_int(data["n"], "n"),
+            message_sizes=tuple(tuple(json_int(v, "message size") for v in row)
                                 for row in data["message_sizes"]),
-            delay_profile=DelayProfile.of(data["delay_profile"]),
-            input_sizes=tuple(int(v) for v in data["input_sizes"]),
-            output_sizes=tuple(int(v) for v in data["output_sizes"]),
+            delay_profile=DelayProfile(tuple(json_int(b, "delay bit")
+                                             for b in data["delay_profile"])),
+            input_sizes=tuple(json_int(v, "input size") for v in data["input_sizes"]),
+            output_sizes=tuple(json_int(v, "output size") for v in data["output_sizes"]),
             encoder_tables=tuple(enc), decoder_tables=dec)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise SpecIOError(f"malformed code description: {exc}") from exc

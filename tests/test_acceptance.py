@@ -6,6 +6,7 @@ broke.  Budgeted runtimes are asserted, not just hoped for.
 """
 
 import math
+import pathlib
 import subprocess
 import sys
 import time
@@ -226,7 +227,7 @@ def test_acceptance_8_cli_byte_identical(capsys, tmp_path):
             proc = subprocess.run([sys.executable, "-m", "zdmn.cli"] + argv,
                                   capture_output=True, timeout=300)
             assert proc.returncode == 0, (argv, proc.stderr.decode())
-            files = tuple(open(f, "rb").read() for f in written)
+            files = tuple(pathlib.Path(f).read_bytes() for f in written)
             runs.append((proc.stdout, files))
         if runs[0] != runs[1]:
             mismatched.append(argv[0])

@@ -31,8 +31,10 @@ from zdmn.errors import DomainError, ResourceCapError
 from zdmn.model import ChannelTable, NetworkSpec, NodeSet, Partition
 from zdmn.probability import (
     JointPmf,
+    _aligned_factor,
     binary_entropy,
     cmi_table,
+    compose_channels,
     conditional_mutual_information,
     factorized_joint,
     input_conditional_vars,
@@ -451,6 +453,66 @@ def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
                         for a, b, cc in cut_groups]
                 assert np.allclose(c.per_channel_terms, want, rtol=0.0, atol=1e-12), \
                     (name, mode, point, c.cut.nodes.members)
+
+
+def _cell_product(spec, cell, factors):
+    """Product over (in_vars, out_vars, table) factors of the table entry at
+    one full-layout cell, read by mixed-radix row and column indices."""
+    value = dict(zip(spec.all_x_vars() + spec.all_y_vars(), cell))
+
+    def fold(names):
+        idx = 0
+        for n in names:
+            idx = idx * spec.var_size(n) + value[n]
+        return idx
+
+    return math.prod(float(t[fold(fin), fold(fout)]) for fin, fout, t in factors)
+
+
+def test_placement_matches_per_cell_oracle(bundled_specs):
+    # compose_channels, factorized_joint and product_input_joint against one
+    # loop over every cell of the layout, with random stochastic conditionals
+    rng = np.random.Generator(np.random.Philox(9))
+    specs = [spec for _, spec in sorted(bundled_specs.items())] + [_ternary_spec(7)]
+    for spec in specs:
+        names = spec.all_x_vars() + spec.all_y_vars()
+        sizes = [spec.var_size(n) for n in names]
+        xs, ys = sizes[:spec.n_nodes], sizes[spec.n_nodes:]
+        channels = [(ch.input_vars, ch.output_vars, ch.table) for ch in spec.channels]
+        conds = []
+        for h in range(1, spec.alpha + 1):
+            fin, fout = input_conditional_vars(spec, h)
+            rows = math.prod(spec.var_size(n) for n in fin)
+            table = rng.dirichlet(np.ones(math.prod(spec.var_size(n) for n in fout)), size=rows)
+            conds.append(ChannelTable(fin, fout, table))
+        px = rng.dirichlet(np.ones(math.prod(xs)))
+        composed = compose_channels(spec).table.reshape(xs + ys)
+        joint = factorized_joint(spec, conds).as_array()
+        product = product_input_joint(spec, JointPmf(
+            tuple(zip(names[:spec.n_nodes], xs)), px)).as_array()
+        for cell in itertools.product(*map(range, sizes)):
+            q = _cell_product(spec, cell, channels)
+            assert composed[cell] == pytest.approx(q, rel=1e-12, abs=0.0)
+            c = _cell_product(spec, cell, [(t.input_vars, t.output_vars, t.table)
+                                           for t in conds])
+            assert joint[cell] == pytest.approx(c * q, rel=1e-12, abs=0.0)
+            x = np.ravel_multi_index(cell[:spec.n_nodes], xs)
+            assert product[cell] == pytest.approx(px[x] * q, rel=1e-12, abs=0.0)
+
+
+def test_batched_placement_equals_stacked_calls(bundled_specs):
+    rng = np.random.Generator(np.random.Philox(10))
+    for spec in [spec for _, spec in sorted(bundled_specs.items())] + [_ternary_spec(7)]:
+        factors = [(ch.input_vars, ch.output_vars) for ch in spec.channels]
+        factors += [input_conditional_vars(spec, h) for h in range(1, spec.alpha + 1)]
+        for fin, fout in factors:
+            rows = math.prod(spec.var_size(n) for n in fin)
+            cols = math.prod(spec.var_size(n) for n in fout)
+            tables = rng.random((rows, cols, 2, 3))
+            batched = _aligned_factor(spec, fin, fout, tables)
+            for i, j in itertools.product(range(2), range(3)):
+                single = _aligned_factor(spec, fin, fout, tables[:, :, i, j])
+                assert np.array_equal(batched[..., i, j], single)
 
 
 def _with_channel_1_rows(rows):

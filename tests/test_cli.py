@@ -73,6 +73,27 @@ def test_infinite_channel_entries_print_no_warning(tmp_path):
     assert bound_err.startswith("error: ") and bound_err.count("\n") == 1
 
 
+def _set(d, path, value):
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+@pytest.mark.parametrize("path,value", [
+    (("n_nodes",), 2.9), (("alpha",), 2.2), (("alpha",), True),
+    (("input_alphabets", 0), 2.5), (("output_alphabets", 1), "2"),
+    (("input_partition", 0, 0), 1.7), (("output_partition", 1, 0), True)])
+def test_validate_non_integer_field_is_an_io_error(capsys, tmp_path, path, value):
+    # each used to be truncated by int() and the spec then validated OK
+    d = model.spec_to_dict(networks.bscfb_spec(0.11))
+    _set(d, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    rc, out, err = _run(capsys, "validate", "--spec", str(bad))
+    assert rc == EXIT_IO and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_validate_missing_file(capsys, tmp_path):
     rc, out, err = _run(capsys, "validate", "--spec", str(tmp_path / "nope.json"))
     assert rc == EXIT_IO
@@ -280,6 +301,55 @@ def test_simulate_malformed_code_is_a_domain_error(capsys, tmp_path, relay_files
     rc, out, err = _run(capsys, "simulate", "--spec", spec_f, "--code", str(bad),
                         "--trials", "5")
     assert rc == EXIT_DOMAIN and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _encoder_node_zero(d):
+    d["encoders"][-1]["node"] = 0  # read as the last node at the parent
+
+
+def _encoder_node_repeated(d):
+    d["encoders"].append(d["encoders"][0])
+
+
+def _fractional_table_entry(d):
+    d["encoders"][0]["tables"][0][0][0] = 0.7  # truncated to 0 at the parent
+
+
+def _boolean_table_entry(d):
+    d["decoders"][0]["table"][0][0] = True
+
+
+def _decoder_pair_repeated(d):
+    d["decoders"].append(d["decoders"][0])
+
+
+def _decoder_source_out_of_range(d):
+    d["decoders"].append(dict(d["decoders"][0], source=9))  # ignored at the parent
+
+
+def _fractional_blocklength(d):
+    d["n"] = 2.0
+
+
+def _fractional_delay_bit(d):
+    d["delay_profile"][0] = 0.5
+
+
+@pytest.mark.parametrize("edit", [_encoder_node_zero, _encoder_node_repeated,
+                                  _fractional_table_entry, _boolean_table_entry,
+                                  _decoder_pair_repeated, _decoder_source_out_of_range,
+                                  _fractional_blocklength, _fractional_delay_bit])
+def test_simulate_misread_code_is_an_io_error(capsys, tmp_path, relay_files, edit):
+    spec_f, code_f = relay_files
+    with open(code_f, encoding="utf-8") as fh:
+        d = json.load(fh)
+    edit(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    rc, out, err = _run(capsys, "simulate", "--spec", spec_f, "--code", str(bad),
+                        "--trials", "5")
+    assert rc == EXIT_IO and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -14,6 +14,7 @@ from zdmn.gaussian import (
     RELAY_POWER_MARGIN,
     CodebookResult,
     GaussianRelayConfig,
+    _nn_decode,
     _normals,
     codebook_experiment,
     neutralization_rate,
@@ -216,6 +217,40 @@ def test_codebook_analytic_matches_redraw_ensemble():
     ex = codebook_experiment(cfg, 1.0, trials=400, method="exhaustive")
     # one fixed codebook may sit off the ensemble mean, but not far
     assert abs(ex.error_rate - an.error_rate) <= 0.08
+
+
+def _nearest(codebook, received):
+    """Per received word, argmin of ||y - 2c||^2 (argmin keeps the lowest index)."""
+    return np.array([np.argmin(((y - 2.0 * codebook) ** 2).sum(axis=1)) for y in received])
+
+
+def test_nn_decode_memory_and_direct_argmin():
+    rng = np.random.default_rng(3)
+    codebook = rng.standard_normal((1 << 16, 16))
+    received = 2.0 * codebook[rng.integers(0, 1 << 16, 100)] + rng.standard_normal((100, 16))
+    tracemalloc.start()
+    try:
+        got = _nn_decode(codebook, received)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * simulate.DRAW_CELLS * 8
+    assert np.array_equal(got, _nearest(codebook, received))
+
+
+def test_nn_decode_ties_go_to_the_lowest_index(monkeypatch):
+    rng = np.random.default_rng(4)
+    codebook = rng.standard_normal((40, 3))
+    codebook[[25, 39]] = codebook[3]
+    codebook[30] = codebook[10]
+    received = np.concatenate([2.0 * codebook[[25, 39, 30, 3]], rng.standard_normal((20, 3))])
+    want = _nearest(codebook, received)
+    assert list(want[:4]) == [3, 3, 10, 3]
+    # 8 scores per block: one received word against 8 codewords at a time,
+    # so the copies of a codeword sit in different blocks
+    for cells in (simulate.DRAW_CELLS, 8):
+        monkeypatch.setattr(simulate, "DRAW_CELLS", cells)
+        assert np.array_equal(_nn_decode(codebook, received), want)
 
 
 def test_codebook_rate_effective_rounding():
