@@ -7,13 +7,24 @@ mixed-radix over rows, first row most significant, so scan order and reported
 witnesses are deterministic.
 
 The grid only enumerates points; ``probability`` owns the full
-(X_1..X_N, Y_1..Y_N) layout.  A batch of grid points is one layout array with
-a trailing batch axis: the channel product times each free factor's
-(rows, cols, count) point tables, placed by ``_aligned_factor``.  Each cut
-term is the joint's ``_marginal`` on A+B+C, handed as an
-(|A|, |B|, |C|, count) table to ``cmi_table``, the one I(A;B|C) kernel of the
-package.  The point count, and the cells one scan batch holds, are capped
-from the alphabet sizes before any length-D array exists.
+(X_1..X_N, Y_1..Y_N) layout and the one log-sum kernel,
+``cond_entropy_table``.  Every cut term I(A;B|C) has p(b|a,c) fixed by the
+network: in capacity mode A+C of term h are exactly channel h's inputs
+(X_{S^h}, Y_{G^{h-1}}) and B is part of its outputs Y_{G_h}; in
+positive-delay mode A+C is all of X and p(y_B|x) is a marginal of the
+channel product.  So each term is
+
+    I(A;B|C) = H(B|C) - sum over (a, c) of p(a,c) h(a,c),
+
+where h(a,c) is the entropy of row (a, c) of the term's channel W(b|a,c)
+and p(b,c) = sum over a of p(a,c) W(b|a,c).  W and h are computed once per
+grid, so a batch of points needs only each slot's channel-input joint: the
+product P_1 q_1 P_2 ... P_h of the free factors' (rows, cols, count) point
+tables and the channels, placed by ``_aligned_factor`` with a trailing batch
+axis.  In positive-delay mode that joint is the p(x) point tables
+themselves, and no (X, Y) array is built.  The point count, and the cells
+one scan batch holds, are capped from the alphabet sizes before any
+length-D array exists.
 """
 
 from __future__ import annotations
@@ -26,8 +37,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .model import NetworkSpec, NodeSet, require_valid, x_var, y_var
-from .probability import (_aligned_factor, _channel_product, _full_layout,
-                          _group_size, _marginal, cmi_table, input_conditional_vars)
+from .probability import (_aligned_factor, _channel_product, _full_layout, _group_size,
+                          _clamp_mi, _marginal, _row_sum, cond_entropy_table,
+                          input_conditional_vars)
 
 BATCH = 4096  # grid points per eval_batch call of a scan
 GRID_CELL_CAP = 2 ** 26  # float64 cells one scan batch holds at once
@@ -112,34 +124,52 @@ class GridProblem:
         self.cuts = enumerate_cuts(spec.n_nodes)
         self.n_cuts = len(self.cuts)
         self.n_slots = spec.alpha if self.which == "capacity" else 1
-        # Cut terms: (cut_idx, slot_idx, A+B+C names, (|A|, |B|, |C|)) of
-        # every term whose A and B are non-empty.
-        self._terms = []
-        for ci, cut in enumerate(self.cuts):
-            for s in range(self.n_slots):
+        # (slot_idx, cut_idx, A, B, C, (|A|, |B|, |C|)) of every term whose A
+        # and B both take more than one value; the others are I(A;B|C) = 0
+        groups = []
+        for s in range(self.n_slots):
+            for ci, cut in enumerate(self.cuts):
                 if self.which == "capacity":
                     a, b, c = capacity_term_groups(spec, cut.nodes, s + 1)
                 else:
                     a, b, c = positive_delay_term_groups(spec, cut.nodes)
-                if a and b:
-                    self._terms.append((ci, s, a + b + c, tuple(map(group_size, (a, b, c)))))
+                shape = tuple(map(group_size, (a, b, c)))
+                if shape[0] > 1 and shape[1] > 1:
+                    groups.append((s, ci, a, b, c, shape))
         self.names, sizes = _full_layout(spec)
-        d = math.prod(sizes)
-        largest_term = max((math.prod(shape) for *_, shape in self._terms), default=0)
-        # per point of a batch: the joint, counted twice as headroom (the
-        # factors multiply it in place), one factor's point table, its digits
-        # and its output terms; then a term's marginal and about four
-        # cmi_table temporaries of its size
+        # Cells held at once: the channel product (D cells, once) while the
+        # term channels are set up; then per point of a batch the digits and
+        # the output terms, a factor's point table and its placed copy, the
+        # slot's input joint before and after that factor (a slot's inputs
+        # are its factor's rows and columns, so each joint has as many cells
+        # as the largest table) and a term's copy of it, and that term's
+        # p(b,c), product and entropy temporaries.
         table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
-        per_point = (2 * d + table + sum(self.factor_n_rows)
-                     + self.n_cuts * self.n_slots + 5 * largest_term)
-        cells = per_point * min(BATCH, n_points)
+        largest_term = max((5 * nb * nc for *_, (_, nb, nc) in groups), default=0)
+        per_point = (sum(self.factor_n_rows) + self.n_cuts * self.n_slots
+                     + 5 * table + largest_term)
+        cells = math.prod(sizes) + per_point * min(BATCH, n_points)
         if cells > GRID_CELL_CAP:
             raise ResourceCapError(
                 f"grid needs {cells} table cells, above the cap {GRID_CELL_CAP}")
 
         self.spec = spec
-        self.q = _channel_product(spec)  # fixed channel product, layout shape
+        # Every term's channel is fixed: slot h's channel in capacity mode,
+        # the channel product in positive-delay mode.  Each term keeps
+        # W(b|a,c) as an (|A|, |B|, |C|) table and the (|A|, |C|) entropies
+        # h(a,c) of its rows.
+        if self.which == "capacity":
+            channels = [_aligned_factor(spec, ch.input_vars, ch.output_vars, ch.table)
+                        for ch in spec.channels]
+        else:
+            channels = [_channel_product(spec)]
+        self._terms = [[] for _ in range(self.n_slots)]  # (cut_idx, A+C names, W, h)
+        for s, ci, a, b, c, shape in groups:
+            w = _marginal(channels[s], self.names, a + b + c).reshape(shape)
+            h = cond_entropy_table(np.swapaxes(w, 0, 1)[:, None])
+            self._terms[s].append((ci, a + c, w, h))
+        # the channels between consecutive free factors, with a batch axis
+        self._channels = [ch[..., None] for ch in channels[:len(self.factors) - 1]]
 
         # Composition tables and the global row radix.
         self.comp_tables = [compositions(self.k, m) / float(self.k)
@@ -177,15 +207,40 @@ class GridProblem:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_batch(self, start: int, count: int) -> np.ndarray:
-        """Terms array (count, n_cuts, n_slots); empty-group terms stay 0."""
-        digits = self._digits(start + np.arange(count, dtype=np.int64))
-        p = np.repeat(self.q[..., None], count, axis=-1)
-        for f, (fin, fout) in enumerate(self.factors):
-            tables = np.moveaxis(self._tables(f, digits), 0, -1)  # (rows, cols, count)
-            p *= _aligned_factor(self.spec, fin, fout, tables)
+    def _input_joints(self, digits: np.ndarray):
+        """Yield per slot the batch-last joint of its channel's inputs, in the
+        full layout with length-1 axes for the variables not yet drawn.
 
+        The factors and channels multiply in slot order, P_1 q_1 P_2 ... P_h
+        for slot h, so no variable is ever summed out: in positive-delay mode
+        the one joint is the point tables p(x) themselves.
+        """
+        p = np.ones(())
+        for f, (fin, fout) in enumerate(self.factors):
+            if f:
+                p = p * self._channels[f - 1]
+            tables = np.moveaxis(self._tables(f, digits), 0, -1)  # (rows, cols, count)
+            p = p * _aligned_factor(self.spec, fin, fout, tables)
+            yield p
+
+    def eval_batch(self, start: int, count: int) -> np.ndarray:
+        """Terms array (count, n_cuts, n_slots); terms with a constant A or B
+        stay 0.
+
+        Each term is I(A;B|C) = H(B|C) - sum over (a, c) of p(a,c) h(a,c),
+        with p(b,c) = sum over a of p(a,c) W(b|a,c); a and c are added in
+        row order, so a point's terms do not depend on its batch.
+        """
+        digits = self._digits(start + np.arange(count, dtype=np.int64))
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
-        for ci, s, abc, shape in self._terms:
-            out[:, ci, s] = cmi_table(_marginal(p, self.names, abc).reshape(shape + (count,)))
+        for s, joint in enumerate(self._input_joints(digits)):
+            for ci, ac, w, h in self._terms[s]:
+                na, nb, nc = w.shape
+                pac = _marginal(joint, self.names, ac).reshape(na, nc, count)
+                pbc = np.zeros((nb, nc, count))
+                linear = np.zeros((nc, count))
+                for wa, ha, pa in zip(w, h, pac):
+                    pbc += wa[:, :, None] * pa
+                    linear += ha[:, None] * pa
+                out[:, ci, s] = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
         return out

@@ -68,17 +68,25 @@ def _normals(seed: int, purpose: Tuple[int, ...], lo: int, hi: int, width: int) 
     even width: uniforms (u, v) from the row's two halves give
     ``sqrt(-2 ln(1 - u))`` times ``cos(2 pi v)`` and ``sin(2 pi v)``.  One
     uniform per normal keeps every trial's window fixed.  ``1 - u`` is exact
-    for the 53-bit uniforms, so ``log`` needs no ``log1p``.
+    for the 53-bit uniforms, so ``log`` needs no ``log1p``.  Every step
+    writes into ``u``; only the cosines of at most ``simulate.DRAW_CELLS``
+    angles at a time sit beside it.
     """
     half = -(-width // 2)
     u = simulate.trial_uniforms(seed, purpose, lo, hi, 2 * half)
     radius, angle = u[:, :half], u[:, half:]  # views; the normals overwrite u
-    np.sqrt(-2.0 * np.log(1.0 - radius), out=radius)
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
     angle *= 2.0 * np.pi
-    cos = np.cos(angle)
-    np.sin(angle, out=angle)
-    angle *= radius
-    radius *= cos
+    step = max(1, simulate.DRAW_CELLS // half)
+    for row in range(0, hi - lo, step):
+        r, a = radius[row:row + step], angle[row:row + step]
+        cos = np.cos(a)
+        np.sin(a, out=a)
+        a *= r
+        r *= cos
     return u[:, :width]
 
 

@@ -122,22 +122,53 @@ def _group_size(size_of, names) -> int:
     return math.prod(size_of(n) for n in names)
 
 
+def _row_sum(rows):
+    """Sum over the first axis, one row after another.
+
+    numpy adds a contiguous axis pairwise but a strided one row by row, so
+    ``sum(axis=0)`` of an (n, 1) and of an (n, count) table can differ in the
+    last bits; a running sum has one order whatever the shape, which keeps a
+    batch entry independent of its batch.  Short rows run as one
+    ``np.add.accumulate`` (a loop would pay Python per row), long rows as a
+    loop of vector adds (accumulate walks them one strided cell at a time):
+    the same additions in the same order, so the same bits.
+    """
+    if rows[0].size < 128:
+        return np.add.accumulate(rows, axis=0)[-1].copy()
+    out = rows[0].copy()
+    for row in rows[1:]:
+        out += row
+    return out
+
+
+def _clamp_mi(mi):
+    """Zero the rounding negatives of a mutual information, within MI_CLAMP."""
+    return np.where((mi < 0.0) & (mi >= -MI_CLAMP), 0.0, mi)
+
+
+def cond_entropy_table(pbc: np.ndarray) -> np.ndarray:
+    """H(B|C) in bits of an (nb, nc, *batch) table, one per batch entry.
+
+    The one log-sum of the package: sum over b and c of
+    p(b,c) log2(p(c) / p(b,c)), with 0 log 0 = 0, added over b and then
+    over c in row order.  Batch axes come last, so every step vectorises
+    over contiguous batch entries; with no batch axes the result is a scalar.
+    """
+    pc = _row_sum(pbc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pbc > 0.0, pbc * np.log2(pc / pbc), 0.0)
+    return _row_sum(_row_sum(terms))
+
+
 def cmi_table(pabc: np.ndarray) -> np.ndarray:
     """I(A;B|C) in bits of an (na, nb, nc, *batch) table, one per batch entry.
 
-    Batch axes come last, so the reductions over the small A, B, C axes
-    vectorise over contiguous batch entries; with no batch axes the result
-    is a 0-d array.
+    I(A;B|C) = H(B|C) - H(B|A,C), both from ``cond_entropy_table``, the
+    second with (a, c) as its conditioning index; a difference within
+    MI_CLAMP below 0 reads 0.  With no batch axes the result is a 0-d array.
     """
-    pac = pabc.sum(axis=1, keepdims=True)
-    pbc = pabc.sum(axis=0, keepdims=True)
-    pc = pabc.sum(axis=(0, 1), keepdims=True)
-    mask = pabc > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mask, pabc * pc / (pac * pbc), 1.0)
-        terms = np.where(mask, pabc * np.log2(ratio), 0.0)
-    mi = terms.sum(axis=(0, 1, 2))
-    return np.where((mi < 0.0) & (mi >= -MI_CLAMP), 0.0, mi)
+    pb_ac = np.swapaxes(pabc, 0, 1).reshape((pabc.shape[1], -1) + pabc.shape[3:])
+    return _clamp_mi(cond_entropy_table(_row_sum(pabc)) - cond_entropy_table(pb_ac))
 
 
 def conditional_mutual_information(p: JointPmf, a_vars, b_vars, c_vars=()) -> float:

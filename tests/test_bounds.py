@@ -38,6 +38,7 @@ from zdmn.probability import (
     conditional_mutual_information,
     factorized_joint,
     input_conditional_vars,
+    marginalize,
     product_input_joint,
 )
 
@@ -350,9 +351,11 @@ def test_grid_cap_checked_before_length_d_tables():
 
 
 def test_grid_cell_cap_checked_before_allocation():
-    # 1,024 points only, but one scan batch of D = 2^20 joints holds 2^30
-    # cells; the count comes from the alphabet sizes alone
-    spec = _qary_feedback_spec(32)
+    # 2^14 points at k=1, and the p(x) tables of one scan batch alone hold
+    # 2^12 * 2^14 cells; the count comes from the alphabet sizes alone
+    block = Partition((NodeSet((1, 2)),))
+    spec = NetworkSpec(2, (128, 128), (2, 2), 1, block, block, (
+        ChannelTable(("X1", "X2"), ("Y1", "Y2"), np.full((2 ** 14, 4), 0.25)),))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match=f"above the cap {GRID_CELL_CAP}"):
@@ -453,6 +456,84 @@ def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
                         for a, b, cc in cut_groups]
                 assert np.allclose(c.per_channel_terms, want, rtol=0.0, atol=1e-12), \
                     (name, mode, point, c.cut.nodes.members)
+
+
+def _identity_cases(bundled_specs):
+    return [(spec, mode) for _, spec in sorted(bundled_specs.items())
+            for mode in ("capacity", "positive-delay")] + [(_ternary_spec(7), "positive-delay")]
+
+
+def _term_groups(problem, ci, s):
+    nodes = problem.cuts[ci].nodes
+    if problem.which == "capacity":
+        return capacity_term_groups(problem.spec, nodes, s + 1)
+    return positive_delay_term_groups(problem.spec, nodes)
+
+
+def test_grid_term_channels_are_the_joint_conditionals(bundled_specs):
+    # each evaluated term's W(b|a,c) is stochastic and is the conditional of
+    # a joint rebuilt outside the grid from random admissible factors; h(a,c)
+    # is the entropy of its rows
+    rng = np.random.Generator(np.random.Philox(11))
+    for spec, mode in _identity_cases(bundled_specs):
+        problem = GridProblem(spec, mode, 1)
+        if mode == "capacity":
+            conds = []
+            for h in range(1, spec.alpha + 1):
+                fin, fout = input_conditional_vars(spec, h)
+                rows = math.prod(spec.var_size(n) for n in fin)
+                cols = math.prod(spec.var_size(n) for n in fout)
+                conds.append(ChannelTable(fin, fout, rng.dirichlet(np.ones(cols), size=rows)))
+            joint = factorized_joint(spec, conds)
+        else:
+            xs = tuple((n, spec.var_size(n)) for n in spec.all_x_vars())
+            px = rng.dirichlet(np.ones(math.prod(size for _, size in xs)))
+            joint = product_input_joint(spec, JointPmf(xs, px))
+        n_terms = 0
+        for s, slot in enumerate(problem._terms):
+            for ci, ac, w, h in slot:
+                a, b, c = _term_groups(problem, ci, s)
+                assert ac == a + c
+                assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+                pabc = marginalize(joint, a + b + c).probs.reshape(w.shape)
+                pac = pabc.sum(axis=1, keepdims=True)
+                seen = np.broadcast_to(pac > 0.0, w.shape)
+                assert seen.any()
+                cond = np.divide(pabc, pac, out=np.zeros_like(pabc), where=seen)
+                assert np.allclose(cond[seen], w[seen], rtol=0.0, atol=1e-12)
+                logs = np.log2(np.where(w > 0.0, w, 1.0))
+                assert np.allclose(h, -(w * logs).sum(axis=1), rtol=0.0, atol=1e-12)
+                n_terms += 1
+        assert n_terms > 0
+
+
+def test_grid_terms_match_oracle_at_every_vertex(bundled_specs):
+    # at k=1 every free row is a point mass, so most p(a,c) rows are 0, and
+    # the deterministic network takes 0 log 0 in every term
+    for spec, mode in _identity_cases(bundled_specs):
+        problem = GridProblem(spec, mode, 1)
+        terms = problem.eval_batch(0, problem.n_points)
+        for point in range(problem.n_points):
+            dist = grid_conditionals(spec, mode, 1, point)
+            joint = (factorized_joint(spec, dist) if mode == "capacity"
+                     else product_input_joint(spec, dist))
+            for ci, s in itertools.product(range(problem.n_cuts), range(problem.n_slots)):
+                a, b, c = _term_groups(problem, ci, s)
+                want = _cmi_oracle(joint, a, b, c) if a and b else 0.0
+                assert abs(terms[point, ci, s] - want) < 1e-12, (mode, point, ci, s)
+
+
+def test_grid_positive_delay_batch_holds_no_full_layout():
+    # 4,096 points of p(x) over 27 input cells; the (X, Y) layout of the same
+    # batch alone would be 729 cells per point, 23.9 MB
+    problem = GridProblem(_ternary_spec(7), "positive-delay", 4)
+    tracemalloc.start()
+    try:
+        problem.eval_batch(0, BATCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 10 ** 6
 
 
 def _cell_product(spec, cell, factors):

@@ -108,6 +108,31 @@ def test_box_muller_normals_pass_ks():
     assert stats.kstest(z, stats.norm.cdf).statistic < 1.628 / math.sqrt(z.size)
 
 
+def test_box_muller_normals_in_place(monkeypatch):
+    # the normals overwrite their uniforms; only one block of at most
+    # DRAW_CELLS cosines sits beside them, and blocking changes no bit
+    def formula(seed, purpose, lo, hi, width):
+        half = -(-width // 2)
+        u = simulate.trial_uniforms(seed, purpose, lo, hi, 2 * half)
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, :half]))
+        angle = 2.0 * np.pi * u[:, half:]
+        return np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :width]
+
+    want = formula(0, (4,), 0, 2 ** 16, 16)
+    for cells in (simulate.DRAW_CELLS, 2 ** 16, 1000):  # blocks of 2^17, 2^13, 125 rows
+        monkeypatch.setattr(simulate, "DRAW_CELLS", cells)
+        tracemalloc.start()
+        try:
+            got = _normals(0, (4,), 0, 2 ** 16, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a half-size temporary would add 4 MB
+        assert peak <= got.nbytes + 8 * cells + 2 ** 20
+        assert np.array_equal(got, want)
+    assert np.array_equal(_normals(5, (3,), 7, 1007, 25), formula(5, (3,), 7, 1007, 25))
+
+
 def test_open_gate_cancels_relay_noise():
     cfg = _config(n=128)
     tr = simulate_relay(cfg, np.zeros(128), budget=1e18)

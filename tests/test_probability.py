@@ -12,8 +12,10 @@ from zdmn.errors import DomainError, SpecIOError, ZeroProbabilityEvent
 from zdmn.model import ChannelTable
 from zdmn.probability import (
     JointPmf,
+    _row_sum,
     binary_entropy,
     compose_channels,
+    cond_entropy_table,
     condition,
     conditional_mutual_information,
     factorized_joint,
@@ -166,6 +168,30 @@ def test_cmi_nonnegative_and_clamped(seed):
     p = _random_joint(seed, sizes=(3, 2, 2))
     v = conditional_mutual_information(p, ("V0",), ("V1",), ("V2",))
     assert v >= 0.0
+
+
+def test_row_sum_is_one_running_sum_whatever_the_shape():
+    # both forms (accumulate for short rows, vector adds for long ones) add
+    # row after row, so a batch column sums to the same bits alone
+    rng = np.random.Generator(np.random.Philox(21))
+    for shape in ((1,), (5,), (300,), (7, 3), (9, 127), (9, 128), (4, 3, 200), (2, 1, 1)):
+        rows = rng.random(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        want = rows[0].copy()
+        for row in rows[1:]:
+            want = want + row
+        got = _row_sum(rows)
+        assert np.array_equal(got, want), shape
+        if rows.ndim > 1:
+            assert np.array_equal(_row_sum(rows[..., :1]), want[..., :1]), shape
+
+
+def test_cond_entropy_table_closed_forms():
+    # H(B|C) of a uniform B independent of C is log2 |B|; a deterministic B
+    # has 0 (0 log 0 = 0); the batch axis is last and independent per entry
+    pbc = np.stack([np.full((4, 3), 1.0 / 12.0), np.eye(4, 3) / 3.0], axis=-1)
+    assert np.allclose(cond_entropy_table(pbc), [2.0, 0.0], rtol=0.0, atol=1e-15)
+    h = cond_entropy_table(np.array([[0.25], [0.75]]))
+    assert abs(float(h) - binary_entropy(0.25)) < 1e-15
 
 
 def test_binary_entropy_values():
