@@ -1,18 +1,19 @@
 """Simplex-grid scan over admissible distributions for the cut-set bounds.
 
-The free parameters are the per-channel input conditionals (capacity mode) or
-the joint input pmf (positive-delay mode).  Every free row ranges over the
-compositions of k into the row's alphabet size.  Grid points are indexed
-mixed-radix over rows, first row most significant, so scan order and reported
-witnesses are deterministic.
+The grid scans the capacity-mode terms of one network: the spec itself, or
+in positive-delay mode the all-delayed network
+(``probability.all_delayed_network``), whose one free factor is p(x) and
+whose one channel is the channel product.  The free parameters are the
+per-channel input conditionals; every free row ranges over the compositions
+of k into the row's alphabet size.  Grid points are indexed mixed-radix over
+rows, first row most significant, so scan order and reported witnesses are
+deterministic.
 
 The grid only enumerates points; ``probability`` owns the full
 (X_1..X_N, Y_1..Y_N) layout and the one log-sum kernel,
 ``cond_entropy_table``.  Every cut term I(A;B|C) has p(b|a,c) fixed by the
-network: in capacity mode A+C of term h are exactly channel h's inputs
-(X_{S^h}, Y_{G^{h-1}}) and B is part of its outputs Y_{G_h}; in
-positive-delay mode A+C is all of X and p(y_B|x) is a marginal of the
-channel product.  So each term is
+network: A+C of term h are exactly channel h's inputs (X_{S^h}, Y_{G^{h-1}})
+and B is part of its outputs Y_{G_h}.  So each term is
 
     I(A;B|C) = H(B|C) - sum over (a, c) of p(a,c) h(a,c),
 
@@ -21,10 +22,8 @@ and p(b,c) = sum over a of p(a,c) W(b|a,c).  W and h are computed once per
 grid, so a batch of points needs only each slot's channel-input joint: the
 product P_1 q_1 P_2 ... P_h of the free factors' (rows, cols, count) point
 tables and the channels, placed by ``_aligned_factor`` with a trailing batch
-axis.  In positive-delay mode that joint is the p(x) point tables
-themselves, and no (X, Y) array is built.  The point count, and the cells
-one scan batch holds, are capped from the alphabet sizes before any
-length-D array exists.
+axis.  The point count, and the cells one scan batch holds, are capped from
+the alphabet sizes before any length-D array exists.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .model import NetworkSpec, NodeSet, require_valid, x_var, y_var
-from .probability import (_aligned_factor, _channel_product, _full_layout, _group_size,
-                          _clamp_mi, _marginal, _row_sum, cond_entropy_table,
-                          input_conditional_vars)
+from .probability import (_aligned_factor, _all_delayed_shell, _full_layout, _group_size,
+                          _clamp_mi, _marginal, _row_sum, all_delayed_network,
+                          cond_entropy_table, input_conditional_vars)
 
 BATCH = 4096  # grid points per eval_batch call of a scan
 GRID_CELL_CAP = 2 ** 26  # float64 cells one scan batch holds at once
@@ -63,16 +62,6 @@ def capacity_term_groups(spec: NetworkSpec, cut: NodeSet, h: int):
     a = tuple(x_var(i) for i in sorted(t & sh)) + tuple(y_var(i) for i in sorted(t & gh_prev))
     b = tuple(y_var(i) for i in sorted(gh - t))
     c = tuple(x_var(i) for i in sorted(sh - t)) + tuple(y_var(i) for i in sorted(gh_prev - t))
-    return a, b, c
-
-
-def positive_delay_term_groups(spec: NetworkSpec, cut: NodeSet):
-    """(A, B, C) = (X_T, Y_{T^c}, X_{T^c})."""
-    t = set(cut.members)
-    rest = [i for i in range(1, spec.n_nodes + 1) if i not in t]
-    a = tuple(x_var(i) for i in sorted(t))
-    b = tuple(y_var(i) for i in rest)
-    c = tuple(x_var(i) for i in rest)
     return a, b, c
 
 
@@ -103,11 +92,16 @@ class GridProblem:
         def group_size(group) -> int:
             return _group_size(spec.var_size, group)
 
-        # Free factors: (row-group vars, col-group vars) per factor.
+        # Positive-delay mode is the capacity bound of the all-delayed
+        # network.  Its one channel has D cells, so the caps below read only
+        # its partitions, and the channel is composed after they pass.
         if self.which == "capacity":
-            self.factors = [input_conditional_vars(spec, h) for h in range(1, spec.alpha + 1)]
+            net, build = spec, lambda: spec
         else:
-            self.factors = [((), spec.all_x_vars())]
+            net, build = _all_delayed_shell(spec), lambda: all_delayed_network(spec)
+
+        # Free factors: (row-group vars, col-group vars) per factor.
+        self.factors = [input_conditional_vars(net, h) for h in range(1, net.alpha + 1)]
 
         # Both caps are checked from the alphabet sizes alone, before any
         # length-D array is built.
@@ -123,16 +117,13 @@ class GridProblem:
 
         self.cuts = enumerate_cuts(spec.n_nodes)
         self.n_cuts = len(self.cuts)
-        self.n_slots = spec.alpha if self.which == "capacity" else 1
+        self.n_slots = net.alpha
         # (slot_idx, cut_idx, A, B, C, (|A|, |B|, |C|)) of every term whose A
         # and B both take more than one value; the others are I(A;B|C) = 0
         groups = []
         for s in range(self.n_slots):
             for ci, cut in enumerate(self.cuts):
-                if self.which == "capacity":
-                    a, b, c = capacity_term_groups(spec, cut.nodes, s + 1)
-                else:
-                    a, b, c = positive_delay_term_groups(spec, cut.nodes)
+                a, b, c = capacity_term_groups(net, cut.nodes, s + 1)
                 shape = tuple(map(group_size, (a, b, c)))
                 if shape[0] > 1 and shape[1] > 1:
                     groups.append((s, ci, a, b, c, shape))
@@ -153,16 +144,12 @@ class GridProblem:
             raise ResourceCapError(
                 f"grid needs {cells} table cells, above the cap {GRID_CELL_CAP}")
 
-        self.spec = spec
-        # Every term's channel is fixed: slot h's channel in capacity mode,
-        # the channel product in positive-delay mode.  Each term keeps
-        # W(b|a,c) as an (|A|, |B|, |C|) table and the (|A|, |C|) entropies
-        # h(a,c) of its rows.
-        if self.which == "capacity":
-            channels = [_aligned_factor(spec, ch.input_vars, ch.output_vars, ch.table)
-                        for ch in spec.channels]
-        else:
-            channels = [_channel_product(spec)]
+        self.spec = net = build()
+        # Every term's channel is its slot's channel, fixed by the network.
+        # Each term keeps W(b|a,c) as an (|A|, |B|, |C|) table and the
+        # (|A|, |C|) entropies h(a,c) of its rows.
+        channels = [_aligned_factor(net, ch.input_vars, ch.output_vars, ch.table)
+                    for ch in net.channels]
         self._terms = [[] for _ in range(self.n_slots)]  # (cut_idx, A+C names, W, h)
         for s, ci, a, b, c, shape in groups:
             w = _marginal(channels[s], self.names, a + b + c).reshape(shape)
@@ -212,8 +199,7 @@ class GridProblem:
         full layout with length-1 axes for the variables not yet drawn.
 
         The factors and channels multiply in slot order, P_1 q_1 P_2 ... P_h
-        for slot h, so no variable is ever summed out: in positive-delay mode
-        the one joint is the point tables p(x) themselves.
+        for slot h, so no variable is ever summed out.
         """
         p = np.ones(())
         for f, (fin, fout) in enumerate(self.factors):

@@ -1,6 +1,10 @@
 """Cut-set outer bounds: per-cut caps, factorization checks, grid search,
 and the closed-form regions of the two worked examples.
 
+The positive-delay bound I(X_T; Y_{T^c} | X_{T^c}) is the capacity bound of
+the all-delayed network (``probability.all_delayed_network``), so every mode
+runs the capacity terms of the network it picks.
+
 The searched outer region is a union of per-distribution polyhedra, so a
 membership query can only answer "inside" or "not-found-at-this-resolution";
 the per-cut maximum over the grid is additionally reported as a LOOSE hull
@@ -15,14 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._grid import (BATCH, GridProblem, _normalize_mode, capacity_term_groups,
-                    positive_delay_term_groups)
+from ._grid import BATCH, GridProblem, _normalize_mode, capacity_term_groups
 from .errors import DomainError
 from .model import ChannelTable, NetworkSpec, NodeSet
-from .probability import (JointPmf, _marginal, binary_entropy,
-                          conditional_mutual_information,
-                          input_conditional_vars, marginalize,
-                          product_input_joint)
+from .probability import (JointPmf, _marginal, all_delayed_network, binary_entropy,
+                          conditional_mutual_information)
 
 INSIDE = "inside"
 NOT_FOUND = "not-found-at-this-resolution"
@@ -128,36 +129,31 @@ def _require_joint_over_all(spec: NetworkSpec, joint: JointPmf) -> None:
 def capacity_cut_cap(spec: NetworkSpec, joint: JointPmf, cut: Cut) -> CutConstraint:
     """Per-channel terms of the capacity-region bound for one cut."""
     _require_joint_over_all(spec, joint)
-    terms = []
-    for h in range(1, spec.alpha + 1):
-        a, b, c = capacity_term_groups(spec, cut.nodes, h)
-        if not a or not b:
-            terms.append(0.0)
-        else:
-            terms.append(conditional_mutual_information(joint, a, b, c))
+    terms = [conditional_mutual_information(joint, *capacity_term_groups(spec, cut.nodes, h))
+             for h in range(1, spec.alpha + 1)]
     return CutConstraint(cut, tuple(terms), float(sum(terms)))
 
 
 def positive_delay_cut_cap(spec: NetworkSpec, joint: JointPmf, cut: Cut) -> CutConstraint:
-    """Single-term positive-delay bound I(X_T; Y_{T^c} | X_{T^c}) for one cut."""
-    _require_joint_over_all(spec, joint)
-    a, b, c = positive_delay_term_groups(spec, cut.nodes)
-    v = conditional_mutual_information(joint, a, b, c) if (a and b) else 0.0
-    return CutConstraint(cut, (v,), v)
+    """Single-term positive-delay bound I(X_T; Y_{T^c} | X_{T^c}) for one cut:
+    the capacity bound of the all-delayed network."""
+    return capacity_cut_cap(all_delayed_network(spec), joint, cut)
 
 
 def check_factorization(spec: NetworkSpec, joint: JointPmf, which: str) -> bool:
     """Does the joint satisfy the admissibility factorization of the given mode?
 
-    Capacity mode: the joint must reproduce every channel as its conditional of
-    Y_{G_h} given (X_{S^h}, Y_{G^{h-1}}) on positive-probability rows.  The
-    positive-delay mode additionally requires the joint to equal its own input
-    marginal pushed through the composed channel.
+    The joint must reproduce every channel as its conditional of Y_{G_h} given
+    (X_{S^h}, Y_{G^{h-1}}) on positive-probability rows, within FACT_TOL; in
+    positive-delay mode the all-delayed network's channel is one more.
     """
     which = _normalize_mode(which)
     _require_joint_over_all(spec, joint)
+    channels = spec.channels
+    if which == "positive-delay":
+        channels += all_delayed_network(spec).channels
     arr = joint.as_array()
-    for ch in spec.channels:
+    for ch in channels:
         if not ch.output_vars:
             continue
         table = _marginal(arr, joint.names, ch.input_vars + ch.output_vars)
@@ -165,12 +161,6 @@ def check_factorization(spec: NetworkSpec, joint: JointPmf, which: str) -> bool:
         mass = table.sum(axis=1)
         seen = mass > 0.0
         if np.any(np.abs(table[seen] / mass[seen, None] - ch.table[seen]) > FACT_TOL):
-            return False
-    if which == "positive-delay":
-        px = marginalize(joint, spec.all_x_vars())
-        rebuilt = product_input_joint(spec, px)
-        ref = marginalize(joint, rebuilt.names)
-        if np.max(np.abs(ref.probs - rebuilt.probs)) > FACT_TOL:
             return False
     return True
 
@@ -258,15 +248,12 @@ def grid_conditionals(spec: NetworkSpec, which: str, k: int, point: int,
     """The searched distribution at a grid point as ChannelTable conditionals
     (capacity mode) or a JointPmf over the inputs (positive-delay mode)."""
     problem = GridProblem(spec, which, k, max_distributions)
-    rows = problem.distribution_rows(point)
+    conds = [ChannelTable(fin, fout, rows) for (fin, fout), rows
+             in zip(problem.factors, problem.distribution_rows(point))]
     if problem.which == "capacity":
-        out = []
-        for h in range(1, spec.alpha + 1):
-            in_vars, out_vars = input_conditional_vars(spec, h)
-            out.append(ChannelTable(in_vars, out_vars, rows[h - 1]))
-        return out
-    names = spec.all_x_vars()
-    return JointPmf(tuple((n, spec.var_size(n)) for n in names), rows[0].reshape(-1))
+        return conds
+    (p_x,) = conds
+    return JointPmf(tuple((n, spec.var_size(n)) for n in p_x.output_vars), p_x.table.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

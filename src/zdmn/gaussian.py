@@ -54,7 +54,8 @@ __all__ = [
 RELAY_POWER_MARGIN = 10.0
 
 # Cells of one (trials, n) or (codewords, n) float64 array of the codebook
-# experiment, checked before any draw.
+# experiment, and of one block's or trial's window of 3n normals, checked
+# before any draw.
 CELL_CAP = 1 << 25
 
 _SOURCES = ("gaussian", "deterministic")
@@ -88,6 +89,12 @@ def _normals(seed: int, purpose: Tuple[int, ...], lo: int, hi: int, width: int) 
         a *= r
         r *= cos
     return u[:, :width]
+
+
+def _require_window(n: int) -> None:
+    """Refuse a window of 3n normals above CELL_CAP before anything is drawn."""
+    if 3 * n > CELL_CAP:
+        raise ResourceCapError(f"blocklength {n} draws windows of {3 * n} normals > cap {CELL_CAP}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +214,7 @@ def simulate_relay(
     ``budget`` overrides the total relay power budget ``n * (P + 10)``
     (pass ``0.0`` to force the gate shut for testing).
     """
+    _require_window(config.n)
     x1 = np.asarray(source_sequence, dtype=np.float64)
     if x1.shape != (config.n,):
         raise DomainError(
@@ -239,6 +247,7 @@ def neutralization_rate(
     if source not in _SOURCES:
         raise DomainError(f"source must be one of {_SOURCES}, got {source!r}")
     n = config.n
+    _require_window(n)
     step = max(1, simulate.DRAW_CELLS // (3 * n))
     open_blocks = 0
     for lo in range(0, blocks, step):
@@ -340,7 +349,8 @@ def codebook_experiment(
     * ``auto`` — ``exhaustive`` when the codebook fits the cap and
       ``CELL_CAP``, ``analytic`` otherwise.
 
-    ``trials * n`` above ``CELL_CAP`` raises before anything is drawn.
+    ``trials * n`` or the 3n-wide trial window above ``CELL_CAP`` raises
+    before anything is drawn.
     Trials run in batches; trial t's window holds 3n normals, its codeword's
     unit draw (analytic, redraw), ``z2`` and ``z3``, so every method sees the
     same noise in trial t.
@@ -361,6 +371,7 @@ def codebook_experiment(
     if trials * n > CELL_CAP:
         raise ResourceCapError(f"{trials} trials of blocklength {n} need "
                                f"{trials * n} cells > cap {CELL_CAP}")
+    _require_window(n)
     if method == "auto":
         method = "exhaustive" if m <= cap and m * n <= CELL_CAP else "analytic"
     if method in ("exhaustive", "redraw") and m > cap:

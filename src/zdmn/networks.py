@@ -89,6 +89,7 @@ BUNDLED = {
 
 
 def bundled_spec(name: str, eps: float | None = None) -> NetworkSpec:
+    """The bundled network `name`, with `eps` its channel parameter if it has one."""
     if name not in BUNDLED:
         raise DomainError(f"unknown bundled network {name!r}; choices: {sorted(BUNDLED)}")
     if name == "bscfb":
@@ -97,4 +98,6 @@ def bundled_spec(name: str, eps: float | None = None) -> NetworkSpec:
         return classical_bsc_spec(0.25 if eps is None else eps)
     if name == "causal-relay":
         return causal_relay_spec() if eps is None else causal_relay_spec(eps)
+    if eps is not None:
+        raise DomainError(f"network {name!r} takes no eps, got {eps}")
     return deterministic_two_node_spec()

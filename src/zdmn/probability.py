@@ -8,6 +8,7 @@ informations are clamped to 0 within 1e-12.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpecIOError, ZeroProbabilityEvent
-from .model import ChannelTable, NetworkSpec, require_valid, x_var
+from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_valid, x_var
 
 SUM_TOL = 1e-9
 MI_CLAMP = 1e-12
@@ -280,19 +281,35 @@ def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
     return JointPmf(tuple(zip(names, sizes)), arr.reshape(-1))
 
 
+def _all_delayed_shell(spec: NetworkSpec) -> NetworkSpec:
+    """``all_delayed_network`` before its channel is composed."""
+    everyone = Partition((NodeSet(tuple(range(1, spec.n_nodes + 1))),))
+    return NetworkSpec(spec.n_nodes, spec.input_alphabet_sizes,
+                       spec.output_alphabet_sizes, 1, everyone, everyone, ())
+
+
+def all_delayed_network(spec: NetworkSpec) -> NetworkSpec:
+    """The classical network `spec` becomes when every node is delayed.
+
+    Same nodes and alphabets, alpha = 1 with S = G = ({1..N}), and one
+    channel, q^(1) ... q^(alpha) (``compose_channels``).  Its capacity bound
+    is the positive-delay bound of `spec`.
+    """
+    return dataclasses.replace(_all_delayed_shell(spec), channels=(compose_channels(spec),))
+
+
 def product_input_joint(spec: NetworkSpec, p_x: JointPmf) -> JointPmf:
-    """Joint p_{X_I} times the composed channel (the positive-delay factorization)."""
-    require_valid(spec)
-    want = spec.all_x_vars()
+    """Joint p_{X_I} times the composed channel (the positive-delay
+    factorization): ``factorized_joint`` of the all-delayed network with p_x
+    as its one input conditional."""
+    net = all_delayed_network(spec)
+    want = net.all_x_vars()
     if set(p_x.names) != set(want):
         raise DomainError(f"p_X must be over exactly {want}, got {p_x.names}")
     px = marginalize(p_x, want)
     if px.sizes != tuple(spec.var_size(n) for n in want):
         raise DomainError("p_X alphabet sizes differ from the spec")
-    names, sizes = _full_layout(spec)
-    x_shape = sizes[: spec.n_nodes] + (1,) * spec.n_nodes
-    joint = px.probs.reshape(x_shape) * _channel_product(spec)
-    return JointPmf(tuple(zip(names, sizes)), joint.reshape(-1))
+    return factorized_joint(net, (ChannelTable((), want, px.probs[None, :]),))
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
-from .model import (DelayProfile, NetworkSpec, NodeSet, Partition, is_feasible,
-                    json_int, json_int_table, require_seed, require_valid, x_var,
-                    y_var)
+from .model import (DelayProfile, NetworkSpec, is_feasible, json_int, json_int_table,
+                    require_seed, require_valid, x_var, y_var)
 from .polar import PolarCode
-from .probability import (JointPmf, binary_entropy, compose_channels,
+from .probability import (JointPmf, all_delayed_network, binary_entropy,
                           conditional_mutual_information)
 
 JOINT_CAP = 2 ** 24
@@ -606,16 +605,7 @@ def equivalence_check(spec: NetworkSpec, code: TableCode) -> float:
     if any(b != 1 for b in code.delay_profile.delays):
         raise DomainError("channel composition requires the all-one delay profile")
     stepwise = induced_joint(spec, code)
-    everyone = Partition(blocks=(NodeSet.of(range(1, spec.n_nodes + 1)),))
-    composed = NetworkSpec(
-        n_nodes=spec.n_nodes,
-        input_alphabet_sizes=spec.input_alphabet_sizes,
-        output_alphabet_sizes=spec.output_alphabet_sizes,
-        alpha=1,
-        input_partition=everyone,
-        output_partition=everyone,
-        channels=(compose_channels(spec),))
-    merged = induced_joint(composed, code)
+    merged = induced_joint(all_delayed_network(spec), code)
     return float(np.abs(stepwise.probs - merged.probs).sum())
 
 

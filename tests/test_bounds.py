@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from zdmn import _grid, model, networks
-from zdmn._grid import (BATCH, GRID_CELL_CAP, GridProblem, capacity_term_groups,
-                        compositions, positive_delay_term_groups)
+from zdmn._grid import BATCH, GRID_CELL_CAP, GridProblem, capacity_term_groups, compositions
 from zdmn.bounds import (
     Cut,
     INSIDE,
@@ -32,6 +31,7 @@ from zdmn.model import ChannelTable, NetworkSpec, NodeSet, Partition
 from zdmn.probability import (
     JointPmf,
     _aligned_factor,
+    all_delayed_network,
     binary_entropy,
     cmi_table,
     compose_channels,
@@ -41,6 +41,28 @@ from zdmn.probability import (
     marginalize,
     product_input_joint,
 )
+
+
+# The paper's positive-delay term (A, B, C) = (X_T, Y_{T^c}, X_{T^c}) of
+# every cut T of a two- and a three-node network, keyed by (N, T).
+_POSITIVE_DELAY_GROUPS = {
+    (2, (1,)): (("X1",), ("Y2",), ("X2",)),
+    (2, (2,)): (("X2",), ("Y1",), ("X1",)),
+    (3, (1,)): (("X1",), ("Y2", "Y3"), ("X2", "X3")),
+    (3, (1, 2)): (("X1", "X2"), ("Y3",), ("X3",)),
+    (3, (1, 3)): (("X1", "X3"), ("Y2",), ("X2",)),
+    (3, (2,)): (("X2",), ("Y1", "Y3"), ("X1", "X3")),
+    (3, (2, 3)): (("X2", "X3"), ("Y1",), ("X1",)),
+    (3, (3,)): (("X3",), ("Y1", "Y2"), ("X1", "X2")),
+}
+
+
+def _term_groups(spec, mode, nodes, h):
+    """(A, B, C) of term h of the cut: the capacity groups, or the paper's
+    one positive-delay term written out above."""
+    if mode == "capacity":
+        return capacity_term_groups(spec, nodes, h)
+    return _POSITIVE_DELAY_GROUPS[spec.n_nodes, nodes.members]
 
 
 def _uniform_px(spec):
@@ -244,6 +266,21 @@ def test_factorization_scheme_joint_fails_positive_delay_only():
     assert check_factorization(spec2, masked, "positive-delay")
 
 
+def test_factorization_positive_delay_rejects_rare_echo():
+    # node 2 echoes its current reception only on the x1 = 1 rows, of
+    # probability p; for p <= 1e-8 every joint cell is within 1e-9 of
+    # p(x) times the channel product, but p(y|x) on those rows is not it
+    spec = networks.bscfb_spec(0.11)
+    in1, out1 = input_conditional_vars(spec, 1)
+    in2, out2 = input_conditional_vars(spec, 2)
+    rows = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])  # over (X1, Y2)
+    for p in (1e-3, 1e-8, 1e-9):
+        c1 = ChannelTable(in1, out1, np.array([[1.0 - p, p]]))
+        joint = factorized_joint(spec, (c1, ChannelTable(in2, out2, rows)))
+        assert check_factorization(spec, joint, "capacity")
+        assert not check_factorization(spec, joint, "positive-delay"), p
+
+
 def test_factorization_rejects_perturbed_joint():
     spec = networks.bscfb_spec(0.11)
     joint = product_input_joint(spec, _uniform_px(spec))
@@ -287,6 +324,24 @@ def _ternary_spec(seed):
         rows = rng.dirichlet(np.ones(3 ** len(out_vars)), size=3 ** len(in_vars))
         channels.append(ChannelTable(in_vars, out_vars, rows))
     return dataclasses.replace(shell, channels=tuple(channels))
+
+
+def test_all_delayed_network_is_the_positive_delay_network(bundled_specs):
+    # same nodes and alphabets, one block and one channel, the channel
+    # product; its capacity terms are the paper's positive-delay terms
+    for spec in [spec for _, spec in sorted(bundled_specs.items())] + [_ternary_spec(7)]:
+        net = all_delayed_network(spec)
+        assert model.validate_spec(net).ok
+        assert (net.n_nodes, net.input_alphabet_sizes, net.output_alphabet_sizes, net.alpha) \
+            == (spec.n_nodes, spec.input_alphabet_sizes, spec.output_alphabet_sizes, 1)
+        composed = compose_channels(spec)
+        (channel,) = net.channels
+        assert (channel.input_vars, channel.output_vars) \
+            == (composed.input_vars, composed.output_vars)
+        assert np.array_equal(channel.table, composed.table)
+        for cut in enumerate_cuts(spec.n_nodes):
+            assert capacity_term_groups(net, cut.nodes, 1) \
+                == _POSITIVE_DELAY_GROUPS[spec.n_nodes, cut.nodes.members]
 
 
 def _compositions_by_bars(k, m):
@@ -340,14 +395,15 @@ def test_grid_batch_rows_equal_single_points(bundled_specs):
 
 def test_grid_cap_checked_before_length_d_tables():
     spec = _qary_feedback_spec(32)  # D = 32^4 = 2^20 joint cells
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceCapError):
-            GridProblem(spec, "capacity", 2, max_distributions=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20  # under one byte per joint cell: no length-D table
+    for mode in ("capacity", "positive-delay"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                GridProblem(spec, mode, 2, max_distributions=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, mode  # under one byte per joint cell: no length-D table
 
 
 def test_grid_cell_cap_checked_before_allocation():
@@ -443,17 +499,14 @@ def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
             report = grid_point_report(spec, mode, 4, point)
             dist = grid_conditionals(spec, mode, 4, point)
             if mode == "capacity":
-                joint = factorized_joint(spec, dist)
-                groups = [[capacity_term_groups(spec, c.cut.nodes, h)
-                           for h in range(1, spec.alpha + 1)]
-                          for c in report.constraints]
+                joint, n_terms = factorized_joint(spec, dist), spec.alpha
             else:
-                joint = product_input_joint(spec, dist)
-                groups = [[positive_delay_term_groups(spec, c.cut.nodes)]
-                          for c in report.constraints]
-            for c, cut_groups in zip(report.constraints, groups):
+                joint, n_terms = product_input_joint(spec, dist), 1
+            for c in report.constraints:
                 want = [_cmi_oracle(joint, a, b, cc) if a and b else 0.0
-                        for a, b, cc in cut_groups]
+                        for a, b, cc in (_term_groups(spec, mode, c.cut.nodes, h)
+                                         for h in range(1, n_terms + 1))]
+                assert len(c.per_channel_terms) == n_terms
                 assert np.allclose(c.per_channel_terms, want, rtol=0.0, atol=1e-12), \
                     (name, mode, point, c.cut.nodes.members)
 
@@ -461,13 +514,6 @@ def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
 def _identity_cases(bundled_specs):
     return [(spec, mode) for _, spec in sorted(bundled_specs.items())
             for mode in ("capacity", "positive-delay")] + [(_ternary_spec(7), "positive-delay")]
-
-
-def _term_groups(problem, ci, s):
-    nodes = problem.cuts[ci].nodes
-    if problem.which == "capacity":
-        return capacity_term_groups(problem.spec, nodes, s + 1)
-    return positive_delay_term_groups(problem.spec, nodes)
 
 
 def test_grid_term_channels_are_the_joint_conditionals(bundled_specs):
@@ -492,7 +538,7 @@ def test_grid_term_channels_are_the_joint_conditionals(bundled_specs):
         n_terms = 0
         for s, slot in enumerate(problem._terms):
             for ci, ac, w, h in slot:
-                a, b, c = _term_groups(problem, ci, s)
+                a, b, c = _term_groups(spec, mode, problem.cuts[ci].nodes, s + 1)
                 assert ac == a + c
                 assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
                 pabc = marginalize(joint, a + b + c).probs.reshape(w.shape)
@@ -518,7 +564,7 @@ def test_grid_terms_match_oracle_at_every_vertex(bundled_specs):
             joint = (factorized_joint(spec, dist) if mode == "capacity"
                      else product_input_joint(spec, dist))
             for ci, s in itertools.product(range(problem.n_cuts), range(problem.n_slots)):
-                a, b, c = _term_groups(problem, ci, s)
+                a, b, c = _term_groups(spec, mode, problem.cuts[ci].nodes, s + 1)
                 want = _cmi_oracle(joint, a, b, c) if a and b else 0.0
                 assert abs(terms[point, ci, s] - want) < 1e-12, (mode, point, ci, s)
 

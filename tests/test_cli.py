@@ -474,7 +474,8 @@ def test_gaussian_experiment(capsys):
 def test_gaussian_cell_caps(capsys):
     for extra in (("--n", "64", "--trials", "100000000"),
                   ("--n", "4096", "--rate", "0.004", "--trials", "2",
-                   "--method", "exhaustive")):
+                   "--method", "exhaustive"),
+                  ("--n", "100000000")):  # the relay's 3n-wide block window
         rc, out, err = _run(capsys, "gaussian", "--power", "5", "--experiment",
                             "--blocks", "2", *extra)
         assert rc == EXIT_CAP and out == ""
@@ -507,6 +508,15 @@ def test_generate_spec_roundtrips(capsys, tmp_path):
         assert rc == EXIT_OK and f"wrote {name} network" in out
         rc, out, _ = _run(capsys, "validate", "--spec", str(dest))
         assert rc == EXIT_OK and out.startswith("spec OK")
+
+
+def test_generate_spec_refuses_eps_of_parameterless_network(capsys, tmp_path):
+    dest = tmp_path / "deterministic.json"
+    rc, out, err = _run(capsys, "generate", "spec", "--name", "deterministic",
+                        "--eps", "0.3", "--out", str(dest))
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err == "error: network 'deterministic' takes no eps, got 0.3\n"
+    assert not dest.exists()
 
 
 def test_generate_code_respects_profile(capsys, tmp_path, spec_path):

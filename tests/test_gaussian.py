@@ -327,6 +327,24 @@ def test_codebook_cell_caps_checked_before_any_draw():
     assert res.method == "analytic" and res.codebook_size == 2 ** 17
 
 
+def test_relay_windows_capped_before_any_draw():
+    # a block or trial window holds 3n normals: one block at n = 2 * 10^6
+    # peaked at 115 MB, so a window above CELL_CAP is refused before any draw
+    cfg = _config(n=CELL_CAP // 3 + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+            neutralization_rate(cfg, blocks=1)
+        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+            simulate_relay(cfg, np.zeros(1))
+        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+            codebook_experiment(cfg, 0.0, trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_codebook_result_string():
     res = CodebookResult(method="exhaustive", n=8, codebook_size=16, trials=10,
                          rate_requested=0.5, rate_effective=0.5,

@@ -304,6 +304,18 @@ def test_product_input_joint_rejects_wrong_variables():
         product_input_joint(spec, _joint((("X1", 2),), [0.5, 0.5]))
 
 
+def test_product_input_joint_rejects_malformed_px():
+    # a NaN, a total of 2 and a negative cell once gave a NaN joint, a joint
+    # summing to 2 and negative cells
+    spec = networks.bscfb_spec(0.11)
+    xs = (("X1", 2), ("X2", 2))
+    for probs, why in (([math.nan, 0.25, 0.25, 0.25], "non-finite"),
+                       ([0.5] * 4, "sums to 2"),
+                       ([1.25, -0.25, 0.0, 0.0], "outside")):
+        with pytest.raises(DomainError, match=why):
+            product_input_joint(spec, _joint(xs, probs))
+
+
 # ---------------------------------------------------------------------------
 # JSON I/O
 
