@@ -5,9 +5,9 @@ in positive-delay mode the all-delayed network
 (``probability.all_delayed_network``), whose one free factor is p(x) and
 whose one channel is the channel product.  The free parameters are the
 per-channel input conditionals; every free row ranges over the compositions
-of k into the row's alphabet size.  Grid points are indexed mixed-radix over
-rows, first row most significant, so scan order and reported witnesses are
-deterministic.
+of k into the row's alphabet size.  A grid point is the index of its tuple
+of per-row composition indices in numpy's C order, first row most
+significant, so scan order and reported witnesses are deterministic.
 
 The grid only enumerates points; ``probability`` owns the full
 (X_1..X_N, Y_1..Y_N) layout and the one log-sum kernel,
@@ -28,6 +28,7 @@ the alphabet sizes before any length-D array exists.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import numbers
@@ -36,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .model import NetworkSpec, NodeSet, require_valid, x_var, y_var
-from .probability import (_aligned_factor, _all_delayed_shell, _full_layout, _group_size,
-                          _clamp_mi, _marginal, _row_sum, all_delayed_network,
+from .probability import (_aligned_factor, _all_delayed_shell, _composed_channel,
+                          _full_layout, _group_size, _clamp_mi, _marginal, _row_sum,
                           cond_entropy_table, input_conditional_vars)
 
 BATCH = 4096  # grid points per eval_batch call of a scan
@@ -94,11 +95,14 @@ class GridProblem:
 
         # Positive-delay mode is the capacity bound of the all-delayed
         # network.  Its one channel has D cells, so the caps below read only
-        # its partitions, and the channel is composed after they pass.
+        # its partitions, and the channel is composed after they pass, from
+        # the spec validated above.
         if self.which == "capacity":
             net, build = spec, lambda: spec
         else:
-            net, build = _all_delayed_shell(spec), lambda: all_delayed_network(spec)
+            shell = _all_delayed_shell(spec)
+            net, build = shell, lambda: dataclasses.replace(
+                shell, channels=(_composed_channel(spec),))
 
         # Free factors: (row-group vars, col-group vars) per factor.
         self.factors = [input_conditional_vars(net, h) for h in range(1, net.alpha + 1)]
@@ -113,6 +117,9 @@ class GridProblem:
         if n_points > max_distributions:
             raise ResourceCapError(
                 f"grid has {n_points} distributions, above the cap {max_distributions}")
+        if n_points > np.iinfo(np.int64).max:
+            raise ResourceCapError(
+                f"grid has {n_points} distributions, more than an int64 point index counts")
         self.n_points = n_points
 
         self.cuts = enumerate_cuts(spec.n_nodes)
@@ -164,32 +171,24 @@ class GridProblem:
         self.radix = np.repeat([table.shape[0] for table in self.comp_tables],
                                self.factor_n_rows)
         self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
-        self.n_rows_total = int(self.radix.size)
 
     # -- point decoding ----------------------------------------------------
 
-    def _digits(self, points: np.ndarray) -> np.ndarray:
-        """(len(points), n_rows_total) per-row composition indices, first
-        row most significant."""
-        digits = np.empty((points.size, self.n_rows_total), dtype=np.int64)
-        for r in range(self.n_rows_total - 1, -1, -1):
-            points, digits[:, r] = np.divmod(points, self.radix[r])
-        return digits
-
-    def _tables(self, f: int, digits: np.ndarray) -> np.ndarray:
-        """Factor f's (len(digits), rows, cols) point tables."""
+    def _tables(self, f: int, digits) -> np.ndarray:
+        """Factor f's (count, rows, cols) point tables, from ``digits``, the
+        ``np.unravel_index`` of count points: one composition index per row."""
         off = int(self.row_offset[f])
-        return self.comp_tables[f][digits[:, off:off + self.factor_n_rows[f]]]
+        return self.comp_tables[f][np.transpose(digits[off:off + self.factor_n_rows[f]])]
 
     def coordinates(self, point: int) -> tuple[int, ...]:
         """Per-row composition indices, first row most significant."""
         if not 0 <= point < self.n_points:
             raise DomainError(f"point {point} outside 0..{self.n_points - 1}")
-        return tuple(int(v) for v in self._digits(np.array([point], dtype=np.int64))[0])
+        return tuple(int(v) for v in np.unravel_index(point, self.radix))
 
     def distribution_rows(self, point: int) -> list[np.ndarray]:
         """One row-stochastic table per free factor at this grid point."""
-        digits = np.array([self.coordinates(point)], dtype=np.int64)
+        digits = [[v] for v in self.coordinates(point)]
         return [self._tables(f, digits)[0] for f in range(len(self.factors))]
 
     # -- evaluation --------------------------------------------------------
@@ -217,7 +216,7 @@ class GridProblem:
         with p(b,c) = sum over a of p(a,c) W(b|a,c); a and c are added in
         row order, so a point's terms do not depend on its batch.
         """
-        digits = self._digits(start + np.arange(count, dtype=np.int64))
+        digits = np.unravel_index(start + np.arange(count), self.radix)
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
         for s, joint in enumerate(self._input_joints(digits)):
             for ci, ac, w, h in self._terms[s]:

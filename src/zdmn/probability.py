@@ -1,7 +1,8 @@
 """Exact finite-probability machinery on dense tables.
 
-Joint pmfs are flat float64 tables over a named variable list, mixed-radix
-with the first variable most significant (C order of the reshaped array).
+Joint pmfs are flat float64 tables over a named variable list: a cell's
+position is its tuple of values in numpy's C order, the first variable most
+significant, so ``reshape`` gives one axis per variable.
 All arithmetic is 64-bit; stochasticity is checked within 1e-9 and mutual
 informations are clamped to 0 within 1e-12.
 """
@@ -49,7 +50,13 @@ class JointPmf:
         raise DomainError(f"unknown variable {name!r}")
 
     def as_array(self) -> np.ndarray:
-        return self.probs.reshape(self.sizes if self.variables else (1,))
+        """The table with one axis per variable, in C order."""
+        shape = self.sizes if self.variables else (1,)
+        cells = math.prod(shape)
+        if self.probs.size != cells:
+            raise DomainError(f"{self.probs.size} probabilities for the {cells} cells "
+                              f"of {self.names}")
+        return self.probs.reshape(shape)
 
     def validate(self) -> list[str]:
         out = []
@@ -237,13 +244,18 @@ def _channel_product(spec: NetworkSpec) -> np.ndarray:
     return arr
 
 
-def compose_channels(spec: NetworkSpec) -> ChannelTable:
-    """Single equivalent channel q^(1) q^(2) ... q^(alpha) over all nodes."""
-    require_valid(spec)
+def _composed_channel(spec: NetworkSpec) -> ChannelTable:
+    """``compose_channels`` of a spec already validated."""
     _, sizes = _full_layout(spec)
     n_x = math.prod(sizes[: spec.n_nodes])
     return ChannelTable(spec.all_x_vars(), spec.all_y_vars(),
                         _channel_product(spec).reshape(n_x, -1))
+
+
+def compose_channels(spec: NetworkSpec) -> ChannelTable:
+    """Single equivalent channel q^(1) q^(2) ... q^(alpha) over all nodes."""
+    require_valid(spec)
+    return _composed_channel(spec)
 
 
 def input_conditional_vars(spec: NetworkSpec, h: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -313,7 +325,7 @@ def product_input_joint(spec: NetworkSpec, p_x: JointPmf) -> JointPmf:
 
 
 # ---------------------------------------------------------------------------
-# Structured-text (JSON) import/export, same mixed-radix convention.
+# Structured-text (JSON) import/export, same C-order convention.
 
 def joint_to_dict(p: JointPmf) -> dict:
     return {
@@ -328,6 +340,9 @@ def joint_from_dict(d: dict) -> JointPmf:
         probs = np.asarray(d["probs"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as e:
         raise SpecIOError(f"malformed joint pmf: {e}") from e
+    cells = math.prod(s for _, s in variables)
+    if probs.size != cells:
+        raise SpecIOError(f"malformed joint pmf: {probs.size} probabilities for {cells} cells")
     return JointPmf(variables, probs)
 
 

@@ -52,21 +52,6 @@ def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,
     return np.random.Generator(bits).random((hi - lo, 4 * c))[:, :width]
 
 
-def _fold_index(values, sizes) -> int:
-    idx = 0
-    for v, s in zip(values, sizes):
-        idx = idx * s + v
-    return idx
-
-
-def _radix_powers(sizes) -> np.ndarray:
-    """Place values that fold digits most-significant first: ``digits @ powers``."""
-    out = np.ones(len(sizes), dtype=np.int64)
-    for pos in range(len(sizes) - 2, -1, -1):
-        out[pos] = out[pos + 1] * sizes[pos + 1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # codes
 
@@ -79,15 +64,13 @@ class TableCode:
     index) to the slot-k input symbol; per message pair (i, j) a decoder
     table maps (message index at j, received-word index) to the estimate of
     the message from i.  The messages node i originates form its ``w_row``,
-    destinations in ascending order.  Indices fold symbol tuples
-    most-significant first (ascending destination order; ascending slot
-    order).  The engine passes exactly k - b_i received symbols, so a code
-    cannot peek past its delay profile.
+    destinations in ascending order.  An index is the tuple's position in
+    numpy's C order (``np.ravel_multi_index``), the first symbol most
+    significant: a ``w_row`` in ascending destination order, a received
+    word in ascending slot order.  The engine passes exactly k - b_i
+    received symbols, so a code cannot peek past its delay profile.
 
-    ``decode`` takes one trial's ``w_row`` and received word.  The engine
-    calls the batch forms over trial-major arrays: ``w`` is
-    (trials, N - 1) message rows, ``y_prefix`` (trials, k - b_i) and ``y``
-    (trials, n) received symbols; each returns one int64 per trial.
+    ``decode`` takes one trial's ``w_row`` and received word.
     """
 
     n: int
@@ -125,23 +108,9 @@ class TableCode:
                      for j in range(1, n_nodes + 1) if j != i)
 
     def decode(self, i: int, j: int, w_row: tuple, y_seq: tuple) -> int:
-        w_idx = _fold_index(w_row, self._w_radices(j))
-        y_idx = _fold_index(y_seq, (self.output_sizes[j - 1],) * len(y_seq))
+        w_idx = np.ravel_multi_index(w_row, self._w_radices(j))
+        y_idx = np.ravel_multi_index(y_seq, (self.output_sizes[j - 1],) * len(y_seq))
         return int(self.decoder_tables[(i, j)][w_idx, y_idx])
-
-    def _fold_batch(self, node: int, w: np.ndarray, y: np.ndarray):
-        """(message index, received-word index) per trial at ``node``."""
-        y_powers = self.output_sizes[node - 1] ** np.arange(
-            y.shape[1] - 1, -1, -1, dtype=np.int64)
-        return w @ _radix_powers(self._w_radices(node)), y @ y_powers
-
-    def encode_batch(self, i: int, k: int, w: np.ndarray,
-                     y_prefix: np.ndarray) -> np.ndarray:
-        return self.encoder_tables[i - 1][k - 1][self._fold_batch(i, w, y_prefix)]
-
-    def decode_batch(self, i: int, j: int, w: np.ndarray,
-                     y: np.ndarray) -> np.ndarray:
-        return self.decoder_tables[(i, j)][self._fold_batch(j, w, y)]
 
 
 def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
@@ -368,56 +337,64 @@ def _check_code(spec: NetworkSpec, code: TableCode) -> None:
                               f"{np.shape(table)}, expected {want}")
 
 
-def _w_rows(code: TableCode, n_nodes: int, w: np.ndarray) -> dict:
-    """node -> (rows, N - 1) messages it originates, as ``w_row_of``, from
-    messages ``w`` (rows, P) in ``message_pairs`` order."""
-    pairs = code.message_pairs()
-    out = {}
-    for i in range(1, n_nodes + 1):
-        out[i] = np.zeros((w.shape[0], n_nodes - 1), dtype=np.int64)
-        others = [j for j in range(1, n_nodes + 1) if j != i]
-        for pos, j in enumerate(others):
-            if (i, j) in pairs:
-                out[i][:, pos] = w[:, pairs.index((i, j))]
-    return out
+def _message_indices(code: TableCode, w: np.ndarray) -> dict:
+    """node -> index of the messages it originates (its ``w_row_of``) per
+    row of messages ``w`` (rows, P) in ``message_pairs`` order; a node that
+    originates none has index 0."""
+    columns = dict(zip(code.message_pairs(), w.T))
+    return {i: np.ravel_multi_index(code.w_row_of(i, columns), code._w_radices(i))
+            for i in range(1, len(code.message_sizes) + 1)}
 
 
-def _slots(spec: NetworkSpec, code: TableCode, w_rows: dict, trials: int, column):
+def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column):
     """Run the slot order over ``trials`` rows at once.
 
-    In slot k, channel h after channel h - 1: every node of S_h encodes from
-    its messages ``w_rows`` and its first k - b_i received symbols, the
-    channel's input symbols fold to a row index, ``column(step, h, row)``
-    (step = k * alpha + h, both zero-based) gives the column the channel
-    emits per row, and that column splits into its output nodes' symbols.
+    Symbol tuples become table indices in numpy's C order, the first symbol
+    most significant (``np.ravel_multi_index``), and back
+    (``np.unravel_index``).  In slot k, channel h after channel h - 1: every
+    node i of S_h encodes from its message index ``w_idx[i]`` and the index
+    of its first k - b_i received symbols, the channel's input symbols give
+    its row, ``column(step, h, row)`` (step = k * alpha + h, both
+    zero-based) gives the column the channel emits per row, and that column
+    splits into its output nodes' symbols.  Each node's received word is
+    folded once per slot, after the slot's last channel; a zero-delay node
+    also folds in its current-slot symbol, which an earlier channel of the
+    slot emitted.
 
-    Returns inputs and outputs, (trials, n, N) each.
+    Returns inputs and outputs, (trials, n, N) each, and the index of each
+    node's whole received word, (N, trials).
     """
     nn, n = spec.n_nodes, code.n
     x = np.zeros((trials, n, nn), dtype=np.int64)
     y = np.zeros((trials, n, nn), dtype=np.int64)
+    words = np.zeros((nn, trials), dtype=np.int64)  # received words before slot k
+    sizes = code.output_sizes
     steps = []
     for h in range(1, spec.alpha + 1):
         in_vars, out_vars = spec.channel_input_vars(h), spec.channel_output_vars(h)
-        out_sizes = [spec.var_size(v) for v in out_vars]
         steps.append((
             spec.input_partition.blocks[h - 1].members,
             [(x if v[0] == "X" else y, int(v[1:]) - 1) for v in in_vars],
-            _radix_powers([spec.var_size(v) for v in in_vars]),
-            list(zip([int(v[1:]) - 1 for v in out_vars],
-                     _radix_powers(out_sizes), out_sizes))))
+            [spec.var_size(v) for v in in_vars],
+            [int(v[1:]) - 1 for v in out_vars],
+            [spec.var_size(v) for v in out_vars]))
     for k in range(n):
-        for h, (members, ins, in_powers, outs) in enumerate(steps):
+        for h, (members, ins, in_sizes, outs, out_sizes) in enumerate(steps):
             for i in members:
-                plen = k + 1 - code.delay_profile.delay_of(i)
-                x[:, k, i - 1] = code.encode_batch(i, k + 1, w_rows[i], y[:, :plen, i - 1])
-            row = np.zeros(trials, dtype=np.int64)
-            for (arr, node), power in zip(ins, in_powers):
-                row += arr[:, k, node] * power
+                word = words[i - 1]
+                if code.delay_profile.delay_of(i) == 0:
+                    word = np.ravel_multi_index((word, y[:, k, i - 1]),
+                                                (sizes[i - 1] ** k, sizes[i - 1]))
+                x[:, k, i - 1] = code.encoder_tables[i - 1][k][w_idx[i], word]
+            # a channel without inputs has the one row 0 (a scalar here); one
+            # without outputs has one column, which splits into no symbols
+            row = np.ravel_multi_index([arr[:, k, node] for arr, node in ins], in_sizes)
             col = column(k * spec.alpha + h, h, row)
-            for node, power, size in outs:
-                y[:, k, node] = col // power % size
-    return x, y
+            if outs:
+                y[:, k, outs] = np.transpose(np.unravel_index(col, out_sizes))
+        for i in range(nn):
+            words[i] = np.ravel_multi_index((words[i], y[:, k, i]), (sizes[i] ** k, sizes[i]))
+    return x, y, words
 
 
 def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
@@ -436,18 +413,19 @@ def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
     u = trial_uniforms(seed, (), lo, hi, P + code.n * spec.alpha)
     m = np.array([code.message_sizes[i - 1][j - 1] for i, j in pairs], dtype=float)
     w = np.floor(u[:, :P] * m).astype(np.int64)
-    w_rows = _w_rows(code, spec.n_nodes, w)
+    w_idx = _message_indices(code, w)
     cums = [np.cumsum(channel.table, axis=1) for channel in spec.channels]
 
     def column(step, h, row):
-        cum = cums[h][row]
-        # the number of cumulative entries <= u is searchsorted(side="right")
-        return np.minimum((cum <= u[:, P + step, None]).sum(axis=1), cum.shape[1] - 1)
+        # the number of cumulative entries <= u is searchsorted(side="right");
+        # a scalar row broadcasts over the trials
+        return np.minimum((cums[h][row] <= u[:, P + step, None]).sum(axis=1),
+                          cums[h].shape[1] - 1)
 
-    x, y = _slots(spec, code, w_rows, hi - lo, column)
+    x, y, words = _slots(spec, code, w_idx, hi - lo, column)
     est = np.empty_like(w)
     for q, (i, j) in enumerate(pairs):
-        est[:, q] = code.decode_batch(i, j, w_rows[j], y[:, :, j - 1])
+        est[:, q] = code.decoder_tables[(i, j)][w_idx[j], words[j - 1]]
     return w, x, y, est
 
 
@@ -501,7 +479,7 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
     """Exact joint of (W, X^n, Y^n), enumerated through the slot loop.
 
     An outcome is the messages and the column each channel emits in each
-    step, numbered in mixed radix (messages in ``message_pairs`` order, then
+    step, numbered in C order (messages in ``message_pairs`` order, then
     steps in slot-then-channel order) and run ``_TRIAL_CHUNK`` at a time.
     Its probability is p_w times the chosen channel entries, multiplied in
     step order.  Distinct outcomes give distinct (W, Y^n), so each one writes
@@ -518,8 +496,6 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
     P = len(pairs)
     radices = ([code.message_sizes[i - 1][j - 1] for (i, j) in pairs]
                + [channel.table.shape[1] for channel in spec.channels] * code.n)
-    powers = _radix_powers(radices)
-    strides = _radix_powers(sizes)
     p_w = 1.0
     for (i, j) in pairs:
         p_w /= code.message_sizes[i - 1][j - 1]
@@ -527,7 +503,7 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
     outcomes = math.prod(radices)
     for lo in range(0, outcomes, _TRIAL_CHUNK):
         rows = min(_TRIAL_CHUNK, outcomes - lo)
-        digits = np.arange(lo, lo + rows, dtype=np.int64)[:, None] // powers % radices
+        digits = np.transpose(np.unravel_index(np.arange(lo, lo + rows), radices))
         prob = np.full(rows, p_w)
 
         def column(step, h, row):
@@ -536,10 +512,10 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
             return col
 
         w = digits[:, :P]
-        x, y = _slots(spec, code, _w_rows(code, spec.n_nodes, w), rows, column)
+        x, y, _ = _slots(spec, code, _message_indices(code, w), rows, column)
         # per slot X_1..X_N then Y_1..Y_N, the order of _joint_variables
         cells = np.concatenate([w, np.concatenate([x, y], axis=2).reshape(rows, -1)], axis=1)
-        flat[cells @ strides] = prob
+        flat[np.ravel_multi_index(cells.T, sizes)] = prob
     return JointPmf(variables=tuple(variables), probs=flat)
 
 
@@ -690,9 +666,8 @@ def bscfb_engine_code(n: int, forward_code) -> TableCode:
         raise ResourceCapError(f"the engine form of the scheme at blocklength {n} "
                                f"needs more than the cap of {CODE_CELL_CAP} table cells")
     words = np.arange(2 ** n, dtype=np.int64)
-    messages = np.arange(2 ** k, dtype=np.int64)
-    word_bits = (words[:, None] >> np.arange(n - 1, -1, -1)) & 1  # slot 1 first
-    msg_bits = (messages[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    word_bits = np.transpose(np.unravel_index(words, (2,) * n))  # slot 1 first
+    msg_bits = np.transpose(np.unravel_index(np.arange(2 ** k), (2,) * k))
     codewords = np.asarray(forward_code.encode_batch(msg_bits.astype(np.uint8)),
                            dtype=np.int64)
     if codewords.shape != (2 ** k, n):
@@ -704,9 +679,10 @@ def bscfb_engine_code(n: int, forward_code) -> TableCode:
     # zero delay: the last prefix digit, y_idx & 1, is the current-slot symbol
     enc2 = tuple(((words[:, None] >> kk) & 1) ^ (np.arange(2 ** (kk + 1)) & 1)
                  for kk in range(n))
-    decoded = np.asarray(forward_code.decode_batch(word_bits.astype(np.uint8)),
-                         dtype=np.int64) @ _radix_powers((2,) * k)
-    reversed_words = word_bits @ (1 << np.arange(n, dtype=np.int64))
+    decoded = np.ravel_multi_index(
+        np.asarray(forward_code.decode_batch(word_bits.astype(np.uint8)), dtype=np.int64).T,
+        (2,) * k)
+    reversed_words = np.ravel_multi_index(word_bits.T[::-1], (2,) * n)  # slot 1 least significant
     return TableCode(
         n=n,
         message_sizes=((1, 2 ** k), (2 ** n, 1)),

@@ -406,6 +406,18 @@ def test_grid_cap_checked_before_length_d_tables():
         assert peak < 2 ** 20, mode  # under one byte per joint cell: no length-D table
 
 
+def test_grid_validates_its_spec_once(monkeypatch):
+    # positive-delay mode once validated again while composing the channel
+    calls = []
+    validate = model.validate_spec
+    monkeypatch.setattr(model, "validate_spec", lambda spec: calls.append(spec) or validate(spec))
+    spec = networks.bscfb_spec(0.11)
+    for mode in ("capacity", "positive-delay"):
+        calls.clear()
+        GridProblem(spec, mode, 8)
+        assert calls == [spec], mode
+
+
 def test_grid_cell_cap_checked_before_allocation():
     # 2^14 points at k=1, and the p(x) tables of one scan batch alone hold
     # 2^12 * 2^14 cells; the count comes from the alphabet sizes alone

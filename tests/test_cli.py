@@ -189,6 +189,14 @@ def test_bound_distribution_cap(capsys, spec_path):
     assert rc == EXIT_CAP and err.startswith("error: ")
 
 
+def test_bound_point_count_beyond_int64(capsys, spec_path):
+    # 7001^5 points pass this cap but no int64 point index numbers them all
+    rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "7000",
+                        "--max-distributions", str(10 ** 30))
+    assert rc == EXIT_CAP and out == ""
+    assert err.startswith(f"error: grid has {7001 ** 5} distributions") and err.count("\n") == 1
+
+
 def test_bound_rejects_nonpositive_max_distributions(capsys, spec_path):
     for cap in ("0", "-1"):
         rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "2",

@@ -108,6 +108,21 @@ def test_random_streams_are_built_in_two_places():
                      ("simulate.py", "random_table_code", False)}
 
 
+def test_symbol_tuples_unfold_only_through_numpy():
+    # one index convention: np.ravel_multi_index / np.unravel_index (C order,
+    # first symbol most significant) fold and unfold every symbol tuple, so
+    # no module splits an index by hand with np.divmod or a // b % c
+    hand_rolled = []
+    for path, tree in _parsed(sorted(_SRC.glob("*.py"))).items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "divmod"
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.left, ast.BinOp)
+                    and isinstance(node.left.op, ast.FloorDiv)):
+                hand_rolled.append(f"{path.name}:{node.lineno}")
+    assert hand_rolled == []
+
+
 def _attribute_uses(tree):
     """(stores, self_reads, other_reads, named) of one module.
 

@@ -81,6 +81,16 @@ def test_marginalize_rejects_bad_lists():
         marginalize(p, ("C",))
 
 
+def test_table_of_wrong_length_is_a_domain_error():
+    # validate() reports it; every reshaping operation refuses it
+    p = _joint((("A", 2), ("B", 2)), [0.5, 0.5])
+    for call in (p.as_array, lambda: marginalize(p, ("A",)),
+                 lambda: condition(p, {"A": 0}),
+                 lambda: conditional_mutual_information(p, ("A",), ("B",))):
+        with pytest.raises(DomainError, match="2 probabilities for the 4 cells"):
+            call()
+
+
 def test_condition_hand_oracle():
     # p(A, B) with rows A: [0.1, 0.3; 0.2, 0.4]
     p = _joint((("A", 2), ("B", 2)), [0.1, 0.3, 0.2, 0.4])
@@ -306,12 +316,13 @@ def test_product_input_joint_rejects_wrong_variables():
 
 def test_product_input_joint_rejects_malformed_px():
     # a NaN, a total of 2 and a negative cell once gave a NaN joint, a joint
-    # summing to 2 and negative cells
+    # summing to 2 and negative cells; a short table ended in a bare ValueError
     spec = networks.bscfb_spec(0.11)
     xs = (("X1", 2), ("X2", 2))
     for probs, why in (([math.nan, 0.25, 0.25, 0.25], "non-finite"),
                        ([0.5] * 4, "sums to 2"),
-                       ([1.25, -0.25, 0.0, 0.0], "outside")):
+                       ([1.25, -0.25, 0.0, 0.0], "outside"),
+                       ([0.5, 0.5], "2 probabilities for the 4 cells")):
         with pytest.raises(DomainError, match=why):
             product_input_joint(spec, _joint(xs, probs))
 
@@ -340,3 +351,5 @@ def test_joint_json_errors(tmp_path):
         load_joint(bad)
     with pytest.raises(SpecIOError):
         joint_from_dict({"variables": [["A", 2]]})
+    with pytest.raises(SpecIOError, match="2 probabilities for 4 cells"):
+        joint_from_dict({"variables": [["A", 2], ["B", 2]], "probs": [0.5, 0.5]})

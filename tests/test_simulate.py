@@ -10,7 +10,8 @@ import pytest
 
 from zdmn import networks, simulate
 from zdmn.errors import DomainError, ResourceCapError, SpecIOError
-from zdmn.model import DelayProfile, enumerate_feasible_profiles
+from zdmn.model import (ChannelTable, DelayProfile, NetworkSpec, NodeSet, Partition,
+                        enumerate_feasible_profiles)
 from zdmn.polar import PolarCode
 from zdmn.probability import marginalize
 from zdmn.simulate import (
@@ -38,17 +39,50 @@ def _tiny_polar(n, k):
     return PolarCode(n, k, 0.11, list_size=1, crc_bits=0)
 
 
+def _with_random_channels(shell, seed):
+    """``shell`` with every channel row a Dirichlet(1, ..., 1) draw."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    channels = []
+    for h in range(1, shell.alpha + 1):
+        in_vars, out_vars = shell.channel_input_vars(h), shell.channel_output_vars(h)
+        rows = math.prod(shell.var_size(v) for v in in_vars)
+        cols = math.prod(shell.var_size(v) for v in out_vars)
+        channels.append(ChannelTable(in_vars, out_vars, rng.dirichlet(np.ones(cols), size=rows)))
+    return dataclasses.replace(shell, channels=tuple(channels))
+
+
+def _mixed_alphabet_spec():
+    """Three nodes with alphabets of sizes 1, 2 and 3: channel 1 emits the
+    ternary Y2 and the binary Y3 from the ternary X1, channel 2 emits Y1 from
+    everything before it.  Nodes 2 and 3 may have zero delay."""
+    s = Partition((NodeSet((1,)), NodeSet((2, 3))))
+    g = Partition((NodeSet((2, 3)), NodeSet((1,))))
+    return _with_random_channels(NetworkSpec(3, (3, 2, 1), (2, 3, 2), 2, s, g, ()), 3)
+
+
+def _empty_block_spec():
+    """Two binary nodes with S = ({}, {1, 2}) and G = ({1, 2}, {}): channel 1
+    reads no input and channel 2 emits no output."""
+    s = Partition((NodeSet(()), NodeSet((1, 2))))
+    g = Partition((NodeSet((1, 2)), NodeSet(())))
+    return _with_random_channels(NetworkSpec(2, (2, 2), (2, 2), 2, s, g, ()), 4)
+
+
 # ---------------------------------------------------------------------------
-# index folding
+# indices
 
 
-def test_fold_unfold_roundtrip():
-    rng = np.random.Generator(np.random.Philox(0))
-    for _ in range(200):
-        sizes = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 6)))
-        vals = tuple(int(rng.integers(0, s)) for s in sizes)
-        assert simulate._fold_index(vals, sizes) == np.ravel_multi_index(vals, sizes)
-    assert simulate._fold_index((1, 0, 1), (2, 3, 2)) == 1 * 6 + 0 * 2 + 1
+def test_decode_indices_first_symbol_most_significant():
+    # node 2 originates messages of sizes 3 (to node 1) and 2 (to node 3)
+    # and hears a ternary word of two slots; its decoder cell (w, y) is 9w + y
+    code = TableCode(n=2, message_sizes=((1, 2, 2), (3, 1, 2), (2, 2, 1)),
+                     delay_profile=DelayProfile.of((1, 1, 1)), input_sizes=(2, 2, 2),
+                     output_sizes=(2, 3, 2), encoder_tables=(),
+                     decoder_tables={(1, 2): np.arange(54).reshape(6, 9)})
+    # w_row (1, 0) has index 1 * 2 + 0, received word (2, 0) has 2 * 3 + 0
+    assert code.decode(1, 2, (1, 0), (2, 0)) == 9 * 2 + 6
+    messages = {(2, 1): 2, (2, 3): 1, (1, 2): 0}
+    assert code.decode(1, 2, code.w_row_of(2, messages), (0, 1)) == 9 * 5 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +236,11 @@ def _assert_matches_serial(spec, code, seed, trials):
 
 
 def test_batch_engine_matches_serial_reference_table_codes(bundled_specs):
-    for (name, spec), n in itertools.product(sorted(bundled_specs.items()), (1, 2, 3)):
+    cases = [(spec, 2) for _, spec in sorted(bundled_specs.items())]
+    cases += [(_mixed_alphabet_spec(), 3), (_empty_block_spec(), 2)]
+    for (spec, m), n in itertools.product(cases, (1, 2, 3)):
         for r, profile in enumerate(enumerate_feasible_profiles(spec)):
-            code = random_table_code(spec, n, profile, seed=10 * n + r)
+            code = random_table_code(spec, n, profile, seed=10 * n + r, message_size=m)
             _assert_matches_serial(spec, code, seed=n + r, trials=12)
 
 
@@ -332,9 +368,14 @@ def test_zero_delay_code_accepted_only_where_meaningful():
 
 
 def test_induced_joint_matches_serial_reference(bundled_specs):
-    for (name, spec), n in itertools.product(sorted(bundled_specs.items()), (1, 2)):
+    cases = [(name, spec, n, 2) for (name, spec), n
+             in itertools.product(sorted(bundled_specs.items()), (1, 2))]
+    cases += [("empty-block", _empty_block_spec(), n, 2) for n in (1, 2)]
+    # at n = 2 its 3^6 message tuples take the serial reference about 20 s per profile
+    cases.append(("mixed-alphabet", _mixed_alphabet_spec(), 1, 3))
+    for name, spec, n, m in cases:
         for r, profile in enumerate(enumerate_feasible_profiles(spec)):
-            code = random_table_code(spec, n, profile, seed=20 * n + r)
+            code = random_table_code(spec, n, profile, seed=20 * n + r, message_size=m)
             assert np.array_equal(induced_joint(spec, code).probs,
                                   _serial_joint(spec, code)), (name, n, profile)
 
