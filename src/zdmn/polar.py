@@ -4,16 +4,19 @@ A natural-order polar transform (lower-triangular kernel, no bit reversal)
 of size 2^ceil(log2 n), shortened down to n by freezing the tail inputs,
 which pins the tail codeword bits to 0 so they need not be transmitted.
 Decoding is CRC-aided successive-cancellation list decoding with an integer
-min-sum update rule, batched over blocks in numpy.  The decoder walks the
-tree node by node rather than leaf by leaf (Sarkis, Giard, Vardy, Thibeault
-& Gross 2014, "Fast polar decoders"): a subtree whose leaves are all frozen
-(Rate-0) or all frozen but the last (Rep) is decoded in one step from its
-input LLRs, with the same path metrics, decisions and list order as the
-leaf-by-leaf decoder.  The list engine copies path state lazily: it keeps
-one LLR and one partial-sum buffer per tree depth, each read through a
-per-depth map from path to buffer row, so a list reorder only composes
-index maps; the decided bits are recovered by tracing the recorded parent
-rows back once at the end.  The information set
+min-sum update rule, batched over blocks in numpy.  A shortened bit enters
+the decoder with the smallest LLR that decodes exactly as an infinite one
+would, so the LLR buffers fit int32 at the usual blocklengths.  The decoder
+walks the tree node by node rather than leaf by leaf (Sarkis, Giard, Vardy,
+Thibeault & Gross 2014, "Fast polar decoders"): a subtree whose leaves are
+all frozen (Rate-0) or all frozen but the last (Rep) is decoded in one step
+from its input LLRs, with the same path metrics, decisions and list order
+as the leaf-by-leaf decoder.  The list engine copies path state lazily: it
+keeps one LLR and one partial-sum buffer per tree depth, each read through
+a per-depth map from path to buffer row, so a list reorder only composes
+the index maps that can still be read; the decided bits are recovered by
+tracing the recorded parent rows back once at the end.  The list is pruned
+by one sort of packed (metric, index) keys.  The information set
 is picked by exact density evolution of this decoder (Mori & Tanaka 2009;
 Tal & Vardy 2013, "How to construct polar codes"): every LLR of the
 genie-aided successive-cancellation decoder is an integer, so its law under
@@ -29,7 +32,6 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 
-BIG = np.int64(1) << np.int64(40)  # pseudo-infinite LLR of a shortened (known-zero) bit
 MAX_N = 2 ** 14  # largest blocklength PolarCode accepts
 _DECODE_CHUNK = 256  # most blocks per decoder call
 _DECODE_LANES = 2 ** 23  # blocks x list paths x code length per decoder call
@@ -54,17 +56,28 @@ def _encode_batch(u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _crc_bits(bits: np.ndarray, nc: int) -> np.ndarray:
-    """CRC of each row of a (B, k) bit array, MSB-first, zero init."""
-    poly = _CRC_POLYS[nc]
-    mask = (1 << nc) - 1
-    reg = np.zeros(bits.shape[0], dtype=np.int64)
-    for j in range(bits.shape[1]):
-        reg ^= bits[:, j].astype(np.int64) << (nc - 1)
-        msb = (reg >> (nc - 1)) & 1
-        reg = ((reg << 1) & mask) ^ (msb * poly)
-    out = (reg[:, None] >> np.arange(nc - 1, -1, -1)) & 1
-    return out.astype(np.uint8)
+def _crc_matrix(k: int, nc: int) -> np.ndarray:
+    """(k, nc) GF(2) generator of the nc-bit CRC (MSB-first, zero init) of k bits.
+
+    The CRC is linear in the message, so row j is the CRC of the unit
+    vector e_j: the polynomial for the last bit, and one zero shifted
+    through the register per earlier position.
+    """
+    poly, top = _CRC_POLYS[nc], 1 << nc
+    regs = [poly]
+    for _ in range(k - 1):
+        reg = regs[-1] << 1
+        regs.append(reg ^ poly ^ top if reg & top else reg)
+    regs = np.array(regs[::-1], dtype=np.int64)
+    return ((regs[:, None] >> np.arange(nc - 1, -1, -1)) & 1).astype(np.float32)
+
+
+def _crc_bits(bits: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """CRC of each row of a (B, k) bit array as bits @ gen mod 2.
+
+    float32 sums of at most k ones are exact for k < 2^24.
+    """
+    return (bits.astype(np.float32) @ gen % 2).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +95,18 @@ def _crc_bits(bits: np.ndarray, nc: int) -> np.ndarray:
 # give, for each path (flat row b * L + j), the flat row that holds its
 # P[d] / S[d] data, so a reorder of the list composes the parent rows into
 # the maps and moves no data.  A buffer is gathered only when it is read
-# through a moved map: the g-step reads P[l0 - 1], the partial-sum ripple
-# reads the left children S[d].  Every write makes a fresh buffer in path
-# order and resets its map.  The f-steps read buffers written in the same
-# node, and the g-step's S[l0] was written by the previous node after its
-# reorder, so neither is ever gathered.  Decided bits are not stored per
-# path: each Rep node records its bits and parent rows at its last leaf,
-# and U is traced back once at the end.
+# through a map other than the identity: the g-step reads P[l0 - 1], the
+# partial-sum ripple reads the left children S[d].  Every write makes a
+# fresh buffer in path order and resets its map to the identity.  The
+# f-steps read buffers written in the same node, and the g-step's S[l0] was
+# written by the previous node after its reorder, so neither is ever
+# gathered.  A reorder at a node of depth `depth` therefore composes only
+# the maps that can still be read before their buffer is rewritten, one
+# per level d = 1..depth: P[d - 1] where the node lies in the left child at
+# depth d (its right sibling's g-step reads it), else S[d] (the ripple out
+# of the right child reads it).  Decided bits are not stored per path:
+# each Rep node records its bits and parent rows at its last leaf, and U
+# is traced back once at the end into a (n_code, B, L) array.
 #
 # The tree is split once into nodes (_node_split): the largest subtrees
 # that are Rate-0 or Rep, a single leaf being one or the other.  The update
@@ -101,6 +119,25 @@ def _crc_bits(bits: np.ndarray, nc: int) -> np.ndarray:
 # whose bits are all b it is sum(max(-alpha, 0)) for b = 0 and
 # sum(max(alpha, 0)) for b = 1, so a Rep node branches once, exactly like
 # an information leaf.
+#
+# Widths.  f selects one input up to sign and g adds or subtracts two, and
+# the halves they combine depend on disjoint channel positions, so every
+# LLR is a signed sum of disjoint channel LLRs of its row.  The LLR buffers
+# are therefore int32 when each row's sum of |LLR| is below 2^31
+# (_llr_dtype), else int64; path metrics are int64.  A shortened bit's LLR
+# B stands for +infinity.  With +-1 for the n other channel positions, every
+# LLR is c * B + r with integers c, r and |r| <= n, and a path metric, a sum
+# over at most n_code nodes of penalties that each combine disjoint channel
+# positions, has |r| <= n_code * n.  When B > 2 * n_code * n, every
+# comparison the decoder makes (an f-step's min and max, a penalty's sign,
+# the list sort and its ties) orders (c, r) lexicographically, as an
+# infinite B would, so every B above that bound gives the same decisions
+# and list order; PolarCode.shortened_llr is the smallest power of two
+# above it, 2^23 at n = 2000.  The list is pruned by one sort of
+# the keys PM << s | index, s = bit_length(2L - 1): distinct keys, sorted
+# by metric and then by index, which is the stable order.  This is exact
+# while every candidate metric is below 2^(63 - s); a node whose metrics
+# break that bound falls back to a stable argsort.
 
 
 def _f_step(av, cv):
@@ -150,38 +187,47 @@ def _node_split(frozen):
     return nodes
 
 
+def _llr_dtype(llr0):
+    """int32 when every row's sum of |LLR| is below 2^31, else int64.
+
+    Every decoder LLR is a signed sum of disjoint channel LLRs of its row,
+    so this sum bounds every value the LLR buffers hold.
+    """
+    total = np.abs(llr0).sum(axis=1, dtype=np.int64).max(initial=0)
+    return np.int32 if total < 2 ** 31 else np.int64
+
+
 def _scl_run(llr0, frozen, L):
     """Run the list decoder on (B, n_code) LLR blocks; returns (U, PM).
 
     The list holds min(L, 2**k) paths, k the number of information leaves,
     so it is full at the end and every returned lane is a decoded path.
-    The LLRs are copied position first unless llr0 is already the
-    transpose of a contiguous (n_code, B) array.
+    The LLRs are copied position first, in the dtype of _llr_dtype, unless
+    llr0 is already the transpose of such a contiguous (n_code, B) array.
+    U is a (B, L, n_code) view of a contiguous (n_code, B, L) array.
     """
     B, n = llr0.shape
     m = n.bit_length() - 1
     L = min(L, 1 << int(np.count_nonzero(np.asarray(frozen) == 0)))
-    P = [np.ascontiguousarray(llr0.T)[:, :, None]] + [None] * m
+    P = [np.ascontiguousarray(llr0.T, dtype=_llr_dtype(llr0))[:, :, None]] + [None] * m
     S = [None] * (m + 1)
     ident = np.arange(B * L)
-    maps = np.tile(ident, (2, m + 1, 1))
-    moved = np.zeros((2, m + 1), dtype=bool)
+    maps = ([ident] * (m + 1), [ident] * (m + 1))  # ident: the buffer is in path order
     row = (np.arange(B) * L)[:, None]
     row_dtype = np.min_scalar_type(B * L - 1)
+    shift = (2 * L - 1).bit_length()  # packed key: PM << shift | candidate index
+    key_cap = 1 << (63 - shift)
+    cand = np.arange(2 * L)
     PM = np.zeros((B, L), dtype=np.int64)
     zeros = np.zeros((1, B, 1), dtype=np.int8)
     trace = []  # (leaf, bits, flat parent rows or None) per Rep node
 
     def read(k, d):  # k = 0: P[d], k = 1: S[d], in path order
         buf = (P, S)[k][d]
-        if not moved[k, d] or buf.shape[2] == 1:
+        if maps[k][d] is ident or buf.shape[2] == 1:
             return buf
         w = buf.shape[0]
-        return buf.reshape(w, B * L).take(maps[k, d], axis=1).reshape(w, B, L)
-
-    def wrote(k, d):
-        maps[k, d] = ident
-        moved[k, d] = False
+        return buf.reshape(w, B * L).take(maps[k][d], axis=1).reshape(w, B, L)
 
     a = 1
     for phi, depth, rep in _node_split(frozen):
@@ -193,20 +239,20 @@ def _scl_run(llr0, frozen, L):
             w = n >> l0
             seg = read(0, l0 - 1)
             P[l0] = _g_step(seg[:w], seg[w:], S[l0])
-            wrote(0, l0)
+            maps[0][l0] = ident
             lo = l0 + 1
         for d in range(lo, depth + 1):
             w = n >> d
             seg = P[d - 1]
             P[d] = _f_step(seg[:w], seg[w:])
-            wrote(0, d)
+            maps[0][d] = ident
         alpha = P[depth]
-        pen0 = np.maximum(-alpha, 0).sum(axis=0)
+        pen0 = np.maximum(-alpha, 0).sum(axis=0, dtype=np.int64)
         if not rep:  # Rate-0: every bit 0
             PM += pen0
             x = zeros
         else:  # Rep: every bit a copy of one decided bit
-            pen1 = pen0 + alpha.sum(axis=0)  # sum of max(alpha, 0)
+            pen1 = pen0 + alpha.sum(axis=0, dtype=np.int64)  # sum of max(alpha, 0)
             if 2 * a <= L:  # list still growing: keep every extension
                 l2 = 2 * a
                 PM[:, :l2] = np.repeat(PM[:, :a], 2, axis=1)
@@ -221,8 +267,15 @@ def _scl_run(llr0, frozen, L):
                 pmc = np.empty((B, 2 * a), dtype=np.int64)
                 pmc[:, 0::2] = PM[:, :a] + pen0[:, :a]
                 pmc[:, 1::2] = PM[:, :a] + pen1[:, :a]
-                order = np.argsort(pmc, axis=1, kind="stable")[:, :L]
-                PM = np.take_along_axis(pmc, order, axis=1)
+                if pmc.max() < key_cap:
+                    pmc <<= shift
+                    pmc |= cand[:2 * a]
+                    pmc.sort(axis=1)
+                    PM = pmc[:, :L] >> shift
+                    order = pmc[:, :L] & ((1 << shift) - 1)
+                else:
+                    order = np.argsort(pmc, axis=1, kind="stable")[:, :L]
+                    PM = np.take_along_axis(pmc, order, axis=1)
                 bit = (order & 1).astype(np.uint8)
                 parent = order >> 1
                 a = L
@@ -230,9 +283,12 @@ def _scl_run(llr0, frozen, L):
             leaf = phi + (n >> depth) - 1
             if np.array_equal(flat, ident):
                 trace.append((leaf, bit, None))
-            else:  # reorder the list: compose the maps, move no data
-                maps[...] = maps[..., flat]
-                moved[...] = True
+            else:  # reorder the list: compose the live maps, move no data
+                ph = phi >> (m - depth)
+                for d in range(depth, 0, -1):
+                    mk, j = (maps[1], d) if ph & 1 else (maps[0], d - 1)
+                    mk[j] = flat if mk[j] is ident else mk[j][flat]
+                    ph >>= 1
                 trace.append((leaf, bit, flat.astype(row_dtype)))
             x = -bit.astype(np.int8)[None]
         d, ph = depth, phi >> (m - depth)
@@ -246,14 +302,14 @@ def _scl_run(llr0, frozen, L):
             d -= 1
         if d > 0:
             S[d] = x
-            wrote(1, d)
-    U = np.zeros((B, L, n), dtype=np.uint8)
+            maps[1][d] = ident
+    U = np.zeros((n, B, L), dtype=np.uint8)
     cur = None  # flat row of each final path's ancestor; None = identity
     for leaf, bit, flat in reversed(trace):
-        U[:, :, leaf] = bit if cur is None else bit.reshape(-1)[cur].reshape(B, L)
+        U[leaf] = bit if cur is None else bit.reshape(-1)[cur].reshape(B, L)
         if flat is not None:
             cur = flat if cur is None else flat[cur]
-    return U, PM
+    return U.transpose(1, 2, 0), PM
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +407,8 @@ def _construct(n: int, k_total: int, eps: float):
 
 def _decode_chunk_blocks(n_code: int, list_size: int) -> int:
     """Blocks per decoder call: at most _DECODE_CHUNK, and few enough that the
-    list decoder's int64 LLRs stay within the _DECODE_LANES budget."""
+    list decoder's LLR lanes (blocks x paths x code bits, int32 or int64 as
+    _llr_dtype picks) stay within the _DECODE_LANES budget."""
     return max(1, min(_DECODE_CHUNK, _DECODE_LANES // (list_size * n_code)))
 
 
@@ -392,6 +449,9 @@ class PolarCode:
         if key not in _construction_cache:
             _construction_cache[key] = _construct(self.n, self.k_total, self.eps)
         self.n_code = n_code
+        # a shortened bit's LLR: above 2 n_code n it decodes as +infinity ("Widths" above)
+        self.shortened_llr = 1 << (2 * n_code * self.n).bit_length()
+        self._crc_gen = _crc_matrix(self.k, self.crc_bits) if self.crc_bits else None
         self.info_positions, self.sc_union_bound = _construction_cache[key]
         self.frozen = np.ones(self.n_code, dtype=np.uint8)
         self.frozen[self.info_positions] = 0
@@ -401,7 +461,7 @@ class PolarCode:
         if msgs.shape[1] != self.k:
             raise DomainError(f"messages must have {self.k} bits")
         if self.crc_bits:
-            info = np.hstack([msgs, _crc_bits(msgs, self.crc_bits)])
+            info = np.hstack([msgs, _crc_bits(msgs, self._crc_gen)])
         else:
             info = msgs
         u = np.zeros((msgs.shape[0], self.n_code), dtype=np.uint8)
@@ -422,13 +482,13 @@ class PolarCode:
         b = ys.shape[0]
         llr = np.empty((self.n_code, b), dtype=np.int64)  # the decoder's layout
         llr[:self.n] = 1 - 2 * ys.T.astype(np.int64)
-        llr[self.n:] = BIG
+        llr[self.n:] = self.shortened_llr
         u_all, pm = _scl_run(llr.T, self.frozen, self.list_size)
         cand = u_all[:, :, self.info_positions]
         pay = cand[:, :, :self.k]
         order = np.argsort(pm, axis=1, kind="stable")
         if self.crc_bits:
-            calc = _crc_bits(pay.reshape(-1, self.k), self.crc_bits)
+            calc = _crc_bits(pay.reshape(-1, self.k), self._crc_gen)
             stored = cand[:, :, self.k:].reshape(-1, self.crc_bits)
             ok = np.all(calc == stored, axis=1).reshape(pm.shape)
             ok_ord = np.take_along_axis(ok, order, axis=1)

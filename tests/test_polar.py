@@ -5,7 +5,23 @@ import pytest
 
 from zdmn import polar
 from zdmn.errors import DomainError, ResourceCapError
-from zdmn.polar import BIG, PolarCode, _crc_bits, _encode_batch
+from zdmn.polar import PolarCode, _crc_bits, _crc_matrix, _encode_batch
+
+_INF = 1 << 40  # a pseudo-infinite LLR for a known-zero bit
+_CRC_POLYS = {8: 0x07, 16: 0x1021}
+
+
+def _crc_reference(bits, nc):
+    """Shift-register CRC of each row of a (B, k) bit array, MSB-first, zero init."""
+    poly = _CRC_POLYS[nc]
+    mask = (1 << nc) - 1
+    reg = np.zeros(bits.shape[0], dtype=np.int64)
+    for j in range(bits.shape[1]):
+        reg ^= bits[:, j].astype(np.int64) << (nc - 1)
+        msb = (reg >> (nc - 1)) & 1
+        reg = ((reg << 1) & mask) ^ (msb * poly)
+    out = (reg[:, None] >> np.arange(nc - 1, -1, -1)) & 1
+    return out.astype(np.uint8)
 
 
 def _kron_transform(m: int) -> np.ndarray:
@@ -108,7 +124,7 @@ def test_shortened_tail_is_all_zero():
     assert code.n_code == 128
     rng = np.random.Generator(np.random.Philox(2))
     msgs = rng.integers(0, 2, size=(40, 30), dtype=np.uint8)
-    info = np.hstack([msgs, _crc_bits(msgs, 8)])
+    info = np.hstack([msgs, _crc_reference(msgs, 8)])
     u = np.zeros((40, 128), dtype=np.uint8)
     u[:, code.info_positions] = info
     full = _encode_batch(u)
@@ -146,15 +162,110 @@ def test_list_decoder_matches_per_path_reference():
             for trial in range(3):
                 frozen = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.uint8)
                 llr = rng.integers(-3, 4, size=(2, n)).astype(np.int64)  # zeros tie
-                if trial == 2:  # shortened tail: known-zero bits at +BIG
+                if trial == 2:  # shortened tail: known-zero bits at +infinity
                     t = int(rng.integers(n // 2, n))
-                    llr[:, t:] = BIG
+                    llr[:, t:] = _INF
                     frozen[t:] = 1
                 u, pm = polar._scl_run(llr, frozen, L)
                 for b in range(2):
                     want_u, want_pm = _scl_reference(llr[b], frozen, L)
                     assert np.array_equal(u[b], want_u), (n, L, trial, b)
                     assert np.array_equal(pm[b], want_pm), (n, L, trial, b)
+
+
+def _dtype_spy(monkeypatch):
+    """Record every LLR dtype that _scl_run picks."""
+    seen, real = [], polar._llr_dtype
+    monkeypatch.setattr(polar, "_llr_dtype", lambda llr0: seen.append(real(llr0)) or seen[-1])
+    return seen
+
+
+def test_llr_width_at_the_int32_bound(monkeypatch):
+    # every LLR is a signed sum of one row's channel LLRs: a row whose sum
+    # of |LLR| is 2**31 - 1 fits int32, one at 2**31 needs int64
+    seen = _dtype_spy(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(12))
+    for total, want in ((2 ** 31 - 1, np.int32), (2 ** 31, np.int64)):
+        for trial in range(4):
+            frozen = (rng.random(8) < 0.5).astype(np.uint8)
+            llr = rng.integers(-3, 4, size=(2, 8)).astype(np.int64)
+            j = int(rng.integers(0, 8))
+            llr[1, j] = 0
+            llr[1, j] = (-1) ** trial * (total - int(np.abs(llr[1]).sum()))
+            for L in (1, 2, 3, 4):
+                u, pm = polar._scl_run(llr, frozen, L)
+                assert seen[-1] == want
+                for b in range(2):
+                    want_u, want_pm = _scl_reference(llr[b], frozen, L)
+                    assert np.array_equal(u[b], want_u), (total, trial, L, b)
+                    assert np.array_equal(pm[b], want_pm), (total, trial, L, b)
+
+
+def test_candidate_sort_falls_back_above_the_packed_key_bound(monkeypatch):
+    # at L = 2 a packed key PM << 2 | index is exact while PM < 2**61; the
+    # list is full after leaf 6, and leaf 7's LLR carries the huge channel
+    # LLR, so its wrong-bit candidate metric lands just above or below 2**61
+    calls = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+    frozen = np.array([1, 1, 1, 1, 1, 1, 0, 0], dtype=np.uint8)
+    rng = np.random.Generator(np.random.Philox(13))
+    for huge, fallback in ((2 ** 61 + 64, True), (2 ** 61 - 64, False)):
+        for _ in range(4):
+            llr = rng.integers(-3, 4, size=(2, 8)).astype(np.int64)
+            llr[:, 7] = huge
+            calls.clear()
+            u, pm = polar._scl_run(llr, frozen, 2)
+            assert bool(calls) == fallback and pm.max() < 2 ** 62
+            assert all(kw.get("kind") == "stable" for kw in calls)
+            for b in range(2):
+                want_u, want_pm = _scl_reference(llr[b], frozen, 2)
+                assert np.array_equal(u[b], want_u), (huge, b)
+                assert np.array_equal(pm[b], want_pm), (huge, b)
+
+
+def _noisy_blocks(code, eps, blocks, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    msgs = rng.integers(0, 2, size=(blocks, code.k), dtype=np.uint8)
+    x = code.encode_batch(msgs)
+    return x ^ (rng.random(x.shape) < eps).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", (200, 700, 1500, 2000))
+def test_smallest_shortened_llr_decodes_as_pseudo_infinite(n, monkeypatch):
+    # every LLR is c * B + r with |r| <= n, so any B above 2 * n_code * n
+    # orders the decoder's comparisons as B = infinity does
+    code = PolarCode(n, int(0.4 * n), 0.11)
+    assert code.shortened_llr > 2 * code.n_code * n >= code.shortened_llr // 2
+    ys = []
+    for seed, eps in enumerate((0.11, 0.3, 0.5)):
+        y = _noisy_blocks(code, eps, 6, 20 + seed)
+        ys.append(y)
+        llr = np.full((6, code.n_code), code.shortened_llr, dtype=np.int64)
+        llr[:, :n] = 1 - 2 * y.astype(np.int64)
+        llr_inf = llr.copy()
+        llr_inf[:, n:] = _INF
+        # 548 shortened bits at n = 1500 take the LLR sum past 2**31
+        assert polar._llr_dtype(llr) == (np.int64 if n == 1500 else np.int32)
+        assert polar._llr_dtype(llr_inf) == np.int64
+        u, pm = polar._scl_run(llr, code.frozen, code.list_size)
+        u_inf, pm_inf = polar._scl_run(llr_inf, code.frozen, code.list_size)
+        assert np.array_equal(u, u_inf), eps
+        assert np.array_equal(np.argsort(pm, axis=1, kind="stable"),
+                              np.argsort(pm_inf, axis=1, kind="stable")), eps
+    ys = np.vstack(ys)
+    got = code.decode_batch(ys)
+    monkeypatch.setattr(code, "shortened_llr", _INF)
+    assert np.array_equal(got, code.decode_batch(ys))
+
+
+def test_forward_code_decodes_with_int32_llrs(monkeypatch):
+    # the bscfb forward code: n = 2000 at rate 0.4, list 16
+    seen = _dtype_spy(monkeypatch)
+    code = PolarCode(2000, 800, 0.11)
+    assert code.list_size == 16 and code.n_code == 2048
+    code.decode_batch(_noisy_blocks(code, 0.11, 2, 30))
+    assert seen == [np.int32]
 
 
 def test_node_split_of_forward_code():
@@ -188,7 +299,7 @@ def test_node_shortcuts_match_per_path_reference():
     msgs = rng.integers(0, 2, size=(2, 60), dtype=np.uint8)
     x = code.encode_batch(msgs)
     y = x ^ (rng.random(x.shape) < 0.11).astype(np.uint8)
-    llr = np.full((2, 256), BIG, dtype=np.int64)
+    llr = np.full((2, 256), code.shortened_llr, dtype=np.int64)
     llr[:, :200] = 1 - 2 * y.astype(np.int64)
     for L in (1, 4, 8):
         u, pm = polar._scl_run(llr, code.frozen, L)
@@ -216,7 +327,7 @@ def test_decoder_handles_shortened_llr_like_reference():
     for t in range(30):
         llr = np.empty(code.n_code, dtype=np.int64)
         llr[:12] = 1 - 2 * ys[t].astype(np.int64)
-        llr[12:] = BIG
+        llr[12:] = code.shortened_llr
         full_u = _sc_reference(llr, code.frozen)
         assert np.array_equal(got[t], full_u[code.info_positions][:4])
 
@@ -233,7 +344,8 @@ def test_batched_decode_equals_single():
 def test_decode_chunk_stays_within_lane_budget():
     # forward-code's n=2000 (n_code 2048) keeps the full 256 blocks
     assert polar._decode_chunk_blocks(2048, 16) == 256
-    # at MAX_N 32 blocks of 16 paths: 2**23 int64 lanes, about 128 MB
+    # at MAX_N 32 blocks of 16 paths: 2**23 lanes, about 128 MB of LLR
+    # buffers over all depths in int64 and half that in int32
     assert polar._decode_chunk_blocks(polar.MAX_N, 16) == 32
     assert polar._decode_chunk_blocks(polar.MAX_N, 16) * 16 * polar.MAX_N <= 2 ** 23
     assert polar._decode_chunk_blocks(2 ** 30, 16) == 1
@@ -273,20 +385,32 @@ def test_crc_known_answer_vectors():
     # CRC-16/XMODEM 0x1021 -> 0x31C3
     data = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
     bits = data[None, :]
-    got8 = _crc_bits(bits, 8)[0]
-    assert int("".join(map(str, got8)), 2) == 0xF4
-    got16 = _crc_bits(bits, 16)[0]
-    assert int("".join(map(str, got16)), 2) == 0x31C3
+    for nc, want in ((8, 0xF4), (16, 0x31C3)):
+        assert polar._CRC_POLYS[nc] == _CRC_POLYS[nc]
+        for got in (_crc_reference(bits, nc)[0], _crc_bits(bits, _crc_matrix(72, nc))[0]):
+            assert int("".join(map(str, got)), 2) == want
+
+
+def test_crc_matrix_product_matches_shift_register():
+    rng = np.random.Generator(np.random.Philox(10))
+    for k in (1, 2, 17, 800, 3000):
+        bits = rng.integers(0, 2, size=(40, k), dtype=np.uint8)
+        bits[0] = 1  # every row of the generator at once
+        for nc in (8, 16):
+            got = _crc_bits(bits, _crc_matrix(k, nc))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, _crc_reference(bits, nc)), (k, nc)
 
 
 def test_crc_detects_every_single_bit_flip():
     rng = np.random.Generator(np.random.Philox(7))
     msg = rng.integers(0, 2, size=(1, 24), dtype=np.uint8)
-    stored = _crc_bits(msg, 16)[0]
+    gen = _crc_matrix(24, 16)
+    stored = _crc_bits(msg, gen)[0]
     for j in range(24):
         bent = msg.copy()
         bent[0, j] ^= 1
-        assert not np.array_equal(_crc_bits(bent, 16)[0], stored)
+        assert not np.array_equal(_crc_bits(bent, gen)[0], stored)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +443,7 @@ def _exhaustive_genie_errors(n, eps):
         u[:n] = bits
         x = (u @ _KRON[m]) % 2
         assert not x[n:].any()  # shortened tail codeword bits are 0
-        llr = np.full((len(patterns), n_code), BIG, dtype=np.int64)
+        llr = np.full((len(patterns), n_code), _INF, dtype=np.int64)
         llr[:, :n] = 1 - 2 * (x[:n] ^ patterns).astype(np.int64)
         dec = (_genie_leaf_llrs(llr, u) < 0).astype(np.int64)
         errs += weight @ (dec != u)
