@@ -55,14 +55,14 @@ def compositions(k: int, m: int) -> np.ndarray:
 
 
 def capacity_term_groups(spec: NetworkSpec, cut: NodeSet, h: int):
-    """(A, B, C) variable names of the h-th capacity-bound term for cut T."""
-    t = set(cut.members)
-    sh = set(spec.input_partition.prefix(h).members)
-    gh_prev = set(spec.output_partition.prefix(h - 1).members)
-    gh = set(spec.output_partition.blocks[h - 1].members)
-    a = tuple(x_var(i) for i in sorted(t & sh)) + tuple(y_var(i) for i in sorted(t & gh_prev))
-    b = tuple(y_var(i) for i in sorted(gh - t))
-    c = tuple(x_var(i) for i in sorted(sh - t)) + tuple(y_var(i) for i in sorted(gh_prev - t))
+    """(A, B, C) variable names of the h-th capacity-bound term for cut T:
+    channel h's inputs at nodes in T, its outputs at nodes outside T, and
+    its inputs at nodes outside T."""
+    inside = {x_var(i) for i in cut} | {y_var(i) for i in cut}
+    ins = spec.channel_input_vars(h)
+    a = tuple(v for v in ins if v in inside)
+    b = tuple(v for v in spec.channel_output_vars(h) if v not in inside)
+    c = tuple(v for v in ins if v not in inside)
     return a, b, c
 
 

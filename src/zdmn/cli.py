@@ -13,7 +13,7 @@ Subcommands:
 * ``generate``  — write bundled network files or random table codes
 
 Exit codes: 0 success; 1 domain violation (including a failed validation);
-2 file I/O or parse failure (argparse usage errors also exit with 2);
+2 a file that cannot be read, parsed or written (argparse usage errors also exit with 2);
 3 resource cap exceeded.  Identical (command, flags, seed) invocations
 produce byte-identical output.  Numeric report fields use 6 decimal places.
 """
@@ -31,9 +31,9 @@ from .errors import DomainError, ResourceCapError, SpecIOError, ZdmnError
 __all__ = ["main"]
 
 EXIT_OK = 0
-EXIT_DOMAIN = 1
-EXIT_IO = 2
-EXIT_CAP = 3
+EXIT_DOMAIN = DomainError.exit_code
+EXIT_IO = SpecIOError.exit_code
+EXIT_CAP = ResourceCapError.exit_code
 
 
 def _fmt(x: float) -> str:
@@ -48,12 +48,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
     """Print to stdout, or write to a file when --out is given."""
     if out_path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise SpecIOError(f"cannot write {out_path}: {e}") from e
+    else:
+        model.write_text(out_path, text, "output")
 
 
 def _parse_profile(text: str, n_nodes: int) -> model.DelayProfile:
@@ -171,11 +167,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = model.load_spec(args.spec)
     code = simulate.load_code(args.code)
     report = simulate.estimate_error(spec, code, trials=args.trials, seed=args.seed)
-    print(f"trials: {args.trials}  seed: {args.seed}")
-    print(report)
-    if args.trace_out is not None:
+    if args.trace_out is not None:  # written first, so a failed write prints nothing
         trace = simulate.run_trial(spec, code, seed=args.seed, trial=0)
         _emit(trace.to_csv(), args.trace_out)
+    print(f"trials: {args.trials}  seed: {args.seed}")
+    print(report)
     return EXIT_OK
 
 
@@ -211,10 +207,7 @@ def _cmd_gaussian(args: argparse.Namespace) -> int:
 
 def _cmd_generate_spec(args: argparse.Namespace) -> int:
     spec = networks.bundled_spec(args.name, eps=args.eps)
-    try:
-        model.save_spec(spec, args.out)
-    except OSError as e:
-        raise SpecIOError(f"cannot write {args.out}: {e}") from e
+    model.save_spec(spec, args.out)
     print(f"wrote {args.name} network ({spec.n_nodes} nodes) to {args.out}")
     return EXIT_OK
 
@@ -228,10 +221,7 @@ def _cmd_generate_code(args: argparse.Namespace) -> int:
     code = simulate.random_table_code(
         spec, args.n, profile, seed=args.seed, message_size=args.message_size
     )
-    try:
-        simulate.save_code(code, args.out)
-    except OSError as e:
-        raise SpecIOError(f"cannot write {args.out}: {e}") from e
+    simulate.save_code(code, args.out)
     print(f"wrote random table code (n={args.n}, seed={args.seed}) to {args.out}")
     return EXIT_OK
 
@@ -343,18 +333,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecIOError as e:
+    except ZdmnError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ResourceCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ZdmnError as e:  # pragma: no cover - safety net
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return e.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: DomainError -> 1, SpecIOError -> 2,
-ResourceCapError -> 3.
+Each class carries the exit code the CLI returns for it: DomainError -> 1,
+SpecIOError -> 2 (a file that cannot be read, parsed or written),
+ResourceCapError -> 3.  The base class, which nothing raises directly,
+exits with 1.
 """
 
 
 class ZdmnError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 1
 
 
 class DomainError(ZdmnError):
@@ -18,8 +22,12 @@ class ZeroProbabilityEvent(DomainError):
 
 
 class SpecIOError(ZdmnError):
-    """A file could not be read or parsed."""
+    """A file could not be read, parsed or written."""
+
+    exit_code = 2
 
 
 class ResourceCapError(ZdmnError):
     """An enumeration would exceed its configured size cap."""
+
+    exit_code = 3

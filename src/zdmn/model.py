@@ -115,14 +115,6 @@ class ChannelTable:
         t = np.atleast_2d(np.asarray(self.table, dtype=np.float64))
         object.__setattr__(self, "table", _readonly(t))
 
-    @property
-    def n_rows(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.table.shape[1]
-
     def stochasticity_violations(self, label: str = "channel") -> list[str]:
         # whole-table reductions: a valid table costs O(rows) scratch, not O(cells)
         out = []
@@ -386,20 +378,36 @@ def spec_from_dict(d: dict) -> NetworkSpec:
     return NetworkSpec(n, in_sizes, out_sizes, alpha, s_part, g_part, tuple(channels))
 
 
-def load_spec(path) -> NetworkSpec:
+def read_json(path, what: str) -> dict:
+    """The top-level object of the JSON file `path`, a `what` file.
+
+    The one reader of every file the package loads: a file that cannot be
+    opened or decoded, is not JSON or holds anything but an object at the
+    top level is a SpecIOError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             d = json.load(f)
-    except OSError as e:
-        raise SpecIOError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise SpecIOError(f"cannot parse {path}: {e}") from e
+    except (OSError, ValueError, RecursionError) as e:  # not UTF-8 or JSON; nested too deep
+        raise SpecIOError(f"cannot read {what} file {path}: {e}") from e
     if not isinstance(d, dict):
-        raise SpecIOError(f"{path}: top-level value is not an object")
-    return spec_from_dict(d)
+        raise SpecIOError(f"{what} file {path}: top-level value is not an object")
+    return d
+
+
+def write_text(path, text: str, what: str) -> None:
+    """Write `text` to the `what` file `path`; the one writer of the package,
+    whose every failure is a SpecIOError."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise SpecIOError(f"cannot write {what} file {path}: {e}") from e
+
+
+def load_spec(path) -> NetworkSpec:
+    return spec_from_dict(read_json(path, "spec"))
 
 
 def save_spec(spec: NetworkSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(spec_to_dict(spec), f, indent=1)
-        f.write("\n")
+    write_text(path, json.dumps(spec_to_dict(spec), indent=1) + "\n", "spec")

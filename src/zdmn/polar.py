@@ -499,8 +499,5 @@ class PolarCode:
         chosen = order[np.arange(b), pick]
         return pay[np.arange(b), chosen]
 
-    def encode(self, msg: np.ndarray) -> np.ndarray:
-        return self.encode_batch(msg)[0]
-
     def decode(self, y: np.ndarray) -> np.ndarray:
         return self.decode_batch(y)[0]

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpecIOError, ZeroProbabilityEvent
-from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_valid, x_var
+from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, json_int, read_json,
+                    require_valid, write_text, x_var)
 
 SUM_TOL = 1e-9
 MI_CLAMP = 1e-12
@@ -259,11 +260,10 @@ def compose_channels(spec: NetworkSpec) -> ChannelTable:
 
 
 def input_conditional_vars(spec: NetworkSpec, h: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Variable lists for the h-th free input conditional p_{X_{S_h}|X_{S^{h-1}},Y_{G^{h-1}}}."""
-    xs = tuple(x_var(i) for i in spec.input_partition.prefix(h - 1))
-    ys = tuple(f"Y{i}" for i in spec.output_partition.prefix(h - 1))
+    """Variable lists for the h-th free input conditional p_{X_{S_h}|X_{S^{h-1}},Y_{G^{h-1}}}:
+    channel h's inputs, less the X_{S_h} the conditional draws."""
     out = tuple(x_var(i) for i in spec.input_partition.blocks[h - 1])
-    return xs + ys, out
+    return tuple(v for v in spec.channel_input_vars(h) if v not in out), out
 
 
 def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
@@ -336,7 +336,7 @@ def joint_to_dict(p: JointPmf) -> dict:
 
 def joint_from_dict(d: dict) -> JointPmf:
     try:
-        variables = tuple((str(n), int(s)) for n, s in d["variables"])
+        variables = tuple((str(n), json_int(s, "alphabet size")) for n, s in d["variables"])
         probs = np.asarray(d["probs"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as e:
         raise SpecIOError(f"malformed joint pmf: {e}") from e
@@ -347,17 +347,8 @@ def joint_from_dict(d: dict) -> JointPmf:
 
 
 def load_joint(path) -> JointPmf:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            d = json.load(f)
-    except OSError as e:
-        raise SpecIOError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise SpecIOError(f"cannot parse {path}: {e}") from e
-    return joint_from_dict(d)
+    return joint_from_dict(read_json(path, "joint"))
 
 
 def save_joint(p: JointPmf, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(joint_to_dict(p), f, indent=1)
-        f.write("\n")
+    write_text(path, json.dumps(joint_to_dict(p), indent=1) + "\n", "joint")

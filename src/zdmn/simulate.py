@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
 from .model import (DelayProfile, NetworkSpec, is_feasible, json_int, json_int_table,
-                    require_seed, require_valid, x_var, y_var)
+                    read_json, require_seed, require_valid, write_text, x_var, y_var)
 from .polar import PolarCode
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
-                          conditional_mutual_information)
+                          conditional_mutual_information, input_conditional_vars)
 
 JOINT_CAP = 2 ** 24
 CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a table code built here
@@ -213,18 +213,11 @@ def code_from_dict(data: dict) -> TableCode:
 
 
 def load_code(path) -> TableCode:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecIOError(f"cannot read code file {path}: {exc}") from exc
-    return code_from_dict(data)
+    return code_from_dict(read_json(path, "code"))
 
 
 def save_code(code: TableCode, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(code_to_dict(code), fh)
-        fh.write("\n")
+    write_text(path, json.dumps(code_to_dict(code)) + "\n", "code")
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +512,22 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
     return JointPmf(variables=tuple(variables), probs=flat)
 
 
-def _past_vars(spec: NetworkSpec, code: TableCode, k: int):
-    names = [f"W{i}.{j}" for (i, j) in code.message_pairs()]
-    for kk in range(1, k):
-        for i in range(1, spec.n_nodes + 1):
-            names.append(f"{x_var(i)}.{kk}")
-        for i in range(1, spec.n_nodes + 1):
-            names.append(f"{y_var(i)}.{kk}")
-    return names
+def _step_cmis(spec: NetworkSpec, code: TableCode, groups) -> list:
+    """(k, h, I(past, A; B | C)) per slot k and channel h on the induced joint.
+
+    `groups(h)` gives (A, B, C) as names of slot-variables (``X1``, ``Y2``),
+    read here in slot k; the past is every variable before slot k, the
+    leading names of ``_joint_variables``.
+    """
+    joint = induced_joint(spec, code)
+    n_messages = len(code.message_pairs())
+    out = []
+    for k in range(1, code.n + 1):
+        past = list(joint.names[:n_messages + 2 * spec.n_nodes * (k - 1)])
+        for h in range(1, spec.alpha + 1):
+            a, b, c = ([f"{v}.{k}" for v in names] for names in groups(h))
+            out.append((k, h, conditional_mutual_information(joint, past + a, b, c)))
+    return out
 
 
 def check_memoryless_markov(spec: NetworkSpec, code: TableCode) -> list:
@@ -535,19 +536,8 @@ def check_memoryless_markov(spec: NetworkSpec, code: TableCode) -> list:
     Every value must vanish: the output of channel h in slot k depends on
     the history only through the symbols the channel actually reads.
     """
-    joint = induced_joint(spec, code)
-    out = []
-    for k in range(1, code.n + 1):
-        past = _past_vars(spec, code, k)
-        for h in range(1, spec.alpha + 1):
-            b_vars = [f"{y_var(i)}.{k}"
-                      for i in spec.output_partition.blocks[h - 1].members]
-            c_vars = ([f"{x_var(i)}.{k}" for i in spec.input_partition.prefix(h)]
-                      + [f"{y_var(i)}.{k}"
-                         for i in spec.output_partition.prefix(h - 1)])
-            out.append((k, h, conditional_mutual_information(
-                joint, past, b_vars, c_vars)))
-    return out
+    return _step_cmis(spec, code, lambda h: ((), spec.channel_output_vars(h),
+                                              spec.channel_input_vars(h)))
 
 
 def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
@@ -559,20 +549,12 @@ def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
     if any(b != 1 for b in code.delay_profile.delays):
         raise DomainError("positive-delay factorization check requires the "
                           "all-one delay profile")
-    joint = induced_joint(spec, code)
-    out = []
-    for k in range(1, code.n + 1):
-        past = _past_vars(spec, code, k)
-        for h in range(1, spec.alpha + 1):
-            a_vars = past + [f"{x_var(i)}.{k}"
-                             for i in spec.input_partition.blocks[h - 1].members]
-            b_vars = [f"{y_var(i)}.{k}"
-                      for i in spec.output_partition.prefix(h - 1)]
-            c_vars = [f"{x_var(i)}.{k}"
-                      for i in spec.input_partition.prefix(h - 1)]
-            out.append((k, h, conditional_mutual_information(
-                joint, a_vars, b_vars, c_vars)))
-    return out
+
+    def groups(h):
+        rows, x_h = input_conditional_vars(spec, h)  # rows: X_{S^{h-1}}, Y_{G^{h-1}}
+        ys = tuple(v for v in rows if v.startswith("Y"))
+        return x_h, ys, tuple(v for v in rows if v not in ys)
+    return _step_cmis(spec, code, groups)
 
 
 def equivalence_check(spec: NetworkSpec, code: TableCode) -> float:

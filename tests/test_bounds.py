@@ -57,6 +57,40 @@ _POSITIVE_DELAY_GROUPS = {
 }
 
 
+# The capacity-mode terms (A, B, C) = (inputs of channel h at nodes in T,
+# its outputs outside T, its inputs outside T) of every cut T and term h of
+# bscfb, S = ({1}, {2}) and G = ({2}, {1}), and of the causal relay,
+# S = ({1, 3}, {2}) and G = ({2}, {1, 3}), keyed by (network, T, h).
+_CAPACITY_GROUPS = {
+    ("bscfb", (1,), 1): (("X1",), ("Y2",), ()),
+    ("bscfb", (1,), 2): (("X1",), (), ("X2", "Y2")),
+    ("bscfb", (2,), 1): ((), (), ("X1",)),
+    ("bscfb", (2,), 2): (("X2", "Y2"), ("Y1",), ("X1",)),
+    ("causal-relay", (1,), 1): (("X1",), ("Y2",), ("X3",)),
+    ("causal-relay", (1,), 2): (("X1",), ("Y3",), ("X2", "X3", "Y2")),
+    ("causal-relay", (1, 2), 1): (("X1",), (), ("X3",)),
+    ("causal-relay", (1, 2), 2): (("X1", "X2", "Y2"), ("Y3",), ("X3",)),
+    ("causal-relay", (1, 3), 1): (("X1", "X3"), ("Y2",), ()),
+    ("causal-relay", (1, 3), 2): (("X1", "X3"), (), ("X2", "Y2")),
+    ("causal-relay", (2,), 1): ((), (), ("X1", "X3")),
+    ("causal-relay", (2,), 2): (("X2", "Y2"), ("Y1", "Y3"), ("X1", "X3")),
+    ("causal-relay", (2, 3), 1): (("X3",), (), ("X1",)),
+    ("causal-relay", (2, 3), 2): (("X2", "X3", "Y2"), ("Y1",), ("X1",)),
+    ("causal-relay", (3,), 1): (("X3",), ("Y2",), ("X1",)),
+    ("causal-relay", (3,), 2): (("X3",), ("Y1",), ("X1", "X2", "Y2")),
+}
+
+
+def test_capacity_term_groups_written_out(bundled_specs):
+    got = {}
+    for name in ("bscfb", "causal-relay"):
+        spec = bundled_specs[name]
+        for cut in enumerate_cuts(spec.n_nodes):
+            for h in range(1, spec.alpha + 1):
+                got[name, cut.nodes.members, h] = capacity_term_groups(spec, cut.nodes, h)
+    assert got == _CAPACITY_GROUPS
+
+
 def _term_groups(spec, mode, nodes, h):
     """(A, B, C) of term h of the cut: the capacity groups, or the paper's
     one positive-delay term written out above."""

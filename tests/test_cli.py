@@ -101,10 +101,28 @@ def test_validate_missing_file(capsys, tmp_path):
 
 
 def test_validate_unparseable_file(capsys, tmp_path):
-    path = tmp_path / "trunc.json"
-    path.write_text('{"n_nodes": 2, "input_alphabet_sizes": [2')
-    rc, _, err = _run(capsys, "validate", "--spec", str(path))
-    assert rc == EXIT_IO and err.startswith("error: ")
+    path = tmp_path / "bad.json"
+    for content in (b'{"n_nodes": 2, "input_alphabet_sizes": [2',
+                    b'{"n_nodes": "\xe9"}',  # not UTF-8
+                    b"[" * 100000 + b"]" * 100000):  # deeper than the parser recurses
+        path.write_bytes(content)
+        rc, out, err = _run(capsys, "validate", "--spec", str(path))
+        assert rc == EXIT_IO and out == ""
+        assert err.startswith("error: cannot read spec file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--spec", "{spec}", "--grid", "2", "--out", "{out}"),
+    ("simulate", "--spec", "{spec}", "--code", "{code}", "--trials", "5",
+     "--trace-out", "{out}"),
+    ("generate", "spec", "--name", "bscfb", "--out", "{out}"),
+    ("generate", "code", "--spec", "{spec}", "--out", "{out}")])
+def test_write_into_missing_directory(capsys, tmp_path, spec_path, code_path, argv):
+    out_path = str(tmp_path / "missing" / "out.txt")
+    argv = [a.format(spec=spec_path, code=code_path, out=out_path) for a in argv]
+    rc, out, err = _run(capsys, *argv)
+    assert rc == EXIT_IO and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_feasible_single_profiles(capsys, spec_path):

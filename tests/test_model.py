@@ -23,6 +23,8 @@ from zdmn.model import (
     save_spec,
     validate_spec,
 )
+from zdmn.probability import JointPmf, save_joint
+from zdmn.simulate import random_table_code, save_code
 
 
 def test_nodeset_basics():
@@ -283,6 +285,16 @@ def test_load_spec_unparseable(tmp_path):
     p.write_text("{ not json")
     with pytest.raises(SpecIOError):
         load_spec(p)
+
+
+def test_save_into_missing_directory_is_an_io_error(tmp_path):
+    spec = networks.bscfb_spec(0.11)
+    code = random_table_code(spec, 1, DelayProfile.of((1, 1)), seed=0)
+    joint = JointPmf((("A", 2),), [0.5, 0.5])
+    target = tmp_path / "missing" / "out.json"
+    for save, value in ((save_spec, spec), (save_code, code), (save_joint, joint)):
+        with pytest.raises(SpecIOError, match="cannot write"):
+            save(value, target)
 
 
 def test_load_spec_wrong_structure(tmp_path):

@@ -81,6 +81,50 @@ def test_every_module_level_definition_is_referenced():
     assert unreferenced == []
 
 
+def _unread_methods(src_trees, other_trees):
+    """`path:line Class.method` of every method or property of a src class,
+    dunders aside, that no module reads as an attribute or names in a string
+    constant (as `getattr` and the benchmark's span table do)."""
+    read = set()
+    for tree in {**src_trees, **other_trees}.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for path, tree in src_trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and node.name not in read
+                        and not (node.name.startswith("__") and node.name.endswith("__"))):
+                    unread.append(f"{path}:{node.lineno} {cls.name}.{node.name}")
+    return unread
+
+
+def test_every_method_is_read():
+    # a method or property of a src class is read somewhere in src, tests
+    # or perfbench, as an attribute or by name
+    others = sorted((_ROOT / "tests").glob("*.py")) + sorted((_ROOT / "perfbench").glob("*.py"))
+    assert _unread_methods(_parsed(sorted(_SRC.glob("*.py"))), _parsed(others)) == []
+
+
+def test_method_guard_counts_attribute_reads_and_names():
+    code = ast.parse(
+        "class Code:\n"
+        "    def __len__(self):\n        return 1\n"
+        "    @property\n    def rows(self):\n        return 2\n"
+        "    def encode(self):\n        return self.rows\n"
+        "    def decode(self):\n        return 0\n")
+    assert _unread_methods({"code.py": code}, {}) == [
+        "code.py:7 Code.encode", "code.py:9 Code.decode"]
+    # a read through any object, or a string naming the method, counts
+    user = ast.parse("def run(c):\n    return c.encode(), getattr(c, 'decode')()\n")
+    assert _unread_methods({"code.py": code}, {"user.py": user}) == []
+
+
 def test_random_streams_are_built_in_two_places():
     # one counter-stream layout: trial_uniforms builds every simulator's
     # stream, random_table_code keeps its sequential one so generated codes

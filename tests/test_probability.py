@@ -353,3 +353,7 @@ def test_joint_json_errors(tmp_path):
         joint_from_dict({"variables": [["A", 2]]})
     with pytest.raises(SpecIOError, match="2 probabilities for 4 cells"):
         joint_from_dict({"variables": [["A", 2], ["B", 2]], "probs": [0.5, 0.5]})
+    # alphabet sizes are read as spec and code fields are: never truncated
+    for size in (2.9, True, "2"):
+        with pytest.raises(SpecIOError, match="alphabet size must be an integer"):
+            joint_from_dict({"variables": [["A", size]], "probs": [0.5, 0.5]})

@@ -340,6 +340,30 @@ def test_induced_joint_one_slot_scheme_marginal():
     assert np.allclose(mw.probs, [0.5, 0.0, 0.0, 0.5], atol=1e-15)
 
 
+def test_markov_checks_pass_the_paper_groups(monkeypatch):
+    # every engine code gives CMIs of about 0, so a wrong group could pass
+    # unnoticed; pin the (A, B, C) names each check asks for on bscfb, n = 2
+    calls = []
+    monkeypatch.setattr(simulate, "conditional_mutual_information",
+                        lambda _joint, a, b, c: calls.append((tuple(a), tuple(b), tuple(c))))
+    spec = networks.bscfb_spec(0.11)
+    code = random_table_code(spec, 2, _UNIT, seed=0)
+    past = {1: ("W1.2", "W2.1"),
+            2: ("W1.2", "W2.1", "X1.1", "X2.1", "Y1.1", "Y2.1")}
+    check_memoryless_markov(spec, code)
+    # I(past; Y_{G_h} | X_{S^h}, Y_{G^{h-1}})
+    assert calls == [(past[k], (f"Y{j}.{k}",), c)
+                     for k in (1, 2)
+                     for j, c in ((2, (f"X1.{k}",)),
+                                  (1, (f"X1.{k}", f"X2.{k}", f"Y2.{k}")))]
+    calls.clear()
+    check_positive_delay_markov(spec, code)
+    # I(past, X_{S_h}; Y_{G^{h-1}} | X_{S^{h-1}})
+    assert calls == [groups for k in (1, 2) for groups in (
+        (past[k] + (f"X1.{k}",), (), ()),
+        (past[k] + (f"X2.{k}",), (f"Y2.{k}",), (f"X1.{k}",)))]
+
+
 def test_markov_and_equivalence_unit_delay_codes():
     for name, n, seed in (("bscfb", 2, 0), ("causal-relay", 1, 1),
                           ("deterministic", 2, 2)):
@@ -416,6 +440,10 @@ def test_table_code_json_roundtrip(tmp_path):
 def test_code_io_errors(tmp_path):
     with pytest.raises(SpecIOError):
         load_code(tmp_path / "missing.json")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    with pytest.raises(SpecIOError, match="top-level value is not an object"):
+        load_code(listed)
     spec = networks.bscfb_spec(0.11)
     good = code_to_dict(random_table_code(spec, 1, _UNIT, seed=0))
     for key in ("n", "encoders", "decoders", "message_sizes"):
