@@ -41,6 +41,7 @@ from .probability import (_aligned_factor, _all_delayed_shell, _composed_channel
                           _full_layout, _group_size, _clamp_mi, _marginal, _row_sum,
                           cond_entropy_table, input_conditional_vars)
 
+POINT_CAP = 10 ** 7  # grid points one scan may enumerate
 BATCH = 4096  # grid points per eval_batch call of a scan
 GRID_CELL_CAP = 2 ** 26  # float64 cells one scan batch holds at once
 
@@ -76,8 +77,7 @@ def _normalize_mode(which: str) -> str:
 class GridProblem:
     """Point enumeration for scanning one spec/mode/resolution triple."""
 
-    def __init__(self, spec: NetworkSpec, which: str, k: int,
-                 max_distributions: int = 10**7):
+    def __init__(self, spec: NetworkSpec, which: str, k: int):
         from .bounds import enumerate_cuts  # local import to avoid a cycle
 
         require_valid(spec)
@@ -87,8 +87,6 @@ class GridProblem:
         self.k = int(k)
         if self.k < 1:
             raise DomainError(f"grid resolution k must be >= 1, got {self.k}")
-        if max_distributions < 1:
-            raise DomainError(f"max_distributions must be >= 1, got {max_distributions}")
 
         def group_size(group) -> int:
             return _group_size(spec.var_size, group)
@@ -114,12 +112,9 @@ class GridProblem:
         n_points = 1
         for n_rows, n_cols in zip(self.factor_n_rows, self.factor_n_cols):
             n_points *= math.comb(self.k + n_cols - 1, n_cols - 1) ** n_rows
-        if n_points > max_distributions:
+        if n_points > POINT_CAP:
             raise ResourceCapError(
-                f"grid has {n_points} distributions, above the cap {max_distributions}")
-        if n_points > np.iinfo(np.int64).max:
-            raise ResourceCapError(
-                f"grid has {n_points} distributions, more than an int64 point index counts")
+                f"grid has {n_points} distributions, above the cap {POINT_CAP}")
         self.n_points = n_points
 
         self.cuts = enumerate_cuts(spec.n_nodes)

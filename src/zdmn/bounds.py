@@ -194,15 +194,15 @@ def _point_report(problem: GridProblem, point: int) -> RateRegionReport:
     )
 
 
-def grid_hull(spec: NetworkSpec, which: str, k: int,
-              max_distributions: int = 10**7):
-    """LOOSE per-cut maximum over the grid: (constraints at argmax, n_points).
+def grid_hull(spec: NetworkSpec, which: str, k: int):
+    """LOOSE per-cut maximum over the grid: (hull, n_points, best_points).
 
-    Each returned CutConstraint carries the terms of the first grid point
-    attaining that cut's maximum cap; max-per-cut is only an outer hull of the
+    ``hull`` holds one CutConstraint per cut, carrying the terms of the first
+    grid point attaining that cut's maximum cap, and ``best_points`` those
+    points' indices; max-per-cut is only an outer hull of the
     union-of-intersections region.
     """
-    problem = GridProblem(spec, which, k, max_distributions)
+    problem = GridProblem(spec, which, k)
     best_cap = np.full(problem.n_cuts, -1.0)
     best_point = np.zeros(problem.n_cuts, dtype=np.int64)
     best_terms = np.zeros((problem.n_cuts, problem.n_slots))
@@ -219,8 +219,7 @@ def grid_hull(spec: NetworkSpec, which: str, k: int,
     return hull, problem.n_points, tuple(int(p) for p in best_point)
 
 
-def region_membership(spec: NetworkSpec, rates: RateTuple, which: str, k: int,
-                      max_distributions: int = 10**7) -> MembershipResult:
+def region_membership(spec: NetworkSpec, rates: RateTuple, which: str, k: int) -> MembershipResult:
     """Search the grid for a distribution whose every cut constraint admits `rates`.
 
     Absence at resolution k is not a proof of exclusion (the region is a union
@@ -228,7 +227,7 @@ def region_membership(spec: NetworkSpec, rates: RateTuple, which: str, k: int,
     """
     if rates.rates.shape[0] != spec.n_nodes:
         raise DomainError("rate tuple size differs from n_nodes")
-    problem = GridProblem(spec, which, k, max_distributions)
+    problem = GridProblem(spec, which, k)
     flows = np.array([rates.flow_across(cut) for cut in problem.cuts])
     for start, caps, _terms in _scan(problem):
         ok = np.all(caps + RATE_TOL >= flows[None, :], axis=1)
@@ -238,16 +237,14 @@ def region_membership(spec: NetworkSpec, rates: RateTuple, which: str, k: int,
     return MembershipResult(NOT_FOUND, None)
 
 
-def grid_point_report(spec: NetworkSpec, which: str, k: int, point: int,
-                      max_distributions: int = 10**7) -> RateRegionReport:
-    return _point_report(GridProblem(spec, which, k, max_distributions), point)
+def grid_point_report(spec: NetworkSpec, which: str, k: int, point: int) -> RateRegionReport:
+    return _point_report(GridProblem(spec, which, k), point)
 
 
-def grid_conditionals(spec: NetworkSpec, which: str, k: int, point: int,
-                      max_distributions: int = 10**7):
+def grid_conditionals(spec: NetworkSpec, which: str, k: int, point: int):
     """The searched distribution at a grid point as ChannelTable conditionals
     (capacity mode) or a JointPmf over the inputs (positive-delay mode)."""
-    problem = GridProblem(spec, which, k, max_distributions)
+    problem = GridProblem(spec, which, k)
     conds = [ChannelTable(fin, fout, rows) for (fin, fout), rows
              in zip(problem.factors, problem.distribution_rows(point))]
     if problem.which == "capacity":
@@ -281,6 +278,8 @@ def gaussian_relay_bounds(p: float) -> GaussianRelayBounds:
     """Positive-delay cap 0.5 log2(3 + 2P/5) vs achievable 0.5 log2(1 + 2P)."""
     if not math.isfinite(p) or p <= 0.0:
         raise DomainError(f"power must be positive and finite, got {p}")
+    if not math.isfinite(2.0 * p):
+        raise DomainError(f"power {p} overflows 2P")
     cap = 0.5 * math.log2(3.0 + 2.0 * p / 5.0)
     ach = 0.5 * math.log2(1.0 + 2.0 * p)
     return GaussianRelayBounds(cap, ach, ach > cap)

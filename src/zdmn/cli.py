@@ -108,9 +108,7 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     spec = model.load_spec(args.spec)
-    hull, n_points, _ = bounds.grid_hull(
-        spec, args.mode, args.grid, max_distributions=args.max_distributions
-    )
+    hull, n_points, _ = bounds.grid_hull(spec, args.mode, args.grid)
     rows = list(hull)
     if args.cut is not None:
         mask = _parse_cut(args.cut, spec.n_nodes)
@@ -197,7 +195,7 @@ def _cmd_gaussian(args: argparse.Namespace) -> int:
         )
         open_rate = gaussian.neutralization_rate(config, blocks=args.blocks)
         result = gaussian.codebook_experiment(
-            config, rate=args.rate, trials=args.trials, cap=args.cap, method=args.method
+            config, rate=args.rate, trials=args.trials, method=args.method
         )
         lines += [f"gate-open frequency:  {_fmt(open_rate)} ({args.blocks} blocks, n={args.n})",
                   str(result)]
@@ -258,12 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut", help="restrict output to one cut bitmask, e.g. 10")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--out", help="write the report to a file instead of stdout")
-    p.add_argument(
-        "--max-distributions",
-        type=int,
-        default=10**7,
-        help="abort if the grid would exceed this many distributions",
-    )
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("simulate", help="Monte Carlo run of a stored code")
@@ -295,10 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5, help="source power back-off")
     p.add_argument("--blocks", type=int, default=200, help="gate-frequency blocks")
     p.add_argument("--trials", type=int, default=100, help="codebook trials")
-    p.add_argument("--cap", type=int, default=1 << 20, help="codebook size cap")
-    p.add_argument(
-        "--method", choices=("auto", "exhaustive", "analytic", "redraw"), default="auto"
-    )
+    p.add_argument("--method", choices=("auto", "exhaustive", "analytic"), default="auto")
     p.set_defaults(func=_cmd_gaussian)
 
     p = sub.add_parser("generate", help="write bundled networks or random codes")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -54,12 +55,14 @@ __all__ = [
 RELAY_POWER_MARGIN = 10.0
 
 # Cells of one (trials, n) or (codewords, n) float64 array of the codebook
-# experiment, and of one block's or trial's window of 3n normals, checked
-# before any draw.
+# experiment, slots of all blocks of the gate-frequency experiment, and
+# normals of one block's or trial's window of 3n, checked before any draw.
 CELL_CAP = 1 << 25
+# Codewords one materialized codebook may hold.
+CODEBOOK_CAP = 1 << 20
 
 _SOURCES = ("gaussian", "deterministic")
-_METHODS = ("auto", "exhaustive", "analytic", "redraw")
+_METHODS = ("auto", "exhaustive", "analytic")
 
 
 def _normals(seed: int, purpose: Tuple[int, ...], lo: int, hi: int, width: int) -> np.ndarray:
@@ -125,6 +128,14 @@ class GaussianRelayConfig:
                 f"power back-off must satisfy 0 <= delta < P, got delta={self.delta}, P={self.P}"
             )
         require_seed(self.seed)
+        # Box-Muller normals square to under -2 ln(2**-53) < 74, so a slot adds
+        # under 74 (2 sqrt(P) + 4)^2 to any of a block's sums of squares, and
+        # the analytic method divides those sums by 4 (P - delta).
+        amp = 2.0 * math.sqrt(self.P) + 4.0
+        per_slot = 74.0 * amp * amp * max(1.0, 0.25 / (self.P - self.delta))
+        if not self.n <= sys.float_info.max / per_slot:
+            raise DomainError(f"power P={self.P} (back-off {self.delta}) over {self.n} "
+                              f"slots overflows the experiments' sums of squares")
 
     @property
     def relay_power(self) -> float:
@@ -184,16 +195,16 @@ class RelayTrace:
 
 
 def _relay_core(
-    x1: np.ndarray, z2: np.ndarray, z3: np.ndarray, budget: float
+    config: GaussianRelayConfig, x1: np.ndarray, z2: np.ndarray, z3: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pure relay-chain step: returns (y2, x2, y3, gate).
 
     Works on 1-D slot vectors or 2-D (block, slot) batches; the gate
     compares the running per-block reception power (cumulative sum of
-    y2**2 including the current slot) against the fixed total budget.
+    y2**2 including the current slot) against ``config.relay_budget``.
     """
     y2 = x1 + 3.0 * z2
-    gate = np.cumsum(y2 * y2, axis=-1) <= budget
+    gate = np.cumsum(y2 * y2, axis=-1) <= config.relay_budget
     x2 = np.where(gate, y2, 0.0)
     y3 = 2.0 * x1 + x2 - y2 + z3
     return y2, x2, y3, gate
@@ -204,15 +215,12 @@ def simulate_relay(
     source_sequence: Union[Sequence[float], np.ndarray],
     *,
     block: int = 0,
-    budget: Optional[float] = None,
 ) -> RelayTrace:
     """Run one block of the relay chain on a given source sequence.
 
     Block b's window holds 3n normals: ``z2``, ``z3``, then the unit draw
     of a Gaussian source (read by ``neutralization_rate``), so traces are
     reproducible per (seed, block) and independent across blocks.
-    ``budget`` overrides the total relay power budget ``n * (P + 10)``
-    (pass ``0.0`` to force the gate shut for testing).
     """
     _require_window(config.n)
     x1 = np.asarray(source_sequence, dtype=np.float64)
@@ -225,9 +233,9 @@ def simulate_relay(
     n = config.n
     z = _normals(config.seed, (2,), block, block + 1, 3 * n)[0]
     z2, z3 = z[:n], z[n:2 * n]
-    cap = config.relay_budget if budget is None else float(budget)
-    y2, x2, y3, gate = _relay_core(x1, z2, z3, cap)
-    return RelayTrace(x1=x1, z2=z2, y2=y2, x2=x2, z3=z3, y3=y3, gate=gate, budget=cap)
+    y2, x2, y3, gate = _relay_core(config, x1, z2, z3)
+    return RelayTrace(x1=x1, z2=z2, y2=y2, x2=x2, z3=z3, y3=y3, gate=gate,
+                      budget=config.relay_budget)
 
 
 def neutralization_rate(
@@ -248,6 +256,9 @@ def neutralization_rate(
         raise DomainError(f"source must be one of {_SOURCES}, got {source!r}")
     n = config.n
     _require_window(n)
+    if blocks * n > CELL_CAP:
+        raise ResourceCapError(f"{blocks} blocks of blocklength {n} are "
+                               f"{blocks * n} slots > cap {CELL_CAP}")
     step = max(1, simulate.DRAW_CELLS // (3 * n))
     open_blocks = 0
     for lo in range(0, blocks, step):
@@ -256,7 +267,7 @@ def neutralization_rate(
             x1 = math.sqrt(config.P - config.delta) * z[:, 2 * n:]
         else:
             x1 = math.sqrt(config.P)
-        gate = _relay_core(x1, z[:, :n], z[:, n:2 * n], config.relay_budget)[3]
+        gate = _relay_core(config, x1, z[:, :n], z[:, n:2 * n])[3]
         open_blocks += int(np.count_nonzero(gate.all(axis=1)))
     return open_blocks / blocks
 
@@ -265,8 +276,8 @@ def neutralization_rate(
 class CodebookResult:
     """Outcome of one random-codebook experiment.
 
-    ``errors`` is the raw error count for the Bernoulli methods
-    (``exhaustive``, ``redraw``) and ``None`` for ``analytic``, whose
+    ``errors`` is the raw error count of the Bernoulli method
+    ``exhaustive`` and ``None`` for ``analytic``, whose
     ``error_rate`` averages exact conditional error probabilities instead
     of 0/1 outcomes.
     """
@@ -320,7 +331,6 @@ def codebook_experiment(
     config: GaussianRelayConfig,
     rate: float,
     trials: int = 100,
-    cap: int = 1 << 20,
     method: str = "auto",
 ) -> CodebookResult:
     """Estimate the block error rate of a random codebook over the chain.
@@ -333,50 +343,49 @@ def codebook_experiment(
     Methods:
 
     * ``exhaustive`` — one fixed codebook for the whole experiment;
-      requires ``codebook_size <= cap`` and ``codebook_size * n <=
+      requires ``codebook_size <= CODEBOOK_CAP`` and ``codebook_size * n <=
       CELL_CAP`` (raises otherwise).
-    * ``redraw`` — a fresh codebook every trial (the codebook-ensemble
-      average); same cap.
     * ``analytic`` — averages, per trial, the exact conditional error
       probability given the realized trace: a competing codeword lands
       within the transmitted one's distance with probability
       ``p = F(d0 / s | df=n, nc=||y3||^2 / s)`` where ``F`` is the
       noncentral chi-square CDF, ``s = 4 * (P - delta)``, and
       ``d0 = ||y3 - 2c||^2``; the trial's error probability is
-      ``1 - (1 - p)**(M - 1)``.  Equals the ``redraw`` ensemble average
-      in expectation, needs no codebook in memory, and has far lower
-      variance than 0/1 outcomes.
-    * ``auto`` — ``exhaustive`` when the codebook fits the cap and
-      ``CELL_CAP``, ``analytic`` otherwise.
+      ``1 - (1 - p)**(M - 1)``.  Equals in expectation the error rate of
+      a codebook drawn afresh every trial (the codebook-ensemble average),
+      needs no codebook in memory, and has far lower variance than 0/1
+      outcomes.
+    * ``auto`` — ``exhaustive`` when the codebook fits ``CODEBOOK_CAP``
+      and ``CELL_CAP``, ``analytic`` otherwise.
 
     ``trials * n`` or the 3n-wide trial window above ``CELL_CAP`` raises
     before anything is drawn.
     Trials run in batches; trial t's window holds 3n normals, its codeword's
-    unit draw (analytic, redraw), ``z2`` and ``z3``, so every method sees the
-    same noise in trial t.
+    unit draw (analytic), ``z2`` and ``z3``, so every method sees the same
+    noise in trial t.
     """
     if not math.isfinite(rate) or rate < 0.0:
         raise DomainError(f"rate must be a finite nonnegative number, got {rate}")
     if trials < 1:
         raise DomainError(f"trial count must be >= 1, got {trials}")
-    if cap < 1:
-        raise DomainError(f"codebook cap must be >= 1, got {cap}")
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
     n = config.n
-    k = max(0, math.ceil(rate * n - 1e-12))
-    if k > 512:
-        raise ResourceCapError(f"codebook too large: 2**{k} codewords")
-    m = 1 << k
     if trials * n > CELL_CAP:
         raise ResourceCapError(f"{trials} trials of blocklength {n} need "
                                f"{trials * n} cells > cap {CELL_CAP}")
     _require_window(n)
+    bits = rate * n - 1e-12  # n <= CELL_CAP here, but rate * n may be inf
+    if bits > 512:
+        raise ResourceCapError(f"codebook too large: rate {rate} at blocklength {n} "
+                               f"needs over 2**512 codewords")
+    k = max(0, math.ceil(bits))
+    m = 1 << k
     if method == "auto":
-        method = "exhaustive" if m <= cap and m * n <= CELL_CAP else "analytic"
-    if method in ("exhaustive", "redraw") and m > cap:
-        raise ResourceCapError(f"codebook too large: {m} codewords > cap {cap}")
-    if method in ("exhaustive", "redraw") and m * n > CELL_CAP:
+        method = "exhaustive" if m <= CODEBOOK_CAP and m * n <= CELL_CAP else "analytic"
+    if method == "exhaustive" and m > CODEBOOK_CAP:
+        raise ResourceCapError(f"codebook too large: {m} codewords > cap {CODEBOOK_CAP}")
+    if method == "exhaustive" and m * n > CELL_CAP:
         raise ResourceCapError(f"codebook of {m} codewords of length {n} needs "
                                f"{m * n} cells > cap {CELL_CAP}")
 
@@ -395,30 +404,25 @@ def codebook_experiment(
         messages = np.floor(u * m).astype(np.int64)
     # per trial, the exact error probability (analytic) or a 0/1 error
     outcome = np.empty(trials)
-    step = max(1, simulate.DRAW_CELLS // (m * n if method == "redraw" else 3 * n))
+    step = max(1, simulate.DRAW_CELLS // (3 * n))
     for lo in range(0, trials, step):
         hi = min(trials, lo + step)
         z = _normals(seed, (3,), lo, hi, 3 * n)  # trial t: codeword unit draw, z2, z3
         sent = codebook[messages[lo:hi]] if method == "exhaustive" else scale * z[:, :n]
-        y3 = _relay_core(sent, z[:, n:2 * n], z[:, 2 * n:], config.relay_budget)[2]
+        y3 = _relay_core(config, sent, z[:, n:2 * n], z[:, 2 * n:])[2]
         if method == "analytic":
             resid = y3 - 2.0 * sent
             d0 = np.einsum("ij,ij->i", resid, resid) / s
             nc = np.einsum("ij,ij->i", y3, y3) / s
             p_closer = np.clip(chndtr(d0, n, nc), 0.0, 1.0)
+            if np.isnan(p_closer).any():  # scipy's chndtr gives nan from nc near 1e11
+                raise DomainError(f"the noncentral chi-square CDF is undefined at "
+                                  f"P - delta = {config.P - config.delta}")
             with np.errstate(divide="ignore"):
                 outcome[lo:hi] = 0.0 if m == 1 else np.where(
                     p_closer >= 1.0, 1.0, -np.expm1(float(m - 1) * np.log1p(-p_closer)))
-        elif method == "exhaustive":
+        else:
             outcome[lo:hi] = _nn_decode(codebook, y3) != messages[lo:hi]
-        else:  # redraw: a fresh codebook per trial, message fixed to index 0
-            diff = np.empty((hi - lo, m, n))  # the codebook, then y3 - 2c in its place
-            diff[:, 0] = sent
-            diff[:, 1:] = scale * _normals(seed, (6,), lo, hi, (m - 1) * n).reshape(
-                hi - lo, m - 1, n)
-            diff *= -2.0
-            diff += y3[:, None, :]
-            outcome[lo:hi] = np.einsum("tmn,tmn->tm", diff, diff).argmin(axis=1) != 0
     return CodebookResult(
         method=method,
         n=n,

@@ -32,6 +32,8 @@ class JointPmf:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if len(set(self.names)) != len(self.variables):
+            raise DomainError(f"repeated variable names in {self.names}")
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -336,14 +338,21 @@ def joint_to_dict(p: JointPmf) -> dict:
 
 def joint_from_dict(d: dict) -> JointPmf:
     try:
-        variables = tuple((str(n), json_int(s, "alphabet size")) for n, s in d["variables"])
+        variables = tuple((n, json_int(s, "alphabet size")) for n, s in d["variables"])
         probs = np.asarray(d["probs"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as e:
         raise SpecIOError(f"malformed joint pmf: {e}") from e
+    names = [n for n, _ in variables]
+    if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+        raise SpecIOError(f"malformed joint pmf: names must be distinct strings, got {names}")
     cells = math.prod(s for _, s in variables)
     if probs.size != cells:
         raise SpecIOError(f"malformed joint pmf: {probs.size} probabilities for {cells} cells")
-    return JointPmf(variables, probs)
+    joint = JointPmf(variables, probs)
+    bad = joint.validate()
+    if bad:
+        raise SpecIOError("malformed joint pmf: " + "; ".join(bad))
+    return joint
 
 
 def load_joint(path) -> JointPmf:

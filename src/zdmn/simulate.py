@@ -44,7 +44,7 @@ def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,
     trial's row is therefore the same in every call that contains it.
     Purposes: () the slot engine, (1,) ``bscfb_scheme``; in ``gaussian``
     (2,) relay blocks, (3,) codebook trials, (4,) the fixed codebook, (5,)
-    its messages, (6,) the redrawn competitor codewords.
+    its messages.
     """
     c = -(-width // 4)
     bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=purpose))

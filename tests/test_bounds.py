@@ -406,13 +406,6 @@ def test_grid_resolution_must_be_an_integer():
     assert GridProblem(spec, "capacity", np.int64(2)).k == 2
 
 
-def test_grid_rejects_nonpositive_max_distributions():
-    spec = networks.bscfb_spec(0.11)
-    for cap in (0, -1):
-        with pytest.raises(DomainError, match="max_distributions must be >= 1"):
-            grid_hull(spec, "capacity", 2, max_distributions=cap)
-
-
 def test_grid_batch_rows_equal_single_points(bundled_specs):
     # a point's terms do not depend on the batch it is scanned in; the
     # ternary capacity grid (6^91 points at k=2) is far beyond the cap
@@ -427,13 +420,14 @@ def test_grid_batch_rows_equal_single_points(bundled_specs):
             assert np.allclose(batch[i], problem.eval_batch(i, 1)[0], rtol=0.0, atol=1e-15)
 
 
-def test_grid_cap_checked_before_length_d_tables():
+def test_grid_cap_checked_before_length_d_tables(monkeypatch):
     spec = _qary_feedback_spec(32)  # D = 32^4 = 2^20 joint cells
+    monkeypatch.setattr(_grid, "POINT_CAP", 10)
     for mode in ("capacity", "positive-delay"):
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError):
-                GridProblem(spec, mode, 2, max_distributions=10)
+            with pytest.raises(ResourceCapError, match="above the cap 10$"):
+                GridProblem(spec, mode, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

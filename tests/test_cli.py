@@ -1,11 +1,16 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zdmn import model, networks, polar, simulate
 from zdmn.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
@@ -202,25 +207,17 @@ def test_bound_rejects_improper_cut(capsys, spec_path):
 
 
 def test_bound_distribution_cap(capsys, spec_path):
-    rc, _, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "8",
-                      "--max-distributions", "10")
-    assert rc == EXIT_CAP and err.startswith("error: ")
+    # 31^5 = 28629151 grid points of bscfb at k = 30, above POINT_CAP
+    rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "30")
+    assert rc == EXIT_CAP and out == ""
+    assert err == "error: grid has 28629151 distributions, above the cap 10000000\n"
 
 
 def test_bound_point_count_beyond_int64(capsys, spec_path):
-    # 7001^5 points pass this cap but no int64 point index numbers them all
-    rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "7000",
-                        "--max-distributions", str(10 ** 30))
+    # 7001^5 points: the exact count is refused before any int64 index exists
+    rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "7000")
     assert rc == EXIT_CAP and out == ""
     assert err.startswith(f"error: grid has {7001 ** 5} distributions") and err.count("\n") == 1
-
-
-def test_bound_rejects_nonpositive_max_distributions(capsys, spec_path):
-    for cap in ("0", "-1"):
-        rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "2",
-                            "--max-distributions", cap)
-        assert rc == EXIT_DOMAIN and out == ""
-        assert err == f"error: max_distributions must be >= 1, got {cap}\n"
 
 
 def test_bound_grid_cell_cap(capsys, tmp_path, binary_chain_spec):
@@ -484,6 +481,23 @@ def test_gaussian_non_finite_power(capsys):
         rc, out, err = _run(capsys, "gaussian", "--power", power)
         assert rc == EXIT_DOMAIN and out == ""
         assert err == f"error: power must be positive and finite, got {power}\n"
+    # 2P, and at n = 16 the experiment's sums of squares, would overflow to inf
+    for argv, why in ((["1e308"], "power 1e+308 overflows 2P"),
+                      (["1e307", "--experiment"], "power P=1e+307 (back-off 0.5) over 16 slots")):
+        rc, out, err = _run(capsys, "gaussian", "--power", *argv)
+        assert rc == EXIT_DOMAIN and out == ""
+        assert err.startswith(f"error: {why}") and err.count("\n") == 1
+
+
+def test_removed_options_are_usage_errors(capsys, spec_path):
+    for argv in (("bound", "--spec", spec_path, "--max-distributions", "10"),
+                 ("gaussian", "--power", "5", "--experiment", "--cap", "2"),
+                 ("gaussian", "--power", "5", "--experiment", "--method", "redraw")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", argv
+        assert err.count("error:") == 1
 
 
 def test_gaussian_experiment(capsys):
@@ -509,10 +523,12 @@ def test_gaussian_cell_caps(capsys):
 
 
 def test_gaussian_codebook_cap(capsys):
+    # 2^22 codewords of length 8 fit CELL_CAP but not CODEBOOK_CAP
     rc, out, err = _run(capsys, "gaussian", "--power", "5", "--experiment",
-                        "--n", "8", "--rate", "2.0", "--cap", "2",
+                        "--n", "8", "--rate", "2.75",
                         "--method", "exhaustive", "--trials", "5")
-    assert rc == EXIT_CAP and out == "" and err.startswith("error: ")
+    assert rc == EXIT_CAP and out == ""
+    assert err == "error: codebook too large: 4194304 codewords > cap 1048576\n"
 
 
 def test_gaussian_bad_delta_prints_nothing(capsys):
@@ -568,3 +584,68 @@ def test_usage_errors_exit_two(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# contract: every argv of bound and gaussian ends in finite output or one error
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e307, 1e-300, -1.0, 0.0]),
+    st.floats(0.0, 10.0), st.floats())
+_COUNTS = st.one_of(st.integers(-2, 6), st.integers(10 ** 8, 10 ** 30))
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def contract_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "net.json"
+    model.save_spec(networks.bscfb_spec(0.11), path)
+    return str(path)
+
+
+def _contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            rc = e.code
+    out, err = out.getvalue(), err.getvalue()
+    if rc == EXIT_OK:
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out), out
+        assert all(math.isfinite(float(x)) for x in _NUMBER.findall(out)), out
+    else:
+        assert rc in (EXIT_DOMAIN, EXIT_IO, EXIT_CAP), (rc, err)
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(grid=st.one_of(st.integers(1, 3), st.sampled_from([-2, 0, 30, 7000, 10 ** 40])),
+       mode=st.sampled_from(["capacity", "positive-delay"]),
+       fmt=st.sampled_from(["text", "csv", "json"]),
+       removed=st.sampled_from([[], ["--max-distributions", "10"]]))
+def test_bound_argv_contract(contract_spec, grid, mode, fmt, removed):
+    _contract(["bound", "--spec", contract_spec, "--grid", str(grid), "--mode", mode,
+               "--format", fmt] + removed)
+
+
+@st.composite
+def _gaussian_argv(draw):
+    """A small valid run with a random subset of its numbers redrawn."""
+    values = {"power": 5.0, "rate": 1.2, "delta": 0.5, "n": 4, "trials": 5, "blocks": 5}
+    for name in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
+        values[name] = draw(_COUNTS if isinstance(values[name], int) else _FLOATS)
+    # "--power=-1e+308": argparse reads a bare "-1e+308" as an option name
+    argv = ["gaussian"] + [f"--{name}={value!r}" for name, value in values.items()]
+    argv += ["--experiment"] * draw(st.booleans())
+    extras = [[], ["--cap", "2"]] + [["--method", m]
+                                     for m in ("auto", "exhaustive", "analytic", "redraw")]
+    return argv + draw(st.sampled_from(extras))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=_gaussian_argv())
+def test_gaussian_argv_contract(argv):
+    _contract(argv)

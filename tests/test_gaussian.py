@@ -11,6 +11,7 @@ from zdmn import simulate
 from zdmn.errors import DomainError, ResourceCapError
 from zdmn.gaussian import (
     CELL_CAP,
+    CODEBOOK_CAP,
     RELAY_POWER_MARGIN,
     CodebookResult,
     GaussianRelayConfig,
@@ -91,10 +92,10 @@ def test_relay_noise_is_its_block_row():
 
 def test_batched_draws_leave_results_unchanged(monkeypatch):
     cfg = _config(n=12)
-    methods = ("analytic", "exhaustive", "redraw")
+    methods = ("analytic", "exhaustive")
     rates = [neutralization_rate(cfg, blocks=50, source=s) for s in ("gaussian", "deterministic")]
     results = [codebook_experiment(cfg, 0.5, trials=50, method=m) for m in methods]
-    monkeypatch.setattr(simulate, "DRAW_CELLS", 100)  # 1 redraw trial, else 2 per batch
+    monkeypatch.setattr(simulate, "DRAW_CELLS", 100)  # 2 trials or blocks per batch
     assert [neutralization_rate(cfg, blocks=50, source=s)
             for s in ("gaussian", "deterministic")] == rates
     assert [codebook_experiment(cfg, 0.5, trials=50, method=m) for m in methods] == results
@@ -134,8 +135,9 @@ def test_box_muller_normals_in_place(monkeypatch):
 
 
 def test_open_gate_cancels_relay_noise():
-    cfg = _config(n=128)
-    tr = simulate_relay(cfg, np.zeros(128), budget=1e18)
+    # a budget of 128 * (10^6 + 10) against 9 z2^2 per slot keeps the gate open
+    cfg = _config(n=128, P=1e6)
+    tr = simulate_relay(cfg, np.zeros(128))
     assert tr.all_open
     assert np.max(np.abs(tr.y3 - tr.z3)) < 1e-12  # zero source, clean slot
 
@@ -144,7 +146,8 @@ def test_shut_gate_leaves_amplified_noise():
     cfg = _config(n=128)
     rng = np.random.Generator(np.random.Philox(7))
     x1 = rng.standard_normal(128)
-    tr = simulate_relay(cfg, x1, budget=0.0)
+    x1[0] = 100.0  # y2^2 >= (100 - 3 * 8.6)^2 in slot 1 alone, above the budget 128 * 15
+    tr = simulate_relay(cfg, x1)
     assert not tr.gate.any()
     assert np.max(np.abs(tr.y3 - (tr.x1 - 3.0 * tr.z2 + tr.z3))) < 1e-12
     assert tr.relay_power == 0.0
@@ -232,13 +235,33 @@ def test_codebook_far_above_capacity_fails():
     assert res.error_rate >= 0.9
 
 
+def _redraw_errors(cfg, m, trials):
+    """Errors of a codebook drawn afresh every trial: trial t sends the unit
+    draw of its purpose-(3,) window, as ``analytic`` does, against m - 1
+    competitors from its purpose-(6,) window; nearest to y3 by ||y3 - 2c||^2."""
+    n, scale = cfg.n, math.sqrt(cfg.P - cfg.delta)
+    errors = 0
+    for lo in range(0, trials, 25):  # 25 trials of M = 4096, n = 12: 10 MB of codebooks
+        hi = min(trials, lo + 25)
+        z = _normals(cfg.seed, (3,), lo, hi, 3 * n)
+        x1, z2, z3 = scale * z[:, :n], z[:, n:2 * n], z[:, 2 * n:]
+        y2 = x1 + 3.0 * z2
+        x2 = np.where(np.cumsum(y2 * y2, axis=1) <= cfg.relay_budget, y2, 0.0)
+        y3 = 2.0 * x1 + x2 - y2 + z3
+        others = scale * _normals(cfg.seed, (6,), lo, hi, (m - 1) * n).reshape(hi - lo, m - 1, n)
+        codebooks = np.concatenate([x1[:, None], others], axis=1)
+        dist = ((y3[:, None, :] - 2.0 * codebooks) ** 2).sum(axis=2)
+        errors += int(np.count_nonzero(dist.argmin(axis=1) != 0))
+    return errors
+
+
 def test_codebook_analytic_matches_redraw_ensemble():
     cfg = _config(n=12)
     an = codebook_experiment(cfg, 1.0, trials=400, method="analytic")
-    rd = codebook_experiment(cfg, 1.0, trials=400, method="redraw")
-    assert an.codebook_size == rd.codebook_size == 4096
-    se = math.sqrt(max(rd.error_rate * (1 - rd.error_rate), 1e-6) / 400)
-    assert abs(an.error_rate - rd.error_rate) <= 3.5 * se
+    assert an.codebook_size == 4096
+    rd_rate = _redraw_errors(cfg, 4096, 400) / 400
+    se = math.sqrt(max(rd_rate * (1 - rd_rate), 1e-6) / 400)
+    assert abs(an.error_rate - rd_rate) <= 3.5 * se
     ex = codebook_experiment(cfg, 1.0, trials=400, method="exhaustive")
     # one fixed codebook may sit off the ensemble mean, but not far
     assert abs(ex.error_rate - an.error_rate) <= 0.08
@@ -295,18 +318,47 @@ def test_codebook_validation_and_caps():
         codebook_experiment(cfg, math.nan, trials=10)
     with pytest.raises(DomainError):
         codebook_experiment(cfg, 1.0, trials=0)
-    with pytest.raises(DomainError):
-        codebook_experiment(cfg, 1.0, trials=10, cap=0)
-    with pytest.raises(DomainError):
-        codebook_experiment(cfg, 1.0, trials=10, method="montecarlo")
-    with pytest.raises(ResourceCapError):
-        codebook_experiment(cfg, 2.0, trials=10, cap=4, method="exhaustive")
-    with pytest.raises(ResourceCapError):
-        codebook_experiment(cfg, 2.0, trials=10, cap=4, method="redraw")
+    for method in ("montecarlo", "redraw"):
+        with pytest.raises(DomainError, match="method must be one of"):
+            codebook_experiment(cfg, 1.0, trials=10, method=method)
+    # 2^22 codewords of length 8: inside CELL_CAP, above CODEBOOK_CAP
+    with pytest.raises(ResourceCapError, match=f"> cap {CODEBOOK_CAP}"):
+        codebook_experiment(cfg, 2.75, trials=10, method="exhaustive")
     with pytest.raises(ResourceCapError):
         codebook_experiment(_config(n=512), 1.5, trials=1)  # 2**768 codewords
-    capped = codebook_experiment(cfg, 2.0, trials=10, cap=4, method="auto")
-    assert capped.method == "analytic"
+    # rate * n is inf here, which math.ceil cannot round
+    with pytest.raises(ResourceCapError, match="needs over 2\\*\\*512 codewords"):
+        codebook_experiment(_config(n=16), 1e308, trials=1)
+    capped = codebook_experiment(cfg, 2.75, trials=10, method="auto")
+    assert capped.method == "analytic" and capped.codebook_size == 4 * CODEBOOK_CAP
+
+
+def test_powers_outside_the_float_range_are_refused():
+    # 2P would overflow to inf, and so would the cap and the rate
+    with pytest.raises(DomainError, match="overflows 2P"):
+        separation_report(1e308)
+    # at P = 1e307 the block sums of squares overflow; at P = 1e306 they
+    # would if a normal in y3 reached its Box-Muller bound of 8.57
+    for power, n in ((1e307, 16), (1e306, 16), (1e300, 10 ** 6)):
+        with pytest.raises(DomainError, match="overflows the experiments' sums"):
+            GaussianRelayConfig(P=power, n=n)
+    # 1 / (4 P) is inf for the smallest subnormal power
+    with pytest.raises(DomainError, match="overflows the experiments' sums"):
+        GaussianRelayConfig(P=5e-324, n=1, delta=0.0)
+    # within the bound every experiment runs clean under warnings-as-errors
+    cfg = GaussianRelayConfig(P=1e300, n=16)
+    assert 0.0 <= neutralization_rate(cfg, blocks=20) <= 1.0
+    for method in ("analytic", "exhaustive"):
+        assert math.isfinite(codebook_experiment(cfg, 0.5, trials=20, method=method).error_rate)
+
+
+def test_analytic_refuses_a_nan_cdf():
+    # at P - delta = 1e-12 the noncentral parameter is about 4e12, where
+    # scipy's chndtr returns nan; the exhaustive method still runs
+    cfg = _config(P=1e-12, n=16, delta=0.0)
+    with pytest.raises(DomainError, match="noncentral chi-square CDF is undefined"):
+        codebook_experiment(cfg, 1.0, trials=20, method="analytic")
+    assert math.isfinite(codebook_experiment(cfg, 0.5, trials=20, method="exhaustive").error_rate)
 
 
 def test_codebook_cell_caps_checked_before_any_draw():
@@ -316,9 +368,8 @@ def test_codebook_cell_caps_checked_before_any_draw():
     try:
         with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
             codebook_experiment(_config(n=64), 1.2, trials=10 ** 8)
-        for method in ("exhaustive", "redraw"):
-            with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
-                codebook_experiment(_config(n=4096), 0.004, trials=2, method=method)
+        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+            codebook_experiment(_config(n=4096), 0.004, trials=2, method="exhaustive")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,6 +390,9 @@ def test_relay_windows_capped_before_any_draw():
             simulate_relay(cfg, np.zeros(1))
         with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
             codebook_experiment(cfg, 0.0, trials=1)
+        # blocks are drawn in batches, so only their count bounds the time
+        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+            neutralization_rate(_config(n=64), blocks=CELL_CAP // 64 + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

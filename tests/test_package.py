@@ -249,3 +249,34 @@ def test_attribute_guard_matches_owners_not_names():
     bounds = ast.parse("from ._grid import GridProblem\n\n"
                        "def hull(problem: GridProblem):\n    return problem.spec\n")
     assert _unread_attributes({"_grid.py": grid}, {"bounds.py": bounds}) == []
+
+
+def _limit_parameters(trees):
+    """`path:line function(parameter)` of every parameter named `cap` or
+    `max_*`: a resource limit a caller can set."""
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                    if arg is not None and (arg.arg == "cap" or arg.arg.startswith("max_")):
+                        found.append(f"{path}:{node.lineno} {getattr(node, 'name', 'lambda')}"
+                                     f"({arg.arg})")
+    return sorted(found)
+
+
+def test_resource_limits_are_module_constants():
+    # every cap is a constant such as POINT_CAP or CODEBOOK_CAP, never a knob
+    assert _limit_parameters(_parsed(sorted(_SRC.glob("*.py")))) == []
+
+
+def test_limit_guard_reads_every_parameter_kind():
+    code = ast.parse(
+        "class Grid:\n"
+        "    def __init__(self, k, max_points=10):\n        pass\n"
+        "def run(x, /, *, cap=4):\n    return x\n"
+        "scale = lambda max_x: max_x\n"
+        "def fine(capacity, maximum, budget):\n    return capacity\n")
+    assert _limit_parameters({"code.py": code}) == [
+        "code.py:2 __init__(max_points)", "code.py:4 run(cap)", "code.py:6 lambda(max_x)"]

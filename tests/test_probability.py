@@ -357,3 +357,22 @@ def test_joint_json_errors(tmp_path):
     for size in (2.9, True, "2"):
         with pytest.raises(SpecIOError, match="alphabet size must be an integer"):
             joint_from_dict({"variables": [["A", size]], "probs": [0.5, 0.5]})
+    # with a repeated name, marginalize would sum one of its two axes
+    with pytest.raises(SpecIOError, match="names must be distinct strings"):
+        joint_from_dict({"variables": [["A", 2], ["A", 2]], "probs": [0.5, 0, 0, 0.5]})
+    # null and 3 are not names, whatever str() makes of them
+    for name in (None, 3):
+        with pytest.raises(SpecIOError, match="names must be distinct strings"):
+            joint_from_dict({"variables": [[name, 2]], "probs": [0.5, 0.5]})
+    # json reads the NaN literal; the CMI of such a joint would be nan, and
+    # inf with a negative entry
+    nan_file = tmp_path / "nan.json"
+    nan_file.write_text('{"variables": [["A", 2], ["B", 2]], "probs": [NaN, 0.5, 0.25, 0.25]}')
+    with pytest.raises(SpecIOError, match="1 non-finite entries"):
+        load_joint(nan_file)
+    for probs, why in (([-0.5, 1.0, 0.25, 0.25], "negative entries"),
+                       ([0.5, 0.5, 0.5, 0.5], "entries sum to 2.000000000")):
+        with pytest.raises(SpecIOError, match=why):
+            joint_from_dict({"variables": [["A", 2], ["B", 2]], "probs": probs})
+    with pytest.raises(DomainError, match="repeated variable names"):
+        JointPmf((("A", 2), ("B", 2), ("A", 2)), np.full(8, 0.125))
