@@ -185,6 +185,10 @@ class DelayProfile:
 
     delays: tuple[int, ...]
 
+    def __post_init__(self):
+        if any(b not in (0, 1) for b in self.delays):
+            raise DomainError(f"delay bits must be 0 or 1, got {self.delays}")
+
     @classmethod
     def of(cls, items) -> "DelayProfile":
         return cls(tuple(int(b) for b in items))

@@ -32,9 +32,16 @@ class JointPmf:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.variables):
-            raise DomainError(f"repeated variable names in {self.names}")
+        names = self.names
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise DomainError(f"names must be distinct strings (no repeated variable names), "
+                              f"got {names}")
+        if min(self.sizes, default=1) < 1:
+            raise DomainError(f"alphabet sizes must be >= 1, got {self.sizes}")
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+        cells = math.prod(self.sizes)
+        if p.size != cells:
+            raise DomainError(f"{p.size} probabilities for the {cells} cells of {names}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -54,12 +61,7 @@ class JointPmf:
 
     def as_array(self) -> np.ndarray:
         """The table with one axis per variable, in C order."""
-        shape = self.sizes if self.variables else (1,)
-        cells = math.prod(shape)
-        if self.probs.size != cells:
-            raise DomainError(f"{self.probs.size} probabilities for the {cells} cells "
-                              f"of {self.names}")
-        return self.probs.reshape(shape)
+        return self.probs.reshape(self.sizes if self.variables else (1,))
 
     def validate(self) -> list[str]:
         out = []
@@ -70,9 +72,6 @@ class JointPmf:
             out.append("negative entries")
         if not n_bad and abs(float(self.probs.sum()) - 1.0) > SUM_TOL:
             out.append(f"entries sum to {self.probs.sum():.9f} (not 1 within {SUM_TOL:g})")
-        n_cells = int(np.prod(self.sizes, dtype=np.int64)) if self.variables else 1
-        if self.probs.size != n_cells:
-            out.append("table size differs from the product of alphabet sizes")
         return out
 
 
@@ -340,15 +339,9 @@ def joint_from_dict(d: dict) -> JointPmf:
     try:
         variables = tuple((n, json_int(s, "alphabet size")) for n, s in d["variables"])
         probs = np.asarray(d["probs"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as e:
+        joint = JointPmf(variables, probs)
+    except (KeyError, TypeError, ValueError, DomainError) as e:
         raise SpecIOError(f"malformed joint pmf: {e}") from e
-    names = [n for n, _ in variables]
-    if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
-        raise SpecIOError(f"malformed joint pmf: names must be distinct strings, got {names}")
-    cells = math.prod(s for _, s in variables)
-    if probs.size != cells:
-        raise SpecIOError(f"malformed joint pmf: {probs.size} probabilities for {cells} cells")
-    joint = JointPmf(variables, probs)
     bad = joint.validate()
     if bad:
         raise SpecIOError("malformed joint pmf: " + "; ".join(bad))

@@ -31,6 +31,7 @@ CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a table code buil
 MESSAGE_SIZE_CAP = 2 ** 53  # floor(u * m) of a 53-bit uniform u is exact up to here
 _TRIAL_CHUNK = 4096  # trials per batch of the slot loop and of bscfb_scheme; bounds memory
 DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
+UNIFORM_CAP = 2 ** 32  # uniforms one estimate_error or bscfb_scheme call may draw; bounds time
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -70,7 +71,10 @@ class TableCode:
     word in ascending slot order.  The engine passes exactly k - b_i
     received symbols, so a code cannot peek past its delay profile.
 
-    ``decode`` takes one trial's ``w_row`` and received word.
+    ``decode`` takes one trial's ``w_row`` and received word.  A code is
+    checked once, here: every table has the shape ``table_shapes`` gives it
+    and every encoder entry is an input symbol (exact enumeration also runs
+    prefixes that never occur).
     """
 
     n: int
@@ -87,9 +91,35 @@ class TableCode:
             if len(row) != len(sizes):
                 raise DomainError("message_sizes must be square")
             for j, v in enumerate(row):
-                if v < 1 or (i == j and v != 1):
-                    raise DomainError("message sizes must be >= 1 with unit diagonal")
+                if not 1 <= v <= MESSAGE_SIZE_CAP or (i == j and v != 1):
+                    raise DomainError(f"message size {v} of {i + 1}->{j + 1} must be "
+                                      f"in 1..2**53 (1 on the diagonal)")
         object.__setattr__(self, "message_sizes", sizes)
+        if self.n < 1:
+            raise DomainError("blocklength must be >= 1")
+        per_node = (self.delay_profile.delays, self.input_sizes, self.output_sizes,
+                    self.encoder_tables)
+        alphabets = (*self.input_sizes, *self.output_sizes)
+        if ({len(v) for v in per_node} != {len(sizes)} or min(alphabets, default=1) < 1
+                or any(t is None or len(t) != self.n for t in self.encoder_tables)):
+            raise DomainError(f"code needs per node one delay bit, two alphabet sizes "
+                              f">= 1 and {self.n} encoder tables, one per slot")
+        for kind, i, j, want in table_shapes(self.n, sizes, self.delay_profile.delays,
+                                             self.output_sizes):
+            if kind == "encoder":
+                table, what = self.encoder_tables[i - 1][j - 1], f"node {i}, slot {j}"
+            elif (i, j) in self.decoder_tables:
+                table, what = self.decoder_tables[(i, j)], f"message {i}->{j}"
+            else:
+                raise DomainError(f"code has no decoder table for message {i}->{j}")
+            if np.shape(table) != want:
+                raise DomainError(f"{kind} table of {what} has shape "
+                                  f"{np.shape(table)}, expected {want}")
+            if kind == "encoder":
+                lo, hi = table.min(), table.max()
+                if lo < 0 or hi >= self.input_sizes[i - 1]:
+                    raise DomainError(f"encoder at {what} has symbol "
+                                      f"{lo if lo < 0 else hi} outside its alphabet")
 
     def message_pairs(self):
         n_nodes = len(self.message_sizes)
@@ -113,6 +143,31 @@ class TableCode:
         return int(self.decoder_tables[(i, j)][w_idx, y_idx])
 
 
+def table_shapes(n: int, message_sizes: tuple, delays: tuple, output_sizes: tuple):
+    """(kind, i, j, shape) per table of a code, formed one at a time: first
+    ("encoder", node i, slot j) node by node, shape (w-space of i, |Y_i|^(j - b_i)),
+    then ("decoder", i, j) per message pair, shape (w-space of j, |Y_j|^n)."""
+    nn = len(message_sizes)
+    w_spaces = [math.prod(row[:i] + row[i + 1:]) for i, row in enumerate(message_sizes)]
+    for i in range(nn):
+        for k in range(1, n + 1):
+            yield "encoder", i + 1, k, (w_spaces[i], output_sizes[i] ** (k - delays[i]))
+    for i in range(nn):
+        for j in range(nn):
+            if message_sizes[i][j] > 1:
+                yield "decoder", i + 1, j + 1, (w_spaces[j], output_sizes[j] ** n)
+
+
+def _require_cells_within_cap(shapes, what: str) -> None:
+    """Sum the cells of ``shapes`` and stop as soon as they pass ``CODE_CELL_CAP``."""
+    cells = 0
+    for *_, shape in shapes:
+        cells += math.prod(shape)
+        if cells > CODE_CELL_CAP:
+            raise ResourceCapError(f"{what} needs more than the cap of "
+                                   f"{CODE_CELL_CAP} table cells")
+
+
 def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
                       seed: int, message_size: int = 2) -> TableCode:
     """Uniformly random encoder/decoder tables for every ordered node pair."""
@@ -126,42 +181,22 @@ def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
     nn = spec.n_nodes
     sizes = tuple(tuple(1 if i == j else message_size for j in range(nn))
                   for i in range(nn))
-    w_space = message_size ** (nn - 1)  # message index space of every node
-    outs = spec.output_alphabet_sizes
-    cells = 0
-    for k in range(1, n + 1):  # slot by slot, so growing tables stop this early
-        cells += w_space * sum(outs[i] ** (k - profile.delays[i]) for i in range(nn))
-        if cells > CODE_CELL_CAP:
-            break
-    else:
-        if message_size > 1:
-            cells += w_space * (nn - 1) * sum(s ** n for s in outs)
-    if cells > CODE_CELL_CAP:
-        raise ResourceCapError(f"a random table code of blocklength {n} needs "
-                               f"more than the cap of {CODE_CELL_CAP} table cells")
+    outs = tuple(spec.output_alphabet_sizes)
+    _require_cells_within_cap(table_shapes(n, sizes, profile.delays, outs),
+                              f"a random table code of blocklength {n}")
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed)))
-    enc = []
-    for i in range(1, nn + 1):
-        per_slot = []
-        b = profile.delay_of(i)
-        for k in range(1, n + 1):
-            y_space = outs[i - 1] ** (k - b)
-            per_slot.append(rng.integers(
-                0, spec.input_alphabet_sizes[i - 1],
-                size=(w_space, y_space), dtype=np.int64))
-        enc.append(tuple(per_slot))
+    enc = [[] for _ in range(nn)]
     dec = {}
-    for i in range(1, nn + 1):
-        for j in range(1, nn + 1):
-            if i != j and message_size > 1:
-                dec[(i, j)] = rng.integers(0, message_size,
-                                           size=(w_space, outs[j - 1] ** n),
-                                           dtype=np.int64)
+    for kind, i, j, shape in table_shapes(n, sizes, profile.delays, outs):
+        if kind == "encoder":
+            enc[i - 1].append(rng.integers(0, spec.input_alphabet_sizes[i - 1],
+                                           size=shape, dtype=np.int64))
+        else:
+            dec[(i, j)] = rng.integers(0, message_size, size=shape, dtype=np.int64)
     return TableCode(n=n, message_sizes=sizes, delay_profile=profile,
-                     input_sizes=tuple(spec.input_alphabet_sizes),
-                     output_sizes=tuple(spec.output_alphabet_sizes),
-                     encoder_tables=tuple(enc), decoder_tables=dec)
+                     input_sizes=tuple(spec.input_alphabet_sizes), output_sizes=outs,
+                     encoder_tables=tuple(map(tuple, enc)), decoder_tables=dec)
 
 
 def code_to_dict(code: TableCode) -> dict:
@@ -282,52 +317,25 @@ def _pair_stats(errors: int, trials: int) -> PairStats:
 
 
 def _check_code(spec: NetworkSpec, code: TableCode) -> None:
-    """The code fits the network, every table the engine will gather from has
-    the shape its indices need, and every encoder entry is an input symbol
-    (exact enumeration also runs prefixes that never occur)."""
+    """The code's nodes and alphabets are the network's and its profile is
+    feasible there; its tables were checked when it was built."""
     require_valid(spec)
-    if len(code.message_sizes) != spec.n_nodes:
-        raise DomainError("code message matrix does not match node count")
-    if not is_feasible(spec, code.delay_profile):
-        raise DomainError(
-            f"delay profile {code.delay_profile.delays} infeasible for this network")
-    if code.n < 1:
-        raise DomainError("blocklength must be >= 1")
-    for (i, j) in code.message_pairs():
-        if code.message_sizes[i - 1][j - 1] > MESSAGE_SIZE_CAP:
-            raise DomainError(f"message size {code.message_sizes[i - 1][j - 1]} "
-                              f"of {i}->{j} is above the cap of 2**53")
     if (code.input_sizes != tuple(spec.input_alphabet_sizes)
             or code.output_sizes != tuple(spec.output_alphabet_sizes)):
         raise DomainError(
             f"code alphabet sizes {code.input_sizes} / {code.output_sizes} differ "
             f"from the network's {tuple(spec.input_alphabet_sizes)} / "
             f"{tuple(spec.output_alphabet_sizes)}")
-    w_spaces = [math.prod(code._w_radices(i)) for i in range(1, spec.n_nodes + 1)]
-    if len(code.encoder_tables) != spec.n_nodes:
-        raise DomainError("code needs one list of encoder tables per node")
-    for i, tables in enumerate(code.encoder_tables, start=1):
-        if tables is None or len(tables) != code.n:
-            raise DomainError(f"node {i} needs {code.n} encoder tables, one per slot")
-        b = code.delay_profile.delay_of(i)
-        for k, table in enumerate(tables, start=1):
-            want = (w_spaces[i - 1], code.output_sizes[i - 1] ** (k - b))
-            if np.shape(table) != want:
-                raise DomainError(f"encoder table of node {i}, slot {k} has shape "
-                                  f"{np.shape(table)}, expected {want}")
-            lo, hi = table.min(), table.max()
-            if lo < 0 or hi >= code.input_sizes[i - 1]:
-                raise DomainError(
-                    f"encoder at node {i}, slot {k} has symbol {lo if lo < 0 else hi} "
-                    f"outside its alphabet")
-    for (i, j) in code.message_pairs():
-        if (i, j) not in code.decoder_tables:
-            raise DomainError(f"code has no decoder table for message {i}->{j}")
-        want = (w_spaces[j - 1], code.output_sizes[j - 1] ** code.n)
-        table = code.decoder_tables[(i, j)]
-        if np.shape(table) != want:
-            raise DomainError(f"decoder table of message {i}->{j} has shape "
-                              f"{np.shape(table)}, expected {want}")
+    if not is_feasible(spec, code.delay_profile):
+        raise DomainError(
+            f"delay profile {code.delay_profile.delays} infeasible for this network")
+
+
+def _require_uniforms_within_cap(trials: int, width: int) -> None:
+    """``trials`` rows of ``width`` uniforms fit ``UNIFORM_CAP``; checked before any draw."""
+    if trials * width > UNIFORM_CAP:
+        raise ResourceCapError(f"{trials} trials of {width} uniforms each are above "
+                               f"the cap of {UNIFORM_CAP} uniforms")
 
 
 def _message_indices(code: TableCode, w: np.ndarray) -> dict:
@@ -444,6 +452,7 @@ def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
     require_seed(seed)
     _check_code(spec, code)
     pairs = code.message_pairs()
+    _require_uniforms_within_cap(trials, len(pairs) + code.n * spec.alpha)
     errors = np.zeros(len(pairs), dtype=np.int64)
     for lo in range(0, trials, _TRIAL_CHUNK):
         w, _x, _y, est = _run_batch(spec, code, seed, lo,
@@ -587,13 +596,11 @@ class BscFbSchemeResult:
 
 
 def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
-                 trials: int = 200, forward_code=None) -> BscFbSchemeResult:
-    """Run the zero-delay scheme: node 1 sends coded forward bits; node 2
-    masks a fresh uniform bit with its current received symbol, so node 1
-    recovers the reverse stream exactly.
-
-    The forward code is pluggable (.k/.encode_batch/.decode_batch); the
-    bundled default is the CRC-aided list-decoded polar code.
+                 trials: int = 200) -> BscFbSchemeResult:
+    """Run the zero-delay scheme: node 1 sends coded forward bits of the
+    CRC-aided list-decoded polar code; node 2 masks a fresh uniform bit with
+    its current received symbol, so node 1 recovers the reverse stream
+    exactly.
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must be in (0, 0.5), got {eps}")
@@ -607,10 +614,8 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
         raise DomainError("n and trials must be >= 1")
     require_seed(seed)
     k = max(1, int(math.floor(forward_rate * n + 1e-9)))
-    if forward_code is None:
-        forward_code = PolarCode(n, k, eps)
-    else:
-        k = forward_code.k
+    _require_uniforms_within_cap(trials, k + 2 * n)
+    forward_code = PolarCode(n, k, eps)
     fwd_errors = rev_errors = 0
     step = max(1, min(_TRIAL_CHUNK, DRAW_CELLS // (k + 2 * n)))
     for lo in range(0, trials, step):
@@ -640,13 +645,9 @@ def bscfb_engine_code(n: int, forward_code) -> TableCode:
     k = forward_code.k
     if n < 1:
         raise DomainError("blocklength must be >= 1")
-    # cells of node 1's and node 2's encoder tables, then of the two decoders;
-    # the forward decoder alone has 4^n, so a large n stops before 2^n is formed
-    if 2 * n >= CODE_CELL_CAP.bit_length() or (
-            2 ** k * (2 ** n - 1) + 2 ** n * (2 ** (n + 1) - 2)
-            + 4 ** n + 2 ** k * 2 ** n) > CODE_CELL_CAP:
-        raise ResourceCapError(f"the engine form of the scheme at blocklength {n} "
-                               f"needs more than the cap of {CODE_CELL_CAP} table cells")
+    sizes = ((1, 2 ** k), (2 ** n, 1))
+    _require_cells_within_cap(table_shapes(n, sizes, (1, 0), (2, 2)),
+                              f"the engine form of the scheme at blocklength {n}")
     words = np.arange(2 ** n, dtype=np.int64)
     word_bits = np.transpose(np.unravel_index(words, (2,) * n))  # slot 1 first
     msg_bits = np.transpose(np.unravel_index(np.arange(2 ** k), (2,) * k))
@@ -667,7 +668,7 @@ def bscfb_engine_code(n: int, forward_code) -> TableCode:
     reversed_words = np.ravel_multi_index(word_bits.T[::-1], (2,) * n)  # slot 1 least significant
     return TableCode(
         n=n,
-        message_sizes=((1, 2 ** k), (2 ** n, 1)),
+        message_sizes=sizes,
         delay_profile=DelayProfile.of((1, 0)),
         input_sizes=(2, 2),
         output_sizes=(2, 2),

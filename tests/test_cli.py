@@ -311,9 +311,18 @@ def _wrong_output_sizes(d):
     d["output_sizes"] = [1, 1, 1]
 
 
+def _delay_bit_minus_one(d):
+    d["delay_profile"][0] = -1  # |Y_1| = 1, so every table keeps its shape
+
+
+def _delay_bit_two(d):
+    d["delay_profile"][0] = 2
+
+
 @pytest.mark.parametrize("edit", [_wrong_output_sizes, _narrow_encoder,
                                   _narrow_decoder, _drop_slot_table,
-                                  _huge_message_size, _drop_decoder_pair])
+                                  _huge_message_size, _drop_decoder_pair,
+                                  _delay_bit_minus_one, _delay_bit_two])
 def test_simulate_malformed_code_is_a_domain_error(capsys, tmp_path, relay_files, edit):
     spec_f, code_f = relay_files
     with open(code_f, encoding="utf-8") as fh:
@@ -422,6 +431,15 @@ def test_negative_seed_is_a_domain_error(capsys, tmp_path, spec_path, code_path,
     rc, out, err = _run(capsys, *[a.format(**paths) for a in argv], "--seed", "-1")
     assert rc == EXIT_DOMAIN and out == "" and not (tmp_path / "out.json").exists()
     assert err == "error: seed must be >= 0, got -1\n"
+
+
+def test_trial_counts_over_uniform_cap(capsys, spec_path, code_path):
+    for argv in (("simulate", "--spec", spec_path, "--code", code_path),
+                 ("bscfb", "--eps", "0.11", "--n", "64")):
+        rc, out, err = _run(capsys, *argv, "--trials", "1000000000000")
+        assert rc == EXIT_CAP and out == ""
+        assert err.startswith("error: 1000000000000 trials of ") and err.count("\n") == 1
+        assert str(simulate.UNIFORM_CAP) in err
 
 
 # ---------------------------------------------------------------------------
@@ -648,4 +666,72 @@ def _gaussian_argv(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(argv=_gaussian_argv())
 def test_gaussian_argv_contract(argv):
+    _contract(argv)
+
+
+_HUGE_COUNTS = st.one_of(st.integers(-2, 6), st.sampled_from([10 ** 10, 10 ** 30]))
+
+
+@pytest.fixture(scope="module")
+def contract_code(contract_spec):
+    """A random n=2 code for the contract network, as a dict, and a file path."""
+    code = simulate.random_table_code(networks.bscfb_spec(0.11), 2,
+                                      model.DelayProfile.all_one(2), seed=0)
+    return simulate.code_to_dict(code), contract_spec.replace("net.json", "code.json")
+
+
+@st.composite
+def _code_edit(draw):
+    """Path (keys and indices) into a code dict and the value put there, or
+    the key to drop; None leaves the code as it is."""
+    return draw(st.one_of(
+        st.none(),
+        st.tuples(st.just("drop"), st.sampled_from(
+            ["n", "message_sizes", "delay_profile", "input_sizes", "output_sizes",
+             "encoders", "decoders"])),
+        st.tuples(st.just(("delay_profile", 0)), st.sampled_from([-1, 2])),
+        st.tuples(st.just(("delay_profile", 1)), st.sampled_from([-1, 0, 2])),
+        st.tuples(st.sampled_from([("encoders", 0, "tables", 1, 0, 0),
+                                   ("decoders", 1, "table", 0, 0)]),
+                  st.sampled_from([-1, 2, 7, 2 ** 63])),
+        st.tuples(st.sampled_from([("encoders", 1, "tables", 0), ("decoders", 0, "table"),
+                                   ("encoders", 0, "tables")]),
+                  st.sampled_from([[], [[0]], [[0, 1, 0]]])),
+        st.tuples(st.sampled_from([("n",), ("message_sizes", 0, 1), ("output_sizes", 1)]),
+                  st.sampled_from([0, 1, 3, 2 ** 60]))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(edit=_code_edit(), trials=_HUGE_COUNTS, seed=st.integers(-2, 3))
+def test_simulate_argv_contract(contract_spec, contract_code, edit, trials, seed):
+    good, path = contract_code
+    d = json.loads(json.dumps(good))
+    if edit is not None and edit[0] == "drop":
+        del d[edit[1]]
+    elif edit is not None:
+        *keys, last = edit[0]
+        target = d
+        for key in keys:
+            target = target[key]
+        target[last] = edit[1]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(d, fh)
+    _contract(["simulate", "--spec", contract_spec, "--code", path,
+               "--trials", str(trials), "--seed", str(seed)])
+
+
+@st.composite
+def _bscfb_argv(draw):
+    """A small valid run with a random subset of its numbers redrawn."""
+    values = {"eps": 0.11, "rate": 0.25, "n": 64, "trials": 5}
+    redraw = {"eps": _FLOATS, "rate": _FLOATS, "trials": _HUGE_COUNTS,
+              "n": st.one_of(st.integers(-2, 80), st.sampled_from([polar.MAX_N + 1, 10 ** 30]))}
+    for name in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
+        values[name] = draw(redraw[name])
+    return ["bscfb"] + [f"--{name}={value!r}" for name, value in values.items()]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(argv=_bscfb_argv())
+def test_bscfb_argv_contract(argv):
     _contract(argv)

@@ -51,7 +51,8 @@ def test_joint_validate_catches_problems():
     assert ok.validate() == []
     assert _joint((("A", 2),), [-0.1, 1.1]).validate()
     assert _joint((("A", 2),), [0.4, 0.4]).validate()
-    assert _joint((("A", 2),), [0.5, 0.3, 0.2]).validate()
+    with pytest.raises(DomainError):
+        _joint((("A", 2),), [0.5, 0.3, 0.2])  # refused when it is built
 
 
 def test_joint_validate_reports_non_finite_entries():
@@ -82,13 +83,9 @@ def test_marginalize_rejects_bad_lists():
 
 
 def test_table_of_wrong_length_is_a_domain_error():
-    # validate() reports it; every reshaping operation refuses it
-    p = _joint((("A", 2), ("B", 2)), [0.5, 0.5])
-    for call in (p.as_array, lambda: marginalize(p, ("A",)),
-                 lambda: condition(p, {"A": 0}),
-                 lambda: conditional_mutual_information(p, ("A",), ("B",))):
-        with pytest.raises(DomainError, match="2 probabilities for the 4 cells"):
-            call()
+    # refused when it is built, so no reshaping operation ever sees it
+    with pytest.raises(DomainError, match="2 probabilities for the 4 cells"):
+        _joint((("A", 2), ("B", 2)), [0.5, 0.5])
 
 
 def test_condition_hand_oracle():
@@ -351,12 +348,15 @@ def test_joint_json_errors(tmp_path):
         load_joint(bad)
     with pytest.raises(SpecIOError):
         joint_from_dict({"variables": [["A", 2]]})
-    with pytest.raises(SpecIOError, match="2 probabilities for 4 cells"):
+    with pytest.raises(SpecIOError, match="2 probabilities for the 4 cells"):
         joint_from_dict({"variables": [["A", 2], ["B", 2]], "probs": [0.5, 0.5]})
     # alphabet sizes are read as spec and code fields are: never truncated
     for size in (2.9, True, "2"):
         with pytest.raises(SpecIOError, match="alphabet size must be an integer"):
             joint_from_dict({"variables": [["A", size]], "probs": [0.5, 0.5]})
+    # (-2) * (-2) cells would match the table's length
+    with pytest.raises(SpecIOError, match="alphabet sizes must be >= 1"):
+        joint_from_dict({"variables": [["A", -2], ["B", -2]], "probs": [0.25] * 4})
     # with a repeated name, marginalize would sum one of its two axes
     with pytest.raises(SpecIOError, match="names must be distinct strings"):
         joint_from_dict({"variables": [["A", 2], ["A", 2]], "probs": [0.5, 0, 0, 0.5]})

@@ -75,10 +75,16 @@ def _empty_block_spec():
 def test_decode_indices_first_symbol_most_significant():
     # node 2 originates messages of sizes 3 (to node 1) and 2 (to node 3)
     # and hears a ternary word of two slots; its decoder cell (w, y) is 9w + y
-    code = TableCode(n=2, message_sizes=((1, 2, 2), (3, 1, 2), (2, 2, 1)),
+    sizes, outs = ((1, 2, 2), (3, 1, 2), (2, 2, 1)), (2, 3, 2)
+    shapes = list(simulate.table_shapes(2, sizes, (1, 1, 1), outs))
+    encoders = tuple(tuple(np.zeros(shape, dtype=np.int64) for kind, i, _, shape in shapes
+                           if kind == "encoder" and i == node) for node in (1, 2, 3))
+    decoders = {(i, j): np.zeros(shape, dtype=np.int64)
+                for kind, i, j, shape in shapes if kind == "decoder"}
+    decoders[(1, 2)] = np.arange(54).reshape(6, 9)
+    code = TableCode(n=2, message_sizes=sizes,
                      delay_profile=DelayProfile.of((1, 1, 1)), input_sizes=(2, 2, 2),
-                     output_sizes=(2, 3, 2), encoder_tables=(),
-                     decoder_tables={(1, 2): np.arange(54).reshape(6, 9)})
+                     output_sizes=outs, encoder_tables=encoders, decoder_tables=decoders)
     # w_row (1, 0) has index 1 * 2 + 0, received word (2, 0) has 2 * 3 + 0
     assert code.decode(1, 2, (1, 0), (2, 0)) == 9 * 2 + 6
     messages = {(2, 1): 2, (2, 3): 1, (1, 2): 0}
@@ -465,29 +471,91 @@ def test_code_validation_errors():
     with pytest.raises(DomainError):
         dataclasses.replace(good, message_sizes=((2, 2), (2, 1)))  # diagonal must be unit
     seven = np.full_like(good.encoder_tables[0][0], 7)
-    rogue = dataclasses.replace(good, encoder_tables=((seven,), good.encoder_tables[1]))
-    with pytest.raises(DomainError):
-        run_trial(spec, rogue, seed=0)  # symbol outside the input alphabet
+    with pytest.raises(DomainError):  # symbol outside the input alphabet
+        dataclasses.replace(good, encoder_tables=((seven,), good.encoder_tables[1]))
+    # every table is checked when the code is built, before any engine call
+    good = random_table_code(networks.bundled_spec("causal-relay"), 2,
+                             DelayProfile.of((1, 0, 1)), seed=0)
+    enc, dec = good.encoder_tables, good.decoder_tables
+    edits = {
+        "blocklength must be >= 1": dict(n=0),
+        "one delay bit, two alphabet sizes": dict(delay_profile=DelayProfile.of((1, 0))),
+        "two alphabet sizes": dict(output_sizes=(2, 2)),
+        "alphabet sizes >= 1": dict(input_sizes=(2, 0, 1)),
+        "2 encoder tables, one per slot": dict(encoder_tables=(enc[0], enc[1][:1], enc[2])),
+        r"encoder table of node 3, slot 2 has shape \(4, 1\), expected \(4, 2\)":
+            dict(encoder_tables=(enc[0], enc[1], (enc[2][0], enc[2][1][:, :1]))),
+        "has symbol -1 outside its alphabet":
+            dict(encoder_tables=((enc[0][0] - 1, enc[0][1]), enc[1], enc[2])),
+        r"no decoder table for message 2->3": dict(decoder_tables={
+            p: t for p, t in dec.items() if p != (2, 3)}),
+        r"decoder table of message 1->2 has shape \(3, 4\), expected \(4, 4\)":
+            dict(decoder_tables={**dec, (1, 2): dec[(1, 2)][:3]}),
+        r"of 2->1 must be in 1..2\*\*53":
+            dict(message_sizes=((1, 2, 2), (2 ** 60, 1, 2), (2, 2, 1))),
+    }
+    for why, edit in edits.items():
+        with pytest.raises(DomainError, match=why):
+            dataclasses.replace(good, **edit)
 
 
-def _unreachable_rogue_code():
-    """Identity network, n=2: node 1 always sends 0 in slot 1, so it never
-    hears 1 before slot 2; that slot-2 entry holds the out-of-range 7."""
+def test_delay_bits_outside_zero_and_one_are_refused():
+    for bits in ((-1, 1), (2, 1), (1, 3)):
+        with pytest.raises(DomainError, match="delay bits must be 0 or 1"):
+            DelayProfile.of(bits)
+    # with node 1's tables sized for b_1 = -1, only the delay bit is wrong
+    spec = networks.bscfb_spec(0.11)
+    d = code_to_dict(random_table_code(spec, 2, _UNIT, seed=0))
+    d["delay_profile"] = [-1, 1]
+    d["encoders"][0]["tables"] = [[[0] * 2 ** (k + 1)] * 2 for k in (1, 2)]
+    with pytest.raises(DomainError, match="delay bits must be 0 or 1"):
+        code_from_dict(d)
+
+
+def test_table_shapes_draw_order_and_hand_counts():
+    # random_table_code draws its tables in table_shapes order
+    spec = networks.bundled_spec("causal-relay")
+    profile = DelayProfile.of((1, 0, 1))
+    code = random_table_code(spec, 2, profile, seed=5, message_size=3)
+    drawn = [(("encoder", i, k), t.shape) for i, tables in enumerate(code.encoder_tables, 1)
+             for k, t in enumerate(tables, 1)]
+    drawn += [(("decoder",) + p, t.shape) for p, t in code.decoder_tables.items()]
+    listed = [((kind, i, j), shape) for kind, i, j, shape in simulate.table_shapes(
+        2, code.message_sizes, profile.delays, code.output_sizes)]
+    assert listed == drawn
+    # the engine form of the scheme: node 1 and node 2 encoders, then both decoders
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            shapes = simulate.table_shapes(n, ((1, 2 ** k), (2 ** n, 1)), (1, 0), (2, 2))
+            assert sum(math.prod(s) for *_, s in shapes) == (
+                2 ** k * (2 ** n - 1) + 2 ** n * (2 ** (n + 1) - 2) + 4 ** n + 2 ** k * 2 ** n)
+
+
+def test_uniform_cap_is_checked_before_any_draw(monkeypatch):
+    spec = networks.bscfb_spec(0.11)
+    code = random_table_code(spec, 2, _UNIT, seed=0)
+    with pytest.raises(ResourceCapError, match=str(simulate.UNIFORM_CAP)):
+        estimate_error(spec, code, trials=10 ** 12, seed=0)
+
+    def no_code(*args):
+        raise AssertionError("the polar code was built before the cap was checked")
+    monkeypatch.setattr(simulate, "PolarCode", no_code)
+    with pytest.raises(ResourceCapError, match=str(simulate.UNIFORM_CAP)):
+        bscfb_scheme(0.11, 64, 0.25, seed=0, trials=10 ** 12)
+
+
+def test_unreachable_out_of_range_encoder_symbol_rejected():
+    # identity network, n=2: node 1 always sends 0 in slot 1, so it never
+    # hears 1 before slot 2; that slot-2 entry holds the out-of-range 7, and
+    # the code is refused when it is built, before any engine call
     spec = networks.bundled_spec("deterministic")
     code = random_table_code(spec, 2, _UNIT, seed=0)
     first, second = code.encoder_tables[0]
     second = second.copy()
     second[:, 1] = 7
     tables = ((np.zeros_like(first), second), code.encoder_tables[1])
-    return spec, dataclasses.replace(code, encoder_tables=tables)
-
-
-def test_unreachable_out_of_range_encoder_symbol_rejected():
-    spec, rogue = _unreachable_rogue_code()
-    for call in (lambda: estimate_error(spec, rogue, trials=20, seed=0),
-                 lambda: induced_joint(spec, rogue)):
-        with pytest.raises(DomainError, match="node 1, slot 2 has symbol 7"):
-            call()
+    with pytest.raises(DomainError, match="node 1, slot 2 has symbol 7"):
+        dataclasses.replace(code, encoder_tables=tables)
 
 
 def test_negative_seed_is_a_domain_error():
@@ -496,8 +564,7 @@ def test_negative_seed_is_a_domain_error():
     calls = (lambda: estimate_error(spec, code, trials=3, seed=-1),
              lambda: run_trial(spec, code, seed=-1),
              lambda: random_table_code(spec, 1, _UNIT, seed=-1),
-             lambda: bscfb_scheme(0.11, 8, 0.25, seed=-1, trials=3,
-                                  forward_code=_tiny_polar(8, 2)))
+             lambda: bscfb_scheme(0.11, 8, 0.25, seed=-1, trials=3))
     for call in calls:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             call()
@@ -521,16 +588,14 @@ def test_trace_csv_layout():
 
 def test_scheme_trial_windows_leave_counts_unchanged(monkeypatch):
     # trials run in windows of _TRIAL_CHUNK; each trial has its own stream
-    fwd = PolarCode(64, 16, 0.11)
-    whole = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=30, forward_code=fwd)
+    whole = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=30)
     monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 7)
-    windowed = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=30, forward_code=fwd)
+    windowed = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=30)
     assert windowed == whole
 
 
 def test_scheme_reverse_always_exact_forward_reasonable():
-    fwd = PolarCode(64, 16, 0.11)
-    res = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=50, forward_code=fwd)
+    res = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=50)
     assert res.forward_bits == 16
     assert res.achieved_rates == (0.25, 1.0)
     assert res.report.pairs[(2, 1)].errors == 0
