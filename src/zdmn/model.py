@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -91,8 +92,9 @@ def _parse_blocks(blocks, what: str) -> Partition:
     return Partition(tuple(NodeSet(tuple(json_int(i, what) for i in b)) for b in blocks))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+def _readonly(a) -> np.ndarray:
+    """A read-only float64 copy of `a`: the caller's array stays its own."""
+    a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
     return a
 
@@ -117,8 +119,14 @@ class ChannelTable:
 
     def stochasticity_violations(self, label: str = "channel") -> list[str]:
         # whole-table reductions: a valid table costs O(rows) scratch, not O(cells)
-        out = []
         t = self.table
+        # a valid table passes on its range and row sums alone; entries in
+        # [0, 1] (NaN fails both comparisons) are finite, so no sum warns
+        if t.size and 0.0 <= t.min() and t.max() <= 1.0:
+            dev = t.sum(axis=1) - 1.0
+            if np.abs(dev, out=dev).max() <= ROW_TOL:
+                return []
+        out = []
         with np.errstate(invalid="ignore"):  # inf + -inf in a row sums to NaN
             sums = t.sum(axis=1)
         if not np.isfinite(sums).all():  # a non-finite entry spoils its row sum
@@ -262,8 +270,8 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
             v.append(f"channel {h}: input variables {ch.input_vars} != expected {want_in}")
         if tuple(ch.output_vars) != want_out:
             v.append(f"channel {h}: output variables {ch.output_vars} != expected {want_out}")
-        rows = int(np.prod([spec.var_size(x) for x in want_in], dtype=np.int64)) if want_in else 1
-        cols = int(np.prod([spec.var_size(x) for x in want_out], dtype=np.int64)) if want_out else 1
+        rows = math.prod(spec.var_size(x) for x in want_in)  # exact: no int64 wrap
+        cols = math.prod(spec.var_size(x) for x in want_out)
         if ch.table.shape != (rows, cols):
             v.append(f"channel {h}: table shape {ch.table.shape} != expected ({rows}, {cols})")
         else:

@@ -412,6 +412,12 @@ def _decode_chunk_blocks(n_code: int, list_size: int) -> int:
     return max(1, min(_DECODE_CHUNK, _DECODE_LANES // (list_size * n_code)))
 
 
+def require_blocklength_within_cap(n: int) -> None:
+    """Refuse a blocklength above ``MAX_N``; an int of any size compares exactly."""
+    if n > MAX_N:
+        raise ResourceCapError(f"blocklength {n} is above the cap of {MAX_N}")
+
+
 class PolarCode:
     """Shortened polar code, CRC-aided list decoding over hard decisions.
 
@@ -432,8 +438,7 @@ class PolarCode:
             raise DomainError(f"crossover eps must be in [0, 0.5), got {eps}")
         if list_size < 1:
             raise DomainError("list_size must be >= 1")
-        if n > MAX_N:
-            raise ResourceCapError(f"blocklength {n} is above the cap of {MAX_N}")
+        require_blocklength_within_cap(n)
         n_code = _code_length(n)
         if list_size * n_code > _DECODE_LANES:
             raise ResourceCapError(f"list size {list_size} at code length {n_code} "

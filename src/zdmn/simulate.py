@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError, SpecIOError
 from .model import (DelayProfile, NetworkSpec, is_feasible, json_int, json_int_table,
                     read_json, require_seed, require_valid, write_text, x_var, y_var)
-from .polar import PolarCode
+from .polar import PolarCode, require_blocklength_within_cap
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
                           conditional_mutual_information, input_conditional_vars)
 
@@ -362,14 +362,16 @@ def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column)
     also folds in its current-slot symbol, which an earlier channel of the
     slot emitted.
 
-    Returns inputs and outputs, (trials, n, N) each, and the index of each
-    node's whole received word, (N, trials).
+    Inputs and outputs are held step-major, (n, N, trials), so every symbol
+    of one slot and node is a contiguous row.  Returns them as (trials, n, N)
+    views, and the index of each node's whole received word, (N, trials).
     """
     nn, n = spec.n_nodes, code.n
-    x = np.zeros((trials, n, nn), dtype=np.int64)
-    y = np.zeros((trials, n, nn), dtype=np.int64)
+    x = np.zeros((n, nn, trials), dtype=np.int64)
+    y = np.zeros((n, nn, trials), dtype=np.int64)
     words = np.zeros((nn, trials), dtype=np.int64)  # received words before slot k
     sizes = code.output_sizes
+    delays = code.delay_profile.delays
     steps = []
     for h in range(1, spec.alpha + 1):
         in_vars, out_vars = spec.channel_input_vars(h), spec.channel_output_vars(h)
@@ -380,22 +382,40 @@ def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column)
             [int(v[1:]) - 1 for v in out_vars],
             [spec.var_size(v) for v in out_vars]))
     for k in range(n):
+        xk, yk = x[k], y[k]
         for h, (members, ins, in_sizes, outs, out_sizes) in enumerate(steps):
             for i in members:
                 word = words[i - 1]
-                if code.delay_profile.delay_of(i) == 0:
-                    word = np.ravel_multi_index((word, y[:, k, i - 1]),
+                if delays[i - 1] == 0:
+                    word = np.ravel_multi_index((word, yk[i - 1]),
                                                 (sizes[i - 1] ** k, sizes[i - 1]))
-                x[:, k, i - 1] = code.encoder_tables[i - 1][k][w_idx[i], word]
+                xk[i - 1] = code.encoder_tables[i - 1][k][w_idx[i], word]
             # a channel without inputs has the one row 0 (a scalar here); one
             # without outputs has one column, which splits into no symbols
-            row = np.ravel_multi_index([arr[:, k, node] for arr, node in ins], in_sizes)
+            row = np.ravel_multi_index([arr[k, node] for arr, node in ins], in_sizes)
             col = column(k * spec.alpha + h, h, row)
             if outs:
-                y[:, k, outs] = np.transpose(np.unravel_index(col, out_sizes))
+                yk[outs] = np.unravel_index(col, out_sizes)
         for i in range(nn):
-            words[i] = np.ravel_multi_index((words[i], y[:, k, i]), (sizes[i] ** k, sizes[i]))
-    return x, y, words
+            words[i] = np.ravel_multi_index((words[i], yk[i]), (sizes[i] ** k, sizes[i]))
+    return x.transpose(2, 0, 1), y.transpose(2, 0, 1), words
+
+
+def _draw_column(cum_t: np.ndarray, row, u: np.ndarray) -> np.ndarray:
+    """The column a channel emits per trial: the count of the entries of the
+    trial's cumulative row, all but the last, that are <= its uniform u.
+
+    ``cum_t`` is the channel's cumulative table without its last column,
+    transposed to (cols - 1, rows); ``row`` is each trial's channel row (a
+    scalar for a channel without inputs, which broadcasts) and ``u`` each
+    trial's uniform.  A cumulative row of nonnegative entries never
+    decreases, so the count is ``searchsorted(side="right")`` capped at
+    cols - 1, and a 1-column channel always emits column 0.
+    """
+    col = np.zeros(u.shape, dtype=np.int64)
+    for cum in cum_t:
+        col += cum[row] <= u
+    return col
 
 
 def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
@@ -415,13 +435,14 @@ def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
     m = np.array([code.message_sizes[i - 1][j - 1] for i, j in pairs], dtype=float)
     w = np.floor(u[:, :P] * m).astype(np.int64)
     w_idx = _message_indices(code, w)
-    cums = [np.cumsum(channel.table, axis=1) for channel in spec.channels]
+    u_steps = np.ascontiguousarray(u[:, P:].T)  # (n * alpha, trials): one row per step
+    cum_ts = [np.ascontiguousarray(np.cumsum(channel.table, axis=1)[:, :-1].T)
+              for channel in spec.channels]
 
     def column(step, h, row):
-        # the number of cumulative entries <= u is searchsorted(side="right");
-        # a scalar row broadcasts over the trials
-        return np.minimum((cums[h][row] <= u[:, P + step, None]).sum(axis=1),
-                          cums[h].shape[1] - 1)
+        # a column is the count of the cumulative entries, all but the last,
+        # that are <= the step's uniform (``_draw_column``)
+        return _draw_column(cum_ts[h], row, u_steps[step])
 
     x, y, words = _slots(spec, code, w_idx, hi - lo, column)
     est = np.empty_like(w)
@@ -613,6 +634,7 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
     if n < 1 or trials < 1:
         raise DomainError("n and trials must be >= 1")
     require_seed(seed)
+    require_blocklength_within_cap(n)  # before forward_rate * n, which overflows a float
     k = max(1, int(math.floor(forward_rate * n + 1e-9)))
     _require_uniforms_within_cap(trials, k + 2 * n)
     forward_code = PolarCode(n, k, eps)

@@ -484,6 +484,15 @@ def test_bscfb_blocklength_over_cap(capsys):
     assert peak < 2 ** 20  # nothing of size n was allocated
 
 
+def test_bscfb_blocklength_past_the_float_range():
+    # forward_rate * n overflows a float once n passes about 1.8e308
+    n = 10 ** 400
+    proc = subprocess.run([sys.executable, "-m", "zdmn.cli", "bscfb", "--eps", "0.11",
+                           "--n", str(n)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_CAP and proc.stdout == ""
+    assert proc.stderr == f"error: blocklength {n} is above the cap of {polar.MAX_N}\n"
+
+
 def test_gaussian_report_only(capsys):
     rc, out, _ = _run(capsys, "gaussian", "--power", "5")
     assert rc == EXIT_OK
@@ -725,7 +734,8 @@ def _bscfb_argv(draw):
     """A small valid run with a random subset of its numbers redrawn."""
     values = {"eps": 0.11, "rate": 0.25, "n": 64, "trials": 5}
     redraw = {"eps": _FLOATS, "rate": _FLOATS, "trials": _HUGE_COUNTS,
-              "n": st.one_of(st.integers(-2, 80), st.sampled_from([polar.MAX_N + 1, 10 ** 30]))}
+              "n": st.one_of(st.integers(-2, 80),
+                             st.sampled_from([polar.MAX_N + 1, 10 ** 30, 10 ** 400]))}
     for name in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
         values[name] = draw(redraw[name])
     return ["bscfb"] + [f"--{name}={value!r}" for name, value in values.items()]

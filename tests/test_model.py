@@ -75,6 +75,37 @@ def test_channel_table_reports_non_finite_entries():
         assert "ch: 1 non-finite entries" in msgs
 
 
+_ROW = "ch: row {} sums to {} (not 1 within 1e-09)"
+
+
+@pytest.mark.parametrize("rows,want", [
+    ([[0.3, 0.7], [0.5, 0.5]], []),
+    ([[-0.0, 1.0]], []),                                  # -0.0 is not below 0
+    ([[0.5, 0.5 + 5e-10]], []),                           # within ROW_TOL
+    ([[0.3, 0.7], [math.nan, 0.5]], ["ch: 1 non-finite entries"]),
+    ([[0.3, 0.7], [math.inf, 0.5]], ["ch: 1 non-finite entries",
+                                     "ch: entries outside [0, 1]", _ROW.format(1, "inf")]),
+    ([[math.inf, -math.inf], [0.5, 0.5]], ["ch: 2 non-finite entries",
+                                           "ch: entries outside [0, 1]"]),
+    ([[0.3, 0.6], [1.2, -0.2]], ["ch: entries outside [0, 1]",
+                                 _ROW.format(0, "0.900000000")]),
+    ([[1.0 + 5e-10, 0.0]], ["ch: entries outside [0, 1]"]),  # row within ROW_TOL
+    ([[0.5, 0.5 + 2e-9]], [_ROW.format(0, "1.000000002")]),
+    ([[0.2, 0.2]] * 10, [_ROW.format(r, "0.400000000") for r in range(8)]
+     + ["ch: 2 further non-stochastic rows"]),
+])
+def test_stochasticity_messages_per_kind_of_violation(rows, want):
+    assert ChannelTable(("X1",), ("Y2",), np.array(rows)).stochasticity_violations("ch") == want
+
+
+def test_channel_table_copies_the_callers_array():
+    a = np.array([[0.3, 0.7], [0.5, 0.5]])
+    c = ChannelTable(("X1",), ("Y2",), a)
+    assert c.table is not a and a.flags.writeable and not c.table.flags.writeable
+    a[0, 0] = 5.0  # a later write to the caller's array does not reach the channel
+    assert c.table[0, 0] == 0.3 and c.stochasticity_violations() == []
+
+
 # ---------------------------------------------------------------------------
 # node location and feasibility
 
@@ -244,6 +275,19 @@ def test_validate_flags_wrong_table_shape():
     report = validate_spec(broken)
     assert not report.ok
     assert any("shape" in v for v in report.violations)
+
+
+def test_validate_shape_products_are_exact():
+    # 2**32 * 2**32 rows wrap to 0 in int64, which would match an empty table
+    both = NodeSet((1, 2))
+    spec = NetworkSpec(2, (2 ** 32, 2 ** 32), (2, 2), 1, Partition((both,)),
+                       Partition((both,)),
+                       (ChannelTable(("X1", "X2"), ("Y1", "Y2"), np.zeros((0, 4))),))
+    want = f"!= expected ({2 ** 64}, 4)"
+    report = validate_spec(spec)
+    assert not report.ok and want in report.violations[0]
+    loaded = validate_spec(model.spec_from_dict(json.loads(json.dumps(model.spec_to_dict(spec)))))
+    assert not loaded.ok and want in loaded.violations[0]
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,50 @@ def test_batch_engine_matches_serial_reference_zero_delay_scheme():
                                seed=n, trials=12)
 
 
+def _searchsorted_columns(table, rows, u):
+    """The column per trial by inverse cdf: searchsorted(side="right") of u
+    in the trial's cumulative row, capped at the last column."""
+    cum = np.cumsum(table, axis=1)
+    return np.array([min(int(np.searchsorted(cum[r], v, side="right")), cum.shape[1] - 1)
+                     for r, v in zip(rows, u)])
+
+
+def _draws(table, rows, u):
+    cum_t = np.ascontiguousarray(np.cumsum(table, axis=1)[:, :-1].T)
+    return simulate._draw_column(cum_t, rows, u)
+
+
+def test_draw_column_is_capped_searchsorted():
+    table = np.array([
+        [0.0, 0.5, 0.0, 0.5, 0.0],     # zero entries repeat cumulative values
+        [0.2, 0.3, 0.5, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.1, 0.1, 0.1, 0.1, 0.6],
+    ])
+    tenths = np.full((1, 10), 0.1)     # its float cumsum ends below 1
+    assert np.cumsum(tenths)[-1] < 1.0
+    for t in (table, tenths):
+        cum = np.cumsum(t, axis=1)
+        for r in range(t.shape[0]):
+            # every cumulative entry, its float neighbours, 0 and the largest uniform
+            u = np.concatenate([cum[r], np.nextafter(cum[r], 0.0),
+                                np.nextafter(cum[r], 2.0), [0.0, 1.0 - 2.0 ** -53]])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            rows = np.full(u.shape, r)
+            assert np.array_equal(_draws(t, rows, u), _searchsorted_columns(t, rows, u))
+    u = np.linspace(0.0, 1.0, 101)[:-1]
+    # a 1-column channel always emits column 0
+    one = np.ones((3, 1))
+    rows = np.arange(100) % 3
+    assert np.array_equal(_draws(one, rows, u), np.zeros(100, dtype=np.int64))
+    assert np.array_equal(_searchsorted_columns(one, rows, u), np.zeros(100))
+    # a channel without inputs has the one row 0, a scalar that broadcasts
+    single = table[4:5]
+    assert np.array_equal(_draws(single, 0, u),
+                          _searchsorted_columns(single, np.zeros(100, dtype=int), u))
+
+
 def _exact_error_probabilities(spec, code):
     """P(estimate != message) per pair, from the exact induced joint."""
     joint = induced_joint(spec, code)
