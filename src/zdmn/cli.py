@@ -25,7 +25,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import bounds, gaussian, model, networks, simulate
+# bounds, simulate and gaussian are imported by the handlers that run them,
+# so a command loads only the modules it uses
+from . import model, networks
 from .errors import DomainError, ResourceCapError, SpecIOError, ZdmnError
 
 __all__ = ["main"]
@@ -107,6 +109,8 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from . import bounds
+
     spec = model.load_spec(args.spec)
     hull, n_points, _ = bounds.grid_hull(spec, args.mode, args.grid)
     rows = list(hull)
@@ -162,6 +166,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulate
+
     spec = model.load_spec(args.spec)
     code = simulate.load_code(args.code)
     report = simulate.estimate_error(spec, code, trials=args.trials, seed=args.seed)
@@ -174,6 +180,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bscfb(args: argparse.Namespace) -> int:
+    from . import simulate
+
     result = simulate.bscfb_scheme(
         eps=args.eps,
         n=args.n,
@@ -187,6 +195,8 @@ def _cmd_bscfb(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaussian(args: argparse.Namespace) -> int:
+    from . import gaussian
+
     # every computation runs before the first print, so a failure prints nothing
     lines = [str(gaussian.separation_report(args.power, operating_rate=args.rate))]
     if args.experiment:
@@ -211,7 +221,10 @@ def _cmd_generate_spec(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_code(args: argparse.Namespace) -> int:
+    from . import simulate
+
     spec = model.load_spec(args.spec)
+    model.require_valid(spec)  # first: the default profile is n_nodes bits long
     if args.profile is None:
         profile = model.DelayProfile.all_one(spec.n_nodes)
     else:

@@ -92,13 +92,6 @@ def _parse_blocks(blocks, what: str) -> Partition:
     return Partition(tuple(NodeSet(tuple(json_int(i, what) for i in b)) for b in blocks))
 
 
-def _readonly(a) -> np.ndarray:
-    """A read-only float64 copy of `a`: the caller's array stays its own."""
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class ChannelTable:
     """Row-stochastic conditional pmf of the output block given the input block.
@@ -114,8 +107,11 @@ class ChannelTable:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.atleast_2d(np.asarray(self.table, dtype=np.float64))
-        object.__setattr__(self, "table", _readonly(t))
+        # a read-only copy, so the caller's array stays its own; + 0.0 also
+        # turns -0.0 into 0.0, which a spec file would otherwise print
+        t = np.atleast_2d(np.asarray(self.table, dtype=np.float64)) + 0.0
+        t.setflags(write=False)
+        object.__setattr__(self, "table", t)
 
     def stochasticity_violations(self, label: str = "channel") -> list[str]:
         # whole-table reductions: a valid table costs O(rows) scratch, not O(cells)
@@ -233,10 +229,12 @@ def _partition_violations(name: str, part: Partition, n_nodes: int) -> list[str]
         if seen & set(b.members):
             out.append(f"{name}: blocks not disjoint")
         seen |= set(b.members)
-    if seen != set(range(1, n_nodes + 1)):
-        missing = sorted(set(range(1, n_nodes + 1)) - seen)
-        if missing:
-            out.append(f"{name}: nodes {missing} are in no block")
+    # O(members), not O(n_nodes): a file may claim any node count
+    n_missing = n_nodes - sum(1 for i in seen if 1 <= i <= n_nodes)
+    if n_missing > 0:
+        missing = list(itertools.islice((i for i in range(1, n_nodes + 1) if i not in seen), 8))
+        further = f" and {n_missing - 8} further" if n_missing > 8 else ""
+        out.append(f"{name}: nodes {missing}{further} are in no block")
     return out
 
 
@@ -316,9 +314,11 @@ def is_feasible(spec: NetworkSpec, profile: DelayProfile) -> bool:
 
 def enumerate_feasible_profiles(spec: NetworkSpec) -> list[DelayProfile]:
     """All feasible profiles out of the 2^N candidates, lexicographic order."""
-    if 2 ** spec.n_nodes > PROFILE_CAP:
+    if spec.n_nodes < 1:
+        raise DomainError(f"n_nodes must be at least 1, got {spec.n_nodes}")
+    if spec.n_nodes >= PROFILE_CAP.bit_length():  # 2^N > PROFILE_CAP, 2^N never formed
         raise ResourceCapError(
-            f"{spec.n_nodes} nodes give {2 ** spec.n_nodes} delay profiles, "
+            f"{spec.n_nodes} nodes give 2^{spec.n_nodes} delay profiles, "
             f"above the cap of {PROFILE_CAP}")
     out = []
     for bits in itertools.product((0, 1), repeat=spec.n_nodes):
@@ -384,8 +384,11 @@ def spec_from_dict(d: dict) -> NetworkSpec:
             rows = np.asarray(ch["rows"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as e:
             raise SpecIOError(f"malformed channel {h}: {e}") from e
-        in_vars = spec.channel_input_vars(h) if h <= alpha else ()
-        out_vars = spec.channel_output_vars(h) if h <= alpha else ()
+        # a channel beyond alpha or the output partition's blocks has no
+        # variables; validate_spec reports either mismatch
+        named = h <= min(alpha, g_part.alpha)
+        in_vars = spec.channel_input_vars(h) if named else ()
+        out_vars = spec.channel_output_vars(h) if named else ()
         channels.append(ChannelTable(in_vars, out_vars, rows))
     return NetworkSpec(n, in_sizes, out_sizes, alpha, s_part, g_part, tuple(channels))
 

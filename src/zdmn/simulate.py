@@ -171,6 +171,7 @@ def _require_cells_within_cap(shapes, what: str) -> None:
 def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
                       seed: int, message_size: int = 2) -> TableCode:
     """Uniformly random encoder/decoder tables for every ordered node pair."""
+    require_valid(spec)  # the tables' shapes read its node count and alphabets
     if not is_feasible(spec, profile):
         raise DomainError(f"delay profile {profile.delays} infeasible for this network")
     if n < 1:

@@ -10,7 +10,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zdmn import model, networks, polar, simulate
 from zdmn.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
@@ -151,7 +151,7 @@ def test_feasible_listing_over_cap(capsys, tmp_path, one_letter_spec):
     model.save_spec(one_letter_spec(n), path)
     rc, out, err = _run(capsys, "feasible", "--spec", str(path), "--all")
     assert rc == EXIT_CAP and out == ""
-    assert err == (f"error: {n} nodes give {2 ** n} delay profiles, "
+    assert err == (f"error: {n} nodes give 2^{n} delay profiles, "
                    f"above the cap of {model.PROFILE_CAP}\n")
 
 
@@ -600,6 +600,19 @@ def test_generate_code_respects_profile(capsys, tmp_path, spec_path):
     assert rc == EXIT_DOMAIN and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name", ["bscfb", "causal-relay"])
+def test_generate_spec_negative_zero_eps(capsys, tmp_path, name):
+    # eps = -0.0 puts -0.0 in two table cells unless the table normalises it
+    files = []
+    for eps in ("0", "-0.0"):
+        dest = tmp_path / f"eps{eps}.json"
+        rc, _, _ = _run(capsys, "generate", "spec", "--name", name, "--eps", eps,
+                        "--out", str(dest))
+        assert rc == EXIT_OK
+        files.append(dest.read_bytes())
+    assert files[0] == files[1] and b"-0.0" not in files[1]
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound"])  # missing required --spec
@@ -614,7 +627,7 @@ def test_usage_errors_exit_two(capsys):
 
 
 # ---------------------------------------------------------------------------
-# contract: every argv of bound and gaussian ends in finite output or one error
+# contract: every argv ends in finite output or one error
 
 
 _FLOATS = st.one_of(
@@ -639,7 +652,11 @@ def _contract(argv):
         except SystemExit as e:  # argparse usage errors
             rc = e.code
     out, err = out.getvalue(), err.getvalue()
-    if rc == EXIT_OK:
+    if argv[0] == "validate" and out.startswith("spec INVALID:\n"):
+        # a failed validation is the command's report, one line per violation
+        assert rc == EXIT_DOMAIN and err == ""
+        assert all(line.startswith("- ") for line in out.splitlines()[1:]), out
+    elif rc == EXIT_OK:
         assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out), out
         assert all(math.isfinite(float(x)) for x in _NUMBER.findall(out)), out
     else:
@@ -689,6 +706,21 @@ def contract_code(contract_spec):
     return simulate.code_to_dict(code), contract_spec.replace("net.json", "code.json")
 
 
+def _write_edited(d, edit, path):
+    """Write the dict `d` as JSON to `path` after one `_code_edit` or
+    `_spec_edit` edit."""
+    if edit is not None and edit[0] == "drop":
+        del d[edit[1]]
+    elif edit is not None:
+        *keys, last = edit[0]
+        target = d
+        for key in keys:
+            target = target[key]
+        target[last] = edit[1]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(d, fh)
+
+
 @st.composite
 def _code_edit(draw):
     """Path (keys and indices) into a code dict and the value put there, or
@@ -714,17 +746,7 @@ def _code_edit(draw):
 @given(edit=_code_edit(), trials=_HUGE_COUNTS, seed=st.integers(-2, 3))
 def test_simulate_argv_contract(contract_spec, contract_code, edit, trials, seed):
     good, path = contract_code
-    d = json.loads(json.dumps(good))
-    if edit is not None and edit[0] == "drop":
-        del d[edit[1]]
-    elif edit is not None:
-        *keys, last = edit[0]
-        target = d
-        for key in keys:
-            target = target[key]
-        target[last] = edit[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh)
+    _write_edited(json.loads(json.dumps(good)), edit, path)
     _contract(["simulate", "--spec", contract_spec, "--code", path,
                "--trials", str(trials), "--seed", str(seed)])
 
@@ -745,3 +767,80 @@ def _bscfb_argv(draw):
 @given(argv=_bscfb_argv())
 def test_bscfb_argv_contract(argv):
     _contract(argv)
+
+
+_SPEC_VALUES = [None, True, "2", -1, 0, 1, 3, 2 ** 63, 1e308, math.nan, math.inf, [], {}]
+
+
+@st.composite
+def _spec_edit(draw):
+    """Path (keys and indices) into a spec dict and the value put there, or
+    the key to drop; None leaves the spec as it is."""
+    return draw(st.one_of(
+        st.none(),
+        st.tuples(st.just("drop"), st.sampled_from(
+            ["n_nodes", "input_alphabets", "output_alphabets", "alpha",
+             "input_partition", "output_partition", "channels"])),
+        st.tuples(st.sampled_from([("n_nodes",), ("alpha",), ("input_alphabets", 0),
+                                   ("output_alphabets", 1), ("input_partition", 0, 0),
+                                   ("output_partition", 1), ("channels", 1),
+                                   ("channels", 0, "rows"), ("channels", 0, "rows", 1),
+                                   ("channels", 1, "rows", 3, 0)]),
+                  st.sampled_from(_SPEC_VALUES)),
+        st.tuples(st.sampled_from([("input_alphabets",), ("input_partition",),
+                                   ("output_partition",), ("channels",)]),
+                  st.sampled_from([[], [2], [[1, 2]], [[2], [1]], [[1], [1]], [2, 2, 2]]))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(edit=_spec_edit(), command=st.sampled_from(
+    [["validate"], ["feasible", "--all"], ["feasible", "--profile=1,0"], ["bound", "--grid=1"],
+     ["generate", "code"]]))
+# node counts and alphabets no list backs, each of which used to hang or crash
+@example(edit=(("n_nodes",), 2 ** 63), command=["validate"])
+@example(edit=(("n_nodes",), 2 ** 63), command=["feasible", "--all"])
+@example(edit=(("n_nodes",), -1), command=["feasible", "--all"])
+@example(edit=(("n_nodes",), 3), command=["generate", "code"])
+@example(edit=(("input_alphabets", 0), 0), command=["generate", "code"])
+def test_spec_file_contract(contract_spec, edit, command):
+    path = contract_spec.replace("net.json", "edited.json")
+    _write_edited(model.spec_to_dict(networks.bscfb_spec(0.11)), edit, path)
+    if command[0] == "generate":
+        command = command + ["--out", contract_spec.replace("net.json", "generated.json")]
+    _contract(command + ["--spec", path])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(profile=st.one_of(st.sampled_from(["1,0", "0,1", "1,1", "0,0", " 1 , 0", "1", "1,0,1",
+                                          "2,1", "-1,0", "", ",", "1,,0", "nan,inf"]),
+                         st.text(alphabet="01,- x", max_size=6)))
+def test_feasible_profile_contract(contract_spec, profile):
+    _contract(["feasible", "--spec", contract_spec, f"--profile={profile}"])
+
+
+@st.composite
+def _generate_argv(draw):
+    """`generate spec` or `generate code` with a random subset of its
+    parameters redrawn."""
+    if draw(st.booleans()):
+        argv = ["generate", "spec", f"--name={draw(st.sampled_from(sorted(networks.BUNDLED)))}"]
+        if draw(st.booleans()):
+            argv.append(f"--eps={draw(_FLOATS)!r}")
+        return argv
+    values = {"n": 1, "seed": 0, "message-size": 2}
+    redraw = {"n": _HUGE_COUNTS, "seed": st.integers(-2, 3) | st.just(2 ** 64),
+              "message-size": _HUGE_COUNTS}
+    for name in draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
+        values[name] = draw(redraw[name])
+    argv = ["generate", "code"] + [f"--{name}={value}" for name, value in values.items()]
+    profile = draw(st.sampled_from([None, "1,1", "1,0", "0,1", "0,0", "1", "2,0", ""]))
+    return argv + ([] if profile is None else [f"--profile={profile}"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(argv=_generate_argv())
+def test_generate_argv_contract(contract_spec, argv):
+    out_path = contract_spec.replace("net.json", "generated.json")
+    if argv[1] == "code":
+        argv = argv + ["--spec", contract_spec]
+    _contract(argv + ["--out", out_path])

@@ -1,11 +1,40 @@
 """Package-level surface, and a dead-code guard over the sources."""
 
 import ast
+import importlib
+import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import zdmn
+
+# every public name of the package, by the submodule that defines it
+_PUBLIC = {
+    "bounds": ["BscFbRegion", "Cut", "CutConstraint", "GaussianRelayBounds", "MembershipResult",
+               "RateRegionReport", "RateTuple", "bscfb_capacity_region", "capacity_cut_cap",
+               "check_factorization", "enumerate_cuts", "gaussian_relay_bounds", "grid_hull",
+               "positive_delay_cut_cap", "region_membership"],
+    "errors": ["DomainError", "ResourceCapError", "SpecIOError", "ZdmnError",
+               "ZeroProbabilityEvent"],
+    "gaussian": ["CodebookResult", "GaussianRelayConfig", "RelayTrace", "SeparationReport",
+                 "codebook_experiment", "neutralization_rate", "separation_report",
+                 "simulate_relay"],
+    "model": ["ChannelTable", "DelayProfile", "NetworkSpec", "NodeSet", "Partition",
+              "ValidationReport", "enumerate_feasible_profiles", "is_feasible", "load_spec",
+              "locate_node", "save_spec", "validate_spec"],
+    "networks": ["BUNDLED", "bscfb_spec", "bundled_spec", "causal_relay_spec",
+                 "classical_bsc_spec", "deterministic_two_node_spec"],
+    "polar": ["PolarCode"],
+    "probability": ["JointPmf", "binary_entropy", "compose_channels", "condition",
+                    "conditional_mutual_information", "marginalize", "mutual_information"],
+    "simulate": ["BscFbSchemeResult", "ErrorReport", "SimTrace", "TableCode",
+                 "bscfb_engine_code", "bscfb_scheme", "check_memoryless_markov",
+                 "check_positive_delay_markov", "equivalence_check", "estimate_error",
+                 "induced_joint", "load_code", "random_table_code", "run_trial", "save_code"],
+}
 
 
 def test_backend_name_is_numpy():
@@ -13,16 +42,62 @@ def test_backend_name_is_numpy():
     assert zdmn.backend_name() == "numpy"
 
 
+def test_public_names_are_their_submodules_objects():
+    names = [name for names in _PUBLIC.values() for name in names]
+    assert len(names) == 69
+    assert sorted(zdmn.__all__) == sorted(names + ["backend_name", "__version__"])
+    for module, names in _PUBLIC.items():
+        sub = importlib.import_module(f"zdmn.{module}")
+        for name in names:
+            assert getattr(zdmn, name) is getattr(sub, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        zdmn.__getattr__("no_such_name")
+
+
+def _loaded(run):
+    """The zdmn, numpy and scipy modules a fresh interpreter holds after `run`."""
+    code = (f"import json, sys; {run}; print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('zdmn', 'numpy', 'scipy'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def test_import_leaves_scipy_unloaded():
-    # only the analytic codebook method needs scipy, and it imports it itself;
-    # the exhaustive gaussian experiment draws its normals without it
+    # `import zdmn` loads no submodule, so no numpy either; only the analytic
+    # codebook method needs scipy, and it imports it itself; the exhaustive
+    # gaussian experiment draws its normals without it
+    assert _loaded("import zdmn") == ["zdmn"]
     experiment = ("from zdmn.cli import main; main(['gaussian', '--power', '5', "
                   "'--experiment', '--n', '8', '--trials', '10', '--method', 'exhaustive'])")
-    for run in ("import zdmn", experiment):
-        code = f"import sys; {run}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, timeout=120).stdout
-        assert out.splitlines()[-1] == "[]"
+    assert not [m for m in _loaded(experiment) if m.startswith("scipy")]
+
+
+_SIMULATE = ["polar", "probability", "simulate"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["validate", "--spec", "{spec}"], []),
+    (["feasible", "--spec", "{spec}", "--all"], []),
+    (["generate", "spec", "--name", "bscfb", "--out", "{out}"], []),
+    (["bound", "--spec", "{spec}", "--grid", "2"], ["_grid", "bounds", "probability"]),
+    (["simulate", "--spec", "{spec}", "--code", "{code}", "--trials", "3"], _SIMULATE),
+    (["bscfb", "--eps", "0.11", "--n", "64", "--rate", "0.25", "--trials", "2"], _SIMULATE),
+    (["generate", "code", "--spec", "{spec}", "--out", "{out}"], _SIMULATE),
+    (["gaussian", "--power", "5"], ["_grid", "bounds", "gaussian"] + _SIMULATE),
+], ids=["validate", "feasible", "generate-spec", "bound", "simulate", "bscfb", "generate-code",
+        "gaussian"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
+    files = {"spec": tmp_path / "net.json", "out": tmp_path / "out.json",
+             "code": tmp_path / "code.json"}
+    spec = zdmn.bscfb_spec(0.11)
+    zdmn.save_spec(spec, files["spec"])
+    zdmn.save_code(zdmn.random_table_code(spec, 1, zdmn.DelayProfile.of((1, 1)), seed=0),
+                   files["code"])
+    argv = [a.format(**files) for a in argv]
+    loaded = _loaded(f"from zdmn.cli import main; assert main({argv!r}) == 0")
+    assert [m for m in loaded if m.startswith("zdmn")] == sorted(
+        ["zdmn"] + [f"zdmn.{m}" for m in ["cli", "errors", "model", "networks"] + extra])
 
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
