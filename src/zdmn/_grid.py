@@ -20,10 +20,14 @@ and B is part of its outputs Y_{G_h}.  So each term is
 where h(a,c) is the entropy of row (a, c) of the term's channel W(b|a,c)
 and p(b,c) = sum over a of p(a,c) W(b|a,c).  W and h are computed once per
 grid, so a batch of points needs only each slot's channel-input joint: the
-product P_1 q_1 P_2 ... P_h of the free factors' (rows, cols, count) point
-tables and the channels, placed by ``_aligned_factor`` with a trailing batch
-axis.  The point count, and the cells one scan batch holds, are capped from
-the alphabet sizes before any length-D array exists.
+product P_1 q_1 P_2 ... P_h of the free factors' point tables and the
+channels, placed by ``_aligned_factor`` with a trailing batch axis.  Each
+point table is one contiguous (rows, cols, count) array, taken row by row
+from its factor's composition table, which is held transposed as
+(cols, n_compositions).  The sums over a start from the first row's
+products, not from zeros, and add the other rows through one scratch
+buffer in the same order.  The point count, and the cells one scan batch
+holds, are capped from the alphabet sizes before any length-D array exists.
 """
 
 from __future__ import annotations
@@ -160,20 +164,24 @@ class GridProblem:
         # the channels between consecutive free factors, with a batch axis
         self._channels = [ch[..., None] for ch in channels[:len(self.factors) - 1]]
 
-        # Composition tables and the global row radix.
-        self.comp_tables = [compositions(self.k, m) / float(self.k)
+        # Composition tables, held transposed as (cols, n_compositions), and
+        # the global row radix.
+        self.comp_tables = [np.ascontiguousarray((compositions(self.k, m) / float(self.k)).T)
                             for m in self.factor_n_cols]
-        self.radix = np.repeat([table.shape[0] for table in self.comp_tables],
+        self.radix = np.repeat([table.shape[1] for table in self.comp_tables],
                                self.factor_n_rows)
         self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
 
     # -- point decoding ----------------------------------------------------
 
     def _tables(self, f: int, digits) -> np.ndarray:
-        """Factor f's (count, rows, cols) point tables, from ``digits``, the
-        ``np.unravel_index`` of count points: one composition index per row."""
+        """Factor f's point tables as one contiguous (rows, cols, count) array,
+        from ``digits``, the ``np.unravel_index`` of count points: one
+        composition index per row."""
         off = int(self.row_offset[f])
-        return self.comp_tables[f][np.transpose(digits[off:off + self.factor_n_rows[f]])]
+        table = self.comp_tables[f]
+        return np.stack([table.take(row, axis=1)
+                         for row in digits[off:off + self.factor_n_rows[f]]])
 
     def coordinates(self, point: int) -> tuple[int, ...]:
         """Per-row composition indices, first row most significant."""
@@ -184,7 +192,7 @@ class GridProblem:
     def distribution_rows(self, point: int) -> list[np.ndarray]:
         """One row-stochastic table per free factor at this grid point."""
         digits = [[v] for v in self.coordinates(point)]
-        return [self._tables(f, digits)[0] for f in range(len(self.factors))]
+        return [self._tables(f, digits)[..., 0] for f in range(len(self.factors))]
 
     # -- evaluation --------------------------------------------------------
 
@@ -199,8 +207,7 @@ class GridProblem:
         for f, (fin, fout) in enumerate(self.factors):
             if f:
                 p = p * self._channels[f - 1]
-            tables = np.moveaxis(self._tables(f, digits), 0, -1)  # (rows, cols, count)
-            p = p * _aligned_factor(self.spec, fin, fout, tables)
+            p = p * _aligned_factor(self.spec, fin, fout, self._tables(f, digits))
             yield p
 
     def eval_batch(self, start: int, count: int) -> np.ndarray:
@@ -209,7 +216,10 @@ class GridProblem:
 
         Each term is I(A;B|C) = H(B|C) - sum over (a, c) of p(a,c) h(a,c),
         with p(b,c) = sum over a of p(a,c) W(b|a,c); a and c are added in
-        row order, so a point's terms do not depend on its batch.
+        row order, so a point's terms do not depend on its batch.  The sums
+        over a start from the a = 0 products themselves (0.0 + x is x for
+        x >= 0) and add each further row through one scratch buffer, so a
+        term allocates no zero-filled or per-row temporaries.
         """
         digits = np.unravel_index(start + np.arange(count), self.radix)
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
@@ -217,10 +227,11 @@ class GridProblem:
             for ci, ac, w, h in self._terms[s]:
                 na, nb, nc = w.shape
                 pac = _marginal(joint, self.names, ac).reshape(na, nc, count)
-                pbc = np.zeros((nb, nc, count))
-                linear = np.zeros((nc, count))
-                for wa, ha, pa in zip(w, h, pac):
-                    pbc += wa[:, :, None] * pa
-                    linear += ha[:, None] * pa
+                pbc = np.multiply(w[0][:, :, None], pac[0])
+                linear = np.multiply(h[0][:, None], pac[0])
+                pbc_row, linear_row = np.empty_like(pbc), np.empty_like(linear)
+                for wa, ha, pa in zip(w[1:], h[1:], pac[1:]):
+                    pbc += np.multiply(wa[:, :, None], pa, out=pbc_row)
+                    linear += np.multiply(ha[:, None], pa, out=linear_row)
                 out[:, ci, s] = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
         return out

@@ -94,6 +94,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_feasible(args: argparse.Namespace) -> int:
     spec = model.load_spec(args.spec)
+    model.require_valid(spec)
     if args.all:
         profiles = model.enumerate_feasible_profiles(spec)
         print(

@@ -91,14 +91,18 @@ def _marginal(arr: np.ndarray, names, keep) -> np.ndarray:
 
     `arr` has one axis per name, then any batch axes.  The kept axes come
     first in `keep` order, then the summed ones, then the batch axes, so the
-    result is (*keep sizes, *batch).
+    result is (*keep sizes, *batch).  When every summed axis has length 1
+    the result is a reshaped view of `arr`, not a copy: callers only read
+    it.  Its cells are the sum's, except that a -0.0 stays -0.0 where the
+    sum gives 0.0.
     """
     keep_axes = _axes_of(names, keep)
     rest = [i for i in range(len(names)) if i not in keep_axes]
     arr = arr.transpose(keep_axes + rest + list(range(len(names), arr.ndim)))
-    if rest:
-        arr = arr.sum(axis=tuple(range(len(keep), len(keep) + len(rest))))
-    return arr
+    summed = range(len(keep), len(keep) + len(rest))
+    if any(arr.shape[i] != 1 for i in summed):
+        return arr.sum(axis=tuple(summed))
+    return arr.reshape(arr.shape[:len(keep)] + arr.shape[len(keep) + len(rest):])
 
 
 def marginalize(p: JointPmf, keep) -> JointPmf:
@@ -161,12 +165,19 @@ def cond_entropy_table(pbc: np.ndarray) -> np.ndarray:
 
     The one log-sum of the package: sum over b and c of
     p(b,c) log2(p(c) / p(b,c)), with 0 log 0 = 0, added over b and then
-    over c in row order.  Batch axes come last, so every step vectorises
-    over contiguous batch entries; with no batch axes the result is a scalar.
+    over c in row order.  The cell terms fill one scratch table in place:
+    divide, log2 and multiply, then every cell where p(b,c) > 0 fails is
+    zeroed, the operations and order of
+    ``np.where(pbc > 0, pbc * log2(pc / pbc), 0)``, so the same bits.
+    Batch axes come last, so every step vectorises over contiguous batch
+    entries; with no batch axes the result is a scalar.
     """
     pc = _row_sum(pbc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(pbc > 0.0, pbc * np.log2(pc / pbc), 0.0)
+        terms = np.divide(pc, pbc)
+        np.log2(terms, out=terms)
+        np.multiply(pbc, terms, out=terms)
+    terms[~(pbc > 0.0)] = 0.0
     return _row_sum(_row_sum(terms))
 
 

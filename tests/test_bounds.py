@@ -407,17 +407,59 @@ def test_grid_resolution_must_be_an_integer():
 
 
 def test_grid_batch_rows_equal_single_points(bundled_specs):
-    # a point's terms do not depend on the batch it is scanned in; the
-    # ternary capacity grid (6^91 points at k=2) is far beyond the cap
-    cases = [(spec, mode) for _, spec in sorted(bundled_specs.items())
+    # a point's terms do not depend on the batch it is scanned in, to the
+    # last bit; the ternary capacity grid (6^91 points at k=2) is far beyond
+    # the cap
+    cases = [(spec, mode, 2) for _, spec in sorted(bundled_specs.items())
              for mode in ("capacity", "positive-delay")]
-    cases += [(_ternary_spec(seed), "positive-delay") for seed in (1, 2, 3)]
-    for spec, mode in cases:
-        problem = GridProblem(spec, mode, 2)
+    cases += [(_ternary_spec(seed), "positive-delay", 2) for seed in (1, 2, 3)]
+    cases += [(networks.causal_relay_spec(), "capacity", 4),
+              (_ternary_spec(1), "positive-delay", 3)]
+    for spec, mode, k in cases:
+        problem = GridProblem(spec, mode, k)
         batch = problem.eval_batch(0, problem.n_points)
         assert batch.shape == (problem.n_points, problem.n_cuts, problem.n_slots)
-        for i in range(problem.n_points):
-            assert np.allclose(batch[i], problem.eval_batch(i, 1)[0], rtol=0.0, atol=1e-15)
+        singles = np.concatenate([problem.eval_batch(i, 1) for i in range(problem.n_points)])
+        assert np.array_equal(batch.view(np.uint64), singles.view(np.uint64)), (mode, k)
+
+
+# float.hex of grid_hull's best points and per-cut (cap, terms): any change
+# to the scan's arithmetic or to its order shows here
+_GRID_GOLDEN = {
+    ("bscfb", "capacity", 8): ((26244, 40), (
+        ("0x1.000b03f9dea46p-1", ("0x1.000b03f9dea46p-1", "0x0.0p+0")),
+        ("0x1.0000000000000p+0", ("0x0.0p+0", "0x1.0000000000000p+0")),
+    )),
+    ("bscfb", "positive-delay", 8): ((30, 4), (
+        ("0x1.000b03f9dea46p-1", ("0x1.000b03f9dea46p-1",)),
+        ("0x1.000b03f9dea46p-1", ("0x1.000b03f9dea46p-1",)),
+    )),
+    ("causal-relay", "capacity", 12): ((171435, 221153, 171366, 84, 0, 0), (
+        ("0x1.0fdfcf3f21c1ap-1", ("0x1.0fdfcf3f21c18p-1", "0x1.0000000000000p-52")),
+        ("0x1.6d5d60c706af2p-1", ("0x0.0p+0", "0x1.6d5d60c706af2p-1")),
+        ("0x1.0fdfcf3f21c18p-1", ("0x1.0fdfcf3f21c18p-1", "0x0.0p+0")),
+        ("0x1.6d5d60c706af0p-1", ("0x0.0p+0", "0x1.6d5d60c706af0p-1")),
+        ("0x0.0p+0", ("0x0.0p+0", "0x0.0p+0")),
+        ("0x0.0p+0", ("0x0.0p+0", "0x0.0p+0")),
+    )),
+    ("ternary-1", "positive-delay", 4): ((10999, 4155, 8455, 5891, 14863, 17525), (
+        ("0x1.23e021b506c30p-1", ("0x1.23e021b506c30p-1",)),
+        ("0x1.a42eafede6088p-3", ("0x1.a42eafede6088p-3",)),
+        ("0x1.7662f27f4b684p-2", ("0x1.7662f27f4b684p-2",)),
+        ("0x1.4077a3851d4e8p-2", ("0x1.4077a3851d4e8p-2",)),
+        ("0x1.67bbd1fb4b658p-3", ("0x1.67bbd1fb4b658p-3",)),
+        ("0x1.0e25b1b865ad0p-2", ("0x1.0e25b1b865ad0p-2",)),
+    )),
+}
+
+
+def test_grid_hull_golden_bits():
+    specs = {"bscfb": networks.bscfb_spec(0.11), "causal-relay": networks.causal_relay_spec(),
+             "ternary-1": _ternary_spec(1)}
+    for (name, mode, k), (want_best, want_rows) in _GRID_GOLDEN.items():
+        hull, _, best = grid_hull(specs[name], mode, k)
+        rows = tuple((c.cap.hex(), tuple(t.hex() for t in c.per_channel_terms)) for c in hull)
+        assert (best, rows) == (want_best, want_rows), (name, mode, k)
 
 
 def test_grid_cap_checked_before_length_d_tables(monkeypatch):

@@ -155,6 +155,18 @@ def test_feasible_listing_over_cap(capsys, tmp_path, one_letter_spec):
                    f"above the cap of {model.PROFILE_CAP}\n")
 
 
+def test_feasible_refuses_an_invalid_spec(capsys, tmp_path):
+    # channel 1's row 0 sums to 1.01: refused before any profile is listed
+    d = model.spec_to_dict(networks.bscfb_spec(0.11))
+    d["channels"][0]["rows"][0][0] += 0.01
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    for flags in (("--all",), ("--profile", "1,0")):
+        rc, out, err = _run(capsys, "feasible", "--spec", str(path), *flags)
+        assert rc == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: invalid network: ") and err.count("\n") == 1
+
+
 def test_feasible_malformed_profile(capsys, spec_path):
     rc, _, err = _run(capsys, "feasible", "--spec", spec_path, "--profile", "2,0")
     assert rc == EXIT_DOMAIN and err.startswith("error: ")

@@ -12,6 +12,7 @@ from zdmn.errors import DomainError, SpecIOError, ZeroProbabilityEvent
 from zdmn.model import ChannelTable
 from zdmn.probability import (
     JointPmf,
+    _marginal,
     _row_sum,
     binary_entropy,
     compose_channels,
@@ -199,6 +200,52 @@ def test_cond_entropy_table_closed_forms():
     assert np.allclose(cond_entropy_table(pbc), [2.0, 0.0], rtol=0.0, atol=1e-15)
     h = cond_entropy_table(np.array([[0.25], [0.75]]))
     assert abs(float(h) - binary_entropy(0.25)) < 1e-15
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _cond_entropy_oracle(pbc):
+    """H(B|C) with the per-cell terms built by one np.where."""
+    pc = _row_sum(pbc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pbc > 0.0, pbc * np.log2(pc / pbc), 0.0)
+    return _row_sum(_row_sum(terms))
+
+
+def test_cond_entropy_table_equals_where_oracle_bit_for_bit():
+    # the in-place divide, log2, multiply and zeroing are the oracle's
+    # operations in its order; zero cells and all-zero columns included
+    rng = np.random.Generator(np.random.Philox(24))
+    for shape in ((3, 4), (1, 5), (9, 9), (6, 2, 7), (3, 9, 130), (9, 9, 4096), (2, 3, 1)):
+        pbc = rng.random(shape) * 10.0 ** rng.integers(-6, 1, shape)
+        pbc[rng.random(shape) < 0.3] = 0.0
+        pbc[:, 0] = 0.0
+        pbc /= pbc.sum()
+        before = pbc.copy()
+        got, want = cond_entropy_table(pbc), _cond_entropy_oracle(pbc)
+        assert np.shape(got) == np.shape(want) == shape[2:]
+        assert np.array_equal(_bits(got), _bits(want)), shape
+        assert np.array_equal(_bits(pbc), _bits(before))  # the input is only read
+
+
+def test_marginal_equals_an_explicit_sum_bit_for_bit():
+    # summed axes of length 1 are reshaped away, any other length (0
+    # included) is summed; either way the cells match the sum's
+    rng = np.random.Generator(np.random.Philox(25))
+    names = ("A", "B", "C", "D")
+    keeps = (("C", "A"), ("A",), ("A", "C", "D"), ("D", "B", "C", "A"), ("C",))
+    for sizes in ((2, 1, 3, 1), (2, 4, 3, 2), (1, 1, 1, 1), (3, 0, 2, 1)):
+        arr = rng.random(sizes + (5,))
+        for keep in keeps:
+            keep_axes = [names.index(n) for n in keep]
+            rest = [i for i in range(len(names)) if i not in keep_axes]
+            want = arr.transpose(keep_axes + rest + [len(names)]).sum(
+                axis=tuple(range(len(keep), len(names))))
+            got = _marginal(arr, names, keep)
+            assert got.shape == want.shape, (sizes, keep)
+            assert np.array_equal(_bits(got), _bits(want)), (sizes, keep)
 
 
 def test_binary_entropy_values():
