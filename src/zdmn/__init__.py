@@ -26,11 +26,9 @@ import importlib
 
 # public name -> the submodule that defines it
 _MODULE_OF = {
-    **dict.fromkeys(("BscFbRegion", "Cut", "CutConstraint", "GaussianRelayBounds",
-                     "MembershipResult", "RateRegionReport", "RateTuple",
-                     "bscfb_capacity_region", "capacity_cut_cap", "check_factorization",
-                     "enumerate_cuts", "gaussian_relay_bounds", "grid_hull",
-                     "positive_delay_cut_cap", "region_membership"), "bounds"),
+    **dict.fromkeys(("Cut", "CutConstraint", "MembershipResult", "RateRegionReport",
+                     "RateTuple", "capacity_cut_cap", "check_factorization", "enumerate_cuts",
+                     "grid_hull", "positive_delay_cut_cap", "region_membership"), "bounds"),
     **dict.fromkeys(("DomainError", "ResourceCapError", "SpecIOError", "ZdmnError",
                      "ZeroProbabilityEvent"), "errors"),
     **dict.fromkeys(("CodebookResult", "GaussianRelayConfig", "RelayTrace",
@@ -45,8 +43,9 @@ _MODULE_OF = {
     **dict.fromkeys(("JointPmf", "binary_entropy", "compose_channels", "condition",
                      "conditional_mutual_information", "marginalize",
                      "mutual_information"), "probability"),
-    **dict.fromkeys(("BscFbSchemeResult", "ErrorReport", "SimTrace", "TableCode",
-                     "bscfb_engine_code", "bscfb_scheme", "check_memoryless_markov",
+    **dict.fromkeys(("BscFbRegion", "BscFbSchemeResult", "ErrorReport", "SimTrace",
+                     "TableCode", "bscfb_capacity_region", "bscfb_engine_code",
+                     "bscfb_scheme", "check_memoryless_markov",
                      "check_positive_delay_markov", "equivalence_check", "estimate_error",
                      "induced_joint", "load_code", "random_table_code", "run_trial",
                      "save_code"), "simulate"),

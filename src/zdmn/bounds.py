@@ -1,5 +1,4 @@
-"""Cut-set outer bounds: per-cut caps, factorization checks, grid search,
-and the closed-form regions of the two worked examples.
+"""Cut-set outer bounds: per-cut caps, factorization checks and grid search.
 
 The positive-delay bound I(X_T; Y_{T^c} | X_{T^c}) is the capacity bound of
 the all-delayed network (``probability.all_delayed_network``), so every mode
@@ -9,12 +8,15 @@ The searched outer region is a union of per-distribution polyhedra, so a
 membership query can only answer "inside" or "not-found-at-this-resolution";
 the per-cut maximum over the grid is additionally reported as a LOOSE hull
 (max-per-cut is a superset of the union of intersections).
+
+The closed forms of the two worked examples sit beside their schemes: the
+feedback pair's capacity region in ``simulate``, the relay chain's rates in
+``gaussian``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from ._grid import BATCH, GridProblem, _normalize_mode, capacity_term_groups
 from .errors import DomainError
 from .model import ChannelTable, NetworkSpec, NodeSet
-from .probability import (JointPmf, _marginal, all_delayed_network, binary_entropy,
+from .probability import (JointPmf, _marginal, all_delayed_network,
                           conditional_mutual_information)
 
 INSIDE = "inside"
@@ -44,6 +46,15 @@ class Cut:
 
     def bitmask(self, n_nodes: int) -> str:
         return self.nodes.bitmask(n_nodes)
+
+
+def _require_proper_cut(cut: Cut, n_nodes: int) -> None:
+    """Refuse a cut that is not a proper nonempty subset of 1..N."""
+    members = cut.nodes.members
+    if not (0 < len(members) < n_nodes and cut.nodes.strictly_increasing()
+            and 1 <= members[0] and members[-1] <= n_nodes):
+        raise DomainError(f"cut {list(members)} is not a proper nonempty subset "
+                          f"of 1..{n_nodes}")
 
 
 @dataclass(frozen=True)
@@ -78,12 +89,15 @@ class RateTuple:
     def from_pairs(cls, n_nodes: int, pairs: dict) -> "RateTuple":
         r = np.zeros((n_nodes, n_nodes))
         for (i, j), v in pairs.items():
+            if not (1 <= i <= n_nodes and 1 <= j <= n_nodes):
+                raise DomainError(f"rate pair ({i}, {j}) outside 1..{n_nodes}")
             r[i - 1, j - 1] = v
         return cls(r)
 
     def flow_across(self, cut: Cut) -> float:
         """Sum of R_{i,j} over i in T, j not in T."""
         n = self.rates.shape[0]
+        _require_proper_cut(cut, n)
         t = [i - 1 for i in cut.nodes]
         rest = [j for j in range(n) if j + 1 not in cut.nodes]
         return float(self.rates[np.ix_(t, rest)].sum())
@@ -129,6 +143,7 @@ def _require_joint_over_all(spec: NetworkSpec, joint: JointPmf) -> None:
 def capacity_cut_cap(spec: NetworkSpec, joint: JointPmf, cut: Cut) -> CutConstraint:
     """Per-channel terms of the capacity-region bound for one cut."""
     _require_joint_over_all(spec, joint)
+    _require_proper_cut(cut, spec.n_nodes)
     terms = [conditional_mutual_information(joint, *capacity_term_groups(spec, cut.nodes, h))
              for h in range(1, spec.alpha + 1)]
     return CutConstraint(cut, tuple(terms), float(sum(terms)))
@@ -251,35 +266,3 @@ def grid_conditionals(spec: NetworkSpec, which: str, k: int, point: int):
         return conds
     (p_x,) = conds
     return JointPmf(tuple((n, spec.var_size(n)) for n in p_x.output_vars), p_x.table.reshape(-1))
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the two worked examples.
-
-@dataclass(frozen=True)
-class BscFbRegion:
-    forward_cap: float  # on R_{1,2}
-    reverse_cap: float  # on R_{2,1}
-
-
-def bscfb_capacity_region(eps: float) -> BscFbRegion:
-    """Capacity region of the feedback example: R_{1,2} <= 1-H(eps), R_{2,1} <= 1."""
-    return BscFbRegion(1.0 - binary_entropy(eps), 1.0)
-
-
-@dataclass(frozen=True)
-class GaussianRelayBounds:
-    positive_delay_cap: float
-    achievable_rate: float
-    separated: bool
-
-
-def gaussian_relay_bounds(p: float) -> GaussianRelayBounds:
-    """Positive-delay cap 0.5 log2(3 + 2P/5) vs achievable 0.5 log2(1 + 2P)."""
-    if not math.isfinite(p) or p <= 0.0:
-        raise DomainError(f"power must be positive and finite, got {p}")
-    if not math.isfinite(2.0 * p):
-        raise DomainError(f"power {p} overflows 2P")
-    cap = 0.5 * math.log2(3.0 + 2.0 * p / 5.0)
-    ach = 0.5 * math.log2(1.0 + 2.0 * p)
-    return GaussianRelayBounds(cap, ach, ach > cap)

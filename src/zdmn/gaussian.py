@@ -16,13 +16,16 @@ Because the relay operates with zero delay, it can retransmit its current
 reception (``x2 = y2``) whenever its running power budget allows.
 Substituting cancels the relay-noise term, leaving the terminal with the
 clean doubled signal ``y3 = 2*x1 + z3``.  A delayed relay cannot perform
-this cancellation, and its best rate falls strictly below the zero-delay
-scheme's once ``P > 5/4`` (see :func:`zdmn.bounds.gaussian_relay_bounds`).
+this cancellation: the positive-delay cut-set cap is
+``0.5*log2(3 + 2P/5)``, against ``0.5*log2(1 + 2P)`` for the zero-delay
+scheme, which passes it once ``P > 5/4`` (see :func:`separation_report`).
 
 This module provides the per-slot simulator with the hard relay power
 gate, the empirical gate-open frequency, a desk-scale random-codebook
 experiment over the neutralized channel, and a report comparing the
-demonstrated operating rate against the delayed-relay cap.
+demonstrated operating rate against the delayed-relay cap.  It draws from
+``model.trial_uniforms`` and imports no module of the package but ``model``
+and ``errors``.
 """
 
 from __future__ import annotations
@@ -35,21 +38,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import bounds, simulate
+from . import model
 from .errors import DomainError, ResourceCapError
-from .model import require_seed
-
-__all__ = [
-    "RELAY_POWER_MARGIN",
-    "GaussianRelayConfig",
-    "RelayTrace",
-    "CodebookResult",
-    "SeparationReport",
-    "simulate_relay",
-    "neutralization_rate",
-    "codebook_experiment",
-    "separation_report",
-]
 
 # The relay's per-slot power budget exceeds the source's by this amount.
 RELAY_POWER_MARGIN = 10.0
@@ -58,7 +48,8 @@ RELAY_POWER_MARGIN = 10.0
 # experiment, slots of all blocks of the gate-frequency experiment, and
 # normals of one block's or trial's window of 3n, checked before any draw.
 CELL_CAP = 1 << 25
-# Codewords one materialized codebook may hold.
+# Codewords one materialized codebook may hold; at most model.DRAW_CELLS, so
+# _nn_decode scores the whole codebook against a received word at once.
 CODEBOOK_CAP = 1 << 20
 
 _SOURCES = ("gaussian", "deterministic")
@@ -73,18 +64,18 @@ def _normals(seed: int, purpose: Tuple[int, ...], lo: int, hi: int, width: int) 
     ``sqrt(-2 ln(1 - u))`` times ``cos(2 pi v)`` and ``sin(2 pi v)``.  One
     uniform per normal keeps every trial's window fixed.  ``1 - u`` is exact
     for the 53-bit uniforms, so ``log`` needs no ``log1p``.  Every step
-    writes into ``u``; only the cosines of at most ``simulate.DRAW_CELLS``
+    writes into ``u``; only the cosines of at most ``model.DRAW_CELLS``
     angles at a time sit beside it.
     """
     half = -(-width // 2)
-    u = simulate.trial_uniforms(seed, purpose, lo, hi, 2 * half)
+    u = model.trial_uniforms(seed, purpose, lo, hi, 2 * half)
     radius, angle = u[:, :half], u[:, half:]  # views; the normals overwrite u
     np.subtract(1.0, radius, out=radius)
     np.log(radius, out=radius)
     np.multiply(radius, -2.0, out=radius)
     np.sqrt(radius, out=radius)
     angle *= 2.0 * np.pi
-    step = max(1, simulate.DRAW_CELLS // half)
+    step = max(1, model.DRAW_CELLS // half)
     for row in range(0, hi - lo, step):
         r, a = radius[row:row + step], angle[row:row + step]
         cos = np.cos(a)
@@ -127,7 +118,7 @@ class GaussianRelayConfig:
             raise DomainError(
                 f"power back-off must satisfy 0 <= delta < P, got delta={self.delta}, P={self.P}"
             )
-        require_seed(self.seed)
+        model.require_seed(self.seed)
         # Box-Muller normals square to under -2 ln(2**-53) < 74, so a slot adds
         # under 74 (2 sqrt(P) + 4)^2 to any of a block's sums of squares, and
         # the analytic method divides those sums by 4 (P - delta).
@@ -259,7 +250,7 @@ def neutralization_rate(
     if blocks * n > CELL_CAP:
         raise ResourceCapError(f"{blocks} blocks of blocklength {n} are "
                                f"{blocks * n} slots > cap {CELL_CAP}")
-    step = max(1, simulate.DRAW_CELLS // (3 * n))
+    step = max(1, model.DRAW_CELLS // (3 * n))
     open_blocks = 0
     for lo in range(0, blocks, step):
         z = _normals(config.seed, (2,), lo, min(blocks, lo + step), 3 * n)
@@ -304,26 +295,18 @@ class CodebookResult:
 def _nn_decode(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     """Nearest-codeword indices by min ||y - 2c||^2, lowest index on ties.
 
-    Scores ||c||^2 - y.c, exactly a quarter of ||y - 2c||^2 - ||y||^2, in
-    blocks of at most ``simulate.DRAW_CELLS`` scores.
+    Scores ||c||^2 - y.c, exactly a quarter of ||y - 2c||^2 - ||y||^2, for
+    as many received words at a time as fit ``model.DRAW_CELLS`` scores: at
+    least one, as the codebook holds at most ``CODEBOOK_CAP`` words.
     """
-    m = codebook.shape[0]
     norms = np.einsum("ij,ij->i", codebook, codebook)
-    cols = min(m, simulate.DRAW_CELLS)
-    rows = max(1, simulate.DRAW_CELLS // cols)
-    out = np.zeros(received.shape[0], dtype=np.int64)
+    rows = max(1, model.DRAW_CELLS // codebook.shape[0])
+    out = np.empty(received.shape[0], dtype=np.int64)
     for lo in range(0, received.shape[0], rows):
-        block = received[lo:lo + rows]
-        best = np.full(block.shape[0], np.inf)
-        for c0 in range(0, m, cols):
-            scores = block @ codebook[c0:c0 + cols].T
-            np.subtract(norms[c0:c0 + cols], scores, out=scores)
-            idx = scores.argmin(axis=1)
-            low = scores[np.arange(idx.size), idx]
-            del scores  # freed before the next block is scored
-            won = low < best  # strict: an earlier block keeps a tie
-            best[won] = low[won]
-            out[lo:lo + rows][won] = c0 + idx[won]
+        scores = received[lo:lo + rows] @ codebook.T
+        np.subtract(norms, scores, out=scores)
+        out[lo:lo + rows] = scores.argmin(axis=1)
+        del scores  # freed before the next block is scored
     return out
 
 
@@ -400,11 +383,11 @@ def codebook_experiment(
     elif method == "exhaustive":
         codebook = _normals(seed, (4,), 0, m, n)
         codebook *= scale
-        u = simulate.trial_uniforms(seed, (5,), 0, trials, 1)[:, 0]
+        u = model.trial_uniforms(seed, (5,), 0, trials, 1)[:, 0]
         messages = np.floor(u * m).astype(np.int64)
     # per trial, the exact error probability (analytic) or a 0/1 error
     outcome = np.empty(trials)
-    step = max(1, simulate.DRAW_CELLS // (3 * n))
+    step = max(1, model.DRAW_CELLS // (3 * n))
     for lo in range(0, trials, step):
         hi = min(trials, lo + step)
         z = _normals(seed, (3,), lo, hi, 3 * n)  # trial t: codeword unit draw, z2, z3
@@ -474,12 +457,17 @@ def separation_report(P: float, operating_rate: float = 1.2) -> SeparationReport
     """
     if not math.isfinite(operating_rate) or operating_rate <= 0.0:
         raise DomainError(f"operating rate must be positive, got {operating_rate}")
-    b = bounds.gaussian_relay_bounds(P)
+    if not math.isfinite(P) or P <= 0.0:
+        raise DomainError(f"power must be positive and finite, got {P}")
+    if not math.isfinite(2.0 * P):
+        raise DomainError(f"power {P} overflows 2P")
+    cap = 0.5 * math.log2(3.0 + 2.0 * P / 5.0)
+    ach = 0.5 * math.log2(1.0 + 2.0 * P)
     return SeparationReport(
         P=float(P),
-        positive_delay_cap=b.positive_delay_cap,
-        achievable_rate=b.achievable_rate,
-        separated=b.separated,
+        positive_delay_cap=cap,
+        achievable_rate=ach,
+        separated=ach > cap,
         operating_rate=float(operating_rate),
-        exceeds_cap=operating_rate > b.positive_delay_cap,
+        exceeds_cap=operating_rate > cap,
     )

@@ -4,6 +4,10 @@ A network is described by N nodes, alpha ordered channels, an input partition
 S and an output partition G of {1..N}.  Channel h emits the outputs of block
 G_h given the inputs of the prefix S^h = S_1 u ... u S_h and the outputs of
 the prefix G^{h-1}.  Node indices are 1-based in every external format.
+
+The module also keeps the seed check and the one counter-based stream every
+simulator draws from (``trial_uniforms``), and the JSON reader and writer of
+the package's files.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .errors import DomainError, ResourceCapError, SpecIOError
 
 ROW_TOL = 1e-9
 PROFILE_CAP = 2 ** 16  # candidates enumerate_feasible_profiles may scan
+DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
 
 
 def x_var(i: int) -> str:
@@ -288,6 +293,24 @@ def require_seed(seed: int) -> None:
     """Seeds key numpy SeedSequence streams, which take non-negative integers."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+
+
+def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,
+                   width: int) -> np.ndarray:
+    """Uniforms on [0, 1) of trials [lo, hi), shape (hi - lo, width).
+
+    Every simulator draws here: one Philox stream per (seed, purpose), in
+    which trial t owns the counter window [t*c, (t+1)*c), c = ceil(width / 4)
+    blocks of four doubles, and its row is the first ``width`` of them.  A
+    trial's row is therefore the same in every call that contains it.
+    Purposes: () the slot engine, (1,) ``bscfb_scheme``; in ``gaussian``
+    (2,) relay blocks, (3,) codebook trials, (4,) the fixed codebook, (5,)
+    its messages.
+    """
+    c = -(-width // 4)
+    bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=purpose))
+    bits.advance(lo * c)
+    return np.random.Generator(bits).random((hi - lo, 4 * c))[:, :width]
 
 
 def locate_node(spec: NetworkSpec, i: int) -> tuple[int, int]:

@@ -4,11 +4,13 @@ One slot loop runs the exact per-slot generation order (channels fire in
 index order inside each slot; a zero-delay node sees its current-slot
 received symbol because its receive channel fired earlier in the same slot)
 over a batch of rows at once.  Seeded Monte Carlo feeds it one trial per
-row and draws each channel column from the trial's uniforms; the exact
-induced joint feeds it one (message, column-per-step) outcome per row, at
-tiny scale.  The module also estimates error probabilities and implements
-the masked-feedback scheme for the binary symmetric channel with correlated
-feedback.
+row and draws each channel column from the trial's uniforms
+(``model.trial_uniforms``); the exact induced joint feeds it one
+(message, column-per-step) outcome per row, at tiny scale.  The module also
+estimates error probabilities and holds the feedback example: the
+masked-feedback scheme for the binary symmetric channel with correlated
+feedback, and that pair's closed-form capacity region, which the scheme
+reads its forward cap from.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
-from .model import (DelayProfile, NetworkSpec, is_feasible, json_int, json_int_table,
-                    read_json, require_seed, require_valid, write_text, x_var, y_var)
+from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, is_feasible, json_int,
+                    json_int_table, read_json, require_seed, require_valid, trial_uniforms,
+                    write_text, x_var, y_var)
 from .polar import PolarCode, require_blocklength_within_cap
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
                           conditional_mutual_information, input_conditional_vars)
@@ -30,27 +33,8 @@ JOINT_CAP = 2 ** 24
 CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a table code built here
 MESSAGE_SIZE_CAP = 2 ** 53  # floor(u * m) of a 53-bit uniform u is exact up to here
 _TRIAL_CHUNK = 4096  # trials per batch of the slot loop and of bscfb_scheme; bounds memory
-DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
 UNIFORM_CAP = 2 ** 32  # uniforms one estimate_error or bscfb_scheme call may draw; bounds time
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
-
-
-def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,
-                   width: int) -> np.ndarray:
-    """Uniforms on [0, 1) of trials [lo, hi), shape (hi - lo, width).
-
-    Every simulator draws here: one Philox stream per (seed, purpose), in
-    which trial t owns the counter window [t*c, (t+1)*c), c = ceil(width / 4)
-    blocks of four doubles, and its row is the first ``width`` of them.  A
-    trial's row is therefore the same in every call that contains it.
-    Purposes: () the slot engine, (1,) ``bscfb_scheme``; in ``gaussian``
-    (2,) relay blocks, (3,) codebook trials, (4,) the fixed codebook, (5,)
-    its messages.
-    """
-    c = -(-width // 4)
-    bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=purpose))
-    bits.advance(lo * c)
-    return np.random.Generator(bits).random((hi - lo, 4 * c))[:, :width]
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +587,17 @@ def equivalence_check(spec: NetworkSpec, code: TableCode) -> float:
 
 
 @dataclass(frozen=True)
+class BscFbRegion:
+    forward_cap: float  # on R_{1,2}
+    reverse_cap: float  # on R_{2,1}
+
+
+def bscfb_capacity_region(eps: float) -> BscFbRegion:
+    """Capacity region of the feedback example: R_{1,2} <= 1-H(eps), R_{2,1} <= 1."""
+    return BscFbRegion(1.0 - binary_entropy(eps), 1.0)
+
+
+@dataclass(frozen=True)
 class BscFbSchemeResult:
     """Outcome of the zero-delay masked-feedback scheme."""
 
@@ -626,7 +621,7 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
     """
     if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must be in (0, 0.5), got {eps}")
-    cap = 1.0 - binary_entropy(eps)
+    cap = bscfb_capacity_region(eps).forward_cap
     if forward_rate >= cap:
         raise DomainError(f"forward rate {forward_rate} is not below the "
                           f"forward capacity {cap:.6f}")

@@ -15,11 +15,9 @@ from zdmn.bounds import (
     INSIDE,
     NOT_FOUND,
     RateTuple,
-    bscfb_capacity_region,
     capacity_cut_cap,
     check_factorization,
     enumerate_cuts,
-    gaussian_relay_bounds,
     grid_conditionals,
     grid_hull,
     grid_point_report,
@@ -172,6 +170,14 @@ def test_rate_tuple_validation_and_flow():
     assert r.flow_across(Cut.of((1,))) == 0.75
     assert r.flow_across(Cut.of((1, 2))) == 0.25
     assert r.flow_across(Cut.of((2, 3))) == 1.0
+    # a pair or cut outside 1..N is refused, not wrapped round to node N
+    for pair in ((0, 1), (3, 1), (1, 3), (-1, 2)):
+        with pytest.raises(DomainError, match="outside 1..2"):
+            RateTuple.from_pairs(2, {pair: 0.3})
+    two = RateTuple.from_pairs(2, {(1, 2): 0.2, (2, 1): 0.7})
+    for nodes in ((0,), (3,), (1, 2), ()):
+        with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
+            two.flow_across(Cut.of(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +220,9 @@ def test_capacity_cut_caps_uniform_inputs():
     assert abs(t1.cap - sum(t1.per_channel_terms)) < 1e-9
     oracle = _cmi_oracle(joint, ("X1",), ("Y2",), ())
     assert abs(t1.per_channel_terms[0] - oracle) < 1e-12
+    for nodes in ((5,), (1, 2), ()):
+        with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
+            capacity_cut_cap(spec, joint, Cut.of(nodes))
 
 
 def test_capacity_cut_cap_scheme_reaches_one_bit():
@@ -245,6 +254,9 @@ def test_positive_delay_cut_caps_uniform_inputs():
     t1 = positive_delay_cut_cap(spec, joint, Cut.of((1,)))
     assert abs(t1.cap - want) < 1e-12
     assert abs(t1.cap - _cmi_oracle(joint, ("X1",), ("Y1", "Y2"), ("X2",))) < 1e-12
+    for nodes in ((5,), (1, 2), ()):
+        with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
+            positive_delay_cut_cap(spec, joint, Cut.of(nodes))
 
 
 def test_positive_delay_cut_cap_point_mass_inputs():
@@ -804,32 +816,22 @@ def test_region_membership_rejects_wrong_size():
 # closed forms
 
 
-def test_bscfb_region_closed_form():
-    r0 = bscfb_capacity_region(0.0)
-    assert (r0.forward_cap, r0.reverse_cap) == (1.0, 1.0)
-    r5 = bscfb_capacity_region(0.5)
-    assert (r5.forward_cap, r5.reverse_cap) == (0.0, 1.0)
-    r = bscfb_capacity_region(0.11)
-    assert abs(r.forward_cap - (1.0 - binary_entropy(0.11))) < 1e-15
-    assert r.reverse_cap == 1.0
-    with pytest.raises(DomainError):
-        bscfb_capacity_region(-0.2)
-
-
 def test_gaussian_relay_bounds_closed_form():
+    from zdmn.gaussian import separation_report
+
     for p in (1.0, 1.25, 5.0, 0.3, 17.0):
-        b = gaussian_relay_bounds(p)
+        b = separation_report(p)
         assert abs(b.positive_delay_cap - 0.5 * math.log2(3 + 2 * p / 5)) < 1e-15
         assert abs(b.achievable_rate - 0.5 * math.log2(1 + 2 * p)) < 1e-15
         assert b.separated == (p > 1.25)
-    b5 = gaussian_relay_bounds(5.0)
+    b5 = separation_report(5.0)
     assert abs(b5.positive_delay_cap - 1.160964) < 1e-6
     assert abs(b5.achievable_rate - 1.729716) < 1e-6
-    b125 = gaussian_relay_bounds(1.25)
+    b125 = separation_report(1.25)
     assert abs(b125.positive_delay_cap - b125.achievable_rate) < 1e-15
     assert not b125.separated
-    b1 = gaussian_relay_bounds(1.0)
+    b1 = separation_report(1.0)
     assert b1.positive_delay_cap > b1.achievable_rate and not b1.separated
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
-            gaussian_relay_bounds(bad)
+            separation_report(bad)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from zdmn import simulate
+from zdmn import model
 from zdmn.errors import DomainError, ResourceCapError
 from zdmn.gaussian import (
     CELL_CAP,
@@ -95,7 +95,7 @@ def test_batched_draws_leave_results_unchanged(monkeypatch):
     methods = ("analytic", "exhaustive")
     rates = [neutralization_rate(cfg, blocks=50, source=s) for s in ("gaussian", "deterministic")]
     results = [codebook_experiment(cfg, 0.5, trials=50, method=m) for m in methods]
-    monkeypatch.setattr(simulate, "DRAW_CELLS", 100)  # 2 trials or blocks per batch
+    monkeypatch.setattr(model, "DRAW_CELLS", 100)  # 2 trials or blocks per batch
     assert [neutralization_rate(cfg, blocks=50, source=s)
             for s in ("gaussian", "deterministic")] == rates
     assert [codebook_experiment(cfg, 0.5, trials=50, method=m) for m in methods] == results
@@ -114,14 +114,14 @@ def test_box_muller_normals_in_place(monkeypatch):
     # DRAW_CELLS cosines sits beside them, and blocking changes no bit
     def formula(seed, purpose, lo, hi, width):
         half = -(-width // 2)
-        u = simulate.trial_uniforms(seed, purpose, lo, hi, 2 * half)
+        u = model.trial_uniforms(seed, purpose, lo, hi, 2 * half)
         radius = np.sqrt(-2.0 * np.log(1.0 - u[:, :half]))
         angle = 2.0 * np.pi * u[:, half:]
         return np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :width]
 
     want = formula(0, (4,), 0, 2 ** 16, 16)
-    for cells in (simulate.DRAW_CELLS, 2 ** 16, 1000):  # blocks of 2^17, 2^13, 125 rows
-        monkeypatch.setattr(simulate, "DRAW_CELLS", cells)
+    for cells in (model.DRAW_CELLS, 2 ** 16, 1000):  # blocks of 2^17, 2^13, 125 rows
+        monkeypatch.setattr(model, "DRAW_CELLS", cells)
         tracemalloc.start()
         try:
             got = _normals(0, (4,), 0, 2 ** 16, 16)
@@ -282,11 +282,14 @@ def test_nn_decode_memory_and_direct_argmin():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * simulate.DRAW_CELLS * 8
+    assert peak <= 2 * model.DRAW_CELLS * 8
+    # a received word is scored against the whole codebook at once, which
+    # stays within DRAW_CELLS scores because no codebook is larger
+    assert CODEBOOK_CAP <= model.DRAW_CELLS
     assert np.array_equal(got, _nearest(codebook, received))
 
 
-def test_nn_decode_ties_go_to_the_lowest_index(monkeypatch):
+def test_nn_decode_ties_go_to_the_lowest_index():
     rng = np.random.default_rng(4)
     codebook = rng.standard_normal((40, 3))
     codebook[[25, 39]] = codebook[3]
@@ -294,11 +297,7 @@ def test_nn_decode_ties_go_to_the_lowest_index(monkeypatch):
     received = np.concatenate([2.0 * codebook[[25, 39, 30, 3]], rng.standard_normal((20, 3))])
     want = _nearest(codebook, received)
     assert list(want[:4]) == [3, 3, 10, 3]
-    # 8 scores per block: one received word against 8 codewords at a time,
-    # so the copies of a codeword sit in different blocks
-    for cells in (simulate.DRAW_CELLS, 8):
-        monkeypatch.setattr(simulate, "DRAW_CELLS", cells)
-        assert np.array_equal(_nn_decode(codebook, received), want)
+    assert np.array_equal(_nn_decode(codebook, received), want)
 
 
 def test_codebook_rate_effective_rounding():
@@ -416,6 +415,11 @@ def test_codebook_result_string():
 
 
 def test_separation_report_fields():
+    for p in (1.0, 1.25, 5.0, 0.3, 17.0):
+        r = separation_report(p)
+        assert abs(r.positive_delay_cap - 0.5 * math.log2(3 + 2 * p / 5)) < 1e-15
+        assert abs(r.achievable_rate - 0.5 * math.log2(1 + 2 * p)) < 1e-15
+        assert r.separated == (p > 1.25)
     r5 = separation_report(5.0)
     assert abs(r5.positive_delay_cap - 1.160964047443681) < 1e-12
     assert abs(r5.achievable_rate - 1.7297158093186487) < 1e-12
@@ -425,10 +429,12 @@ def test_separation_report_fields():
     assert abs(r125.positive_delay_cap - r125.achievable_rate) < 1e-15
     r1 = separation_report(1.0, operating_rate=0.5)
     assert not r1.separated and not r1.exceeds_cap
+    assert r1.positive_delay_cap > r1.achievable_rate
     text = str(r5)
     assert "separated:            yes" in text
     assert "positive-delay cap:   1.160964 bits/slot" in text
     with pytest.raises(DomainError):
         separation_report(5.0, operating_rate=0.0)
-    with pytest.raises(DomainError):
-        separation_report(-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="power must be positive and finite"):
+            separation_report(bad)

@@ -1,6 +1,7 @@
 """Package-level surface, and a dead-code guard over the sources."""
 
 import ast
+import graphlib
 import importlib
 import json
 import pathlib
@@ -13,9 +14,8 @@ import zdmn
 
 # every public name of the package, by the submodule that defines it
 _PUBLIC = {
-    "bounds": ["BscFbRegion", "Cut", "CutConstraint", "GaussianRelayBounds", "MembershipResult",
-               "RateRegionReport", "RateTuple", "bscfb_capacity_region", "capacity_cut_cap",
-               "check_factorization", "enumerate_cuts", "gaussian_relay_bounds", "grid_hull",
+    "bounds": ["Cut", "CutConstraint", "MembershipResult", "RateRegionReport", "RateTuple",
+               "capacity_cut_cap", "check_factorization", "enumerate_cuts", "grid_hull",
                "positive_delay_cut_cap", "region_membership"],
     "errors": ["DomainError", "ResourceCapError", "SpecIOError", "ZdmnError",
                "ZeroProbabilityEvent"],
@@ -30,10 +30,11 @@ _PUBLIC = {
     "polar": ["PolarCode"],
     "probability": ["JointPmf", "binary_entropy", "compose_channels", "condition",
                     "conditional_mutual_information", "marginalize", "mutual_information"],
-    "simulate": ["BscFbSchemeResult", "ErrorReport", "SimTrace", "TableCode",
-                 "bscfb_engine_code", "bscfb_scheme", "check_memoryless_markov",
-                 "check_positive_delay_markov", "equivalence_check", "estimate_error",
-                 "induced_joint", "load_code", "random_table_code", "run_trial", "save_code"],
+    "simulate": ["BscFbRegion", "BscFbSchemeResult", "ErrorReport", "SimTrace", "TableCode",
+                 "bscfb_capacity_region", "bscfb_engine_code", "bscfb_scheme",
+                 "check_memoryless_markov", "check_positive_delay_markov", "equivalence_check",
+                 "estimate_error", "induced_joint", "load_code", "random_table_code",
+                 "run_trial", "save_code"],
 }
 
 
@@ -44,7 +45,7 @@ def test_backend_name_is_numpy():
 
 def test_public_names_are_their_submodules_objects():
     names = [name for names in _PUBLIC.values() for name in names]
-    assert len(names) == 69
+    assert len(names) == 67
     assert sorted(zdmn.__all__) == sorted(names + ["backend_name", "__version__"])
     for module, names in _PUBLIC.items():
         sub = importlib.import_module(f"zdmn.{module}")
@@ -84,9 +85,11 @@ _SIMULATE = ["polar", "probability", "simulate"]
     (["simulate", "--spec", "{spec}", "--code", "{code}", "--trials", "3"], _SIMULATE),
     (["bscfb", "--eps", "0.11", "--n", "64", "--rate", "0.25", "--trials", "2"], _SIMULATE),
     (["generate", "code", "--spec", "{spec}", "--out", "{out}"], _SIMULATE),
-    (["gaussian", "--power", "5"], ["_grid", "bounds", "gaussian"] + _SIMULATE),
+    (["gaussian", "--power", "5"], ["gaussian"]),
+    (["gaussian", "--power", "5", "--experiment", "--n", "8", "--trials", "10",
+      "--method", "exhaustive"], ["gaussian"]),
 ], ids=["validate", "feasible", "generate-spec", "bound", "simulate", "bscfb", "generate-code",
-        "gaussian"])
+        "gaussian", "gaussian-experiment"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     files = {"spec": tmp_path / "net.json", "out": tmp_path / "out.json",
              "code": tmp_path / "code.json"}
@@ -223,8 +226,38 @@ def test_random_streams_are_built_in_two_places():
 
     for path, tree in _parsed(sorted(_SRC.glob("*.py"))).items():
         visit(tree, path, None, False)
-    assert built == {("simulate.py", "trial_uniforms", False),
+    assert built == {("model.py", "trial_uniforms", False),
                      ("simulate.py", "random_table_code", False)}
+
+
+def _module_imports(trees):
+    """Submodule -> the sibling submodules it imports at module level; an
+    import inside a function (a CLI handler's, say) is left out."""
+    graph = {}
+    for path, tree in trees.items():
+        deps = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # from . import a, b
+                    deps.update(alias.name for alias in node.names)
+                else:
+                    deps.add(node.module.split(".")[0])
+        graph[path.stem] = deps
+    return graph
+
+
+def test_module_imports_form_a_dag():
+    # a worked example stands on the model alone: gaussian needs no bound,
+    # grid or engine, so `zdmn gaussian` loads none of them
+    graph = _module_imports(_parsed(sorted(_SRC.glob("*.py"))))
+    assert graph["gaussian"] == {"errors", "model"}
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_import_graph_guard_skips_lazy_imports():
+    code = ast.parse("from . import model\nfrom .errors import E\nimport numpy\n"
+                     "def handler():\n    from . import bounds\n")
+    assert _module_imports({pathlib.Path("cli.py"): code}) == {"cli": {"model", "errors"}}
 
 
 def test_symbol_tuples_unfold_only_through_numpy():

@@ -8,14 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zdmn import networks, simulate
+from zdmn import model, networks, simulate
 from zdmn.errors import DomainError, ResourceCapError, SpecIOError
 from zdmn.model import (ChannelTable, DelayProfile, NetworkSpec, NodeSet, Partition,
                         enumerate_feasible_profiles)
 from zdmn.polar import PolarCode
-from zdmn.probability import marginalize
+from zdmn.probability import binary_entropy, marginalize
 from zdmn.simulate import (
     TableCode,
+    bscfb_capacity_region,
     bscfb_engine_code,
     bscfb_scheme,
     check_memoryless_markov,
@@ -141,13 +142,13 @@ def test_trial_uniforms_window_invariance():
     # rows [lo, hi) of a call equal the same rows of a [0, hi) call at every
     # width, so a trial's draws never depend on the batch that holds it
     for purpose, width in itertools.product(((), (1,), (6,)), (1, 3, 4, 5, 17)):
-        whole = simulate.trial_uniforms(11, purpose, 0, 30, width)
+        whole = model.trial_uniforms(11, purpose, 0, 30, width)
         assert whole.shape == (30, width)
         for lo, hi in ((0, 1), (7, 8), (5, 30), (29, 30)):
-            assert np.array_equal(simulate.trial_uniforms(11, purpose, lo, hi, width),
+            assert np.array_equal(model.trial_uniforms(11, purpose, lo, hi, width),
                                   whole[lo:hi])
-    assert not np.array_equal(simulate.trial_uniforms(11, (), 0, 4, 8),
-                              simulate.trial_uniforms(11, (1,), 0, 4, 8))
+    assert not np.array_equal(model.trial_uniforms(11, (), 0, 4, 8),
+                              model.trial_uniforms(11, (1,), 0, 4, 8))
 
 
 def _serial_slots(spec, code, messages, picks, prob=1.0):
@@ -628,6 +629,21 @@ def test_trace_csv_layout():
 
 # ---------------------------------------------------------------------------
 # the masked-feedback scheme at full speed
+
+
+def test_bscfb_region_closed_form():
+    r0 = bscfb_capacity_region(0.0)
+    assert (r0.forward_cap, r0.reverse_cap) == (1.0, 1.0)
+    r5 = bscfb_capacity_region(0.5)
+    assert (r5.forward_cap, r5.reverse_cap) == (0.0, 1.0)
+    r = bscfb_capacity_region(0.11)
+    assert abs(r.forward_cap - (1.0 - binary_entropy(0.11))) < 1e-15
+    assert r.reverse_cap == 1.0
+    with pytest.raises(DomainError):
+        bscfb_capacity_region(-0.2)
+    # the scheme refuses a forward rate at the region's forward cap
+    with pytest.raises(DomainError, match=f"forward capacity {r.forward_cap:.6f}"):
+        bscfb_scheme(0.11, 8, r.forward_cap, seed=0)
 
 
 def test_scheme_trial_windows_leave_counts_unchanged(monkeypatch):
