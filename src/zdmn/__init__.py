@@ -29,20 +29,18 @@ _MODULE_OF = {
     **dict.fromkeys(("Cut", "CutConstraint", "MembershipResult", "RateRegionReport",
                      "RateTuple", "capacity_cut_cap", "check_factorization", "enumerate_cuts",
                      "grid_hull", "positive_delay_cut_cap", "region_membership"), "bounds"),
-    **dict.fromkeys(("DomainError", "ResourceCapError", "SpecIOError", "ZdmnError",
-                     "ZeroProbabilityEvent"), "errors"),
+    **dict.fromkeys(("DomainError", "ResourceCapError", "SpecIOError", "ZdmnError"), "errors"),
     **dict.fromkeys(("CodebookResult", "GaussianRelayConfig", "RelayTrace",
                      "SeparationReport", "codebook_experiment", "neutralization_rate",
                      "separation_report", "simulate_relay"), "gaussian"),
     **dict.fromkeys(("ChannelTable", "DelayProfile", "NetworkSpec", "NodeSet", "Partition",
                      "ValidationReport", "enumerate_feasible_profiles", "is_feasible",
-                     "load_spec", "locate_node", "save_spec", "validate_spec"), "model"),
+                     "load_spec", "save_spec", "validate_spec"), "model"),
     **dict.fromkeys(("BUNDLED", "bscfb_spec", "bundled_spec", "causal_relay_spec",
                      "classical_bsc_spec", "deterministic_two_node_spec"), "networks"),
     **dict.fromkeys(("PolarCode",), "polar"),
-    **dict.fromkeys(("JointPmf", "binary_entropy", "compose_channels", "condition",
-                     "conditional_mutual_information", "marginalize",
-                     "mutual_information"), "probability"),
+    **dict.fromkeys(("JointPmf", "binary_entropy", "compose_channels",
+                     "conditional_mutual_information", "marginalize"), "probability"),
     **dict.fromkeys(("BscFbRegion", "BscFbSchemeResult", "ErrorReport", "SimTrace",
                      "TableCode", "bscfb_capacity_region", "bscfb_engine_code",
                      "bscfb_scheme", "check_memoryless_markov",

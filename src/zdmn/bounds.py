@@ -17,6 +17,7 @@ feedback pair's capacity region in ``simulate``, the relay chain's rates in
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,9 @@ class RateTuple:
     def from_pairs(cls, n_nodes: int, pairs: dict) -> "RateTuple":
         r = np.zeros((n_nodes, n_nodes))
         for (i, j), v in pairs.items():
+            # a bool is an Integral, and True would read as node 1
+            if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (i, j)):
+                raise DomainError(f"rate pair ({i!r}, {j!r}): node indices must be integers")
             if not (1 <= i <= n_nodes and 1 <= j <= n_nodes):
                 raise DomainError(f"rate pair ({i}, {j}) outside 1..{n_nodes}")
             r[i - 1, j - 1] = v

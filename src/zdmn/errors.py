@@ -17,10 +17,6 @@ class DomainError(ZdmnError):
     """A precondition on values or dimensions was violated."""
 
 
-class ZeroProbabilityEvent(DomainError):
-    """Conditioning on an event of probability zero."""
-
-
 class SpecIOError(ZdmnError):
     """A file could not be read, parsed or written."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError, SpecIOError
 
 ROW_TOL = 1e-9
-PROFILE_CAP = 2 ** 16  # candidates enumerate_feasible_profiles may scan
+PROFILE_CAP = 2 ** 16  # largest 2^N whose feasible profiles enumerate_feasible_profiles lists
 DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
 
 
@@ -53,12 +53,6 @@ class NodeSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def union(self, other: "NodeSet") -> "NodeSet":
-        return NodeSet(tuple(sorted(set(self.members) | set(other.members))))
-
-    def complement(self, n_nodes: int) -> "NodeSet":
-        return NodeSet(tuple(i for i in range(1, n_nodes + 1) if i not in self.members))
 
     def bitmask(self, n_nodes: int) -> str:
         """String of length N; position i-1 is '1' iff node i is a member."""
@@ -206,12 +200,6 @@ class DelayProfile:
     def all_one(cls, n_nodes: int) -> "DelayProfile":
         return cls((1,) * n_nodes)
 
-    def delay_of(self, node: int) -> int:
-        """Delay bit of a 1-based node index."""
-        if not 1 <= node <= len(self.delays):
-            raise DomainError(f"node {node} outside 1..{len(self.delays)}")
-        return self.delays[node - 1]
-
     def __iter__(self):
         return iter(self.delays)
 
@@ -313,42 +301,34 @@ def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,
     return np.random.Generator(bits).random((hi - lo, 4 * c))[:, :width]
 
 
-def locate_node(spec: NetworkSpec, i: int) -> tuple[int, int]:
-    """(h_i, m_i): the blocks with i in S_{h_i} and i in G_{m_i}."""
-    if not (1 <= i <= spec.n_nodes):
-        raise DomainError(f"node index {i} outside 1..{spec.n_nodes}")
-    return (
-        spec.input_partition.block_index_of(i),
-        spec.output_partition.block_index_of(i),
-    )
+def _may_skip_delay(spec: NetworkSpec, i: int) -> bool:
+    """True iff node i may be zero-delay: its transmit block comes strictly
+    after its receive block.  The one feasibility rule of the package."""
+    return spec.input_partition.block_index_of(i) > spec.output_partition.block_index_of(i)
 
 
 def is_feasible(spec: NetworkSpec, profile: DelayProfile) -> bool:
     """True iff every zero-delay node transmits strictly after it receives."""
     if len(profile.delays) != spec.n_nodes:
         raise DomainError("profile length differs from n_nodes")
-    for i, b in enumerate(profile.delays, start=1):
-        if b == 0:
-            h, m = locate_node(spec, i)
-            if h <= m:
-                return False
-    return True
+    return all(_may_skip_delay(spec, i)
+               for i, b in enumerate(profile.delays, start=1) if b == 0)
 
 
 def enumerate_feasible_profiles(spec: NetworkSpec) -> list[DelayProfile]:
-    """All feasible profiles out of the 2^N candidates, lexicographic order."""
+    """All feasible profiles out of the 2^N candidates, lexicographic order.
+
+    Feasibility is a per-node rule, so they are the product over nodes of
+    (0, 1) where ``_may_skip_delay`` holds and (1,) elsewhere.
+    """
     if spec.n_nodes < 1:
         raise DomainError(f"n_nodes must be at least 1, got {spec.n_nodes}")
     if spec.n_nodes >= PROFILE_CAP.bit_length():  # 2^N > PROFILE_CAP, 2^N never formed
         raise ResourceCapError(
             f"{spec.n_nodes} nodes give 2^{spec.n_nodes} delay profiles, "
             f"above the cap of {PROFILE_CAP}")
-    out = []
-    for bits in itertools.product((0, 1), repeat=spec.n_nodes):
-        p = DelayProfile(bits)
-        if is_feasible(spec, p):
-            out.append(p)
-    return out
+    choices = ((0, 1) if _may_skip_delay(spec, i) else (1,) for i in range(1, spec.n_nodes + 1))
+    return [DelayProfile(bits) for bits in itertools.product(*choices)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,13 @@ informations are clamped to 0 within 1e-12.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SpecIOError, ZeroProbabilityEvent
-from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, json_int, read_json,
-                    require_valid, write_text, x_var)
+from .errors import DomainError
+from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_valid, x_var
 
 SUM_TOL = 1e-9
 MI_CLAMP = 1e-12
@@ -114,23 +112,6 @@ def marginalize(p: JointPmf, keep) -> JointPmf:
     return JointPmf(tuple(zip(keep, arr.shape)), arr.reshape(-1))
 
 
-def condition(p: JointPmf, given: dict) -> JointPmf:
-    """Conditional pmf over the remaining variables; zero-probability events raise."""
-    axes = _axes_of(p.names, given)
-    idx: list = [slice(None)] * len(p.variables)
-    for (n, v), axis in zip(given.items(), axes):
-        v = int(v)
-        if not (0 <= v < p.sizes[axis]):
-            raise DomainError(f"value {v} outside alphabet of {n!r}")
-        idx[axis] = v
-    sliced = p.as_array()[tuple(idx)]
-    mass = float(sliced.sum())
-    if mass <= 0.0:
-        raise ZeroProbabilityEvent(f"conditioning event {given!r} has probability 0")
-    remaining = tuple(p.variables[i] for i in range(len(p.variables)) if i not in axes)
-    return JointPmf(remaining, (sliced / mass).reshape(-1))
-
-
 def _group_size(size_of, names) -> int:
     """Product of the alphabet sizes `size_of(name)` over `names` (1 for none)."""
     return math.prod(size_of(n) for n in names)
@@ -203,10 +184,6 @@ def conditional_mutual_information(p: JointPmf, a_vars, b_vars, c_vars=()) -> fl
     m = marginalize(p, groups)
     na, nb, nc = (_group_size(p.size_of, g) for g in (a_vars, b_vars, c_vars))
     return float(cmi_table(m.probs.reshape(na, nb, nc)))
-
-
-def mutual_information(p: JointPmf, a_vars, b_vars) -> float:
-    return conditional_mutual_information(p, a_vars, b_vars, ())
 
 
 def binary_entropy(eps: float) -> float:
@@ -334,34 +311,3 @@ def product_input_joint(spec: NetworkSpec, p_x: JointPmf) -> JointPmf:
     if px.sizes != tuple(spec.var_size(n) for n in want):
         raise DomainError("p_X alphabet sizes differ from the spec")
     return factorized_joint(net, (ChannelTable((), want, px.probs[None, :]),))
-
-
-# ---------------------------------------------------------------------------
-# Structured-text (JSON) import/export, same C-order convention.
-
-def joint_to_dict(p: JointPmf) -> dict:
-    return {
-        "variables": [[n, s] for n, s in p.variables],
-        "probs": p.probs.tolist(),
-    }
-
-
-def joint_from_dict(d: dict) -> JointPmf:
-    try:
-        variables = tuple((n, json_int(s, "alphabet size")) for n, s in d["variables"])
-        probs = np.asarray(d["probs"], dtype=np.float64)
-        joint = JointPmf(variables, probs)
-    except (KeyError, TypeError, ValueError, DomainError) as e:
-        raise SpecIOError(f"malformed joint pmf: {e}") from e
-    bad = joint.validate()
-    if bad:
-        raise SpecIOError("malformed joint pmf: " + "; ".join(bad))
-    return joint
-
-
-def load_joint(path) -> JointPmf:
-    return joint_from_dict(read_json(path, "joint"))
-
-
-def save_joint(p: JointPmf, path) -> None:
-    write_text(path, json.dumps(joint_to_dict(p), indent=1) + "\n", "joint")

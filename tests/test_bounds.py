@@ -174,6 +174,10 @@ def test_rate_tuple_validation_and_flow():
     for pair in ((0, 1), (3, 1), (1, 3), (-1, 2)):
         with pytest.raises(DomainError, match="outside 1..2"):
             RateTuple.from_pairs(2, {pair: 0.3})
+    # nor is a fractional or boolean index, which numpy would fail on or read as 1
+    for pair in ((1.5, 2), (True, 2), (2, False)):
+        with pytest.raises(DomainError, match="node indices must be integers"):
+            RateTuple.from_pairs(2, {pair: 0.3})
     two = RateTuple.from_pairs(2, {(1, 2): 0.2, (2, 1): 0.7})
     for nodes in ((0,), (3,), (1, 2), ()):
         with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):

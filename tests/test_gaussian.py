@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from zdmn import model
 from zdmn.errors import DomainError, ResourceCapError
@@ -438,3 +438,39 @@ def test_separation_report_fields():
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="power must be positive and finite"):
             separation_report(bad)
+
+
+# input correlations of (X1, X2) searched for the relay chain's cut-set bound
+_RHO = np.linspace(-1.0, 1.0, 200_001)
+
+
+def _max_min_cut_cap(p):
+    """Cut-set bound of the delayed relay chain at source power p, by a 1-D
+    search over the correlation rho of jointly Gaussian (X1, X2).
+
+    Given x2 the relay hears x1 + 3 z2 and the terminal, once y2 is added
+    back, 2 x1 + z3: cut {1} is 0.5 log2(1 + 37 (1 - rho^2) p / 9).  The
+    terminal hears x1 + x2 - 3 z2 + z3 with x2 at power p + 10: cut {1, 2}
+    is 0.5 log2(1 + (2p + 10 + 2 rho sqrt(p (p + 10))) / 10).
+    """
+    cut1 = 0.5 * np.log2(1.0 + 37.0 * (1.0 - _RHO ** 2) * p / 9.0)
+    cut12 = 0.5 * np.log2(1.0 + (2.0 * p + 10.0 + 2.0 * _RHO * math.sqrt(p * (p + 10.0))) / 10.0)
+    return float(np.minimum(cut1, cut12).max())
+
+
+def test_printed_relay_forms_bracket_the_max_min_cut_cap():
+    for p in (0.1, 0.3, 1.0, 1.25, 5.0, 17.0, 100.0):
+        r = separation_report(p)
+        # the printed cap relaxes cut {1, 2} at rho = 1: valid, never below the bound
+        assert _max_min_cut_cap(p) <= r.positive_delay_cap
+        # the printed rate never claims more than the neutralized channel carries
+        assert r.achievable_rate <= 0.5 * math.log2(1 + 4 * p)
+    for p, want in ((1.0, 0.7184), (1.25, 0.7555), (5.0, 1.0968), (17.0, 1.6177)):
+        assert abs(_max_min_cut_cap(p) - want) < 1e-4
+    # both zero-delay values pass the bound well below the printed crossing P = 5/4
+    rate = optimize.brentq(
+        lambda p: separation_report(p).achievable_rate - _max_min_cut_cap(p), 0.1, 5.0)
+    assert abs(rate - 0.7876) < 1e-4
+    neutral = optimize.brentq(
+        lambda p: 0.5 * math.log2(1 + 4 * p) - _max_min_cut_cap(p), 0.01, 5.0)
+    assert abs(neutral - 0.2778) < 1e-4

@@ -165,7 +165,7 @@ def _serial_slots(spec, code, messages, picks, prob=1.0):
     for k in range(1, n + 1):
         for h in range(1, spec.alpha + 1):
             for i in spec.input_partition.blocks[h - 1].members:
-                plen = k - code.delay_profile.delay_of(i)
+                plen = k - code.delay_profile.delays[i - 1]
                 w_idx = np.ravel_multi_index(
                     code.w_row_of(i, messages),
                     [code.message_sizes[i - 1][j - 1] for j in range(1, nn + 1) if j != i])
