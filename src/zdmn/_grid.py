@@ -21,19 +21,24 @@ where h(a,c) is the entropy of row (a, c) of the term's channel W(b|a,c)
 and p(b,c) = sum over a of p(a,c) W(b|a,c).  W and h are computed once per
 grid, so a batch of points needs only each slot's channel-input joint: the
 product P_1 q_1 P_2 ... P_h of the free factors' point tables and the
-channels, placed by ``_aligned_factor`` with a trailing batch axis.  Each
+channels, placed by ``_aligned_factor`` with a trailing batch axis.  That
+joint reads only factors 1..h, so slot h is evaluated once per distinct
+prefix of the batch, the composition indices of those factors' rows, and
+its terms are gathered to the batch rows: a batch's prefixes are one
+contiguous range, found and decoded by ``np.ravel_multi_index`` /
+``np.unravel_index``, and only the last slot runs on the full batch.  Each
 point table is one contiguous (rows, cols, count) array, taken row by row
 from its factor's composition table, which is held transposed as
 (cols, n_compositions).  The sums over a start from the first row's
 products, not from zeros, and add the other rows through one scratch
 buffer in the same order.  The point count, and the cells one scan batch
-holds, are capped from the alphabet sizes before any length-D array exists.
+holds, are capped from the alphabet sizes before any length-D array exists;
+prefix tables are never larger than the batch's.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import numbers
 
@@ -51,12 +56,31 @@ GRID_CELL_CAP = 2 ** 26  # float64 cells one scan batch holds at once
 
 
 def compositions(k: int, m: int) -> np.ndarray:
-    """All m-part compositions of k, shape (C(k+m-1, m-1), m), stable order."""
-    n = math.comb(k + m - 1, m - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(k + m - 1), m - 1)),
-        dtype=np.int64, count=n * (m - 1)).reshape(n, m - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=k + m - 1) - 1
+    """All m-part compositions of k, shape (C(k+m-1, m-1), m), in stars-and-bars
+    order: lexicographic, first part most significant.
+
+    Built level by level: each prefix of j parts is repeated once per value
+    0..r of part j + 1, r being what the prefix leaves of k, and every level
+    keeps its (parent, value) pairs; the columns are then gathered back from
+    the last level.  The table is column-major, so ``.T`` is a contiguous
+    (m, C(k+m-1, m-1)) array.
+    """
+    remaining = np.array([k], dtype=np.int64)
+    levels = []
+    for _ in range(m - 1):
+        counts = remaining + 1
+        parent = np.repeat(np.arange(remaining.size), counts)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        remaining = remaining[parent] - value
+        levels.append((parent, value))
+    cols = np.empty((m, remaining.size), dtype=np.int64)
+    cols[m - 1] = remaining
+    index = np.arange(remaining.size)
+    for j in range(m - 2, -1, -1):
+        parent, value = levels[j]
+        cols[j] = value[index]
+        index = parent[index]
+    return cols.T
 
 
 def capacity_term_groups(spec: NetworkSpec, cut: NodeSet, h: int):
@@ -72,7 +96,7 @@ def capacity_term_groups(spec: NetworkSpec, cut: NodeSet, h: int):
 
 
 def _normalize_mode(which: str) -> str:
-    w = which.replace("_", "-").lower()
+    w = which.replace("_", "-").lower() if isinstance(which, str) else None
     if w not in ("capacity", "positive-delay"):
         raise DomainError(f"mode must be capacity or positive-delay, got {which!r}")
     return w
@@ -135,15 +159,16 @@ class GridProblem:
                     groups.append((s, ci, a, b, c, shape))
         self.names, sizes = _full_layout(spec)
         # Cells held at once: the channel product (D cells, once) while the
-        # term channels are set up; then per point of a batch the digits and
-        # the output terms, a factor's point table and its placed copy, the
-        # slot's input joint before and after that factor (a slot's inputs
-        # are its factor's rows and columns, so each joint has as many cells
-        # as the largest table) and a term's copy of it, and that term's
-        # p(b,c), product and entropy temporaries.
+        # term channels are set up; then per point of a batch the digits,
+        # the prefix and parent indices and the output terms, a factor's
+        # point table and its placed copy, the slot's input joint before and
+        # after that factor (a slot's inputs are its factor's rows and
+        # columns, so each joint has as many cells as the largest table) and
+        # a term's copy of it, and that term's p(b,c), product and entropy
+        # temporaries.  A slot evaluated per prefix holds no more.
         table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
         largest_term = max((5 * nb * nc for *_, (_, nb, nc) in groups), default=0)
-        per_point = (sum(self.factor_n_rows) + self.n_cuts * self.n_slots
+        per_point = (sum(self.factor_n_rows) + 2 + self.n_cuts * self.n_slots
                      + 5 * table + largest_term)
         cells = math.prod(sizes) + per_point * min(BATCH, n_points)
         if cells > GRID_CELL_CAP:
@@ -164,9 +189,9 @@ class GridProblem:
         # the channels between consecutive free factors, with a batch axis
         self._channels = [ch[..., None] for ch in channels[:len(self.factors) - 1]]
 
-        # Composition tables, held transposed as (cols, n_compositions), and
-        # the global row radix.
-        self.comp_tables = [np.ascontiguousarray((compositions(self.k, m) / float(self.k)).T)
+        # Composition tables, held transposed as contiguous
+        # (cols, n_compositions) arrays, and the global row radix.
+        self.comp_tables = [compositions(self.k, m).T / float(self.k)
                             for m in self.factor_n_cols]
         self.radix = np.repeat([table.shape[1] for table in self.comp_tables],
                                self.factor_n_rows)
@@ -196,23 +221,33 @@ class GridProblem:
 
     # -- evaluation --------------------------------------------------------
 
-    def _input_joints(self, digits: np.ndarray):
-        """Yield per slot the batch-last joint of its channel's inputs, in the
-        full layout with length-1 axes for the variables not yet drawn.
+    def _prefixes(self, digits, rows: int):
+        """(local, prefix digits) of a batch over its first ``rows`` rows.
 
-        The factors and channels multiply in slot order, P_1 q_1 P_2 ... P_h
-        for slot h, so no variable is ever summed out.
+        A batch of consecutive points has one contiguous range of distinct
+        prefixes (the digits of those rows); ``prefix digits`` holds that
+        range's digits and ``local`` maps each batch row to its entry in the
+        range.  Over every row a prefix is the point itself, so the batch's
+        own digits and the whole range serve as they are.
         """
-        p = np.ones(())
-        for f, (fin, fout) in enumerate(self.factors):
-            if f:
-                p = p * self._channels[f - 1]
-            p = p * _aligned_factor(self.spec, fin, fout, self._tables(f, digits))
-            yield p
+        if rows == len(self.radix):
+            return slice(None), digits
+        radix = self.radix[:rows]
+        prefix = np.ravel_multi_index(digits[:rows], radix)
+        return prefix - prefix[0], np.unravel_index(np.arange(prefix[0], prefix[-1] + 1), radix)
 
     def eval_batch(self, start: int, count: int) -> np.ndarray:
         """Terms array (count, n_cuts, n_slots); terms with a constant A or B
         stay 0.
+
+        Slot h's terms read only factors 1..h, so they are evaluated once per
+        distinct prefix of the batch, the composition digits of those
+        factors' rows, and then gathered to the batch rows.  Points run in C
+        order, first row most significant, so a batch's slot-h prefixes are
+        one contiguous range; slot h's joint P_1 q_1 P_2 ... P_h is the
+        previous slot's joint taken from its prefixes to slot h's, times
+        channel h-1 and then factor h's point tables, so no variable is ever
+        summed out and the last slot runs on the full batch.
 
         Each term is I(A;B|C) = H(B|C) - sum over (a, c) of p(a,c) h(a,c),
         with p(b,c) = sum over a of p(a,c) W(b|a,c); a and c are added in
@@ -223,15 +258,28 @@ class GridProblem:
         """
         digits = np.unravel_index(start + np.arange(count), self.radix)
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
-        for s, joint in enumerate(self._input_joints(digits)):
+        joint, local = np.ones(()), None
+        for s, (fin, fout) in enumerate(self.factors):
+            prev_local = local
+            local, prefix_digits = self._prefixes(
+                digits, int(self.row_offset[s]) + self.factor_n_rows[s])
+            if s:
+                # every batch row with one slot-s prefix has one slot s-1 prefix
+                parent = np.empty(prefix_digits[0].size, dtype=np.intp)
+                parent[local] = prev_local
+                joint = joint.take(parent, axis=-1) * self._channels[s - 1]
+            joint = joint * _aligned_factor(self.spec, fin, fout,
+                                            self._tables(s, prefix_digits))
+            n = joint.shape[-1]
             for ci, ac, w, h in self._terms[s]:
                 na, nb, nc = w.shape
-                pac = _marginal(joint, self.names, ac).reshape(na, nc, count)
+                pac = _marginal(joint, self.names, ac).reshape(na, nc, n)
                 pbc = np.multiply(w[0][:, :, None], pac[0])
                 linear = np.multiply(h[0][:, None], pac[0])
                 pbc_row, linear_row = np.empty_like(pbc), np.empty_like(linear)
                 for wa, ha, pa in zip(w[1:], h[1:], pac[1:]):
                     pbc += np.multiply(wa[:, :, None], pa, out=pbc_row)
                     linear += np.multiply(ha[:, None], pa, out=linear_row)
-                out[:, ci, s] = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
+                terms = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
+                out[:, ci, s] = terms[local]
         return out

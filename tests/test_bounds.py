@@ -404,7 +404,8 @@ def _compositions_by_bars(k, m):
 
 
 def test_compositions_match_stars_and_bars():
-    for k, m in list(itertools.product(range(1, 7), range(1, 7))) + [(20, 1)]:
+    cases = list(itertools.product(range(1, 7), range(1, 7)))
+    for k, m in cases + [(4, 27), (12, 2), (8, 2), (20, 1)]:
         got = compositions(k, m)
         assert got.dtype == np.int64
         assert np.array_equal(got, _compositions_by_bars(k, m)), (k, m)
@@ -420,6 +421,19 @@ def test_grid_resolution_must_be_an_integer():
         with pytest.raises(DomainError, match="must be an integer"):
             grid_hull(spec, "positive-delay", k)
     assert GridProblem(spec, "capacity", np.int64(2)).k == 2
+
+
+def test_grid_mode_must_be_a_string():
+    spec = networks.bscfb_spec(0.11)
+    joint = product_input_joint(spec, _uniform_px(spec))
+    rates = RateTuple.from_pairs(2, {(1, 2): 0.1})
+    for mode in (5, None, b"capacity", ("capacity",)):
+        with pytest.raises(DomainError, match="mode must be capacity or positive-delay"):
+            grid_hull(spec, mode, 2)
+        with pytest.raises(DomainError, match="mode must be capacity or positive-delay"):
+            region_membership(spec, rates, mode, 8)
+        with pytest.raises(DomainError, match="mode must be capacity or positive-delay"):
+            check_factorization(spec, joint, mode)
 
 
 def test_grid_batch_rows_equal_single_points(bundled_specs):
@@ -476,6 +490,53 @@ def test_grid_hull_golden_bits():
         hull, _, best = grid_hull(specs[name], mode, k)
         rows = tuple((c.cap.hex(), tuple(t.hex() for t in c.per_channel_terms)) for c in hull)
         assert (best, rows) == (want_best, want_rows), (name, mode, k)
+
+
+def test_grid_windows_equal_whole_grid_rows():
+    # slot 1's prefixes (its row's composition index) span 625 points of the
+    # relay at k=4 and 256 of bscfb at k=3; windows start and end inside a
+    # prefix, straddle one or two prefix boundaries, or cover the grid
+    for spec, k, span in ((networks.causal_relay_spec(), 4, 625),
+                          (networks.bscfb_spec(0.11), 3, 256)):
+        problem = GridProblem(spec, "capacity", k)
+        whole = problem.eval_batch(0, problem.n_points)
+        n = problem.n_points
+        for start, count in ((7, 30), (span - 10, 20), (span - 1, span + 2), (0, n),
+                             (n - span - 3, span + 3), (n - 1, 1)):
+            window = problem.eval_batch(start, count)
+            assert np.array_equal(window.view(np.uint64),
+                                  whole[start:start + count].view(np.uint64)), (k, start, count)
+
+
+def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
+    # on the relay at k=12 slot 1 has 13 prefixes of 28,561 points each, so a
+    # batch's slot-1 terms see one or two entries, and slot 2's the batch
+    problem = GridProblem(networks.causal_relay_spec(), "capacity", 12)
+    widths = []
+    kernel = _grid.cond_entropy_table
+    monkeypatch.setattr(_grid, "cond_entropy_table",
+                        lambda pbc: widths.append(pbc.shape[-1]) or kernel(pbc))
+    for start in (0, 28561 - BATCH // 2):
+        widths.clear()
+        problem.eval_batch(start, BATCH)
+        n_first = len(problem._terms[0])
+        assert n_first and len(widths) == n_first + len(problem._terms[1])
+        assert all(1 <= w <= 2 for w in widths[:n_first]), widths
+        assert widths[n_first:] == [BATCH] * len(problem._terms[1])
+    assert widths[:n_first] == [2] * n_first  # the second batch straddles a prefix
+
+
+def test_region_membership_golden_witness():
+    # the first hit lies mid-grid, in the seventh scan batch: the witness's
+    # index and the float.hex of its caps pin the scan's order and arithmetic
+    spec = networks.bscfb_spec(0.11)
+    rates = RateTuple.from_pairs(2, {(1, 2): 0.49, (2, 1): 0.9})
+    res = region_membership(spec, rates, "capacity", 8)
+    assert res.verdict == INSIDE
+    assert res.witness.point_index == 27704
+    assert res.witness.coordinates == (4, 2, 0, 0, 2)
+    assert [c.cap.hex() for c in res.witness.constraints] \
+        == ["0x1.000b03f9dea46p-1", "0x1.d5bd596c32fb2p-1"]
 
 
 def test_grid_cap_checked_before_length_d_tables(monkeypatch):
