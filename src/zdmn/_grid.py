@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .model import NetworkSpec, NodeSet, require_valid, x_var, y_var
+from .model import NetworkSpec, NodeSet, require_integer, require_valid, x_var, y_var
 from .probability import (_aligned_factor, _all_delayed_shell, _composed_channel,
                           _full_layout, _group_size, _clamp_mi, _marginal, _row_sum,
                           cond_entropy_table, input_conditional_vars)
@@ -110,9 +109,7 @@ class GridProblem:
 
         require_valid(spec)
         self.which = _normalize_mode(which)
-        if not isinstance(k, numbers.Integral) or isinstance(k, bool):
-            raise DomainError(f"grid resolution k must be an integer, got {k!r}")
-        self.k = int(k)
+        self.k = require_integer(k, "grid resolution k")
         if self.k < 1:
             raise DomainError(f"grid resolution k must be >= 1, got {self.k}")
 

@@ -113,9 +113,7 @@ class GaussianRelayConfig:
     delta: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool)):
-            raise DomainError(f"blocklength must be an integer, got {self.n!r}")
-        if self.n < 1:
+        if model.require_integer(self.n, "blocklength") < 1:
             raise DomainError(f"blocklength must be >= 1, got {self.n}")
         if not math.isfinite(self.P) or self.P <= 0.0:
             raise DomainError(f"source power must be positive, got {self.P}")

@@ -72,13 +72,6 @@ class Partition:
     def alpha(self) -> int:
         return len(self.blocks)
 
-    def prefix(self, h: int) -> NodeSet:
-        """Union of the first h blocks (h = 0 gives the empty set)."""
-        out: set[int] = set()
-        for b in self.blocks[:h]:
-            out |= set(b.members)
-        return NodeSet(tuple(sorted(out)))
-
     def block_index_of(self, i: int) -> int:
         """1-based index of the block containing node i."""
         for h, b in enumerate(self.blocks, start=1):
@@ -115,11 +108,16 @@ class ChannelTable:
     def stochasticity_violations(self, label: str = "channel") -> list[str]:
         # whole-table reductions: a valid table costs O(rows) scratch, not O(cells)
         t = self.table
-        # a valid table passes on its range and row sums alone; entries in
-        # [0, 1] (NaN fails both comparisons) are finite, so no sum warns
-        if t.size and 0.0 <= t.min() and t.max() <= 1.0:
-            dev = t.sum(axis=1) - 1.0
-            if np.abs(dev, out=dev).max() <= ROW_TOL:
+        # a valid table passes on its least entry and row sums alone (a NaN
+        # entry makes the minimum NaN, which fails): a float sum of
+        # nonnegative entries is at least each of them, so no entry exceeds
+        # 1 when no row sum does, and the largest entry is read only when
+        # some row sum is above 1 by rounding
+        if t.size and 0.0 <= np.minimum.reduce(t, axis=None):
+            sums = np.add.reduce(t, axis=1)
+            top = np.maximum.reduce(sums)
+            if (1.0 - np.minimum.reduce(sums) <= ROW_TOL and top - 1.0 <= ROW_TOL
+                    and (top <= 1.0 or np.maximum.reduce(t, axis=None) <= 1.0)):
                 return []
         out = []
         with np.errstate(invalid="ignore"):  # inf + -inf in a row sums to NaN
@@ -168,18 +166,46 @@ class NetworkSpec:
 
     def channel_input_vars(self, h: int) -> tuple[str, ...]:
         """(X_i : i in S^h) then (Y_i : i in G^{h-1}), each ascending."""
-        xs = tuple(x_var(i) for i in self.input_partition.prefix(h))
-        ys = tuple(y_var(i) for i in self.output_partition.prefix(h - 1))
-        return xs + ys
+        _, xs, ys, _ = _step(self, h)
+        return _input_names(xs, ys)
 
     def channel_output_vars(self, h: int) -> tuple[str, ...]:
-        return tuple(y_var(i) for i in self.output_partition.blocks[h - 1])
+        return tuple(map(y_var, _step(self, h)[3]))
 
     def all_x_vars(self) -> tuple[str, ...]:
         return tuple(x_var(i) for i in range(1, self.n_nodes + 1))
 
     def all_y_vars(self) -> tuple[str, ...]:
         return tuple(y_var(i) for i in range(1, self.n_nodes + 1))
+
+
+def step_plan(spec: NetworkSpec):
+    """Per channel h = 1, 2, ... the node lists of its step, in channel order:
+    (S_h, S^h, G^{h-1}, G_h), the prefixes ascending.
+
+    In slot k the encoders of S_h fire, then channel h reads X_{S^h} and
+    Y_{G^{h-1}} and emits Y_{G_h}.  One running union over the two
+    partitions gives every step; where one partition has fewer blocks, its
+    missing blocks are empty.  Variable names (``channel_input_vars``),
+    ``validate_spec`` and the slot loop all read these lists, derived afresh
+    on every call.
+    """
+    xs: set[int] = set()
+    ys: set[int] = set()
+    for s_h, g_h in itertools.zip_longest(spec.input_partition.blocks,
+                                          spec.output_partition.blocks,
+                                          fillvalue=NodeSet(())):
+        xs.update(s_h.members)
+        yield s_h.members, tuple(sorted(xs)), tuple(sorted(ys)), g_h.members
+        ys.update(g_h.members)
+
+
+def _step(spec: NetworkSpec, h: int) -> tuple:
+    return next(itertools.islice(step_plan(spec), h - 1, None))
+
+
+def _input_names(xs, ys) -> tuple[str, ...]:
+    return (*map(x_var, xs), *map(y_var, ys))
 
 
 @dataclass(frozen=True)
@@ -232,7 +258,12 @@ def _partition_violations(name: str, part: Partition, n_nodes: int) -> list[str]
 
 
 def validate_spec(spec: NetworkSpec) -> ValidationReport:
-    """Collect every violated invariant; ok iff there are none."""
+    """Collect every violated invariant; ok iff there are none.
+
+    The per-channel checks run over ``step_plan``: a table's shape is the
+    product of its nodes' radices, looked up by node index, and the
+    variable names are formed only to compare them with the channel's.
+    """
     v: list[str] = []
     n = spec.n_nodes
     if n < 1:
@@ -253,16 +284,17 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         # Structural problems make the per-channel dimension checks unreliable.
         return ValidationReport(False, tuple(v))
 
-    for h in range(1, spec.alpha + 1):
-        ch = spec.channels[h - 1]
-        want_in = spec.channel_input_vars(h)
-        want_out = spec.channel_output_vars(h)
+    x_sizes, y_sizes = spec.input_alphabet_sizes, spec.output_alphabet_sizes
+    for h, (ch, (_, xs, ys, outs)) in enumerate(zip(spec.channels, step_plan(spec)), start=1):
+        want_in = _input_names(xs, ys)
+        want_out = tuple(map(y_var, outs))
         if tuple(ch.input_vars) != want_in:
             v.append(f"channel {h}: input variables {ch.input_vars} != expected {want_in}")
         if tuple(ch.output_vars) != want_out:
             v.append(f"channel {h}: output variables {ch.output_vars} != expected {want_out}")
-        rows = math.prod(spec.var_size(x) for x in want_in)  # exact: no int64 wrap
-        cols = math.prod(spec.var_size(x) for x in want_out)
+        # exact: no int64 wrap
+        rows = math.prod([x_sizes[i - 1] for i in xs]) * math.prod([y_sizes[i - 1] for i in ys])
+        cols = math.prod([y_sizes[i - 1] for i in outs])
         if ch.table.shape != (rows, cols):
             v.append(f"channel {h}: table shape {ch.table.shape} != expected ({rows}, {cols})")
         else:
@@ -277,9 +309,21 @@ def require_valid(spec: NetworkSpec) -> None:
         raise DomainError("invalid network: " + "; ".join(report.violations))
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integer(value, what: str) -> int:
+    """`value` as an int if it is an integer; a float (even 64.0), a boolean
+    (True would read as 1) or anything else is a DomainError."""
+    if _is_integer(value):
+        return int(value)
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
 def require_seed(seed: int) -> None:
     """Seeds key numpy SeedSequence streams, which take non-negative integers."""
-    if seed < 0:
+    if require_integer(seed, "seed") < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
 
 
@@ -351,7 +395,7 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
 def json_int(value, what: str) -> int:
     """`value` as an int if it is an integer; a float, a boolean or anything
     else is a SpecIOError, never truncated."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if _is_integer(value):
         return int(value)
     raise SpecIOError(f"{what} must be an integer, got {value!r}")
 
@@ -380,19 +424,19 @@ def spec_from_dict(d: dict) -> NetworkSpec:
     except (KeyError, TypeError, ValueError) as e:
         raise SpecIOError(f"malformed spec structure: {e}") from e
 
-    spec = NetworkSpec(n, in_sizes, out_sizes, alpha, s_part, g_part, ())
+    # a channel beyond alpha or the output partition's blocks has no
+    # variables; validate_spec reports either mismatch
+    steps = itertools.islice(step_plan(NetworkSpec(n, in_sizes, out_sizes, alpha, s_part,
+                                                   g_part, ())),
+                             max(0, min(alpha, g_part.alpha)))
     channels = []
     for h, ch in enumerate(raw_channels, start=1):
         try:
             rows = np.asarray(ch["rows"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as e:
             raise SpecIOError(f"malformed channel {h}: {e}") from e
-        # a channel beyond alpha or the output partition's blocks has no
-        # variables; validate_spec reports either mismatch
-        named = h <= min(alpha, g_part.alpha)
-        in_vars = spec.channel_input_vars(h) if named else ()
-        out_vars = spec.channel_output_vars(h) if named else ()
-        channels.append(ChannelTable(in_vars, out_vars, rows))
+        _, xs, ys, outs = next(steps, ((), (), (), ()))
+        channels.append(ChannelTable(_input_names(xs, ys), tuple(map(y_var, outs)), rows))
     return NetworkSpec(n, in_sizes, out_sizes, alpha, s_part, g_part, tuple(channels))
 
 

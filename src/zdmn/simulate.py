@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
 from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, is_feasible, json_int,
-                    json_int_table, read_json, require_seed, require_valid, trial_uniforms,
-                    write_text, x_var, y_var)
+                    json_int_table, read_json, require_integer, require_seed, require_valid,
+                    step_plan, trial_uniforms, write_text, x_var, y_var)
 from .polar import PolarCode, require_blocklength_within_cap
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
                           conditional_mutual_information, input_conditional_vars)
@@ -70,7 +70,8 @@ class TableCode:
     decoder_tables: dict    # (i, j) -> 2-D int array
 
     def __post_init__(self):
-        sizes = tuple(tuple(int(v) for v in row) for row in self.message_sizes)
+        sizes = tuple(tuple(require_integer(v, "message size") for v in row)
+                      for row in self.message_sizes)
         for i, row in enumerate(sizes):
             if len(row) != len(sizes):
                 raise DomainError("message_sizes must be square")
@@ -79,7 +80,7 @@ class TableCode:
                     raise DomainError(f"message size {v} of {i + 1}->{j + 1} must be "
                                       f"in 1..2**53 (1 on the diagonal)")
         object.__setattr__(self, "message_sizes", sizes)
-        if self.n < 1:
+        if require_integer(self.n, "blocklength") < 1:
             raise DomainError("blocklength must be >= 1")
         per_node = (self.delay_profile.delays, self.input_sizes, self.output_sizes,
                     self.encoder_tables)
@@ -158,9 +159,9 @@ def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
     require_valid(spec)  # the tables' shapes read its node count and alphabets
     if not is_feasible(spec, profile):
         raise DomainError(f"delay profile {profile.delays} infeasible for this network")
-    if n < 1:
+    if require_integer(n, "blocklength") < 1:
         raise DomainError("blocklength must be >= 1")
-    if message_size < 1:
+    if require_integer(message_size, "message size") < 1:
         raise DomainError("message size must be >= 1")
     require_seed(seed)
     nn = spec.n_nodes
@@ -290,6 +291,8 @@ def wilson_half_width(errors: int, trials: int) -> float:
     """Half-width of the 95% Wilson score interval for errors/trials."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if not 0 <= errors <= trials:
+        raise DomainError(f"errors must be in 0..{trials}, got {errors}")
     z = _WILSON_Z
     p = errors / trials
     return (z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
@@ -323,13 +326,23 @@ def _require_uniforms_within_cap(trials: int, width: int) -> None:
                                f"the cap of {UNIFORM_CAP} uniforms")
 
 
-def _message_indices(code: TableCode, w: np.ndarray) -> dict:
+def _message_indices(code: TableCode, w_cols) -> dict:
     """node -> index of the messages it originates (its ``w_row_of``) per
-    row of messages ``w`` (rows, P) in ``message_pairs`` order; a node that
-    originates none has index 0."""
-    columns = dict(zip(code.message_pairs(), w.T))
-    return {i: np.ravel_multi_index(code.w_row_of(i, columns), code._w_radices(i))
-            for i in range(1, len(code.message_sizes) + 1)}
+    row, from the message columns ``w_cols``, one (rows,) array per pair in
+    ``message_pairs`` order; a node that originates none has index 0.
+
+    ``message_pairs`` lists a node's messages together, destinations
+    ascending, so the index folds that run of columns (a message of size 1
+    is the digit 0 of radix 1 and folds away); a run of one column is the
+    index itself."""
+    runs = {}
+    for (i, j), col in zip(code.message_pairs(), w_cols):
+        runs.setdefault(i, []).append((col, code.message_sizes[i - 1][j - 1]))
+    out = dict.fromkeys(range(1, len(code.message_sizes) + 1), 0)
+    for i, run in runs.items():
+        cols, radices = zip(*run)
+        out[i] = cols[0] if len(run) == 1 else np.ravel_multi_index(cols, radices)
+    return out
 
 
 def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column):
@@ -343,45 +356,69 @@ def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column)
     its row, ``column(step, h, row)`` (step = k * alpha + h, both
     zero-based) gives the column the channel emits per row, and that column
     splits into its output nodes' symbols.  Each node's received word is
-    folded once per slot, after the slot's last channel; a zero-delay node
-    also folds in its current-slot symbol, which an earlier channel of the
-    slot emitted.
+    folded once per slot: a zero-delay node's when it encodes, since an
+    earlier channel of the slot emitted its current-slot symbol, every other
+    node's after the slot's last channel.
+
+    The steps are derived once per call from ``model.step_plan``, as node
+    indices and radices: per channel its member nodes, each with its
+    per-slot encoder tables, and its (node, radix) inputs and outputs.  A
+    one-symbol tuple folds to the symbol itself, so a channel with one input
+    reads that symbol as its row and one with one output stores its column
+    as the symbol; a digit of radix 1 is always 0 and is left out of every
+    fold and split.
 
     Inputs and outputs are held step-major, (n, N, trials), so every symbol
     of one slot and node is a contiguous row.  Returns them as (trials, n, N)
-    views, and the index of each node's whole received word, (N, trials).
+    views, and the index of each node's whole received word, per node a
+    (trials,) array or, for a one-letter output alphabet, 0.
     """
     nn, n = spec.n_nodes, code.n
     x = np.zeros((n, nn, trials), dtype=np.int64)
     y = np.zeros((n, nn, trials), dtype=np.int64)
-    words = np.zeros((nn, trials), dtype=np.int64)  # received words before slot k
-    sizes = code.output_sizes
-    delays = code.delay_profile.delays
+    words = [0] * nn  # index of each node's received word before slot k
+    x_sizes, sizes = code.input_sizes, code.output_sizes
+    # a one-letter alphabet's symbol is always 0, a digit of radix 1 that
+    # folds away: such an input is never encoded and no row reads it, such
+    # an output is never stored and its word stays 0
+    encodes = [s > 1 for s in x_sizes]
+    fold_early = [b == 0 and encodes[i] and sizes[i] > 1
+                  for i, b in enumerate(code.delay_profile.delays)]
     steps = []
-    for h in range(1, spec.alpha + 1):
-        in_vars, out_vars = spec.channel_input_vars(h), spec.channel_output_vars(h)
+    for members, xs, ys, outs in step_plan(spec):
+        xs = [i for i in xs if encodes[i - 1]]
+        ys = [i for i in ys if sizes[i - 1] > 1]
+        outs = [i for i in outs if sizes[i - 1] > 1]
         steps.append((
-            spec.input_partition.blocks[h - 1].members,
-            [(x if v[0] == "X" else y, int(v[1:]) - 1) for v in in_vars],
-            [spec.var_size(v) for v in in_vars],
-            [int(v[1:]) - 1 for v in out_vars],
-            [spec.var_size(v) for v in out_vars]))
+            [(i - 1, code.encoder_tables[i - 1], fold_early[i - 1], w_idx[i])
+             for i in members if encodes[i - 1]],
+            [(x, i - 1) for i in xs] + [(y, i - 1) for i in ys],
+            [x_sizes[i - 1] for i in xs] + [sizes[i - 1] for i in ys],
+            [i - 1 for i in outs],
+            [sizes[i - 1] for i in outs]))
+    fold_late = [i for i in range(nn) if sizes[i] > 1 and not fold_early[i]]
     for k in range(n):
         xk, yk = x[k], y[k]
         for h, (members, ins, in_sizes, outs, out_sizes) in enumerate(steps):
-            for i in members:
-                word = words[i - 1]
-                if delays[i - 1] == 0:
-                    word = np.ravel_multi_index((word, yk[i - 1]),
-                                                (sizes[i - 1] ** k, sizes[i - 1]))
-                xk[i - 1] = code.encoder_tables[i - 1][k][w_idx[i], word]
-            # a channel without inputs has the one row 0 (a scalar here); one
-            # without outputs has one column, which splits into no symbols
-            row = np.ravel_multi_index([arr[k, node] for arr, node in ins], in_sizes)
+            for i, tables, fold, w in members:
+                if fold:
+                    words[i] = np.ravel_multi_index((words[i], yk[i]),
+                                                    (sizes[i] ** k, sizes[i]))
+                xk[i] = tables[k][w, words[i]]
+            # a channel without inputs (one-letter ones aside) has the one row
+            # 0, a scalar here; one without outputs has one column, which
+            # splits into no symbols
+            if len(ins) == 1:
+                arr, node = ins[0]
+                row = arr[k, node]
+            else:
+                row = np.ravel_multi_index([arr[k, node] for arr, node in ins], in_sizes)
             col = column(k * spec.alpha + h, h, row)
-            if outs:
+            if len(outs) == 1:
+                yk[outs[0]] = col
+            elif outs:
                 yk[outs] = np.unravel_index(col, out_sizes)
-        for i in range(nn):
+        for i in fold_late:
             words[i] = np.ravel_multi_index((words[i], yk[i]), (sizes[i] ** k, sizes[i]))
     return x.transpose(2, 0, 1), y.transpose(2, 0, 1), words
 
@@ -397,8 +434,10 @@ def _draw_column(cum_t: np.ndarray, row, u: np.ndarray) -> np.ndarray:
     decreases, so the count is ``searchsorted(side="right")`` capped at
     cols - 1, and a 1-column channel always emits column 0.
     """
-    col = np.zeros(u.shape, dtype=np.int64)
-    for cum in cum_t:
+    if not len(cum_t):
+        return np.zeros(u.shape, dtype=np.int64)
+    col = (cum_t[0][row] <= u).astype(np.int64)
+    for cum in cum_t[1:]:
         col += cum[row] <= u
     return col
 
@@ -418,7 +457,9 @@ def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
     P = len(pairs)
     u = trial_uniforms(seed, (), lo, hi, P + code.n * spec.alpha)
     m = np.array([code.message_sizes[i - 1][j - 1] for i, j in pairs], dtype=float)
-    w = np.floor(u[:, :P] * m).astype(np.int64)
+    # message-major, one contiguous row per pair; u * m >= 0, so the cast's
+    # truncation is the floor
+    w = (np.ascontiguousarray(u[:, :P].T) * m[:, None]).astype(np.int64)
     w_idx = _message_indices(code, w)
     u_steps = np.ascontiguousarray(u[:, P:].T)  # (n * alpha, trials): one row per step
     cum_ts = [np.ascontiguousarray(np.cumsum(channel.table, axis=1)[:, :-1].T)
@@ -432,13 +473,13 @@ def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
     x, y, words = _slots(spec, code, w_idx, hi - lo, column)
     est = np.empty_like(w)
     for q, (i, j) in enumerate(pairs):
-        est[:, q] = code.decoder_tables[(i, j)][w_idx[j], words[j - 1]]
-    return w, x, y, est
+        est[q] = code.decoder_tables[(i, j)][w_idx[j], words[j - 1]]
+    return w.T, x, y, est.T
 
 
 def run_trial(spec: NetworkSpec, code: TableCode, seed: int, trial: int = 0) -> SimTrace:
     """Execute one block, trial ``trial`` of ``estimate_error``'s batch."""
-    if trial < 0:
+    if require_integer(trial, "trial") < 0:
         raise DomainError("trial must be >= 0")
     require_seed(seed)
     _check_code(spec, code)
@@ -453,7 +494,7 @@ def run_trial(spec: NetworkSpec, code: TableCode, seed: int, trial: int = 0) -> 
 def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
                    seed: int) -> ErrorReport:
     """Monte Carlo error estimate per message pair; deterministic given seed."""
-    if trials < 1:
+    if require_integer(trials, "trials") < 1:
         raise DomainError("trials must be >= 1")
     require_seed(seed)
     _check_code(spec, code)
@@ -520,7 +561,7 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
             return col
 
         w = digits[:, :P]
-        x, y, _ = _slots(spec, code, _message_indices(code, w), rows, column)
+        x, y, _ = _slots(spec, code, _message_indices(code, w.T), rows, column)
         # per slot X_1..X_N then Y_1..Y_N, the order of _joint_variables
         cells = np.concatenate([w, np.concatenate([x, y], axis=2).reshape(rows, -1)], axis=1)
         flat[np.ravel_multi_index(cells.T, sizes)] = prob
@@ -627,7 +668,7 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
                           f"forward capacity {cap:.6f}")
     if not forward_rate > 0.0:  # NaN fails this check too
         raise DomainError(f"forward rate must be positive, got {forward_rate}")
-    if n < 1 or trials < 1:
+    if require_integer(n, "n") < 1 or require_integer(trials, "trials") < 1:
         raise DomainError("n and trials must be >= 1")
     require_seed(seed)
     require_blocklength_within_cap(n)  # before forward_rate * n, which overflows a float

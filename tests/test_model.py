@@ -36,9 +36,16 @@ def test_nodeset_basics():
 def test_partition_prefix_unions():
     p = Partition((NodeSet((2,)), NodeSet((1, 3))))
     assert p.alpha == 2
-    assert p.prefix(0).members == ()
-    assert p.prefix(1).members == (2,)
-    assert p.prefix(2).members == (1, 2, 3)
+    # the step plan's running unions: (S_h, S^h, G^{h-1}, G_h) per channel
+    g = Partition((NodeSet((1, 3)), NodeSet((2,))))
+    spec = NetworkSpec(3, (2, 2, 2), (2, 2, 2), 2, p, g, ())
+    assert list(model.step_plan(spec)) == [((2,), (2,), (), (1, 3)),
+                                           ((1, 3), (1, 2, 3), (1, 3), (2,))]
+    assert spec.channel_input_vars(2) == ("X1", "X2", "X3", "Y1", "Y3")
+    assert spec.channel_output_vars(1) == ("Y1", "Y3")
+    # a partition with fewer blocks counts its missing ones as empty
+    short = NetworkSpec(3, (2, 2, 2), (2, 2, 2), 2, p, Partition((NodeSet((1, 2, 3)),)), ())
+    assert list(model.step_plan(short))[1] == ((1, 3), (1, 2, 3), (1, 2, 3), ())
     assert p.block_index_of(3) == 2
     with pytest.raises(DomainError):
         p.block_index_of(4)
@@ -56,6 +63,17 @@ def test_channel_table_stochasticity_reporting():
     bad = ChannelTable(("X1",), ("Y2",), np.array([[0.3, 0.6], [1.2, -0.2]]))
     msgs = "\n".join(bad.stochasticity_violations("ch"))
     assert "outside [0, 1]" in msgs and "row 0" in msgs
+    # an entry above 1 in a row whose sum is within tolerance of 1 is still
+    # outside [0, 1]; the fast path reads the largest entry for such a row
+    over = ChannelTable(("X1",), ("Y2",), np.array([[1.0 + 5e-10, 0.0], [0.5, 0.5]]))
+    assert over.stochasticity_violations("ch") == ["ch: entries outside [0, 1]"]
+    for rows in ([[np.nan, 1.0]], [[np.inf, 0.0]], [[-0.0, 1.0]], [[0.1] * 10]):
+        table = ChannelTable(("X1",), ("Y2",), np.array(rows))
+        with np.errstate(invalid="ignore"):
+            t = table.table
+            want = bool(np.isfinite(t).all() and (t >= 0).all() and (t <= 1).all()
+                        and (np.abs(t.sum(axis=1) - 1) <= model.ROW_TOL).all())
+        assert (table.stochasticity_violations() == []) == want, rows
 
 
 def test_channel_table_reports_non_finite_entries():

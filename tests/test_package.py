@@ -304,6 +304,44 @@ def test_symbol_tuples_unfold_only_through_numpy():
     assert hand_rolled == []
 
 
+def _name_parses(trees):
+    """`path:line` of every `int(<expr>[1:])` outside `var_size`: a variable
+    name such as "X3" parsed back into its node index."""
+    found = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "int" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Subscript)
+                and isinstance(node.args[0].slice, ast.Slice)
+                and isinstance(node.args[0].slice.lower, ast.Constant)
+                and node.args[0].slice.lower.value == 1
+                and node.args[0].slice.upper is None and where != "var_size"):
+            found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path, tree in trees.items():
+        visit(tree, path, None)
+    return found
+
+
+def test_only_var_size_parses_variable_names():
+    # the engine and validation read node indices from model.step_plan; a
+    # name is turned back into a node index only by NetworkSpec.var_size
+    assert _name_parses(_parsed(sorted(_SRC.glob("*.py")))) == []
+
+
+def test_name_parse_guard_finds_int_of_a_tail():
+    code = ast.parse(
+        "def var_size(name):\n    return int(name[1:])\n"
+        "def slots(names):\n    return [int(v[1:]) - 1 for v in names], names[1:]\n"
+        "def tail(v):\n    return int(v[2:]), int(v[1:3])\n")
+    assert _name_parses({pathlib.Path("m.py"): code}) == ["m.py:4"]
+
+
 def _attribute_uses(tree):
     """(stores, self_reads, other_reads, named) of one module.
 

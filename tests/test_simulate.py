@@ -138,6 +138,61 @@ def test_estimate_error_batch_window_invariance(monkeypatch):
         assert estimate_error(spec, code, trials=trials, seed=8).pairs == report.pairs
 
 
+# Error counts per pair (``message_pairs`` order) of estimate_error for every
+# bundled network x feasible profile x n in {1, 3} x 25 and 2,000 trials, code
+# seed 100 n + r (r the profile's position) and run seed 7 n + r + trials.
+_GOLDEN_COUNTS = {
+    ('bscfb', (1, 0), 1, 25): (13, 17),
+    ('bscfb', (1, 0), 1, 2000): (999, 1455),
+    ('bscfb', (1, 0), 3, 25): (15, 8),
+    ('bscfb', (1, 0), 3, 2000): (1049, 585),
+    ('bscfb', (1, 1), 1, 25): (13, 12),
+    ('bscfb', (1, 1), 1, 2000): (1039, 1022),
+    ('bscfb', (1, 1), 3, 25): (5, 15),
+    ('bscfb', (1, 1), 3, 2000): (647, 919),
+    ('causal-relay', (1, 0, 1), 1, 25): (14, 8, 13, 8, 9, 14),
+    ('causal-relay', (1, 0, 1), 1, 2000): (971, 985, 985, 988, 1015, 1003),
+    ('causal-relay', (1, 0, 1), 3, 25): (9, 9, 12, 17, 11, 7),
+    ('causal-relay', (1, 0, 1), 3, 2000): (1201, 984, 998, 1014, 990, 970),
+    ('causal-relay', (1, 1, 1), 1, 25): (13, 16, 14, 13, 12, 16),
+    ('causal-relay', (1, 1, 1), 1, 2000): (1029, 986, 991, 1007, 1004, 1010),
+    ('causal-relay', (1, 1, 1), 3, 25): (9, 8, 15, 12, 12, 11),
+    ('causal-relay', (1, 1, 1), 3, 2000): (912, 939, 994, 961, 989, 1025),
+    ('classical-bsc', (1, 1), 1, 25): (16, 9),
+    ('classical-bsc', (1, 1), 1, 2000): (990, 984),
+    ('classical-bsc', (1, 1), 3, 25): (16, 10),
+    ('classical-bsc', (1, 1), 3, 2000): (1168, 925),
+    ('deterministic', (1, 1), 1, 25): (15, 16),
+    ('deterministic', (1, 1), 1, 2000): (995, 1016),
+    ('deterministic', (1, 1), 3, 25): (14, 15),
+    ('deterministic', (1, 1), 3, 2000): (1015, 1075),
+}
+
+_GOLDEN_TRACE = ("slot,node,X,Y\n1,1,1,0\n1,2,1,0\n1,3,0,0\n2,1,1,0\n2,2,1,0\n2,3,0,0\n"
+                 "3,1,0,0\n3,2,0,2\n3,3,0,0\n")
+
+
+def test_engine_outputs_equal_golden_literals(bundled_specs):
+    # a fixed seed gives bit-for-bit the same counts and traces across
+    # versions of the engine, not only the serial reference's
+    counts = {}
+    for name, spec in sorted(bundled_specs.items()):
+        for r, profile in enumerate(enumerate_feasible_profiles(spec)):
+            for n in (1, 3):
+                code = random_table_code(spec, n, profile, seed=100 * n + r)
+                for trials in (25, 2000):
+                    report = estimate_error(spec, code, trials, seed=7 * n + r + trials)
+                    counts[(name, profile.delays, n, trials)] = tuple(
+                        report.pairs[p].errors for p in code.message_pairs())
+    assert counts == _GOLDEN_COUNTS
+    spec = _mixed_alphabet_spec()
+    code = random_table_code(spec, 3, DelayProfile.of((1, 0, 0)), seed=31, message_size=3)
+    trace = run_trial(spec, code, seed=5, trial=17)
+    assert trace.to_csv() == _GOLDEN_TRACE
+    assert trace.messages == {(1, 2): 0, (1, 3): 2, (2, 1): 1, (2, 3): 0, (3, 1): 2, (3, 2): 1}
+    assert trace.estimates == {(1, 2): 0, (1, 3): 1, (2, 1): 1, (2, 3): 1, (3, 1): 2, (3, 2): 1}
+
+
 def test_trial_uniforms_window_invariance():
     # rows [lo, hi) of a call equal the same rows of a [0, hi) call at every
     # width, so a trial's draws never depend on the batch that holds it
@@ -615,6 +670,41 @@ def test_negative_seed_is_a_domain_error():
             call()
 
 
+def test_engine_arguments_must_be_integers():
+    # a bool reads as 0 or 1 and a float ends in a bare TypeError further
+    # down; each is refused up front
+    spec = networks.bscfb_spec(0.11)
+    code = random_table_code(spec, 1, _UNIT, seed=0)
+    calls = [
+        ("trials must be an integer, got True", lambda: estimate_error(spec, code, True, 5)),
+        ("trials must be an integer, got 2.5", lambda: estimate_error(spec, code, 2.5, 5)),
+        ("seed must be an integer, got True", lambda: estimate_error(spec, code, 3, True)),
+        ("seed must be an integer, got 2.5", lambda: estimate_error(spec, code, 3, 2.5)),
+        ("trial must be an integer, got 1.5", lambda: run_trial(spec, code, seed=0, trial=1.5)),
+        ("seed must be an integer, got False", lambda: run_trial(spec, code, seed=False)),
+        ("message size must be an integer, got True",
+         lambda: random_table_code(spec, 1, _UNIT, seed=0, message_size=True)),
+        ("blocklength must be an integer, got 2.0",
+         lambda: random_table_code(spec, 2.0, _UNIT, 0)),
+        ("seed must be an integer, got True", lambda: random_table_code(spec, 1, _UNIT, True)),
+        ("n must be an integer, got 64.0", lambda: bscfb_scheme(0.11, 64.0, 0.25, seed=0)),
+        ("trials must be an integer, got 2.5", lambda: bscfb_scheme(0.11, 64, 0.25, 0, 2.5)),
+    ]
+    # a code built directly is held to the same rule (2.7 read as 2 before)
+    calls += [("message size must be an integer, got 2.7",
+               lambda: dataclasses.replace(code, message_sizes=((1, 2.7), (2, 1)))),
+              ("message size must be an integer, got True",
+               lambda: dataclasses.replace(code, message_sizes=((1, True), (2, 1)))),
+              ("blocklength must be an integer, got 1.0",
+               lambda: dataclasses.replace(code, n=1.0))]
+    for why, call in calls:
+        with pytest.raises(DomainError, match=why):
+            call()
+    # numpy integers are integers
+    report = estimate_error(spec, code, np.int64(3), np.uint32(5))
+    assert report == estimate_error(spec, code, 3, 5)
+
+
 def test_trace_csv_layout():
     spec = networks.bscfb_spec(0.11)
     code = random_table_code(spec, 3, _UNIT, seed=1)
@@ -695,3 +785,7 @@ def test_wilson_half_width_solves_score_equation():
     assert abs(wilson_half_width(2, 10) - wilson_half_width(8, 10)) < 1e-15
     with pytest.raises(DomainError):
         wilson_half_width(0, 0)
+    # a count outside 0..trials is refused, not a math domain error
+    for errors in (5, -1):
+        with pytest.raises(DomainError, match=r"errors must be in 0\.\.3"):
+            wilson_half_width(errors, 3)
