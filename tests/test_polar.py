@@ -1,5 +1,8 @@
 """Block code: transform oracle, SC reference decoder, CRC vectors."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -458,6 +461,105 @@ def test_genie_errors_match_exhaustive_enumeration():
             assert np.max(np.abs(got - want)) <= 1e-12, (n, eps)
 
 
+# sha256 of _genie_errors(n, eps).tobytes(), taken before the level sweep replaced
+# the depth-first walk: every float64 bit of the construction is pinned
+_GENIE_SHA256 = {
+    (2, 0.0): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    (2, 0.05): "3ce34045a6dd16eeb397d961b406dfb2b79f01ef6eee1775c5acc4b1212a8df1",
+    (2, 0.11): "9a086c037b78e27ed647bfea25a5f8c316a1752afdfcb878784fbbb88e0d163a",
+    (2, 0.3): "da4005480d7d3e31a52a46f23aa32459fc196f03e81386c097f9f88477e4728b",
+    (3, 0.0): "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+    (3, 0.05): "b677bb44256b24dd5c0a520e6c3f469e4b12579a883d46777cdd497fdb4bf221",
+    (3, 0.11): "a94afe270603b7ac6ecf57853f8967ce0c9b44033cb95c2e7d46aba60d9326e8",
+    (3, 0.3): "c45ff7b108297bdef5d46b82cbd2c90cc4bf36853838575a415dc7685e6b0437",
+    (48, 0.0): "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    (48, 0.05): "fcda84959b35f5e5388be2989a518b31e43d4cc5fe7791bec088816dbeaab9a6",
+    (48, 0.11): "c28bf99ac50319b07003e7d7a899fbf8268da0bf90f5be60c12abfffb9307de7",
+    (48, 0.3): "458ac726bfa33a2a812709880ad96fe5d9c95bcd0c68d831429b38f5252f0b9b",
+    (100, 0.0): "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
+    (100, 0.05): "fa9e4d19f695ec58e208296ea1565cfac7fc80ca6da3af5cf257fa70a5db77e6",
+    (100, 0.11): "b8a6b51d7a31eaed67f6a0f033d1218d9f42185efeb0c69646f16ff7591eaf58",
+    (100, 0.3): "6b709a6f8aa6ebce3f329e8efca78ac94200e16ae5b6c683cea74bddfdef8773",
+    (129, 0.0): "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
+    (129, 0.05): "91b2c452aa8c392c6498c47e14c6b58fa04dd7f2230bed8a51beba0163a48f5a",
+    (129, 0.11): "7c8f022ded92798950d137eb50a907810f245614ecd938ad347bfc9d8a474912",
+    (129, 0.3): "e2a30b64594b6a48d15f2eac2b9492d13162b41b94df3d1b3b5b85a2c7b7228f",
+    (700, 0.0): "9f1dcbc35c350d6027f98be0f5c8b43b42ca52b7604459c0c42be3aa88913d47",
+    (700, 0.05): "4cac6a42bf24f32d416f53eb39a1a7d3d13700791cc248e61b3068ec15f8fd46",
+    (700, 0.11): "b3c49df8fa4d98e8c45b4b92d56d01742b4fd23b06f9c722a32fecd4775517d0",
+    (700, 0.3): "f00d08ed8f536d4dbb79f43b1e39ed26d96ca335760e6ab519e6c07dfc613993",
+    (1025, 0.0): "4fe7b59af6de3b665b67788cc2f99892ab827efae3a467342b3bb4e3bc8e5bfe",
+    (1025, 0.05): "26e8715d6644414e2d735d78ef5cacb69682727f4cd0231347261b46424ec863",
+    (1025, 0.11): "cb9ac91bba85c8229f2cd9fd69d1187af999df7e286899833cae23bbaf3d4f13",
+    (1025, 0.3): "e86f78e00b3f82ee0c080569e44e012f6d0affe0695e2c05eeba5919eef303aa",
+    (2000, 0.0): "4fe7b59af6de3b665b67788cc2f99892ab827efae3a467342b3bb4e3bc8e5bfe",
+    (2000, 0.05): "3685bc2c0ea0816cc1329b60591dc01108acc464c1fc344be574057ecaae6789",
+    (2000, 0.11): "9cc23dd244a3815d03de75b64889cfce857064278cfa6181f9875758f90e7040",
+    (2000, 0.3): "a87684d77aaa15cacbbb437fed9c750ca1df399d8d1e082d5c83838565b07cab",
+    (2048, 0.0): "4fe7b59af6de3b665b67788cc2f99892ab827efae3a467342b3bb4e3bc8e5bfe",
+    (2048, 0.05): "f86079eec9a8d237e2f239171e361d391c130820d3b240d0dffce320fefb783b",
+    (2048, 0.11): "84d873ee45f58ac5e24377139dfa77c67be253b6cbc17b36a92ed17b5445f908",
+    (2048, 0.3): "c2e09c91ca02f07af3bf100df2a2f0c9a79ae8495dc3e136125347a989dd7ae0",
+    (4097, 0.0): "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31",
+    (4097, 0.05): "ee90be0f94e530fcd2bad21342890c879ed255893d5fbc301875d51147463754",
+    (4097, 0.11): "34c40cd3cccf999d7948d34bacf41f45c4bb084506f008c8a0cbc6784aa03a57",
+    (4097, 0.3): "e3a602a229e49c59a966a8ed44fd654f42a54066fb04a9fc3df14e5e2abff530",
+}
+
+
+def test_genie_errors_equal_golden_bits():
+    for (n, eps), want in _GENIE_SHA256.items():
+        got = hashlib.sha256(polar._genie_errors(n, eps).tobytes()).hexdigest()
+        assert got == want, (n, eps)
+    polar._construction_cache.clear()
+    code = PolarCode(2000, 800, 0.11)  # the bscfb forward code
+    info = code.info_positions.astype(np.int64).tobytes()
+    assert hashlib.sha256(info).hexdigest() == (
+        "1ec669667f85e7b65b072a969dc3fd3edadd06d131ea26e696cc7214a6323211")
+    assert code.sc_union_bound.hex() == "0x1.f1da7a48232b1p-1"
+
+
+def test_sweep_batches_each_depth(monkeypatch):
+    # per depth: the pairs are distinct, one batched _de_f per (left length,
+    # right length) group of finite pairs and one np.convolve per finite pair
+    depths = []
+    real_depth, real_f, real_convolve = polar._de_depth, polar._de_f, np.convolve
+
+    def depth(banks, size, row, ia, ic, leaf):
+        assert len(set(zip(ia.tolist(), ic.tolist()))) == len(ia)
+        fin = (ia >= 0) & (ic >= 0)
+        groups = set(zip(size[ia[fin]].tolist(), size[ic[fin]].tolist()))
+        depths.append({"groups": len(groups), "pairs": int(fin.sum()), "f": 0, "conv": 0})
+        return real_depth(banks, size, row, ia, ic, leaf)
+
+    def count(key, real):
+        def call(*args):
+            depths[-1][key] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(polar, "_de_depth", depth)
+    monkeypatch.setattr(polar, "_de_f", count("f", real_f))
+    monkeypatch.setattr(np, "convolve", count("conv", real_convolve))
+    polar._genie_errors(2000, 0.11)
+    assert len(depths) == 11
+    assert all(d["f"] == d["groups"] and d["conv"] == d["pairs"] for d in depths)
+    # a node-by-node walk makes 2,056 calls of each
+    assert sum(d["f"] for d in depths) == 60
+    assert sum(d["conv"] for d in depths) == 2056
+
+
+def test_sweep_memory_stays_within_one_depth():
+    # one depth's distinct laws, about 2 * 3^d cells: 7.3 MB traced at n = 4096
+    tracemalloc.start()
+    try:
+        polar._genie_errors(4096, 0.11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_construction_two_position_closed_form():
     for eps in (0.05, 0.11, 0.3):
         errs = polar._genie_errors(2, eps)
@@ -493,7 +595,30 @@ def test_construction_cached_and_deterministic():
     assert np.all(a.info_positions < 48)  # shortened tail never carries info
 
 
+def test_construction_cache_keys_on_exact_eps():
+    # eps 2e-13 apart build different codes, whichever is built first
+    near = 0.11 + 2e-13
+    want = {0.11: "0x1.14719a3e9c8a3p+1", near: "0x1.14719a3ea1db8p+1"}
+    for order in ((0.11, near), (near, 0.11)):
+        polar._construction_cache.clear()
+        for eps in order:
+            assert PolarCode(64, 20, eps).sc_union_bound.hex() == want[eps], order
+
+
 def test_code_parameter_validation():
+    for args, kw, what in (((64.7, 4, 0.11), {}, "n"), ((64, 4.5, 0.11), {}, "k"),
+                           ((64, True, 0.11), {}, "k"),
+                           ((64, 4, 0.11), {"list_size": 2.5}, "list_size"),
+                           ((64, 4, 0.11), {"list_size": True}, "list_size"),
+                           ((64, 4, 0.11), {"crc_bits": 8.0}, "crc_bits"),
+                           ((polar.MAX_N + 0.5, 4, 0.11), {}, "n"),  # before the cap
+                           ((16, 4, 0.7), {"crc_bits": 8.0}, "crc_bits")):  # before eps
+        with pytest.raises(DomainError, match=f"^{what} must be an integer"):
+            PolarCode(*args, **kw)
+    code = PolarCode(np.int64(64), np.int32(4), 0.11, list_size=np.uint8(2),
+                     crc_bits=np.int16(8))
+    assert (code.n, code.k, code.list_size, code.crc_bits) == (64, 4, 2, 8)
+    assert all(type(v) is int for v in (code.n, code.k, code.list_size, code.crc_bits))
     with pytest.raises(DomainError):
         PolarCode(16, 4, 0.11, crc_bits=4)
     with pytest.raises(DomainError):
