@@ -26,16 +26,17 @@ import importlib
 
 # public name -> the submodule that defines it
 _MODULE_OF = {
-    **dict.fromkeys(("Cut", "CutConstraint", "MembershipResult", "RateRegionReport",
-                     "RateTuple", "capacity_cut_cap", "check_factorization", "enumerate_cuts",
-                     "grid_hull", "positive_delay_cut_cap", "region_membership"), "bounds"),
+    **dict.fromkeys(("CutConstraint", "MembershipResult", "RateRegionReport", "RateTuple",
+                     "capacity_cut_cap", "check_factorization", "grid_hull",
+                     "positive_delay_cut_cap", "region_membership"), "bounds"),
     **dict.fromkeys(("DomainError", "ResourceCapError", "SpecIOError", "ZdmnError"), "errors"),
     **dict.fromkeys(("CodebookResult", "GaussianRelayConfig", "RelayTrace",
                      "SeparationReport", "codebook_experiment", "neutralization_rate",
                      "separation_report", "simulate_relay"), "gaussian"),
-    **dict.fromkeys(("ChannelTable", "DelayProfile", "NetworkSpec", "NodeSet", "Partition",
-                     "ValidationReport", "enumerate_feasible_profiles", "is_feasible",
-                     "load_spec", "save_spec", "validate_spec"), "model"),
+    **dict.fromkeys(("ChannelTable", "Cut", "DelayProfile", "NetworkSpec", "NodeSet",
+                     "Partition", "ValidationReport", "enumerate_cuts",
+                     "enumerate_feasible_profiles", "is_feasible", "load_spec", "save_spec",
+                     "validate_spec"), "model"),
     **dict.fromkeys(("BUNDLED", "bscfb_spec", "bundled_spec", "causal_relay_spec",
                      "classical_bsc_spec", "deterministic_two_node_spec"), "networks"),
     **dict.fromkeys(("PolarCode",), "polar"),

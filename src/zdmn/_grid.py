@@ -38,14 +38,14 @@ prefix tables are never larger than the batch's.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .model import NetworkSpec, NodeSet, require_integer, require_valid, x_var, y_var
-from .probability import (_aligned_factor, _all_delayed_shell, _composed_channel,
+from .model import (NetworkSpec, NodeSet, enumerate_cuts, require_integer, require_valid,
+                    x_var, y_var)
+from .probability import (_aligned_factor, _all_delayed_shell, _channel_product,
                           _full_layout, _group_size, _clamp_mi, _marginal, _row_sum,
                           cond_entropy_table, input_conditional_vars)
 
@@ -105,8 +105,6 @@ class GridProblem:
     """Point enumeration for scanning one spec/mode/resolution triple."""
 
     def __init__(self, spec: NetworkSpec, which: str, k: int):
-        from .bounds import enumerate_cuts  # local import to avoid a cycle
-
         require_valid(spec)
         self.which = _normalize_mode(which)
         self.k = require_integer(k, "grid resolution k")
@@ -118,14 +116,10 @@ class GridProblem:
 
         # Positive-delay mode is the capacity bound of the all-delayed
         # network.  Its one channel has D cells, so the caps below read only
-        # its partitions, and the channel is composed after they pass, from
-        # the spec validated above.
-        if self.which == "capacity":
-            net, build = spec, lambda: spec
-        else:
-            shell = _all_delayed_shell(spec)
-            net, build = shell, lambda: dataclasses.replace(
-                shell, channels=(_composed_channel(spec),))
+        # its partitions, and its channel is built after they pass; the
+        # scanned network ``self.spec`` keeps the shell, which places tables
+        # and carries no channel.
+        self.spec = net = spec if self.which == "capacity" else _all_delayed_shell(spec)
 
         # Free factors: (row-group vars, col-group vars) per factor.
         self.factors = [input_conditional_vars(net, h) for h in range(1, net.alpha + 1)]
@@ -172,12 +166,16 @@ class GridProblem:
             raise ResourceCapError(
                 f"grid needs {cells} table cells, above the cap {GRID_CELL_CAP}")
 
-        self.spec = net = build()
-        # Every term's channel is its slot's channel, fixed by the network.
-        # Each term keeps W(b|a,c) as an (|A|, |B|, |C|) table and the
-        # (|A|, |C|) entropies h(a,c) of its rows.
-        channels = [_aligned_factor(net, ch.input_vars, ch.output_vars, ch.table)
-                    for ch in net.channels]
+        # Every term's channel is its slot's channel, fixed by the network:
+        # in positive-delay mode the channel product q^(1) ... q^(alpha) of
+        # the spec, already in the full layout.  Each term keeps W(b|a,c) as
+        # an (|A|, |B|, |C|) table and the (|A|, |C|) entropies h(a,c) of
+        # its rows.
+        if self.which == "capacity":
+            channels = [_aligned_factor(net, ch.input_vars, ch.output_vars, ch.table)
+                        for ch in net.channels]
+        else:
+            channels = [_channel_product(spec)]
         self._terms = [[] for _ in range(self.n_slots)]  # (cut_idx, A+C names, W, h)
         for s, ci, a, b, c, shape in groups:
             w = _marginal(channels[s], self.names, a + b + c).reshape(shape)

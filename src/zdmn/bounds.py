@@ -16,7 +16,6 @@ feedback pair's capacity region in ``simulate``, the relay chain's rates in
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from ._grid import BATCH, GridProblem, _normalize_mode, capacity_term_groups
 from .errors import DomainError
-from .model import ChannelTable, NetworkSpec, NodeSet
+from .model import ChannelTable, Cut, NetworkSpec
 from .probability import (JointPmf, _marginal, all_delayed_network,
                           conditional_mutual_information)
 
@@ -33,20 +32,6 @@ NOT_FOUND = "not-found-at-this-resolution"
 
 FACT_TOL = 1e-9
 RATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Cut:
-    """Proper nonempty subset T of the node set."""
-
-    nodes: NodeSet
-
-    @classmethod
-    def of(cls, items) -> "Cut":
-        return cls(NodeSet(tuple(sorted(set(int(i) for i in items)))))
-
-    def bitmask(self, n_nodes: int) -> str:
-        return self.nodes.bitmask(n_nodes)
 
 
 def _require_proper_cut(cut: Cut, n_nodes: int) -> None:
@@ -123,16 +108,6 @@ class RateRegionReport:
 class MembershipResult:
     verdict: str
     witness: RateRegionReport | None
-
-
-def enumerate_cuts(n_nodes: int) -> list[Cut]:
-    """All 2^N - 2 proper nonempty subsets, lexicographic over member tuples."""
-    if n_nodes < 2:
-        raise DomainError("cut enumeration needs at least 2 nodes")
-    subsets = []
-    for r in range(1, n_nodes):
-        subsets += [tuple(c) for c in itertools.combinations(range(1, n_nodes + 1), r)]
-    return [Cut(NodeSet(t)) for t in sorted(subsets)]
 
 
 def _require_joint_over_all(spec: NetworkSpec, joint: JointPmf) -> None:

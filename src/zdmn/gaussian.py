@@ -35,7 +35,6 @@ and ``errors``.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -57,7 +56,6 @@ CELL_CAP = 1 << 25
 # _nn_decode scores the whole codebook against a received word at once.
 CODEBOOK_CAP = 1 << 20
 
-_SOURCES = ("gaussian", "deterministic")
 _METHODS = ("auto", "exhaustive", "analytic")
 
 
@@ -144,7 +142,8 @@ class GaussianRelayConfig:
 
 @dataclass(frozen=True)
 class RelayTrace:
-    """One simulated block: per-slot signals plus the gate decisions.
+    """One simulated block: per-slot signals and gate decisions, plus the
+    relay's power budget over the block.
 
     Identities holding on every slot by construction:
 
@@ -164,28 +163,9 @@ class RelayTrace:
     budget: float
 
     @property
-    def n(self) -> int:
-        return self.x1.shape[0]
-
-    @property
-    def relay_power(self) -> float:
-        """Total transmitted relay power, sum of x2**2."""
-        return float(np.sum(self.x2 * self.x2))
-
-    @property
     def all_open(self) -> bool:
         """True when the relay gate stayed open on every slot."""
         return bool(self.gate.all())
-
-    def to_csv(self) -> str:
-        """Render the trace as ``slot,x1,z2,y2,x2,z3,y3`` rows."""
-        out = io.StringIO()
-        out.write("slot,x1,z2,y2,x2,z3,y3\n")
-        for k in range(self.n):
-            row = (self.x1[k], self.z2[k], self.y2[k],
-                   self.x2[k], self.z3[k], self.y3[k])
-            out.write(f"{k + 1}," + ",".join(repr(float(v)) for v in row) + "\n")
-        return out.getvalue()
 
 
 def _relay_core(
@@ -207,14 +187,12 @@ def _relay_core(
 def simulate_relay(
     config: GaussianRelayConfig,
     source_sequence: Union[Sequence[float], np.ndarray],
-    *,
-    block: int = 0,
 ) -> RelayTrace:
     """Run one block of the relay chain on a given source sequence.
 
-    Block b's window holds 3n normals: ``z2``, ``z3``, then the unit draw
-    of a Gaussian source (read by ``neutralization_rate``), so traces are
-    reproducible per (seed, block) and independent across blocks.
+    The noise is block 0's window of ``neutralization_rate``, 3n normals:
+    ``z2``, ``z3``, then the unit draw of its Gaussian source, which this
+    block leaves unread.  A trace is therefore reproducible per seed.
     """
     _require_window(config.n)
     x1 = np.asarray(source_sequence, dtype=np.float64)
@@ -222,32 +200,25 @@ def simulate_relay(
         raise DomainError(
             f"source sequence must have shape ({config.n},), got {x1.shape}"
         )
-    if block < 0:
-        raise DomainError(f"block must be >= 0, got {block}")
     n = config.n
-    z = _normals(config.seed, (2,), block, block + 1, 3 * n)[0]
+    z = _normals(config.seed, (2,), 0, 1, 3 * n)[0]
     z2, z3 = z[:n], z[n:2 * n]
     y2, x2, y3, gate = _relay_core(config, x1, z2, z3)
     return RelayTrace(x1=x1, z2=z2, y2=y2, x2=x2, z3=z3, y3=y3, gate=gate,
                       budget=config.relay_budget)
 
 
-def neutralization_rate(
-    config: GaussianRelayConfig, blocks: int = 200, source: str = "gaussian"
-) -> float:
+def neutralization_rate(config: GaussianRelayConfig, blocks: int = 200) -> float:
     """Fraction of simulated blocks whose relay gate stays open throughout.
 
-    ``source="gaussian"`` draws the source i.i.d. normal at per-slot power
-    ``P - delta``; ``source="deterministic"`` transmits the constant
-    ``sqrt(P)`` every slot.  Block b reads the window of
-    ``simulate_relay(block=b)``, so both see the same ``z2``.  The relay's
-    mean reception power is at most ``P + 9`` per slot against a budget of
-    ``P + 10``, so the open fraction tends to one as ``n`` grows.
+    The source is i.i.d. normal at per-slot power ``P - delta``.  Block b
+    reads row b of one stream of 3n-normal windows: ``z2``, ``z3``, then
+    the source's unit draw; ``simulate_relay`` hears row 0's noise.  The
+    relay's mean reception power is ``P - delta + 9`` per slot against a
+    budget of ``P + 10``, so the open fraction tends to one as ``n`` grows.
     """
     if blocks < 1:
         raise DomainError(f"block count must be >= 1, got {blocks}")
-    if source not in _SOURCES:
-        raise DomainError(f"source must be one of {_SOURCES}, got {source!r}")
     n = config.n
     _require_window(n)
     if blocks * n > CELL_CAP:
@@ -257,10 +228,7 @@ def neutralization_rate(
     open_blocks = 0
     for lo in range(0, blocks, step):
         z = _normals(config.seed, (2,), lo, min(blocks, lo + step), 3 * n)
-        if source == "gaussian":
-            x1 = math.sqrt(config.P - config.delta) * z[:, 2 * n:]
-        else:
-            x1 = math.sqrt(config.P)
+        x1 = math.sqrt(config.P - config.delta) * z[:, 2 * n:]
         gate = _relay_core(config, x1, z[:, :n], z[:, n:2 * n])[3]
         open_blocks += int(np.count_nonzero(gate.all(axis=1)))
     return open_blocks / blocks

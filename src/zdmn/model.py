@@ -1,4 +1,4 @@
-"""Network specifications, partitions, delay profiles, and their validation.
+"""Network specifications, partitions, cuts, delay profiles, and their validation.
 
 A network is described by N nodes, alpha ordered channels, an input partition
 S and an output partition G of {1..N}.  Channel h emits the outputs of block
@@ -41,10 +41,6 @@ class NodeSet:
 
     members: tuple[int, ...]
 
-    @classmethod
-    def of(cls, items) -> "NodeSet":
-        return cls(tuple(items))
-
     def __contains__(self, i: int) -> bool:
         return i in self.members
 
@@ -78,6 +74,26 @@ class Partition:
             if i in b:
                 return h
         raise DomainError(f"node {i} is in no block of the partition")
+
+
+@dataclass(frozen=True)
+class Cut:
+    """Proper nonempty subset T of the node set."""
+
+    nodes: NodeSet
+
+    def bitmask(self, n_nodes: int) -> str:
+        return self.nodes.bitmask(n_nodes)
+
+
+def enumerate_cuts(n_nodes: int) -> list[Cut]:
+    """All 2^N - 2 proper nonempty subsets, lexicographic over member tuples."""
+    if n_nodes < 2:
+        raise DomainError("cut enumeration needs at least 2 nodes")
+    subsets = []
+    for r in range(1, n_nodes):
+        subsets += [tuple(c) for c in itertools.combinations(range(1, n_nodes + 1), r)]
+    return [Cut(NodeSet(t)) for t in sorted(subsets)]
 
 
 def _parse_blocks(blocks, what: str) -> Partition:

@@ -479,9 +479,10 @@ def require_blocklength_within_cap(n: int) -> None:
 class PolarCode:
     """Shortened polar code, CRC-aided list decoding over hard decisions.
 
-    ``decode`` returns the payload of the best-metric path whose CRC checks
-    (falling back to the best-metric path when none does), so the whole
-    pipeline stays in integer arithmetic and is reproducible bit for bit.
+    ``decode_batch`` returns, per received block, the payload of the
+    best-metric path whose CRC checks (falling back to the best-metric path
+    when none does), so the whole pipeline stays in integer arithmetic and
+    is reproducible bit for bit.
     ``list_size=1, crc_bits=0`` reduces to plain successive cancellation.
     """
 
@@ -564,6 +565,3 @@ class PolarCode:
             pick = np.zeros(b, dtype=np.int64)
         chosen = order[np.arange(b), pick]
         return pay[np.arange(b), chosen]
-
-    def decode(self, y: np.ndarray) -> np.ndarray:
-        return self.decode_batch(y)[0]

@@ -234,18 +234,13 @@ def _channel_product(spec: NetworkSpec) -> np.ndarray:
     return arr
 
 
-def _composed_channel(spec: NetworkSpec) -> ChannelTable:
-    """``compose_channels`` of a spec already validated."""
+def compose_channels(spec: NetworkSpec) -> ChannelTable:
+    """Single equivalent channel q^(1) q^(2) ... q^(alpha) over all nodes."""
+    require_valid(spec)
     _, sizes = _full_layout(spec)
     n_x = math.prod(sizes[: spec.n_nodes])
     return ChannelTable(spec.all_x_vars(), spec.all_y_vars(),
                         _channel_product(spec).reshape(n_x, -1))
-
-
-def compose_channels(spec: NetworkSpec) -> ChannelTable:
-    """Single equivalent channel q^(1) q^(2) ... q^(alpha) over all nodes."""
-    require_valid(spec)
-    return _composed_channel(spec)
 
 
 def input_conditional_vars(spec: NetworkSpec, h: int) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -11,13 +11,11 @@ import pytest
 from zdmn import _grid, model, networks
 from zdmn._grid import BATCH, GRID_CELL_CAP, GridProblem, capacity_term_groups, compositions
 from zdmn.bounds import (
-    Cut,
     INSIDE,
     NOT_FOUND,
     RateTuple,
     capacity_cut_cap,
     check_factorization,
-    enumerate_cuts,
     grid_conditionals,
     grid_hull,
     grid_point_report,
@@ -25,7 +23,7 @@ from zdmn.bounds import (
     region_membership,
 )
 from zdmn.errors import DomainError, ResourceCapError
-from zdmn.model import ChannelTable, NetworkSpec, NodeSet, Partition
+from zdmn.model import ChannelTable, Cut, NetworkSpec, NodeSet, Partition, enumerate_cuts
 from zdmn.probability import (
     JointPmf,
     _aligned_factor,
@@ -95,6 +93,10 @@ def _term_groups(spec, mode, nodes, h):
     if mode == "capacity":
         return capacity_term_groups(spec, nodes, h)
     return _POSITIVE_DELAY_GROUPS[spec.n_nodes, nodes.members]
+
+
+def _cut(nodes):
+    return Cut(NodeSet(tuple(nodes)))
 
 
 def _uniform_px(spec):
@@ -167,9 +169,9 @@ def test_rate_tuple_validation_and_flow():
     with pytest.raises(DomainError):
         RateTuple(np.array([[1.0, 0.0], [0.0, 0.0]]))
     r = RateTuple.from_pairs(3, {(1, 2): 0.5, (1, 3): 0.25, (2, 1): 1.0})
-    assert r.flow_across(Cut.of((1,))) == 0.75
-    assert r.flow_across(Cut.of((1, 2))) == 0.25
-    assert r.flow_across(Cut.of((2, 3))) == 1.0
+    assert r.flow_across(_cut((1,))) == 0.75
+    assert r.flow_across(_cut((1, 2))) == 0.25
+    assert r.flow_across(_cut((2, 3))) == 1.0
     # a pair or cut outside 1..N is refused, not wrapped round to node N
     for pair in ((0, 1), (3, 1), (1, 3), (-1, 2)):
         with pytest.raises(DomainError, match="outside 1..2"):
@@ -181,7 +183,7 @@ def test_rate_tuple_validation_and_flow():
     two = RateTuple.from_pairs(2, {(1, 2): 0.2, (2, 1): 0.7})
     for nodes in ((0,), (3,), (1, 2), ()):
         with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
-            two.flow_across(Cut.of(nodes))
+            two.flow_across(_cut(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +218,7 @@ def test_capacity_cut_caps_uniform_inputs():
     eps = 0.11
     spec = networks.bscfb_spec(eps)
     joint = product_input_joint(spec, _uniform_px(spec))
-    t1 = capacity_cut_cap(spec, joint, Cut.of((1,)))
+    t1 = capacity_cut_cap(spec, joint, _cut((1,)))
     # second channel contributes nothing to the T={1} cut: its receiving
     # side within the complement is empty
     assert t1.per_channel_terms[1] == 0.0
@@ -226,12 +228,12 @@ def test_capacity_cut_caps_uniform_inputs():
     assert abs(t1.per_channel_terms[0] - oracle) < 1e-12
     for nodes in ((5,), (1, 2), ()):
         with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
-            capacity_cut_cap(spec, joint, Cut.of(nodes))
+            capacity_cut_cap(spec, joint, _cut(nodes))
 
 
 def test_capacity_cut_cap_scheme_reaches_one_bit():
     spec, joint = _scheme_joint(0.11)
-    t2 = capacity_cut_cap(spec, joint, Cut.of((2,)))
+    t2 = capacity_cut_cap(spec, joint, _cut((2,)))
     assert abs(t2.cap - 1.0) < 1e-12
     oracle = _cmi_oracle(joint, ("X2", "Y2"), ("Y1",), ("X1",))
     assert abs(t2.cap - oracle) < 1e-12
@@ -251,16 +253,16 @@ def test_positive_delay_cut_caps_uniform_inputs():
     spec = networks.bscfb_spec(eps)
     joint = product_input_joint(spec, _uniform_px(spec))
     want = 1.0 - binary_entropy(eps)
-    t2 = positive_delay_cut_cap(spec, joint, Cut.of((2,)))
+    t2 = positive_delay_cut_cap(spec, joint, _cut((2,)))
     assert len(t2.per_channel_terms) == 1
     assert abs(t2.cap - want) < 1e-12
     assert abs(t2.cap - _cmi_oracle(joint, ("X2",), ("Y1",), ("X1",))) < 1e-12
-    t1 = positive_delay_cut_cap(spec, joint, Cut.of((1,)))
+    t1 = positive_delay_cut_cap(spec, joint, _cut((1,)))
     assert abs(t1.cap - want) < 1e-12
     assert abs(t1.cap - _cmi_oracle(joint, ("X1",), ("Y1", "Y2"), ("X2",))) < 1e-12
     for nodes in ((5,), (1, 2), ()):
         with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
-            positive_delay_cut_cap(spec, joint, Cut.of(nodes))
+            positive_delay_cut_cap(spec, joint, _cut(nodes))
 
 
 def test_positive_delay_cut_cap_point_mass_inputs():

@@ -17,6 +17,7 @@ from zdmn.gaussian import (
     GaussianRelayConfig,
     _nn_decode,
     _normals,
+    _relay_core,
     codebook_experiment,
     neutralization_rate,
     separation_report,
@@ -66,38 +67,37 @@ def test_trace_identities_and_budget_invariant():
     want_gate = np.cumsum(tr.y2 ** 2) <= tr.budget
     assert np.array_equal(tr.gate, want_gate)
     assert np.array_equal(tr.x2, np.where(tr.gate, tr.y2, 0.0))
-    assert tr.relay_power <= tr.budget + 1e-9
-    assert tr.n == 256
-    # reproducible per (seed, block); fresh noise across blocks
+    assert np.sum(tr.x2 ** 2) <= tr.budget + 1e-9
+    assert tr.x1.shape == (256,)
+    # reproducible per seed; fresh noise across seeds
     again = simulate_relay(cfg, x1)
     assert np.array_equal(tr.z2, again.z2) and np.array_equal(tr.z3, again.z3)
-    other = simulate_relay(cfg, x1, block=1)
+    other = simulate_relay(_config(n=256, seed=1), x1)
     assert not np.array_equal(tr.z2, other.z2)
 
 
 def test_relay_noise_is_its_block_row():
     cfg = _config(n=7)  # a window of 21 normals, drawn from 22 uniforms
-    rows = _normals(cfg.seed, (2,), 0, 5, 3 * cfg.n)
-    for b in (0, 3, 4):
-        tr = simulate_relay(cfg, np.zeros(7), block=b)
-        assert np.array_equal(tr.z2, rows[b, :7]) and np.array_equal(tr.z3, rows[b, 7:14])
-    with pytest.raises(DomainError):
-        simulate_relay(cfg, np.zeros(7), block=-1)
-    # neutralization_rate's block b hears the z2 of simulate_relay(block=b)
-    const = np.full(cfg.n, math.sqrt(cfg.P))
-    opened = [simulate_relay(cfg, const, block=b).all_open for b in range(40)]
-    assert 0 < sum(opened) < 40
-    assert neutralization_rate(cfg, blocks=40, source="deterministic") == sum(opened) / 40
+    n = cfg.n
+    rows = _normals(cfg.seed, (2,), 0, 5, 3 * n)
+    tr = simulate_relay(cfg, np.zeros(n))
+    assert np.array_equal(tr.z2, rows[0, :n]) and np.array_equal(tr.z3, rows[0, n:2 * n])
+    # neutralization_rate's block b is row b: z2, z3, then the source's unit draw
+    rows = _normals(cfg.seed, (2,), 0, 40, 3 * n)
+    x1 = math.sqrt(cfg.P - cfg.delta) * rows[:, 2 * n:]
+    gate = _relay_core(cfg, x1, rows[:, :n], rows[:, n:2 * n])[3]
+    opens = int(np.count_nonzero(gate.all(axis=1)))
+    assert 0 < opens < 40
+    assert neutralization_rate(cfg, blocks=40) == opens / 40
 
 
 def test_batched_draws_leave_results_unchanged(monkeypatch):
     cfg = _config(n=12)
     methods = ("analytic", "exhaustive")
-    rates = [neutralization_rate(cfg, blocks=50, source=s) for s in ("gaussian", "deterministic")]
+    rate = neutralization_rate(cfg, blocks=50)
     results = [codebook_experiment(cfg, 0.5, trials=50, method=m) for m in methods]
     monkeypatch.setattr(model, "DRAW_CELLS", 100)  # 2 trials or blocks per batch
-    assert [neutralization_rate(cfg, blocks=50, source=s)
-            for s in ("gaussian", "deterministic")] == rates
+    assert neutralization_rate(cfg, blocks=50) == rate
     assert [codebook_experiment(cfg, 0.5, trials=50, method=m) for m in methods] == results
 
 
@@ -150,7 +150,7 @@ def test_shut_gate_leaves_amplified_noise():
     tr = simulate_relay(cfg, x1)
     assert not tr.gate.any()
     assert np.max(np.abs(tr.y3 - (tr.x1 - 3.0 * tr.z2 + tr.z3))) < 1e-12
-    assert tr.relay_power == 0.0
+    assert not tr.x2.any()
 
 
 def test_simulate_relay_rejects_wrong_shape():
@@ -161,35 +161,16 @@ def test_simulate_relay_rejects_wrong_shape():
         simulate_relay(cfg, np.zeros((2, 8)))
 
 
-def test_trace_csv_roundtrip():
-    cfg = _config(n=5)
-    tr = simulate_relay(cfg, np.full(5, math.sqrt(cfg.P)))
-    lines = tr.to_csv().strip().split("\n")
-    assert lines[0] == "slot,x1,z2,y2,x2,z3,y3"
-    assert len(lines) == 6
-    k, x1v, z2v, y2v, x2v, z3v, y3v = lines[3].split(",")
-    assert int(k) == 3
-    assert float(x1v) == tr.x1[2] and float(y3v) == tr.y3[2]
-
-
 # ---------------------------------------------------------------------------
 # gate-open frequency against closed forms
 
 
 def test_neutralization_single_slot_gaussian_source():
     cfg = _config(n=1)
-    got = neutralization_rate(cfg, blocks=20000, source="gaussian")
+    got = neutralization_rate(cfg, blocks=20000)
     # single-slot open probability: y2 ~ N(0, P - delta + 9) against P + 10
     want = 2.0 * stats.norm.cdf(math.sqrt(15.0 / 13.5)) - 1.0
     assert abs(got - want) < 0.011  # 3.5 binomial standard errors
-
-
-def test_neutralization_single_slot_deterministic_source():
-    cfg = _config(n=1)
-    got = neutralization_rate(cfg, blocks=20000, source="deterministic")
-    # y2 ~ N(sqrt(P), 9): (y2/3)^2 is noncentral chi-square, 1 dof, nc P/9
-    want = stats.ncx2.cdf(15.0 / 9.0, df=1, nc=5.0 / 9.0)
-    assert abs(got - want) < 0.011
 
 
 def test_neutralization_without_backoff_needs_length():
@@ -200,8 +181,6 @@ def test_neutralization_without_backoff_needs_length():
 def test_neutralization_validation():
     with pytest.raises(DomainError):
         neutralization_rate(_config(), blocks=0)
-    with pytest.raises(DomainError):
-        neutralization_rate(_config(), source="adversarial")
 
 
 def test_open_gate_conditional_law_moments():

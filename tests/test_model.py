@@ -26,11 +26,11 @@ from zdmn.simulate import random_table_code, save_code
 
 
 def test_nodeset_basics():
-    s = NodeSet.of((1, 3))
+    s = NodeSet((1, 3))
     assert 1 in s and 2 not in s and len(s) == 2
     assert s.bitmask(4) == "1010"
-    assert NodeSet.of((1, 2)).strictly_increasing()
-    assert not NodeSet.of((2, 2)).strictly_increasing()
+    assert NodeSet((1, 2)).strictly_increasing()
+    assert not NodeSet((2, 2)).strictly_increasing()
 
 
 def test_partition_prefix_unions():

@@ -1,6 +1,7 @@
 """Package-level surface, and a dead-code guard over the sources."""
 
 import ast
+import collections
 import graphlib
 import importlib
 import json
@@ -14,16 +15,16 @@ import zdmn
 
 # every public name of the package, by the submodule that defines it
 _PUBLIC = {
-    "bounds": ["Cut", "CutConstraint", "MembershipResult", "RateRegionReport", "RateTuple",
-               "capacity_cut_cap", "check_factorization", "enumerate_cuts", "grid_hull",
-               "positive_delay_cut_cap", "region_membership"],
+    "bounds": ["CutConstraint", "MembershipResult", "RateRegionReport", "RateTuple",
+               "capacity_cut_cap", "check_factorization", "grid_hull", "positive_delay_cut_cap",
+               "region_membership"],
     "errors": ["DomainError", "ResourceCapError", "SpecIOError", "ZdmnError"],
     "gaussian": ["CodebookResult", "GaussianRelayConfig", "RelayTrace", "SeparationReport",
                  "codebook_experiment", "neutralization_rate", "separation_report",
                  "simulate_relay"],
-    "model": ["ChannelTable", "DelayProfile", "NetworkSpec", "NodeSet", "Partition",
-              "ValidationReport", "enumerate_feasible_profiles", "is_feasible", "load_spec",
-              "save_spec", "validate_spec"],
+    "model": ["ChannelTable", "Cut", "DelayProfile", "NetworkSpec", "NodeSet", "Partition",
+              "ValidationReport", "enumerate_cuts", "enumerate_feasible_profiles", "is_feasible",
+              "load_spec", "save_spec", "validate_spec"],
     "networks": ["BUNDLED", "bscfb_spec", "bundled_spec", "causal_relay_spec",
                  "classical_bsc_spec", "deterministic_two_node_spec"],
     "polar": ["PolarCode"],
@@ -169,6 +170,10 @@ def test_every_module_level_definition_is_referenced():
 # pin the grid's bounds, the grid point report and conditionals its points,
 # the product joint the positive-delay factorization, and the feedback
 # scheme as an engine code pins `bscfb_scheme` against the slot engine.
+# What these oracles call is kept as their support: a trace of the CLI,
+# the acceptance suite and the benchmark workloads reaches
+# `capacity_cut_cap`, `_require_joint_over_all`, `factorized_joint` and
+# `JointPmf.validate` only through them.
 _ORACLES = {"positive_delay_cut_cap", "check_factorization", "grid_point_report",
             "grid_conditionals", "product_input_joint", "bscfb_engine_code"}
 
@@ -188,26 +193,50 @@ def test_every_definition_is_read_by_the_system():
     assert {d.rsplit(" ", 1)[1] for d in unread} == _ORACLES
 
 
+def _class_members(cls):
+    """Names a class body defines: its methods and properties, and its
+    annotated fields (a dataclass's)."""
+    return ({node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+            | {node.target.id for node in cls.body
+               if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)})
+
+
 def _unread_methods(src_trees, other_trees):
     """`path:line Class.method` of every method or property of a src class,
     dunders aside, that no module reads as an attribute or names in a string
-    constant (as `getattr` and the benchmark's span table do)."""
-    read = set()
-    for tree in {**src_trees, **other_trees}.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
+    constant (as `getattr` and the benchmark's span table do).
+
+    A name that more than one src class defines, as a method, a property or
+    a field, is read by the rule ``_unread_attributes`` applies to instance
+    attributes: a `self.<name>` read counts only for the class it is read
+    in, and any other read only in a module that names the owning class, so
+    `trace.to_csv()` in a module that never mentions RelayTrace does not
+    read `RelayTrace.to_csv`."""
+    trees = {**src_trees, **other_trees}
+    uses = {path: _attribute_uses(tree) for path, tree in trees.items()}
+    self_reads = set().union(*(u[1] for u in uses.values()))
+    reads = []  # (names read through another object or named in a string, names mentioned)
+    for path, (_, _, other, named) in uses.items():
+        strings = {node.value for node in ast.walk(trees[path])
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        reads.append((other | strings, named))
+    read_anywhere = {attr for _, attr in self_reads}.union(*(read for read, _ in reads))
+    classes = [(path, cls) for path, tree in src_trees.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    owners = collections.Counter(name for _, cls in classes for name in _class_members(cls))
     unread = []
-    for path, tree in src_trees.items():
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
+    for path, cls in classes:
+        for node in cls.body:
+            name = node.name if isinstance(node, ast.FunctionDef) else None
+            if name is None or name.startswith("__") and name.endswith("__"):
                 continue
-            for node in cls.body:
-                if (isinstance(node, ast.FunctionDef) and node.name not in read
-                        and not (node.name.startswith("__") and node.name.endswith("__"))):
-                    unread.append(f"{path}:{node.lineno} {cls.name}.{node.name}")
+            if owners[name] == 1:
+                is_read = name in read_anywhere
+            else:
+                is_read = ((cls.name, name) in self_reads
+                           or any(name in read and cls.name in named for read, named in reads))
+            if not is_read:
+                unread.append(f"{path}:{node.lineno} {cls.name}.{name}")
     return unread
 
 
@@ -230,6 +259,30 @@ def test_method_guard_counts_attribute_reads_and_names():
     # a read through any object, or a string naming the method, counts
     user = ast.parse("def run(c):\n    return c.encode(), getattr(c, 'decode')()\n")
     assert _unread_methods({"code.py": code}, {"user.py": user}) == []
+
+
+def test_method_guard_reads_shared_names_through_their_owner():
+    code = ast.parse(
+        "class Trace:\n"
+        "    def to_csv(self):\n        return ''\n"
+        "class Relay:\n"
+        "    n: int\n"
+        "    def to_csv(self):\n        return ''\n"
+        "class Block:\n"
+        "    @property\n    def n(self):\n        return 1\n")
+    # to_csv is two classes' method and n a method of one and a field of
+    # another, so a read in a module naming none of them reads none of them,
+    # and neither does a `self.n` read in another class
+    anonymous = ast.parse("def run(t, b):\n    return t.to_csv(), b.n\n"
+                          "class Other:\n    def size(self):\n        return self.n\n")
+    assert _unread_methods({"code.py": code}, {"user.py": anonymous}) == [
+        "code.py:2 Trace.to_csv", "code.py:6 Relay.to_csv", "code.py:10 Block.n"]
+    # a read, or a string naming the method, in a module naming the owner counts
+    user = ast.parse("from code import Trace\n\n"
+                     "def run(t: Trace):\n    return t.to_csv()\n")
+    spans = ast.parse("import code\nSPANS = [(code.Block, 'n')]\n")
+    assert _unread_methods({"code.py": code}, {"user.py": user, "spans.py": spans}) == [
+        "code.py:6 Relay.to_csv"]
 
 
 def test_random_streams_are_built_in_two_places():
@@ -259,13 +312,13 @@ def test_random_streams_are_built_in_two_places():
                      ("simulate.py", "random_table_code", False)}
 
 
-def _module_imports(trees):
-    """Submodule -> the sibling submodules it imports at module level; an
-    import inside a function (a CLI handler's, say) is left out."""
+def _module_imports(trees, lazy=False):
+    """Submodule -> the sibling submodules it imports at module level, and
+    with `lazy` also inside functions (a CLI handler's, say)."""
     graph = {}
     for path, tree in trees.items():
         deps = set()
-        for node in tree.body:
+        for node in ast.walk(tree) if lazy else tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 if node.module is None:  # from . import a, b
                     deps.update(alias.name for alias in node.names)
@@ -275,18 +328,36 @@ def _module_imports(trees):
     return graph
 
 
+def _import_cycle(graph):
+    """One cycle of the import graph as `a -> b -> a`, or None."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as e:
+        return " -> ".join(e.args[1])
+    return None
+
+
 def test_module_imports_form_a_dag():
     # a worked example stands on the model alone: gaussian needs no bound,
     # grid or engine, so `zdmn gaussian` loads none of them
-    graph = _module_imports(_parsed(sorted(_SRC.glob("*.py"))))
-    assert graph["gaussian"] == {"errors", "model"}
-    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    trees = _parsed(sorted(_SRC.glob("*.py")))
+    assert _module_imports(trees)["gaussian"] == {"errors", "model"}
+    # an import inside a function still closes a cycle, only later
+    assert _import_cycle(_module_imports(trees, lazy=True)) is None
 
 
 def test_import_graph_guard_skips_lazy_imports():
     code = ast.parse("from . import model\nfrom .errors import E\nimport numpy\n"
                      "def handler():\n    from . import bounds\n")
-    assert _module_imports({pathlib.Path("cli.py"): code}) == {"cli": {"model", "errors"}}
+    trees = {pathlib.Path("cli.py"): code}
+    assert _module_imports(trees) == {"cli": {"model", "errors"}}
+    assert _module_imports(trees, lazy=True) == {"cli": {"model", "errors", "bounds"}}
+    # a lazy import back into a module-level importer is a cycle
+    grid = ast.parse("def build():\n    from .bounds import enumerate_cuts\n")
+    bounds = ast.parse("from ._grid import GridProblem\n")
+    trees = {pathlib.Path("_grid.py"): grid, pathlib.Path("bounds.py"): bounds}
+    assert _import_cycle(_module_imports(trees)) is None
+    assert _import_cycle(_module_imports(trees, lazy=True)) == "_grid -> bounds -> _grid"
 
 
 def test_symbol_tuples_unfold_only_through_numpy():
