@@ -28,7 +28,7 @@ import importlib
 _MODULE_OF = {
     **dict.fromkeys(("CutConstraint", "MembershipResult", "RateRegionReport", "RateTuple",
                      "capacity_cut_cap", "check_factorization", "grid_hull",
-                     "positive_delay_cut_cap", "region_membership"), "bounds"),
+                     "region_membership"), "bounds"),
     **dict.fromkeys(("DomainError", "ResourceCapError", "SpecIOError", "ZdmnError"), "errors"),
     **dict.fromkeys(("CodebookResult", "GaussianRelayConfig", "RelayTrace",
                      "SeparationReport", "codebook_experiment", "neutralization_rate",

@@ -94,11 +94,10 @@ def capacity_term_groups(spec: NetworkSpec, cut: NodeSet, h: int):
     return a, b, c
 
 
-def _normalize_mode(which: str) -> str:
-    w = which.replace("_", "-").lower() if isinstance(which, str) else None
-    if w not in ("capacity", "positive-delay"):
+def _require_mode(which: str) -> str:
+    if not (isinstance(which, str) and which in ("capacity", "positive-delay")):
         raise DomainError(f"mode must be capacity or positive-delay, got {which!r}")
-    return w
+    return which
 
 
 class GridProblem:
@@ -106,7 +105,7 @@ class GridProblem:
 
     def __init__(self, spec: NetworkSpec, which: str, k: int):
         require_valid(spec)
-        self.which = _normalize_mode(which)
+        self.which = _require_mode(which)
         self.k = require_integer(k, "grid resolution k")
         if self.k < 1:
             raise DomainError(f"grid resolution k must be >= 1, got {self.k}")

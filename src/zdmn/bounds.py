@@ -1,8 +1,10 @@
 """Cut-set outer bounds: per-cut caps, factorization checks and grid search.
 
 The positive-delay bound I(X_T; Y_{T^c} | X_{T^c}) is the capacity bound of
-the all-delayed network (``probability.all_delayed_network``), so every mode
-runs the capacity terms of the network it picks.
+the all-delayed network (``probability.all_delayed_network``).  Only the grid
+takes a mode, to pick its network; every other function here works on the
+network it is handed, so the positive-delay cap and factorization check are
+those of ``all_delayed_network(spec)``.
 
 The searched outer region is a union of per-distribution polyhedra, so a
 membership query can only answer "inside" or "not-found-at-this-resolution";
@@ -21,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._grid import BATCH, GridProblem, _normalize_mode, capacity_term_groups
+from ._grid import BATCH, GridProblem, capacity_term_groups
 from .errors import DomainError
 from .model import ChannelTable, Cut, NetworkSpec
-from .probability import (JointPmf, _marginal, all_delayed_network,
-                          conditional_mutual_information)
+from .probability import JointPmf, _marginal, conditional_mutual_information
 
 INSIDE = "inside"
 NOT_FOUND = "not-found-at-this-resolution"
@@ -94,13 +95,19 @@ class RateTuple:
 
 @dataclass(frozen=True)
 class RateRegionReport:
-    """Constraint set of one searched distribution (grid coordinates included)."""
+    """Constraint set of one searched distribution (grid coordinates included).
+
+    ``distribution`` holds the point's free input conditionals as
+    ChannelTables of the scanned network: the spec in capacity mode, the
+    all-delayed network in positive-delay mode, whose one conditional is
+    p(x).  ``factorized_joint`` of that network rebuilds the joint.
+    """
 
     mode: str
     grid_resolution: int
     point_index: int
     coordinates: tuple[int, ...]
-    distribution: tuple[np.ndarray, ...]
+    distribution: tuple[ChannelTable, ...]
     constraints: tuple[CutConstraint, ...]
 
 
@@ -128,26 +135,18 @@ def capacity_cut_cap(spec: NetworkSpec, joint: JointPmf, cut: Cut) -> CutConstra
     return CutConstraint(cut, tuple(terms), float(sum(terms)))
 
 
-def positive_delay_cut_cap(spec: NetworkSpec, joint: JointPmf, cut: Cut) -> CutConstraint:
-    """Single-term positive-delay bound I(X_T; Y_{T^c} | X_{T^c}) for one cut:
-    the capacity bound of the all-delayed network."""
-    return capacity_cut_cap(all_delayed_network(spec), joint, cut)
-
-
-def check_factorization(spec: NetworkSpec, joint: JointPmf, which: str) -> bool:
-    """Does the joint satisfy the admissibility factorization of the given mode?
+def check_factorization(spec: NetworkSpec, joint: JointPmf) -> bool:
+    """Does the joint satisfy the admissibility factorization of the network?
 
     The joint must reproduce every channel as its conditional of Y_{G_h} given
-    (X_{S^h}, Y_{G^{h-1}}) on positive-probability rows, within FACT_TOL; in
-    positive-delay mode the all-delayed network's channel is one more.
+    (X_{S^h}, Y_{G^{h-1}}) on positive-probability rows, within FACT_TOL.
+    The positive-delay check is that of ``all_delayed_network(spec)``: its
+    one channel, the composed channel, implies each channel's conditional,
+    since q_1 ... q_{h-1} factor out of the sum over X outside S^h.
     """
-    which = _normalize_mode(which)
     _require_joint_over_all(spec, joint)
-    channels = spec.channels
-    if which == "positive-delay":
-        channels += all_delayed_network(spec).channels
     arr = joint.as_array()
-    for ch in channels:
+    for ch in spec.channels:
         if not ch.output_vars:
             continue
         table = _marginal(arr, joint.names, ch.input_vars + ch.output_vars)
@@ -188,7 +187,8 @@ def _point_report(problem: GridProblem, point: int) -> RateRegionReport:
         grid_resolution=problem.k,
         point_index=point,
         coordinates=coordinates,
-        distribution=tuple(problem.distribution_rows(point)),
+        distribution=tuple(ChannelTable(fin, fout, rows) for (fin, fout), rows
+                           in zip(problem.factors, problem.distribution_rows(point))),
         constraints=constraints,
     )
 
@@ -238,15 +238,3 @@ def region_membership(spec: NetworkSpec, rates: RateTuple, which: str, k: int) -
 
 def grid_point_report(spec: NetworkSpec, which: str, k: int, point: int) -> RateRegionReport:
     return _point_report(GridProblem(spec, which, k), point)
-
-
-def grid_conditionals(spec: NetworkSpec, which: str, k: int, point: int):
-    """The searched distribution at a grid point as ChannelTable conditionals
-    (capacity mode) or a JointPmf over the inputs (positive-delay mode)."""
-    problem = GridProblem(spec, which, k)
-    conds = [ChannelTable(fin, fout, rows) for (fin, fout), rows
-             in zip(problem.factors, problem.distribution_rows(point))]
-    if problem.which == "capacity":
-        return conds
-    (p_x,) = conds
-    return JointPmf(tuple((n, spec.var_size(n)) for n in p_x.output_vars), p_x.table.reshape(-1))

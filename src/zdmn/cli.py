@@ -117,7 +117,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     rows = list(hull)
     if args.cut is not None:
         mask = _parse_cut(args.cut, spec.n_nodes)
-        rows = [c for c in rows if c.cut.bitmask(spec.n_nodes) == mask]
+        rows = [c for c in rows if c.cut.nodes.bitmask(spec.n_nodes) == mask]
         if not rows:
             raise DomainError(f"cut {mask!r} not among this network's cuts")
     if args.format == "csv":
@@ -125,7 +125,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         header = "cut," + ",".join(f"term_{h}" for h in range(1, n_terms + 1)) + ",cap"
         body = [
             ",".join(
-                [c.cut.bitmask(spec.n_nodes)]
+                [c.cut.nodes.bitmask(spec.n_nodes)]
                 + [_fmt(t) for t in c.per_channel_terms]
                 + [_fmt(c.cap)]
             )
@@ -139,7 +139,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             "distributions": n_points,
             "hull": [
                 {
-                    "cut": c.cut.bitmask(spec.n_nodes),
+                    "cut": c.cut.nodes.bitmask(spec.n_nodes),
                     "nodes": list(c.cut.nodes),
                     "terms": [_round6(t) for t in c.per_channel_terms],
                     "cap": _round6(c.cap),
@@ -159,7 +159,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             t_set = "{" + ",".join(str(i) for i in c.cut.nodes) + "}"
             terms = ", ".join(_fmt(t) for t in c.per_channel_terms)
             lines.append(
-                f"cut {c.cut.bitmask(spec.n_nodes)} T={t_set}: "
+                f"cut {c.cut.nodes.bitmask(spec.n_nodes)} T={t_set}: "
                 f"terms {terms}  cap {_fmt(c.cap)}"
             )
         _emit("\n".join(lines) + "\n", args.out)

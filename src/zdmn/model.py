@@ -82,9 +82,6 @@ class Cut:
 
     nodes: NodeSet
 
-    def bitmask(self, n_nodes: int) -> str:
-        return self.nodes.bitmask(n_nodes)
-
 
 def enumerate_cuts(n_nodes: int) -> list[Cut]:
     """All 2^N - 2 proper nonempty subsets, lexicographic over member tuples."""

@@ -292,17 +292,3 @@ def all_delayed_network(spec: NetworkSpec) -> NetworkSpec:
     is the positive-delay bound of `spec`.
     """
     return dataclasses.replace(_all_delayed_shell(spec), channels=(compose_channels(spec),))
-
-
-def product_input_joint(spec: NetworkSpec, p_x: JointPmf) -> JointPmf:
-    """Joint p_{X_I} times the composed channel (the positive-delay
-    factorization): ``factorized_joint`` of the all-delayed network with p_x
-    as its one input conditional."""
-    net = all_delayed_network(spec)
-    want = net.all_x_vars()
-    if set(p_x.names) != set(want):
-        raise DomainError(f"p_X must be over exactly {want}, got {p_x.names}")
-    px = marginalize(p_x, want)
-    if px.sizes != tuple(spec.var_size(n) for n in want):
-        raise DomainError("p_X alphabet sizes differ from the spec")
-    return factorized_joint(net, (ChannelTable((), want, px.probs[None, :]),))

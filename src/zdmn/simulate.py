@@ -27,7 +27,7 @@ from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, is_feasible, json_int
                     step_plan, trial_uniforms, write_text, x_var, y_var)
 from .polar import PolarCode, require_blocklength_within_cap
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
-                          conditional_mutual_information, input_conditional_vars)
+                          conditional_mutual_information)
 
 JOINT_CAP = 2 ** 24
 CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a table code built here
@@ -606,10 +606,12 @@ def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
         raise DomainError("positive-delay factorization check requires the "
                           "all-one delay profile")
 
-    def groups(h):
-        rows, x_h = input_conditional_vars(spec, h)  # rows: X_{S^{h-1}}, Y_{G^{h-1}}
-        ys = tuple(v for v in rows if v.startswith("Y"))
-        return x_h, ys, tuple(v for v in rows if v not in ys)
+    plan = list(step_plan(spec))
+
+    def groups(h):  # X_{S_h}, Y_{G^{h-1}}, X_{S^{h-1}}
+        s_h, s_upto, g_before, _ = plan[h - 1]
+        return (tuple(map(x_var, s_h)), tuple(map(y_var, g_before)),
+                tuple(x_var(i) for i in s_upto if i not in s_h))
     return _step_cmis(spec, code, groups)
 
 

@@ -16,10 +16,8 @@ from zdmn.bounds import (
     RateTuple,
     capacity_cut_cap,
     check_factorization,
-    grid_conditionals,
     grid_hull,
     grid_point_report,
-    positive_delay_cut_cap,
     region_membership,
 )
 from zdmn.errors import DomainError, ResourceCapError
@@ -35,7 +33,6 @@ from zdmn.probability import (
     factorized_joint,
     input_conditional_vars,
     marginalize,
-    product_input_joint,
 )
 
 
@@ -99,11 +96,18 @@ def _cut(nodes):
     return Cut(NodeSet(tuple(nodes)))
 
 
-def _uniform_px(spec):
-    names = spec.all_x_vars()
-    sizes = tuple(spec.var_size(n) for n in names)
-    cells = int(np.prod(sizes))
-    return JointPmf(tuple(zip(names, sizes)), np.full(cells, 1.0 / cells))
+def _scanned(spec, mode):
+    """The network the grid scans in a mode."""
+    return all_delayed_network(spec) if mode == "positive-delay" else spec
+
+
+def _product_joint(spec, px=None):
+    """p(x) times the channel product: ``factorized_joint`` of the
+    all-delayed network, p(x) uniform unless given."""
+    cells = math.prod(map(spec.var_size, spec.all_x_vars()))
+    px = np.full(cells, 1.0 / cells) if px is None else px
+    return factorized_joint(all_delayed_network(spec),
+                            (ChannelTable((), spec.all_x_vars(), px[None, :]),))
 
 
 def _scheme_joint(eps):
@@ -217,7 +221,7 @@ def test_cmi_table_batch_matches_scalar_path_and_oracle():
 def test_capacity_cut_caps_uniform_inputs():
     eps = 0.11
     spec = networks.bscfb_spec(eps)
-    joint = product_input_joint(spec, _uniform_px(spec))
+    joint = _product_joint(spec)
     t1 = capacity_cut_cap(spec, joint, _cut((1,)))
     # second channel contributes nothing to the T={1} cut: its receiving
     # side within the complement is empty
@@ -248,29 +252,30 @@ def test_capacity_cut_cap_independent_joint_is_zero():
         assert all(t <= 1e-12 for t in c.per_channel_terms)
 
 
-def test_positive_delay_cut_caps_uniform_inputs():
+def test_positive_delay_caps_uniform_inputs():
+    # the positive-delay cap is the capacity cap of the all-delayed network
     eps = 0.11
     spec = networks.bscfb_spec(eps)
-    joint = product_input_joint(spec, _uniform_px(spec))
+    net = all_delayed_network(spec)
+    joint = _product_joint(spec)
     want = 1.0 - binary_entropy(eps)
-    t2 = positive_delay_cut_cap(spec, joint, _cut((2,)))
+    t2 = capacity_cut_cap(net, joint, _cut((2,)))
     assert len(t2.per_channel_terms) == 1
     assert abs(t2.cap - want) < 1e-12
     assert abs(t2.cap - _cmi_oracle(joint, ("X2",), ("Y1",), ("X1",))) < 1e-12
-    t1 = positive_delay_cut_cap(spec, joint, _cut((1,)))
+    t1 = capacity_cut_cap(net, joint, _cut((1,)))
     assert abs(t1.cap - want) < 1e-12
     assert abs(t1.cap - _cmi_oracle(joint, ("X1",), ("Y1", "Y2"), ("X2",))) < 1e-12
     for nodes in ((5,), (1, 2), ()):
         with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
-            positive_delay_cut_cap(spec, joint, _cut(nodes))
+            capacity_cut_cap(net, joint, _cut(nodes))
 
 
-def test_positive_delay_cut_cap_point_mass_inputs():
+def test_positive_delay_cap_point_mass_inputs():
     spec = networks.bscfb_spec(0.11)
-    px = JointPmf((("X1", 2), ("X2", 2)), np.array([1.0, 0.0, 0.0, 0.0]))
-    joint = product_input_joint(spec, px)
+    joint = _product_joint(spec, np.array([1.0, 0.0, 0.0, 0.0]))
     for cut in enumerate_cuts(2):
-        assert positive_delay_cut_cap(spec, joint, cut).cap <= 1e-12
+        assert capacity_cut_cap(all_delayed_network(spec), joint, cut).cap <= 1e-12
 
 
 def test_classical_spec_caps_agree_across_modes():
@@ -278,13 +283,10 @@ def test_classical_spec_caps_agree_across_modes():
     spec = networks.classical_bsc_spec(0.25)
     rng = np.random.Generator(np.random.Philox(5))
     for _ in range(5):
-        px = JointPmf(
-            (("X1", 2), ("X2", 1)), rng.dirichlet(np.ones(2))
-        )
-        joint = product_input_joint(spec, px)
+        joint = _product_joint(spec, rng.dirichlet(np.ones(2)))
         for cut in enumerate_cuts(2):
             a = capacity_cut_cap(spec, joint, cut)
-            b = positive_delay_cut_cap(spec, joint, cut)
+            b = capacity_cut_cap(all_delayed_network(spec), joint, cut)
             assert abs(a.cap - b.cap) < 1e-12
 
 
@@ -294,9 +296,9 @@ def test_classical_spec_caps_agree_across_modes():
 
 def test_factorization_product_joint_passes_both_modes():
     spec = networks.bscfb_spec(0.11)
-    joint = product_input_joint(spec, _uniform_px(spec))
-    assert check_factorization(spec, joint, "capacity")
-    assert check_factorization(spec, joint, "positive-delay")
+    joint = _product_joint(spec)
+    assert check_factorization(spec, joint)
+    assert check_factorization(all_delayed_network(spec), joint)
 
 
 def test_factorization_scheme_joint_fails_positive_delay_only():
@@ -311,11 +313,11 @@ def test_factorization_scheme_joint_fails_positive_delay_only():
         for y2 in range(2):
             echo[x1 * 2 + y2, y2] = 1.0
     joint = factorized_joint(spec, (c1, ChannelTable(in2, out2, echo)))
-    assert check_factorization(spec, joint, "capacity")
-    assert not check_factorization(spec, joint, "positive_delay")
+    assert check_factorization(spec, joint)
+    assert not check_factorization(all_delayed_network(spec), joint)
     # whereas a code ignoring the reception stays admissible in both modes
     spec2, masked = _scheme_joint(0.11)
-    assert check_factorization(spec2, masked, "positive-delay")
+    assert check_factorization(all_delayed_network(spec2), masked)
 
 
 def test_factorization_positive_delay_rejects_rare_echo():
@@ -329,21 +331,21 @@ def test_factorization_positive_delay_rejects_rare_echo():
     for p in (1e-3, 1e-8, 1e-9):
         c1 = ChannelTable(in1, out1, np.array([[1.0 - p, p]]))
         joint = factorized_joint(spec, (c1, ChannelTable(in2, out2, rows)))
-        assert check_factorization(spec, joint, "capacity")
-        assert not check_factorization(spec, joint, "positive-delay"), p
+        assert check_factorization(spec, joint)
+        assert not check_factorization(all_delayed_network(spec), joint), p
 
 
 def test_factorization_rejects_perturbed_joint():
     spec = networks.bscfb_spec(0.11)
-    joint = product_input_joint(spec, _uniform_px(spec))
+    joint = _product_joint(spec)
     probs = joint.probs.copy()
     nz = np.flatnonzero(probs > 1e-3)
     probs[nz[0]] -= 1e-3
     probs[nz[1]] += 1e-3
     bent = JointPmf(joint.variables, probs)
-    assert not check_factorization(spec, bent, "capacity")
-    with pytest.raises(DomainError):
-        check_factorization(spec, joint, "nonsense")
+    assert not check_factorization(spec, bent)
+    with pytest.raises(DomainError, match="joint must cover exactly"):
+        check_factorization(spec, marginalize(joint, spec.all_x_vars()))
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +428,14 @@ def test_grid_resolution_must_be_an_integer():
 
 
 def test_grid_mode_must_be_a_string():
+    # only the two exact spellings name a mode
     spec = networks.bscfb_spec(0.11)
-    joint = product_input_joint(spec, _uniform_px(spec))
     rates = RateTuple.from_pairs(2, {(1, 2): 0.1})
-    for mode in (5, None, b"capacity", ("capacity",)):
+    for mode in (5, None, b"capacity", ("capacity",), "positive_delay", "Capacity"):
         with pytest.raises(DomainError, match="mode must be capacity or positive-delay"):
             grid_hull(spec, mode, 2)
         with pytest.raises(DomainError, match="mode must be capacity or positive-delay"):
             region_membership(spec, rates, mode, 8)
-        with pytest.raises(DomainError, match="mode must be capacity or positive-delay"):
-            check_factorization(spec, joint, mode)
 
 
 def test_grid_batch_rows_equal_single_points(bundled_specs):
@@ -640,29 +640,27 @@ def test_grid_point_report_terms_nonnegative():
     # a point off the grid is refused where it is decoded, by both callers
     for mode in ("capacity", "positive-delay"):
         n_points = GridProblem(spec, mode, 4).n_points
-        for call, point in itertools.product((grid_point_report, grid_conditionals),
-                                             (-1, n_points, 10**9)):
+        for point in (-1, n_points, 10**9):
             with pytest.raises(DomainError, match="outside"):
-                call(spec, mode, 4, point)
+                grid_point_report(spec, mode, 4, point)
 
 
 def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
     # the joint is rebuilt from the point's conditionals outside the grid's
-    # own index maps, and every term is recomputed by the log-sum oracle
+    # own index maps, as the scanned network's ``factorized_joint``, and
+    # every term is recomputed by the log-sum oracle
     rng = np.random.Generator(np.random.Philox(5))
     cases = list(itertools.product(sorted(bundled_specs.items()),
                                    ("capacity", "positive-delay")))
     cases.append((("ternary", _ternary_spec(7)), "positive-delay"))
     for (name, spec), mode in cases:
+        net = _scanned(spec, mode)
+        n_terms = net.alpha
         n_points = GridProblem(spec, mode, 4).n_points
         points = {0, n_points - 1} | {int(p) for p in rng.integers(0, n_points, 4)}
         for point in sorted(points):
             report = grid_point_report(spec, mode, 4, point)
-            dist = grid_conditionals(spec, mode, 4, point)
-            if mode == "capacity":
-                joint, n_terms = factorized_joint(spec, dist), spec.alpha
-            else:
-                joint, n_terms = product_input_joint(spec, dist), 1
+            joint = factorized_joint(net, report.distribution)
             for c in report.constraints:
                 want = [_cmi_oracle(joint, a, b, cc) if a and b else 0.0
                         for a, b, cc in (_term_groups(spec, mode, c.cut.nodes, h)
@@ -684,18 +682,14 @@ def test_grid_term_channels_are_the_joint_conditionals(bundled_specs):
     rng = np.random.Generator(np.random.Philox(11))
     for spec, mode in _identity_cases(bundled_specs):
         problem = GridProblem(spec, mode, 1)
-        if mode == "capacity":
-            conds = []
-            for h in range(1, spec.alpha + 1):
-                fin, fout = input_conditional_vars(spec, h)
-                rows = math.prod(spec.var_size(n) for n in fin)
-                cols = math.prod(spec.var_size(n) for n in fout)
-                conds.append(ChannelTable(fin, fout, rng.dirichlet(np.ones(cols), size=rows)))
-            joint = factorized_joint(spec, conds)
-        else:
-            xs = tuple((n, spec.var_size(n)) for n in spec.all_x_vars())
-            px = rng.dirichlet(np.ones(math.prod(size for _, size in xs)))
-            joint = product_input_joint(spec, JointPmf(xs, px))
+        net = _scanned(spec, mode)
+        conds = []
+        for h in range(1, net.alpha + 1):
+            fin, fout = input_conditional_vars(net, h)
+            rows = math.prod(spec.var_size(n) for n in fin)
+            cols = math.prod(spec.var_size(n) for n in fout)
+            conds.append(ChannelTable(fin, fout, rng.dirichlet(np.ones(cols), size=rows)))
+        joint = factorized_joint(net, conds)
         n_terms = 0
         for s, slot in enumerate(problem._terms):
             for ci, ac, w, h in slot:
@@ -721,9 +715,8 @@ def test_grid_terms_match_oracle_at_every_vertex(bundled_specs):
         problem = GridProblem(spec, mode, 1)
         terms = problem.eval_batch(0, problem.n_points)
         for point in range(problem.n_points):
-            dist = grid_conditionals(spec, mode, 1, point)
-            joint = (factorized_joint(spec, dist) if mode == "capacity"
-                     else product_input_joint(spec, dist))
+            joint = factorized_joint(_scanned(spec, mode),
+                                     grid_point_report(spec, mode, 1, point).distribution)
             for ci, s in itertools.product(range(problem.n_cuts), range(problem.n_slots)):
                 a, b, c = _term_groups(spec, mode, problem.cuts[ci].nodes, s + 1)
                 want = _cmi_oracle(joint, a, b, c) if a and b else 0.0
@@ -758,8 +751,9 @@ def _cell_product(spec, cell, factors):
 
 
 def test_placement_matches_per_cell_oracle(bundled_specs):
-    # compose_channels, factorized_joint and product_input_joint against one
-    # loop over every cell of the layout, with random stochastic conditionals
+    # compose_channels and factorized_joint, of the spec and of its
+    # all-delayed network, against one loop over every cell of the layout,
+    # with random stochastic conditionals
     rng = np.random.Generator(np.random.Philox(9))
     specs = [spec for _, spec in sorted(bundled_specs.items())] + [_ternary_spec(7)]
     for spec in specs:
@@ -776,8 +770,7 @@ def test_placement_matches_per_cell_oracle(bundled_specs):
         px = rng.dirichlet(np.ones(math.prod(xs)))
         composed = compose_channels(spec).table.reshape(xs + ys)
         joint = factorized_joint(spec, conds).as_array()
-        product = product_input_joint(spec, JointPmf(
-            tuple(zip(names[:spec.n_nodes], xs)), px)).as_array()
+        product = _product_joint(spec, px).as_array()
         for cell in itertools.product(*map(range, sizes)):
             q = _cell_product(spec, cell, channels)
             assert composed[cell] == pytest.approx(q, rel=1e-12, abs=0.0)
@@ -825,14 +818,16 @@ def test_grid_rejects_invalid_spec():
             grid_point_report(spec, "capacity", 4, 0)
 
 
-def test_grid_conditionals_are_stochastic():
+def test_grid_point_distribution_is_stochastic():
+    # the point's conditionals are ChannelTables of the scanned network in
+    # both modes: in positive-delay mode its one factor, p(x)
     spec = networks.bscfb_spec(0.11)
-    tables = grid_conditionals(spec, "capacity", 4, 11)
+    tables = grid_point_report(spec, "capacity", 4, 11).distribution
     assert len(tables) == spec.alpha
-    for t in tables:
+    (p_x,) = grid_point_report(spec, "positive-delay", 4, 3).distribution
+    assert (p_x.input_vars, p_x.output_vars) == ((), spec.all_x_vars())
+    for t in tables + (p_x,):
         assert t.stochasticity_violations() == []
-    pj = grid_conditionals(spec, "positive-delay", 4, 3)
-    assert pj.validate() == []
 
 
 def test_region_membership_scheme_point():

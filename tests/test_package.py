@@ -16,8 +16,7 @@ import zdmn
 # every public name of the package, by the submodule that defines it
 _PUBLIC = {
     "bounds": ["CutConstraint", "MembershipResult", "RateRegionReport", "RateTuple",
-               "capacity_cut_cap", "check_factorization", "grid_hull", "positive_delay_cut_cap",
-               "region_membership"],
+               "capacity_cut_cap", "check_factorization", "grid_hull", "region_membership"],
     "errors": ["DomainError", "ResourceCapError", "SpecIOError", "ZdmnError"],
     "gaussian": ["CodebookResult", "GaussianRelayConfig", "RelayTrace", "SeparationReport",
                  "codebook_experiment", "neutralization_rate", "separation_report",
@@ -45,7 +44,7 @@ def test_backend_name_is_numpy():
 
 def test_public_names_are_their_submodules_objects():
     names = [name for names in _PUBLIC.values() for name in names]
-    assert len(names) == 63
+    assert len(names) == 62
     assert sorted(zdmn.__all__) == sorted(names + ["backend_name", "__version__"])
     for module, names in _PUBLIC.items():
         sub = importlib.import_module(f"zdmn.{module}")
@@ -166,16 +165,17 @@ def test_every_module_level_definition_is_referenced():
 
 
 # Read only by unit tests, yet kept: independent references the system is
-# compared against.  The positive-delay cut cap and the factorization check
-# pin the grid's bounds, the grid point report and conditionals its points,
-# the product joint the positive-delay factorization, and the feedback
+# compared against.  Each works on the network it is handed, the spec or,
+# for the positive-delay bound, its all-delayed network: the grid point
+# report gives a grid point's terms and conditionals, `factorized_joint`
+# rebuilds the point's joint from them, `capacity_cut_cap` recomputes its
+# cut caps and `check_factorization` pins its admissibility; the feedback
 # scheme as an engine code pins `bscfb_scheme` against the slot engine.
-# What these oracles call is kept as their support: a trace of the CLI,
-# the acceptance suite and the benchmark workloads reaches
-# `capacity_cut_cap`, `_require_joint_over_all`, `factorized_joint` and
-# `JointPmf.validate` only through them.
-_ORACLES = {"positive_delay_cut_cap", "check_factorization", "grid_point_report",
-            "grid_conditionals", "product_input_joint", "bscfb_engine_code"}
+# What these oracles call is kept as their support: a trace of the CLI, the
+# acceptance suite and the benchmark workloads reaches
+# `_require_joint_over_all` and `JointPmf.validate` only through them.
+_ORACLES = {"capacity_cut_cap", "check_factorization", "factorized_joint",
+            "grid_point_report", "bscfb_engine_code"}
 
 
 def test_every_definition_is_read_by_the_system():
@@ -204,7 +204,8 @@ def _class_members(cls):
 def _unread_methods(src_trees, other_trees):
     """`path:line Class.method` of every method or property of a src class,
     dunders aside, that no module reads as an attribute or names in a string
-    constant (as `getattr` and the benchmark's span table do).
+    constant (as `getattr` and the benchmark's span table do) outside the
+    method's own body.
 
     A name that more than one src class defines, as a method, a property or
     a field, is read by the rule ``_unread_attributes`` applies to instance
@@ -213,14 +214,18 @@ def _unread_methods(src_trees, other_trees):
     `trace.to_csv()` in a module that never mentions RelayTrace does not
     read `RelayTrace.to_csv`."""
     trees = {**src_trees, **other_trees}
-    uses = {path: _attribute_uses(tree) for path, tree in trees.items()}
-    self_reads = set().union(*(u[1] for u in uses.values()))
-    reads = []  # (names read through another object or named in a string, names mentioned)
-    for path, (_, _, other, named) in uses.items():
-        strings = {node.value for node in ast.walk(trees[path])
-                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-        reads.append((other | strings, named))
-    read_anywhere = {attr for _, attr in self_reads}.union(*(read for read, _ in reads))
+    named = {}
+    reads = collections.defaultdict(list)  # name -> (path, line, reading class or None)
+    for path, tree in trees.items():
+        _, self_reads, other_reads, named[path] = _attribute_uses(tree)
+        for cls, attr, line in self_reads:
+            reads[attr].append((path, line, cls))
+        # a read through another object, or a string naming the method
+        for attr, line in other_reads:
+            reads[attr].append((path, line, None))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads[node.value].append((path, node.lineno, None))
     classes = [(path, cls) for path, tree in src_trees.items()
                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
     owners = collections.Counter(name for _, cls in classes for name in _class_members(cls))
@@ -230,11 +235,13 @@ def _unread_methods(src_trees, other_trees):
             name = node.name if isinstance(node, ast.FunctionDef) else None
             if name is None or name.startswith("__") and name.endswith("__"):
                 continue
+            outside = [(p, reader) for p, line, reader in reads[name]
+                       if p != path or not node.lineno <= line <= node.end_lineno]
             if owners[name] == 1:
-                is_read = name in read_anywhere
+                is_read = bool(outside)
             else:
-                is_read = ((cls.name, name) in self_reads
-                           or any(name in read and cls.name in named for read, named in reads))
+                is_read = any(reader == cls.name if reader else cls.name in named[p]
+                              for p, reader in outside)
             if not is_read:
                 unread.append(f"{path}:{node.lineno} {cls.name}.{name}")
     return unread
@@ -283,6 +290,30 @@ def test_method_guard_reads_shared_names_through_their_owner():
     spans = ast.parse("import code\nSPANS = [(code.Block, 'n')]\n")
     assert _unread_methods({"code.py": code}, {"user.py": user, "spans.py": spans}) == [
         "code.py:6 Relay.to_csv"]
+    # a method that only delegates to a namesake reads itself, which does not
+    # count: Cut.bitmask is unread although its own body reads `bitmask` in
+    # a module naming Cut
+    model = ast.parse(
+        "class NodeSet:\n"
+        "    def bitmask(self, n):\n        return ''\n"
+        "class Cut:\n"
+        "    nodes: NodeSet\n"
+        "    def bitmask(self, n):\n        return self.nodes.bitmask(n)\n")
+    cli = ast.parse("from model import NodeSet\n\n"
+                    "def show(s: NodeSet):\n    return s.bitmask(2)\n")
+    assert _unread_methods({"model.py": model}, {"cli.py": cli}) == ["model.py:6 Cut.bitmask"]
+
+
+def test_mode_names_stay_in_the_grid_and_the_cli():
+    # a mode picks the network the grid scans; every other function works on
+    # the network it is handed, so only the grid's mode switch and the CLI's
+    # choices spell a mode
+    modes = {"capacity", "positive-delay"}
+    spelled = sorted({path.name for path, tree in _parsed(sorted(_SRC.glob("*.py"))).items()
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value in modes})
+    assert spelled == ["_grid.py", "cli.py"]
 
 
 def test_random_streams_are_built_in_two_places():
@@ -417,9 +448,10 @@ def _attribute_uses(tree):
     """(stores, self_reads, other_reads, named) of one module.
 
     stores are (line, class, attr) of every `self.<attr> = ...` in a class,
-    self_reads (class, attr) of every `self.<attr>` read in a class,
-    other_reads the attrs read through any other object, and named every
-    name the module mentions (classes it defines or imports included).
+    self_reads (class, attr, line) of every `self.<attr>` read in a class,
+    other_reads (attr, line) of every attribute read through any other
+    object, and named every name the module mentions (classes it defines or
+    imports included).
     """
     stores, self_reads, other_reads, named = [], set(), set(), set()
 
@@ -439,9 +471,9 @@ def _attribute_uses(tree):
                 stores.append((node.lineno, cls, node.attr))
             elif isinstance(node.ctx, ast.Load):
                 if on_self:
-                    self_reads.add((cls, node.attr))
+                    self_reads.add((cls, node.attr, node.lineno))
                 else:
-                    other_reads.add(node.attr)
+                    other_reads.add((node.attr, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, cls)
 
@@ -456,13 +488,14 @@ def _unread_attributes(src_trees, other_trees):
     names the owning class, so `args.spec` in a module that never mentions
     GridProblem does not read `GridProblem.spec`."""
     uses = {path: _attribute_uses(tree) for path, tree in {**src_trees, **other_trees}.items()}
-    self_reads = set().union(*(u[1] for u in uses.values()))
+    self_reads = {(cls, attr) for u in uses.values() for cls, attr, _ in u[1]}
+    other_reads = [({attr for attr, _ in other}, named) for _, _, other, named in uses.values()]
     unread = []
     for path in src_trees:
         for line, cls, attr in uses[path][0]:
             if (cls, attr) in self_reads:
                 continue
-            if any(cls in named and attr in other for _, _, other, named in uses.values()):
+            if any(cls in named and attr in other for other, named in other_reads):
                 continue
             unread.append(f"{path}:{line} {cls}.{attr}")
     return unread

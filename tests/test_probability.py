@@ -14,6 +14,7 @@ from zdmn.probability import (
     JointPmf,
     _marginal,
     _row_sum,
+    all_delayed_network,
     binary_entropy,
     compose_channels,
     cond_entropy_table,
@@ -21,7 +22,6 @@ from zdmn.probability import (
     factorized_joint,
     input_conditional_vars,
     marginalize,
-    product_input_joint,
 )
 
 
@@ -330,33 +330,40 @@ def test_factorized_joint_rejects_wrong_conditionals():
         factorized_joint(spec, (c1, non_stoch))
 
 
-def test_product_input_joint_matches_manual_product():
+def _all_delayed_joint(spec, x_vars, px):
+    """``factorized_joint`` of the all-delayed network, p(x) over `x_vars`
+    as its one input conditional."""
+    p_x = ChannelTable((), x_vars, np.asarray(px, dtype=np.float64)[None, :])
+    return factorized_joint(all_delayed_network(spec), (p_x,))
+
+
+def test_all_delayed_joint_matches_manual_product():
     eps = 0.11
     spec = networks.bscfb_spec(eps)
-    px = _joint((("X1", 2), ("X2", 2)), [0.1, 0.2, 0.3, 0.4])
-    joint = product_input_joint(spec, px)
+    px = np.array([0.1, 0.2, 0.3, 0.4])
+    joint = _all_delayed_joint(spec, ("X1", "X2"), px)
     assert joint.validate() == []
     composed = _compose_oracle_noisy_feedback(eps)
-    want = px.probs[:, None] * composed  # (4 inputs, 4 outputs)
+    want = px[:, None] * composed  # (4 inputs, 4 outputs)
     got = marginalize(joint, ("X1", "X2", "Y1", "Y2"))
     assert np.allclose(got.probs, want.reshape(-1), atol=1e-15)
 
 
-def test_product_input_joint_rejects_wrong_variables():
+def test_all_delayed_joint_rejects_wrong_variables():
     spec = networks.bscfb_spec(0.11)
-    with pytest.raises(DomainError):
-        product_input_joint(spec, _joint((("X1", 2),), [0.5, 0.5]))
+    with pytest.raises(DomainError, match="variables"):
+        _all_delayed_joint(spec, ("X1",), [0.5, 0.5])
 
 
-def test_product_input_joint_rejects_malformed_px():
-    # a NaN, a total of 2 and a negative cell once gave a NaN joint, a joint
-    # summing to 2 and negative cells; a short table ended in a bare ValueError
+def test_all_delayed_joint_rejects_malformed_px():
+    # a NaN, a total of 2, a negative cell and a short table: none may
+    # become a NaN joint, a joint summing to 2, negative cells or a bare
+    # ValueError
     spec = networks.bscfb_spec(0.11)
-    xs = (("X1", 2), ("X2", 2))
     for probs, why in (([math.nan, 0.25, 0.25, 0.25], "non-finite"),
                        ([0.5] * 4, "sums to 2"),
                        ([1.25, -0.25, 0.0, 0.0], "outside"),
-                       ([0.5, 0.5], "2 probabilities for the 4 cells")):
+                       ([0.5, 0.5], r"table shape \(1, 2\) != \(1, 4\)")):
         with pytest.raises(DomainError, match=why):
-            product_input_joint(spec, _joint(xs, probs))
+            _all_delayed_joint(spec, ("X1", "X2"), probs)
 
