@@ -12,11 +12,14 @@ Thibeault & Gross 2014, "Fast polar decoders"): a subtree whose leaves are
 all frozen (Rate-0) or all frozen but the last (Rep) is decoded in one step
 from its input LLRs, with the same path metrics, decisions and list order
 as the leaf-by-leaf decoder.  The list engine copies path state lazily: it
-keeps one LLR and one partial-sum buffer per tree depth, each read through
-a per-depth map from path to buffer row, so a list reorder only composes
-the index maps that can still be read; the decided bits are recovered by
-tracing the recorded parent rows back once at the end.  The list is pruned
-by one sort of packed (metric, index) keys.  The information set
+keeps one LLR and one partial-sum buffer per tree depth, and a list
+reorder moves no data.  Each finished left subtree keeps the ancestry of
+the paths over its own reorders, and each buffer that a reorder leaves out
+of path order is read once, through one such ancestry; the decided bits
+are recovered by tracing the recorded parent rows back once at the end.
+A prune that keeps each path's better child, in path order, is recognised
+from the candidate metrics and skips the sort; any other prune takes one
+sort of packed (metric, index) keys.  The information set
 is picked by exact density evolution of this decoder (Mori & Tanaka 2009;
 Tal & Vardy 2013, "How to construct polar codes"): every LLR of the
 genie-aided successive-cancellation decoder is an integer, so its law under
@@ -95,22 +98,30 @@ def _crc_bits(bits: np.ndarray, gen: np.ndarray) -> np.ndarray:
 # axis of size 1 means the data is shared by every path: depth 0 is the
 # channel LLR, and every buffer written before the first information bit
 # stays shared.  A width axis of size 1 in S[d] means one value for every
-# position (a Rate-0 or Rep node's partial sums).  maps[0, d] / maps[1, d]
-# give, for each path (flat row b * L + j), the flat row that holds its
-# P[d] / S[d] data, so a reorder of the list composes the parent rows into
-# the maps and moves no data.  A buffer is gathered only when it is read
-# through a map other than the identity: the g-step reads P[l0 - 1], the
-# partial-sum ripple reads the left children S[d].  Every write makes a
-# fresh buffer in path order and resets its map to the identity.  The
-# f-steps read buffers written in the same node, and the g-step's S[l0] was
-# written by the previous node after its reorder, so neither is ever
-# gathered.  A reorder at a node of depth `depth` therefore composes only
-# the maps that can still be read before their buffer is rewritten, one
-# per level d = 1..depth: P[d - 1] where the node lies in the left child at
-# depth d (its right sibling's g-step reads it), else S[d] (the ripple out
-# of the right child reads it).  Decided bits are not stored per path:
-# each Rep node records its bits and parent rows at its last leaf, and U
-# is traced back once at the end into a (n_code, B, L) array.
+# position (a Rate-0 or Rep node's partial sums).
+#
+# Ancestry.  A list reorder moves no data.  Paths are flat rows b * L + j,
+# and the ancestry of a stretch of decoding gives, for each path, the row of
+# its ancestor at the stretch's start; None stands for the identity.
+# left[d] is the ancestry over the most recently finished left child at
+# depth d.  Only two kinds of buffer are read after a reorder, each exactly
+# once and after exactly the reorders of one subtree: the right sibling's
+# g-step reads P[d - 1], written as the left child at depth d began,
+# through left[d]; the ripple out of a right child at depth d reads S[d],
+# written as that right child began, through the ancestry over the right
+# child.  The ripple builds that ancestry as it climbs: a Rep node's
+# reorder starts it as its parent rows (anc = flat), and each level d first
+# gathers S[d] through anc and then composes anc = left[d][anc], the
+# ancestry over the parent subtree; where the ripple stops, at a left
+# child, anc becomes its left[d].  Every other read is of a buffer written
+# since the last reorder (the f-steps' P, the g-step's S[l0], written by the
+# previous node after its reorder), and a buffer with one lane is shared by
+# every path, so neither is gathered.  A finished subtree's partial sums are
+# built in one buffer of its final width, each ripple level XORed into
+# place.  Decided bits are not stored per path: each Rep node records its
+# bits at its last leaf, each reorder its parent rows, and U is traced back
+# once at the end into a (n_code, B, L) array, one stacked gather per run of
+# leaves between two reorders.
 #
 # The tree is split once into nodes (_node_split): the largest subtrees
 # that are Rate-0 or Rep, a single leaf being one or the other.  The update
@@ -134,14 +145,30 @@ def _crc_bits(bits: np.ndarray, gen: np.ndarray) -> np.ndarray:
 # over at most n_code nodes of penalties that each combine disjoint channel
 # positions, has |r| <= n_code * n.  When B > 2 * n_code * n, every
 # comparison the decoder makes (an f-step's min and max, a penalty's sign,
-# the list sort and its ties) orders (c, r) lexicographically, as an
-# infinite B would, so every B above that bound gives the same decisions
-# and list order; PolarCode.shortened_llr is the smallest power of two
-# above it, 2^23 at n = 2000.  The list is pruned by one sort of
-# the keys PM << s | index, s = bit_length(2L - 1): distinct keys, sorted
-# by metric and then by index, which is the stable order.  This is exact
-# while every candidate metric is below 2^(63 - s); a node whose metrics
-# break that bound falls back to a stable argsort.
+# the kept-list test, the list sort and its ties) orders (c, r)
+# lexicographically, as an infinite B would, so every B above that bound
+# gives the same decisions and list order; PolarCode.shortened_llr is the
+# smallest power of two above it, 2^23 at n = 2000.
+#
+# Pruning.  Once the list is full, a Rep node's 2L candidates are, in index
+# order, PM_j + pen0_j and PM_j + pen1_j for each path j, and the stable
+# sort keeps the L smallest.  Let best_j and worst_j be path j's smaller
+# and larger candidate, the bit-0 child on a tie.  When best is
+# non-decreasing along the row and worst_i > best_{L-1} for every i < L - 1,
+# the stable sort returns each path's best child in path order: the bests
+# come first, in index order, every other worst_i after best_{L-1}, and
+# worst_{L-1} after best_{L-1} by value or by index.  Conversely, a sort
+# that keeps the paths in order keeps each one's best child (a path's worse
+# child sorts after its better one), so the test holds exactly when the
+# list keeps its order.  When it holds in every block, PM = best, each
+# path's bit is pen1 < pen0, and no key, sort or ancestry is made.  Best's
+# order must be checked, not assumed: Rate-0 nodes add per-path penalties,
+# so PM is not sorted between prunes.  A single leaf has best = PM and
+# worst = PM + |alpha|.  A node whose list reorders still sorts exactly as
+# before: one sort of the keys PM << s | index, s = bit_length(2L - 1),
+# distinct keys sorted by metric and then by index, which is the stable
+# order.  This is exact while every candidate metric is below 2^(63 - s); a
+# node whose metrics break that bound falls back to a stable argsort.
 
 
 def _f_step(av, cv):
@@ -201,6 +228,17 @@ def _llr_dtype(llr0):
     return np.int32 if total < 2 ** 31 else np.int64
 
 
+def _gather(buf, rows):
+    """A (width, B, lanes) buffer in path order: row rows[p] for flat path p.
+
+    rows None is the identity, and a shared buffer (one lane) needs no gather.
+    """
+    if rows is None or buf.shape[2] == 1:
+        return buf
+    w, b, lanes = buf.shape
+    return buf.reshape(w, b * lanes).take(rows, axis=1).reshape(w, b, lanes)
+
+
 def _scl_run(llr0, frozen, L):
     """Run the list decoder on (B, n_code) LLR blocks; returns (U, PM).
 
@@ -215,8 +253,7 @@ def _scl_run(llr0, frozen, L):
     L = min(L, 1 << int(np.count_nonzero(np.asarray(frozen) == 0)))
     P = [np.ascontiguousarray(llr0.T, dtype=_llr_dtype(llr0))[:, :, None]] + [None] * m
     S = [None] * (m + 1)
-    ident = np.arange(B * L)
-    maps = ([ident] * (m + 1), [ident] * (m + 1))  # ident: the buffer is in path order
+    left = [None] * (m + 1)  # ancestry over the finished left child at depth d
     row = (np.arange(B) * L)[:, None]
     row_dtype = np.min_scalar_type(B * L - 1)
     shift = (2 * L - 1).bit_length()  # packed key: PM << shift | candidate index
@@ -224,14 +261,7 @@ def _scl_run(llr0, frozen, L):
     cand = np.arange(2 * L)
     PM = np.zeros((B, L), dtype=np.int64)
     zeros = np.zeros((1, B, 1), dtype=np.int8)
-    trace = []  # (leaf, bits, flat parent rows or None) per Rep node
-
-    def read(k, d):  # k = 0: P[d], k = 1: S[d], in path order
-        buf = (P, S)[k][d]
-        if maps[k][d] is ident or buf.shape[2] == 1:
-            return buf
-        w = buf.shape[0]
-        return buf.reshape(w, B * L).take(maps[k][d], axis=1).reshape(w, B, L)
+    runs = [(None, [], [])]  # (flat parent rows or None, leaves, bits) per reorder
 
     a = 1
     for phi, depth, rep in _node_split(frozen):
@@ -241,76 +271,86 @@ def _scl_run(llr0, frozen, L):
             tz = (phi & -phi).bit_length() - 1
             l0 = m - tz
             w = n >> l0
-            seg = read(0, l0 - 1)
+            seg = _gather(P[l0 - 1], left[l0])
             P[l0] = _g_step(seg[:w], seg[w:], S[l0])
-            maps[0][l0] = ident
             lo = l0 + 1
         for d in range(lo, depth + 1):
             w = n >> d
             seg = P[d - 1]
             P[d] = _f_step(seg[:w], seg[w:])
-            maps[0][d] = ident
         alpha = P[depth]
-        pen0 = np.maximum(-alpha, 0).sum(axis=0, dtype=np.int64)
+        anc = None  # ancestry over this node: None = the list kept its order
         if not rep:  # Rate-0: every bit 0
-            PM += pen0
+            PM += np.maximum(-alpha, 0).sum(axis=0, dtype=np.int64)
             x = zeros
         else:  # Rep: every bit a copy of one decided bit
-            pen1 = pen0 + alpha.sum(axis=0, dtype=np.int64)  # sum of max(alpha, 0)
-            if 2 * a <= L:  # list still growing: keep every extension
-                l2 = 2 * a
-                PM[:, :l2] = np.repeat(PM[:, :a], 2, axis=1)
-                PM[:, 0:l2:2] += pen0[:, :a]
-                PM[:, 1:l2:2] += pen1[:, :a]
-                parent = np.arange(L)
-                parent[:l2] >>= 1
-                bit = np.zeros((B, L), dtype=np.uint8)
-                bit[:, 1:l2:2] = 1
-                a = l2
-            else:  # keep the L best of 2a extensions; ties keep lower index
-                pmc = np.empty((B, 2 * a), dtype=np.int64)
-                pmc[:, 0::2] = PM[:, :a] + pen0[:, :a]
-                pmc[:, 1::2] = PM[:, :a] + pen1[:, :a]
-                if pmc.max() < key_cap:
-                    pmc <<= shift
-                    pmc |= cand[:2 * a]
-                    pmc.sort(axis=1)
-                    PM = pmc[:, :L] >> shift
-                    order = pmc[:, :L] & ((1 << shift) - 1)
-                else:
-                    order = np.argsort(pmc, axis=1, kind="stable")[:, :L]
-                    PM = np.take_along_axis(pmc, order, axis=1)
-                bit = (order & 1).astype(np.uint8)
-                parent = order >> 1
-                a = L
-            flat = (parent + row).reshape(-1)
+            if depth == m:  # one leaf: the penalties are max(-alpha, 0) and max(alpha, 0)
+                al = alpha[0]
+                one = al < 0
+                best, worst = PM, PM + np.abs(al)
+            else:
+                pen0 = np.maximum(-alpha, 0).sum(axis=0, dtype=np.int64)
+                pen1 = pen0 + alpha.sum(axis=0, dtype=np.int64)  # sum of max(alpha, 0)
+                one = pen1 < pen0
+                best, worst = PM + np.minimum(pen0, pen1), PM + np.maximum(pen0, pen1)
             leaf = phi + (n >> depth) - 1
-            if np.array_equal(flat, ident):
-                trace.append((leaf, bit, None))
-            else:  # reorder the list: compose the live maps, move no data
-                ph = phi >> (m - depth)
-                for d in range(depth, 0, -1):
-                    mk, j = (maps[1], d) if ph & 1 else (maps[0], d - 1)
-                    mk[j] = flat if mk[j] is ident else mk[j][flat]
-                    ph >>= 1
-                trace.append((leaf, bit, flat.astype(row_dtype)))
-            x = -bit.astype(np.int8)[None]
-        d, ph = depth, phi >> (m - depth)
-        while d > 0 and (ph & 1) == 1:  # x: the partial sums of the right child
-            y = read(1, d) ^ x
-            w = n >> d
-            x, right = np.empty((2 * w,) + y.shape[1:], dtype=np.int8), x
-            x[:w] = y
-            x[w:] = right
-            ph >>= 1
-            d -= 1
-        if d > 0:
-            S[d] = x
-            maps[1][d] = ident
+            if (a == L and (best[:, 1:] >= best[:, :-1]).all()
+                    and (worst[:, :-1] > best[:, -1:]).all()):
+                # the sort would keep each path's best child in path order
+                PM, bit = best, one.view(np.uint8)
+                runs[-1][1].append(leaf)
+                runs[-1][2].append(bit)
+            else:
+                c0 = np.where(one, worst, best)  # PM + pen0
+                c1 = np.where(one, best, worst)  # PM + pen1
+                if 2 * a <= L:  # list still growing: keep every extension
+                    l2 = 2 * a
+                    PM[:, 0:l2:2] = c0[:, :a]
+                    PM[:, 1:l2:2] = c1[:, :a]
+                    parent = np.arange(L)
+                    parent[:l2] >>= 1
+                    bit = np.zeros((B, L), dtype=np.uint8)
+                    bit[:, 1:l2:2] = 1
+                    a = l2
+                else:  # keep the L best of 2a extensions; ties keep lower index
+                    pmc = np.empty((B, 2 * a), dtype=np.int64)
+                    pmc[:, 0::2] = c0[:, :a]
+                    pmc[:, 1::2] = c1[:, :a]
+                    if pmc.max() < key_cap:
+                        pmc <<= shift
+                        pmc |= cand[:2 * a]
+                        pmc = np.sort(pmc, axis=1)
+                        PM = pmc[:, :L] >> shift
+                        order = pmc[:, :L] & ((1 << shift) - 1)
+                    else:
+                        order = np.argsort(pmc, axis=1, kind="stable")[:, :L]
+                        PM = np.take_along_axis(pmc, order, axis=1)
+                    bit = (order & 1).astype(np.uint8)
+                    parent = order >> 1
+                    a = L
+                anc = (parent + row).reshape(-1)  # reorder the list: move no data
+                runs.append((anc.astype(row_dtype), [leaf], [bit]))
+            x = -bit.view(np.int8)[None]
+        ph = phi >> (m - depth)
+        top = depth - (((ph + 1) & -(ph + 1)).bit_length() - 1)  # less the trailing ones of ph
+        if top == depth:  # a left child (or the whole tree)
+            S[depth], left[depth] = x, anc
+        elif top > 0:  # x: the partial sums of the right child; ripple up to depth top
+            W, w = n >> top, n >> depth
+            out = np.empty((W, B, L), dtype=np.int8)
+            out[W - w:] = x
+            for d in range(depth, top, -1):
+                np.bitwise_xor(_gather(S[d], anc), out[W - w:], out=out[W - 2 * w:W - w])
+                if left[d] is not None:
+                    anc = left[d] if anc is None else left[d][anc]
+                w *= 2
+            S[top], left[top] = out, anc
     U = np.zeros((n, B, L), dtype=np.uint8)
     cur = None  # flat row of each final path's ancestor; None = identity
-    for leaf, bit, flat in reversed(trace):
-        U[leaf] = bit if cur is None else bit.reshape(-1)[cur].reshape(B, L)
+    for flat, leaves, bits in reversed(runs):
+        if leaves:
+            got = np.stack(bits).reshape(len(leaves), B * L)
+            U[leaves] = (got if cur is None else got.take(cur, axis=1)).reshape(-1, B, L)
         if flat is not None:
             cur = flat if cur is None else flat[cur]
     return U.transpose(1, 2, 0), PM
@@ -476,6 +516,14 @@ def require_blocklength_within_cap(n: int) -> None:
         raise ResourceCapError(f"blocklength {n} is above the cap of {MAX_N}")
 
 
+def _require_bits(blocks, what: str) -> np.ndarray:
+    """Blocks as a 2-D uint8 array, refusing any entry but 0 and 1 (NaN included)."""
+    blocks = np.atleast_2d(np.asarray(blocks))
+    if not np.all((blocks == 0) | (blocks == 1)):
+        raise DomainError(f"{what} must hold only the bits 0 and 1")
+    return blocks.astype(np.uint8)
+
+
 class PolarCode:
     """Shortened polar code, CRC-aided list decoding over hard decisions.
 
@@ -524,7 +572,7 @@ class PolarCode:
         self.frozen[self.info_positions] = 0
 
     def encode_batch(self, msgs: np.ndarray) -> np.ndarray:
-        msgs = np.atleast_2d(np.asarray(msgs, dtype=np.uint8))
+        msgs = _require_bits(msgs, "messages")
         if msgs.shape[1] != self.k:
             raise DomainError(f"messages must have {self.k} bits")
         if self.crc_bits:
@@ -536,7 +584,7 @@ class PolarCode:
         return _encode_batch(u)[:, :self.n]
 
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.atleast_2d(np.asarray(ys, dtype=np.uint8))
+        ys = _require_bits(ys, "received blocks")
         if ys.shape[1] != self.n:
             raise DomainError(f"received blocks must have {self.n} bits")
         out = np.empty((ys.shape[0], self.k), dtype=np.uint8)

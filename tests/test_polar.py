@@ -176,6 +176,43 @@ def test_list_decoder_matches_per_path_reference():
                     assert np.array_equal(pm[b], want_pm), (n, L, trial, b)
 
 
+def test_kept_list_checks_the_order_of_the_best_children():
+    # leaf 5 is a Rate-0 leaf between information leaves: its penalties
+    # leave the metrics unsorted, so at leaf 6 each path's best child is
+    # kept in path order only if those children's metrics are in order
+    frozen = np.array([1, 1, 0, 0, 0, 1, 0, 1], dtype=np.uint8)
+    rng = np.random.Generator(np.random.Philox(14))
+    llr = rng.integers(-3, 4, size=(40, 8)).astype(np.int64)
+    # at leaf 6 the best children's metrics are [5, 5, 4], every other
+    # child's 6: the children beyond the list sort after the last kept one,
+    # yet the list reorders
+    llr[0] = (-2, 3, 1, -2, 0, 3, 0, -2)
+    for rows in (llr[:1], llr):
+        u, pm = polar._scl_run(rows, frozen, 3)
+        for b in range(len(rows)):
+            want_u, want_pm = _scl_reference(rows[b], frozen, 3)
+            assert np.array_equal(u[b], want_u), b
+            assert np.array_equal(pm[b], want_pm), b
+
+
+@pytest.mark.parametrize("n", (128, 256))
+def test_list_decoder_matches_per_path_reference_at_width(n):
+    # a random mask at information density about 1/2 puts frozen leaves
+    # between information leaves: single Rate-0 leaves, and Rate-0 and Rep
+    # nodes of several widths
+    rng = np.random.Generator(np.random.Philox(15 + n))
+    frozen = (rng.random(n) < 0.5).astype(np.uint8)
+    kinds = {(d < n.bit_length() - 1, rep) for _phi, d, rep in polar._node_split(frozen)}
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+    llr = rng.integers(-3, 4, size=(4, n)).astype(np.int64)
+    for L in (3, 16):
+        u, pm = polar._scl_run(llr, frozen, L)
+        for b in range(4):
+            want_u, want_pm = _scl_reference(llr[b], frozen, L)
+            assert np.array_equal(u[b], want_u), (L, b)
+            assert np.array_equal(pm[b], want_pm), (L, b)
+
+
 def _dtype_spy(monkeypatch):
     """Record every LLR dtype that _scl_run picks."""
     seen, real = [], polar._llr_dtype
@@ -204,27 +241,51 @@ def test_llr_width_at_the_int32_bound(monkeypatch):
                     assert np.array_equal(pm[b], want_pm), (total, trial, L, b)
 
 
+def _sort_spy(monkeypatch):
+    """Record every np.sort ("sort") and np.argsort (its kind) call."""
+    calls = []
+    real_sort, real_argsort = np.sort, np.argsort
+    monkeypatch.setattr(np, "sort", lambda *a, **kw: calls.append("sort") or real_sort(*a, **kw))
+    monkeypatch.setattr(np, "argsort",
+                        lambda *a, **kw: calls.append(kw.get("kind")) or real_argsort(*a, **kw))
+    return calls
+
+
 def test_candidate_sort_falls_back_above_the_packed_key_bound(monkeypatch):
     # at L = 2 a packed key PM << 2 | index is exact while PM < 2**61; the
     # list is full after leaf 6, and leaf 7's LLR carries the huge channel
     # LLR, so its wrong-bit candidate metric lands just above or below 2**61
-    calls = []
-    real = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+    calls = _sort_spy(monkeypatch)
     frozen = np.array([1, 1, 1, 1, 1, 1, 0, 0], dtype=np.uint8)
     rng = np.random.Generator(np.random.Philox(13))
-    for huge, fallback in ((2 ** 61 + 64, True), (2 ** 61 - 64, False)):
+    for huge in (2 ** 61 + 64, 2 ** 61 - 64):
+        sort = ["stable"] if huge > 2 ** 61 else ["sort"]
+        # leaf 7 keeps each path's bit-0 child, so the list reorders (and a
+        # sort runs) only where leaf 6 left a block's two paths in
+        # decreasing metric order: in some of these batches and not others
+        reorders = []
         for _ in range(4):
             llr = rng.integers(-3, 4, size=(2, 8)).astype(np.int64)
             llr[:, 7] = huge
             calls.clear()
             u, pm = polar._scl_run(llr, frozen, 2)
-            assert bool(calls) == fallback and pm.max() < 2 ** 62
-            assert all(kw.get("kind") == "stable" for kw in calls)
-            for b in range(2):
-                want_u, want_pm = _scl_reference(llr[b], frozen, 2)
+            assert pm.max() < 2 ** 62
+            want = [_scl_reference(llr[b], frozen, 2) for b in range(2)]
+            reorders.append(any(want_u[0, 6] == 1 for want_u, _pm in want))
+            assert calls == (sort if reorders[-1] else []), huge
+            for b, (want_u, want_pm) in enumerate(want):
                 assert np.array_equal(u[b], want_u), (huge, b)
                 assert np.array_equal(pm[b], want_pm), (huge, b)
+        assert True in reorders and False in reorders
+        # here the huge metrics themselves are sorted at leaf 7
+        llr = np.array([[-1, -2, 2, 1, 2, huge, 1, -huge]], dtype=np.int64)
+        calls.clear()
+        u, pm = polar._scl_run(llr, frozen, 2)
+        assert calls == sort, huge
+        assert pm.min() > 2 ** 61 - 128
+        want_u, want_pm = _scl_reference(llr[0], frozen, 2)
+        assert np.array_equal(u[0], want_u), huge
+        assert np.array_equal(pm[0], want_pm), huge
 
 
 def _noisy_blocks(code, eps, blocks, seed):
@@ -269,6 +330,22 @@ def test_forward_code_decodes_with_int32_llrs(monkeypatch):
     assert code.list_size == 16 and code.n_code == 2048
     code.decode_batch(_noisy_blocks(code, 0.11, 2, 30))
     assert seen == [np.int32]
+
+
+def test_forward_code_decoder_equals_golden_bits():
+    # sha256 of _scl_run's (U, PM) and of decode_batch on 64 noisy blocks of
+    # the bscfb forward code, taken before the kept-list prune and the
+    # per-subtree ancestry replaced the per-depth index maps
+    code = PolarCode(2000, 800, 0.11)
+    y = _noisy_blocks(code, 0.11, 64, 32)
+    llr = np.full((64, code.n_code), code.shortened_llr, dtype=np.int64)
+    llr[:, :2000] = 1 - 2 * y.astype(np.int64)
+    u, pm = polar._scl_run(llr, code.frozen, 16)
+    assert u.shape == (64, 16, 2048) and pm.dtype == np.int64
+    got = hashlib.sha256(np.ascontiguousarray(u).tobytes() + pm.tobytes()).hexdigest()
+    assert got == "e0c95db90061ed2b40906afb44561d8bae6187afe90d9813adb3fe883aa4c9ef"
+    got = hashlib.sha256(code.decode_batch(y).tobytes()).hexdigest()
+    assert got == "5b90e4f8306cb611c48c941bb87844804f5422198a15b2c61bf67c89697d88dc"
 
 
 def test_node_split_of_forward_code():
@@ -641,3 +718,27 @@ def test_code_parameter_validation():
         code.encode_batch(np.zeros((2, 5), dtype=np.uint8))
     with pytest.raises(DomainError):
         code.decode_batch(np.zeros((2, 15), dtype=np.uint8))
+
+
+def test_blocks_must_hold_only_bits():
+    # a 3 would encode to a "codeword" of 3s, a received 2 would read as
+    # LLR -3 and 0.5 as 0, and NaN would decode as 0 with only a warning
+    code = PolarCode(16, 4, 0.11, crc_bits=0)
+    for bad in (3, 2, -1, 0.5, np.nan, np.inf):
+        msgs = np.zeros((2, 4))
+        msgs[1, 2] = bad
+        with pytest.raises(DomainError, match="^messages must hold only the bits 0 and 1"):
+            code.encode_batch(msgs)
+        ys = np.zeros((2, 16))
+        ys[0, 5] = bad
+        with pytest.raises(DomainError, match="^received blocks must hold only the bits 0 and 1"):
+            code.decode_batch(ys)
+    with pytest.raises(DomainError, match="^received blocks must hold only"):
+        code.decode_batch([["1"] * 16])
+    # 0 and 1 in any dtype decode alike
+    ys = np.random.Generator(np.random.Philox(16)).integers(0, 2, size=(5, 16))
+    want = code.decode_batch(ys.astype(np.uint8))
+    for cast in (bool, np.int64, np.float64):
+        assert np.array_equal(code.decode_batch(ys.astype(cast)), want)
+        msgs = want.astype(cast)
+        assert np.array_equal(code.encode_batch(msgs), code.encode_batch(want))
