@@ -9,8 +9,8 @@ zero-delay node's transmit block comes strictly after its receive block.
 
 The package computes exact per-cut outer bounds on the achievable-rate
 region (in both the unconstrained and the all-delayed settings), simulates
-arbitrary table codes slot by slot, verifies the factorization and
-Markov structure of the induced joint distributions by exact enumeration,
+arbitrary table codes slot by slot, checks the Markov structure of the
+induced joint distributions by exact enumeration,
 and reproduces two separations between the zero-delay and all-delayed
 regimes: a noisy/noiseless binary pair whose feedback link reaches a full
 bit per slot only with a zero-delay node, and an additive-noise relay chain
@@ -27,8 +27,7 @@ import importlib
 # public name -> the submodule that defines it
 _MODULE_OF = {
     **dict.fromkeys(("CutConstraint", "MembershipResult", "RateRegionReport", "RateTuple",
-                     "capacity_cut_cap", "check_factorization", "grid_hull",
-                     "region_membership"), "bounds"),
+                     "grid_hull", "region_membership"), "bounds"),
     **dict.fromkeys(("DomainError", "ResourceCapError", "SpecIOError", "ZdmnError"), "errors"),
     **dict.fromkeys(("CodebookResult", "GaussianRelayConfig", "RelayTrace",
                      "SeparationReport", "codebook_experiment", "neutralization_rate",
@@ -43,11 +42,10 @@ _MODULE_OF = {
     **dict.fromkeys(("JointPmf", "binary_entropy", "compose_channels",
                      "conditional_mutual_information", "marginalize"), "probability"),
     **dict.fromkeys(("BscFbRegion", "BscFbSchemeResult", "ErrorReport", "SimTrace",
-                     "TableCode", "bscfb_capacity_region", "bscfb_engine_code",
-                     "bscfb_scheme", "check_memoryless_markov",
-                     "check_positive_delay_markov", "equivalence_check", "estimate_error",
-                     "induced_joint", "load_code", "random_table_code", "run_trial",
-                     "save_code"), "simulate"),
+                     "TableCode", "bscfb_capacity_region", "bscfb_scheme",
+                     "check_memoryless_markov", "check_positive_delay_markov",
+                     "equivalence_check", "estimate_error", "induced_joint", "load_code",
+                     "random_table_code", "run_trial", "save_code"), "simulate"),
 }
 
 __all__ = [*_MODULE_OF, "backend_name", "__version__"]

@@ -1,10 +1,8 @@
-"""Cut-set outer bounds: per-cut caps, factorization checks and grid search.
+"""Cut-set outer bounds: rate tuples, their cut flows and the grid search.
 
 The positive-delay bound I(X_T; Y_{T^c} | X_{T^c}) is the capacity bound of
 the all-delayed network (``probability.all_delayed_network``).  Only the grid
-takes a mode, to pick its network; every other function here works on the
-network it is handed, so the positive-delay cap and factorization check are
-those of ``all_delayed_network(spec)``.
+takes a mode, to pick the network it scans.
 
 The searched outer region is a union of per-distribution polyhedra, so a
 membership query can only answer "inside" or "not-found-at-this-resolution";
@@ -23,15 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._grid import BATCH, GridProblem, capacity_term_groups
+from ._grid import BATCH, GridProblem
 from .errors import DomainError
 from .model import ChannelTable, Cut, NetworkSpec
-from .probability import JointPmf, _marginal, conditional_mutual_information
 
 INSIDE = "inside"
 NOT_FOUND = "not-found-at-this-resolution"
 
-FACT_TOL = 1e-9
 RATE_TOL = 1e-9
 
 
@@ -100,7 +96,7 @@ class RateRegionReport:
     ``distribution`` holds the point's free input conditionals as
     ChannelTables of the scanned network: the spec in capacity mode, the
     all-delayed network in positive-delay mode, whose one conditional is
-    p(x).  ``factorized_joint`` of that network rebuilds the joint.
+    p(x).  Their product with that network's channels is the point's joint.
     """
 
     mode: str
@@ -115,47 +111,6 @@ class RateRegionReport:
 class MembershipResult:
     verdict: str
     witness: RateRegionReport | None
-
-
-def _require_joint_over_all(spec: NetworkSpec, joint: JointPmf) -> None:
-    want = set(spec.all_x_vars() + spec.all_y_vars())
-    if set(joint.names) != want:
-        raise DomainError(f"joint must cover exactly {sorted(want)}")
-    bad = joint.validate()
-    if bad:
-        raise DomainError("malformed joint: " + "; ".join(bad))
-
-
-def capacity_cut_cap(spec: NetworkSpec, joint: JointPmf, cut: Cut) -> CutConstraint:
-    """Per-channel terms of the capacity-region bound for one cut."""
-    _require_joint_over_all(spec, joint)
-    _require_proper_cut(cut, spec.n_nodes)
-    terms = [conditional_mutual_information(joint, *capacity_term_groups(spec, cut.nodes, h))
-             for h in range(1, spec.alpha + 1)]
-    return CutConstraint(cut, tuple(terms), float(sum(terms)))
-
-
-def check_factorization(spec: NetworkSpec, joint: JointPmf) -> bool:
-    """Does the joint satisfy the admissibility factorization of the network?
-
-    The joint must reproduce every channel as its conditional of Y_{G_h} given
-    (X_{S^h}, Y_{G^{h-1}}) on positive-probability rows, within FACT_TOL.
-    The positive-delay check is that of ``all_delayed_network(spec)``: its
-    one channel, the composed channel, implies each channel's conditional,
-    since q_1 ... q_{h-1} factor out of the sum over X outside S^h.
-    """
-    _require_joint_over_all(spec, joint)
-    arr = joint.as_array()
-    for ch in spec.channels:
-        if not ch.output_vars:
-            continue
-        table = _marginal(arr, joint.names, ch.input_vars + ch.output_vars)
-        table = table.reshape(ch.table.shape)
-        mass = table.sum(axis=1)
-        seen = mass > 0.0
-        if np.any(np.abs(table[seen] / mass[seen, None] - ch.table[seen]) > FACT_TOL):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +189,3 @@ def region_membership(spec: NetworkSpec, rates: RateTuple, which: str, k: int) -
         if hit.size:
             return MembershipResult(INSIDE, _point_report(problem, start + int(hit[0])))
     return MembershipResult(NOT_FOUND, None)
-
-
-def grid_point_report(spec: NetworkSpec, which: str, k: int, point: int) -> RateRegionReport:
-    return _point_report(GridProblem(spec, which, k), point)

@@ -217,7 +217,7 @@ def neutralization_rate(config: GaussianRelayConfig, blocks: int = 200) -> float
     relay's mean reception power is ``P - delta + 9`` per slot against a
     budget of ``P + 10``, so the open fraction tends to one as ``n`` grows.
     """
-    if blocks < 1:
+    if model.require_integer(blocks, "block count") < 1:
         raise DomainError(f"block count must be >= 1, got {blocks}")
     n = config.n
     _require_window(n)
@@ -320,7 +320,7 @@ def codebook_experiment(
     """
     if not math.isfinite(rate) or rate < 0.0:
         raise DomainError(f"rate must be a finite nonnegative number, got {rate}")
-    if trials < 1:
+    if model.require_integer(trials, "trial count") < 1:
         raise DomainError(f"trial count must be >= 1, got {trials}")
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")

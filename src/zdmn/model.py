@@ -25,6 +25,7 @@ from .errors import DomainError, ResourceCapError, SpecIOError
 ROW_TOL = 1e-9
 PROFILE_CAP = 2 ** 16  # largest 2^N whose feasible profiles enumerate_feasible_profiles lists
 DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
+PHILOX_BLOCKS = 2 ** 256  # counter blocks of one Philox stream; past them the counter wraps
 
 
 def x_var(i: int) -> str:
@@ -347,12 +348,17 @@ def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,
     Every simulator draws here: one Philox stream per (seed, purpose), in
     which trial t owns the counter window [t*c, (t+1)*c), c = ceil(width / 4)
     blocks of four doubles, and its row is the first ``width`` of them.  A
-    trial's row is therefore the same in every call that contains it.
+    trial's row is therefore the same in every call that contains it.  The
+    counter wraps after ``PHILOX_BLOCKS`` blocks, so a window reaching past
+    them would replay an earlier trial's; asking for one is a DomainError.
     Purposes: () the slot engine, (1,) ``bscfb_scheme``; in ``gaussian``
     (2,) relay blocks, (3,) codebook trials, (4,) the fixed codebook, (5,)
     its messages.
     """
     c = -(-width // 4)
+    if hi * c > PHILOX_BLOCKS:
+        raise DomainError(f"trials [{lo}, {hi}) of {c} counter blocks each run past the "
+                          f"2**256 blocks of a random stream")
     bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=purpose))
     bits.advance(lo * c)
     return np.random.Generator(bits).random((hi - lo, 4 * c))[:, :width]

@@ -3,8 +3,8 @@
 Joint pmfs are flat float64 tables over a named variable list: a cell's
 position is its tuple of values in numpy's C order, the first variable most
 significant, so ``reshape`` gives one axis per variable.
-All arithmetic is 64-bit; stochasticity is checked within 1e-9 and mutual
-informations are clamped to 0 within 1e-12.
+All arithmetic is 64-bit, and mutual informations are clamped to 0 within
+1e-12.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError
 from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_valid, x_var
 
-SUM_TOL = 1e-9
 MI_CLAMP = 1e-12
 
 
@@ -60,17 +59,6 @@ class JointPmf:
     def as_array(self) -> np.ndarray:
         """The table with one axis per variable, in C order."""
         return self.probs.reshape(self.sizes if self.variables else (1,))
-
-    def validate(self) -> list[str]:
-        out = []
-        n_bad = int(np.count_nonzero(~np.isfinite(self.probs)))
-        if n_bad:
-            out.append(f"{n_bad} non-finite entries")
-        if np.any(self.probs < 0.0):
-            out.append("negative entries")
-        if not n_bad and abs(float(self.probs.sum()) - 1.0) > SUM_TOL:
-            out.append(f"entries sum to {self.probs.sum():.9f} (not 1 within {SUM_TOL:g})")
-        return out
 
 
 def _axes_of(names, wanted) -> list[int]:
@@ -248,33 +236,6 @@ def input_conditional_vars(spec: NetworkSpec, h: int) -> tuple[tuple[str, ...], 
     channel h's inputs, less the X_{S_h} the conditional draws."""
     out = tuple(x_var(i) for i in spec.input_partition.blocks[h - 1])
     return tuple(v for v in spec.channel_input_vars(h) if v not in out), out
-
-
-def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
-    """Joint from the product of the input conditionals and the channels."""
-    require_valid(spec)
-    conds = tuple(input_conditionals)
-    if len(conds) != spec.alpha:
-        raise DomainError(f"expected {spec.alpha} input conditionals, got {len(conds)}")
-    names, sizes = _full_layout(spec)
-    arr = _channel_product(spec)
-    for h in range(1, spec.alpha + 1):
-        want_in, want_out = input_conditional_vars(spec, h)
-        c = conds[h - 1]
-        if tuple(c.input_vars) != want_in or tuple(c.output_vars) != want_out:
-            raise DomainError(
-                f"input conditional {h}: variables ({c.input_vars} -> {c.output_vars})"
-                f" != expected ({want_in} -> {want_out})"
-            )
-        rows = _group_size(spec.var_size, want_in)
-        cols = _group_size(spec.var_size, want_out)
-        if c.table.shape != (rows, cols):
-            raise DomainError(f"input conditional {h}: table shape {c.table.shape} != ({rows}, {cols})")
-        bad = c.stochasticity_violations(f"input conditional {h}")
-        if bad:
-            raise DomainError("; ".join(bad))
-        arr = arr * _aligned_factor(spec, c.input_vars, c.output_vars, c.table)
-    return JointPmf(tuple(zip(names, sizes)), arr.reshape(-1))
 
 
 def _all_delayed_shell(spec: NetworkSpec) -> NetworkSpec:

@@ -697,42 +697,3 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
                                 (2, 1): _pair_stats(rev_errors, trials)})
     return BscFbSchemeResult(report=report, achieved_rates=(k / n, 1.0),
                              forward_bits=k, n=n)
-
-
-def bscfb_engine_code(n: int, forward_code) -> TableCode:
-    """The masked-feedback scheme as an engine code: message sizes (2^k
-    forward, 2^n reverse), delay profile (1, 0), binary alphabets.  Its
-    tables are capped at ``CODE_CELL_CAP`` cells."""
-    k = forward_code.k
-    if n < 1:
-        raise DomainError("blocklength must be >= 1")
-    sizes = ((1, 2 ** k), (2 ** n, 1))
-    _require_cells_within_cap(table_shapes(n, sizes, (1, 0), (2, 2)),
-                              f"the engine form of the scheme at blocklength {n}")
-    words = np.arange(2 ** n, dtype=np.int64)
-    word_bits = np.transpose(np.unravel_index(words, (2,) * n))  # slot 1 first
-    msg_bits = np.transpose(np.unravel_index(np.arange(2 ** k), (2,) * k))
-    codewords = np.asarray(forward_code.encode_batch(msg_bits.astype(np.uint8)),
-                           dtype=np.int64)
-    if codewords.shape != (2 ** k, n):
-        raise DomainError(f"forward code has blocklength {codewords.shape[-1]}, "
-                          f"not {n}")
-    # node 1 sends codeword bit k whatever it has received
-    enc1 = tuple(np.broadcast_to(codewords[:, kk, None], (2 ** k, 2 ** kk))
-                 for kk in range(n))
-    # zero delay: the last prefix digit, y_idx & 1, is the current-slot symbol
-    enc2 = tuple(((words[:, None] >> kk) & 1) ^ (np.arange(2 ** (kk + 1)) & 1)
-                 for kk in range(n))
-    decoded = np.ravel_multi_index(
-        np.asarray(forward_code.decode_batch(word_bits.astype(np.uint8)), dtype=np.int64).T,
-        (2,) * k)
-    reversed_words = np.ravel_multi_index(word_bits.T[::-1], (2,) * n)  # slot 1 least significant
-    return TableCode(
-        n=n,
-        message_sizes=sizes,
-        delay_profile=DelayProfile.of((1, 0)),
-        input_sizes=(2, 2),
-        output_sizes=(2, 2),
-        encoder_tables=(enc1, enc2),
-        decoder_tables={(1, 2): np.broadcast_to(decoded, (2 ** n, 2 ** n)),
-                        (2, 1): np.broadcast_to(reversed_words, (2 ** k, 2 ** n))})

@@ -166,11 +166,19 @@ def test_simulate_relay_rejects_wrong_shape():
 
 
 def test_neutralization_single_slot_gaussian_source():
-    cfg = _config(n=1)
-    got = neutralization_rate(cfg, blocks=20000)
-    # single-slot open probability: y2 ~ N(0, P - delta + 9) against P + 10
-    want = 2.0 * stats.norm.cdf(math.sqrt(15.0 / 13.5)) - 1.0
-    assert abs(got - want) < 0.011  # 3.5 binomial standard errors
+    # the gate's running sum of y2^2 never decreases, so a block stays open
+    # exactly when its final sum is at most n(P + 10); y2 is i.i.d.
+    # N(0, P - delta + 9), so P(open) = F_chi2_n(n(P + 10) / (P - delta + 9))
+    blocks = 20000
+    for n in (1, 8, 64):
+        cfg = _config(n=n)
+        x = n * (cfg.P + 10.0) / (cfg.P - cfg.delta + 9.0)
+        want = stats.chi2.cdf(x, n)
+        if n == 1:  # one slot: y2^2 <= P + 10
+            assert math.isclose(want, 2.0 * stats.norm.cdf(math.sqrt(15.0 / 13.5)) - 1.0)
+        got = neutralization_rate(cfg, blocks=blocks)
+        se = math.sqrt(want * (1.0 - want) / blocks)
+        assert abs(got - want) < 3.5 * se, n  # 3.5 binomial standard errors
 
 
 def test_neutralization_without_backoff_needs_length():
@@ -181,6 +189,12 @@ def test_neutralization_without_backoff_needs_length():
 def test_neutralization_validation():
     with pytest.raises(DomainError):
         neutralization_rate(_config(), blocks=0)
+    # a fractional or boolean count is refused before any cap arithmetic
+    for blocks in (2.5, True):
+        with pytest.raises(DomainError, match="block count must be an integer"):
+            neutralization_rate(_config(), blocks=blocks)
+    cfg = _config(n=8)
+    assert neutralization_rate(cfg, blocks=np.int64(40)) == neutralization_rate(cfg, blocks=40)
 
 
 def test_open_gate_conditional_law_moments():
@@ -296,6 +310,11 @@ def test_codebook_validation_and_caps():
         codebook_experiment(cfg, math.nan, trials=10)
     with pytest.raises(DomainError):
         codebook_experiment(cfg, 1.0, trials=0)
+    for trials in (2.5, True):
+        with pytest.raises(DomainError, match="trial count must be an integer"):
+            codebook_experiment(cfg, 0.5, trials=trials)
+    assert (codebook_experiment(cfg, 0.5, trials=np.int64(10))
+            == codebook_experiment(cfg, 0.5, trials=10))
     for method in ("montecarlo", "redraw"):
         with pytest.raises(DomainError, match="method must be one of"):
             codebook_experiment(cfg, 1.0, trials=10, method=method)

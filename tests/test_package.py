@@ -16,7 +16,7 @@ import zdmn
 # every public name of the package, by the submodule that defines it
 _PUBLIC = {
     "bounds": ["CutConstraint", "MembershipResult", "RateRegionReport", "RateTuple",
-               "capacity_cut_cap", "check_factorization", "grid_hull", "region_membership"],
+               "grid_hull", "region_membership"],
     "errors": ["DomainError", "ResourceCapError", "SpecIOError", "ZdmnError"],
     "gaussian": ["CodebookResult", "GaussianRelayConfig", "RelayTrace", "SeparationReport",
                  "codebook_experiment", "neutralization_rate", "separation_report",
@@ -30,10 +30,9 @@ _PUBLIC = {
     "probability": ["JointPmf", "binary_entropy", "compose_channels",
                     "conditional_mutual_information", "marginalize"],
     "simulate": ["BscFbRegion", "BscFbSchemeResult", "ErrorReport", "SimTrace", "TableCode",
-                 "bscfb_capacity_region", "bscfb_engine_code", "bscfb_scheme",
-                 "check_memoryless_markov", "check_positive_delay_markov", "equivalence_check",
-                 "estimate_error", "induced_joint", "load_code", "random_table_code",
-                 "run_trial", "save_code"],
+                 "bscfb_capacity_region", "bscfb_scheme", "check_memoryless_markov",
+                 "check_positive_delay_markov", "equivalence_check", "estimate_error",
+                 "induced_joint", "load_code", "random_table_code", "run_trial", "save_code"],
 }
 
 
@@ -44,7 +43,7 @@ def test_backend_name_is_numpy():
 
 def test_public_names_are_their_submodules_objects():
     names = [name for names in _PUBLIC.values() for name in names]
-    assert len(names) == 62
+    assert len(names) == 59
     assert sorted(zdmn.__all__) == sorted(names + ["backend_name", "__version__"])
     for module, names in _PUBLIC.items():
         sub = importlib.import_module(f"zdmn.{module}")
@@ -104,6 +103,7 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 _SRC = _ROOT / "src" / "zdmn"
+_ORACLE_FILE = _ROOT / "tests" / "oracles.py"
 
 
 def _parsed(paths):
@@ -157,40 +157,58 @@ def _unreferenced(src_trees, trees):
 
 
 def test_every_module_level_definition_is_referenced():
-    # a reference is a read of the name anywhere in src, tests or perfbench
-    src = _parsed(sorted(_SRC.glob("*.py")))
+    # a reference is a read of the name anywhere in src, tests or perfbench;
+    # tests/oracles.py is held to the same rule, so a test reads every oracle
+    src = _parsed(sorted(_SRC.glob("*.py")) + [_ORACLE_FILE])
     others = _parsed(sorted((_ROOT / "tests").glob("*.py"))
                      + sorted((_ROOT / "perfbench").glob("*.py")))
     assert _unreferenced(src, {**src, **others}) == []
 
 
-# Read only by unit tests, yet kept: independent references the system is
-# compared against.  Each works on the network it is handed, the spec or,
-# for the positive-delay bound, its all-delayed network: the grid point
-# report gives a grid point's terms and conditionals, `factorized_joint`
-# rebuilds the point's joint from them, `capacity_cut_cap` recomputes its
-# cut caps and `check_factorization` pins its admissibility; the feedback
-# scheme as an engine code pins `bscfb_scheme` against the slot engine.
-# What these oracles call is kept as their support: a trace of the CLI, the
-# acceptance suite and the benchmark workloads reaches
-# `_require_joint_over_all` and `JointPmf.validate` only through them.
-_ORACLES = {"capacity_cut_cap", "check_factorization", "factorized_joint",
-            "grid_point_report", "bscfb_engine_code"}
+def _oracle_imports(trees):
+    """`path:line` of every import of the test oracles, in any form."""
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "oracles" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_tests_import_the_oracles():
+    # the oracles are references for the unit tests; neither the package nor
+    # the benchmark may come to depend on them
+    assert _oracle_imports(_parsed(sorted(_SRC.glob("*.py"))
+                                   + sorted((_ROOT / "perfbench").glob("*.py")))) == []
+
+
+def test_oracle_import_guard_reads_every_import_form():
+    # perfbench's own `oracle` module is not the test oracles
+    code = ast.parse("import oracle\nfrom oracle import x\nimport oracles\n"
+                     "from oracles import f\nfrom tests.oracles import g\n"
+                     "def lazy():\n    from . import oracles\n")
+    assert _oracle_imports({pathlib.Path("m.py"): code}) == [
+        "m.py:3", "m.py:4", "m.py:5", "m.py:7"]
 
 
 def test_every_definition_is_read_by_the_system():
     # stricter than the two guards around it: a src function, class or
-    # method stays only if src, perfbench or the acceptance suite reads it,
-    # or if it is one of the named oracles; a unit test alone keeps nothing
+    # method stays only if src, perfbench or the acceptance suite reads it;
+    # a unit test alone keeps nothing, so its references live in
+    # tests/oracles.py
     src = _parsed(sorted(_SRC.glob("*.py")))
     system = _parsed(sorted((_ROOT / "perfbench").glob("*.py"))
                      + [_ROOT / "tests" / "test_acceptance.py"])
     # the interpreter reads a module's dunders, such as the package's __getattr__
     unread = [d for d in _unreferenced(src, {**src, **system}) + _unread_methods(src, system)
               if " __" not in d]
-    assert [d for d in unread if d.rsplit(" ", 1)[1] not in _ORACLES] == []
-    # and no oracle is read by the system, or it would not need its entry
-    assert {d.rsplit(" ", 1)[1] for d in unread} == _ORACLES
+    assert unread == []
 
 
 def _class_members(cls):

@@ -17,7 +17,6 @@ from zdmn.probability import binary_entropy, marginalize
 from zdmn.simulate import (
     TableCode,
     bscfb_capacity_region,
-    bscfb_engine_code,
     bscfb_scheme,
     check_memoryless_markov,
     check_positive_delay_markov,
@@ -32,6 +31,8 @@ from zdmn.simulate import (
     save_code,
     wilson_half_width,
 )
+
+from oracles import bscfb_engine_code, joint_violations
 
 _UNIT = DelayProfile.of((1, 1))
 
@@ -204,6 +205,26 @@ def test_trial_uniforms_window_invariance():
                                   whole[lo:hi])
     assert not np.array_equal(model.trial_uniforms(11, (), 0, 4, 8),
                               model.trial_uniforms(11, (1,), 0, 4, 8))
+
+
+def test_trial_windows_stop_before_the_counter_wraps():
+    # Philox's counter wraps after 2^256 blocks; an n = 3 code of the
+    # feedback pair draws 8 uniforms, two blocks, a trial, so trial 2^255
+    # would replay trial 0 and 2^255 - 1 is the last trial that fits
+    last = 2 ** 255 - 1
+    assert not np.array_equal(model.trial_uniforms(5, (), last, last + 1, 8),
+                              model.trial_uniforms(5, (), 0, 1, 8))
+    with pytest.raises(DomainError, match="past the 2\\*\\*256 blocks"):
+        model.trial_uniforms(5, (), last + 1, last + 2, 8)
+    # one block a trial: the last trial is 2^256 - 1
+    model.trial_uniforms(5, (), 2 ** 256 - 1, 2 ** 256, 4)
+    with pytest.raises(DomainError, match="past the 2\\*\\*256 blocks"):
+        model.trial_uniforms(5, (), 0, 2 ** 256 + 1, 4)
+    spec = networks.bscfb_spec(0.11)
+    code = bscfb_engine_code(3, _tiny_polar(3, 1))
+    assert run_trial(spec, code, 5, last).trial == last
+    with pytest.raises(DomainError, match="past the 2\\*\\*256 blocks"):
+        run_trial(spec, code, 5, last + 1)
 
 
 def _serial_slots(spec, code, messages, picks, prob=1.0):
@@ -437,7 +458,7 @@ def test_induced_joint_one_slot_scheme_marginal():
     eps = 0.11
     spec = networks.bscfb_spec(eps)
     joint = induced_joint(spec, bscfb_engine_code(1, _tiny_polar(1, 1)))
-    assert joint.validate() == []
+    assert joint_violations(joint) == []
     m = marginalize(joint, ("W1.2", "Y2.1"))
     want = np.array([0.5 * (1 - eps), 0.5 * eps, 0.5 * eps, 0.5 * (1 - eps)])
     assert np.allclose(m.probs, want, atol=1e-12)
