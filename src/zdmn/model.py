@@ -335,6 +335,14 @@ def require_integer(value, what: str) -> int:
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
+def require_real(value, what: str):
+    """`value` if it is a real number (numpy floats and integers included); a
+    boolean, a string, None, a complex or anything else is a DomainError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{what} must be a real number, got {value!r}")
+
+
 def require_seed(seed: int) -> None:
     """Seeds key numpy SeedSequence streams, which take non-negative integers."""
     if require_integer(seed, "seed") < 0:

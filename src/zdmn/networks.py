@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .model import ChannelTable, NetworkSpec, NodeSet, Partition
+from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_real
 
 
 def bscfb_spec(eps: float) -> NetworkSpec:
@@ -14,7 +14,7 @@ def bscfb_spec(eps: float) -> NetworkSpec:
     Channel 1 is a BSC(eps) from X1 to Y2; channel 2 deterministically sets
     Y1 = X2 xor Y2, so a zero-delay node 2 can cancel the forward noise.
     """
-    if not (0.0 <= eps <= 1.0):
+    if not (0.0 <= require_real(eps, "eps") <= 1.0):
         raise DomainError(f"eps {eps} outside [0, 1]")
     s = Partition((NodeSet((1,)), NodeSet((2,))))
     g = Partition((NodeSet((2,)), NodeSet((1,))))
@@ -33,7 +33,7 @@ def classical_bsc_spec(eps: float) -> NetworkSpec:
 
     Node 2 transmits nothing (|X2| = 1) and node 1 receives nothing (|Y1| = 1).
     """
-    if not (0.0 <= eps <= 1.0):
+    if not (0.0 <= require_real(eps, "eps") <= 1.0):
         raise DomainError(f"eps {eps} outside [0, 1]")
     s = Partition((NodeSet((1, 2)),))
     g = Partition((NodeSet((1, 2)),))
@@ -62,7 +62,7 @@ def causal_relay_spec(eps1: float = 0.1, eps2: float = 0.05) -> NetworkSpec:
     BSC(eps2); node 1 receives nothing and node 3 transmits nothing.
     """
     for e in (eps1, eps2):
-        if not (0.0 <= e <= 1.0):
+        if not (0.0 <= require_real(e, "eps") <= 1.0):
             raise DomainError(f"eps {e} outside [0, 1]")
     s = Partition((NodeSet((1, 3)), NodeSet((2,))))
     g = Partition((NodeSet((2,)), NodeSet((1, 3))))

@@ -5,8 +5,10 @@ of size 2^ceil(log2 n), shortened down to n by freezing the tail inputs,
 which pins the tail codeword bits to 0 so they need not be transmitted.
 Decoding is CRC-aided successive-cancellation list decoding with an integer
 min-sum update rule, batched over blocks in numpy.  A shortened bit enters
-the decoder with the smallest LLR that decodes exactly as an infinite one
-would, so the LLR buffers fit int32 at the usual blocklengths.  The decoder
+the decoder with the LLR B, the smallest power of two above n, which
+decodes exactly as an infinite one would; every decoder LLR then stays
+within 2B + n of 0, so the LLR buffers are int16 for every shortened
+n < 8192 and every unshortened n up to MAX_N.  The decoder
 walks the tree node by node rather than leaf by leaf (Sarkis, Giard, Vardy,
 Thibeault & Gross 2014, "Fast polar decoders"): a subtree whose leaves are
 all frozen (Rate-0) or all frozen but the last (Rep) is decoded in one step
@@ -37,7 +39,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .model import require_integer
+from .model import require_integer, require_real
 
 MAX_N = 2 ** 14  # largest blocklength PolarCode accepts
 _DECODE_CHUNK = 256  # most blocks per decoder call
@@ -137,18 +139,36 @@ def _crc_bits(bits: np.ndarray, gen: np.ndarray) -> np.ndarray:
 #
 # Widths.  f selects one input up to sign and g adds or subtracts two, and
 # the halves they combine depend on disjoint channel positions, so every
-# LLR is a signed sum of disjoint channel LLRs of its row.  The LLR buffers
-# are therefore int32 when each row's sum of |LLR| is below 2^31
-# (_llr_dtype), else int64; path metrics are int64.  A shortened bit's LLR
-# B stands for +infinity.  With +-1 for the n other channel positions, every
-# LLR is c * B + r with integers c, r and |r| <= n, and a path metric, a sum
-# over at most n_code nodes of penalties that each combine disjoint channel
-# positions, has |r| <= n_code * n.  When B > 2 * n_code * n, every
-# comparison the decoder makes (an f-step's min and max, a penalty's sign,
-# the kept-list test, the list sort and its ties) orders (c, r)
-# lexicographically, as an infinite B would, so every B above that bound
-# gives the same decisions and list order; PolarCode.shortened_llr is the
-# smallest power of two above it, 2^23 at n = 2000.
+# LLR is a signed sum of disjoint channel LLRs of its row.  The row's sum
+# of |LLR| therefore bounds every value the LLR buffers hold, and
+# _llr_dtype picks the narrowest of int16, int32 and int64 above it; path
+# metrics are int64.  A shortened row has a far tighter bound.  Its tail,
+# the channel positions n..n_code - 1, holds B, which stands for
+# +infinity, and every other position +-1, so every LLR is c * B + r with
+# integers c, r and |r| <= n.  Call a node whose leaves are [phi, phi + w)
+# straddling if phi < n < phi + w and all-tail if phi >= n.  The tail is a
+# suffix of the natural order, and induction down the tree from the
+# channel row gives, for every B > n:
+# - on a straddling node, c = 1 on the elements i with phi + i >= n and
+#   c = 0 on the others.  Its f-child pairs element i with element i + w:
+#   c = 1 meets c = 1 (both inputs above 0, the smaller kept) or c = 0
+#   meets c >= 0 (the c = 0 input kept up to sign, as |a| + |r| <= n < B).
+#   Its g-child adds a c = 0 left half to the right half, or is all-tail;
+# - on a node whose leaves miss the tail (phi + w <= n), c = 0.  That
+#   covers every Rep node and every single information leaf, whose last
+#   leaf is an information bit;
+# - an all-tail node is all frozen, so it is never split, and it is made
+#   only as the g-child of a straddling node, with c in {1, 2}: its right
+#   half has c = 1, and where the left half has c = 1 the partial sum is a
+#   XOR of tail inputs, 0 on every path, so the g-step adds.
+# Every comparison an f-step makes thus orders (c, r) as B = infinity
+# does.  No path metric contains B: a Rep or leaf penalty sums c = 0
+# values, and a Rate-0 penalty max(-alpha, 0) is 0 where c >= 1.  So
+# every B > n gives the same (U, PM) as B = infinity, and every buffer
+# value is at most 2B + n in magnitude.  PolarCode.shortened_llr is the
+# smallest power of two above n (2048 at n = 2000), and PolarCode builds
+# its rows in the lane dtype of that bound (of n when unshortened, of
+# B + n with one shortened bit): int16 at every shortened n < 8192.
 #
 # Pruning.  Once the list is full, a Rep node's 2L candidates are, in index
 # order, PM_j + pen0_j and PM_j + pen1_j for each path j, and the stable
@@ -219,13 +239,23 @@ def _node_split(frozen):
 
 
 def _llr_dtype(llr0):
-    """int32 when every row's sum of |LLR| is below 2^31, else int64.
+    """int16 for int16 rows; else the narrowest lane dtype above every row's
+    sum of |LLR|.
 
     Every decoder LLR is a signed sum of disjoint channel LLRs of its row,
-    so this sum bounds every value the LLR buffers hold.
+    so this sum bounds every value the LLR buffers hold.  A shortened row's
+    values also stay within 2B + n ("Widths"), far below its sum; PolarCode
+    builds its rows as int16 only when that bound is below 2^15, and int16
+    rows are taken to be bounded so.
     """
-    total = np.abs(llr0).sum(axis=1, dtype=np.int64).max(initial=0)
-    return np.int32 if total < 2 ** 31 else np.int64
+    if llr0.dtype == np.int16:
+        return np.int16
+    return _lane_dtype(np.abs(llr0).sum(axis=1, dtype=np.int64).max(initial=0))
+
+
+def _lane_dtype(bound):
+    """The narrowest of int16, int32 and int64 that holds every integer in [-bound, bound]."""
+    return np.int16 if bound < 2 ** 15 else np.int32 if bound < 2 ** 31 else np.int64
 
 
 def _gather(buf, rows):
@@ -505,8 +535,8 @@ def _construct(n: int, k_total: int, eps: float):
 
 def _decode_chunk_blocks(n_code: int, list_size: int) -> int:
     """Blocks per decoder call: at most _DECODE_CHUNK, and few enough that the
-    list decoder's LLR lanes (blocks x paths x code bits, int32 or int64 as
-    _llr_dtype picks) stay within the _DECODE_LANES budget."""
+    list decoder's LLR lanes (blocks x paths x code bits, int16, int32 or
+    int64 as _llr_dtype picks) stay within the _DECODE_LANES budget."""
     return max(1, min(_DECODE_CHUNK, _DECODE_LANES // (list_size * n_code)))
 
 
@@ -544,7 +574,7 @@ class PolarCode:
         if not (1 <= k and k + crc_bits <= n):
             raise DomainError(f"need 1 <= k and k + crc_bits <= n, "
                               f"got k={k}, crc_bits={crc_bits}, n={n}")
-        if not (0.0 <= eps < 0.5):
+        if not (0.0 <= require_real(eps, "crossover eps") < 0.5):
             raise DomainError(f"crossover eps must be in [0, 0.5), got {eps}")
         if list_size < 1:
             raise DomainError("list_size must be >= 1")
@@ -564,8 +594,8 @@ class PolarCode:
         if key not in _construction_cache:
             _construction_cache[key] = _construct(self.n, self.k_total, self.eps)
         self.n_code = n_code
-        # a shortened bit's LLR: above 2 n_code n it decodes as +infinity ("Widths" above)
-        self.shortened_llr = 1 << (2 * n_code * self.n).bit_length()
+        # a shortened bit's LLR: above n it decodes as +infinity ("Widths" above)
+        self.shortened_llr = 1 << self.n.bit_length()
         self._crc_gen = _crc_matrix(self.k, self.crc_bits) if self.crc_bits else None
         self.info_positions, self.sc_union_bound = _construction_cache[key]
         self.frozen = np.ones(self.n_code, dtype=np.uint8)
@@ -595,9 +625,13 @@ class PolarCode:
 
     def _decode_chunk(self, ys: np.ndarray) -> np.ndarray:
         b = ys.shape[0]
-        llr = np.empty((self.n_code, b), dtype=np.int64)  # the decoder's layout
-        llr[:self.n] = 1 - 2 * ys.T.astype(np.int64)
-        llr[self.n:] = self.shortened_llr
+        tail = self.n_code - self.n
+        # every LLR is within 2B + n of 0 ("Widths" above) and within the row sum
+        lanes = _lane_dtype(min(2, tail) * self.shortened_llr + self.n)
+        llr = np.empty((self.n_code, b), dtype=lanes)  # the decoder's layout
+        llr[:self.n] = 1 - 2 * ys.T.astype(lanes)
+        if tail:
+            llr[self.n:] = self.shortened_llr
         u_all, pm = _scl_run(llr.T, self.frozen, self.list_size)
         cand = u_all[:, :, self.info_positions]
         pay = cand[:, :, :self.k]

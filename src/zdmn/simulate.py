@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
 from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, is_feasible, json_int,
-                    json_int_table, read_json, require_integer, require_seed, require_valid,
-                    step_plan, trial_uniforms, write_text, x_var, y_var)
+                    json_int_table, read_json, require_integer, require_real, require_seed,
+                    require_valid, step_plan, trial_uniforms, write_text, x_var, y_var)
 from .polar import PolarCode, require_blocklength_within_cap
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
                           conditional_mutual_information)
@@ -662,10 +662,10 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
     its current received symbol, so node 1 recovers the reverse stream
     exactly.
     """
-    if not 0.0 < eps < 0.5:
+    if not 0.0 < require_real(eps, "eps") < 0.5:
         raise DomainError(f"eps must be in (0, 0.5), got {eps}")
     cap = bscfb_capacity_region(eps).forward_cap
-    if forward_rate >= cap:
+    if require_real(forward_rate, "forward rate") >= cap:
         raise DomainError(f"forward rate {forward_rate} is not below the "
                           f"forward capacity {cap:.6f}")
     if not forward_rate > 0.0:  # NaN fails this check too
@@ -674,7 +674,10 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
         raise DomainError("n and trials must be >= 1")
     require_seed(seed)
     require_blocklength_within_cap(n)  # before forward_rate * n, which overflows a float
-    k = max(1, int(math.floor(forward_rate * n + 1e-9)))
+    k = int(math.floor(forward_rate * n + 1e-9))
+    if k < 1:  # one message bit would send at 1/n, above the rate checked against cap
+        raise DomainError(f"forward rate {forward_rate} carries no message bit "
+                          f"in a block of n = {n}: floor(rate * n) = 0")
     _require_uniforms_within_cap(trials, k + 2 * n)
     forward_code = PolarCode(n, k, eps)
     fwd_errors = rev_errors = 0

@@ -483,6 +483,14 @@ def test_bscfb_nan_rate_is_a_domain_error(capsys):
     assert err == "error: forward rate must be positive, got nan\n"
 
 
+def test_bscfb_rate_below_one_bit_per_block(capsys):
+    # floor(0.005 * 17) = 0: one bit would run at 1/17, 8x the forward capacity
+    rc, out, err = _run(capsys, "bscfb", "--eps", "0.45", "--n", "17", "--rate", "0.005")
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err == ("error: forward rate 0.005 carries no message bit in a block of "
+                   "n = 17: floor(rate * n) = 0\n")
+
+
 def test_bscfb_blocklength_over_cap(capsys):
     n = polar.MAX_N + 1
     tracemalloc.start()

@@ -207,6 +207,24 @@ def test_feasibility_oracle_on_random_partitions(n_nodes, data):
 # validation
 
 
+def test_require_real_refuses_what_is_not_a_real_number():
+    for value in (0.25, 1, np.float32(0.25), np.float64(0.25), np.int64(1), math.nan):
+        assert model.require_real(value, "eps") is value
+    for value in ("0.25", None, 0.25j, True, np.bool_(True), [0.25]):
+        with pytest.raises(DomainError, match="^eps must be a real number, got "):
+            model.require_real(value, "eps")
+
+
+@pytest.mark.parametrize("make", (networks.bscfb_spec, networks.classical_bsc_spec,
+                                  networks.causal_relay_spec,
+                                  lambda eps: networks.causal_relay_spec(0.1, eps)))
+def test_bundled_specs_refuse_a_non_real_eps(make):
+    for value in ("0.25", None, 0.25j, False):
+        with pytest.raises(DomainError, match="^eps must be a real number"):
+            make(value)
+    assert validate_spec(make(np.float32(0.25))).ok
+
+
 def test_validate_bundled_specs_ok(bundled_specs):
     for name, spec in bundled_specs.items():
         report = validate_spec(spec)

@@ -241,6 +241,26 @@ def test_llr_width_at_the_int32_bound(monkeypatch):
                     assert np.array_equal(pm[b], want_pm), (total, trial, L, b)
 
 
+def test_llr_width_at_the_int16_bound(monkeypatch):
+    # a row whose sum of |LLR| is 2**15 - 1 fits int16, one at 2**15 needs int32
+    seen = _dtype_spy(monkeypatch)
+    rng = np.random.Generator(np.random.Philox(16))
+    for total, want in ((2 ** 15 - 1, np.int16), (2 ** 15, np.int32)):
+        for trial in range(4):
+            frozen = (rng.random(8) < 0.5).astype(np.uint8)
+            llr = rng.integers(-3, 4, size=(2, 8)).astype(np.int64)
+            j = int(rng.integers(0, 8))
+            llr[1, j] = 0
+            llr[1, j] = (-1) ** trial * (total - int(np.abs(llr[1]).sum()))
+            for L in (1, 2, 3, 4):
+                u, pm = polar._scl_run(llr, frozen, L)
+                assert seen[-1] == want
+                for b in range(2):
+                    want_u, want_pm = _scl_reference(llr[b], frozen, L)
+                    assert np.array_equal(u[b], want_u), (total, trial, L, b)
+                    assert np.array_equal(pm[b], want_pm), (total, trial, L, b)
+
+
 def _sort_spy(monkeypatch):
     """Record every np.sort ("sort") and np.argsort (its kind) call."""
     calls = []
@@ -297,10 +317,10 @@ def _noisy_blocks(code, eps, blocks, seed):
 
 @pytest.mark.parametrize("n", (200, 700, 1500, 2000))
 def test_smallest_shortened_llr_decodes_as_pseudo_infinite(n, monkeypatch):
-    # every LLR is c * B + r with |r| <= n, so any B above 2 * n_code * n
-    # orders the decoder's comparisons as B = infinity does
+    # every LLR is c * B + r with |r| <= n and c in {0, 1, 2}, so any B
+    # above n orders the decoder's comparisons as B = infinity does
     code = PolarCode(n, int(0.4 * n), 0.11)
-    assert code.shortened_llr > 2 * code.n_code * n >= code.shortened_llr // 2
+    assert code.shortened_llr > n >= code.shortened_llr // 2
     ys = []
     for seed, eps in enumerate((0.11, 0.3, 0.5)):
         y = _noisy_blocks(code, eps, 6, 20 + seed)
@@ -309,8 +329,6 @@ def test_smallest_shortened_llr_decodes_as_pseudo_infinite(n, monkeypatch):
         llr[:, :n] = 1 - 2 * y.astype(np.int64)
         llr_inf = llr.copy()
         llr_inf[:, n:] = _INF
-        # 548 shortened bits at n = 1500 take the LLR sum past 2**31
-        assert polar._llr_dtype(llr) == (np.int64 if n == 1500 else np.int32)
         assert polar._llr_dtype(llr_inf) == np.int64
         u, pm = polar._scl_run(llr, code.frozen, code.list_size)
         u_inf, pm_inf = polar._scl_run(llr_inf, code.frozen, code.list_size)
@@ -318,18 +336,88 @@ def test_smallest_shortened_llr_decodes_as_pseudo_infinite(n, monkeypatch):
         assert np.array_equal(np.argsort(pm, axis=1, kind="stable"),
                               np.argsort(pm_inf, axis=1, kind="stable")), eps
     ys = np.vstack(ys)
+    # every buffer value is within 2B + n of 0, below 2**15 for n < 8192
+    assert 2 * code.shortened_llr + n < 2 ** 15
+    seen = _dtype_spy(monkeypatch)
     got = code.decode_batch(ys)
     monkeypatch.setattr(code, "shortened_llr", _INF)
     assert np.array_equal(got, code.decode_batch(ys))
+    assert seen == [np.int16, np.int64]
 
 
-def test_forward_code_decodes_with_int32_llrs(monkeypatch):
+def test_shortened_int16_lanes_decode_as_pseudo_infinite():
+    # random tail-shortened codes: k random information positions below n,
+    # the tail n..n_code - 1 frozen.  int16 rows with B, the smallest power
+    # of two above n, give the (U, PM) of B = 2**23 and of B = _INF
+    rng = np.random.Generator(np.random.Philox(34))
+    ns = [17] + [(1 << j) + 1 for j in range(5, 13)] + [8191]  # n_code / 2 + 1
+    ns += np.exp(rng.uniform(np.log(17), np.log(2048), size=250 - len(ns))).astype(int).tolist()
+    for n in ns:
+        n_code = polar._code_length(n)
+        k = int(rng.integers(1, n + 1))
+        L = int(rng.choice([1, 2, 4, 8, 16]))
+        frozen = np.ones(n_code, dtype=np.uint8)
+        frozen[rng.choice(n, size=k, replace=False)] = 0
+        u = np.zeros((1, n_code), dtype=np.uint8)
+        u[:, frozen == 0] = rng.integers(0, 2, size=(1, k))
+        noisy = polar._encode_batch(u)[:, :n] ^ (rng.random((1, n)) < rng.random() / 2)
+        # int64 before 1 - 2 * y: on uint8 the -1 wraps to 255
+        y = np.vstack([noisy, rng.integers(0, 2, size=(1, n))]).astype(np.int64)
+        big = 1 << n.bit_length()
+        assert n < big <= 2 * n and 2 * big + n < 2 ** 15
+        llr = np.empty((6, n_code), dtype=np.int64)
+        llr[:, :n] = np.tile(1 - 2 * y, (3, 1))
+        llr[:2, n:], llr[2:4, n:], llr[4:, n:] = big, 2 ** 23, _INF
+        u16, pm16 = polar._scl_run(llr[:2].astype(np.int16), frozen, L)
+        u, pm = polar._scl_run(llr[2:], frozen, L)  # rows: B = 2**23, then _INF
+        for b in range(2):
+            for ref in (b, b + 2):
+                assert np.array_equal(u16[b], u[ref]), (n, k, L, b, ref)
+                assert np.array_equal(pm16[b], pm[ref]), (n, k, L, b, ref)
+
+
+def test_forward_code_llrs_stay_within_twice_the_shortened_llr_plus_n(monkeypatch):
+    # uniformly random words (eps 0.5), decoded in int32 lanes, which hold the
+    # true values: every f- and g-step output is within 2B + n of 0, and the
+    # all-tail g-children of straddling nodes reach c = 2
+    code = PolarCode(2000, 800, 0.11)
+    big = code.shortened_llr
+    seen = []
+    for name in ("_f_step", "_g_step"):
+        real = getattr(polar, name)
+        monkeypatch.setattr(polar, name, lambda *a, real=real: (
+            lambda out: seen.append(int(np.abs(out).max())) or out)(real(*a)))
+    rng = np.random.Generator(np.random.Philox(35))
+    llr = np.full((8, code.n_code), big, dtype=np.int64)
+    llr[:, :2000] = 1 - 2 * rng.integers(0, 2, size=(8, 2000)).astype(np.int64)
+    assert polar._llr_dtype(llr) == np.int32
+    polar._scl_run(llr, code.frozen, code.list_size)
+    assert len(seen) > 1000
+    assert 2 * big < max(seen) <= 2 * big + 2000
+
+
+def test_forward_code_decodes_with_int16_llrs(monkeypatch):
     # the bscfb forward code: n = 2000 at rate 0.4, list 16
     seen = _dtype_spy(monkeypatch)
     code = PolarCode(2000, 800, 0.11)
     assert code.list_size == 16 and code.n_code == 2048
     code.decode_batch(_noisy_blocks(code, 0.11, 2, 30))
-    assert seen == [np.int32]
+    assert seen == [np.int16]
+
+
+@pytest.mark.parametrize("n, want", ((8191, np.int16), (8193, np.int32), (16384, np.int16)))
+def test_lane_dtype_of_the_largest_codes(n, want, monkeypatch):
+    # int16 while 2B + n < 2**15, every shortened n < 8192; an unshortened
+    # row's sum of |LLR| is n.  The lanes depend on n alone, so a cheap
+    # information set (the last k + crc positions below n) stands in
+    monkeypatch.setattr(polar, "_construction_cache", {})
+    monkeypatch.setattr(polar, "_construct", lambda n, k_total, eps: (
+        np.arange(n - k_total, n), 0.0))
+    seen = _dtype_spy(monkeypatch)
+    code = PolarCode(n, 64, 0.11, list_size=2, crc_bits=8)
+    msgs = np.random.Generator(np.random.Philox(n)).integers(0, 2, size=(2, 64), dtype=np.uint8)
+    assert np.array_equal(code.decode_batch(code.encode_batch(msgs)), msgs)
+    assert seen == [want]
 
 
 def test_forward_code_decoder_equals_golden_bits():
@@ -425,7 +513,8 @@ def test_decode_chunk_stays_within_lane_budget():
     # forward-code's n=2000 (n_code 2048) keeps the full 256 blocks
     assert polar._decode_chunk_blocks(2048, 16) == 256
     # at MAX_N 32 blocks of 16 paths: 2**23 lanes, about 128 MB of LLR
-    # buffers over all depths in int64 and half that in int32
+    # buffers over all depths in int64; int32 halves the bytes per lane,
+    # and int16 halves them again
     assert polar._decode_chunk_blocks(polar.MAX_N, 16) == 32
     assert polar._decode_chunk_blocks(polar.MAX_N, 16) * 16 * polar.MAX_N <= 2 ** 23
     assert polar._decode_chunk_blocks(2 ** 30, 16) == 1
@@ -718,6 +807,13 @@ def test_code_parameter_validation():
         code.encode_batch(np.zeros((2, 5), dtype=np.uint8))
     with pytest.raises(DomainError):
         code.decode_batch(np.zeros((2, 15), dtype=np.uint8))
+
+
+def test_code_refuses_a_non_real_eps():
+    for eps in ("0.11", None, 0.11j, False):
+        with pytest.raises(DomainError, match="^crossover eps must be a real number"):
+            PolarCode(64, 4, eps)
+    assert PolarCode(64, 4, np.float32(0.125)).eps == 0.125
 
 
 def test_blocks_must_hold_only_bits():

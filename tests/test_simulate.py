@@ -788,6 +788,30 @@ def test_scheme_validation():
         bscfb_scheme(0.11, 0, 0.2, seed=0)
 
 
+def test_scheme_refuses_non_real_parameters():
+    for eps, rate, what in (("0.11", 0.25, "eps"), (None, 0.25, "eps"), (0.11j, 0.25, "eps"),
+                            (True, 0.25, "eps"), (0.11, "0.25", "forward rate"),
+                            (0.11, None, "forward rate"), (0.11, 0.25j, "forward rate"),
+                            (0.11, True, "forward rate")):
+        with pytest.raises(DomainError, match=f"^{what} must be a real number"):
+            bscfb_scheme(eps, 64, rate, seed=0, trials=2)
+    got = bscfb_scheme(np.float64(0.11), 64, np.float32(0.25), seed=0, trials=2)
+    assert got == bscfb_scheme(0.11, 64, 0.25, seed=0, trials=2)
+
+
+def test_scheme_refuses_a_rate_below_one_bit_per_block(monkeypatch):
+    # 0.005 is below the forward capacity 1 - H(0.45) = 0.0072, but one bit in
+    # 17 slots would send at 0.0588; the refusal comes before the code is built
+    monkeypatch.setattr(simulate, "PolarCode", None)
+    with pytest.raises(DomainError, match="carries no message bit in a block of n = 17"):
+        bscfb_scheme(0.45, 17, 0.005, seed=0)
+    with pytest.raises(DomainError, match="carries no message bit"):
+        bscfb_scheme(0.11, 20, 0.0499, seed=0)
+    monkeypatch.undo()
+    res = bscfb_scheme(0.11, 20, 0.05, seed=0, trials=2)  # rate * n = 1
+    assert res.forward_bits == 1 and res.achieved_rates == (0.05, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # interval arithmetic
 
