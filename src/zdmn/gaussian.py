@@ -113,9 +113,10 @@ class GaussianRelayConfig:
     def __post_init__(self) -> None:
         if model.require_integer(self.n, "blocklength") < 1:
             raise DomainError(f"blocklength must be >= 1, got {self.n}")
-        if not math.isfinite(self.P) or self.P <= 0.0:
+        if not math.isfinite(model.require_real(self.P, "source power")) or self.P <= 0.0:
             raise DomainError(f"source power must be positive, got {self.P}")
-        if not math.isfinite(self.delta) or not 0.0 <= self.delta < self.P:
+        if (not math.isfinite(model.require_real(self.delta, "power back-off"))
+                or not 0.0 <= self.delta < self.P):
             raise DomainError(
                 f"power back-off must satisfy 0 <= delta < P, got delta={self.delta}, P={self.P}"
             )
@@ -318,7 +319,7 @@ def codebook_experiment(
     unit draw (analytic), ``z2`` and ``z3``, so every method sees the same
     noise in trial t.
     """
-    if not math.isfinite(rate) or rate < 0.0:
+    if not math.isfinite(model.require_real(rate, "rate")) or rate < 0.0:
         raise DomainError(f"rate must be a finite nonnegative number, got {rate}")
     if model.require_integer(trials, "trial count") < 1:
         raise DomainError(f"trial count must be >= 1, got {trials}")
@@ -427,9 +428,10 @@ def separation_report(P: float, operating_rate: float = 1.2) -> SeparationReport
     demonstrates at ``P = 5`` (1.2 bits/slot, above the delayed-relay cap
     of about 1.161 there).
     """
-    if not math.isfinite(operating_rate) or operating_rate <= 0.0:
+    if (not math.isfinite(model.require_real(operating_rate, "operating rate"))
+            or operating_rate <= 0.0):
         raise DomainError(f"operating rate must be positive, got {operating_rate}")
-    if not math.isfinite(P) or P <= 0.0:
+    if not math.isfinite(model.require_real(P, "power")) or P <= 0.0:
         raise DomainError(f"power must be positive and finite, got {P}")
     if not math.isfinite(2.0 * P):
         raise DomainError(f"power {P} overflows 2P")

@@ -164,18 +164,12 @@ class NetworkSpec:
     output_partition: Partition
     channels: tuple[ChannelTable, ...]
 
-    def input_size(self, i: int) -> int:
-        return self.input_alphabet_sizes[i - 1]
-
-    def output_size(self, i: int) -> int:
-        return self.output_alphabet_sizes[i - 1]
-
     def var_size(self, name: str) -> int:
         i = int(name[1:])
         if name[0] == "X":
-            return self.input_size(i)
+            return self.input_alphabet_sizes[i - 1]
         if name[0] == "Y":
-            return self.output_size(i)
+            return self.output_alphabet_sizes[i - 1]
         raise DomainError(f"unknown variable {name!r}")
 
     def channel_input_vars(self, h: int) -> tuple[str, ...]:

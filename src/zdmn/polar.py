@@ -7,8 +7,9 @@ Decoding is CRC-aided successive-cancellation list decoding with an integer
 min-sum update rule, batched over blocks in numpy.  A shortened bit enters
 the decoder with the LLR B, the smallest power of two above n, which
 decodes exactly as an infinite one would; every decoder LLR then stays
-within 2B + n of 0, so the LLR buffers are int16 for every shortened
-n < 8192 and every unshortened n up to MAX_N.  The decoder
+within 2B + n of 0, so PolarCode builds its LLR rows in int16 for every
+shortened n < 8192 and every unshortened n up to MAX_N, and the decoder
+runs in the rows' own dtype.  The decoder
 walks the tree node by node rather than leaf by leaf (Sarkis, Giard, Vardy,
 Thibeault & Gross 2014, "Fast polar decoders"): a subtree whose leaves are
 all frozen (Rate-0) or all frozen but the last (Rep) is decoded in one step
@@ -21,7 +22,8 @@ of path order is read once, through one such ancestry; the decided bits
 are recovered by tracing the recorded parent rows back once at the end.
 A prune that keeps each path's better child, in path order, is recognised
 from the candidate metrics and skips the sort; any other prune takes one
-sort of packed (metric, index) keys.  The information set
+sort of packed (metric, index) keys.  A code without CRC bits checks every
+path, so it decodes to the best-metric path.  The information set
 is picked by exact density evolution of this decoder (Mori & Tanaka 2009;
 Tal & Vardy 2013, "How to construct polar codes"): every LLR of the
 genie-aided successive-cancellation decoder is an integer, so its law under
@@ -140,9 +142,10 @@ def _crc_bits(bits: np.ndarray, gen: np.ndarray) -> np.ndarray:
 # Widths.  f selects one input up to sign and g adds or subtracts two, and
 # the halves they combine depend on disjoint channel positions, so every
 # LLR is a signed sum of disjoint channel LLRs of its row.  The row's sum
-# of |LLR| therefore bounds every value the LLR buffers hold, and
-# _llr_dtype picks the narrowest of int16, int32 and int64 above it; path
-# metrics are int64.  A shortened row has a far tighter bound.  Its tail,
+# of |LLR| therefore bounds every value the LLR buffers hold, and the
+# decoder runs in the dtype of the rows it is given; path metrics are
+# int64.  PolarCode picks that dtype, and a shortened row has a far tighter
+# bound than its sum.  Its tail,
 # the channel positions n..n_code - 1, holds B, which stands for
 # +infinity, and every other position +-1, so every LLR is c * B + r with
 # integers c, r and |r| <= n.  Call a node whose leaves are [phi, phi + w)
@@ -167,8 +170,9 @@ def _crc_bits(bits: np.ndarray, gen: np.ndarray) -> np.ndarray:
 # every B > n gives the same (U, PM) as B = infinity, and every buffer
 # value is at most 2B + n in magnitude.  PolarCode.shortened_llr is the
 # smallest power of two above n (2048 at n = 2000), and PolarCode builds
-# its rows in the lane dtype of that bound (of n when unshortened, of
-# B + n with one shortened bit): int16 at every shortened n < 8192.
+# its rows in _lane_dtype of that bound (of n when unshortened, of B + n
+# with one shortened bit): int16 at every shortened n < 8192 and int32 at
+# every shortened n > 8192.
 #
 # Pruning.  Once the list is full, a Rep node's 2L candidates are, in index
 # order, PM_j + pen0_j and PM_j + pen1_j for each path j, and the stable
@@ -187,8 +191,12 @@ def _crc_bits(bits: np.ndarray, gen: np.ndarray) -> np.ndarray:
 # worst = PM + |alpha|.  A node whose list reorders still sorts exactly as
 # before: one sort of the keys PM << s | index, s = bit_length(2L - 1),
 # distinct keys sorted by metric and then by index, which is the stable
-# order.  This is exact while every candidate metric is below 2^(63 - s); a
-# node whose metrics break that bound falls back to a stable argsort.
+# order.  This is exact while every candidate metric is below 2^(63 - s),
+# and PolarCode's metrics stay far below it.  A node's elements depend on
+# disjoint channel positions, and every element with c >= 1 adds 0 to PM
+# (above), so a node adds at most n to PM, and every candidate metric is
+# at most n * n_code.  Every key is then below (n * n_code + 1) * 2^s, and
+# 2^s < 4L, so below 2^40 when n, n_code <= 2^14 and L * n_code <= 2^23.
 
 
 def _f_step(av, cv):
@@ -238,21 +246,6 @@ def _node_split(frozen):
     return nodes
 
 
-def _llr_dtype(llr0):
-    """int16 for int16 rows; else the narrowest lane dtype above every row's
-    sum of |LLR|.
-
-    Every decoder LLR is a signed sum of disjoint channel LLRs of its row,
-    so this sum bounds every value the LLR buffers hold.  A shortened row's
-    values also stay within 2B + n ("Widths"), far below its sum; PolarCode
-    builds its rows as int16 only when that bound is below 2^15, and int16
-    rows are taken to be bounded so.
-    """
-    if llr0.dtype == np.int16:
-        return np.int16
-    return _lane_dtype(np.abs(llr0).sum(axis=1, dtype=np.int64).max(initial=0))
-
-
 def _lane_dtype(bound):
     """The narrowest of int16, int32 and int64 that holds every integer in [-bound, bound]."""
     return np.int16 if bound < 2 ** 15 else np.int32 if bound < 2 ** 31 else np.int64
@@ -274,20 +267,21 @@ def _scl_run(llr0, frozen, L):
 
     The list holds min(L, 2**k) paths, k the number of information leaves,
     so it is full at the end and every returned lane is a decoded path.
-    The LLRs are copied position first, in the dtype of _llr_dtype, unless
-    llr0 is already the transpose of such a contiguous (n_code, B) array.
+    The LLRs decode in their own dtype, which must hold every value the
+    buffers take ("Widths"); they are copied position first unless llr0 is
+    already the transpose of a contiguous (n_code, B) array.  Every packed
+    prune key must stay below 2^63 ("Pruning").
     U is a (B, L, n_code) view of a contiguous (n_code, B, L) array.
     """
     B, n = llr0.shape
     m = n.bit_length() - 1
     L = min(L, 1 << int(np.count_nonzero(np.asarray(frozen) == 0)))
-    P = [np.ascontiguousarray(llr0.T, dtype=_llr_dtype(llr0))[:, :, None]] + [None] * m
+    P = [np.ascontiguousarray(llr0.T)[:, :, None]] + [None] * m
     S = [None] * (m + 1)
     left = [None] * (m + 1)  # ancestry over the finished left child at depth d
     row = (np.arange(B) * L)[:, None]
     row_dtype = np.min_scalar_type(B * L - 1)
     shift = (2 * L - 1).bit_length()  # packed key: PM << shift | candidate index
-    key_cap = 1 << (63 - shift)
     cand = np.arange(2 * L)
     PM = np.zeros((B, L), dtype=np.int64)
     zeros = np.zeros((1, B, 1), dtype=np.int8)
@@ -346,15 +340,11 @@ def _scl_run(llr0, frozen, L):
                     pmc = np.empty((B, 2 * a), dtype=np.int64)
                     pmc[:, 0::2] = c0[:, :a]
                     pmc[:, 1::2] = c1[:, :a]
-                    if pmc.max() < key_cap:
-                        pmc <<= shift
-                        pmc |= cand[:2 * a]
-                        pmc = np.sort(pmc, axis=1)
-                        PM = pmc[:, :L] >> shift
-                        order = pmc[:, :L] & ((1 << shift) - 1)
-                    else:
-                        order = np.argsort(pmc, axis=1, kind="stable")[:, :L]
-                        PM = np.take_along_axis(pmc, order, axis=1)
+                    pmc <<= shift
+                    pmc |= cand[:2 * a]
+                    pmc = np.sort(pmc, axis=1)
+                    PM = pmc[:, :L] >> shift
+                    order = pmc[:, :L] & ((1 << shift) - 1)
                     bit = (order & 1).astype(np.uint8)
                     parent = order >> 1
                     a = L
@@ -535,9 +525,10 @@ def _construct(n: int, k_total: int, eps: float):
 
 def _decode_chunk_blocks(n_code: int, list_size: int) -> int:
     """Blocks per decoder call: at most _DECODE_CHUNK, and few enough that the
-    list decoder's LLR lanes (blocks x paths x code bits, int16, int32 or
-    int64 as _llr_dtype picks) stay within the _DECODE_LANES budget."""
-    return max(1, min(_DECODE_CHUNK, _DECODE_LANES // (list_size * n_code)))
+    list decoder's LLR lanes (blocks x paths x code bits, int16 or int32 as
+    _lane_dtype picks) stay within the _DECODE_LANES budget, which PolarCode
+    refuses a list size to exceed."""
+    return min(_DECODE_CHUNK, _DECODE_LANES // (list_size * n_code))
 
 
 def require_blocklength_within_cap(n: int) -> None:
@@ -596,7 +587,7 @@ class PolarCode:
         self.n_code = n_code
         # a shortened bit's LLR: above n it decodes as +infinity ("Widths" above)
         self.shortened_llr = 1 << self.n.bit_length()
-        self._crc_gen = _crc_matrix(self.k, self.crc_bits) if self.crc_bits else None
+        self._crc_gen = _crc_matrix(self.k, self.crc_bits)
         self.info_positions, self.sc_union_bound = _construction_cache[key]
         self.frozen = np.ones(self.n_code, dtype=np.uint8)
         self.frozen[self.info_positions] = 0
@@ -605,10 +596,7 @@ class PolarCode:
         msgs = _require_bits(msgs, "messages")
         if msgs.shape[1] != self.k:
             raise DomainError(f"messages must have {self.k} bits")
-        if self.crc_bits:
-            info = np.hstack([msgs, _crc_bits(msgs, self._crc_gen)])
-        else:
-            info = msgs
+        info = np.hstack([msgs, _crc_bits(msgs, self._crc_gen)])
         u = np.zeros((msgs.shape[0], self.n_code), dtype=np.uint8)
         u[:, self.info_positions] = info
         return _encode_batch(u)[:, :self.n]
@@ -636,14 +624,11 @@ class PolarCode:
         cand = u_all[:, :, self.info_positions]
         pay = cand[:, :, :self.k]
         order = np.argsort(pm, axis=1, kind="stable")
-        if self.crc_bits:
-            calc = _crc_bits(pay.reshape(-1, self.k), self._crc_gen)
-            stored = cand[:, :, self.k:].reshape(-1, self.crc_bits)
-            ok = np.all(calc == stored, axis=1).reshape(pm.shape)
-            ok_ord = np.take_along_axis(ok, order, axis=1)
-            first = np.argmax(ok_ord, axis=1)
-            pick = np.where(ok_ord.any(axis=1), first, 0)
-        else:
-            pick = np.zeros(b, dtype=np.int64)
+        calc = _crc_bits(pay.reshape(-1, self.k), self._crc_gen)
+        stored = cand[:, :, self.k:].reshape(calc.shape)
+        ok = np.all(calc == stored, axis=1).reshape(pm.shape)
+        ok_ord = np.take_along_axis(ok, order, axis=1)
+        first = np.argmax(ok_ord, axis=1)
+        pick = np.where(ok_ord.any(axis=1), first, 0)
         chosen = order[np.arange(b), pick]
         return pay[np.arange(b), chosen]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_valid, x_var
+from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_real, require_valid, x_var
 
 MI_CLAMP = 1e-12
 
@@ -176,6 +176,7 @@ def conditional_mutual_information(p: JointPmf, a_vars, b_vars, c_vars=()) -> fl
 
 def binary_entropy(eps: float) -> float:
     """Entropy in bits of a Bernoulli(eps) variable; 0 at both endpoints."""
+    eps = float(require_real(eps, "eps"))
     if not (0.0 <= eps <= 1.0):
         raise DomainError(f"eps {eps} outside [0, 1]")
     if eps == 0.0 or eps == 1.0:

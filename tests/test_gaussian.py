@@ -57,6 +57,21 @@ def test_config_validation():
         GaussianRelayConfig(P=5.0, n=4, seed=-1)
 
 
+def test_config_refuses_a_non_real_power():
+    # a bool would read as 0 or 1, and None or a string would end in a bare TypeError
+    for P in ("5", None, 5j, True):
+        with pytest.raises(DomainError, match="^source power must be a real number"):
+            GaussianRelayConfig(P, 8)
+    assert GaussianRelayConfig(np.float32(5.0), 8) == GaussianRelayConfig(5.0, 8)
+
+
+def test_config_refuses_a_non_real_back_off():
+    for delta in ("a", None, 0.5j, True):
+        with pytest.raises(DomainError, match="^power back-off must be a real number"):
+            GaussianRelayConfig(5.0, 8, delta=delta)
+    assert GaussianRelayConfig(5.0, 8, delta=np.float64(0.5)) == GaussianRelayConfig(5.0, 8)
+
+
 def test_trace_identities_and_budget_invariant():
     cfg = _config(n=256)
     rng = np.random.Generator(np.random.Philox(123))
@@ -302,6 +317,15 @@ def test_codebook_rate_effective_rounding():
     assert exact.codebook_size == 1 << 5  # exact products stay exact
 
 
+def test_codebook_refuses_a_non_real_rate():
+    cfg = _config(n=8)
+    for rate in ("0.5", None, 1 + 2j, True):
+        with pytest.raises(DomainError, match="^rate must be a real number"):
+            codebook_experiment(cfg, rate, trials=10)
+    assert (codebook_experiment(cfg, np.float32(0.5), trials=10)
+            == codebook_experiment(cfg, 0.5, trials=10))
+
+
 def test_codebook_validation_and_caps():
     cfg = _config(n=8)
     with pytest.raises(DomainError):
@@ -410,6 +434,20 @@ def test_codebook_result_string():
 
 # ---------------------------------------------------------------------------
 # separation report
+
+
+def test_separation_report_refuses_a_non_real_power():
+    for P in ("5", None, 5j, True):
+        with pytest.raises(DomainError, match="^power must be a real number"):
+            separation_report(P)
+    assert separation_report(np.float32(5.0)) == separation_report(5.0)
+
+
+def test_separation_report_refuses_a_non_real_operating_rate():
+    for rate in ("1.2", None, 1.2j, True):
+        with pytest.raises(DomainError, match="^operating rate must be a real number"):
+            separation_report(5.0, rate)
+    assert separation_report(5.0, np.float64(1.2)) == separation_report(5.0)
 
 
 def test_separation_report_fields():

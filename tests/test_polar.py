@@ -214,15 +214,17 @@ def test_list_decoder_matches_per_path_reference_at_width(n):
 
 
 def _dtype_spy(monkeypatch):
-    """Record every LLR dtype that _scl_run picks."""
-    seen, real = [], polar._llr_dtype
-    monkeypatch.setattr(polar, "_llr_dtype", lambda llr0: seen.append(real(llr0)) or seen[-1])
+    """Record the dtype of every LLR row array that _scl_run receives."""
+    seen, real = [], polar._scl_run
+    monkeypatch.setattr(polar, "_scl_run",
+                        lambda llr0, *a: seen.append(llr0.dtype) or real(llr0, *a))
     return seen
 
 
 def test_llr_width_at_the_int32_bound(monkeypatch):
-    # every LLR is a signed sum of one row's channel LLRs: a row whose sum
-    # of |LLR| is 2**31 - 1 fits int32, one at 2**31 needs int64
+    # every LLR is a signed sum of one row's channel LLRs, and the decoder
+    # runs in the rows' own dtype: int32 rows whose sum of |LLR| is
+    # 2**31 - 1 decode exactly, and a row at 2**31 in int64 rows
     seen = _dtype_spy(monkeypatch)
     rng = np.random.Generator(np.random.Philox(12))
     for total, want in ((2 ** 31 - 1, np.int32), (2 ** 31, np.int64)):
@@ -232,6 +234,7 @@ def test_llr_width_at_the_int32_bound(monkeypatch):
             j = int(rng.integers(0, 8))
             llr[1, j] = 0
             llr[1, j] = (-1) ** trial * (total - int(np.abs(llr[1]).sum()))
+            llr = llr.astype(want)
             for L in (1, 2, 3, 4):
                 u, pm = polar._scl_run(llr, frozen, L)
                 assert seen[-1] == want
@@ -242,7 +245,8 @@ def test_llr_width_at_the_int32_bound(monkeypatch):
 
 
 def test_llr_width_at_the_int16_bound(monkeypatch):
-    # a row whose sum of |LLR| is 2**15 - 1 fits int16, one at 2**15 needs int32
+    # int16 rows whose sum of |LLR| is 2**15 - 1 decode exactly in int16,
+    # and a row at 2**15 in int32 rows
     seen = _dtype_spy(monkeypatch)
     rng = np.random.Generator(np.random.Philox(16))
     for total, want in ((2 ** 15 - 1, np.int16), (2 ** 15, np.int32)):
@@ -252,6 +256,7 @@ def test_llr_width_at_the_int16_bound(monkeypatch):
             j = int(rng.integers(0, 8))
             llr[1, j] = 0
             llr[1, j] = (-1) ** trial * (total - int(np.abs(llr[1]).sum()))
+            llr = llr.astype(want)
             for L in (1, 2, 3, 4):
                 u, pm = polar._scl_run(llr, frozen, L)
                 assert seen[-1] == want
@@ -271,41 +276,58 @@ def _sort_spy(monkeypatch):
     return calls
 
 
-def test_candidate_sort_falls_back_above_the_packed_key_bound(monkeypatch):
+def test_candidate_sort_packs_keys_just_below_the_packed_key_bound(monkeypatch):
     # at L = 2 a packed key PM << 2 | index is exact while PM < 2**61; the
     # list is full after leaf 6, and leaf 7's LLR carries the huge channel
-    # LLR, so its wrong-bit candidate metric lands just above or below 2**61
+    # LLR, so its wrong-bit candidate metric lands just below 2**61
     calls = _sort_spy(monkeypatch)
     frozen = np.array([1, 1, 1, 1, 1, 1, 0, 0], dtype=np.uint8)
     rng = np.random.Generator(np.random.Philox(13))
-    for huge in (2 ** 61 + 64, 2 ** 61 - 64):
-        sort = ["stable"] if huge > 2 ** 61 else ["sort"]
-        # leaf 7 keeps each path's bit-0 child, so the list reorders (and a
-        # sort runs) only where leaf 6 left a block's two paths in
-        # decreasing metric order: in some of these batches and not others
-        reorders = []
-        for _ in range(4):
-            llr = rng.integers(-3, 4, size=(2, 8)).astype(np.int64)
-            llr[:, 7] = huge
-            calls.clear()
-            u, pm = polar._scl_run(llr, frozen, 2)
-            assert pm.max() < 2 ** 62
-            want = [_scl_reference(llr[b], frozen, 2) for b in range(2)]
-            reorders.append(any(want_u[0, 6] == 1 for want_u, _pm in want))
-            assert calls == (sort if reorders[-1] else []), huge
-            for b, (want_u, want_pm) in enumerate(want):
-                assert np.array_equal(u[b], want_u), (huge, b)
-                assert np.array_equal(pm[b], want_pm), (huge, b)
-        assert True in reorders and False in reorders
-        # here the huge metrics themselves are sorted at leaf 7
-        llr = np.array([[-1, -2, 2, 1, 2, huge, 1, -huge]], dtype=np.int64)
+    huge = 2 ** 61 - 64
+    # leaf 7 keeps each path's bit-0 child, so the list reorders (and a
+    # sort runs) only where leaf 6 left a block's two paths in
+    # decreasing metric order: in some of these batches and not others
+    reorders = []
+    for _ in range(4):
+        llr = rng.integers(-3, 4, size=(2, 8)).astype(np.int64)
+        llr[:, 7] = huge
         calls.clear()
         u, pm = polar._scl_run(llr, frozen, 2)
-        assert calls == sort, huge
-        assert pm.min() > 2 ** 61 - 128
-        want_u, want_pm = _scl_reference(llr[0], frozen, 2)
-        assert np.array_equal(u[0], want_u), huge
-        assert np.array_equal(pm[0], want_pm), huge
+        assert pm.max() < 2 ** 62
+        want = [_scl_reference(llr[b], frozen, 2) for b in range(2)]
+        reorders.append(any(want_u[0, 6] == 1 for want_u, _pm in want))
+        assert calls == (["sort"] if reorders[-1] else [])
+        for b, (want_u, want_pm) in enumerate(want):
+            assert np.array_equal(u[b], want_u), b
+            assert np.array_equal(pm[b], want_pm), b
+    assert True in reorders and False in reorders
+    # here the huge metrics themselves are sorted at leaf 7
+    llr = np.array([[-1, -2, 2, 1, 2, huge, 1, -huge]], dtype=np.int64)
+    calls.clear()
+    u, pm = polar._scl_run(llr, frozen, 2)
+    assert calls == ["sort"]
+    assert pm.min() > 2 ** 61 - 128
+    want_u, want_pm = _scl_reference(llr[0], frozen, 2)
+    assert np.array_equal(u[0], want_u)
+    assert np.array_equal(pm[0], want_pm)
+
+
+@pytest.mark.parametrize("n", (2000, 8191))
+def test_path_metrics_and_packed_keys_stay_within_the_pruning_bound(n, monkeypatch):
+    # uniformly random words (eps 0.5) at L = 16: a node adds at most n to a
+    # path metric, so PM <= n * n_code, and every packed sort key stays
+    # below 2**40, far from the 2**63 a key must stay below
+    code = PolarCode(n, int(0.4 * n), 0.11)
+    rng = np.random.Generator(np.random.Philox(36))
+    llr = np.full((4, code.n_code), code.shortened_llr,
+                  dtype=polar._lane_dtype(2 * code.shortened_llr + n))
+    llr[:, :n] = 1 - 2 * rng.integers(0, 2, size=(4, n))
+    keys, real_sort = [], np.sort
+    monkeypatch.setattr(np, "sort",
+                        lambda a, *r, **kw: keys.append(int(a.max())) or real_sort(a, *r, **kw))
+    _u, pm = polar._scl_run(llr, code.frozen, code.list_size)
+    assert keys and max(keys) < 2 ** 40
+    assert 0 < pm.max() <= n * code.n_code
 
 
 def _noisy_blocks(code, eps, blocks, seed):
@@ -329,7 +351,6 @@ def test_smallest_shortened_llr_decodes_as_pseudo_infinite(n, monkeypatch):
         llr[:, :n] = 1 - 2 * y.astype(np.int64)
         llr_inf = llr.copy()
         llr_inf[:, n:] = _INF
-        assert polar._llr_dtype(llr_inf) == np.int64
         u, pm = polar._scl_run(llr, code.frozen, code.list_size)
         u_inf, pm_inf = polar._scl_run(llr_inf, code.frozen, code.list_size)
         assert np.array_equal(u, u_inf), eps
@@ -377,7 +398,7 @@ def test_shortened_int16_lanes_decode_as_pseudo_infinite():
 
 
 def test_forward_code_llrs_stay_within_twice_the_shortened_llr_plus_n(monkeypatch):
-    # uniformly random words (eps 0.5), decoded in int32 lanes, which hold the
+    # uniformly random words (eps 0.5), decoded in int32 rows, which hold the
     # true values: every f- and g-step output is within 2B + n of 0, and the
     # all-tail g-children of straddling nodes reach c = 2
     code = PolarCode(2000, 800, 0.11)
@@ -388,9 +409,8 @@ def test_forward_code_llrs_stay_within_twice_the_shortened_llr_plus_n(monkeypatc
         monkeypatch.setattr(polar, name, lambda *a, real=real: (
             lambda out: seen.append(int(np.abs(out).max())) or out)(real(*a)))
     rng = np.random.Generator(np.random.Philox(35))
-    llr = np.full((8, code.n_code), big, dtype=np.int64)
-    llr[:, :2000] = 1 - 2 * rng.integers(0, 2, size=(8, 2000)).astype(np.int64)
-    assert polar._llr_dtype(llr) == np.int32
+    llr = np.full((8, code.n_code), big, dtype=np.int32)
+    llr[:, :2000] = 1 - 2 * rng.integers(0, 2, size=(8, 2000))
     polar._scl_run(llr, code.frozen, code.list_size)
     assert len(seen) > 1000
     assert 2 * big < max(seen) <= 2 * big + 2000
@@ -477,6 +497,22 @@ def test_node_shortcuts_match_per_path_reference():
             assert np.array_equal(pm[b], want_pm), (L, b)
 
 
+def test_crc0_decodes_to_the_best_metric_path():
+    # a zero-width CRC checks on every path, so decode_batch returns the
+    # payload of the first path of least metric
+    code = PolarCode(64, 20, 0.11, list_size=8, crc_bits=0)
+    assert code._crc_gen.shape == (20, 0)
+    ys = _noisy_blocks(code, 0.3, 200, 37)
+    llr = np.full((200, code.n_code), code.shortened_llr, dtype=np.int64)
+    llr[:, :64] = 1 - 2 * ys.astype(np.int64)
+    u, pm = polar._scl_run(llr, code.frozen, code.list_size)
+    best = np.sort(pm, axis=1)
+    assert (best[:, 0] == best[:, 1]).any()  # ties: the first such path wins
+    first = np.argsort(pm, axis=1, kind="stable")[:, 0]
+    want = u[np.arange(200), first][:, code.info_positions[:code.k]]
+    assert np.array_equal(code.decode_batch(ys), want)
+
+
 def test_list_larger_than_codebook_changes_nothing():
     # a list of 2**k paths holds every codeword, so a longer list decodes alike
     words = ((np.arange(2 ** 16)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
@@ -517,7 +553,8 @@ def test_decode_chunk_stays_within_lane_budget():
     # and int16 halves them again
     assert polar._decode_chunk_blocks(polar.MAX_N, 16) == 32
     assert polar._decode_chunk_blocks(polar.MAX_N, 16) * 16 * polar.MAX_N <= 2 ** 23
-    assert polar._decode_chunk_blocks(2 ** 30, 16) == 1
+    # the largest list PolarCode accepts at MAX_N decodes one block per call
+    assert polar._decode_chunk_blocks(polar.MAX_N, polar._DECODE_LANES // polar.MAX_N) == 1
 
 
 def test_chunked_decode_equals_single_blocks(monkeypatch):

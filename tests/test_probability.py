@@ -253,6 +253,15 @@ def test_binary_entropy_values():
         binary_entropy(1.1)
 
 
+def test_binary_entropy_refuses_a_non_real_eps():
+    for eps in ("0.11", None, 0.11j, True):
+        with pytest.raises(DomainError, match="^eps must be a real number"):
+            binary_entropy(eps)
+    # a numpy real gives the Python float of its value
+    got = binary_entropy(np.float32(0.25))
+    assert type(got) is float and got == binary_entropy(0.25)
+
+
 # ---------------------------------------------------------------------------
 # channel composition and factorized joints
 

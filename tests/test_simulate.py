@@ -757,6 +757,12 @@ def test_bscfb_region_closed_form():
         bscfb_scheme(0.11, 8, r.forward_cap, seed=0)
 
 
+def test_bscfb_region_refuses_a_non_real_eps():
+    for eps in ("x", None, 0.11j, True):
+        with pytest.raises(DomainError, match="^eps must be a real number"):
+            bscfb_capacity_region(eps)
+
+
 def test_scheme_trial_windows_leave_counts_unchanged(monkeypatch):
     # trials run in windows of _TRIAL_CHUNK; each trial has its own stream
     whole = bscfb_scheme(0.11, 64, 0.25, seed=3, trials=30)
