@@ -864,3 +864,16 @@ def test_generate_argv_contract(contract_spec, argv):
     if argv[1] == "code":
         argv = argv + ["--spec", contract_spec]
     _contract(argv + ["--out", out_path])
+
+
+def test_golden_outputs_match_the_committed_table(tmp_path, monkeypatch):
+    # every answer stays the same: stdout, stderr, exit code and written files
+    # of a fixed command list, hashed against tests/golden_cli.json
+    import golden_cli
+
+    monkeypatch.chdir(tmp_path)
+    committed = json.loads(golden_cli.TABLE.read_text(encoding="utf-8"))
+    fresh = golden_cli.run_corpus()
+    assert list(fresh) == [" ".join(argv) for argv in golden_cli.COMMANDS]
+    assert sorted(fresh) == sorted(committed)
+    assert [argv for argv in fresh if fresh[argv] != committed[argv]] == []
