@@ -55,6 +55,9 @@ CELL_CAP = 1 << 25
 # Codewords one materialized codebook may hold; at most model.DRAW_CELLS, so
 # _nn_decode scores the whole codebook against a received word at once.
 CODEBOOK_CAP = 1 << 20
+# Poisson-window terms of one noncentral chi-square CDF value; at most
+# model.DRAW_CELLS, so one value's terms fit a batch of _ncx2_cdf.
+CDF_WINDOW_CAP = 1 << 20
 
 _METHODS = ("auto", "exhaustive", "analytic")
 
@@ -113,10 +116,12 @@ class GaussianRelayConfig:
     def __post_init__(self) -> None:
         if model.require_integer(self.n, "blocklength") < 1:
             raise DomainError(f"blocklength must be >= 1, got {self.n}")
-        if not math.isfinite(model.require_real(self.P, "source power")) or self.P <= 0.0:
+        # stored as Python floats, so a numpy power keeps every sum in float64
+        object.__setattr__(self, "P", float(model.require_real(self.P, "source power")))
+        object.__setattr__(self, "delta", float(model.require_real(self.delta, "power back-off")))
+        if not math.isfinite(self.P) or self.P <= 0.0:
             raise DomainError(f"source power must be positive, got {self.P}")
-        if (not math.isfinite(model.require_real(self.delta, "power back-off"))
-                or not 0.0 <= self.delta < self.P):
+        if not math.isfinite(self.delta) or not 0.0 <= self.delta < self.P:
             raise DomainError(
                 f"power back-off must satisfy 0 <= delta < P, got delta={self.delta}, P={self.P}"
             )
@@ -282,6 +287,146 @@ def _nn_decode(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     return out
 
 
+_LOG_2PI = math.log(2.0 * math.pi)
+# Stirling's error lgamma(a + 1) - (a + 1/2) log a + a - log(2 pi) / 2 at
+# a = 1/2, 1, ..., 15; above 15 its asymptotic series is exact to an ulp
+_STIRLING_HALVES = np.array([math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - 0.5 * _LOG_2PI
+                             for a in np.arange(1, 31) / 2.0])
+
+
+def _log_gamma_term(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log(z**a e**-z / Gamma(a + 1)) for a in {0, 1/2, 1, 3/2, ...} and z > 0.
+
+    Loader's form -log(2 pi a) / 2 - stirling(a) - (a log(a / z) + z - a),
+    with log(a / z) from log1p when a is near z, is exact to about
+    1e-16 (|a - z| + 1).  ``a log z - z - lgamma(a + 1)`` loses 1e-10 to
+    cancellation at a = 5e5.
+    """
+    zero = a == 0.0  # Pois(0; z) = e**-z
+    b, y = np.where(zero, 1.0, a), np.where(zero, 1.0, z)
+    inv2 = 1.0 / (b * b)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188) * inv2) * inv2) * inv2) / b
+    stirling = np.where(b > 15.0, series,
+                        _STIRLING_HALVES[np.minimum(2.0 * b, 30.0).astype(np.int64) - 1])
+    d = b - y
+    near = np.abs(d) < y
+    log_ratio = np.log(b) - np.log(y)
+    log_ratio[near] = np.log1p(d[near] / y[near])
+    return np.where(zero, -z, -0.5 * (_LOG_2PI + np.log(b)) - stirling - (b * log_ratio - d))
+
+
+def _from_peak(peak: np.ndarray, scale: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Columns s[:, r] with largest entry peak[r] and s[k + 1, r] = s[k, r]
+    * scale[r] / steps[k], for increasing steps.
+
+    A column rises while its ratio is at least one and falls after, so
+    multiplying outward from its peak, by the ratios below one on one side
+    and their inverses below one on the other, may underflow but never
+    overflows.  A zero scale gives a column that falls from its first entry.
+    """
+    s = np.ones((steps.size + 1, scale.size))
+    if np.any(steps > np.min(scale)):  # some column falls
+        np.cumprod(np.minimum(np.multiply.outer(1.0 / steps, scale), 1.0), axis=0, out=s[1:])
+    if np.any(steps < np.max(scale)):  # some column rises
+        with np.errstate(divide="ignore"):
+            rise = np.minimum(np.multiply.outer(steps, 1.0 / scale), 1.0)
+        s[:-1] *= np.cumprod(rise[::-1], axis=0)[::-1]
+    s *= peak
+    return s
+
+
+def _lower_gamma(a: float, z: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Regularized lower gamma P(a, z) over an array z, given the terms
+    z**a e**-z / Gamma(a + 1).
+
+    Below z = a + 1 it is the term times 1 + z/(a + 1) + z**2/((a + 1)(a + 2))
+    + ...; above, 1 - Q with Q = a term / (z + 1 - a - 1 (1 - a) / (z + 3 - a
+    - ...)), the continued fraction run by the modified Lentz method (Press
+    et al., Numerical Recipes 6.2), whose denominators stay positive there.
+    """
+    p = np.empty(z.size)
+    low = z < a + 1.0
+    zs = z[low]
+    add, total, k = np.ones(zs.size), np.ones(zs.size), 0
+    while np.any(add > total * 2.0 ** -53):
+        k += 1
+        add *= zs / (a + k)
+        total += add
+    p[low] = term[low] * total
+    b = z[~low] + 1.0 - a
+    c, d = np.full(b.size, np.inf), 1.0 / b
+    frac, i = d.copy(), 0
+    while np.any(np.abs(d * c - 1.0) > 1e-15):
+        i += 1
+        b += 2.0
+        d = 1.0 / (b - i * (i - a) * d)
+        c = b - i * (i - a) / c
+        frac *= d * c
+    p[~low] = 1.0 - a * term[~low] * frac
+    return p
+
+
+def _ncx2_cdf(x: np.ndarray, n: int, nc: np.ndarray) -> np.ndarray:
+    """Noncentral chi-square CDF with n degrees of freedom, over arrays x and nc.
+
+    F = sum_j Pois(j; lam) P(h + j, z), with lam = nc/2, h = n/2, z = x/2 and
+    P the regularized lower gamma.  Term j + 1 is at most term j times
+    lam/(j + 1) min(1, z/(h + j + 1)), a factor below one from
+    c = min(lam, root of j (j + h) = lam z) on, so the terms peak at or below
+    c.  A value's window of j runs from c - 12 sqrt(lam) - 40, twelve
+    standard deviations of the weights and more, to c + 12 sqrt(lam) + 40,
+    where those factors have multiplied past e**-72.
+
+    Values sorted by c share windows in batches of at most
+    ``model.DRAW_CELLS`` terms.  A batch's window starts at its lowest start
+    and ends where the factors at its largest lam and z multiply past e**-40,
+    so every later term is below e**-40 of its value's largest.  The terms
+    are built by recurrence outward from the largest:
+
+    * the weights Pois(j; lam) from ``_log_gamma_term`` at the j nearest lam;
+    * z**a e**-z / Gamma(a + 1) from ``_log_gamma_term`` at the a nearest z;
+    * P at the window's top a from ``_lower_gamma``, and down the window by
+      P(a) = P(a + 1) + z**a e**-z / Gamma(a + 1), which only adds, so a
+      tiny F keeps its relative precision.
+
+    A value whose window holds more than ``CDF_WINDOW_CAP`` terms raises
+    ``ResourceCapError`` before any term array is built.
+    """
+    out = np.zeros(x.shape)
+    live = np.flatnonzero(x > 0.0)  # F(0) = 0
+    z, lam = x[live] / 2.0, nc[live] / 2.0
+    h = n / 2.0
+    peak = np.minimum(lam, np.sqrt(h * h / 4.0 + lam * z) - h / 2.0)
+    start = np.maximum(0.0, np.floor(peak - 12.0 * np.sqrt(lam)) - 40.0)
+    stop = np.ceil(peak + 12.0 * np.sqrt(lam)) + 40.0
+    if np.any(stop - start >= CDF_WINDOW_CAP):
+        raise ResourceCapError(f"the noncentral chi-square CDF at noncentrality up to "
+                               f"{np.max(nc[live]):.6g} sums up to {np.max(stop - start) + 1:.0f} "
+                               f"terms > cap {CDF_WINDOW_CAP}")
+    order = np.argsort(peak, kind="stable")
+    while order.size:
+        cells = ((np.maximum.accumulate(stop[order]) - np.minimum.accumulate(start[order]) + 1.0)
+                 * np.arange(1, order.size + 1))
+        rows, order = np.split(order, [np.searchsorted(cells, model.DRAW_CELLS, side="right")])
+        zb, lb = z[rows], lam[rows]
+        lam_hi, z_hi = np.max(lb), np.max(zb)
+        after = math.ceil(min(lam_hi, math.sqrt(h * h / 4.0 + lam_hi * z_hi) - h / 2.0)) + np.arange(
+            math.ceil(12.0 * math.sqrt(lam_hi)) + 41.0)
+        with np.errstate(divide="ignore"):  # lam_hi = 0: the window ends at j = 0
+            fall = np.cumsum(np.log((after + 1.0) / lam_hi)
+                             + np.maximum(0.0, np.log((h + after + 1.0) / z_hi)))
+        last = min(np.max(stop[rows]), after[min(np.searchsorted(fall, 40.0), after.size - 1)])
+        j = np.arange(np.min(start[rows]), last + 1.0)
+        a = h + j
+        w_at = np.clip(np.floor(lb) - j[0], 0, j.size - 1).astype(np.int64)
+        weights = _from_peak(np.exp(_log_gamma_term(j[w_at], lb)), lb, j[1:])
+        g_at = np.clip(np.floor(zb - a[0]), 0, j.size - 1).astype(np.int64)
+        gam = _from_peak(np.exp(_log_gamma_term(a[g_at], zb)), zb, a[1:])
+        gam[-1] = _lower_gamma(a[-1], zb, gam[-1])
+        out[live[rows]] = np.einsum("ij,ij->j", weights, np.cumsum(gam[::-1], axis=0)[::-1])
+    return np.minimum(out, 1.0, out=out)  # the sums may round past 1 by a few ulps
+
+
 def codebook_experiment(
     config: GaussianRelayConfig,
     rate: float,
@@ -309,7 +454,9 @@ def codebook_experiment(
       ``1 - (1 - p)**(M - 1)``.  Equals in expectation the error rate of
       a codebook drawn afresh every trial (the codebook-ensemble average),
       needs no codebook in memory, and has far lower variance than 0/1
-      outcomes.
+      outcomes.  ``F`` sums a window of Poisson terms that grows as the
+      root of nc; one above ``CDF_WINDOW_CAP`` terms raises (at P - delta =
+      1e-12, where nc is near 1e12).
     * ``auto`` — ``exhaustive`` when the codebook fits ``CODEBOOK_CAP``
       and ``CELL_CAP``, ``analytic`` otherwise.
 
@@ -347,10 +494,6 @@ def codebook_experiment(
     scale = math.sqrt(config.P - config.delta)
     seed = config.seed
     if method == "analytic":
-        # imported here: scipy.special roughly doubles the memory and start-up
-        # time of `import zdmn`, and only this branch needs it
-        from scipy.special import chndtr
-
         s = 4.0 * (config.P - config.delta)
     elif method == "exhaustive":
         codebook = _normals(seed, (4,), 0, m, n)
@@ -369,10 +512,7 @@ def codebook_experiment(
             resid = y3 - 2.0 * sent
             d0 = np.einsum("ij,ij->i", resid, resid) / s
             nc = np.einsum("ij,ij->i", y3, y3) / s
-            p_closer = np.clip(chndtr(d0, n, nc), 0.0, 1.0)
-            if np.isnan(p_closer).any():  # scipy's chndtr gives nan from nc near 1e11
-                raise DomainError(f"the noncentral chi-square CDF is undefined at "
-                                  f"P - delta = {config.P - config.delta}")
+            p_closer = _ncx2_cdf(d0, n, nc)
             with np.errstate(divide="ignore"):
                 outcome[lo:hi] = 0.0 if m == 1 else np.where(
                     p_closer >= 1.0, 1.0, -np.expm1(float(m - 1) * np.log1p(-p_closer)))

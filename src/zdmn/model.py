@@ -42,6 +42,10 @@ class NodeSet:
 
     members: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # a list would leave the set unhashable and changeable inside a frozen spec
+        object.__setattr__(self, "members", tuple(self.members))
+
     def __contains__(self, i: int) -> bool:
         return i in self.members
 
@@ -64,6 +68,9 @@ class Partition:
     """Ordered list of blocks; a valid alpha-partition covers {1..N} disjointly."""
 
     blocks: tuple[NodeSet, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @property
     def alpha(self) -> int:

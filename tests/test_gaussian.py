@@ -10,11 +10,13 @@ from scipy import optimize, stats
 from zdmn import model
 from zdmn.errors import DomainError, ResourceCapError
 from zdmn.gaussian import (
+    CDF_WINDOW_CAP,
     CELL_CAP,
     CODEBOOK_CAP,
     RELAY_POWER_MARGIN,
     CodebookResult,
     GaussianRelayConfig,
+    _ncx2_cdf,
     _nn_decode,
     _normals,
     _relay_core,
@@ -70,6 +72,19 @@ def test_config_refuses_a_non_real_back_off():
         with pytest.raises(DomainError, match="^power back-off must be a real number"):
             GaussianRelayConfig(5.0, 8, delta=delta)
     assert GaussianRelayConfig(5.0, 8, delta=np.float64(0.5)) == GaussianRelayConfig(5.0, 8)
+
+
+def test_config_stores_float64_powers():
+    # a float32 power would run the relay budget and the experiments' power
+    # arithmetic in float32
+    single = GaussianRelayConfig(np.float32(5.1), 8, delta=np.float32(0.5))
+    double = GaussianRelayConfig(float(np.float32(5.1)), 8, delta=0.5)
+    assert type(single.P) is float and type(single.delta) is float and single == double
+    assert type(single.relay_power) is float and single.relay_power == double.relay_power
+    assert neutralization_rate(single, blocks=20) == neutralization_rate(double, blocks=20)
+    for method in ("analytic", "exhaustive"):
+        assert (codebook_experiment(single, 1.0, trials=20, method=method)
+                == codebook_experiment(double, 1.0, trials=20, method=method))
 
 
 def test_trace_identities_and_budget_invariant():
@@ -373,13 +388,70 @@ def test_powers_outside_the_float_range_are_refused():
         assert math.isfinite(codebook_experiment(cfg, 0.5, trials=20, method=method).error_rate)
 
 
-def test_analytic_refuses_a_nan_cdf():
-    # at P - delta = 1e-12 the noncentral parameter is about 4e12, where
-    # scipy's chndtr returns nan; the exhaustive method still runs
+def test_analytic_refuses_a_cdf_window_above_the_cap():
+    # at P - delta = 1e-12 the noncentralities run to 3e13, and one value's
+    # Poisson window would hold 1e8 terms; it is refused before any term
+    # array is built (one would take 800 MB), and the exhaustive method runs
     cfg = _config(P=1e-12, n=16, delta=0.0)
-    with pytest.raises(DomainError, match="noncentral chi-square CDF is undefined"):
-        codebook_experiment(cfg, 1.0, trials=20, method="analytic")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=f"^the noncentral chi-square CDF at "
+                                                   f"noncentrality up to 3.27241e\\+13 sums up "
+                                                   f"to 97080186 terms > cap {CDF_WINDOW_CAP}$"):
+            codebook_experiment(cfg, 1.0, trials=20, method="analytic")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
     assert math.isfinite(codebook_experiment(cfg, 0.5, trials=20, method="exhaustive").error_rate)
+
+
+# 50-digit sums at the grid points where scipy's ncx2.cdf is itself more
+# than 1e-12 off (by up to 4.5e-11), from tests/ncx2_reference.py:
+# (n, nc, level) -> (x, F)
+_DEEP_TAIL = {
+    (1, 1000000.0, 1e-30): (977203.3744851665, 9.999999999795373e-31),
+    (1, 1000000.0, 1e-20): (981561.1107643436, 1.000000000006473e-20),
+    (2, 1000000.0, 1e-30): (977204.3687312892, 9.99999999962299e-31),
+    (2, 1000000.0, 1e-20): (981562.1061189643, 9.999999999484115e-21),
+    (3, 1000000.0, 1e-30): (977205.3629774181, 9.999999999732859e-31),
+    (3, 1000000.0, 1e-20): (981563.1014736043, 9.999999999767227e-21),
+    (8, 1000000.0, 1e-30): (977210.3342080776, 9.999999999870901e-31),
+    (8, 1000000.0, 1e-20): (981568.0782468029, 1.0000000000269046e-20),
+    (24, 1000000.0, 1e-20): (981584.0039211826, 9.999999999384907e-21),
+    (1000, 1000000.0, 1e-20): (982555.4706267547, 1.0000000000582855e-20),
+    (10000, 10000.0, 1e-30): (17307.328751006084, 9.999999999995842e-31),
+    (10000, 100000.0, 1e-30): (102698.79818959875, 9.999999999972532e-31),
+    (10000, 100000.0, 1e-20): (104080.75809373363, 1.0000000000037591e-20),
+    (10000, 1000000.0, 1e-30): (987144.9140399308, 1.0000000000217996e-30),
+    (10000, 1000000.0, 1e-20): (991513.7201766992, 9.999999999676839e-21),
+}
+
+
+def test_ncx2_cdf_matches_scipy_on_a_grid():
+    # x runs over scipy's quantiles at CDF levels from 1e-30 to 1 - 1e-12
+    levels = np.array([1e-30, 1e-20, 1e-10, 1e-5, 1e-2, 0.5, 0.99, 1 - 1e-6, 1 - 1e-12])
+    for n in (1, 2, 3, 8, 24, 1000, 10 ** 4):
+        for nc in (0.0, 1e-3, 1.0, float(n), 10.0 * n, 1e6):
+            law = stats.chi2(n) if nc == 0.0 else stats.ncx2(n, nc)
+            x = law.ppf(levels)
+            oracle = law.cdf(x)
+            for k, level in enumerate(levels):
+                if (n, nc, level) in _DEEP_TAIL:
+                    x[k], oracle[k] = _DEEP_TAIL[n, nc, level]
+                    # scipy agrees with the 50-digit sum, if not to 1e-12
+                    assert law.cdf(x[k]) == pytest.approx(oracle[k], rel=1e-10)
+            assert 0.99e-30 < oracle.min() < 1.01e-30 and 1 - 2e-12 < oracle.max() < 1.0
+            np.testing.assert_allclose(_ncx2_cdf(x, n, np.full(x.shape, nc)), oracle,
+                                       rtol=1e-12, atol=0.0, err_msg=f"n={n} nc={nc}")
+
+
+def test_ncx2_cdf_edges():
+    # F(0) = 0; a zero noncentrality sums a one-term window; huge x gives 1
+    assert _ncx2_cdf(np.array([0.0, 2.0]), 2, np.array([5.0, 0.0])).tolist() == [
+        0.0, pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)]
+    assert _ncx2_cdf(np.array([1e4]), 3, np.array([10.0]))[0] == pytest.approx(1.0, rel=1e-14)
+    assert _ncx2_cdf(np.array([]), 3, np.array([])).shape == (0,)
 
 
 def test_codebook_cell_caps_checked_before_any_draw():

@@ -1,5 +1,6 @@
 """Network descriptions, delay-profile feasibility, and spec file I/O."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -31,6 +32,26 @@ def test_nodeset_basics():
     assert s.bitmask(4) == "1010"
     assert NodeSet((1, 2)).strictly_increasing()
     assert not NodeSet((2, 2)).strictly_increasing()
+
+
+def test_node_sets_and_partitions_hold_tuples():
+    # a list would leave them unhashable, unequal to their tuple twins, and
+    # open to appends from outside a frozen spec
+    members = [1, 2]
+    s = NodeSet(members)
+    members.append(3)
+    assert s.members == (1, 2) and s == NodeSet((1, 2)) and hash(s) == hash(NodeSet((1, 2)))
+    blocks = [NodeSet([2]), NodeSet([1, 3])]
+    p = Partition(blocks)
+    blocks.pop()
+    twin = Partition((NodeSet((2,)), NodeSet((1, 3))))
+    assert p.blocks == twin.blocks and p == twin and hash(p) == hash(twin)
+    spec = NetworkSpec(3, (2, 2, 2), (2, 2, 2), 2, p, twin, ())
+    assert spec.input_partition == spec.output_partition
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.members = (1,)
+    with pytest.raises(AttributeError):
+        spec.input_partition.blocks.append(NodeSet((4,)))
 
 
 def test_partition_prefix_unions():

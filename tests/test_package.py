@@ -6,6 +6,7 @@ import graphlib
 import importlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -63,13 +64,22 @@ def _loaded(run):
 
 
 def test_import_leaves_scipy_unloaded():
-    # `import zdmn` loads no submodule, so no numpy either; only the analytic
-    # codebook method needs scipy, and it imports it itself; the exhaustive
-    # gaussian experiment draws its normals without it
+    # `import zdmn` loads no submodule, so no numpy either; both codebook
+    # methods run on numpy alone, the analytic one summing its own
+    # noncentral chi-square CDF
     assert _loaded("import zdmn") == ["zdmn"]
-    experiment = ("from zdmn.cli import main; main(['gaussian', '--power', '5', "
-                  "'--experiment', '--n', '8', '--trials', '10', '--method', 'exhaustive'])")
-    assert not [m for m in _loaded(experiment) if m.startswith("scipy")]
+    for method in ("exhaustive", "analytic"):
+        experiment = ("from zdmn.cli import main; main(['gaussian', '--power', '5', "
+                      f"'--experiment', '--n', '8', '--trials', '10', '--method', '{method}'])")
+        assert not [m for m in _loaded(experiment) if m.startswith("scipy")]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy stays a test oracle only
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.split("[<>=!~ ]", d)[0] for d in project["dependencies"]] == ["numpy"]
+    assert "scipy" in [re.split("[<>=!~ ]", d)[0] for d in project["optional-dependencies"]["test"]]
 
 
 _SIMULATE = ["polar", "probability", "simulate"]
@@ -86,8 +96,10 @@ _SIMULATE = ["polar", "probability", "simulate"]
     (["gaussian", "--power", "5"], ["gaussian"]),
     (["gaussian", "--power", "5", "--experiment", "--n", "8", "--trials", "10",
       "--method", "exhaustive"], ["gaussian"]),
+    (["gaussian", "--power", "5", "--experiment", "--n", "8", "--trials", "10",
+      "--method", "analytic"], ["gaussian"]),
 ], ids=["validate", "feasible", "generate-spec", "bound", "simulate", "bscfb", "generate-code",
-        "gaussian", "gaussian-experiment"])
+        "gaussian", "gaussian-experiment", "gaussian-analytic"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, extra):
     files = {"spec": tmp_path / "net.json", "out": tmp_path / "out.json",
              "code": tmp_path / "code.json"}
