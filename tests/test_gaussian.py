@@ -1,5 +1,6 @@
 """Relay chain: slot identities, gate statistics, codebook error estimates."""
 
+import json
 import math
 import tracemalloc
 
@@ -404,41 +405,27 @@ def test_analytic_refuses_a_cdf_window_above_the_cap():
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert math.isfinite(codebook_experiment(cfg, 0.5, trials=20, method="exhaustive").error_rate)
-
-
-# 50-digit sums at the grid points where scipy's ncx2.cdf is itself more
-# than 1e-12 off (by up to 4.5e-11), from tests/ncx2_reference.py:
-# (n, nc, level) -> (x, F)
-_DEEP_TAIL = {
-    (1, 1000000.0, 1e-30): (977203.3744851665, 9.999999999795373e-31),
-    (1, 1000000.0, 1e-20): (981561.1107643436, 1.000000000006473e-20),
-    (2, 1000000.0, 1e-30): (977204.3687312892, 9.99999999962299e-31),
-    (2, 1000000.0, 1e-20): (981562.1061189643, 9.999999999484115e-21),
-    (3, 1000000.0, 1e-30): (977205.3629774181, 9.999999999732859e-31),
-    (3, 1000000.0, 1e-20): (981563.1014736043, 9.999999999767227e-21),
-    (8, 1000000.0, 1e-30): (977210.3342080776, 9.999999999870901e-31),
-    (8, 1000000.0, 1e-20): (981568.0782468029, 1.0000000000269046e-20),
-    (24, 1000000.0, 1e-20): (981584.0039211826, 9.999999999384907e-21),
-    (1000, 1000000.0, 1e-20): (982555.4706267547, 1.0000000000582855e-20),
-    (10000, 10000.0, 1e-30): (17307.328751006084, 9.999999999995842e-31),
-    (10000, 100000.0, 1e-30): (102698.79818959875, 9.999999999972532e-31),
-    (10000, 100000.0, 1e-20): (104080.75809373363, 1.0000000000037591e-20),
-    (10000, 1000000.0, 1e-30): (987144.9140399308, 1.0000000000217996e-30),
-    (10000, 1000000.0, 1e-20): (991513.7201766992, 9.999999999676839e-21),
-}
+    # so one value's window always fits a batch
+    assert CDF_WINDOW_CAP <= model.DRAW_CELLS
 
 
 def test_ncx2_cdf_matches_scipy_on_a_grid():
-    # x runs over scipy's quantiles at CDF levels from 1e-30 to 1 - 1e-12
-    levels = np.array([1e-30, 1e-20, 1e-10, 1e-5, 1e-2, 0.5, 0.99, 1 - 1e-6, 1 - 1e-12])
-    for n in (1, 2, 3, 8, 24, 1000, 10 ** 4):
-        for nc in (0.0, 1e-3, 1.0, float(n), 10.0 * n, 1e6):
+    # x runs over scipy's quantiles at CDF levels from 1e-30 to 1 - 1e-12;
+    # where scipy's own value is more than 1e-12 off (by up to 4.5e-11, at
+    # 15 far-lower-tail points), 50-digit sums stand in for it
+    import ncx2_reference as ref
+
+    exact = {(r["n"], r["nc"], r["level"]): (r["x"], r["cdf"])
+             for r in json.loads(ref.TABLE.read_text(encoding="utf-8"))}
+    assert len(exact) == 15
+    for n in ref.DFS:
+        for nc in ref.noncentralities(n):
             law = stats.chi2(n) if nc == 0.0 else stats.ncx2(n, nc)
-            x = law.ppf(levels)
+            x = law.ppf(ref.LEVELS)
             oracle = law.cdf(x)
-            for k, level in enumerate(levels):
-                if (n, nc, level) in _DEEP_TAIL:
-                    x[k], oracle[k] = _DEEP_TAIL[n, nc, level]
+            for k, level in enumerate(ref.LEVELS):
+                if (n, nc, level) in exact:
+                    x[k], oracle[k] = exact[n, nc, level]
                     # scipy agrees with the 50-digit sum, if not to 1e-12
                     assert law.cdf(x[k]) == pytest.approx(oracle[k], rel=1e-10)
             assert 0.99e-30 < oracle.min() < 1.01e-30 and 1 - 2e-12 < oracle.max() < 1.0
