@@ -407,7 +407,8 @@ def _ncx2_cdf(x: np.ndarray, n: int, nc: np.ndarray) -> np.ndarray:
     while order.size:
         cells = ((np.maximum.accumulate(stop[order]) - np.minimum.accumulate(start[order]) + 1.0)
                  * np.arange(1, order.size + 1))
-        rows, order = np.split(order, [np.searchsorted(cells, model.DRAW_CELLS, side="right")])
+        rows, order = np.split(order, [max(1, np.searchsorted(cells, model.DRAW_CELLS,
+                                                               side="right"))])
         zb, lb = z[rows], lam[rows]
         lam_hi, z_hi = np.max(lb), np.max(zb)
         after = math.ceil(min(lam_hi, math.sqrt(h * h / 4.0 + lam_hi * z_hi) - h / 2.0)) + np.arange(

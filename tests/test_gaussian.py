@@ -433,12 +433,18 @@ def test_ncx2_cdf_matches_scipy_on_a_grid():
                                        rtol=1e-12, atol=0.0, err_msg=f"n={n} nc={nc}")
 
 
-def test_ncx2_cdf_edges():
+def test_ncx2_cdf_edges(monkeypatch):
     # F(0) = 0; a zero noncentrality sums a one-term window; huge x gives 1
     assert _ncx2_cdf(np.array([0.0, 2.0]), 2, np.array([5.0, 0.0])).tolist() == [
         0.0, pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)]
     assert _ncx2_cdf(np.array([1e4]), 3, np.array([10.0]))[0] == pytest.approx(1.0, rel=1e-14)
     assert _ncx2_cdf(np.array([]), 3, np.array([])).shape == (0,)
+    # values in batches of one, each window above the batch size, agree
+    # with one shared batch
+    x, nc = np.array([500.0, 3.0, 50.0]), np.array([900.0, 8.0, 400.0])
+    shared = _ncx2_cdf(x, 8, nc)
+    monkeypatch.setattr(model, "DRAW_CELLS", 10)
+    np.testing.assert_allclose(_ncx2_cdf(x, 8, nc), shared, rtol=1e-13, atol=0.0)
 
 
 def test_codebook_cell_caps_checked_before_any_draw():
