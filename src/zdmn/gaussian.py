@@ -27,10 +27,11 @@ only the printed forms: the rate passes the max-min bound from P = 0.7876.
 
 This module provides the per-slot simulator with the hard relay power
 gate, the empirical gate-open frequency, a desk-scale random-codebook
-experiment over the neutralized channel, and a report comparing the
-demonstrated operating rate against the delayed-relay cap.  It draws from
-``model.trial_uniforms`` and imports no module of the package but ``model``
-and ``errors``.
+experiment over the neutralized channel, whose analytic method sums its own
+noncentral chi-square CDF, and a report comparing the demonstrated
+operating rate against the delayed-relay cap.  It draws from
+``model.trial_uniforms``, needs no third-party package but numpy, and imports no
+module of the package but ``model`` and ``errors``.
 """
 
 from __future__ import annotations
