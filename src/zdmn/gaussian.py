@@ -412,8 +412,8 @@ def _ncx2_cdf(x: np.ndarray, n: int, nc: np.ndarray) -> np.ndarray:
                                                                side="right"))])
         zb, lb = z[rows], lam[rows]
         lam_hi, z_hi = np.max(lb), np.max(zb)
-        after = math.ceil(min(lam_hi, math.sqrt(h * h / 4.0 + lam_hi * z_hi) - h / 2.0)) + np.arange(
-            math.ceil(12.0 * math.sqrt(lam_hi)) + 41.0)
+        peak_hi = math.ceil(min(lam_hi, math.sqrt(h * h / 4.0 + lam_hi * z_hi) - h / 2.0))
+        after = peak_hi + np.arange(math.ceil(12.0 * math.sqrt(lam_hi)) + 41.0)
         with np.errstate(divide="ignore"):  # lam_hi = 0: the window ends at j = 0
             fall = np.cumsum(np.log((after + 1.0) / lam_hi)
                              + np.maximum(0.0, np.log((h + after + 1.0) / z_hi)))
