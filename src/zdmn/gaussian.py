@@ -326,12 +326,12 @@ def _from_peak(peak: np.ndarray, scale: np.ndarray, steps: np.ndarray) -> np.nda
     overflows.  A zero scale gives a column that falls from its first entry.
     """
     s = np.ones((steps.size + 1, scale.size))
-    if np.any(steps > np.min(scale)):  # some column falls
-        np.cumprod(np.minimum(np.multiply.outer(1.0 / steps, scale), 1.0), axis=0, out=s[1:])
-    if np.any(steps < np.max(scale)):  # some column rises
-        with np.errstate(divide="ignore"):
-            rise = np.minimum(np.multiply.outer(steps, 1.0 / scale), 1.0)
-        s[:-1] *= np.cumprod(rise[::-1], axis=0)[::-1]
+    k = np.searchsorted(steps, np.min(scale), side="right")  # no column falls before step k
+    np.cumprod(np.minimum(np.multiply.outer(1.0 / steps[k:], scale), 1.0), axis=0, out=s[k + 1:])
+    k = np.searchsorted(steps, np.max(scale))  # every column has peaked by step k
+    with np.errstate(divide="ignore"):
+        rise = np.minimum(np.multiply.outer(steps[:k], 1.0 / scale), 1.0)
+    s[:k] *= np.cumprod(rise[::-1], axis=0)[::-1]
     s *= peak
     return s
 
