@@ -106,9 +106,7 @@ class GridProblem:
     def __init__(self, spec: NetworkSpec, which: str, k: int):
         require_valid(spec)
         self.which = _require_mode(which)
-        self.k = require_integer(k, "grid resolution k")
-        if self.k < 1:
-            raise DomainError(f"grid resolution k must be >= 1, got {self.k}")
+        self.k = require_integer(k, "grid resolution k", 1)
 
         def group_size(group) -> int:
             return _group_size(spec.var_size, group)

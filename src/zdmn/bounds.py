@@ -16,14 +16,13 @@ feedback pair's capacity region in ``simulate``, the relay chain's rates in
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._grid import BATCH, GridProblem
 from .errors import DomainError
-from .model import ChannelTable, Cut, NetworkSpec
+from .model import ChannelTable, Cut, NetworkSpec, require_integer, require_real
 
 INSIDE = "inside"
 NOT_FOUND = "not-found-at-this-resolution"
@@ -70,14 +69,12 @@ class RateTuple:
 
     @classmethod
     def from_pairs(cls, n_nodes: int, pairs: dict) -> "RateTuple":
-        r = np.zeros((n_nodes, n_nodes))
+        r = np.zeros((require_integer(n_nodes, "n_nodes", 1),) * 2)
         for (i, j), v in pairs.items():
-            # a bool is an Integral, and True would read as node 1
-            if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in (i, j)):
-                raise DomainError(f"rate pair ({i!r}, {j!r}): node indices must be integers")
-            if not (1 <= i <= n_nodes and 1 <= j <= n_nodes):
+            i, j = (require_integer(k, "node index", 1) for k in (i, j))
+            if max(i, j) > n_nodes:
                 raise DomainError(f"rate pair ({i}, {j}) outside 1..{n_nodes}")
-            r[i - 1, j - 1] = v
+            r[i - 1, j - 1] = require_real(v, "rate")
         return cls(r)
 
     def flow_across(self, cut: Cut) -> float:

@@ -115,18 +115,17 @@ class GaussianRelayConfig:
     delta: float = 0.5
 
     def __post_init__(self) -> None:
-        if model.require_integer(self.n, "blocklength") < 1:
-            raise DomainError(f"blocklength must be >= 1, got {self.n}")
+        model.require_integer(self.n, "blocklength", 1)
         # stored as Python floats, so a numpy power keeps every sum in float64
-        object.__setattr__(self, "P", float(model.require_real(self.P, "source power")))
-        object.__setattr__(self, "delta", float(model.require_real(self.delta, "power back-off")))
-        if not math.isfinite(self.P) or self.P <= 0.0:
+        object.__setattr__(self, "P", model.require_real(self.P, "source power"))
+        object.__setattr__(self, "delta", model.require_real(self.delta, "power back-off"))
+        if self.P <= 0.0:
             raise DomainError(f"source power must be positive, got {self.P}")
-        if not math.isfinite(self.delta) or not 0.0 <= self.delta < self.P:
+        if not 0.0 <= self.delta < self.P:
             raise DomainError(
                 f"power back-off must satisfy 0 <= delta < P, got delta={self.delta}, P={self.P}"
             )
-        model.require_seed(self.seed)
+        model.require_integer(self.seed, "seed", 0)
         # Box-Muller normals square to under -2 ln(2**-53) < 74, so a slot adds
         # under 74 (2 sqrt(P) + 4)^2 to any of a block's sums of squares, and
         # the analytic method divides those sums by 4 (P - delta).
@@ -224,8 +223,7 @@ def neutralization_rate(config: GaussianRelayConfig, blocks: int = 200) -> float
     relay's mean reception power is ``P - delta + 9`` per slot against a
     budget of ``P + 10``, so the open fraction tends to one as ``n`` grows.
     """
-    if model.require_integer(blocks, "block count") < 1:
-        raise DomainError(f"block count must be >= 1, got {blocks}")
+    model.require_integer(blocks, "block count", 1)
     n = config.n
     _require_window(n)
     if blocks * n > CELL_CAP:
@@ -468,10 +466,10 @@ def codebook_experiment(
     unit draw (analytic), ``z2`` and ``z3``, so every method sees the same
     noise in trial t.
     """
-    if not math.isfinite(model.require_real(rate, "rate")) or rate < 0.0:
-        raise DomainError(f"rate must be a finite nonnegative number, got {rate}")
-    if model.require_integer(trials, "trial count") < 1:
-        raise DomainError(f"trial count must be >= 1, got {trials}")
+    rate = model.require_real(rate, "rate")
+    if rate < 0.0:
+        raise DomainError(f"rate must be nonnegative, got {rate}")
+    model.require_integer(trials, "trial count", 1)
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
     n = config.n
@@ -570,20 +568,21 @@ def separation_report(P: float, operating_rate: float = 1.2) -> SeparationReport
     demonstrates at ``P = 5`` (1.2 bits/slot, above the delayed-relay cap
     of about 1.161 there).
     """
-    if (not math.isfinite(model.require_real(operating_rate, "operating rate"))
-            or operating_rate <= 0.0):
+    operating_rate = model.require_real(operating_rate, "operating rate")
+    if operating_rate <= 0.0:
         raise DomainError(f"operating rate must be positive, got {operating_rate}")
-    if not math.isfinite(model.require_real(P, "power")) or P <= 0.0:
-        raise DomainError(f"power must be positive and finite, got {P}")
+    P = model.require_real(P, "power")
+    if P <= 0.0:
+        raise DomainError(f"power must be positive, got {P}")
     if not math.isfinite(2.0 * P):
         raise DomainError(f"power {P} overflows 2P")
     cap = 0.5 * math.log2(3.0 + 2.0 * P / 5.0)
     ach = 0.5 * math.log2(1.0 + 2.0 * P)
     return SeparationReport(
-        P=float(P),
+        P=P,
         positive_delay_cap=cap,
         achievable_rate=ach,
         separated=ach > cap,
-        operating_rate=float(operating_rate),
+        operating_rate=operating_rate,
         exceeds_cap=operating_rate > cap,
     )

@@ -5,9 +5,10 @@ S and an output partition G of {1..N}.  Channel h emits the outputs of block
 G_h given the inputs of the prefix S^h = S_1 u ... u S_h and the outputs of
 the prefix G^{h-1}.  Node indices are 1-based in every external format.
 
-The module also keeps the seed check and the one counter-based stream every
-simulator draws from (``trial_uniforms``), and the JSON reader and writer of
-the package's files.
+The module also keeps the two guards every number a caller hands in goes
+through, ``require_integer`` and ``require_real``, the one counter-based
+stream every simulator draws from (``trial_uniforms``), and the JSON reader
+and writer of the package's files.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError, SpecIOError
 
 ROW_TOL = 1e-9
-PROFILE_CAP = 2 ** 16  # largest 2^N whose feasible profiles enumerate_feasible_profiles lists
+PROFILE_CAP = 2 ** 16  # largest 2^N of delay profiles, or cuts, one enumeration lists
 DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
 PHILOX_BLOCKS = 2 ** 256  # counter blocks of one Philox stream; past them the counter wraps
 
@@ -92,9 +93,11 @@ class Cut:
 
 
 def enumerate_cuts(n_nodes: int) -> list[Cut]:
-    """All 2^N - 2 proper nonempty subsets, lexicographic over member tuples."""
-    if n_nodes < 2:
-        raise DomainError("cut enumeration needs at least 2 nodes")
+    """All 2^N - 2 proper nonempty subsets, lexicographic over member tuples;
+    above ``PROFILE_CAP`` of them a ResourceCapError, before any is built."""
+    if require_integer(n_nodes, "n_nodes", 2) >= PROFILE_CAP.bit_length():
+        raise ResourceCapError(f"{n_nodes} nodes give 2^{n_nodes} - 2 cuts, "
+                               f"above the cap of {PROFILE_CAP}")
     subsets = []
     for r in range(1, n_nodes):
         subsets += [tuple(c) for c in itertools.combinations(range(1, n_nodes + 1), r)]
@@ -230,16 +233,18 @@ class DelayProfile:
     delays: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.delays):
-            raise DomainError(f"delay bits must be 0 or 1, got {self.delays}")
+        bits = tuple(require_integer(b, "delay bit", 0) for b in self.delays)
+        if any(b > 1 for b in bits):
+            raise DomainError(f"delay bits must be 0 or 1, got {bits}")
+        object.__setattr__(self, "delays", bits)
 
     @classmethod
     def of(cls, items) -> "DelayProfile":
-        return cls(tuple(int(b) for b in items))
+        return cls(tuple(items))
 
     @classmethod
     def all_one(cls, n_nodes: int) -> "DelayProfile":
-        return cls((1,) * n_nodes)
+        return cls((1,) * require_integer(n_nodes, "n_nodes", 1))
 
     def __iter__(self):
         return iter(self.delays)
@@ -325,29 +330,40 @@ def require_valid(spec: NetworkSpec) -> None:
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # the exact-type test first: the ABC check is many times slower
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
-def require_integer(value, what: str) -> int:
-    """`value` as an int if it is an integer; a float (even 64.0), a boolean
-    (True would read as 1) or anything else is a DomainError."""
-    if _is_integer(value):
-        return int(value)
-    raise DomainError(f"{what} must be an integer, got {value!r}")
+def require_integer(value, what: str, least: int) -> int:
+    """`value` as an int if it is an integer of at least `least`; a float (even
+    64.0), a boolean (True would read as 1), anything else or a smaller
+    integer is a DomainError.  With ``require_real`` the one check of a
+    number a caller hands in."""
+    if not _is_integer(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if value < least:  # str() of an int past 4300 digits would raise
+        shown = value if value.bit_length() < 64 else f"an integer of {value.bit_length()} bits"
+        raise DomainError(f"{what} must be >= {least}, got {shown}")
+    return value
 
 
-def require_real(value, what: str):
-    """`value` if it is a real number (numpy floats and integers included); a
-    boolean, a string, None, a complex or anything else is a DomainError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
-    raise DomainError(f"{what} must be a real number, got {value!r}")
-
-
-def require_seed(seed: int) -> None:
-    """Seeds key numpy SeedSequence streams, which take non-negative integers."""
-    if require_integer(seed, "seed") < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+def require_real(value, what: str) -> float:
+    """`value` as a finite Python float if it is a real number (numpy floats
+    and integers included); a boolean, a string, None, a complex, NaN, an
+    infinity, a number beyond the float range or anything else is a
+    DomainError."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise DomainError(f"{what} must be finite, got a number beyond the "
+                          "float range") from None
+    if not math.isfinite(x):
+        raise DomainError(f"{what} must be finite, got {x!r}")
+    return x
 
 
 def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,

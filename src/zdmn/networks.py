@@ -7,6 +7,17 @@ import numpy as np
 from .errors import DomainError
 from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_real
 
+# (X1, X2, Y2) of each of the 8 rows of a table over three binary variables, C order
+_, _X2, _Y2 = np.unravel_index(np.arange(8), (2, 2, 2))
+
+
+def _bsc(eps) -> np.ndarray:
+    """Rows of a BSC(eps); an eps outside [0, 1] is a DomainError."""
+    eps = require_real(eps, "eps")
+    if not 0.0 <= eps <= 1.0:
+        raise DomainError(f"eps {eps} outside [0, 1]")
+    return np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
+
 
 def bscfb_spec(eps: float) -> NetworkSpec:
     """Two-node BSC with correlated feedback.
@@ -14,17 +25,10 @@ def bscfb_spec(eps: float) -> NetworkSpec:
     Channel 1 is a BSC(eps) from X1 to Y2; channel 2 deterministically sets
     Y1 = X2 xor Y2, so a zero-delay node 2 can cancel the forward noise.
     """
-    if not (0.0 <= require_real(eps, "eps") <= 1.0):
-        raise DomainError(f"eps {eps} outside [0, 1]")
     s = Partition((NodeSet((1,)), NodeSet((2,))))
     g = Partition((NodeSet((2,)), NodeSet((1,))))
-    q1 = ChannelTable(("X1",), ("Y2",), np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
-    rows = np.zeros((8, 2))
-    for x1 in range(2):
-        for x2 in range(2):
-            for y2 in range(2):
-                rows[(x1 * 2 + x2) * 2 + y2, x2 ^ y2] = 1.0
-    q2 = ChannelTable(("X1", "X2", "Y2"), ("Y1",), rows)
+    q1 = ChannelTable(("X1",), ("Y2",), _bsc(eps))
+    q2 = ChannelTable(("X1", "X2", "Y2"), ("Y1",), np.eye(2)[_X2 ^ _Y2])
     return NetworkSpec(2, (2, 2), (2, 2), 2, s, g, (q1, q2))
 
 
@@ -33,13 +37,10 @@ def classical_bsc_spec(eps: float) -> NetworkSpec:
 
     Node 2 transmits nothing (|X2| = 1) and node 1 receives nothing (|Y1| = 1).
     """
-    if not (0.0 <= require_real(eps, "eps") <= 1.0):
-        raise DomainError(f"eps {eps} outside [0, 1]")
     s = Partition((NodeSet((1, 2)),))
     g = Partition((NodeSet((1, 2)),))
     # Rows over (X1, X2): X2 is degenerate.  Columns over (Y1, Y2): Y1 degenerate.
-    rows = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
-    q = ChannelTable(("X1", "X2"), ("Y1", "Y2"), rows)
+    q = ChannelTable(("X1", "X2"), ("Y1", "Y2"), _bsc(eps))
     return NetworkSpec(2, (2, 1), (1, 2), 1, s, g, (q,))
 
 
@@ -47,11 +48,7 @@ def deterministic_two_node_spec() -> NetworkSpec:
     """Identity network: Y_i = X_i for both nodes through one channel."""
     s = Partition((NodeSet((1, 2)),))
     g = Partition((NodeSet((1, 2)),))
-    rows = np.zeros((4, 4))
-    for x1 in range(2):
-        for x2 in range(2):
-            rows[x1 * 2 + x2, x1 * 2 + x2] = 1.0
-    q = ChannelTable(("X1", "X2"), ("Y1", "Y2"), rows)
+    q = ChannelTable(("X1", "X2"), ("Y1", "Y2"), np.eye(4))
     return NetworkSpec(2, (2, 2), (2, 2), 1, s, g, (q,))
 
 
@@ -61,22 +58,12 @@ def causal_relay_spec(eps1: float = 0.1, eps2: float = 0.05) -> NetworkSpec:
     Channel 1: Y2 = BSC(eps1) copy of X1.  Channel 2: Y3 = (X2 xor Y2) through
     BSC(eps2); node 1 receives nothing and node 3 transmits nothing.
     """
-    for e in (eps1, eps2):
-        if not (0.0 <= require_real(e, "eps") <= 1.0):
-            raise DomainError(f"eps {e} outside [0, 1]")
+    bsc1, bsc2 = _bsc(eps1), _bsc(eps2)
     s = Partition((NodeSet((1, 3)), NodeSet((2,))))
     g = Partition((NodeSet((2,)), NodeSet((1, 3))))
-    q1 = ChannelTable(("X1", "X3"), ("Y2",), np.array(
-        [[1.0 - eps1, eps1], [eps1, 1.0 - eps1]]))
+    q1 = ChannelTable(("X1", "X3"), ("Y2",), bsc1)
     # Rows over (X1, X2, X3, Y2) with |X3| = 1; columns over (Y1, Y3) with |Y1| = 1.
-    rows = np.zeros((8, 2))
-    for x1 in range(2):
-        for x2 in range(2):
-            for y2 in range(2):
-                r = (x1 * 2 + x2) * 2 + y2
-                rows[r, x2 ^ y2] = 1.0 - eps2
-                rows[r, 1 - (x2 ^ y2)] = eps2
-    q2 = ChannelTable(("X1", "X2", "X3", "Y2"), ("Y1", "Y3"), rows)
+    q2 = ChannelTable(("X1", "X2", "X3", "Y2"), ("Y1", "Y3"), bsc2[_X2 ^ _Y2])
     return NetworkSpec(3, (2, 2, 1), (1, 2, 2), 2, s, g, (q1, q2))
 
 

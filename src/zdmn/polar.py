@@ -557,18 +557,17 @@ class PolarCode:
 
     def __init__(self, n: int, k: int, eps: float, *, list_size: int = 16,
                  crc_bits: int = 16):
-        n, k = require_integer(n, "n"), require_integer(k, "k")
-        list_size = require_integer(list_size, "list_size")
-        crc_bits = require_integer(crc_bits, "crc_bits")
+        n, k = require_integer(n, "n", 1), require_integer(k, "k", 1)
+        list_size = require_integer(list_size, "list_size", 1)
+        crc_bits = require_integer(crc_bits, "crc_bits", 0)
         if crc_bits not in _CRC_POLYS:
             raise DomainError(f"crc_bits must be one of {sorted(_CRC_POLYS)}")
-        if not (1 <= k and k + crc_bits <= n):
-            raise DomainError(f"need 1 <= k and k + crc_bits <= n, "
+        if k + crc_bits > n:
+            raise DomainError(f"need k + crc_bits <= n, "
                               f"got k={k}, crc_bits={crc_bits}, n={n}")
-        if not (0.0 <= require_real(eps, "crossover eps") < 0.5):
+        eps = require_real(eps, "crossover eps")
+        if not 0.0 <= eps < 0.5:
             raise DomainError(f"crossover eps must be in [0, 0.5), got {eps}")
-        if list_size < 1:
-            raise DomainError("list_size must be >= 1")
         require_blocklength_within_cap(n)
         n_code = _code_length(n)
         if list_size * n_code > _DECODE_LANES:
@@ -577,7 +576,7 @@ class PolarCode:
                                    f"paths x code bits")
         self.n = n
         self.k = k
-        self.eps = float(eps)
+        self.eps = eps
         self.list_size = list_size
         self.crc_bits = crc_bits
         self.k_total = self.k + self.crc_bits

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import ChannelTable, NetworkSpec, NodeSet, Partition, require_real, require_valid, x_var
+from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, require_integer, require_real,
+                    require_valid, x_var)
 
 MI_CLAMP = 1e-12
 
@@ -33,8 +34,8 @@ class JointPmf:
         if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
             raise DomainError(f"names must be distinct strings (no repeated variable names), "
                               f"got {names}")
-        if min(self.sizes, default=1) < 1:
-            raise DomainError(f"alphabet sizes must be >= 1, got {self.sizes}")
+        object.__setattr__(self, "variables", tuple(
+            (n, require_integer(s, f"alphabet size of {n}", 1)) for n, s in self.variables))
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         cells = math.prod(self.sizes)
         if p.size != cells:
@@ -176,7 +177,7 @@ def conditional_mutual_information(p: JointPmf, a_vars, b_vars, c_vars=()) -> fl
 
 def binary_entropy(eps: float) -> float:
     """Entropy in bits of a Bernoulli(eps) variable; 0 at both endpoints."""
-    eps = float(require_real(eps, "eps"))
+    eps = require_real(eps, "eps")
     if not (0.0 <= eps <= 1.0):
         raise DomainError(f"eps {eps} outside [0, 1]")
     if eps == 0.0 or eps == 1.0:

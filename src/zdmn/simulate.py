@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError, SpecIOError
 from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, is_feasible, json_int,
-                    json_int_table, read_json, require_integer, require_real, require_seed,
+                    json_int_table, read_json, require_integer, require_real,
                     require_valid, step_plan, trial_uniforms, write_text, x_var, y_var)
 from .polar import PolarCode, require_blocklength_within_cap
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
@@ -70,18 +70,17 @@ class TableCode:
     decoder_tables: dict    # (i, j) -> 2-D int array
 
     def __post_init__(self):
-        sizes = tuple(tuple(require_integer(v, "message size") for v in row)
+        sizes = tuple(tuple(require_integer(v, "message size", 1) for v in row)
                       for row in self.message_sizes)
         for i, row in enumerate(sizes):
             if len(row) != len(sizes):
                 raise DomainError("message_sizes must be square")
             for j, v in enumerate(row):
-                if not 1 <= v <= MESSAGE_SIZE_CAP or (i == j and v != 1):
+                if v > MESSAGE_SIZE_CAP or (i == j and v != 1):
                     raise DomainError(f"message size {v} of {i + 1}->{j + 1} must be "
                                       f"in 1..2**53 (1 on the diagonal)")
         object.__setattr__(self, "message_sizes", sizes)
-        if require_integer(self.n, "blocklength") < 1:
-            raise DomainError("blocklength must be >= 1")
+        require_integer(self.n, "blocklength", 1)
         per_node = (self.delay_profile.delays, self.input_sizes, self.output_sizes,
                     self.encoder_tables)
         alphabets = (*self.input_sizes, *self.output_sizes)
@@ -159,11 +158,9 @@ def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
     require_valid(spec)  # the tables' shapes read its node count and alphabets
     if not is_feasible(spec, profile):
         raise DomainError(f"delay profile {profile.delays} infeasible for this network")
-    if require_integer(n, "blocklength") < 1:
-        raise DomainError("blocklength must be >= 1")
-    if require_integer(message_size, "message size") < 1:
-        raise DomainError("message size must be >= 1")
-    require_seed(seed)
+    require_integer(n, "blocklength", 1)
+    require_integer(message_size, "message size", 1)
+    require_integer(seed, "seed", 0)
     nn = spec.n_nodes
     sizes = tuple(tuple(1 if i == j else message_size for j in range(nn))
                   for i in range(nn))
@@ -289,9 +286,8 @@ class ErrorReport:
 
 def wilson_half_width(errors: int, trials: int) -> float:
     """Half-width of the 95% Wilson score interval for errors/trials."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if not 0 <= errors <= trials:
+    trials = require_integer(trials, "trials", 1)
+    if not 0 <= require_integer(errors, "errors", 0) <= trials:
         raise DomainError(f"errors must be in 0..{trials}, got {errors}")
     z = _WILSON_Z
     p = errors / trials
@@ -479,9 +475,8 @@ def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
 
 def run_trial(spec: NetworkSpec, code: TableCode, seed: int, trial: int = 0) -> SimTrace:
     """Execute one block, trial ``trial`` of ``estimate_error``'s batch."""
-    if require_integer(trial, "trial") < 0:
-        raise DomainError("trial must be >= 0")
-    require_seed(seed)
+    require_integer(trial, "trial", 0)
+    require_integer(seed, "seed", 0)
     _check_code(spec, code)
     w, x, y, est = _run_batch(spec, code, seed, trial, trial + 1)
     pairs = code.message_pairs()
@@ -494,9 +489,8 @@ def run_trial(spec: NetworkSpec, code: TableCode, seed: int, trial: int = 0) -> 
 def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
                    seed: int) -> ErrorReport:
     """Monte Carlo error estimate per message pair; deterministic given seed."""
-    if require_integer(trials, "trials") < 1:
-        raise DomainError("trials must be >= 1")
-    require_seed(seed)
+    require_integer(trials, "trials", 1)
+    require_integer(seed, "seed", 0)
     _check_code(spec, code)
     pairs = code.message_pairs()
     _require_uniforms_within_cap(trials, len(pairs) + code.n * spec.alpha)
@@ -662,17 +656,19 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
     its current received symbol, so node 1 recovers the reverse stream
     exactly.
     """
-    if not 0.0 < require_real(eps, "eps") < 0.5:
+    eps = require_real(eps, "eps")
+    if not 0.0 < eps < 0.5:
         raise DomainError(f"eps must be in (0, 0.5), got {eps}")
     cap = bscfb_capacity_region(eps).forward_cap
-    if require_real(forward_rate, "forward rate") >= cap:
+    forward_rate = require_real(forward_rate, "forward rate")
+    if forward_rate >= cap:
         raise DomainError(f"forward rate {forward_rate} is not below the "
                           f"forward capacity {cap:.6f}")
-    if not forward_rate > 0.0:  # NaN fails this check too
+    if forward_rate <= 0.0:
         raise DomainError(f"forward rate must be positive, got {forward_rate}")
-    if require_integer(n, "n") < 1 or require_integer(trials, "trials") < 1:
-        raise DomainError("n and trials must be >= 1")
-    require_seed(seed)
+    require_integer(n, "n", 1)
+    require_integer(trials, "trials", 1)
+    require_integer(seed, "seed", 0)
     require_blocklength_within_cap(n)  # before forward_rate * n, which overflows a float
     k = int(math.floor(forward_rate * n + 1e-9))
     if k < 1:  # one message bit would send at 1/n, above the rate checked against cap

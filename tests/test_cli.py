@@ -155,6 +155,22 @@ def test_feasible_listing_over_cap(capsys, tmp_path, one_letter_spec):
                    f"above the cap of {model.PROFILE_CAP}\n")
 
 
+def test_bound_over_the_cut_cap(capsys, tmp_path, one_letter_spec):
+    # a one-letter spec has a one-point grid, but 2^18 - 2 cuts: refused
+    # before any cut is built
+    path = tmp_path / "wide.json"
+    model.save_spec(one_letter_spec(18), path)
+    tracemalloc.start()
+    try:
+        rc, out, err = _run(capsys, "bound", "--spec", str(path), "--grid", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_CAP and out == ""
+    assert err == f"error: 18 nodes give 2^18 - 2 cuts, above the cap of {model.PROFILE_CAP}\n"
+    assert peak < 2 ** 20
+
+
 def test_feasible_refuses_an_invalid_spec(capsys, tmp_path):
     # channel 1's row 0 sums to 1.01: refused before any profile is listed
     d = model.spec_to_dict(networks.bscfb_spec(0.11))
@@ -480,7 +496,7 @@ def test_bscfb_nan_rate_is_a_domain_error(capsys):
     rc, out, err = _run(capsys, "bscfb", "--eps", "0.11", "--n", "64",
                         "--rate", "nan", "--trials", "5")
     assert rc == EXIT_DOMAIN and out == ""
-    assert err == "error: forward rate must be positive, got nan\n"
+    assert err == "error: forward rate must be finite, got nan\n"
 
 
 def test_bscfb_rate_below_one_bit_per_block(capsys):
@@ -527,7 +543,7 @@ def test_gaussian_non_finite_power(capsys):
     for power in ("nan", "inf"):
         rc, out, err = _run(capsys, "gaussian", "--power", power)
         assert rc == EXIT_DOMAIN and out == ""
-        assert err == f"error: power must be positive and finite, got {power}\n"
+        assert err == f"error: power must be finite, got {power}\n"
     # 2P, and at n = 16 the experiment's sums of squares, would overflow to inf
     for argv, why in ((["1e308"], "power 1e+308 overflows 2P"),
                       (["1e307", "--experiment"], "power P=1e+307 (back-off 0.5) over 16 slots")):

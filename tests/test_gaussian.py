@@ -536,8 +536,11 @@ def test_separation_report_fields():
     assert "positive-delay cap:   1.160964 bits/slot" in text
     with pytest.raises(DomainError):
         separation_report(5.0, operating_rate=0.0)
-    for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="power must be positive and finite"):
+    for bad in (-1.0, 0.0):
+        with pytest.raises(DomainError, match=f"^power must be positive, got {bad}$"):
+            separation_report(bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"^power must be finite, got {bad}$"):
             separation_report(bad)
 
 

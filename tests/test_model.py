@@ -229,11 +229,39 @@ def test_feasibility_oracle_on_random_partitions(n_nodes, data):
 
 
 def test_require_real_refuses_what_is_not_a_real_number():
-    for value in (0.25, 1, np.float32(0.25), np.float64(0.25), np.int64(1), math.nan):
-        assert model.require_real(value, "eps") is value
+    # every real number comes back as a Python float of the same value
+    for value in (0.25, 1, np.float32(0.25), np.float64(0.25), np.int64(1)):
+        got = model.require_real(value, "eps")
+        assert type(got) is float and got == value
     for value in ("0.25", None, 0.25j, True, np.bool_(True), [0.25]):
         with pytest.raises(DomainError, match="^eps must be a real number, got "):
             model.require_real(value, "eps")
+    # NaN and the infinities compare false or pass every range check
+    for value, shown in ((math.nan, "nan"), (-math.inf, "-inf"), (np.float32("inf"), "inf")):
+        with pytest.raises(DomainError, match=f"^eps must be finite, got {shown}$"):
+            model.require_real(value, "eps")
+    # an int too large for a float would end in a bare OverflowError at float()
+    with pytest.raises(DomainError,
+                       match="^eps must be finite, got a number beyond the float range$"):
+        model.require_real(10 ** 400, "eps")
+
+
+def test_require_integer_refuses_what_is_not_an_integer_of_at_least_least():
+    for value in (3, np.int64(3), np.uint8(3), 10 ** 400):
+        got = model.require_integer(value, "n", 3)
+        assert type(got) is int and got == value
+    # a float (even a whole one) is never truncated, and True would read as 1
+    for value in (3.0, 2.5, math.nan, "3", None, True, np.bool_(True), [3]):
+        with pytest.raises(DomainError, match="^n must be an integer, got "):
+            model.require_integer(value, "n", 0)
+    for value in (2, np.int64(-1), -2 ** 63 + 1):
+        with pytest.raises(DomainError, match=f"^n must be >= 3, got {int(value)}$"):
+            model.require_integer(value, "n", 3)
+    # an int of 64 bits or more is shown by its size: str() of one past
+    # 4300 digits would raise
+    for value, bits in ((-2 ** 63, 64), (-10 ** 5000, 16610)):
+        with pytest.raises(DomainError, match=f"^n must be >= 3, got an integer of {bits} bits$"):
+            model.require_integer(value, "n", 3)
 
 
 @pytest.mark.parametrize("make", (networks.bscfb_spec, networks.classical_bsc_spec,

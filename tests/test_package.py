@@ -2,9 +2,11 @@
 
 import ast
 import collections
+import dataclasses
 import graphlib
 import importlib
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -589,3 +591,133 @@ def test_limit_guard_reads_every_parameter_kind():
         "def fine(capacity, maximum, budget):\n    return capacity\n")
     assert _limit_parameters({"code.py": code}) == [
         "code.py:2 __init__(max_points)", "code.py:4 run(cap)", "code.py:6 lambda(max_x)"]
+
+
+def _range_refusals(trees):
+    """`path:line` of every string (an f-string's literal parts included)
+    spelling a `must be >=` refusal outside model.py."""
+    return sorted(f"{path.name}:{node.lineno}" for path, tree in trees.items()
+                  if path.name != "model.py" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "must be >=" in node.value)
+
+
+def test_only_the_guards_spell_a_lower_bound():
+    # a number's least value is checked by model.require_integer, whose one
+    # message format is "<what> must be >= <least>, got <value>"
+    assert _range_refusals(_parsed(sorted(_SRC.glob("*.py")))) == []
+
+
+def test_lower_bound_guard_reads_every_string():
+    code = ast.parse("def f(n, k):\n"
+                     "    if n < 1:\n        raise ValueError(f'n must be >= 1, got {n}')\n"
+                     "    if k < 0:\n        raise ValueError('k must be >= 0')\n"
+                     "    raise ValueError(f'k must be one of {n}')\n")
+    assert _range_refusals({pathlib.Path("m.py"): code}) == ["m.py:3", "m.py:5"]
+    assert _range_refusals({pathlib.Path("model.py"): code}) == []
+
+
+def _wrapped_reals(trees):
+    """`path:line` of every float(...) or isfinite(...) call whose argument is
+    a require_real(...) call: the guard already returns a finite float."""
+    def name(func):
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+    return [f"{path.name}:{node.lineno}" for path, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name(node.func) in ("float", "isfinite")
+            and node.args and isinstance(node.args[0], ast.Call)
+            and name(node.args[0].func) == "require_real"]
+
+
+def test_no_call_rewraps_require_real():
+    assert _wrapped_reals(_parsed(sorted(_SRC.glob("*.py")))) == []
+
+
+def test_real_wrapper_guard_finds_float_and_isfinite():
+    code = ast.parse("import math\nfrom model import require_real\nimport model\n"
+                     "a = float(require_real(x, 'x'))\n"
+                     "b = math.isfinite(model.require_real(y, 'y'))\n"
+                     "c = require_real(float(z), 'z')\n"
+                     "d = float(x) + math.isfinite(require_real)\n")
+    assert _wrapped_reals({pathlib.Path("m.py"): code}) == ["m.py:4", "m.py:5"]
+
+
+def _entry_points():
+    """(entry point, parameter, kind, call) per number a public entry point
+    takes: `call` hands the value to that parameter alone, every other
+    argument valid."""
+    from zdmn import gaussian, polar, simulate
+    spec = zdmn.bscfb_spec(0.11)
+    code = zdmn.random_table_code(spec, 1, zdmn.DelayProfile.of((1, 1)), seed=0)
+    profile = code.delay_profile
+    config, cfg = gaussian.GaussianRelayConfig, gaussian.GaussianRelayConfig(5.0, 8)
+    pairs, table_code = zdmn.RateTuple.from_pairs, zdmn.random_table_code
+    return [
+        ("grid_hull", "grid resolution k", int, lambda v: zdmn.grid_hull(spec, "capacity", v)),
+        ("GaussianRelayConfig", "blocklength", int, lambda v: config(5.0, v)),
+        ("GaussianRelayConfig", "seed", int, lambda v: config(5.0, 8, seed=v)),
+        ("GaussianRelayConfig", "source power", float, lambda v: config(v, 8)),
+        ("GaussianRelayConfig", "power back-off", float, lambda v: config(5.0, 8, delta=v)),
+        ("neutralization_rate", "block count", int,
+         lambda v: gaussian.neutralization_rate(cfg, v)),
+        ("codebook_experiment", "rate", float,
+         lambda v: gaussian.codebook_experiment(cfg, v, trials=2)),
+        ("codebook_experiment", "trial count", int,
+         lambda v: gaussian.codebook_experiment(cfg, 0.5, trials=v)),
+        ("separation_report", "power", float, gaussian.separation_report),
+        ("separation_report", "operating rate", float,
+         lambda v: gaussian.separation_report(5.0, v)),
+        ("PolarCode", "n", int, lambda v: polar.PolarCode(v, 8, 0.11)),
+        ("PolarCode", "k", int, lambda v: polar.PolarCode(64, v, 0.11)),
+        ("PolarCode", "crossover eps", float, lambda v: polar.PolarCode(64, 8, v)),
+        ("PolarCode", "list_size", int, lambda v: polar.PolarCode(64, 8, 0.11, list_size=v)),
+        ("PolarCode", "crc_bits", int, lambda v: polar.PolarCode(64, 8, 0.11, crc_bits=v)),
+        ("binary_entropy", "eps", float, zdmn.binary_entropy),
+        ("bscfb_spec", "eps", float, zdmn.bscfb_spec),
+        ("TableCode", "blocklength", int, lambda v: dataclasses.replace(code, n=v)),
+        ("TableCode", "message size", int,
+         lambda v: dataclasses.replace(code, message_sizes=((1, v), (2, 1)))),
+        ("random_table_code", "blocklength", int, lambda v: table_code(spec, v, profile, 0)),
+        ("random_table_code", "message size", int,
+         lambda v: table_code(spec, 1, profile, 0, message_size=v)),
+        ("random_table_code", "seed", int, lambda v: table_code(spec, 1, profile, v)),
+        ("run_trial", "trial", int, lambda v: zdmn.run_trial(spec, code, 0, trial=v)),
+        ("run_trial", "seed", int, lambda v: zdmn.run_trial(spec, code, v)),
+        ("estimate_error", "trials", int, lambda v: zdmn.estimate_error(spec, code, v, 0)),
+        ("estimate_error", "seed", int, lambda v: zdmn.estimate_error(spec, code, 3, v)),
+        ("bscfb_scheme", "eps", float, lambda v: zdmn.bscfb_scheme(v, 64, 0.25, 0, 2)),
+        ("bscfb_scheme", "forward rate", float, lambda v: zdmn.bscfb_scheme(0.11, 64, v, 0, 2)),
+        ("bscfb_scheme", "n", int, lambda v: zdmn.bscfb_scheme(0.11, v, 0.25, 0, 2)),
+        ("bscfb_scheme", "trials", int, lambda v: zdmn.bscfb_scheme(0.11, 64, 0.25, 0, v)),
+        ("bscfb_scheme", "seed", int, lambda v: zdmn.bscfb_scheme(0.11, 64, 0.25, v, 2)),
+        ("RateTuple.from_pairs", "n_nodes", int, lambda v: pairs(v, {})),
+        ("RateTuple.from_pairs", "node index", int, lambda v: pairs(2, {(v, 2): 0.5})),
+        ("RateTuple.from_pairs", "node index", int, lambda v: pairs(2, {(1, v): 0.5})),
+        ("RateTuple.from_pairs", "rate", float, lambda v: pairs(2, {(1, 2): v})),
+        ("DelayProfile", "delay bit", int, lambda v: zdmn.DelayProfile((1, v))),
+        ("DelayProfile.of", "delay bit", int, lambda v: zdmn.DelayProfile.of((v, 1))),
+        ("DelayProfile.all_one", "n_nodes", int, zdmn.DelayProfile.all_one),
+        ("wilson_half_width", "errors", int, lambda v: simulate.wilson_half_width(v, 3)),
+        ("wilson_half_width", "trials", int, lambda v: simulate.wilson_half_width(0, v)),
+        ("JointPmf", "alphabet size of A", int, lambda v: zdmn.JointPmf((("A", v),), [1.0])),
+        ("enumerate_cuts", "n_nodes", int, zdmn.enumerate_cuts),
+    ]
+
+
+_ENTRY_POINTS = _entry_points()
+# an integer parameter is also handed a fraction, and a huge negative
+# integer in place of the huge one, which can be a valid count or seed
+_MALFORMED = {float: [10 ** 400, math.nan, math.inf, -math.inf, True, "x"],
+              int: [-10 ** 400, math.nan, math.inf, True, "x", 2.5]}
+
+
+@pytest.mark.parametrize("what, kind, call", [e[1:] for e in _ENTRY_POINTS],
+                         ids=[f"{e[0]}({e[1]})" for e in _ENTRY_POINTS])
+def test_every_entry_point_refuses_a_malformed_number(what, kind, call):
+    # one DomainError naming the parameter, never an OverflowError,
+    # TypeError or ValueError, and never a silent acceptance
+    for value in _MALFORMED[kind]:
+        with pytest.raises(zdmn.DomainError) as e:
+            call(value)
+        assert str(e.value).startswith(f"{what} must be "), (value, str(e.value))

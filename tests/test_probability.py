@@ -87,7 +87,7 @@ def test_table_of_wrong_length_is_a_domain_error():
 
 def test_joint_refuses_malformed_variables():
     # (-2) * (-2) cells would match the table's length
-    with pytest.raises(DomainError, match="alphabet sizes must be >= 1"):
+    with pytest.raises(DomainError, match="^alphabet size of A must be >= 1, got -2$"):
         _joint((("A", -2), ("B", -2)), [0.25] * 4)
     # with a repeated name, marginalize would sum one of its two axes
     with pytest.raises(DomainError, match="repeated variable names"):

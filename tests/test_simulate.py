@@ -621,15 +621,17 @@ def test_code_validation_errors():
 
 
 def test_delay_bits_outside_zero_and_one_are_refused():
-    for bits in ((-1, 1), (2, 1), (1, 3)):
+    for bits in ((2, 1), (1, 3)):
         with pytest.raises(DomainError, match="delay bits must be 0 or 1"):
             DelayProfile.of(bits)
+    with pytest.raises(DomainError, match="^delay bit must be >= 0, got -1$"):
+        DelayProfile.of((-1, 1))
     # with node 1's tables sized for b_1 = -1, only the delay bit is wrong
     spec = networks.bscfb_spec(0.11)
     d = code_to_dict(random_table_code(spec, 2, _UNIT, seed=0))
     d["delay_profile"] = [-1, 1]
     d["encoders"][0]["tables"] = [[[0] * 2 ** (k + 1)] * 2 for k in (1, 2)]
-    with pytest.raises(DomainError, match="delay bits must be 0 or 1"):
+    with pytest.raises(DomainError, match="^delay bit must be >= 0, got -1$"):
         code_from_dict(d)
 
 
@@ -837,6 +839,7 @@ def test_wilson_half_width_solves_score_equation():
     with pytest.raises(DomainError):
         wilson_half_width(0, 0)
     # a count outside 0..trials is refused, not a math domain error
-    for errors in (5, -1):
-        with pytest.raises(DomainError, match=r"errors must be in 0\.\.3"):
-            wilson_half_width(errors, 3)
+    with pytest.raises(DomainError, match=r"^errors must be in 0\.\.3, got 5$"):
+        wilson_half_width(5, 3)
+    with pytest.raises(DomainError, match="^errors must be >= 0, got -1$"):
+        wilson_half_width(-1, 3)
