@@ -42,9 +42,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError
 from .model import (NetworkSpec, NodeSet, enumerate_cuts, require_integer, require_valid,
-                    x_var, y_var)
+                    require_within_cap, x_var, y_var)
 from .probability import (_aligned_factor, _all_delayed_shell, _channel_product,
                           _full_layout, _group_size, _clamp_mi, _marginal, _row_sum,
                           cond_entropy_table, input_conditional_vars)
@@ -128,9 +128,7 @@ class GridProblem:
         n_points = 1
         for n_rows, n_cols in zip(self.factor_n_rows, self.factor_n_cols):
             n_points *= math.comb(self.k + n_cols - 1, n_cols - 1) ** n_rows
-        if n_points > POINT_CAP:
-            raise ResourceCapError(
-                f"grid has {n_points} distributions, above the cap {POINT_CAP}")
+        require_within_cap(n_points, POINT_CAP, "grid point count")
         self.n_points = n_points
 
         self.cuts = enumerate_cuts(spec.n_nodes)
@@ -159,9 +157,7 @@ class GridProblem:
         per_point = (sum(self.factor_n_rows) + 2 + self.n_cuts * self.n_slots
                      + 5 * table + largest_term)
         cells = math.prod(sizes) + per_point * min(BATCH, n_points)
-        if cells > GRID_CELL_CAP:
-            raise ResourceCapError(
-                f"grid needs {cells} table cells, above the cap {GRID_CELL_CAP}")
+        require_within_cap(cells, GRID_CELL_CAP, "grid table cell count")
 
         # Every term's channel is its slot's channel, fixed by the network:
         # in positive-delay mode the channel product q^(1) ... q^(alpha) of

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._grid import BATCH, GridProblem
 from .errors import DomainError
-from .model import ChannelTable, Cut, NetworkSpec, require_integer, require_real
+from .model import ChannelTable, Cut, NetworkSpec, _shown, require_integer, require_real
 
 INSIDE = "inside"
 NOT_FOUND = "not-found-at-this-resolution"
@@ -73,7 +73,7 @@ class RateTuple:
         for (i, j), v in pairs.items():
             i, j = (require_integer(k, "node index", 1) for k in (i, j))
             if max(i, j) > n_nodes:
-                raise DomainError(f"rate pair ({i}, {j}) outside 1..{n_nodes}")
+                raise DomainError(f"rate pair ({_shown(i)}, {_shown(j)}) outside 1..{n_nodes}")
             r[i - 1, j - 1] = require_real(v, "rate")
         return cls(r)
 

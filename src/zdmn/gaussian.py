@@ -44,7 +44,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import model
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError
 
 # The relay's per-slot power budget exceeds the source's by this amount.
 RELAY_POWER_MARGIN = 10.0
@@ -59,6 +59,9 @@ CODEBOOK_CAP = 1 << 20
 # Poisson-window terms of one noncentral chi-square CDF value; at most
 # model.DRAW_CELLS, so one value's terms fit a batch of _ncx2_cdf.
 CDF_WINDOW_CAP = 1 << 20
+# Bits k = ceil(rate * n) of a codebook's 2^k codewords; 2^k is formed only
+# up to 2**512.
+CODEBOOK_BITS_CAP = 512
 
 _METHODS = ("auto", "exhaustive", "analytic")
 
@@ -90,12 +93,6 @@ def _normals(seed: int, purpose: Tuple[int, ...], lo: int, hi: int, width: int) 
         a *= r
         r *= cos
     return u[:, :width]
-
-
-def _require_window(n: int) -> None:
-    """Refuse a window of 3n normals above CELL_CAP before anything is drawn."""
-    if 3 * n > CELL_CAP:
-        raise ResourceCapError(f"blocklength {n} draws windows of {3 * n} normals > cap {CELL_CAP}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +129,9 @@ class GaussianRelayConfig:
         amp = 2.0 * math.sqrt(self.P) + 4.0
         per_slot = 74.0 * amp * amp * max(1.0, 0.25 / (self.P - self.delta))
         if not self.n <= sys.float_info.max / per_slot:
-            raise DomainError(f"power P={self.P} (back-off {self.delta}) over {self.n} "
-                              f"slots overflows the experiments' sums of squares")
+            raise DomainError(f"power P={self.P} (back-off {self.delta}) over "
+                              f"{model._shown(self.n)} slots overflows the experiments' "
+                              f"sums of squares")
 
     @property
     def relay_power(self) -> float:
@@ -200,7 +198,7 @@ def simulate_relay(
     ``z2``, ``z3``, then the unit draw of its Gaussian source, which this
     block leaves unread.  A trace is therefore reproducible per seed.
     """
-    _require_window(config.n)
+    model.require_within_cap(3 * config.n, CELL_CAP, "3 x blocklength")
     x1 = np.asarray(source_sequence, dtype=np.float64)
     if x1.shape != (config.n,):
         raise DomainError(
@@ -225,10 +223,8 @@ def neutralization_rate(config: GaussianRelayConfig, blocks: int = 200) -> float
     """
     model.require_integer(blocks, "block count", 1)
     n = config.n
-    _require_window(n)
-    if blocks * n > CELL_CAP:
-        raise ResourceCapError(f"{blocks} blocks of blocklength {n} are "
-                               f"{blocks * n} slots > cap {CELL_CAP}")
+    model.require_within_cap(3 * n, CELL_CAP, "3 x blocklength")
+    model.require_within_cap(blocks * n, CELL_CAP, "blocks x blocklength")
     step = max(1, model.DRAW_CELLS // (3 * n))
     open_blocks = 0
     for lo in range(0, blocks, step):
@@ -398,10 +394,8 @@ def _ncx2_cdf(x: np.ndarray, n: int, nc: np.ndarray) -> np.ndarray:
     peak = np.minimum(lam, np.sqrt(h * h / 4.0 + lam * z) - h / 2.0)
     start = np.maximum(0.0, np.floor(peak - 12.0 * np.sqrt(lam)) - 40.0)
     stop = np.ceil(peak + 12.0 * np.sqrt(lam)) + 40.0
-    if np.any(stop - start >= CDF_WINDOW_CAP):
-        raise ResourceCapError(f"the noncentral chi-square CDF at noncentrality up to "
-                               f"{np.max(nc[live]):.6g} sums up to {np.max(stop - start) + 1:.0f} "
-                               f"terms > cap {CDF_WINDOW_CAP}")
+    model.require_within_cap(int(np.max(stop - start, initial=0.0)) + 1, CDF_WINDOW_CAP,
+                             "noncentral chi-square CDF term count")
     order = np.argsort(peak, kind="stable")
     while order.size:
         cells = ((np.maximum.accumulate(stop[order]) - np.minimum.accumulate(start[order]) + 1.0)
@@ -473,23 +467,17 @@ def codebook_experiment(
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
     n = config.n
-    if trials * n > CELL_CAP:
-        raise ResourceCapError(f"{trials} trials of blocklength {n} need "
-                               f"{trials * n} cells > cap {CELL_CAP}")
-    _require_window(n)
+    model.require_within_cap(trials * n, CELL_CAP, "trials x blocklength")
+    model.require_within_cap(3 * n, CELL_CAP, "3 x blocklength")
     bits = rate * n - 1e-12  # n <= CELL_CAP here, but rate * n may be inf
-    if bits > 512:
-        raise ResourceCapError(f"codebook too large: rate {rate} at blocklength {n} "
-                               f"needs over 2**512 codewords")
+    model.require_within_cap(bits, CODEBOOK_BITS_CAP, "log2 of the codeword count")
     k = max(0, math.ceil(bits))
     m = 1 << k
     if method == "auto":
         method = "exhaustive" if m <= CODEBOOK_CAP and m * n <= CELL_CAP else "analytic"
-    if method == "exhaustive" and m > CODEBOOK_CAP:
-        raise ResourceCapError(f"codebook too large: {m} codewords > cap {CODEBOOK_CAP}")
-    if method == "exhaustive" and m * n > CELL_CAP:
-        raise ResourceCapError(f"codebook of {m} codewords of length {n} needs "
-                               f"{m * n} cells > cap {CELL_CAP}")
+    if method == "exhaustive":
+        model.require_within_cap(m, CODEBOOK_CAP, "codeword count")
+        model.require_within_cap(m * n, CELL_CAP, "codewords x blocklength")
 
     scale = math.sqrt(config.P - config.delta)
     seed = config.seed

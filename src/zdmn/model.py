@@ -5,10 +5,11 @@ S and an output partition G of {1..N}.  Channel h emits the outputs of block
 G_h given the inputs of the prefix S^h = S_1 u ... u S_h and the outputs of
 the prefix G^{h-1}.  Node indices are 1-based in every external format.
 
-The module also keeps the two guards every number a caller hands in goes
-through, ``require_integer`` and ``require_real``, the one counter-based
-stream every simulator draws from (``trial_uniforms``), and the JSON reader
-and writer of the package's files.
+The module also keeps the three guards: every number a caller hands in goes
+through ``require_integer`` or ``require_real``, and every count checked
+against a resource cap through ``require_within_cap``.  It keeps too the one
+counter-based stream every simulator draws from (``trial_uniforms``), and
+the JSON reader and writer of the package's files.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError, SpecIOError
 
 ROW_TOL = 1e-9
-PROFILE_CAP = 2 ** 16  # largest 2^N of delay profiles, or cuts, one enumeration lists
+NODE_CAP = 16  # most nodes of one enumeration: 2^16 delay profiles, or 2^16 - 2 cuts
 DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
 PHILOX_BLOCKS = 2 ** 256  # counter blocks of one Philox stream; past them the counter wraps
 
@@ -94,10 +95,9 @@ class Cut:
 
 def enumerate_cuts(n_nodes: int) -> list[Cut]:
     """All 2^N - 2 proper nonempty subsets, lexicographic over member tuples;
-    above ``PROFILE_CAP`` of them a ResourceCapError, before any is built."""
-    if require_integer(n_nodes, "n_nodes", 2) >= PROFILE_CAP.bit_length():
-        raise ResourceCapError(f"{n_nodes} nodes give 2^{n_nodes} - 2 cuts, "
-                               f"above the cap of {PROFILE_CAP}")
+    above ``NODE_CAP`` nodes a ResourceCapError, before any is built."""
+    n_nodes = require_integer(n_nodes, "n_nodes", 2)
+    require_within_cap(n_nodes, NODE_CAP, "cut enumeration node count")
     subsets = []
     for r in range(1, n_nodes):
         subsets += [tuple(c) for c in itertools.combinations(range(1, n_nodes + 1), r)]
@@ -234,8 +234,9 @@ class DelayProfile:
 
     def __post_init__(self):
         bits = tuple(require_integer(b, "delay bit", 0) for b in self.delays)
-        if any(b > 1 for b in bits):
-            raise DomainError(f"delay bits must be 0 or 1, got {bits}")
+        for b in bits:
+            if b > 1:
+                raise DomainError(f"delay bits must be 0 or 1, got {_shown(b)}")
         object.__setattr__(self, "delays", bits)
 
     @classmethod
@@ -264,7 +265,7 @@ def _partition_violations(name: str, part: Partition, n_nodes: int) -> list[str]
             out.append(f"{name} block {idx}: indices not strictly increasing")
         for i in b:
             if not (1 <= i <= n_nodes):
-                out.append(f"{name} block {idx}: node {i} outside 1..{n_nodes}")
+                out.append(f"{name} block {idx}: node {_shown(i)} outside 1..{_shown(n_nodes)}")
         if seen & set(b.members):
             out.append(f"{name}: blocks not disjoint")
         seen |= set(b.members)
@@ -272,7 +273,7 @@ def _partition_violations(name: str, part: Partition, n_nodes: int) -> list[str]
     n_missing = n_nodes - sum(1 for i in seen if 1 <= i <= n_nodes)
     if n_missing > 0:
         missing = list(itertools.islice((i for i in range(1, n_nodes + 1) if i not in seen), 8))
-        further = f" and {n_missing - 8} further" if n_missing > 8 else ""
+        further = f" and {_shown(n_missing - 8)} further" if n_missing > 8 else ""
         out.append(f"{name}: nodes {missing}{further} are in no block")
     return out
 
@@ -285,6 +286,18 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     variable names are formed only to compare them with the channel's.
     """
     v: list[str] = []
+    # every count and node index is an integer before any is compared or ranged over
+    members = [i for part in (spec.input_partition, spec.output_partition)
+               for b in part.blocks for i in b]
+    for what, values in (("n_nodes", (spec.n_nodes,)), ("alpha", (spec.alpha,)),
+                         ("alphabet size",
+                          spec.input_alphabet_sizes + spec.output_alphabet_sizes),
+                         ("partition member", members)):
+        bad = [x for x in values if not _is_integer(x)]
+        if bad:
+            v.append(f"{what} must be an integer, got {bad[0]!r}")
+    if v:
+        return ValidationReport(False, tuple(v))
     n = spec.n_nodes
     if n < 1:
         v.append("n_nodes must be at least 1")
@@ -316,7 +329,8 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         rows = math.prod([x_sizes[i - 1] for i in xs]) * math.prod([y_sizes[i - 1] for i in ys])
         cols = math.prod([y_sizes[i - 1] for i in outs])
         if ch.table.shape != (rows, cols):
-            v.append(f"channel {h}: table shape {ch.table.shape} != expected ({rows}, {cols})")
+            v.append(f"channel {h}: table shape {ch.table.shape} != expected "
+                     f"({_shown(rows)}, {_shown(cols)})")
         else:
             v += ch.stochasticity_violations(f"channel {h}")
     return ValidationReport(not v, tuple(v))
@@ -343,9 +357,27 @@ def require_integer(value, what: str, least: int) -> int:
     if not _is_integer(value):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     value = int(value)
-    if value < least:  # str() of an int past 4300 digits would raise
-        shown = value if value.bit_length() < 64 else f"an integer of {value.bit_length()} bits"
-        raise DomainError(f"{what} must be >= {least}, got {shown}")
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {_shown(value)}")
+    return value
+
+
+def require_within_cap(count, limit: int, what: str) -> None:
+    """Refuse a `count` above the module constant `limit`, before anything
+    of that size is allocated: the one ResourceCapError of the package.
+    `what` names the count; an int of any size compares exactly."""
+    if count > limit:
+        raise ResourceCapError(f"{what} {_shown(count)} is above the cap of {limit}")
+
+
+def _shown(value):
+    """`value` as a message prints it: an int of 64 bits or more as its bit
+    count, since str() of an int past 4300 digits raises, and a float to six
+    significant digits."""
+    if isinstance(value, float):
+        return f"{value:g}"
+    if isinstance(value, int) and value.bit_length() >= 64:
+        return f"an integer of {value.bit_length()} bits"
     return value
 
 
@@ -382,8 +414,8 @@ def trial_uniforms(seed: int, purpose: tuple, lo: int, hi: int,
     """
     c = -(-width // 4)
     if hi * c > PHILOX_BLOCKS:
-        raise DomainError(f"trials [{lo}, {hi}) of {c} counter blocks each run past the "
-                          f"2**256 blocks of a random stream")
+        raise DomainError(f"trials [{_shown(lo)}, {_shown(hi)}) of {c} counter blocks each "
+                          f"run past the 2**256 blocks of a random stream")
     bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=purpose))
     bits.advance(lo * c)
     return np.random.Generator(bits).random((hi - lo, 4 * c))[:, :width]
@@ -410,11 +442,8 @@ def enumerate_feasible_profiles(spec: NetworkSpec) -> list[DelayProfile]:
     (0, 1) where ``_may_skip_delay`` holds and (1,) elsewhere.
     """
     if spec.n_nodes < 1:
-        raise DomainError(f"n_nodes must be at least 1, got {spec.n_nodes}")
-    if spec.n_nodes >= PROFILE_CAP.bit_length():  # 2^N > PROFILE_CAP, 2^N never formed
-        raise ResourceCapError(
-            f"{spec.n_nodes} nodes give 2^{spec.n_nodes} delay profiles, "
-            f"above the cap of {PROFILE_CAP}")
+        raise DomainError(f"n_nodes must be at least 1, got {_shown(spec.n_nodes)}")
+    require_within_cap(spec.n_nodes, NODE_CAP, "delay-profile enumeration node count")
     choices = ((0, 1) if _may_skip_delay(spec, i) else (1,) for i in range(1, spec.n_nodes + 1))
     return [DelayProfile(bits) for bits in itertools.product(*choices)]
 

@@ -40,8 +40,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError
-from .model import require_integer, require_real
+from .errors import DomainError
+from .model import _shown, require_integer, require_real, require_within_cap
 
 MAX_N = 2 ** 14  # largest blocklength PolarCode accepts
 _DECODE_CHUNK = 256  # most blocks per decoder call
@@ -531,12 +531,6 @@ def _decode_chunk_blocks(n_code: int, list_size: int) -> int:
     return min(_DECODE_CHUNK, _DECODE_LANES // (list_size * n_code))
 
 
-def require_blocklength_within_cap(n: int) -> None:
-    """Refuse a blocklength above ``MAX_N``; an int of any size compares exactly."""
-    if n > MAX_N:
-        raise ResourceCapError(f"blocklength {n} is above the cap of {MAX_N}")
-
-
 def _require_bits(blocks, what: str) -> np.ndarray:
     """Blocks as a 2-D uint8 array, refusing any entry but 0 and 1 (NaN included)."""
     blocks = np.atleast_2d(np.asarray(blocks))
@@ -564,16 +558,13 @@ class PolarCode:
             raise DomainError(f"crc_bits must be one of {sorted(_CRC_POLYS)}")
         if k + crc_bits > n:
             raise DomainError(f"need k + crc_bits <= n, "
-                              f"got k={k}, crc_bits={crc_bits}, n={n}")
+                              f"got k={_shown(k)}, crc_bits={crc_bits}, n={_shown(n)}")
         eps = require_real(eps, "crossover eps")
         if not 0.0 <= eps < 0.5:
             raise DomainError(f"crossover eps must be in [0, 0.5), got {eps}")
-        require_blocklength_within_cap(n)
+        require_within_cap(n, MAX_N, "blocklength")
         n_code = _code_length(n)
-        if list_size * n_code > _DECODE_LANES:
-            raise ResourceCapError(f"list size {list_size} at code length {n_code} "
-                                   f"is above the decoder budget of {_DECODE_LANES} "
-                                   f"paths x code bits")
+        require_within_cap(list_size * n_code, _DECODE_LANES, "list size x code length")
         self.n = n
         self.k = k
         self.eps = eps

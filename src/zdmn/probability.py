@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, require_integer, require_real,
-                    require_valid, x_var)
+from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, _shown, require_integer,
+                    require_real, require_valid, x_var)
 
 MI_CLAMP = 1e-12
 
@@ -39,7 +39,7 @@ class JointPmf:
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         cells = math.prod(self.sizes)
         if p.size != cells:
-            raise DomainError(f"{p.size} probabilities for the {cells} cells of {names}")
+            raise DomainError(f"{p.size} probabilities for the {_shown(cells)} cells of {names}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

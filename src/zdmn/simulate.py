@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapError, SpecIOError
-from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, is_feasible, json_int,
+from .errors import DomainError, SpecIOError
+from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, _shown, is_feasible, json_int,
                     json_int_table, read_json, require_integer, require_real,
-                    require_valid, step_plan, trial_uniforms, write_text, x_var, y_var)
-from .polar import PolarCode, require_blocklength_within_cap
+                    require_valid, require_within_cap, step_plan, trial_uniforms, write_text,
+                    x_var, y_var)
+from .polar import MAX_N, PolarCode
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
                           conditional_mutual_information)
 
@@ -77,7 +78,7 @@ class TableCode:
                 raise DomainError("message_sizes must be square")
             for j, v in enumerate(row):
                 if v > MESSAGE_SIZE_CAP or (i == j and v != 1):
-                    raise DomainError(f"message size {v} of {i + 1}->{j + 1} must be "
+                    raise DomainError(f"message size {_shown(v)} of {i + 1}->{j + 1} must be "
                                       f"in 1..2**53 (1 on the diagonal)")
         object.__setattr__(self, "message_sizes", sizes)
         require_integer(self.n, "blocklength", 1)
@@ -87,7 +88,7 @@ class TableCode:
         if ({len(v) for v in per_node} != {len(sizes)} or min(alphabets, default=1) < 1
                 or any(t is None or len(t) != self.n for t in self.encoder_tables)):
             raise DomainError(f"code needs per node one delay bit, two alphabet sizes "
-                              f">= 1 and {self.n} encoder tables, one per slot")
+                              f">= 1 and {_shown(self.n)} encoder tables, one per slot")
         for kind, i, j, want in table_shapes(self.n, sizes, self.delay_profile.delays,
                                              self.output_sizes):
             if kind == "encoder":
@@ -142,14 +143,13 @@ def table_shapes(n: int, message_sizes: tuple, delays: tuple, output_sizes: tupl
                 yield "decoder", i + 1, j + 1, (w_spaces[j], output_sizes[j] ** n)
 
 
-def _require_cells_within_cap(shapes, what: str) -> None:
-    """Sum the cells of ``shapes`` and stop as soon as they pass ``CODE_CELL_CAP``."""
+def _require_cells_within_cap(shapes) -> None:
+    """Sum the cells of ``shapes`` and stop as soon as they pass ``CODE_CELL_CAP``,
+    before a later shape's cells (|Y|^n for a decoder) are formed."""
     cells = 0
     for *_, shape in shapes:
         cells += math.prod(shape)
-        if cells > CODE_CELL_CAP:
-            raise ResourceCapError(f"{what} needs more than the cap of "
-                                   f"{CODE_CELL_CAP} table cells")
+        require_within_cap(cells, CODE_CELL_CAP, "running sum of code table cells")
 
 
 def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
@@ -165,8 +165,7 @@ def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
     sizes = tuple(tuple(1 if i == j else message_size for j in range(nn))
                   for i in range(nn))
     outs = tuple(spec.output_alphabet_sizes)
-    _require_cells_within_cap(table_shapes(n, sizes, profile.delays, outs),
-                              f"a random table code of blocklength {n}")
+    _require_cells_within_cap(table_shapes(n, sizes, profile.delays, outs))
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed)))
     enc = [[] for _ in range(nn)]
@@ -287,8 +286,9 @@ class ErrorReport:
 def wilson_half_width(errors: int, trials: int) -> float:
     """Half-width of the 95% Wilson score interval for errors/trials."""
     trials = require_integer(trials, "trials", 1)
+    require_real(trials, "trials")  # the interval divides by trials as a float
     if not 0 <= require_integer(errors, "errors", 0) <= trials:
-        raise DomainError(f"errors must be in 0..{trials}, got {errors}")
+        raise DomainError(f"errors must be in 0..{trials}, got {_shown(errors)}")
     z = _WILSON_Z
     p = errors / trials
     return (z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
@@ -313,13 +313,6 @@ def _check_code(spec: NetworkSpec, code: TableCode) -> None:
     if not is_feasible(spec, code.delay_profile):
         raise DomainError(
             f"delay profile {code.delay_profile.delays} infeasible for this network")
-
-
-def _require_uniforms_within_cap(trials: int, width: int) -> None:
-    """``trials`` rows of ``width`` uniforms fit ``UNIFORM_CAP``; checked before any draw."""
-    if trials * width > UNIFORM_CAP:
-        raise ResourceCapError(f"{trials} trials of {width} uniforms each are above "
-                               f"the cap of {UNIFORM_CAP} uniforms")
 
 
 def _message_indices(code: TableCode, w_cols) -> dict:
@@ -493,7 +486,8 @@ def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
     require_integer(seed, "seed", 0)
     _check_code(spec, code)
     pairs = code.message_pairs()
-    _require_uniforms_within_cap(trials, len(pairs) + code.n * spec.alpha)
+    require_within_cap(trials * (len(pairs) + code.n * spec.alpha), UNIFORM_CAP,
+                       "trials x uniforms per trial")
     errors = np.zeros(len(pairs), dtype=np.int64)
     for lo in range(0, trials, _TRIAL_CHUNK):
         w, _x, _y, est = _run_batch(spec, code, seed, lo,
@@ -532,9 +526,7 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
     variables = _joint_variables(spec, code)
     sizes = [s for _, s in variables]
     total = math.prod(sizes)
-    if total > JOINT_CAP:
-        raise ResourceCapError(
-            f"induced joint needs {total} cells, above the cap of {JOINT_CAP}")
+    require_within_cap(total, JOINT_CAP, "induced joint cell count")
     pairs = code.message_pairs()
     P = len(pairs)
     radices = ([code.message_sizes[i - 1][j - 1] for (i, j) in pairs]
@@ -669,12 +661,12 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
     require_integer(n, "n", 1)
     require_integer(trials, "trials", 1)
     require_integer(seed, "seed", 0)
-    require_blocklength_within_cap(n)  # before forward_rate * n, which overflows a float
+    require_within_cap(n, MAX_N, "blocklength")  # before forward_rate * n overflows a float
     k = int(math.floor(forward_rate * n + 1e-9))
     if k < 1:  # one message bit would send at 1/n, above the rate checked against cap
         raise DomainError(f"forward rate {forward_rate} carries no message bit "
                           f"in a block of n = {n}: floor(rate * n) = 0")
-    _require_uniforms_within_cap(trials, k + 2 * n)
+    require_within_cap(trials * (k + 2 * n), UNIFORM_CAP, "trials x uniforms per trial")
     forward_code = PolarCode(n, k, eps)
     fwd_errors = rev_errors = 0
     step = max(1, min(_TRIAL_CHUNK, DRAW_CELLS // (k + 2 * n)))

@@ -123,8 +123,7 @@ def bscfb_engine_code(n: int, forward_code) -> TableCode:
     if n < 1:
         raise DomainError("blocklength must be >= 1")
     sizes = ((1, 2 ** k), (2 ** n, 1))
-    _require_cells_within_cap(table_shapes(n, sizes, (1, 0), (2, 2)),
-                              f"the engine form of the scheme at blocklength {n}")
+    _require_cells_within_cap(table_shapes(n, sizes, (1, 0), (2, 2)))
     words = np.arange(2 ** n, dtype=np.int64)
     word_bits = np.transpose(np.unravel_index(words, (2,) * n))  # slot 1 first
     msg_bits = np.transpose(np.unravel_index(np.arange(2 ** k), (2,) * k))

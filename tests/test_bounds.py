@@ -152,9 +152,10 @@ def test_enumerate_cuts_counts():
     assert len(enumerate_cuts(4)) == 14
     with pytest.raises(DomainError, match="^n_nodes must be >= 2, got 1$"):
         enumerate_cuts(1)
-    # above PROFILE_CAP cuts the count is refused before any cut is built
-    n = model.PROFILE_CAP.bit_length()
-    with pytest.raises(ResourceCapError, match=f"^{n} nodes give 2\\^{n} - 2 cuts"):
+    # above NODE_CAP nodes the count is refused before any cut is built
+    n = model.NODE_CAP + 1
+    with pytest.raises(ResourceCapError,
+                       match=f"^cut enumeration node count {n} is above the cap of {n - 1}$"):
         enumerate_cuts(n)
 
 
@@ -544,10 +545,12 @@ def test_region_membership_golden_witness():
 def test_grid_cap_checked_before_length_d_tables(monkeypatch):
     spec = _qary_feedback_spec(32)  # D = 32^4 = 2^20 joint cells
     monkeypatch.setattr(_grid, "POINT_CAP", 10)
-    for mode in ("capacity", "positive-delay"):
+    # capacity mode's count passes 2^64, so the message gives its bit count
+    for mode, count in (("capacity", "an integer of 9271 bits"), ("positive-delay", "524800")):
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceCapError, match="above the cap 10$"):
+            with pytest.raises(ResourceCapError,
+                               match=f"^grid point count {count} is above the cap of 10$"):
                 GridProblem(spec, mode, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -575,7 +578,8 @@ def test_grid_cell_cap_checked_before_allocation():
         ChannelTable(("X1", "X2"), ("Y1", "Y2"), np.full((2 ** 14, 4), 0.25)),))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match=f"above the cap {GRID_CELL_CAP}"):
+        with pytest.raises(ResourceCapError, match=f"^grid table cell count \\d+ is above "
+                                                   f"the cap of {GRID_CELL_CAP}$"):
             GridProblem(spec, "positive-delay", 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zdmn import model, networks, polar, simulate
+from zdmn import gaussian, model, networks, polar, simulate
 from zdmn.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 
 
@@ -147,12 +147,12 @@ def test_feasible_listing(capsys, spec_path):
 
 def test_feasible_listing_over_cap(capsys, tmp_path, one_letter_spec):
     path = tmp_path / "wide.json"
-    n = model.PROFILE_CAP.bit_length()
+    n = model.NODE_CAP + 1
     model.save_spec(one_letter_spec(n), path)
     rc, out, err = _run(capsys, "feasible", "--spec", str(path), "--all")
     assert rc == EXIT_CAP and out == ""
-    assert err == (f"error: {n} nodes give 2^{n} delay profiles, "
-                   f"above the cap of {model.PROFILE_CAP}\n")
+    assert err == (f"error: delay-profile enumeration node count {n} is above "
+                   f"the cap of {model.NODE_CAP}\n")
 
 
 def test_bound_over_the_cut_cap(capsys, tmp_path, one_letter_spec):
@@ -167,7 +167,7 @@ def test_bound_over_the_cut_cap(capsys, tmp_path, one_letter_spec):
     finally:
         tracemalloc.stop()
     assert rc == EXIT_CAP and out == ""
-    assert err == f"error: 18 nodes give 2^18 - 2 cuts, above the cap of {model.PROFILE_CAP}\n"
+    assert err == f"error: cut enumeration node count 18 is above the cap of {model.NODE_CAP}\n"
     assert peak < 2 ** 20
 
 
@@ -238,14 +238,14 @@ def test_bound_distribution_cap(capsys, spec_path):
     # 31^5 = 28629151 grid points of bscfb at k = 30, above POINT_CAP
     rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "30")
     assert rc == EXIT_CAP and out == ""
-    assert err == "error: grid has 28629151 distributions, above the cap 10000000\n"
+    assert err == "error: grid point count 28629151 is above the cap of 10000000\n"
 
 
 def test_bound_point_count_beyond_int64(capsys, spec_path):
     # 7001^5 points: the exact count is refused before any int64 index exists
     rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", "7000")
-    assert rc == EXIT_CAP and out == ""
-    assert err.startswith(f"error: grid has {7001 ** 5} distributions") and err.count("\n") == 1
+    assert rc == EXIT_CAP and out == "" and (7001 ** 5).bit_length() == 64
+    assert err == "error: grid point count an integer of 64 bits is above the cap of 10000000\n"
 
 
 def test_bound_grid_cell_cap(capsys, tmp_path, binary_chain_spec):
@@ -255,7 +255,7 @@ def test_bound_grid_cell_cap(capsys, tmp_path, binary_chain_spec):
     rc, out, err = _run(capsys, "bound", "--spec", str(path),
                         "--mode", "positive-delay", "--grid", "1")
     assert rc == EXIT_CAP and out == ""
-    assert err.startswith("error: grid needs ") and err.count("\n") == 1
+    assert err == "error: grid table cell count 169607680 is above the cap of 67108864\n"
 
 
 def test_bound_rejects_nonpositive_grid(capsys, spec_path):
@@ -442,8 +442,8 @@ def test_generate_code_over_cell_cap(capsys, tmp_path, relay_files):
     finally:
         tracemalloc.stop()
     assert rc == EXIT_CAP and out == "" and not out_f.exists()
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(simulate.CODE_CELL_CAP) in err
+    assert err == (f"error: running sum of code table cells 16777372 is above the cap of "
+                   f"{simulate.CODE_CELL_CAP}\n")
     assert peak < 2 ** 20  # the cap is checked before any table is drawn
 
 
@@ -462,12 +462,14 @@ def test_negative_seed_is_a_domain_error(capsys, tmp_path, spec_path, code_path,
 
 
 def test_trial_counts_over_uniform_cap(capsys, spec_path, code_path):
-    for argv in (("simulate", "--spec", spec_path, "--code", code_path),
-                 ("bscfb", "--eps", "0.11", "--n", "64")):
+    # 10^12 trials of 2 message and 1 x 2 channel uniforms, or of 25 + 2 x 64
+    for argv, count in ((("simulate", "--spec", spec_path, "--code", code_path),
+                         "4000000000000"),
+                        (("bscfb", "--eps", "0.11", "--n", "64"), "153000000000000")):
         rc, out, err = _run(capsys, *argv, "--trials", "1000000000000")
         assert rc == EXIT_CAP and out == ""
-        assert err.startswith("error: 1000000000000 trials of ") and err.count("\n") == 1
-        assert str(simulate.UNIFORM_CAP) in err
+        assert err == (f"error: trials x uniforms per trial {count} is above the cap of "
+                       f"{simulate.UNIFORM_CAP}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +528,8 @@ def test_bscfb_blocklength_past_the_float_range():
     proc = subprocess.run([sys.executable, "-m", "zdmn.cli", "bscfb", "--eps", "0.11",
                            "--n", str(n)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == EXIT_CAP and proc.stdout == ""
-    assert proc.stderr == f"error: blocklength {n} is above the cap of {polar.MAX_N}\n"
+    assert proc.stderr == (f"error: blocklength an integer of {n.bit_length()} bits "
+                           f"is above the cap of {polar.MAX_N}\n")
 
 
 def test_gaussian_report_only(capsys):
@@ -575,14 +578,16 @@ def test_gaussian_experiment(capsys):
 
 
 def test_gaussian_cell_caps(capsys):
-    for extra in (("--n", "64", "--trials", "100000000"),
-                  ("--n", "4096", "--rate", "0.004", "--trials", "2",
-                   "--method", "exhaustive"),
-                  ("--n", "100000000")):  # the relay's 3n-wide block window
+    for extra, count in ((("--n", "64", "--trials", "100000000"),
+                          "trials x blocklength 6400000000"),
+                         (("--n", "4096", "--rate", "0.004", "--trials", "2",
+                           "--method", "exhaustive"), "codewords x blocklength 536870912"),
+                         # the relay's 3n-wide block window
+                         (("--n", "100000000"), "3 x blocklength 300000000")):
         rc, out, err = _run(capsys, "gaussian", "--power", "5", "--experiment",
                             "--blocks", "2", *extra)
         assert rc == EXIT_CAP and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: {count} is above the cap of {gaussian.CELL_CAP}\n"
 
 
 def test_gaussian_codebook_cap(capsys):
@@ -591,7 +596,7 @@ def test_gaussian_codebook_cap(capsys):
                         "--n", "8", "--rate", "2.75",
                         "--method", "exhaustive", "--trials", "5")
     assert rc == EXIT_CAP and out == ""
-    assert err == "error: codebook too large: 4194304 codewords > cap 1048576\n"
+    assert err == "error: codeword count 4194304 is above the cap of 1048576\n"
 
 
 def test_gaussian_bad_delta_prints_nothing(capsys):

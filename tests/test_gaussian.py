@@ -359,12 +359,15 @@ def test_codebook_validation_and_caps():
         with pytest.raises(DomainError, match="method must be one of"):
             codebook_experiment(cfg, 1.0, trials=10, method=method)
     # 2^22 codewords of length 8: inside CELL_CAP, above CODEBOOK_CAP
-    with pytest.raises(ResourceCapError, match=f"> cap {CODEBOOK_CAP}"):
+    with pytest.raises(ResourceCapError,
+                       match=f"^codeword count 4194304 is above the cap of {CODEBOOK_CAP}$"):
         codebook_experiment(cfg, 2.75, trials=10, method="exhaustive")
-    with pytest.raises(ResourceCapError):
-        codebook_experiment(_config(n=512), 1.5, trials=1)  # 2**768 codewords
+    with pytest.raises(ResourceCapError,  # 2**768 codewords
+                       match="^log2 of the codeword count 768 is above the cap of 512$"):
+        codebook_experiment(_config(n=512), 1.5, trials=1)
     # rate * n is inf here, which math.ceil cannot round
-    with pytest.raises(ResourceCapError, match="needs over 2\\*\\*512 codewords"):
+    with pytest.raises(ResourceCapError,
+                       match="^log2 of the codeword count inf is above the cap of 512$"):
         codebook_experiment(_config(n=16), 1e308, trials=1)
     capped = codebook_experiment(cfg, 2.75, trials=10, method="auto")
     assert capped.method == "analytic" and capped.codebook_size == 4 * CODEBOOK_CAP
@@ -396,9 +399,9 @@ def test_analytic_refuses_a_cdf_window_above_the_cap():
     cfg = _config(P=1e-12, n=16, delta=0.0)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match=f"^the noncentral chi-square CDF at "
-                                                   f"noncentrality up to 3.27241e\\+13 sums up "
-                                                   f"to 97080186 terms > cap {CDF_WINDOW_CAP}$"):
+        with pytest.raises(ResourceCapError, match=f"^noncentral chi-square CDF term count "
+                                                   f"97080186 is above the cap of "
+                                                   f"{CDF_WINDOW_CAP}$"):
             codebook_experiment(cfg, 1.0, trials=20, method="analytic")
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -452,9 +455,11 @@ def test_codebook_cell_caps_checked_before_any_draw():
     # 2^17-word codebook at n = 4096 passes the codeword cap at 4.3 GB
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+        with pytest.raises(ResourceCapError, match=f"^trials x blocklength 6400000000 is "
+                                                   f"above the cap of {CELL_CAP}$"):
             codebook_experiment(_config(n=64), 1.2, trials=10 ** 8)
-        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+        with pytest.raises(ResourceCapError, match=f"^codewords x blocklength 536870912 is "
+                                                   f"above the cap of {CELL_CAP}$"):
             codebook_experiment(_config(n=4096), 0.004, trials=2, method="exhaustive")
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -468,16 +473,18 @@ def test_relay_windows_capped_before_any_draw():
     # a block or trial window holds 3n normals: one block at n = 2 * 10^6
     # peaked at 115 MB, so a window above CELL_CAP is refused before any draw
     cfg = _config(n=CELL_CAP // 3 + 1)
+    window = f"^3 x blocklength {CELL_CAP + 1} is above the cap of {CELL_CAP}$"
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+        with pytest.raises(ResourceCapError, match=window):
             neutralization_rate(cfg, blocks=1)
-        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+        with pytest.raises(ResourceCapError, match=window):
             simulate_relay(cfg, np.zeros(1))
-        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+        with pytest.raises(ResourceCapError, match=window):
             codebook_experiment(cfg, 0.0, trials=1)
         # blocks are drawn in batches, so only their count bounds the time
-        with pytest.raises(ResourceCapError, match=f"> cap {CELL_CAP}"):
+        with pytest.raises(ResourceCapError, match=f"^blocks x blocklength {CELL_CAP + 64} "
+                                                   f"is above the cap of {CELL_CAP}$"):
             neutralization_rate(_config(n=64), blocks=CELL_CAP // 64 + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -174,11 +174,12 @@ def test_relay_chain_feasible_profiles(bundled_specs):
 
 def test_feasible_enumeration_cap(one_letter_spec):
     # one-letter alphabets keep the spec tiny while 2^N grows
-    n = model.PROFILE_CAP.bit_length() - 1
+    n = model.NODE_CAP
     spec = one_letter_spec(n)
     assert validate_spec(spec).ok
     assert [p.delays for p in enumerate_feasible_profiles(spec)] == [(1,) * n]
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=f"^delay-profile enumeration node count {n + 1} "
+                                               f"is above the cap of {n}$"):
         enumerate_feasible_profiles(one_letter_spec(n + 1))
 
 
@@ -349,13 +350,38 @@ def test_validate_flags_wrong_table_shape():
     assert any("shape" in v for v in report.violations)
 
 
+def test_validate_reports_a_non_integer_field():
+    # reported, never the TypeError of range() over a fraction; a boolean
+    # is no count, and 2.0 is no alphabet size
+    spec = networks.bscfb_spec(0.11)
+    cases = {
+        "n_nodes must be an integer, got 2.5": dict(n_nodes=2.5),
+        "alpha must be an integer, got True": dict(alpha=True),
+        "alphabet size must be an integer, got 2.0": dict(input_alphabet_sizes=(2, 2.0)),
+        "partition member must be an integer, got 1.0":
+            dict(output_partition=Partition((NodeSet((1.0,)), NodeSet((2,))))),
+    }
+    for want, change in cases.items():
+        assert validate_spec(dataclasses.replace(spec, **change)).violations == (want,)
+
+
+def test_validate_shows_a_huge_node_count_by_its_bits():
+    spec = dataclasses.replace(networks.bscfb_spec(0.11), n_nodes=10 ** 5000)
+    missing = "nodes [3, 4, 5, 6, 7, 8, 9, 10] and an integer of 16610 bits further are in no block"
+    assert validate_spec(spec).violations == (
+        "input_alphabets length differs from n_nodes",
+        "output_alphabets length differs from n_nodes",
+        f"input partition: {missing}", f"output partition: {missing}")
+
+
 def test_validate_shape_products_are_exact():
-    # 2**32 * 2**32 rows wrap to 0 in int64, which would match an empty table
+    # 2**32 * 2**32 rows wrap to 0 in int64, which would match an empty table;
+    # the exact 2**64 is shown by its bit count
     both = NodeSet((1, 2))
     spec = NetworkSpec(2, (2 ** 32, 2 ** 32), (2, 2), 1, Partition((both,)),
                        Partition((both,)),
                        (ChannelTable(("X1", "X2"), ("Y1", "Y2"), np.zeros((0, 4))),))
-    want = f"!= expected ({2 ** 64}, 4)"
+    want = "!= expected (an integer of 65 bits, 4)"
     report = validate_spec(spec)
     assert not report.ok and want in report.violations[0]
     loaded = validate_spec(model.spec_from_dict(json.loads(json.dumps(model.spec_to_dict(spec)))))

@@ -617,17 +617,21 @@ def test_lower_bound_guard_reads_every_string():
     assert _range_refusals({pathlib.Path("model.py"): code}) == []
 
 
+def _called(node):
+    """The name a call calls, `f` of `f(...)` or of `m.f(...)`; None otherwise."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _wrapped_reals(trees):
     """`path:line` of every float(...) or isfinite(...) call whose argument is
     a require_real(...) call: the guard already returns a finite float."""
-    def name(func):
-        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-
     return [f"{path.name}:{node.lineno}" for path, tree in trees.items()
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and name(node.func) in ("float", "isfinite")
-            and node.args and isinstance(node.args[0], ast.Call)
-            and name(node.args[0].func) == "require_real"]
+            if _called(node) in ("float", "isfinite")
+            and node.args and _called(node.args[0]) == "require_real"]
 
 
 def test_no_call_rewraps_require_real():
@@ -641,6 +645,88 @@ def test_real_wrapper_guard_finds_float_and_isfinite():
                      "c = require_real(float(z), 'z')\n"
                      "d = float(x) + math.isfinite(require_real)\n")
     assert _wrapped_reals({pathlib.Path("m.py"): code}) == ["m.py:4", "m.py:5"]
+
+
+def _cap_refusals(trees):
+    """`path:line` of every ResourceCapError(...) built outside the body of
+    model.require_within_cap."""
+    found = []
+    for path, tree in trees.items():
+        guard = [node for node in tree.body if path.name == "model.py"
+                 and isinstance(node, ast.FunctionDef) and node.name == "require_within_cap"]
+        inside = {id(node) for g in guard for node in ast.walk(g)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _called(node) == "ResourceCapError" and id(node) not in inside]
+    return sorted(found)
+
+
+def test_only_the_cap_guard_raises_a_cap_error():
+    # every resource cap is checked by model.require_within_cap, whose one
+    # message format is "<what> <count> is above the cap of <limit>"
+    assert _cap_refusals(_parsed(sorted(_SRC.glob("*.py")))) == []
+
+
+def test_cap_error_guard_reads_every_module():
+    code = ("from .errors import ResourceCapError\n"
+            "def require_within_cap(count, limit, what):\n"
+            "    if count > limit:\n        raise ResourceCapError(what)\n"
+            "def other(n):\n    raise ResourceCapError(f'{n} is too many')\n")
+    assert _cap_refusals({pathlib.Path("model.py"): ast.parse(code)}) == ["model.py:6"]
+    assert _cap_refusals({pathlib.Path("m.py"): ast.parse(code)}) == ["m.py:4", "m.py:6"]
+
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _cap_arguments(trees):
+    """`path:line` of every require_within_cap(...) call whose limit is not a
+    module-level UPPER_CASE constant (a name bound at the top of its module,
+    or one read off a module) or whose `what` is not a string literal."""
+    found = []
+    for path, tree in trees.items():
+        imported = {alias.asname or alias.name.split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        top = imported | {t.id for node in tree.body if isinstance(node, ast.Assign)
+                          for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if _called(node) != "require_within_cap":
+                continue
+            args = dict(zip(("count", "limit", "what"), node.args))
+            args.update((k.arg, k.value) for k in node.keywords)
+            limit, what = args.get("limit"), args.get("what")
+            named = ""
+            if isinstance(limit, ast.Name) and limit.id in top:
+                named = limit.id
+            elif (isinstance(limit, ast.Attribute) and isinstance(limit.value, ast.Name)
+                  and limit.value.id in imported):
+                named = limit.attr
+            if not (_CONSTANT.fullmatch(named)
+                    and isinstance(what, ast.Constant) and isinstance(what.value, str)):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_cap_is_a_module_constant():
+    # a cap is never a knob: no parameter, local or expression sets one
+    assert _cap_arguments(_parsed(sorted(_SRC.glob("*.py")))) == []
+
+
+def test_cap_argument_guard_reads_names_attributes_and_keywords():
+    code = ast.parse(
+        "from . import model\nfrom .polar import MAX_N\nCAP = 4\nlower = 5\n"
+        "def f(n, cap):\n"
+        "    LOCAL = 3\n"
+        "    model.require_within_cap(n, CAP, 'n')\n"
+        "    require_within_cap(n, model.DRAW_CELLS, 'n')\n"
+        "    require_within_cap(n, limit=MAX_N, what='n')\n"
+        "    require_within_cap(n, cap, 'n')\n"
+        "    require_within_cap(n, LOCAL, 'n')\n"
+        "    require_within_cap(n, lower, 'n')\n"
+        "    require_within_cap(n, CAP.bit_length(), 'n')\n"
+        "    require_within_cap(n, n.CAP, 'n')\n"
+        "    require_within_cap(n, CAP, f'{n} items')\n")
+    assert _cap_arguments({pathlib.Path("m.py"): code}) == [
+        f"m.py:{line}" for line in range(10, 16)]
 
 
 def _entry_points():
@@ -721,3 +807,17 @@ def test_every_entry_point_refuses_a_malformed_number(what, kind, call):
         with pytest.raises(zdmn.DomainError) as e:
             call(value)
         assert str(e.value).startswith(f"{what} must be "), (value, str(e.value))
+
+
+# a seed of any size is valid; the node counts of RateTuple.from_pairs and
+# DelayProfile.all_one size an array that no cap bounds yet
+_UNCAPPED = {("RateTuple.from_pairs", "n_nodes"), ("DelayProfile.all_one", "n_nodes")}
+_HUGE = [e for e in _ENTRY_POINTS if e[2] is int and e[1] != "seed" and e[:2] not in _UNCAPPED]
+
+
+@pytest.mark.parametrize("call", [e[3] for e in _HUGE], ids=[f"{e[0]}({e[1]})" for e in _HUGE])
+def test_every_entry_point_refuses_a_huge_integer(call):
+    # 10**5000 is refused by a range check or a cap, never by the
+    # ValueError that str() raises on an int past 4300 digits
+    with pytest.raises(zdmn.ZdmnError):
+        call(10 ** 5000)

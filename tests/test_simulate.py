@@ -359,7 +359,9 @@ def test_scheme_engine_code_over_cell_cap():
     tracemalloc.start()
     try:
         for n, code in fwd.items():
-            with pytest.raises(ResourceCapError, match=str(simulate.CODE_CELL_CAP)):
+            with pytest.raises(ResourceCapError, match=f"^running sum of code table cells \\d+ "
+                                                       f"is above the cap of "
+                                                       f"{simulate.CODE_CELL_CAP}$"):
                 bscfb_engine_code(n, code)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -544,7 +546,8 @@ def test_induced_joint_resource_cap(monkeypatch):
     spec = networks.bscfb_spec(0.11)
     code = random_table_code(spec, 2, _UNIT, seed=0)
     monkeypatch.setattr(simulate, "JOINT_CAP", 10)
-    with pytest.raises(ResourceCapError, match="cap of 10"):
+    with pytest.raises(ResourceCapError,
+                       match="^induced joint cell count 1024 is above the cap of 10$"):
         induced_joint(spec, code)
 
 
@@ -657,13 +660,15 @@ def test_table_shapes_draw_order_and_hand_counts():
 def test_uniform_cap_is_checked_before_any_draw(monkeypatch):
     spec = networks.bscfb_spec(0.11)
     code = random_table_code(spec, 2, _UNIT, seed=0)
-    with pytest.raises(ResourceCapError, match=str(simulate.UNIFORM_CAP)):
+    with pytest.raises(ResourceCapError, match=f"^trials x uniforms per trial 6000000000000 "
+                                               f"is above the cap of {simulate.UNIFORM_CAP}$"):
         estimate_error(spec, code, trials=10 ** 12, seed=0)
 
     def no_code(*args):
         raise AssertionError("the polar code was built before the cap was checked")
     monkeypatch.setattr(simulate, "PolarCode", no_code)
-    with pytest.raises(ResourceCapError, match=str(simulate.UNIFORM_CAP)):
+    with pytest.raises(ResourceCapError, match=f"^trials x uniforms per trial 144000000000000 "
+                                               f"is above the cap of {simulate.UNIFORM_CAP}$"):
         bscfb_scheme(0.11, 64, 0.25, seed=0, trials=10 ** 12)
 
 
