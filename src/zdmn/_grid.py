@@ -3,7 +3,10 @@
 The grid scans the capacity-mode terms of one network: the spec itself, or
 in positive-delay mode the all-delayed network
 (``probability.all_delayed_network``), whose one free factor is p(x) and
-whose one channel is the channel product.  The free parameters are the
+whose one channel is the channel product.  Both have the spec's nodes
+and alphabets, so its full layout: the grid keeps the spec and reads the
+scanned network's steps from ``model.step_plan`` of its two partitions,
+the spec's or S = G = ({1..N}).  The free parameters are the
 per-channel input conditionals; every free row ranges over the compositions
 of k into the row's alphabet size.  A grid point is the index of its tuple
 of per-row composition indices in numpy's C order, first row most
@@ -43,11 +46,11 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import (NetworkSpec, NodeSet, enumerate_cuts, require_integer, require_valid,
-                    require_within_cap, x_var, y_var)
-from .probability import (_aligned_factor, _all_delayed_shell, _channel_product,
-                          _full_layout, _group_size, _clamp_mi, _marginal, _row_sum,
-                          cond_entropy_table, input_conditional_vars)
+from .model import (NetworkSpec, NodeSet, Partition, _input_names, enumerate_cuts,
+                    require_integer, require_valid, require_within_cap, step_plan, x_var, y_var)
+from .probability import (_aligned_factor, _channel_product, _full_layout, _group_size,
+                          _clamp_mi, _marginal, _row_sum, cond_entropy_table,
+                          input_conditional_vars)
 
 POINT_CAP = 10 ** 7  # grid points one scan may enumerate
 BATCH = 4096  # grid points per eval_batch call of a scan
@@ -82,14 +85,15 @@ def compositions(k: int, m: int) -> np.ndarray:
     return cols.T
 
 
-def capacity_term_groups(spec: NetworkSpec, cut: NodeSet, h: int):
-    """(A, B, C) variable names of the h-th capacity-bound term for cut T:
-    channel h's inputs at nodes in T, its outputs at nodes outside T, and
-    its inputs at nodes outside T."""
+def capacity_term_groups(step, cut: NodeSet):
+    """(A, B, C) variable names of the capacity-bound term of one ``step_plan``
+    step for cut T: channel h's inputs at nodes in T, its outputs at nodes
+    outside T, and its inputs at nodes outside T."""
     inside = {x_var(i) for i in cut} | {y_var(i) for i in cut}
-    ins = spec.channel_input_vars(h)
+    _, xs, ys, outs = step
+    ins = _input_names(xs, ys)
     a = tuple(v for v in ins if v in inside)
-    b = tuple(v for v in spec.channel_output_vars(h) if v not in inside)
+    b = tuple(v for v in map(y_var, outs) if v not in inside)
     c = tuple(v for v in ins if v not in inside)
     return a, b, c
 
@@ -107,39 +111,41 @@ class GridProblem:
         require_valid(spec)
         self.which = _require_mode(which)
         self.k = require_integer(k, "grid resolution k", 1)
+        self.spec = spec
 
         def group_size(group) -> int:
             return _group_size(spec.var_size, group)
 
-        # Positive-delay mode is the capacity bound of the all-delayed
-        # network.  Its one channel has D cells, so the caps below read only
-        # its partitions, and its channel is built after they pass; the
-        # scanned network ``self.spec`` keeps the shell, which places tables
-        # and carries no channel.
-        self.spec = net = spec if self.which == "capacity" else _all_delayed_shell(spec)
+        # Positive-delay mode scans the all-delayed network's one step; its
+        # one channel has D cells, so the caps below read only the steps and
+        # that channel is built after they pass.
+        parts = ((spec.input_partition, spec.output_partition) if self.which == "capacity"
+                 else (Partition((NodeSet(tuple(range(1, spec.n_nodes + 1))),)),) * 2)
+        plan = list(step_plan(*parts))
 
         # Free factors: (row-group vars, col-group vars) per factor.
-        self.factors = [input_conditional_vars(net, h) for h in range(1, net.alpha + 1)]
+        self.factors = list(map(input_conditional_vars, plan))
 
-        # Both caps are checked from the alphabet sizes alone, before any
-        # length-D array is built.
+        # The caps are checked from k and the alphabet sizes alone, before
+        # any length-D array is built.
         self.factor_n_rows = [group_size(fin) for fin, _ in self.factors]
         self.factor_n_cols = [group_size(fout) for _, fout in self.factors]
         n_points = 1
         for n_rows, n_cols in zip(self.factor_n_rows, self.factor_n_cols):
             n_points *= math.comb(self.k + n_cols - 1, n_cols - 1) ** n_rows
         require_within_cap(n_points, POINT_CAP, "grid point count")
+        require_within_cap(self.k, POINT_CAP, "grid resolution k")
         self.n_points = n_points
 
         self.cuts = enumerate_cuts(spec.n_nodes)
         self.n_cuts = len(self.cuts)
-        self.n_slots = net.alpha
+        self.n_slots = len(plan)
         # (slot_idx, cut_idx, A, B, C, (|A|, |B|, |C|)) of every term whose A
         # and B both take more than one value; the others are I(A;B|C) = 0
         groups = []
         for s in range(self.n_slots):
             for ci, cut in enumerate(self.cuts):
-                a, b, c = capacity_term_groups(net, cut.nodes, s + 1)
+                a, b, c = capacity_term_groups(plan[s], cut.nodes)
                 shape = tuple(map(group_size, (a, b, c)))
                 if shape[0] > 1 and shape[1] > 1:
                     groups.append((s, ci, a, b, c, shape))
@@ -165,8 +171,8 @@ class GridProblem:
         # an (|A|, |B|, |C|) table and the (|A|, |C|) entropies h(a,c) of
         # its rows.
         if self.which == "capacity":
-            channels = [_aligned_factor(net, ch.input_vars, ch.output_vars, ch.table)
-                        for ch in net.channels]
+            channels = [_aligned_factor(spec, ch.input_vars, ch.output_vars, ch.table)
+                        for ch in spec.channels]
         else:
             channels = [_channel_product(spec)]
         self._terms = [[] for _ in range(self.n_slots)]  # (cut_idx, A+C names, W, h)

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._grid import BATCH, GridProblem
 from .errors import DomainError
-from .model import ChannelTable, Cut, NetworkSpec, _shown, require_integer, require_real
+from .model import (NODE_CAP, ChannelTable, Cut, NetworkSpec, _shown, require_integer,
+                    require_real, require_within_cap)
 
 INSIDE = "inside"
 NOT_FOUND = "not-found-at-this-resolution"
@@ -35,8 +36,8 @@ def _require_proper_cut(cut: Cut, n_nodes: int) -> None:
     members = cut.nodes.members
     if not (0 < len(members) < n_nodes and cut.nodes.strictly_increasing()
             and 1 <= members[0] and members[-1] <= n_nodes):
-        raise DomainError(f"cut {list(members)} is not a proper nonempty subset "
-                          f"of 1..{n_nodes}")
+        shown = ", ".join(str(_shown(i)) for i in members)
+        raise DomainError(f"cut [{shown}] is not a proper nonempty subset of 1..{n_nodes}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,9 @@ class RateTuple:
 
     @classmethod
     def from_pairs(cls, n_nodes: int, pairs: dict) -> "RateTuple":
-        r = np.zeros((require_integer(n_nodes, "n_nodes", 1),) * 2)
+        n_nodes = require_integer(n_nodes, "n_nodes", 1)
+        require_within_cap(n_nodes, NODE_CAP, "rate tuple node count")
+        r = np.zeros((n_nodes, n_nodes))
         for (i, j), v in pairs.items():
             i, j = (require_integer(k, "node index", 1) for k in (i, j))
             if max(i, j) > n_nodes:

@@ -118,10 +118,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if args.cut is not None:
         mask = _parse_cut(args.cut, spec.n_nodes)
         rows = [c for c in rows if c.cut.nodes.bitmask(spec.n_nodes) == mask]
-        if not rows:
-            raise DomainError(f"cut {mask!r} not among this network's cuts")
     if args.format == "csv":
-        n_terms = len(rows[0].per_channel_terms) if rows else spec.alpha
+        n_terms = len(rows[0].per_channel_terms)
         header = "cut," + ",".join(f"term_{h}" for h in range(1, n_terms + 1)) + ",cap"
         body = [
             ",".join(
@@ -227,7 +225,7 @@ def _cmd_generate_code(args: argparse.Namespace) -> int:
     spec = model.load_spec(args.spec)
     model.require_valid(spec)  # first: the default profile is n_nodes bits long
     if args.profile is None:
-        profile = model.DelayProfile.all_one(spec.n_nodes)
+        profile = model.DelayProfile.of((1,) * spec.n_nodes)
     else:
         profile = _parse_profile(args.profile, spec.n_nodes)
     code = simulate.random_table_code(

@@ -25,7 +25,9 @@ import numpy as np
 from .errors import DomainError, ResourceCapError, SpecIOError
 
 ROW_TOL = 1e-9
-NODE_CAP = 16  # most nodes of one enumeration: 2^16 delay profiles, or 2^16 - 2 cuts
+# most nodes of one enumeration (2^16 delay profiles, or 2^16 - 2 cuts) and
+# of a rate tuple, which region_membership compares across every cut
+NODE_CAP = 16
 DRAW_CELLS = 2 ** 20  # uniforms per batch of the simulators outside the engine; bounds memory
 PHILOX_BLOCKS = 2 ** 256  # counter blocks of one Philox stream; past them the counter wraps
 
@@ -197,21 +199,20 @@ class NetworkSpec:
         return tuple(y_var(i) for i in range(1, self.n_nodes + 1))
 
 
-def step_plan(spec: NetworkSpec):
+def step_plan(input_partition: Partition, output_partition: Partition):
     """Per channel h = 1, 2, ... the node lists of its step, in channel order:
     (S_h, S^h, G^{h-1}, G_h), the prefixes ascending.
 
     In slot k the encoders of S_h fire, then channel h reads X_{S^h} and
-    Y_{G^{h-1}} and emits Y_{G_h}.  One running union over the two
-    partitions gives every step; where one partition has fewer blocks, its
-    missing blocks are empty.  Variable names (``channel_input_vars``),
-    ``validate_spec`` and the slot loop all read these lists, derived afresh
-    on every call.
+    Y_{G^{h-1}} and emits Y_{G_h}.  The two partitions S and G alone fix
+    every step, by one running union over their blocks; where one has fewer
+    blocks, its missing blocks are empty.  Variable names
+    (``channel_input_vars``), ``validate_spec``, the spec reader, the slot
+    loop and the grid all read these lists, derived afresh on every call.
     """
     xs: set[int] = set()
     ys: set[int] = set()
-    for s_h, g_h in itertools.zip_longest(spec.input_partition.blocks,
-                                          spec.output_partition.blocks,
+    for s_h, g_h in itertools.zip_longest(input_partition.blocks, output_partition.blocks,
                                           fillvalue=NodeSet(())):
         xs.update(s_h.members)
         yield s_h.members, tuple(sorted(xs)), tuple(sorted(ys)), g_h.members
@@ -219,7 +220,8 @@ def step_plan(spec: NetworkSpec):
 
 
 def _step(spec: NetworkSpec, h: int) -> tuple:
-    return next(itertools.islice(step_plan(spec), h - 1, None))
+    plan = step_plan(spec.input_partition, spec.output_partition)
+    return next(itertools.islice(plan, h - 1, None))
 
 
 def _input_names(xs, ys) -> tuple[str, ...]:
@@ -242,10 +244,6 @@ class DelayProfile:
     @classmethod
     def of(cls, items) -> "DelayProfile":
         return cls(tuple(items))
-
-    @classmethod
-    def all_one(cls, n_nodes: int) -> "DelayProfile":
-        return cls((1,) * require_integer(n_nodes, "n_nodes", 1))
 
     def __iter__(self):
         return iter(self.delays)
@@ -318,7 +316,8 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
         return ValidationReport(False, tuple(v))
 
     x_sizes, y_sizes = spec.input_alphabet_sizes, spec.output_alphabet_sizes
-    for h, (ch, (_, xs, ys, outs)) in enumerate(zip(spec.channels, step_plan(spec)), start=1):
+    plan = step_plan(spec.input_partition, spec.output_partition)
+    for h, (ch, (_, xs, ys, outs)) in enumerate(zip(spec.channels, plan), start=1):
         want_in = _input_names(xs, ys)
         want_out = tuple(map(y_var, outs))
         if tuple(ch.input_vars) != want_in:
@@ -499,9 +498,7 @@ def spec_from_dict(d: dict) -> NetworkSpec:
 
     # a channel beyond alpha or the output partition's blocks has no
     # variables; validate_spec reports either mismatch
-    steps = itertools.islice(step_plan(NetworkSpec(n, in_sizes, out_sizes, alpha, s_part,
-                                                   g_part, ())),
-                             max(0, min(alpha, g_part.alpha)))
+    steps = itertools.islice(step_plan(s_part, g_part), max(0, min(alpha, g_part.alpha)))
     channels = []
     for h, ch in enumerate(raw_channels, start=1):
         try:

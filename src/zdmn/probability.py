@@ -9,15 +9,14 @@ All arithmetic is 64-bit, and mutual informations are clamped to 0 within
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, _shown, require_integer,
-                    require_real, require_valid, x_var)
+from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, _input_names, _shown,
+                    require_integer, require_real, require_valid, x_var)
 
 MI_CLAMP = 1e-12
 
@@ -233,18 +232,12 @@ def compose_channels(spec: NetworkSpec) -> ChannelTable:
                         _channel_product(spec).reshape(n_x, -1))
 
 
-def input_conditional_vars(spec: NetworkSpec, h: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Variable lists for the h-th free input conditional p_{X_{S_h}|X_{S^{h-1}},Y_{G^{h-1}}}:
-    channel h's inputs, less the X_{S_h} the conditional draws."""
-    out = tuple(x_var(i) for i in spec.input_partition.blocks[h - 1])
-    return tuple(v for v in spec.channel_input_vars(h) if v not in out), out
-
-
-def _all_delayed_shell(spec: NetworkSpec) -> NetworkSpec:
-    """``all_delayed_network`` before its channel is composed."""
-    everyone = Partition((NodeSet(tuple(range(1, spec.n_nodes + 1))),))
-    return NetworkSpec(spec.n_nodes, spec.input_alphabet_sizes,
-                       spec.output_alphabet_sizes, 1, everyone, everyone, ())
+def input_conditional_vars(step) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Variable lists of the free input conditional p_{X_{S_h}|X_{S^{h-1}},Y_{G^{h-1}}} of
+    one ``model.step_plan`` step (S_h, S^h, G^{h-1}, G_h): channel h's inputs,
+    less the X_{S_h} the conditional draws."""
+    s_h, xs, ys, _ = step
+    return _input_names([i for i in xs if i not in s_h], ys), tuple(map(x_var, s_h))
 
 
 def all_delayed_network(spec: NetworkSpec) -> NetworkSpec:
@@ -254,4 +247,6 @@ def all_delayed_network(spec: NetworkSpec) -> NetworkSpec:
     channel, q^(1) ... q^(alpha) (``compose_channels``).  Its capacity bound
     is the positive-delay bound of `spec`.
     """
-    return dataclasses.replace(_all_delayed_shell(spec), channels=(compose_channels(spec),))
+    everyone = Partition((NodeSet(tuple(range(1, spec.n_nodes + 1))),))
+    return NetworkSpec(spec.n_nodes, spec.input_alphabet_sizes, spec.output_alphabet_sizes, 1,
+                       everyone, everyone, (compose_channels(spec),))

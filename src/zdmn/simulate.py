@@ -374,7 +374,7 @@ def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column)
     fold_early = [b == 0 and encodes[i] and sizes[i] > 1
                   for i, b in enumerate(code.delay_profile.delays)]
     steps = []
-    for members, xs, ys, outs in step_plan(spec):
+    for members, xs, ys, outs in step_plan(spec.input_partition, spec.output_partition):
         xs = [i for i in xs if encodes[i - 1]]
         ys = [i for i in ys if sizes[i - 1] > 1]
         outs = [i for i in outs if sizes[i - 1] > 1]
@@ -592,7 +592,7 @@ def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
         raise DomainError("positive-delay factorization check requires the "
                           "all-one delay profile")
 
-    plan = list(step_plan(spec))
+    plan = list(step_plan(spec.input_partition, spec.output_partition))
 
     def groups(h):  # X_{S_h}, Y_{G^{h-1}}, X_{S^{h-1}}
         s_h, s_upto, g_before, _ = plan[h - 1]

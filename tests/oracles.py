@@ -18,7 +18,7 @@ import numpy as np
 from zdmn._grid import GridProblem, capacity_term_groups
 from zdmn.bounds import CutConstraint, RateRegionReport, _point_report, _require_proper_cut
 from zdmn.errors import DomainError
-from zdmn.model import Cut, DelayProfile, NetworkSpec, require_valid
+from zdmn.model import Cut, DelayProfile, NetworkSpec, require_valid, step_plan
 from zdmn.probability import (JointPmf, _aligned_factor, _channel_product, _full_layout,
                               _group_size, _marginal, conditional_mutual_information,
                               input_conditional_vars)
@@ -50,9 +50,9 @@ def factorized_joint(spec: NetworkSpec, input_conditionals) -> JointPmf:
         raise DomainError(f"expected {spec.alpha} input conditionals, got {len(conds)}")
     names, sizes = _full_layout(spec)
     arr = _channel_product(spec)
-    for h in range(1, spec.alpha + 1):
-        want_in, want_out = input_conditional_vars(spec, h)
-        c = conds[h - 1]
+    plan = step_plan(spec.input_partition, spec.output_partition)
+    for h, (c, step) in enumerate(zip(conds, plan), start=1):
+        want_in, want_out = input_conditional_vars(step)
         if tuple(c.input_vars) != want_in or tuple(c.output_vars) != want_out:
             raise DomainError(
                 f"input conditional {h}: variables ({c.input_vars} -> {c.output_vars})"
@@ -82,8 +82,8 @@ def capacity_cut_cap(spec: NetworkSpec, joint: JointPmf, cut: Cut) -> CutConstra
     """Per-channel terms of the capacity-region bound for one cut."""
     _require_joint_over_all(spec, joint)
     _require_proper_cut(cut, spec.n_nodes)
-    terms = [conditional_mutual_information(joint, *capacity_term_groups(spec, cut.nodes, h))
-             for h in range(1, spec.alpha + 1)]
+    terms = [conditional_mutual_information(joint, *capacity_term_groups(step, cut.nodes))
+             for step in step_plan(spec.input_partition, spec.output_partition)]
     return CutConstraint(cut, tuple(terms), float(sum(terms)))
 
 

@@ -1,6 +1,5 @@
 """Per-cut outer bounds: exact caps, factorization checks, grid search."""
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -66,13 +65,18 @@ _CAPACITY_GROUPS = {
 }
 
 
+def _plan(spec):
+    """The spec's steps (S_h, S^h, G^{h-1}, G_h), one per channel."""
+    return list(model.step_plan(spec.input_partition, spec.output_partition))
+
+
 def test_capacity_term_groups_written_out(bundled_specs):
     got = {}
     for name in ("bscfb", "causal-relay"):
         spec = bundled_specs[name]
         for cut in enumerate_cuts(spec.n_nodes):
-            for h in range(1, spec.alpha + 1):
-                got[name, cut.nodes.members, h] = capacity_term_groups(spec, cut.nodes, h)
+            for h, step in enumerate(_plan(spec), start=1):
+                got[name, cut.nodes.members, h] = capacity_term_groups(step, cut.nodes)
     assert got == _CAPACITY_GROUPS
 
 
@@ -80,7 +84,7 @@ def _term_groups(spec, mode, nodes, h):
     """(A, B, C) of term h of the cut: the capacity groups, or the paper's
     one positive-delay term written out above."""
     if mode == "capacity":
-        return capacity_term_groups(spec, nodes, h)
+        return capacity_term_groups(_plan(spec)[h - 1], nodes)
     return _POSITIVE_DELAY_GROUPS[spec.n_nodes, nodes.members]
 
 
@@ -105,8 +109,7 @@ def _product_joint(spec, px=None):
 def _scheme_joint(eps):
     """Uniform forward bit; node 2 transmits a fresh uniform bit xor Y2."""
     spec = networks.bscfb_spec(eps)
-    in1, out1 = input_conditional_vars(spec, 1)
-    in2, out2 = input_conditional_vars(spec, 2)
+    (in1, out1), (in2, out2) = map(input_conditional_vars, _plan(spec))
     c1 = ChannelTable(in1, out1, np.array([[0.5, 0.5]]))
     # X2 = X' xor Y2 with X' uniform makes X2 uniform given any (X1, Y2)
     c2 = ChannelTable(in2, out2, np.full((4, 2), 0.5))
@@ -189,6 +192,26 @@ def test_rate_tuple_validation_and_flow():
     for nodes in ((0,), (3,), (1, 2), ()):
         with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
             two.flow_across(_cut(nodes))
+
+
+def test_rate_tuples_and_cuts_refuse_huge_integers():
+    # a cut member past 4300 digits is shown by its bits, a small one as it is
+    two = RateTuple.from_pairs(2, {(1, 2): 0.5})
+    with pytest.raises(DomainError) as e:
+        two.flow_across(Cut(NodeSet((10 ** 5000,))))
+    assert str(e.value) == ("cut [an integer of 16610 bits] is not a proper nonempty "
+                            "subset of 1..2")
+    with pytest.raises(DomainError) as e:
+        two.flow_across(_cut((1, 2)))
+    assert str(e.value) == "cut [1, 2] is not a proper nonempty subset of 1..2"
+    # region_membership compares a tuple across every cut, and enumerate_cuts
+    # refuses more than NODE_CAP nodes
+    assert RateTuple.from_pairs(model.NODE_CAP, {}).rates.shape == (model.NODE_CAP,) * 2
+    for n in (model.NODE_CAP + 1, 10 ** 5000):
+        with pytest.raises(ResourceCapError) as e:
+            RateTuple.from_pairs(n, {})
+        assert str(e.value) == (f"rate tuple node count {model._shown(n)} is above the cap "
+                                f"of {model.NODE_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +329,7 @@ def test_factorization_scheme_joint_fails_positive_delay_only():
     # node 2 echoes its current reception, correlating the two inputs in a
     # way no delayed (input-marginal-first) factorization reproduces
     spec = networks.bscfb_spec(0.11)
-    in1, out1 = input_conditional_vars(spec, 1)
-    in2, out2 = input_conditional_vars(spec, 2)
+    (in1, out1), (in2, out2) = map(input_conditional_vars, _plan(spec))
     c1 = ChannelTable(in1, out1, np.array([[0.5, 0.5]]))
     echo = np.zeros((4, 2))
     for x1 in range(2):
@@ -326,8 +348,7 @@ def test_factorization_positive_delay_rejects_rare_echo():
     # probability p; for p <= 1e-8 every joint cell is within 1e-9 of
     # p(x) times the channel product, but p(y|x) on those rows is not it
     spec = networks.bscfb_spec(0.11)
-    in1, out1 = input_conditional_vars(spec, 1)
-    in2, out2 = input_conditional_vars(spec, 2)
+    (in1, out1), (in2, out2) = map(input_conditional_vars, _plan(spec))
     rows = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])  # over (X1, Y2)
     for p in (1e-3, 1e-8, 1e-9):
         c1 = ChannelTable(in1, out1, np.array([[1.0 - p, p]]))
@@ -372,13 +393,13 @@ def _ternary_spec(seed):
     rng = np.random.Generator(np.random.Philox(seed))
     s = Partition((NodeSet((1,)), NodeSet((2,)), NodeSet((3,))))
     g = Partition((NodeSet((2,)), NodeSet((3,)), NodeSet((1,))))
-    shell = NetworkSpec(3, (3, 3, 3), (3, 3, 3), 3, s, g, ())
     channels = []
-    for h in range(1, 4):
-        in_vars, out_vars = shell.channel_input_vars(h), shell.channel_output_vars(h)
+    for _, xs, ys, outs in model.step_plan(s, g):
+        in_vars = (*map(model.x_var, xs), *map(model.y_var, ys))
+        out_vars = tuple(map(model.y_var, outs))
         rows = rng.dirichlet(np.ones(3 ** len(out_vars)), size=3 ** len(in_vars))
         channels.append(ChannelTable(in_vars, out_vars, rows))
-    return dataclasses.replace(shell, channels=tuple(channels))
+    return NetworkSpec(3, (3, 3, 3), (3, 3, 3), 3, s, g, tuple(channels))
 
 
 def test_all_delayed_network_is_the_positive_delay_network(bundled_specs):
@@ -395,7 +416,7 @@ def test_all_delayed_network_is_the_positive_delay_network(bundled_specs):
             == (composed.input_vars, composed.output_vars)
         assert np.array_equal(channel.table, composed.table)
         for cut in enumerate_cuts(spec.n_nodes):
-            assert capacity_term_groups(net, cut.nodes, 1) \
+            assert capacity_term_groups(_plan(net)[0], cut.nodes) \
                 == _POSITIVE_DELAY_GROUPS[spec.n_nodes, cut.nodes.members]
 
 
@@ -426,6 +447,31 @@ def test_grid_resolution_must_be_an_integer():
         with pytest.raises(DomainError, match="must be an integer"):
             grid_hull(spec, "positive-delay", k)
     assert GridProblem(spec, "capacity", np.int64(2)).k == 2
+
+
+def test_grid_resolution_is_capped(one_letter_spec):
+    # a one-letter spec's grid is one point at any k, so k has its own cap,
+    # checked after the point count's
+    spec = one_letter_spec(2)
+    for mode in ("capacity", "positive-delay"):
+        with pytest.raises(ResourceCapError) as e:
+            grid_hull(spec, mode, 10 ** 30)
+        assert str(e.value) == ("grid resolution k an integer of 100 bits is above the cap "
+                                "of 10000000")
+        assert GridProblem(spec, mode, _grid.POINT_CAP).n_points == 1
+    # a grid of two or more points past the cap is refused by its point count
+    with pytest.raises(ResourceCapError, match="^grid point count 10000002 is above"):
+        GridProblem(networks.classical_bsc_spec(0.1), "capacity", _grid.POINT_CAP + 1)
+
+
+def test_grid_keeps_the_callers_spec_in_both_modes(bundled_specs):
+    # both modes place tables in the spec's full layout; positive-delay mode
+    # scans the one step of S = G = ({1..N}), whose free factor is p(x)
+    for spec in bundled_specs.values():
+        for mode in ("capacity", "positive-delay"):
+            assert GridProblem(spec, mode, 2).spec is spec
+        problem = GridProblem(spec, "positive-delay", 2)
+        assert problem.n_slots == 1 and problem.factors == [((), spec.all_x_vars())]
 
 
 def test_grid_mode_must_be_a_string():
@@ -688,8 +734,7 @@ def test_grid_term_channels_are_the_joint_conditionals(bundled_specs):
         problem = GridProblem(spec, mode, 1)
         net = _scanned(spec, mode)
         conds = []
-        for h in range(1, net.alpha + 1):
-            fin, fout = input_conditional_vars(net, h)
+        for fin, fout in map(input_conditional_vars, _plan(net)):
             rows = math.prod(spec.var_size(n) for n in fin)
             cols = math.prod(spec.var_size(n) for n in fout)
             conds.append(ChannelTable(fin, fout, rng.dirichlet(np.ones(cols), size=rows)))
@@ -766,8 +811,7 @@ def test_placement_matches_per_cell_oracle(bundled_specs):
         xs, ys = sizes[:spec.n_nodes], sizes[spec.n_nodes:]
         channels = [(ch.input_vars, ch.output_vars, ch.table) for ch in spec.channels]
         conds = []
-        for h in range(1, spec.alpha + 1):
-            fin, fout = input_conditional_vars(spec, h)
+        for fin, fout in map(input_conditional_vars, _plan(spec)):
             rows = math.prod(spec.var_size(n) for n in fin)
             table = rng.dirichlet(np.ones(math.prod(spec.var_size(n) for n in fout)), size=rows)
             conds.append(ChannelTable(fin, fout, table))
@@ -789,7 +833,7 @@ def test_batched_placement_equals_stacked_calls(bundled_specs):
     rng = np.random.Generator(np.random.Philox(10))
     for spec in [spec for _, spec in sorted(bundled_specs.items())] + [_ternary_spec(7)]:
         factors = [(ch.input_vars, ch.output_vars) for ch in spec.channels]
-        factors += [input_conditional_vars(spec, h) for h in range(1, spec.alpha + 1)]
+        factors += map(input_conditional_vars, _plan(spec))
         for fin, fout in factors:
             rows = math.prod(spec.var_size(n) for n in fin)
             cols = math.prod(spec.var_size(n) for n in fout)

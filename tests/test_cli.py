@@ -258,6 +258,15 @@ def test_bound_grid_cell_cap(capsys, tmp_path, binary_chain_spec):
     assert err == "error: grid table cell count 169607680 is above the cap of 67108864\n"
 
 
+def test_bound_grid_resolution_cap(capsys, tmp_path, one_letter_spec):
+    # a one-point grid at k = 10^19, past int64, is refused by the cap on k
+    path = tmp_path / "one.json"
+    model.save_spec(one_letter_spec(2), path)
+    rc, out, err = _run(capsys, "bound", "--spec", str(path), "--grid", "10000000000000000000")
+    assert rc == EXIT_CAP and out == ""
+    assert err == "error: grid resolution k an integer of 64 bits is above the cap of 10000000\n"
+
+
 def test_bound_rejects_nonpositive_grid(capsys, spec_path):
     for k in ("0", "-3"):
         rc, out, err = _run(capsys, "bound", "--spec", spec_path, "--grid", k)
@@ -420,7 +429,7 @@ def test_simulate_unreachable_out_of_range_symbol(capsys, tmp_path):
     spec = networks.bundled_spec("deterministic")
     model.save_spec(spec, spec_f)
     d = simulate.code_to_dict(simulate.random_table_code(
-        spec, 2, model.DelayProfile.all_one(2), seed=0))
+        spec, 2, model.DelayProfile.of((1, 1)), seed=0))
     first, second = d["encoders"][0]["tables"]
     d["encoders"][0]["tables"] = [[[0] for _ in first], [[r[0], 7] for r in second]]
     code_f.write_text(json.dumps(d))
@@ -743,7 +752,7 @@ _HUGE_COUNTS = st.one_of(st.integers(-2, 6), st.sampled_from([10 ** 10, 10 ** 30
 def contract_code(contract_spec):
     """A random n=2 code for the contract network, as a dict, and a file path."""
     code = simulate.random_table_code(networks.bscfb_spec(0.11), 2,
-                                      model.DelayProfile.all_one(2), seed=0)
+                                      model.DelayProfile.of((1, 1)), seed=0)
     return simulate.code_to_dict(code), contract_spec.replace("net.json", "code.json")
 
 

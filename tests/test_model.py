@@ -46,12 +46,10 @@ def test_node_sets_and_partitions_hold_tuples():
     blocks.pop()
     twin = Partition((NodeSet((2,)), NodeSet((1, 3))))
     assert p.blocks == twin.blocks and p == twin and hash(p) == hash(twin)
-    spec = NetworkSpec(3, (2, 2, 2), (2, 2, 2), 2, p, twin, ())
-    assert spec.input_partition == spec.output_partition
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.members = (1,)
     with pytest.raises(AttributeError):
-        spec.input_partition.blocks.append(NodeSet((4,)))
+        p.blocks.append(NodeSet((4,)))
 
 
 def test_partition_prefix_unions():
@@ -59,14 +57,17 @@ def test_partition_prefix_unions():
     assert p.alpha == 2
     # the step plan's running unions: (S_h, S^h, G^{h-1}, G_h) per channel
     g = Partition((NodeSet((1, 3)), NodeSet((2,))))
-    spec = NetworkSpec(3, (2, 2, 2), (2, 2, 2), 2, p, g, ())
-    assert list(model.step_plan(spec)) == [((2,), (2,), (), (1, 3)),
+    assert list(model.step_plan(p, g)) == [((2,), (2,), (), (1, 3)),
                                            ((1, 3), (1, 2, 3), (1, 3), (2,))]
+    spec = NetworkSpec(3, (2, 2, 2), (2, 2, 2), 2, p, g, (
+        ChannelTable(("X2",), ("Y1", "Y3"), np.full((2, 4), 0.25)),
+        ChannelTable(("X1", "X2", "X3", "Y1", "Y3"), ("Y2",), np.full((32, 2), 0.5))))
+    assert validate_spec(spec).ok
     assert spec.channel_input_vars(2) == ("X1", "X2", "X3", "Y1", "Y3")
     assert spec.channel_output_vars(1) == ("Y1", "Y3")
     # a partition with fewer blocks counts its missing ones as empty
-    short = NetworkSpec(3, (2, 2, 2), (2, 2, 2), 2, p, Partition((NodeSet((1, 2, 3)),)), ())
-    assert list(model.step_plan(short))[1] == ((1, 3), (1, 2, 3), (1, 2, 3), ())
+    short = Partition((NodeSet((1, 2, 3)),))
+    assert list(model.step_plan(p, short))[1] == ((1, 3), (1, 2, 3), (1, 2, 3), ())
     assert p.block_index_of(3) == 2
     with pytest.raises(DomainError):
         p.block_index_of(4)
@@ -75,7 +76,7 @@ def test_partition_prefix_unions():
 def test_delay_profile_accessors():
     p = DelayProfile.of((1, 0))
     assert tuple(p) == (1, 0)
-    assert DelayProfile.all_one(3).delays == (1, 1, 1)
+    assert DelayProfile.of((1,) * 3).delays == (1, 1, 1)
 
 
 def test_channel_table_stochasticity_reporting():

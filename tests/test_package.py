@@ -729,6 +729,42 @@ def test_cap_argument_guard_reads_names_attributes_and_keywords():
         f"m.py:{line}" for line in range(10, 16)]
 
 
+def _channel_less_specs(trees):
+    """`path:line` of every NetworkSpec(...) call whose channels, the seventh
+    argument or the `channels` keyword, is an empty tuple."""
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if _called(node) != "NetworkSpec":
+                continue
+            channels = node.args[6] if len(node.args) > 6 else next(
+                (k.value for k in node.keywords if k.arg == "channels"), None)
+            if isinstance(channels, ast.Tuple) and not channels.elts:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_network_spec_has_its_channels():
+    # the two partitions alone give a network's steps (model.step_plan), so
+    # no spec is built without its channels to read them
+    paths = sorted(_SRC.glob("*.py")) + sorted((_ROOT / "tests").glob("*.py"))
+    assert _channel_less_specs(_parsed(paths)) == []
+
+
+def test_channel_less_spec_guard_reads_positions_and_keywords():
+    code = ast.parse(
+        "from . import model\n"
+        "a = NetworkSpec(2, (2, 2), (2, 2), 1, s, s, ())\n"
+        "b = model.NetworkSpec(2, (2, 2), (2, 2), 1, s, s, channels=())\n"
+        "c = NetworkSpec(2, (2, 2), (2, 2), 1, s, s, (q,))\n"
+        "d = model.NetworkSpec(2, (2, 2), (2, 2), 1, s, s, channels=qs)\n"
+        "e = NetworkSpec(n_nodes=2, input_alphabet_sizes=(2, 2),\n"
+        "                output_alphabet_sizes=(2, 2), alpha=1, input_partition=s,\n"
+        "                output_partition=s, channels=())\n"
+        "f = NetworkSpec(2, (), (), 0, s, s, qs)\n")
+    assert _channel_less_specs({pathlib.Path("m.py"): code}) == ["m.py:2", "m.py:3", "m.py:6"]
+
+
 def _entry_points():
     """(entry point, parameter, kind, call) per number a public entry point
     takes: `call` hands the value to that parameter alone, every other
@@ -783,7 +819,6 @@ def _entry_points():
         ("RateTuple.from_pairs", "rate", float, lambda v: pairs(2, {(1, 2): v})),
         ("DelayProfile", "delay bit", int, lambda v: zdmn.DelayProfile((1, v))),
         ("DelayProfile.of", "delay bit", int, lambda v: zdmn.DelayProfile.of((v, 1))),
-        ("DelayProfile.all_one", "n_nodes", int, zdmn.DelayProfile.all_one),
         ("wilson_half_width", "errors", int, lambda v: simulate.wilson_half_width(v, 3)),
         ("wilson_half_width", "trials", int, lambda v: simulate.wilson_half_width(0, v)),
         ("JointPmf", "alphabet size of A", int, lambda v: zdmn.JointPmf((("A", v),), [1.0])),
@@ -809,10 +844,8 @@ def test_every_entry_point_refuses_a_malformed_number(what, kind, call):
         assert str(e.value).startswith(f"{what} must be "), (value, str(e.value))
 
 
-# a seed of any size is valid; the node counts of RateTuple.from_pairs and
-# DelayProfile.all_one size an array that no cap bounds yet
-_UNCAPPED = {("RateTuple.from_pairs", "n_nodes"), ("DelayProfile.all_one", "n_nodes")}
-_HUGE = [e for e in _ENTRY_POINTS if e[2] is int and e[1] != "seed" and e[:2] not in _UNCAPPED]
+# a seed of any size is valid
+_HUGE = [e for e in _ENTRY_POINTS if e[2] is int and e[1] != "seed"]
 
 
 @pytest.mark.parametrize("call", [e[3] for e in _HUGE], ids=[f"{e[0]}({e[1]})" for e in _HUGE])

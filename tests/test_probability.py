@@ -9,7 +9,7 @@ from scipy import stats
 
 from zdmn import networks
 from zdmn.errors import DomainError
-from zdmn.model import ChannelTable
+from zdmn.model import ChannelTable, step_plan
 from zdmn.probability import (
     JointPmf,
     _marginal,
@@ -298,8 +298,8 @@ def test_factorized_joint_zero_delay_scheme():
     # node 1 sends a fair bit; node 2 repeats its current reception
     eps = 0.11
     spec = networks.bscfb_spec(eps)
-    in1, out1 = input_conditional_vars(spec, 1)
-    in2, out2 = input_conditional_vars(spec, 2)
+    (in1, out1), (in2, out2) = map(input_conditional_vars,
+                                   step_plan(spec.input_partition, spec.output_partition))
     assert (in1, out1) == ((), ("X1",))
     assert (in2, out2) == (("X1", "Y2"), ("X2",))
     c1 = ChannelTable(in1, out1, np.array([[0.5, 0.5]]))
@@ -327,14 +327,14 @@ def test_factorized_joint_zero_delay_scheme():
 
 def test_factorized_joint_rejects_wrong_conditionals():
     spec = networks.bscfb_spec(0.11)
-    in1, out1 = input_conditional_vars(spec, 1)
+    (in1, out1), (in2, out2) = map(input_conditional_vars,
+                                   step_plan(spec.input_partition, spec.output_partition))
     c1 = ChannelTable(in1, out1, np.array([[0.5, 0.5]]))
     with pytest.raises(DomainError):
         factorized_joint(spec, (c1,))  # wrong count
     bad = ChannelTable(("X9",), ("X1",), np.array([[0.5, 0.5]]))
     with pytest.raises(DomainError):
         factorized_joint(spec, (bad, bad))
-    in2, out2 = input_conditional_vars(spec, 2)
     non_stoch = ChannelTable(in2, out2, np.full((4, 2), 0.3))
     with pytest.raises(DomainError):
         factorized_joint(spec, (c1, non_stoch))

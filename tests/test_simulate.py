@@ -41,16 +41,18 @@ def _tiny_polar(n, k):
     return PolarCode(n, k, 0.11, list_size=1, crc_bits=0)
 
 
-def _with_random_channels(shell, seed):
-    """``shell`` with every channel row a Dirichlet(1, ..., 1) draw."""
+def _random_network(x_sizes, y_sizes, s, g, seed):
+    """The network of these alphabets and partitions S and G, every channel
+    row a Dirichlet(1, ..., 1) draw."""
     rng = np.random.Generator(np.random.Philox(seed))
     channels = []
-    for h in range(1, shell.alpha + 1):
-        in_vars, out_vars = shell.channel_input_vars(h), shell.channel_output_vars(h)
-        rows = math.prod(shell.var_size(v) for v in in_vars)
-        cols = math.prod(shell.var_size(v) for v in out_vars)
-        channels.append(ChannelTable(in_vars, out_vars, rng.dirichlet(np.ones(cols), size=rows)))
-    return dataclasses.replace(shell, channels=tuple(channels))
+    for _, xs, ys, outs in model.step_plan(s, g):
+        in_vars = (*map(model.x_var, xs), *map(model.y_var, ys))
+        rows = math.prod([x_sizes[i - 1] for i in xs] + [y_sizes[i - 1] for i in ys])
+        cols = math.prod(y_sizes[i - 1] for i in outs)
+        channels.append(ChannelTable(in_vars, tuple(map(model.y_var, outs)),
+                                     rng.dirichlet(np.ones(cols), size=rows)))
+    return NetworkSpec(len(x_sizes), x_sizes, y_sizes, s.alpha, s, g, tuple(channels))
 
 
 def _mixed_alphabet_spec():
@@ -59,7 +61,7 @@ def _mixed_alphabet_spec():
     everything before it.  Nodes 2 and 3 may have zero delay."""
     s = Partition((NodeSet((1,)), NodeSet((2, 3))))
     g = Partition((NodeSet((2, 3)), NodeSet((1,))))
-    return _with_random_channels(NetworkSpec(3, (3, 2, 1), (2, 3, 2), 2, s, g, ()), 3)
+    return _random_network((3, 2, 1), (2, 3, 2), s, g, 3)
 
 
 def _empty_block_spec():
@@ -67,7 +69,7 @@ def _empty_block_spec():
     reads no input and channel 2 emits no output."""
     s = Partition((NodeSet(()), NodeSet((1, 2))))
     g = Partition((NodeSet((1, 2)), NodeSet(())))
-    return _with_random_channels(NetworkSpec(2, (2, 2), (2, 2), 2, s, g, ()), 4)
+    return _random_network((2, 2), (2, 2), s, g, 4)
 
 
 # ---------------------------------------------------------------------------
