@@ -82,7 +82,7 @@ def _parse_cut(text: str, n_nodes: int) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = model.load_spec(args.spec)
-    report = model.validate_spec(spec)
+    report = spec.validation
     if report.ok:
         print(f"spec OK: {spec.n_nodes} nodes, {spec.alpha} channels")
         return EXIT_OK

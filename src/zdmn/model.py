@@ -5,6 +5,12 @@ S and an output partition G of {1..N}.  Channel h emits the outputs of block
 G_h given the inputs of the prefix S^h = S_1 u ... u S_h and the outputs of
 the prefix G^{h-1}.  Node indices are 1-based in every external format.
 
+A ``NetworkSpec`` checks itself once, when it is built: ``validate_spec``
+collects its violations into the spec's ``validation``, and every entry
+point refuses an invalid spec through ``require_valid``, which reads that
+stored report.  A spec holds only tuples, ints and read-only arrays, so the
+report cannot go stale.
+
 The module also keeps the three guards: every number a caller hands in goes
 through ``require_integer`` or ``require_real``, and every count checked
 against a resource cap through ``require_within_cap``.  It keeps too the one
@@ -125,11 +131,16 @@ class ChannelTable:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # a read-only copy, so the caller's array stays its own; + 0.0 also
-        # turns -0.0 into 0.0, which a spec file would otherwise print
+        object.__setattr__(self, "input_vars", tuple(self.input_vars))
+        object.__setattr__(self, "output_vars", tuple(self.output_vars))
+        # a copy, so the caller's array stays its own; + 0.0 also turns -0.0
+        # into 0.0, which a spec file would otherwise print
         t = np.atleast_2d(np.asarray(self.table, dtype=np.float64)) + 0.0
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", read_only(t))
+
+    def __reduce__(self):
+        # a pickled array comes back writable: rebuild through __init__
+        return ChannelTable, (self.input_vars, self.output_vars, self.table)
 
     def stochasticity_violations(self, label: str = "channel") -> list[str]:
         # whole-table reductions: a valid table costs O(rows) scratch, not O(cells)
@@ -164,9 +175,22 @@ class ChannelTable:
         return out
 
 
+def read_only(fresh: np.ndarray) -> np.ndarray:
+    """A view of `fresh`, an array no one else holds, both read-only: the
+    view's ``setflags(write=True)`` is a ValueError, since its base is
+    read-only."""
+    fresh.setflags(write=False)
+    return fresh.view()
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A generalized discrete memoryless network (X_I, Y_I, alpha, S, G, q)."""
+    """A generalized discrete memoryless network (X_I, Y_I, alpha, S, G, q).
+
+    Built, ``dataclasses.replace`` included, it runs ``validate_spec`` once
+    and keeps the report as ``validation``.  An invalid spec still builds;
+    ``require_valid`` refuses it where it is used.
+    """
 
     n_nodes: int
     input_alphabet_sizes: tuple[int, ...]
@@ -175,6 +199,12 @@ class NetworkSpec:
     input_partition: Partition
     output_partition: Partition
     channels: tuple[ChannelTable, ...]
+    validation: ValidationReport = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("input_alphabet_sizes", "output_alphabet_sizes", "channels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "validation", validate_spec(self))
 
     def var_size(self, name: str) -> int:
         i = int(name[1:])
@@ -279,6 +309,8 @@ def _partition_violations(name: str, part: Partition, n_nodes: int) -> list[str]
 def validate_spec(spec: NetworkSpec) -> ValidationReport:
     """Collect every violated invariant; ok iff there are none.
 
+    The one collector of the package, whose one caller is
+    ``NetworkSpec.__post_init__``: a spec's report is its ``validation``.
     The per-channel checks run over ``step_plan``: a table's shape is the
     product of its nodes' radices, looked up by node index, and the
     variable names are formed only to compare them with the channel's.
@@ -320,9 +352,9 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
     for h, (ch, (_, xs, ys, outs)) in enumerate(zip(spec.channels, plan), start=1):
         want_in = _input_names(xs, ys)
         want_out = tuple(map(y_var, outs))
-        if tuple(ch.input_vars) != want_in:
+        if ch.input_vars != want_in:
             v.append(f"channel {h}: input variables {ch.input_vars} != expected {want_in}")
-        if tuple(ch.output_vars) != want_out:
+        if ch.output_vars != want_out:
             v.append(f"channel {h}: output variables {ch.output_vars} != expected {want_out}")
         # exact: no int64 wrap
         rows = math.prod([x_sizes[i - 1] for i in xs]) * math.prod([y_sizes[i - 1] for i in ys])
@@ -336,8 +368,10 @@ def validate_spec(spec: NetworkSpec) -> ValidationReport:
 
 
 def require_valid(spec: NetworkSpec) -> None:
-    """Raise DomainError naming every violated invariant, if there is one."""
-    report = validate_spec(spec)
+    """Raise DomainError naming every violated invariant, if there is one:
+    the one refusal of an invalid network.  It reads the report the spec
+    stored when it was built, so a call costs O(1)."""
+    report = spec.validation
     if not report.ok:
         raise DomainError("invalid network: " + "; ".join(report.violations))
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DomainError, SpecIOError
 from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, _shown, is_feasible, json_int,
-                    json_int_table, read_json, require_integer, require_real,
+                    json_int_table, read_json, read_only, require_integer, require_real,
                     require_valid, require_within_cap, step_plan, trial_uniforms, write_text,
                     x_var, y_var)
 from .polar import MAX_N, PolarCode
@@ -59,7 +60,9 @@ class TableCode:
     ``decode`` takes one trial's ``w_row`` and received word.  A code is
     checked once, here: every table has the shape ``table_shapes`` gives it
     and every encoder entry is an input symbol (exact enumeration also runs
-    prefixes that never occur).
+    prefixes that never occur).  The code keeps every table as a read-only
+    int64 copy (``model.read_only``) and its decoders as a read-only
+    mapping, so that check cannot go stale.
     """
 
     n: int
@@ -67,8 +70,8 @@ class TableCode:
     delay_profile: DelayProfile
     input_sizes: tuple      # |X_i| per node, ascending
     output_sizes: tuple     # |Y_i| per node, ascending
-    encoder_tables: tuple   # [node-1][slot-1] -> 2-D int array
-    decoder_tables: dict    # (i, j) -> 2-D int array
+    encoder_tables: tuple   # [node-1][slot-1] -> 2-D int64 array
+    decoder_tables: MappingProxyType  # (i, j) -> 2-D int64 array
 
     def __post_init__(self):
         sizes = tuple(tuple(require_integer(v, "message size", 1) for v in row)
@@ -89,6 +92,12 @@ class TableCode:
                 or any(t is None or len(t) != self.n for t in self.encoder_tables)):
             raise DomainError(f"code needs per node one delay bit, two alphabet sizes "
                               f">= 1 and {_shown(self.n)} encoder tables, one per slot")
+        object.__setattr__(self, "encoder_tables", tuple(
+            tuple(read_only(np.array(t, dtype=np.int64)) for t in node)
+            for node in self.encoder_tables))
+        object.__setattr__(self, "decoder_tables", MappingProxyType(
+            {pair: read_only(np.array(t, dtype=np.int64))
+             for pair, t in self.decoder_tables.items()}))
         for kind, i, j, want in table_shapes(self.n, sizes, self.delay_profile.delays,
                                              self.output_sizes):
             if kind == "encoder":
@@ -164,7 +173,7 @@ def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
     nn = spec.n_nodes
     sizes = tuple(tuple(1 if i == j else message_size for j in range(nn))
                   for i in range(nn))
-    outs = tuple(spec.output_alphabet_sizes)
+    outs = spec.output_alphabet_sizes
     _require_cells_within_cap(table_shapes(n, sizes, profile.delays, outs))
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed)))
@@ -177,7 +186,7 @@ def random_table_code(spec: NetworkSpec, n: int, profile: DelayProfile,
         else:
             dec[(i, j)] = rng.integers(0, message_size, size=shape, dtype=np.int64)
     return TableCode(n=n, message_sizes=sizes, delay_profile=profile,
-                     input_sizes=tuple(spec.input_alphabet_sizes), output_sizes=outs,
+                     input_sizes=spec.input_alphabet_sizes, output_sizes=outs,
                      encoder_tables=tuple(map(tuple, enc)), decoder_tables=dec)
 
 
@@ -301,15 +310,16 @@ def _pair_stats(errors: int, trials: int) -> PairStats:
 
 
 def _check_code(spec: NetworkSpec, code: TableCode) -> None:
-    """The code's nodes and alphabets are the network's and its profile is
-    feasible there; its tables were checked when it was built."""
+    """The network is valid, by the report it stored when it was built, the
+    code's nodes and alphabets are the network's and its profile is
+    feasible there; the code's tables were checked when it was built."""
     require_valid(spec)
-    if (code.input_sizes != tuple(spec.input_alphabet_sizes)
-            or code.output_sizes != tuple(spec.output_alphabet_sizes)):
+    if (code.input_sizes != spec.input_alphabet_sizes
+            or code.output_sizes != spec.output_alphabet_sizes):
         raise DomainError(
             f"code alphabet sizes {code.input_sizes} / {code.output_sizes} differ "
-            f"from the network's {tuple(spec.input_alphabet_sizes)} / "
-            f"{tuple(spec.output_alphabet_sizes)}")
+            f"from the network's {spec.input_alphabet_sizes} / "
+            f"{spec.output_alphabet_sizes}")
     if not is_feasible(spec, code.delay_profile):
         raise DomainError(
             f"delay profile {code.delay_profile.delays} infeasible for this network")

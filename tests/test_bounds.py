@@ -605,13 +605,15 @@ def test_grid_cap_checked_before_length_d_tables(monkeypatch):
 
 
 def test_grid_validates_its_spec_once(monkeypatch):
-    # positive-delay mode once validated again while composing the channel
+    # the one validation is the spec's own, when it is built: the grid reads
+    # that verdict, and positive-delay mode no longer validates again while
+    # composing the channel
     calls = []
     validate = model.validate_spec
     monkeypatch.setattr(model, "validate_spec", lambda spec: calls.append(spec) or validate(spec))
-    spec = networks.bscfb_spec(0.11)
     for mode in ("capacity", "positive-delay"):
         calls.clear()
+        spec = networks.bscfb_spec(0.11)
         GridProblem(spec, mode, 8)
         assert calls == [spec], mode
 

@@ -4,12 +4,15 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zdmn import model, networks
+from zdmn import model, networks, probability, simulate
+from zdmn._grid import GridProblem
+from zdmn.bounds import grid_hull
 from zdmn.errors import DomainError, ResourceCapError, SpecIOError
 from zdmn.model import (
     ChannelTable,
@@ -387,6 +390,97 @@ def test_validate_shape_products_are_exact():
     assert not report.ok and want in report.violations[0]
     loaded = validate_spec(model.spec_from_dict(json.loads(json.dumps(model.spec_to_dict(spec)))))
     assert not loaded.ok and want in loaded.violations[0]
+
+
+# ---------------------------------------------------------------------------
+# a spec checks itself once, when it is built
+
+
+def _count_validations(monkeypatch) -> list:
+    """The specs model.validate_spec is handed from now on, in call order."""
+    calls = []
+    validate = model.validate_spec
+    monkeypatch.setattr(model, "validate_spec", lambda spec: calls.append(spec) or validate(spec))
+    return calls
+
+
+def _non_stochastic(spec: NetworkSpec) -> NetworkSpec:
+    """`spec` with row 0 of its first channel lowered by 0.39."""
+    first = spec.channels[0]
+    rows = first.table.copy()
+    rows[0, 0] -= 0.39
+    return dataclasses.replace(spec, channels=(
+        ChannelTable(first.input_vars, first.output_vars, rows), *spec.channels[1:]))
+
+
+def test_a_spec_is_validated_once_when_built(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    spec = networks.bscfb_spec(0.11)
+    assert len(calls) == 1 and calls[0] is spec
+    twin = dataclasses.replace(spec, channels=spec.channels)
+    assert len(calls) == 2 and calls[1] is twin and twin.validation == spec.validation
+    calls.clear()
+    profile = DelayProfile.of((1, 0))
+    code = random_table_code(spec, 2, profile, seed=1)
+    simulate.estimate_error(spec, code, 100, 2)
+    simulate.run_trial(spec, code, 2, trial=3)
+    simulate.induced_joint(spec, code)
+    probability.compose_channels(spec)
+    for which in ("capacity", "positive-delay"):
+        grid_hull(spec, which, 2)
+    assert calls == []  # every engine call reads the stored report
+
+
+def test_a_spec_holds_tuples_and_read_only_tables():
+    both = Partition((NodeSet((1, 2)),))
+    channel = ChannelTable(["X1", "X2"], ["Y1", "Y2"], np.eye(4))
+    spec = NetworkSpec(2, [2, 2], [2, 2], 1, both, both, [channel])
+    assert spec.validation.ok
+    assert (spec.input_alphabet_sizes, spec.output_alphabet_sizes) == ((2, 2), (2, 2))
+    assert type(spec.input_alphabet_sizes) is type(spec.output_alphabet_sizes) is tuple
+    assert type(spec.channels) is tuple and spec.channels[0] is channel
+    assert channel.input_vars == ("X1", "X2") and channel.output_vars == ("Y1", "Y2")
+    assert type(channel.input_vars) is type(channel.output_vars) is tuple
+    table = spec.channels[0].table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 1] = 1.0
+    with pytest.raises(ValueError):  # its base is read-only, so the view stays so
+        table.setflags(write=True)
+    assert spec.validation.ok and np.array_equal(table, np.eye(4))
+
+
+def test_every_entry_point_refuses_an_invalid_spec_with_one_message():
+    spec = networks.bscfb_spec(0.11)
+    broken = _non_stochastic(spec)
+    want = "invalid network: channel 1: row 0 sums to 0.610000000 (not 1 within 1e-09)"
+    assert "invalid network: " + "; ".join(broken.validation.violations) == want
+    assert broken.validation == validate_spec(broken)
+    unit = DelayProfile.of((1, 1))
+    code = random_table_code(spec, 1, unit, seed=0)
+    calls = {
+        "estimate_error": lambda: simulate.estimate_error(broken, code, 10, 0),
+        "run_trial": lambda: simulate.run_trial(broken, code, 0),
+        "induced_joint": lambda: simulate.induced_joint(broken, code),
+        "random_table_code": lambda: random_table_code(broken, 1, unit, seed=0),
+        "compose_channels": lambda: probability.compose_channels(broken),
+        "GridProblem": lambda: GridProblem(broken, "capacity", 1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == want, name
+
+
+def test_a_pickled_spec_keeps_its_report_and_read_only_tables(monkeypatch):
+    broken = _non_stochastic(networks.causal_relay_spec())
+    calls = _count_validations(monkeypatch)
+    back = pickle.loads(pickle.dumps(broken))
+    assert calls == []  # the report travels with the spec
+    assert not back.validation.ok and back.validation == broken.validation
+    for ours, theirs in zip(back.channels, broken.channels):
+        assert np.array_equal(ours.table, theirs.table)
+        with pytest.raises(ValueError):
+            ours.table.setflags(write=True)
 
 
 # ---------------------------------------------------------------------------

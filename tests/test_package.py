@@ -765,6 +765,44 @@ def test_channel_less_spec_guard_reads_positions_and_keywords():
     assert _channel_less_specs({pathlib.Path("m.py"): code}) == ["m.py:2", "m.py:3", "m.py:6"]
 
 
+def _validations(trees):
+    """`path:line` of every name or attribute `validate_spec` read outside
+    the body of NetworkSpec.__post_init__ in model.py: a call, or an alias
+    that a later call could go through."""
+    found = []
+    for path, tree in trees.items():
+        own = [node for cls in tree.body if path.name == "model.py"
+               and isinstance(cls, ast.ClassDef) and cls.name == "NetworkSpec"
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+        inside = {id(node) for fn in own for node in ast.walk(fn)}
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if id(node) not in inside
+                  and (isinstance(node, ast.Name) and node.id == "validate_spec"
+                       or isinstance(node, ast.Attribute) and node.attr == "validate_spec")]
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_only_a_spec_validates_itself():
+    # a NetworkSpec runs validate_spec once, when it is built; every entry
+    # point reads the stored report through require_valid
+    assert _validations(_parsed(sorted(_SRC.glob("*.py")))) == []
+
+
+def test_validation_guard_reads_calls_and_aliases():
+    code = ("class NetworkSpec:\n"
+            "    def __post_init__(self):\n        self.validation = validate_spec(self)\n"
+            "    def check(self):\n        return validate_spec(self)\n"
+            "class ChannelTable:\n"
+            "    def __post_init__(self):\n        model.validate_spec(self)\n"
+            "def validate_spec(spec):\n    return spec\n"
+            "check = model.validate_spec\n")
+    assert _validations({pathlib.Path("model.py"): ast.parse(code)}) == [
+        "model.py:5", "model.py:8", "model.py:11"]
+    assert _validations({pathlib.Path("m.py"): ast.parse(code)}) == [
+        "m.py:3", "m.py:5", "m.py:8", "m.py:11"]
+
+
 def _entry_points():
     """(entry point, parameter, kind, call) per number a public entry point
     takes: `call` hands the value to that parameter alone, every other

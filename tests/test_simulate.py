@@ -688,6 +688,30 @@ def test_unreachable_out_of_range_encoder_symbol_rejected():
         dataclasses.replace(code, encoder_tables=tables)
 
 
+def test_a_checked_code_cannot_be_written():
+    # a -1 written into a checked encoder once read the channel's last row:
+    # P_1->2 became 1016/2000, with no error
+    spec = networks.classical_bsc_spec(0.11)
+    code = random_table_code(spec, 2, _UNIT, seed=3)
+    for table in (*code.encoder_tables[0], *code.decoder_tables.values()):
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = -1
+        with pytest.raises(ValueError):  # its base is read-only, so the view stays so
+            table.setflags(write=True)
+    with pytest.raises(TypeError):
+        code.decoder_tables[(1, 2)] = np.zeros((1, 4), dtype=np.int64)
+    assert str(estimate_error(spec, code, 2000, 1)).startswith("P_1->2: 356/2000")
+    # the caller's dict and arrays stay its own
+    decoders = dict(code.decoder_tables)
+    mine = decoders[(1, 2)].copy()
+    decoders[(1, 2)] = mine
+    copy = dataclasses.replace(code, decoder_tables=decoders)
+    mine[...] = 0
+    del decoders[(1, 2)]
+    assert np.array_equal(copy.decoder_tables[(1, 2)], code.decoder_tables[(1, 2)])
+
+
 def test_negative_seed_is_a_domain_error():
     spec = networks.bscfb_spec(0.11)
     code = random_table_code(spec, 1, _UNIT, seed=0)
