@@ -190,6 +190,12 @@ class NetworkSpec:
     Built, ``dataclasses.replace`` included, it runs ``validate_spec`` once
     and keeps the report as ``validation``.  An invalid spec still builds;
     ``require_valid`` refuses it where it is used.
+
+    A valid spec also derives, once, what the slot loop reads on every call:
+    ``steps``, its ``step_plan`` as a tuple, and ``draw_tables``, per channel
+    its cumulative table without the last column, transposed to (cols - 1,
+    rows) and read-only (``simulate._draw_column``).  An invalid spec, which
+    no engine call runs, holds both as empty tuples.
     """
 
     n_nodes: int
@@ -200,11 +206,24 @@ class NetworkSpec:
     output_partition: Partition
     channels: tuple[ChannelTable, ...]
     validation: ValidationReport = field(init=False, compare=False, repr=False)
+    steps: tuple = field(init=False, compare=False, repr=False)
+    draw_tables: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("input_alphabet_sizes", "output_alphabet_sizes", "channels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "validation", validate_spec(self))
+        report = validate_spec(self)
+        object.__setattr__(self, "validation", report)
+        # only a valid spec's plan sorts integer nodes and its tables are finite
+        object.__setattr__(self, "steps", tuple(
+            step_plan(self.input_partition, self.output_partition)) if report.ok else ())
+        object.__setattr__(self, "draw_tables", tuple(
+            read_only(np.cumsum(ch.table, axis=1)[:, :-1].T.copy())
+            for ch in self.channels) if report.ok else ())
+
+    def __setstate__(self, state: dict) -> None:
+        # a pickled array comes back writable; the report and the plan travel as they are
+        self.__dict__.update(state, draw_tables=tuple(map(read_only, state["draw_tables"])))
 
     def var_size(self, name: str) -> int:
         i = int(name[1:])
@@ -236,9 +255,13 @@ def step_plan(input_partition: Partition, output_partition: Partition):
     In slot k the encoders of S_h fire, then channel h reads X_{S^h} and
     Y_{G^{h-1}} and emits Y_{G_h}.  The two partitions S and G alone fix
     every step, by one running union over their blocks; where one has fewer
-    blocks, its missing blocks are empty.  Variable names
-    (``channel_input_vars``), ``validate_spec``, the spec reader, the slot
-    loop and the grid all read these lists, derived afresh on every call.
+    blocks, its missing blocks are empty.  A valid ``NetworkSpec`` derives
+    the lists once, when it is built, and keeps them as its ``steps``, which
+    the slot loop and the positive-delay Markov check read.  Variable names
+    (``channel_input_vars``, which also serve a spec still without its
+    channels), ``validate_spec``, the spec reader and the grid (which may scan
+    the all-delayed network's one step without building that network) derive
+    them here on every call.
     """
     xs: set[int] = set()
     ys: set[int] = set()

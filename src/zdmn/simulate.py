@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, SpecIOError
 from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, _shown, is_feasible, json_int,
                     json_int_table, read_json, read_only, require_integer, require_real,
-                    require_valid, require_within_cap, step_plan, trial_uniforms, write_text,
+                    require_valid, require_within_cap, trial_uniforms, write_text,
                     x_var, y_var)
 from .polar import MAX_N, PolarCode
 from .probability import (JointPmf, all_delayed_network, binary_entropy,
@@ -58,11 +58,14 @@ class TableCode:
     received symbols, so a code cannot peek past its delay profile.
 
     ``decode`` takes one trial's ``w_row`` and received word.  A code is
-    checked once, here: every table has the shape ``table_shapes`` gives it
-    and every encoder entry is an input symbol (exact enumeration also runs
-    prefixes that never occur).  The code keeps every table as a read-only
-    int64 copy (``model.read_only``) and its decoders as a read-only
-    mapping, so that check cannot go stale.
+    checked once, here: every table holds integers (a float or boolean
+    table is refused, never truncated), has the shape ``table_shapes`` gives
+    it, and every encoder entry is an input symbol (exact enumeration also
+    runs prefixes that never occur).  The code keeps every table as a
+    read-only int64 copy (``model.read_only``) and its decoders as a
+    read-only mapping, so that check cannot go stale.  It also derives, once,
+    ``pairs``, the ``message_pairs`` order as a tuple, and ``pair_sizes``,
+    each pair's message size as a read-only float array in that order.
     """
 
     n: int
@@ -72,6 +75,8 @@ class TableCode:
     output_sizes: tuple     # |Y_i| per node, ascending
     encoder_tables: tuple   # [node-1][slot-1] -> 2-D int64 array
     decoder_tables: MappingProxyType  # (i, j) -> 2-D int64 array
+    pairs: tuple = field(init=False, compare=False, repr=False)
+    pair_sizes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         sizes = tuple(tuple(require_integer(v, "message size", 1) for v in row)
@@ -93,10 +98,10 @@ class TableCode:
             raise DomainError(f"code needs per node one delay bit, two alphabet sizes "
                               f">= 1 and {_shown(self.n)} encoder tables, one per slot")
         object.__setattr__(self, "encoder_tables", tuple(
-            tuple(read_only(np.array(t, dtype=np.int64)) for t in node)
-            for node in self.encoder_tables))
+            tuple(_int_table(t, "encoder", f"node {i}, slot {k}") for k, t in enumerate(node, 1))
+            for i, node in enumerate(self.encoder_tables, 1)))
         object.__setattr__(self, "decoder_tables", MappingProxyType(
-            {pair: read_only(np.array(t, dtype=np.int64))
+            {pair: _int_table(t, "decoder", "message {}->{}".format(*pair))
              for pair, t in self.decoder_tables.items()}))
         for kind, i, j, want in table_shapes(self.n, sizes, self.delay_profile.delays,
                                              self.output_sizes):
@@ -114,12 +119,14 @@ class TableCode:
                 if lo < 0 or hi >= self.input_sizes[i - 1]:
                     raise DomainError(f"encoder at {what} has symbol "
                                       f"{lo if lo < 0 else hi} outside its alphabet")
+        pairs = tuple((i, j) for i, row in enumerate(sizes, 1)
+                      for j, v in enumerate(row, 1) if v > 1)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pair_sizes", read_only(
+            np.array([sizes[i - 1][j - 1] for i, j in pairs], dtype=float)))
 
     def message_pairs(self):
-        n_nodes = len(self.message_sizes)
-        return [(i, j) for i in range(1, n_nodes + 1)
-                for j in range(1, n_nodes + 1)
-                if self.message_sizes[i - 1][j - 1] > 1]
+        return list(self.pairs)
 
     def w_row_of(self, i: int, messages: dict) -> tuple:
         n_nodes = len(self.message_sizes)
@@ -135,6 +142,16 @@ class TableCode:
         w_idx = np.ravel_multi_index(w_row, self._w_radices(j))
         y_idx = np.ravel_multi_index(y_seq, (self.output_sizes[j - 1],) * len(y_seq))
         return int(self.decoder_tables[(i, j)][w_idx, y_idx])
+
+
+def _int_table(table, kind: str, what: str) -> np.ndarray:
+    """`table` as a read-only int64 copy if it holds integers; a float
+    table (even of 1.0s), a boolean one or any other is a DomainError naming
+    it, never truncated."""
+    arr = np.asarray(table)
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"{kind} table of {what} must hold integers, got {arr.dtype} entries")
+    return read_only(arr.astype(np.int64))
 
 
 def table_shapes(n: int, message_sizes: tuple, delays: tuple, output_sizes: tuple):
@@ -292,21 +309,41 @@ class ErrorReport:
         return "\n".join(lines)
 
 
-def wilson_half_width(errors: int, trials: int) -> float:
-    """Half-width of the 95% Wilson score interval for errors/trials."""
+def wilson_half_width(errors, trials: int):
+    """Half-width of the 95% Wilson score interval for errors/trials.
+
+    `errors` is one count, for a float, or an integer array of counts, for
+    the list of their half-widths: the engine's and the scheme's reports
+    check every pair's count and compute its interval in one call, by the
+    one formula a single count goes through too.
+    """
     trials = require_integer(trials, "trials", 1)
     require_real(trials, "trials")  # the interval divides by trials as a float
-    if not 0 <= require_integer(errors, "errors", 0) <= trials:
-        raise DomainError(f"errors must be in 0..{trials}, got {_shown(errors)}")
+    one = not isinstance(errors, np.ndarray)
+    if one:
+        counts = [require_integer(errors, "errors", 0)]
+    elif errors.dtype.kind not in "iu":
+        raise DomainError(f"errors must be integers, got {errors.dtype} entries")
+    else:
+        counts = errors.tolist()
+    for e in counts:
+        if not 0 <= e <= trials:
+            raise DomainError(f"errors must be in 0..{trials}, got {_shown(e)}")
     z = _WILSON_Z
-    p = errors / trials
-    return (z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-            / (1.0 + z * z / trials))
+    spread, shrink = z * z / (4.0 * trials * trials), 1.0 + z * z / trials
+    halves = []
+    for e in counts:
+        p = e / trials
+        halves.append(z * math.sqrt(p * (1.0 - p) / trials + spread) / shrink)
+    return halves[0] if one else halves
 
 
-def _pair_stats(errors: int, trials: int) -> PairStats:
-    return PairStats(trials=trials, errors=errors, estimate=errors / trials,
-                     half_width=wilson_half_width(errors, trials))
+def _error_report(pairs, errors: np.ndarray, trials: int) -> ErrorReport:
+    """The report of `errors`, one int64 count per pair of `pairs`, each out
+    of `trials`."""
+    return ErrorReport(pairs={
+        p: PairStats(trials=trials, errors=e, estimate=e / trials, half_width=half)
+        for p, e, half in zip(pairs, errors.tolist(), wilson_half_width(errors, trials))})
 
 
 def _check_code(spec: NetworkSpec, code: TableCode) -> None:
@@ -335,7 +372,7 @@ def _message_indices(code: TableCode, w_cols) -> dict:
     is the digit 0 of radix 1 and folds away); a run of one column is the
     index itself."""
     runs = {}
-    for (i, j), col in zip(code.message_pairs(), w_cols):
+    for (i, j), col in zip(code.pairs, w_cols):
         runs.setdefault(i, []).append((col, code.message_sizes[i - 1][j - 1]))
     out = dict.fromkeys(range(1, len(code.message_sizes) + 1), 0)
     for i, run in runs.items():
@@ -359,13 +396,15 @@ def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column)
     earlier channel of the slot emitted its current-slot symbol, every other
     node's after the slot's last channel.
 
-    The steps are derived once per call from ``model.step_plan``, as node
-    indices and radices: per channel its member nodes, each with its
-    per-slot encoder tables, and its (node, radix) inputs and outputs.  A
+    The steps come from the spec's stored plan (``spec.steps``, its
+    ``model.step_plan``), turned once per call into node indices and
+    radices: per channel its member nodes, each with its per-slot encoder
+    tables and message index, and its (node, radix) inputs and outputs.  A
     one-symbol tuple folds to the symbol itself, so a channel with one input
     reads that symbol as its row and one with one output stores its column
-    as the symbol; a digit of radix 1 is always 0 and is left out of every
-    fold and split.
+    as the symbol; a column of several outputs splits by ``np.unravel_index``
+    into one symbol row per output node.  A digit of radix 1 is always 0 and
+    is left out of every fold and split.
 
     Inputs and outputs are held step-major, (n, N, trials), so every symbol
     of one slot and node is a contiguous row.  Returns them as (trials, n, N)
@@ -384,7 +423,7 @@ def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column)
     fold_early = [b == 0 and encodes[i] and sizes[i] > 1
                   for i, b in enumerate(code.delay_profile.delays)]
     steps = []
-    for members, xs, ys, outs in step_plan(spec.input_partition, spec.output_partition):
+    for members, xs, ys, outs in spec.steps:
         xs = [i for i in xs if encodes[i - 1]]
         ys = [i for i in ys if sizes[i - 1] > 1]
         outs = [i for i in outs if sizes[i - 1] > 1]
@@ -416,7 +455,8 @@ def _slots(spec: NetworkSpec, code: TableCode, w_idx: dict, trials: int, column)
             if len(outs) == 1:
                 yk[outs[0]] = col
             elif outs:
-                yk[outs] = np.unravel_index(col, out_sizes)
+                for i, symbols in zip(outs, np.unravel_index(col, out_sizes)):
+                    yk[i] = symbols
         for i in fold_late:
             words[i] = np.ravel_multi_index((words[i], yk[i]), (sizes[i] ** k, sizes[i]))
     return x.transpose(2, 0, 1), y.transpose(2, 0, 1), words
@@ -427,9 +467,10 @@ def _draw_column(cum_t: np.ndarray, row, u: np.ndarray) -> np.ndarray:
     trial's cumulative row, all but the last, that are <= its uniform u.
 
     ``cum_t`` is the channel's cumulative table without its last column,
-    transposed to (cols - 1, rows); ``row`` is each trial's channel row (a
-    scalar for a channel without inputs, which broadcasts) and ``u`` each
-    trial's uniform.  A cumulative row of nonnegative entries never
+    transposed to (cols - 1, rows): its entry of the spec's ``draw_tables``,
+    derived once when the spec was built.  ``row`` is each trial's channel
+    row (a scalar for a channel without inputs, which broadcasts) and ``u``
+    each trial's uniform.  A cumulative row of nonnegative entries never
     decreases, so the count is ``searchsorted(side="right")`` capped at
     cols - 1, and a 1-column channel always emits column 0.
     """
@@ -445,24 +486,24 @@ def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
     """Run trials [lo, hi) together through one slot loop.
 
     Trial t's row of ``trial_uniforms(seed, ())``, P + n*alpha wide: its
-    first P uniforms u give the messages floor(u * m) in ``message_pairs``
-    order, the rest its channel uniforms in slot-then-channel order.  A
-    trial's outcome is therefore the same in every batch that contains it.
+    first P uniforms u give the messages floor(u * m) in the code's ``pairs``
+    order, m its ``pair_sizes``, the rest its channel uniforms in
+    slot-then-channel order.  A trial's outcome is therefore the same in
+    every batch that contains it.  Each channel draws from its entry of the
+    spec's ``draw_tables``; nothing here is derived from the spec or the
+    code alone.
 
     Returns trial-major arrays ``(w, x, y, est)``: messages and estimates
-    (trials, P) in ``message_pairs`` order, inputs and outputs (trials, n, N).
+    (trials, P) in ``pairs`` order, inputs and outputs (trials, n, N).
     """
-    pairs = code.message_pairs()
-    P = len(pairs)
+    P = len(code.pairs)
     u = trial_uniforms(seed, (), lo, hi, P + code.n * spec.alpha)
-    m = np.array([code.message_sizes[i - 1][j - 1] for i, j in pairs], dtype=float)
     # message-major, one contiguous row per pair; u * m >= 0, so the cast's
     # truncation is the floor
-    w = (np.ascontiguousarray(u[:, :P].T) * m[:, None]).astype(np.int64)
+    w = (np.ascontiguousarray(u[:, :P].T) * code.pair_sizes[:, None]).astype(np.int64)
     w_idx = _message_indices(code, w)
     u_steps = np.ascontiguousarray(u[:, P:].T)  # (n * alpha, trials): one row per step
-    cum_ts = [np.ascontiguousarray(np.cumsum(channel.table, axis=1)[:, :-1].T)
-              for channel in spec.channels]
+    cum_ts = spec.draw_tables
 
     def column(step, h, row):
         # a column is the count of the cumulative entries, all but the last,
@@ -471,7 +512,7 @@ def _run_batch(spec: NetworkSpec, code: TableCode, seed: int, lo: int, hi: int):
 
     x, y, words = _slots(spec, code, w_idx, hi - lo, column)
     est = np.empty_like(w)
-    for q, (i, j) in enumerate(pairs):
+    for q, (i, j) in enumerate(code.pairs):
         est[q] = code.decoder_tables[(i, j)][w_idx[j], words[j - 1]]
     return w.T, x, y, est.T
 
@@ -482,11 +523,10 @@ def run_trial(spec: NetworkSpec, code: TableCode, seed: int, trial: int = 0) -> 
     require_integer(seed, "seed", 0)
     _check_code(spec, code)
     w, x, y, est = _run_batch(spec, code, seed, trial, trial + 1)
-    pairs = code.message_pairs()
     return SimTrace(seed=seed, trial=trial,
-                    messages={p: int(w[0, q]) for q, p in enumerate(pairs)},
+                    messages=dict(zip(code.pairs, w[0].tolist())),
                     x=x[0], y=y[0],
-                    estimates={p: int(est[0, q]) for q, p in enumerate(pairs)})
+                    estimates=dict(zip(code.pairs, est[0].tolist())))
 
 
 def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
@@ -495,16 +535,14 @@ def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
     require_integer(trials, "trials", 1)
     require_integer(seed, "seed", 0)
     _check_code(spec, code)
-    pairs = code.message_pairs()
-    require_within_cap(trials * (len(pairs) + code.n * spec.alpha), UNIFORM_CAP,
+    require_within_cap(trials * (len(code.pairs) + code.n * spec.alpha), UNIFORM_CAP,
                        "trials x uniforms per trial")
-    errors = np.zeros(len(pairs), dtype=np.int64)
+    errors = np.zeros(len(code.pairs), dtype=np.int64)
     for lo in range(0, trials, _TRIAL_CHUNK):
         w, _x, _y, est = _run_batch(spec, code, seed, lo,
                                     min(lo + _TRIAL_CHUNK, trials))
         errors += (est != w).sum(axis=0)
-    return ErrorReport(pairs={p: _pair_stats(int(errors[q]), trials)
-                              for q, p in enumerate(pairs)})
+    return _error_report(code.pairs, errors, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +551,7 @@ def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
 
 def _joint_variables(spec: NetworkSpec, code: TableCode):
     variables = [(f"W{i}.{j}", code.message_sizes[i - 1][j - 1])
-                 for (i, j) in code.message_pairs()]
+                 for (i, j) in code.pairs]
     for k in range(1, code.n + 1):
         for i in range(1, spec.n_nodes + 1):
             variables.append((f"{x_var(i)}.{k}", spec.input_alphabet_sizes[i - 1]))
@@ -537,7 +575,7 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
     sizes = [s for _, s in variables]
     total = math.prod(sizes)
     require_within_cap(total, JOINT_CAP, "induced joint cell count")
-    pairs = code.message_pairs()
+    pairs = code.pairs
     P = len(pairs)
     radices = ([code.message_sizes[i - 1][j - 1] for (i, j) in pairs]
                + [channel.table.shape[1] for channel in spec.channels] * code.n)
@@ -572,7 +610,7 @@ def _step_cmis(spec: NetworkSpec, code: TableCode, groups) -> list:
     leading names of ``_joint_variables``.
     """
     joint = induced_joint(spec, code)
-    n_messages = len(code.message_pairs())
+    n_messages = len(code.pairs)
     out = []
     for k in range(1, code.n + 1):
         past = list(joint.names[:n_messages + 2 * spec.n_nodes * (k - 1)])
@@ -602,10 +640,8 @@ def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
         raise DomainError("positive-delay factorization check requires the "
                           "all-one delay profile")
 
-    plan = list(step_plan(spec.input_partition, spec.output_partition))
-
     def groups(h):  # X_{S_h}, Y_{G^{h-1}}, X_{S^{h-1}}
-        s_h, s_upto, g_before, _ = plan[h - 1]
+        s_h, s_upto, g_before, _ = spec.steps[h - 1]
         return (tuple(map(x_var, s_h)), tuple(map(y_var, g_before)),
                 tuple(x_var(i) for i in s_upto if i not in s_h))
     return _step_cmis(spec, code, groups)
@@ -694,7 +730,6 @@ def bscfb_scheme(eps: float, n: int, forward_rate: float, seed: int,
         rev_errors += int(np.count_nonzero(np.any(y1 != xprime, axis=1)))
         decoded = np.atleast_2d(forward_code.decode_batch(y2))
         fwd_errors += int(np.count_nonzero(np.any(decoded != msgs, axis=1)))
-    report = ErrorReport(pairs={(1, 2): _pair_stats(fwd_errors, trials),
-                                (2, 1): _pair_stats(rev_errors, trials)})
+    report = _error_report(((1, 2), (2, 1)), np.array([fwd_errors, rev_errors]), trials)
     return BscFbSchemeResult(report=report, achieved_rates=(k / n, 1.0),
                              forward_bits=k, n=n)

@@ -483,6 +483,40 @@ def test_a_pickled_spec_keeps_its_report_and_read_only_tables(monkeypatch):
             ours.table.setflags(write=True)
 
 
+def _assert_derived(spec: NetworkSpec) -> None:
+    """`spec`'s steps are its step_plan and its draw tables, read-only, its
+    channels' cumulative tables without the last column, transposed."""
+    assert spec.steps == tuple(model.step_plan(spec.input_partition, spec.output_partition))
+    assert len(spec.draw_tables) == len(spec.channels)
+    for cum_t, channel in zip(spec.draw_tables, spec.channels):
+        assert np.array_equal(cum_t, np.cumsum(channel.table, axis=1)[:, :-1].T)
+        assert cum_t.flags.c_contiguous
+        with pytest.raises(ValueError):
+            cum_t.setflags(write=True)
+
+
+def test_a_spec_derives_its_steps_and_draw_tables_once(bundled_specs, monkeypatch):
+    for spec in [*bundled_specs.values(), networks.causal_relay_spec(0.2, 0.3)]:
+        _assert_derived(spec)
+    # replace derives them afresh from the new channels
+    spec = networks.bscfb_spec(0.11)
+    twin = dataclasses.replace(spec, channels=networks.bscfb_spec(0.2).channels)
+    _assert_derived(twin)
+    assert not np.array_equal(twin.draw_tables[0], spec.draw_tables[0])
+    # a pickled spec keeps its tables equal and read-only, with no validation
+    calls = _count_validations(monkeypatch)
+    back = pickle.loads(pickle.dumps(spec))
+    assert calls == [] and back.steps == spec.steps
+    for ours, theirs in zip(back.draw_tables, spec.draw_tables):
+        assert np.array_equal(ours, theirs)
+        with pytest.raises(ValueError):
+            ours.setflags(write=True)
+    # an invalid spec, which no engine call runs, derives neither
+    broken = _non_stochastic(spec)
+    assert broken.steps == broken.draw_tables == ()
+    assert pickle.loads(pickle.dumps(broken)).draw_tables == ()
+
+
 # ---------------------------------------------------------------------------
 # JSON I/O
 

@@ -803,6 +803,58 @@ def test_validation_guard_reads_calls_and_aliases():
         "m.py:3", "m.py:5", "m.py:8", "m.py:11"]
 
 
+def _cumsum_calls(tree):
+    """Line of every cumsum(...) call, bare or through a module."""
+    return [node.lineno for node in ast.walk(tree) if _called(node) == "cumsum"]
+
+
+def test_the_engine_draws_only_from_the_specs_tables():
+    # a channel's cumulative draw table is derived once, by NetworkSpec when
+    # it is built (its draw_tables); the engine forms none of its own
+    assert _cumsum_calls(ast.parse((_SRC / "simulate.py").read_text(encoding="utf-8"))) == []
+
+
+def test_cumsum_guard_finds_every_call_form():
+    code = ast.parse("import numpy as np\nfrom numpy import cumsum\n"
+                     "a = np.cumsum(t, axis=1)\nb = cumsum(t)\nc = t.cumsum()\n"
+                     "d = np.cumprod(t)\n")
+    assert _cumsum_calls(code) == [3, 4, 5]
+
+
+def _readers(tree, name):
+    """Name of each function that reads the module-level `name`, one entry
+    per function, in source order; a read outside every function is
+    "<module>"."""
+    readers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load) and where not in readers):
+            readers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return readers
+
+
+def test_one_function_holds_the_wilson_formula():
+    # every Wilson interval, one count's or a report's whole array, comes
+    # from simulate.wilson_half_width, the one reader of the quantile
+    simulate = ast.parse((_SRC / "simulate.py").read_text(encoding="utf-8"))
+    assert _readers(simulate, "_WILSON_Z") == ["wilson_half_width"]
+
+
+def test_reader_guard_names_each_function_once():
+    code = ast.parse("Z = 1.96\nW = Z * 2\n"
+                     "def half(e):\n    z = Z\n    return Z * z\n"
+                     "def twin(e):\n    def inner():\n        return Z\n    return inner()\n"
+                     "def writes():\n    global Z\n    Z = 2.0\n")
+    assert _readers(code, "Z") == ["<module>", "half", "inner"]
+
+
 def _entry_points():
     """(entry point, parameter, kind, call) per number a public entry point
     takes: `call` hands the value to that parameter alone, every other

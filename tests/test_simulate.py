@@ -171,6 +171,139 @@ _GOLDEN_COUNTS = {
     ('deterministic', (1, 1), 3, 2000): (1015, 1075),
 }
 
+# (estimate.hex(), half_width.hex()) per pair of the same reports, in the
+# same order: the report floats too stay bit for bit.
+_GOLDEN_FLOATS = {
+    ('bscfb', (1, 0), 1, 25): (
+        ('0x1.0a3d70a3d70a4p-1', '0x1.75746ef828b87p-3'),
+        ('0x1.5c28f5c28f5c3p-1', '0x1.60190277ac815p-3'),
+    ),
+    ('bscfb', (1, 0), 1, 2000): (
+        ('0x1.ff7ced916872bp-2', '0x1.66addd292e380p-6'),
+        ('0x1.747ae147ae148p-1', '0x1.3f7b1562f8c0ap-6'),
+    ),
+    ('bscfb', (1, 0), 3, 25): (
+        ('0x1.3333333333333p-1', '0x1.6f2d9a9a39961p-3'),
+        ('0x1.47ae147ae147bp-2', '0x1.60190277ac815p-3'),
+    ),
+    ('bscfb', (1, 0), 3, 2000): (
+        ('0x1.0c8b439581062p-1', '0x1.663fd2a6ce34fp-6'),
+        ('0x1.2b851eb851eb8p-2', '0x1.466632c7d0d8bp-6'),
+    ),
+    ('bscfb', (1, 1), 1, 25): (
+        ('0x1.0a3d70a3d70a4p-1', '0x1.75746ef828b87p-3'),
+        ('0x1.eb851eb851eb8p-2', '0x1.75746ef828b87p-3'),
+    ),
+    ('bscfb', (1, 1), 1, 2000): (
+        ('0x1.09fbe76c8b439p-1', '0x1.66682fc2df024p-6'),
+        ('0x1.05a1cac083127p-1', '0x1.6697ba8f59bc6p-6'),
+    ),
+    ('bscfb', (1, 1), 3, 25): (
+        ('0x1.999999999999ap-3', '0x1.35f7f289d0121p-3'),
+        ('0x1.3333333333333p-1', '0x1.6f2d9a9a39961p-3'),
+    ),
+    ('bscfb', (1, 1), 3, 2000): (
+        ('0x1.4b4395810624ep-2', '0x1.4fa270f71d5dcp-6'),
+        ('0x1.d6872b020c49cp-2', '0x1.6580c588323edp-6'),
+    ),
+    ('causal-relay', (1, 0, 1), 1, 25): (
+        ('0x1.1eb851eb851ecp-1', '0x1.735fd755ec998p-3'),
+        ('0x1.47ae147ae147bp-2', '0x1.60190277ac815p-3'),
+        ('0x1.0a3d70a3d70a4p-1', '0x1.75746ef828b87p-3'),
+        ('0x1.47ae147ae147bp-2', '0x1.60190277ac815p-3'),
+        ('0x1.70a3d70a3d70ap-2', '0x1.68cad31e995d7p-3'),
+        ('0x1.1eb851eb851ecp-1', '0x1.735fd755ec998p-3'),
+    ),
+    ('causal-relay', (1, 0, 1), 1, 2000): (
+        ('0x1.f126e978d4fdfp-2', '0x1.66875d530e106p-6'),
+        ('0x1.f851eb851eb85p-2', '0x1.66a3995787b8fp-6'),
+        ('0x1.f851eb851eb85p-2', '0x1.66a3995787b8fp-6'),
+        ('0x1.f9db22d0e5604p-2', '0x1.66a74f9d2a453p-6'),
+        ('0x1.03d70a3d70a3dp-1', '0x1.66a3995787b8fp-6'),
+        ('0x1.00c49ba5e353fp-1', '0x1.66ad7f50b3c9dp-6'),
+    ),
+    ('causal-relay', (1, 0, 1), 3, 25): (
+        ('0x1.70a3d70a3d70ap-2', '0x1.68cad31e995d7p-3'),
+        ('0x1.70a3d70a3d70ap-2', '0x1.68cad31e995d7p-3'),
+        ('0x1.eb851eb851eb8p-2', '0x1.75746ef828b87p-3'),
+        ('0x1.5c28f5c28f5c3p-1', '0x1.60190277ac815p-3'),
+        ('0x1.c28f5c28f5c29p-2', '0x1.735fd755ec999p-3'),
+        ('0x1.1eb851eb851ecp-2', '0x1.54eaf337dd3b8p-3'),
+    ),
+    ('causal-relay', (1, 0, 1), 3, 2000): (
+        ('0x1.3374bc6a7ef9ep-1', '0x1.5f5f9180e5231p-6'),
+        ('0x1.f7ced916872b0p-2', '0x1.66a22da5bbec8p-6'),
+        ('0x1.fef9db22d0e56p-2', '0x1.66adb9f8032f6p-6'),
+        ('0x1.0395810624dd3p-1', '0x1.66a4ed9132499p-6'),
+        ('0x1.fae147ae147aep-2', '0x1.66a953cb82e0bp-6'),
+        ('0x1.f0a3d70a3d70ap-2', '0x1.6684a8e9f3322p-6'),
+    ),
+    ('causal-relay', (1, 1, 1), 1, 25): (
+        ('0x1.0a3d70a3d70a4p-1', '0x1.75746ef828b87p-3'),
+        ('0x1.47ae147ae147bp-1', '0x1.68cad31e995d7p-3'),
+        ('0x1.1eb851eb851ecp-1', '0x1.735fd755ec998p-3'),
+        ('0x1.0a3d70a3d70a4p-1', '0x1.75746ef828b87p-3'),
+        ('0x1.eb851eb851eb8p-2', '0x1.75746ef828b87p-3'),
+        ('0x1.47ae147ae147bp-1', '0x1.68cad31e995d7p-3'),
+    ),
+    ('causal-relay', (1, 1, 1), 1, 2000): (
+        ('0x1.076c8b4395810p-1', '0x1.66875d530e107p-6'),
+        ('0x1.f8d4fdf3b645ap-2', '0x1.66a4ed9132499p-6'),
+        ('0x1.fb645a1cac083p-2', '0x1.66aa32b014f0bp-6'),
+        ('0x1.01cac083126e9p-1', '0x1.66abaa14df514p-6'),
+        ('0x1.010624dd2f1aap-1', '0x1.66ad2d3334851p-6'),
+        ('0x1.028f5c28f5c29p-1', '0x1.66a953cb82e0bp-6'),
+    ),
+    ('causal-relay', (1, 1, 1), 3, 25): (
+        ('0x1.70a3d70a3d70ap-2', '0x1.68cad31e995d7p-3'),
+        ('0x1.47ae147ae147bp-2', '0x1.60190277ac815p-3'),
+        ('0x1.3333333333333p-1', '0x1.6f2d9a9a39961p-3'),
+        ('0x1.eb851eb851eb8p-2', '0x1.75746ef828b87p-3'),
+        ('0x1.eb851eb851eb8p-2', '0x1.75746ef828b87p-3'),
+        ('0x1.c28f5c28f5c29p-2', '0x1.735fd755ec999p-3'),
+    ),
+    ('causal-relay', (1, 1, 1), 3, 2000): (
+        ('0x1.d2f1a9fbe76c9p-2', '0x1.654a5e5836eb4p-6'),
+        ('0x1.e0c49ba5e353fp-2', '0x1.66033e7457f53p-6'),
+        ('0x1.fced916872b02p-2', '0x1.66ac4295614e0p-6'),
+        ('0x1.ec083126e978dp-2', '0x1.66682fc2df024p-6'),
+        ('0x1.fa5e353f7ced9p-2', '0x1.66a85d6fef706p-6'),
+        ('0x1.0666666666666p-1', '0x1.66914413c2121p-6'),
+    ),
+    ('classical-bsc', (1, 1), 1, 25): (
+        ('0x1.47ae147ae147bp-1', '0x1.68cad31e995d7p-3'),
+        ('0x1.70a3d70a3d70ap-2', '0x1.68cad31e995d7p-3'),
+    ),
+    ('classical-bsc', (1, 1), 1, 2000): (
+        ('0x1.fae147ae147aep-2', '0x1.66a953cb82e0bp-6'),
+        ('0x1.f7ced916872b0p-2', '0x1.66a22da5bbec8p-6'),
+    ),
+    ('classical-bsc', (1, 1), 3, 25): (
+        ('0x1.47ae147ae147bp-1', '0x1.68cad31e995d7p-3'),
+        ('0x1.999999999999ap-2', '0x1.6f2d9a9a39961p-3'),
+    ),
+    ('classical-bsc', (1, 1), 3, 2000): (
+        ('0x1.2b020c49ba5e3p-1', '0x1.61975d47139f5p-6'),
+        ('0x1.d99999999999ap-2', '0x1.65abcafb41551p-6'),
+    ),
+    ('deterministic', (1, 1), 1, 25): (
+        ('0x1.3333333333333p-1', '0x1.6f2d9a9a39961p-3'),
+        ('0x1.47ae147ae147bp-1', '0x1.68cad31e995d7p-3'),
+    ),
+    ('deterministic', (1, 1), 1, 2000): (
+        ('0x1.fd70a3d70a3d7p-2', '0x1.66acc39f7543ap-6'),
+        ('0x1.04189374bc6a8p-1', '0x1.66a22da5bbec8p-6'),
+    ),
+    ('deterministic', (1, 1), 3, 25): (
+        ('0x1.1eb851eb851ecp-1', '0x1.735fd755ec998p-3'),
+        ('0x1.3333333333333p-1', '0x1.6f2d9a9a39961p-3'),
+    ),
+    ('deterministic', (1, 1), 3, 2000): (
+        ('0x1.03d70a3d70a3dp-1', '0x1.66a3995787b8fp-6'),
+        ('0x1.1333333333333p-1', '0x1.65abcafb41551p-6'),
+    ),
+}
+
 _GOLDEN_TRACE = ("slot,node,X,Y\n1,1,1,0\n1,2,1,0\n1,3,0,0\n2,1,1,0\n2,2,1,0\n2,3,0,0\n"
                  "3,1,0,0\n3,2,0,2\n3,3,0,0\n")
 
@@ -178,16 +311,19 @@ _GOLDEN_TRACE = ("slot,node,X,Y\n1,1,1,0\n1,2,1,0\n1,3,0,0\n2,1,1,0\n2,2,1,0\n2,
 def test_engine_outputs_equal_golden_literals(bundled_specs):
     # a fixed seed gives bit-for-bit the same counts and traces across
     # versions of the engine, not only the serial reference's
-    counts = {}
+    counts, floats = {}, {}
     for name, spec in sorted(bundled_specs.items()):
         for r, profile in enumerate(enumerate_feasible_profiles(spec)):
             for n in (1, 3):
                 code = random_table_code(spec, n, profile, seed=100 * n + r)
                 for trials in (25, 2000):
                     report = estimate_error(spec, code, trials, seed=7 * n + r + trials)
-                    counts[(name, profile.delays, n, trials)] = tuple(
-                        report.pairs[p].errors for p in code.message_pairs())
+                    stats = [report.pairs[p] for p in code.message_pairs()]
+                    counts[(name, profile.delays, n, trials)] = tuple(s.errors for s in stats)
+                    floats[(name, profile.delays, n, trials)] = tuple(
+                        (s.estimate.hex(), s.half_width.hex()) for s in stats)
     assert counts == _GOLDEN_COUNTS
+    assert floats == _GOLDEN_FLOATS
     spec = _mixed_alphabet_spec()
     code = random_table_code(spec, 3, DelayProfile.of((1, 0, 0)), seed=31, message_size=3)
     trace = run_trial(spec, code, seed=5, trial=17)
@@ -625,6 +761,28 @@ def test_code_validation_errors():
             dataclasses.replace(good, **edit)
 
 
+def test_a_table_of_non_integers_is_refused_not_truncated():
+    # an encoder table of 1.9s on the identity network (|X| = 2) passed the
+    # symbol check and was read as 1s
+    spec = networks.deterministic_two_node_spec()
+    code = random_table_code(spec, 1, _UNIT, seed=0)
+    enc, dec = code.encoder_tables, code.decoder_tables
+    for value in (1.9, 1.0, True):
+        table = np.full(enc[0][0].shape, value)
+        with pytest.raises(DomainError, match="^encoder table of node 1, slot 1 must hold "
+                                              f"integers, got {table.dtype} entries$"):
+            dataclasses.replace(code, encoder_tables=((table,), enc[1]))
+        table = np.full(dec[(2, 1)].shape, value)
+        with pytest.raises(DomainError, match="^decoder table of message 2->1 must hold "
+                                              f"integers, got {table.dtype} entries$"):
+            dataclasses.replace(code, decoder_tables={**dec, (2, 1): table})
+    # integers of any width, and nested lists of them, are integers
+    narrow = dataclasses.replace(code, encoder_tables=(
+        (enc[0][0].astype(np.uint8),), (enc[1][0].tolist(),)))
+    assert all(np.array_equal(a, b) and a.dtype == np.int64
+               for a, b in zip(sum(narrow.encoder_tables, ()), sum(enc, ())))
+
+
 def test_delay_bits_outside_zero_and_one_are_refused():
     for bits in ((2, 1), (1, 3)):
         with pytest.raises(DomainError, match="delay bits must be 0 or 1"):
@@ -874,3 +1032,82 @@ def test_wilson_half_width_solves_score_equation():
         wilson_half_width(5, 3)
     with pytest.raises(DomainError, match="^errors must be >= 0, got -1$"):
         wilson_half_width(-1, 3)
+
+
+def test_wilson_half_width_of_an_array_is_each_counts_bit_for_bit():
+    # the engine's and the scheme's reports take every pair's half-width from
+    # one array call; a single count goes through the same formula
+    for trials in (1, 2, 3, 25, 2000, 2 ** 20):
+        # a half-width is finite and positive, so == between two is bit equality
+        halves = wilson_half_width(np.arange(trials + 1), trials)
+        assert halves == [wilson_half_width(e, trials) for e in range(trials + 1)]
+        assert min(halves) > 0.0
+    big = 2 ** 53
+    counts = [0, 1, big // 3, big]
+    halves = wilson_half_width(np.array(counts), big)
+    assert [h.hex() for h in halves] == [wilson_half_width(e, big).hex() for e in counts]
+    assert wilson_half_width(np.zeros(0, dtype=np.int64), 5) == []
+
+
+def test_wilson_half_width_refuses_every_malformed_count():
+    refusals = [
+        ("^errors must be in 0..3, got 4$", lambda: wilson_half_width(np.array([0, 4, 2]), 3)),
+        ("^errors must be in 0..3, got -1$", lambda: wilson_half_width(np.array([2, -1, 9]), 3)),
+        ("^errors must be integers, got float64 entries$",
+         lambda: wilson_half_width(np.array([1.0]), 3)),
+        ("^errors must be integers, got bool entries$",
+         lambda: wilson_half_width(np.array([True]), 3)),
+        ("^trials must be >= 1, got 0$", lambda: wilson_half_width(np.array([0]), 0)),
+        ("^trials must be an integer, got 2.0$", lambda: wilson_half_width(np.array([0]), 2.0)),
+        ("^errors must be an integer, got 1.0$", lambda: wilson_half_width(1.0, 3)),
+        ("^errors must be an integer, got True$", lambda: wilson_half_width(True, 3)),
+        ("^errors must be an integer, got", lambda: wilson_half_width([1, 2], 3)),
+    ]
+    for why, call in refusals:
+        with pytest.raises(DomainError, match=why):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# what a spec and a code derive once, when they are built
+
+
+def test_an_engine_call_derives_nothing_its_spec_fixed(monkeypatch):
+    # the draw tables and the step plan are a built spec's; no engine call
+    # forms them again
+    spec = networks.bundled_spec("causal-relay")
+    code = random_table_code(spec, 2, DelayProfile.of((1, 0, 1)), seed=4)
+    unit_code = random_table_code(spec, 1, DelayProfile.of((1, 1, 1)), seed=2)
+    calls = []
+    cumsum, step_plan = np.cumsum, model.step_plan
+    monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append("cumsum") or cumsum(*a, **k))
+    monkeypatch.setattr(model, "step_plan",
+                        lambda *a: calls.append("step_plan") or step_plan(*a))
+    estimate_error(spec, code, 40, seed=8)
+    run_trial(spec, code, seed=8, trial=3)
+    induced_joint(spec, code)
+    check_positive_delay_markov(spec, unit_code)
+    assert calls == []
+    dataclasses.replace(spec, channels=spec.channels)  # the spies do count
+    assert "step_plan" in calls and "cumsum" in calls
+
+
+def test_a_codes_pairs_are_its_message_pairs():
+    sizes = ((1, 3, 1), (2, 1, 5), (1, 1, 1))
+    shapes = list(simulate.table_shapes(1, sizes, (1, 1, 1), (2, 2, 2)))
+    code = TableCode(n=1, message_sizes=sizes, delay_profile=DelayProfile.of((1, 1, 1)),
+                     input_sizes=(2, 2, 2), output_sizes=(2, 2, 2),
+                     encoder_tables=tuple(tuple(np.zeros(shape, dtype=np.int64)
+                                                for kind, i, _, shape in shapes
+                                                if kind == "encoder" and i == node)
+                                          for node in (1, 2, 3)),
+                     decoder_tables={(i, j): np.zeros(shape, dtype=np.int64)
+                                     for kind, i, j, shape in shapes if kind == "decoder"})
+    assert code.pairs == ((1, 2), (2, 1), (2, 3)) and code.message_pairs() == list(code.pairs)
+    assert code.pair_sizes.dtype == np.float64 and code.pair_sizes.tolist() == [3, 2, 5]
+    with pytest.raises(ValueError):
+        code.pair_sizes.setflags(write=True)
+    # replace derives them afresh (node 2's messages swap sizes, so every
+    # table keeps its shape)
+    swapped = dataclasses.replace(code, message_sizes=((1, 3, 1), (5, 1, 2), (1, 1, 1)))
+    assert swapped.pairs == code.pairs and swapped.pair_sizes.tolist() == [3, 5, 2]
