@@ -10,7 +10,7 @@ zero-delay node's transmit block comes strictly after its receive block.
 The package computes exact per-cut outer bounds on the achievable-rate
 region (in both the unconstrained and the all-delayed settings), simulates
 arbitrary table codes slot by slot, checks the Markov structure of the
-induced joint distributions by exact enumeration,
+distributions they induce by exact enumeration of their outcomes,
 and reproduces two separations between the zero-delay and all-delayed
 regimes: a noisy/noiseless binary pair whose feedback link reaches a full
 bit per slot only with a zero-delay node, and an additive-noise relay chain

@@ -257,7 +257,7 @@ def step_plan(input_partition: Partition, output_partition: Partition):
     every step, by one running union over their blocks; where one has fewer
     blocks, its missing blocks are empty.  A valid ``NetworkSpec`` derives
     the lists once, when it is built, and keeps them as its ``steps``, which
-    the slot loop and the positive-delay Markov check read.  Variable names
+    the slot loop and both Markov checks read.  Variable names
     (``channel_input_vars``, which also serve a spec still without its
     channels), ``validate_spec``, the spec reader and the grid (which may scan
     the all-delayed network's one step without building that network) derive

@@ -5,8 +5,10 @@ index order inside each slot; a zero-delay node sees its current-slot
 received symbol because its receive channel fired earlier in the same slot)
 over a batch of rows at once.  Seeded Monte Carlo feeds it one trial per
 row and draws each channel column from the trial's uniforms
-(``model.trial_uniforms``); the exact induced joint feeds it one
-(message, column-per-step) outcome per row, at tiny scale.  The module also
+(``model.trial_uniforms``); the exact enumeration feeds it one (message,
+column-per-step) outcome per row and keeps each of positive probability as
+a row of symbols, which the Markov and equivalence checks read and the
+dense induced joint scatters.  The module also
 estimates error probabilities and holds the feedback example: the
 masked-feedback scheme for the binary symmetric channel with correlated
 feedback, and that pair's closed-form capacity region, which the scheme
@@ -32,6 +34,8 @@ from .probability import (JointPmf, all_delayed_network, binary_entropy,
                           conditional_mutual_information)
 
 JOINT_CAP = 2 ** 24
+OUTCOME_CAP = 2 ** 24  # cells of a code's outcome rows, (W, X^n, Y^n) symbols each
+KEY_CAP = 2 ** 63 - 1  # range of a packed int64 key, as np.ravel_multi_index allows
 CODE_CELL_CAP = 2 ** 24  # encoder plus decoder table cells of a table code built here
 MESSAGE_SIZE_CAP = 2 ** 53  # floor(u * m) of a 53-bit uniform u is exact up to here
 _TRIAL_CHUNK = 4096  # trials per batch of the slot loop and of bscfb_scheme; bounds memory
@@ -549,45 +553,37 @@ def estimate_error(spec: NetworkSpec, code: TableCode, trials: int,
 # exact induced joints and the Markov / equivalence checks
 
 
-def _joint_variables(spec: NetworkSpec, code: TableCode):
-    variables = [(f"W{i}.{j}", code.message_sizes[i - 1][j - 1])
-                 for (i, j) in code.pairs]
-    for k in range(1, code.n + 1):
-        for i in range(1, spec.n_nodes + 1):
-            variables.append((f"{x_var(i)}.{k}", spec.input_alphabet_sizes[i - 1]))
-        for i in range(1, spec.n_nodes + 1):
-            variables.append((f"{y_var(i)}.{k}", spec.output_alphabet_sizes[i - 1]))
-    return variables
+def _row_sizes(spec: NetworkSpec, code: TableCode) -> list:
+    """Alphabet size per column of an outcome row: per message pair in
+    ``pairs`` order, then per slot X_1..X_N and Y_1..Y_N."""
+    return ([code.message_sizes[i - 1][j - 1] for (i, j) in code.pairs]
+            + [*spec.input_alphabet_sizes, *spec.output_alphabet_sizes] * code.n)
 
 
-def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
-    """Exact joint of (W, X^n, Y^n), enumerated through the slot loop.
+def _outcomes(spec: NetworkSpec, code: TableCode):
+    """Every outcome of positive probability, as an int64 row of its (W, X^n,
+    Y^n) symbols in ``_row_sizes`` order, and its probability.
 
     An outcome is the messages and the column each channel emits in each
     step, numbered in C order (messages in ``message_pairs`` order, then
     steps in slot-then-channel order) and run ``_TRIAL_CHUNK`` at a time.
     Its probability is p_w times the chosen channel entries, multiplied in
-    step order.  Distinct outcomes give distinct (W, Y^n), so each one writes
-    its own cell and there are at most as many outcomes as cells.
+    step order.  Distinct outcomes give distinct (W, Y^n): no two rows agree.
     """
     _check_code(spec, code)
-    variables = _joint_variables(spec, code)
-    sizes = [s for _, s in variables]
-    total = math.prod(sizes)
-    require_within_cap(total, JOINT_CAP, "induced joint cell count")
-    pairs = code.pairs
-    P = len(pairs)
-    radices = ([code.message_sizes[i - 1][j - 1] for (i, j) in pairs]
-               + [channel.table.shape[1] for channel in spec.channels] * code.n)
-    p_w = 1.0
-    for (i, j) in pairs:
-        p_w /= code.message_sizes[i - 1][j - 1]
-    flat = np.zeros(total)
+    P = len(code.pairs)
+    radices = _row_sizes(spec, code)[:P] + [ch.table.shape[1] for ch in spec.channels] * code.n
     outcomes = math.prod(radices)
+    require_within_cap(outcomes * (P + 2 * spec.n_nodes * code.n), OUTCOME_CAP,
+                       "outcome row cell count")
+    p_w = 1.0
+    for (i, j) in code.pairs:
+        p_w /= code.message_sizes[i - 1][j - 1]
+    rows, probs = [], []
     for lo in range(0, outcomes, _TRIAL_CHUNK):
-        rows = min(_TRIAL_CHUNK, outcomes - lo)
-        digits = np.transpose(np.unravel_index(np.arange(lo, lo + rows), radices))
-        prob = np.full(rows, p_w)
+        count = min(_TRIAL_CHUNK, outcomes - lo)
+        digits = np.transpose(np.unravel_index(np.arange(lo, lo + count), radices))
+        prob = np.full(count, p_w)
 
         def column(step, h, row):
             col = digits[:, P + step]
@@ -595,28 +591,73 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
             return col
 
         w = digits[:, :P]
-        x, y, _ = _slots(spec, code, _message_indices(code, w.T), rows, column)
-        # per slot X_1..X_N then Y_1..Y_N, the order of _joint_variables
-        cells = np.concatenate([w, np.concatenate([x, y], axis=2).reshape(rows, -1)], axis=1)
-        flat[np.ravel_multi_index(cells.T, sizes)] = prob
-    return JointPmf(variables=tuple(variables), probs=flat)
+        x, y, _ = _slots(spec, code, _message_indices(code, w.T), count, column)
+        # per slot X_1..X_N then Y_1..Y_N, the order of _row_sizes
+        cells = np.concatenate([w, np.concatenate([x, y], axis=2).reshape(count, -1)], axis=1)
+        rows.append(cells[prob > 0.0])
+        probs.append(prob[prob > 0.0])
+    return np.concatenate(rows), np.concatenate(probs)
+
+
+def _numbered(key: np.ndarray):
+    """Each key's rank among the distinct keys, and their count.  One sort
+    finds them: numpy's hash-based ``np.unique`` is many times slower here."""
+    seen = np.sort(key)
+    seen = seen[np.concatenate(([True], seen[1:] != seen[:-1]))]
+    return np.searchsorted(seen, key), len(seen)
+
+
+def _packed(cells: np.ndarray, cols, sizes) -> np.ndarray:
+    """Each row's symbols in columns `cols` as one C-order index; 0 for none."""
+    radices = [sizes[c] for c in cols]
+    require_within_cap(math.prod(radices), KEY_CAP, "packed key range")
+    return (np.ravel_multi_index([cells[:, c] for c in cols], radices) if radices
+            else np.zeros(len(cells), dtype=np.int64))
+
+
+def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
+    """Exact joint of (W, X^n, Y^n): each ``_outcomes`` row writes its own cell."""
+    _check_code(spec, code)
+    sizes = _row_sizes(spec, code)
+    total = math.prod(sizes)
+    require_within_cap(total, JOINT_CAP, "induced joint cell count")
+    cells, prob = _outcomes(spec, code)
+    flat = np.zeros(total)
+    flat[np.ravel_multi_index(cells.T, sizes)] = prob
+    names = [f"W{i}.{j}" for (i, j) in code.pairs] + [
+        f"{var(i)}.{k}" for k in range(1, code.n + 1) for var in (x_var, y_var)
+        for i in range(1, spec.n_nodes + 1)]
+    return JointPmf(variables=tuple(zip(names, sizes)), probs=flat)
+
+
+def _rows_cmi(cells: np.ndarray, prob: np.ndarray, sizes, a, b, c) -> float:
+    """I(A; B | C) of rows `cells` of probabilities `prob`, each group a list of
+    columns; A's axis numbers only the tuples that occur, B's and C's span all."""
+    if not b:  # I(A; B | C) of no B is 0, as conditional_mutual_information returns it
+        return 0.0
+    rank, na = _numbered(_packed(cells, a, sizes))
+    nb, nc = (math.prod(sizes[col] for col in g) for g in (b, c))
+    require_within_cap(na * nb * nc, JOINT_CAP, "step joint cell count")
+    flat = np.bincount(rank * (nb * nc) + _packed(cells, b + c, sizes), prob, na * nb * nc)
+    joint = JointPmf((("A", na), ("B", nb), ("C", nc)), flat)
+    return conditional_mutual_information(joint, ("A",), ("B",), ("C",))
 
 
 def _step_cmis(spec: NetworkSpec, code: TableCode, groups) -> list:
-    """(k, h, I(past, A; B | C)) per slot k and channel h on the induced joint.
+    """(k, h, I(past, A; B | C)) per slot k and channel h on the code's outcome rows.
 
-    `groups(h)` gives (A, B, C) as names of slot-variables (``X1``, ``Y2``),
-    read here in slot k; the past is every variable before slot k, the
-    leading names of ``_joint_variables``.
+    `groups(step)` gives (A, B, C) of one ``spec.steps`` step as (X nodes,
+    Y nodes) pairs, read here in slot k; the past is every column before slot k.
     """
-    joint = induced_joint(spec, code)
-    n_messages = len(code.pairs)
+    cells, prob = _outcomes(spec, code)
+    sizes, nn = _row_sizes(spec, code), spec.n_nodes
     out = []
-    for k in range(1, code.n + 1):
-        past = list(joint.names[:n_messages + 2 * spec.n_nodes * (k - 1)])
-        for h in range(1, spec.alpha + 1):
-            a, b, c = ([f"{v}.{k}" for v in names] for names in groups(h))
-            out.append((k, h, conditional_mutual_information(joint, past + a, b, c)))
+    for k in range(code.n):
+        base = len(code.pairs) + 2 * nn * k
+        for h, step in enumerate(spec.steps, 1):
+            a, b, c = ([base + i - 1 for i in xs] + [base + nn + i - 1 for i in ys]
+                       for xs, ys in groups(step))
+            out.append((k + 1, h, _rows_cmi(cells, prob, sizes, [*range(base), *a], b, c)))
     return out
 
 
@@ -626,8 +667,7 @@ def check_memoryless_markov(spec: NetworkSpec, code: TableCode) -> list:
     Every value must vanish: the output of channel h in slot k depends on
     the history only through the symbols the channel actually reads.
     """
-    return _step_cmis(spec, code, lambda h: ((), spec.channel_output_vars(h),
-                                              spec.channel_input_vars(h)))
+    return _step_cmis(spec, code, lambda step: (((), ()), ((), step[3]), step[1:3]))
 
 
 def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
@@ -639,22 +679,22 @@ def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
     if any(b != 1 for b in code.delay_profile.delays):
         raise DomainError("positive-delay factorization check requires the "
                           "all-one delay profile")
-
-    def groups(h):  # X_{S_h}, Y_{G^{h-1}}, X_{S^{h-1}}
-        s_h, s_upto, g_before, _ = spec.steps[h - 1]
-        return (tuple(map(x_var, s_h)), tuple(map(y_var, g_before)),
-                tuple(x_var(i) for i in s_upto if i not in s_h))
-    return _step_cmis(spec, code, groups)
+    # X_{S_h}, Y_{G^{h-1}}, X_{S^{h-1}} of the step (S_h, S^h, G^{h-1}, G_h)
+    return _step_cmis(spec, code, lambda step: (
+        (step[0], ()), ((), step[2]), (tuple(i for i in step[1] if i not in step[0]), ())))
 
 
 def equivalence_check(spec: NetworkSpec, code: TableCode) -> float:
-    """L1 distance between the stepwise joint and the single composed-channel
-    joint; zero (to rounding) for every unit-delay code."""
+    """L1 distance between the stepwise and the composed-channel joint, over
+    both networks' outcome rows; zero (to rounding) for every unit-delay code."""
     if any(b != 1 for b in code.delay_profile.delays):
         raise DomainError("channel composition requires the all-one delay profile")
-    stepwise = induced_joint(spec, code)
-    merged = induced_joint(all_delayed_network(spec), code)
-    return float(np.abs(stepwise.probs - merged.probs).sum())
+    (cells, prob), (merged, merged_prob) = (_outcomes(network, code) for network
+                                            in (spec, all_delayed_network(spec)))
+    sizes = _row_sizes(spec, code)
+    rank, count = _numbered(np.concatenate([_packed(rows, range(len(sizes)), sizes)
+                                            for rows in (cells, merged)]))
+    return float(np.abs(np.bincount(rank, np.concatenate([prob, -merged_prob]), count)).sum())
 
 
 # ---------------------------------------------------------------------------

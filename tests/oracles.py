@@ -8,7 +8,9 @@ handed, the spec or, for the positive-delay bound, its all-delayed network:
 ``capacity_cut_cap`` recomputes its cut caps from that joint and
 ``check_factorization`` pins its admissibility.  ``bscfb_engine_code``
 writes the masked-feedback scheme as a table code, so ``bscfb_scheme`` can
-be pinned against the slot engine.
+be pinned against the slot engine.  ``dense_step_cmis`` and
+``dense_equivalence`` are the Markov and equivalence checks on the dense
+induced joint, by variable names, the reference for the checks' outcome rows.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import numpy as np
 from zdmn._grid import GridProblem, capacity_term_groups
 from zdmn.bounds import CutConstraint, RateRegionReport, _point_report, _require_proper_cut
 from zdmn.errors import DomainError
-from zdmn.model import Cut, DelayProfile, NetworkSpec, require_valid, step_plan
+from zdmn.model import Cut, DelayProfile, NetworkSpec, require_valid, step_plan, x_var, y_var
 from zdmn.probability import (JointPmf, _aligned_factor, _channel_product, _full_layout,
-                              _group_size, _marginal, conditional_mutual_information,
-                              input_conditional_vars)
-from zdmn.simulate import TableCode, _require_cells_within_cap, table_shapes
+                              _group_size, _marginal, all_delayed_network,
+                              conditional_mutual_information, input_conditional_vars)
+from zdmn.simulate import TableCode, _require_cells_within_cap, induced_joint, table_shapes
 
 SUM_TOL = 1e-9
 FACT_TOL = 1e-9
@@ -151,3 +153,32 @@ def bscfb_engine_code(n: int, forward_code) -> TableCode:
         encoder_tables=(enc1, enc2),
         decoder_tables={(1, 2): np.broadcast_to(decoded, (2 ** n, 2 ** n)),
                         (2, 1): np.broadcast_to(reversed_words, (2 ** k, 2 ** n))})
+
+
+def dense_step_cmis(spec: NetworkSpec, code: TableCode, which: str) -> list:
+    """(k, h, value) per slot k and channel h of ``check_memoryless_markov``
+    (`which` "memoryless") or ``check_positive_delay_markov`` (any other
+    `which`), by ``conditional_mutual_information`` on the dense induced
+    joint; the past is every variable before slot k."""
+    joint = induced_joint(spec, code)
+    out = []
+    for k in range(1, code.n + 1):
+        past = list(joint.names[:len(code.pairs) + 2 * spec.n_nodes * (k - 1)])
+        for h, (s_h, s_upto, g_before, _) in enumerate(
+                step_plan(spec.input_partition, spec.output_partition), start=1):
+            if which == "memoryless":
+                groups = ((), spec.channel_output_vars(h), spec.channel_input_vars(h))
+            else:
+                groups = (tuple(map(x_var, s_h)), tuple(map(y_var, g_before)),
+                          tuple(x_var(i) for i in s_upto if i not in s_h))
+            a, b, c = ([f"{v}.{k}" for v in names] for names in groups)
+            out.append((k, h, conditional_mutual_information(joint, past + a, b, c)))
+    return out
+
+
+def dense_equivalence(spec: NetworkSpec, code: TableCode) -> float:
+    """L1 distance between the dense induced joints of `spec` and of its
+    all-delayed network, cell by cell."""
+    stepwise = induced_joint(spec, code)
+    merged = induced_joint(all_delayed_network(spec), code)
+    return float(np.abs(stepwise.probs - merged.probs).sum())

@@ -32,7 +32,7 @@ from zdmn.simulate import (
     wilson_half_width,
 )
 
-from oracles import bscfb_engine_code, joint_violations
+from oracles import bscfb_engine_code, dense_equivalence, dense_step_cmis, joint_violations
 
 _UNIT = DelayProfile.of((1, 1))
 
@@ -609,12 +609,14 @@ def test_induced_joint_one_slot_scheme_marginal():
 
 def test_markov_checks_pass_the_paper_groups(monkeypatch):
     # every engine code gives CMIs of about 0, so a wrong group could pass
-    # unnoticed; pin the (A, B, C) names each check asks for on bscfb, n = 2
-    calls = []
-    monkeypatch.setattr(simulate, "conditional_mutual_information",
-                        lambda _joint, a, b, c: calls.append((tuple(a), tuple(b), tuple(c))))
+    # unnoticed; pin the (A, B, C) columns each check asks for on bscfb,
+    # n = 2, by the names of the induced joint's variables
     spec = networks.bscfb_spec(0.11)
     code = random_table_code(spec, 2, _UNIT, seed=0)
+    names = induced_joint(spec, code).names
+    calls = []
+    monkeypatch.setattr(simulate, "_rows_cmi", lambda _cells, _prob, _sizes, *groups: calls.append(
+        tuple(tuple(names[col] for col in cols) for cols in groups)))
     past = {1: ("W1.2", "W2.1"),
             2: ("W1.2", "W2.1", "X1.1", "X2.1", "Y1.1", "Y2.1")}
     check_memoryless_markov(spec, code)
@@ -678,6 +680,65 @@ def test_induced_joint_chunk_invariance(monkeypatch):
     for chunk in (1, 7):
         monkeypatch.setattr(simulate, "_TRIAL_CHUNK", chunk)
         assert np.array_equal(induced_joint(spec, code).probs, whole)
+
+
+def test_checks_on_rows_equal_the_dense_reference(bundled_specs):
+    # the checks read a code's outcome rows; the oracles run the same checks
+    # on the dense induced joint, by variable names
+    cases = [(spec, n, 2) for (_, spec), n in itertools.product(sorted(bundled_specs.items()),
+                                                                (1, 2))]
+    cases += [(_mixed_alphabet_spec(), 1, 3)]
+    cases += [(_empty_block_spec(), n, 2) for n in (1, 2)]
+    compared = 0
+    for spec, n, m in cases:
+        for r, profile in enumerate(enumerate_feasible_profiles(spec)):
+            code = random_table_code(spec, n, profile, seed=30 * n + r, message_size=m)
+            checks = [(check_memoryless_markov, "memoryless")]
+            if set(profile.delays) == {1}:
+                checks.append((check_positive_delay_markov, "positive-delay"))
+                assert abs(equivalence_check(spec, code) - dense_equivalence(spec, code)) <= 1e-14
+                compared += 1
+            for check, which in checks:
+                got, want = check(spec, code), dense_step_cmis(spec, code, which)
+                assert [kh for *kh, _ in got] == [kh for *kh, _ in want]
+                assert all(abs(g - w) <= 1e-14 for (*_, g), (*_, w) in zip(got, want))
+                compared += len(got)
+    assert compared == 99
+
+
+def test_memoryless_check_reaches_the_relay_at_five_slots():
+    # 6.7e7 dense cells, above JOINT_CAP, but 65,536 outcomes
+    spec = networks.causal_relay_spec()
+    code = random_table_code(spec, 5, DelayProfile.of((1, 0, 1)), seed=3)
+    assert math.prod(simulate._row_sizes(spec, code)) > simulate.JOINT_CAP
+    values = check_memoryless_markov(spec, code)
+    assert len(values) == 5 * spec.alpha and all(v <= 1e-9 for *_, v in values)
+
+
+def test_outcome_cap_refuses_before_the_slot_loop(monkeypatch):
+    spec = networks.bscfb_spec(0.11)
+    code = random_table_code(spec, 2, _UNIT, seed=0)
+    slots = []
+    run = simulate._slots
+    monkeypatch.setattr(simulate, "_slots", lambda *a: slots.append(1) or run(*a))
+    monkeypatch.setattr(simulate, "OUTCOME_CAP", 10)
+    # 2 * 2 message tuples times (2 * 2)^2 channel columns, 2 + 2 * 2 * 2 symbols each
+    with pytest.raises(ResourceCapError,
+                       match="^outcome row cell count 640 is above the cap of 10$"):
+        check_memoryless_markov(spec, code)
+    assert slots == []
+
+
+def test_packed_key_past_int64_is_refused():
+    cells = np.zeros((3, 2), dtype=np.int64)
+    sizes = [2 ** 32, 2 ** 31]  # 2^63 values: one more than an int64 key reaches
+    with pytest.raises(ValueError):  # the bare error the guard stands in front of
+        np.ravel_multi_index(cells.T, sizes)
+    with pytest.raises(ResourceCapError, match="^packed key range an integer of 64 bits is "
+                                               "above the cap of 9223372036854775807$"):
+        simulate._packed(cells, [0, 1], sizes)
+    assert simulate._packed(cells, [0, 1], [2 ** 32, 2 ** 31 - 1]).tolist() == [0, 0, 0]
+    assert simulate._packed(cells, [], sizes).tolist() == [0, 0, 0]
 
 
 def test_induced_joint_resource_cap(monkeypatch):
@@ -1086,6 +1147,7 @@ def test_an_engine_call_derives_nothing_its_spec_fixed(monkeypatch):
     estimate_error(spec, code, 40, seed=8)
     run_trial(spec, code, seed=8, trial=3)
     induced_joint(spec, code)
+    check_memoryless_markov(spec, code)
     check_positive_delay_markov(spec, unit_code)
     assert calls == []
     dataclasses.replace(spec, channels=spec.channels)  # the spies do count
