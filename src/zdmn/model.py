@@ -135,8 +135,8 @@ class ChannelTable:
         object.__setattr__(self, "output_vars", tuple(self.output_vars))
         # a copy, so the caller's array stays its own; + 0.0 also turns -0.0
         # into 0.0, which a spec file would otherwise print
-        t = np.atleast_2d(np.asarray(self.table, dtype=np.float64)) + 0.0
-        object.__setattr__(self, "table", read_only(t))
+        t = real_table(self.table, f"table of channel {self.input_vars} -> {self.output_vars}")
+        object.__setattr__(self, "table", read_only(np.atleast_2d(t) + 0.0))
 
     def __reduce__(self):
         # a pickled array comes back writable: rebuild through __init__
@@ -145,17 +145,6 @@ class ChannelTable:
     def stochasticity_violations(self, label: str = "channel") -> list[str]:
         # whole-table reductions: a valid table costs O(rows) scratch, not O(cells)
         t = self.table
-        # a valid table passes on its least entry and row sums alone (a NaN
-        # entry makes the minimum NaN, which fails): a float sum of
-        # nonnegative entries is at least each of them, so no entry exceeds
-        # 1 when no row sum does, and the largest entry is read only when
-        # some row sum is above 1 by rounding
-        if t.size and 0.0 <= np.minimum.reduce(t, axis=None):
-            sums = np.add.reduce(t, axis=1)
-            top = np.maximum.reduce(sums)
-            if (1.0 - np.minimum.reduce(sums) <= ROW_TOL and top - 1.0 <= ROW_TOL
-                    and (top <= 1.0 or np.maximum.reduce(t, axis=None) <= 1.0)):
-                return []
         out = []
         with np.errstate(invalid="ignore"):  # inf + -inf in a row sums to NaN
             sums = t.sum(axis=1)
@@ -173,6 +162,17 @@ class ChannelTable:
         if len(bad) > 8:
             out.append(f"{label}: {len(bad) - 8} further non-stochastic rows")
         return out
+
+
+def real_table(table, what: str) -> np.ndarray:
+    """`table` as a float64 array (itself, if it is one) if every entry is an integer
+    or a float; any other entry is a DomainError naming `what` (True would read as 1.0)."""
+    arr = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=object)
+    types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+    bad = sorted(t.__name__ for t in types if not issubclass(t, numbers.Real) or t is bool)
+    if bad:
+        raise DomainError(f"{what} must hold real numbers, got {', '.join(bad)} entries")
+    return arr.astype(np.float64, copy=False)
 
 
 def read_only(fresh: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, _input_names, _shown,
-                    require_integer, require_real, require_valid, x_var)
+                    real_table, require_integer, require_real, require_valid, x_var)
 
 MI_CLAMP = 1e-12
 
@@ -35,7 +35,7 @@ class JointPmf:
                               f"got {names}")
         object.__setattr__(self, "variables", tuple(
             (n, require_integer(s, f"alphabet size of {n}", 1)) for n, s in self.variables))
-        p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+        p = real_table(self.probs, f"joint pmf over {names}").reshape(-1)
         cells = math.prod(self.sizes)
         if p.size != cells:
             raise DomainError(f"{p.size} probabilities for the {_shown(cells)} cells of {names}")
@@ -49,12 +49,6 @@ class JointPmf:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(s for _, s in self.variables)
-
-    def size_of(self, name: str) -> int:
-        for n, s in self.variables:
-            if n == name:
-                return s
-        raise DomainError(f"unknown variable {name!r}")
 
     def as_array(self) -> np.ndarray:
         """The table with one axis per variable, in C order."""
@@ -162,16 +156,17 @@ def cmi_table(pabc: np.ndarray) -> np.ndarray:
 
 
 def conditional_mutual_information(p: JointPmf, a_vars, b_vars, c_vars=()) -> float:
-    """I(A;B|C) in bits by direct summation with 0 log 0 = 0."""
+    """I(A;B|C) in bits by direct summation with 0 log 0 = 0, on the
+    (|A|, |B|, |C|) table that ``_marginal`` sums out of `p`'s array."""
     a_vars, b_vars, c_vars = tuple(a_vars), tuple(b_vars), tuple(c_vars)
     groups = a_vars + b_vars + c_vars
     if len(set(groups)) != len(groups):
         raise DomainError("variable groups overlap")
     if not a_vars or not b_vars:
         return 0.0
-    m = marginalize(p, groups)
-    na, nb, nc = (_group_size(p.size_of, g) for g in (a_vars, b_vars, c_vars))
-    return float(cmi_table(m.probs.reshape(na, nb, nc)))
+    m = _marginal(p.as_array(), p.names, groups)
+    la, lab = len(a_vars), len(a_vars) + len(b_vars)
+    return float(cmi_table(m.reshape(math.prod(m.shape[:la]), math.prod(m.shape[la:lab]), -1)))
 
 
 def binary_entropy(eps: float) -> float:

@@ -630,12 +630,12 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
     return JointPmf(variables=tuple(zip(names, sizes)), probs=flat)
 
 
-def _rows_cmi(cells: np.ndarray, prob: np.ndarray, sizes, a, b, c) -> float:
-    """I(A; B | C) of rows `cells` of probabilities `prob`, each group a list of
-    columns; A's axis numbers only the tuples that occur, B's and C's span all."""
+def _rows_cmi(cells: np.ndarray, prob: np.ndarray, sizes, numbered: dict, a, b, c) -> float:
+    """I(A; B | C) of rows `cells` of probabilities `prob`, each group a tuple of columns;
+    A's axis numbers only the tuples that occur (``numbered[a]``), B's and C's span all."""
     if not b:  # I(A; B | C) of no B is 0, as conditional_mutual_information returns it
         return 0.0
-    rank, na = _numbered(_packed(cells, a, sizes))
+    rank, na = numbered[a]
     nb, nc = (math.prod(sizes[col] for col in g) for g in (b, c))
     require_within_cap(na * nb * nc, JOINT_CAP, "step joint cell count")
     flat = np.bincount(rank * (nb * nc) + _packed(cells, b + c, sizes), prob, na * nb * nc)
@@ -648,16 +648,20 @@ def _step_cmis(spec: NetworkSpec, code: TableCode, groups) -> list:
 
     `groups(step)` gives (A, B, C) of one ``spec.steps`` step as (X nodes,
     Y nodes) pairs, read here in slot k; the past is every column before slot k.
+    A slot numbers each distinct (past, A) tuple once, and only for steps with
+    a B: the memoryless check's A is the past alone, one numbering per slot.
     """
     cells, prob = _outcomes(spec, code)
     sizes, nn = _row_sizes(spec, code), spec.n_nodes
     out = []
     for k in range(code.n):
         base = len(code.pairs) + 2 * nn * k
-        for h, step in enumerate(spec.steps, 1):
-            a, b, c = ([base + i - 1 for i in xs] + [base + nn + i - 1 for i in ys]
-                       for xs, ys in groups(step))
-            out.append((k + 1, h, _rows_cmi(cells, prob, sizes, [*range(base), *a], b, c)))
+        cols = [[tuple([base + i - 1 for i in xs] + [base + nn + i - 1 for i in ys])
+                 for xs, ys in groups(step)] for step in spec.steps]
+        slot = [(tuple(range(base)) + a, b, c) for a, b, c in cols]
+        numbered = {a: _numbered(_packed(cells, a, sizes)) for a in {a for a, b, _ in slot if b}}
+        out += [(k + 1, h, _rows_cmi(cells, prob, sizes, numbered, *abc))
+                for h, abc in enumerate(slot, 1)]
     return out
 
 

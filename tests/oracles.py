@@ -11,16 +11,20 @@ writes the masked-feedback scheme as a table code, so ``bscfb_scheme`` can
 be pinned against the slot engine.  ``dense_step_cmis`` and
 ``dense_equivalence`` are the Markov and equivalence checks on the dense
 induced joint, by variable names, the reference for the checks' outcome rows.
+``random_network`` draws the seeded networks the tests run them on.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from zdmn._grid import GridProblem, capacity_term_groups
 from zdmn.bounds import CutConstraint, RateRegionReport, _point_report, _require_proper_cut
 from zdmn.errors import DomainError
-from zdmn.model import Cut, DelayProfile, NetworkSpec, require_valid, step_plan, x_var, y_var
+from zdmn.model import (ChannelTable, Cut, DelayProfile, NetworkSpec, require_valid, step_plan,
+                        x_var, y_var)
 from zdmn.probability import (JointPmf, _aligned_factor, _channel_product, _full_layout,
                               _group_size, _marginal, all_delayed_network,
                               conditional_mutual_information, input_conditional_vars)
@@ -182,3 +186,16 @@ def dense_equivalence(spec: NetworkSpec, code: TableCode) -> float:
     stepwise = induced_joint(spec, code)
     merged = induced_joint(all_delayed_network(spec), code)
     return float(np.abs(stepwise.probs - merged.probs).sum())
+
+
+def random_network(x_sizes, y_sizes, s, g, seed: int) -> NetworkSpec:
+    """The network of these alphabets and partitions S and G, every channel
+    row a Dirichlet(1, ..., 1) draw from ``Philox(seed)``, channel by channel."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    channels = []
+    for _, xs, ys, outs in step_plan(s, g):
+        rows = math.prod([x_sizes[i - 1] for i in xs] + [y_sizes[i - 1] for i in ys])
+        cols = math.prod(y_sizes[i - 1] for i in outs)
+        channels.append(ChannelTable((*map(x_var, xs), *map(y_var, ys)), tuple(map(y_var, outs)),
+                                     rng.dirichlet(np.ones(cols), size=rows)))
+    return NetworkSpec(len(x_sizes), x_sizes, y_sizes, s.alpha, s, g, tuple(channels))

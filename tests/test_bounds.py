@@ -24,7 +24,8 @@ from zdmn.probability import (
     marginalize,
 )
 
-from oracles import capacity_cut_cap, check_factorization, factorized_joint, grid_point_report
+from oracles import (capacity_cut_cap, check_factorization, factorized_joint, grid_point_report,
+                     random_network)
 
 
 # The paper's positive-delay term (A, B, C) = (X_T, Y_{T^c}, X_{T^c}) of
@@ -129,8 +130,8 @@ def _cmi_oracle(joint: JointPmf, a_vars, b_vars, c_vars):
             range(len(keep), arr.ndim)))
 
     pabc = marg(tuple(a_vars) + tuple(b_vars) + tuple(c_vars))
-    na = int(np.prod([joint.size_of(n) for n in a_vars])) if a_vars else 1
-    nb = int(np.prod([joint.size_of(n) for n in b_vars])) if b_vars else 1
+    na = math.prod(pabc.shape[:len(a_vars)])
+    nb = math.prod(pabc.shape[len(a_vars):len(a_vars) + len(b_vars)])
     pabc = pabc.reshape(na, nb, -1)
     total = 0.0
     pac = pabc.sum(axis=1)
@@ -192,6 +193,18 @@ def test_rate_tuple_validation_and_flow():
     for nodes in ((0,), (3,), (1, 2), ()):
         with pytest.raises(DomainError, match="not a proper nonempty subset of 1..2"):
             two.flow_across(_cut(nodes))
+
+
+def test_rate_tuple_refuses_entries_that_are_not_real():
+    # True read as the rate 1.0 and "0.5" as 0.5; a complex numpy rate lost its
+    # imaginary part after a ComplexWarning, a Python one ended in a bare TypeError
+    for rates, got in (([[0, True], [False, 0]], "bool"), ([[0, 1j], [0, 0]], "complex"),
+                       (np.array([[0, 1j], [0, 0]]), "complex128"),
+                       ([[0.0, "0.5"], [0.0, 0.0]], "str")):
+        with pytest.raises(DomainError,
+                           match=f"^rate tuple must hold real numbers, got {got} entries$"):
+            RateTuple(rates)
+    assert RateTuple([[0, 1], [np.float32(0.5), 0]]).rates.tolist() == [[0.0, 1.0], [0.5, 0.0]]
 
 
 def test_rate_tuples_and_cuts_refuse_huge_integers():
@@ -387,25 +400,17 @@ def _qary_feedback_spec(q):
          ChannelTable(("X1", "X2", "Y2"), ("Y1",), rows)))
 
 
-def _ternary_spec(seed):
-    """Seeded 3-node ternary network, S = ({1}, {2}, {3}), G = ({2}, {3}, {1}),
-    every channel row a Dirichlet(1, 1, 1) draw."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    s = Partition((NodeSet((1,)), NodeSet((2,)), NodeSet((3,))))
-    g = Partition((NodeSet((2,)), NodeSet((3,)), NodeSet((1,))))
-    channels = []
-    for _, xs, ys, outs in model.step_plan(s, g):
-        in_vars = (*map(model.x_var, xs), *map(model.y_var, ys))
-        out_vars = tuple(map(model.y_var, outs))
-        rows = rng.dirichlet(np.ones(3 ** len(out_vars)), size=3 ** len(in_vars))
-        channels.append(ChannelTable(in_vars, out_vars, rows))
-    return NetworkSpec(3, (3, 3, 3), (3, 3, 3), 3, s, g, tuple(channels))
+# the seeded 3-node ternary network's alphabets and partitions,
+# S = ({1}, {2}, {3}) and G = ({2}, {3}, {1}), for oracles.random_network
+_TERNARY = ((3, 3, 3), (3, 3, 3), Partition((NodeSet((1,)), NodeSet((2,)), NodeSet((3,)))),
+            Partition((NodeSet((2,)), NodeSet((3,)), NodeSet((1,)))))
 
 
 def test_all_delayed_network_is_the_positive_delay_network(bundled_specs):
     # same nodes and alphabets, one block and one channel, the channel
     # product; its capacity terms are the paper's positive-delay terms
-    for spec in [spec for _, spec in sorted(bundled_specs.items())] + [_ternary_spec(7)]:
+    for spec in ([spec for _, spec in sorted(bundled_specs.items())]
+                 + [random_network(*_TERNARY, 7)]):
         net = all_delayed_network(spec)
         assert model.validate_spec(net).ok
         assert (net.n_nodes, net.input_alphabet_sizes, net.output_alphabet_sizes, net.alpha) \
@@ -491,9 +496,9 @@ def test_grid_batch_rows_equal_single_points(bundled_specs):
     # the cap
     cases = [(spec, mode, 2) for _, spec in sorted(bundled_specs.items())
              for mode in ("capacity", "positive-delay")]
-    cases += [(_ternary_spec(seed), "positive-delay", 2) for seed in (1, 2, 3)]
+    cases += [(random_network(*_TERNARY, seed), "positive-delay", 2) for seed in (1, 2, 3)]
     cases += [(networks.causal_relay_spec(), "capacity", 4),
-              (_ternary_spec(1), "positive-delay", 3)]
+              (random_network(*_TERNARY, 1), "positive-delay", 3)]
     for spec, mode, k in cases:
         problem = GridProblem(spec, mode, k)
         batch = problem.eval_batch(0, problem.n_points)
@@ -534,7 +539,7 @@ _GRID_GOLDEN = {
 
 def test_grid_hull_golden_bits():
     specs = {"bscfb": networks.bscfb_spec(0.11), "causal-relay": networks.causal_relay_spec(),
-             "ternary-1": _ternary_spec(1)}
+             "ternary-1": random_network(*_TERNARY, 1)}
     for (name, mode, k), (want_best, want_rows) in _GRID_GOLDEN.items():
         hull, _, best = grid_hull(specs[name], mode, k)
         rows = tuple((c.cap.hex(), tuple(t.hex() for t in c.per_channel_terms)) for c in hull)
@@ -638,7 +643,7 @@ def test_grid_cell_cap_checked_before_allocation():
 def test_grid_cell_count_covers_a_full_batch(monkeypatch):
     # the tracemalloc peak of one full scan batch stays within 8 bytes per
     # counted cell: a cap one cell below peak / 8 refuses the grid
-    for spec, mode, k in ((_ternary_spec(7), "positive-delay", 4),
+    for spec, mode, k in ((random_network(*_TERNARY, 7), "positive-delay", 4),
                           (networks.causal_relay_spec(), "capacity", 12)):
         problem = GridProblem(spec, mode, k)
         assert problem.n_points >= BATCH
@@ -704,7 +709,7 @@ def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
     rng = np.random.Generator(np.random.Philox(5))
     cases = list(itertools.product(sorted(bundled_specs.items()),
                                    ("capacity", "positive-delay")))
-    cases.append((("ternary", _ternary_spec(7)), "positive-delay"))
+    cases.append((("ternary", random_network(*_TERNARY, 7)), "positive-delay"))
     for (name, spec), mode in cases:
         net = _scanned(spec, mode)
         n_terms = net.alpha
@@ -724,7 +729,8 @@ def test_grid_terms_match_oracle_on_rebuilt_joint(bundled_specs):
 
 def _identity_cases(bundled_specs):
     return [(spec, mode) for _, spec in sorted(bundled_specs.items())
-            for mode in ("capacity", "positive-delay")] + [(_ternary_spec(7), "positive-delay")]
+            for mode in ("capacity", "positive-delay")] + [
+                (random_network(*_TERNARY, 7), "positive-delay")]
 
 
 def test_grid_term_channels_are_the_joint_conditionals(bundled_specs):
@@ -777,7 +783,7 @@ def test_grid_terms_match_oracle_at_every_vertex(bundled_specs):
 def test_grid_positive_delay_batch_holds_no_full_layout():
     # 4,096 points of p(x) over 27 input cells; the (X, Y) layout of the same
     # batch alone would be 729 cells per point, 23.9 MB
-    problem = GridProblem(_ternary_spec(7), "positive-delay", 4)
+    problem = GridProblem(random_network(*_TERNARY, 7), "positive-delay", 4)
     tracemalloc.start()
     try:
         problem.eval_batch(0, BATCH)
@@ -806,7 +812,7 @@ def test_placement_matches_per_cell_oracle(bundled_specs):
     # all-delayed network, against one loop over every cell of the layout,
     # with random stochastic conditionals
     rng = np.random.Generator(np.random.Philox(9))
-    specs = [spec for _, spec in sorted(bundled_specs.items())] + [_ternary_spec(7)]
+    specs = [spec for _, spec in sorted(bundled_specs.items())] + [random_network(*_TERNARY, 7)]
     for spec in specs:
         names = spec.all_x_vars() + spec.all_y_vars()
         sizes = [spec.var_size(n) for n in names]
@@ -833,7 +839,8 @@ def test_placement_matches_per_cell_oracle(bundled_specs):
 
 def test_batched_placement_equals_stacked_calls(bundled_specs):
     rng = np.random.Generator(np.random.Philox(10))
-    for spec in [spec for _, spec in sorted(bundled_specs.items())] + [_ternary_spec(7)]:
+    for spec in ([spec for _, spec in sorted(bundled_specs.items())]
+                 + [random_network(*_TERNARY, 7)]):
         factors = [(ch.input_vars, ch.output_vars) for ch in spec.channels]
         factors += map(input_conditional_vars, _plan(spec))
         for fin, fout in factors:

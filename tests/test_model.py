@@ -89,7 +89,7 @@ def test_channel_table_stochasticity_reporting():
     msgs = "\n".join(bad.stochasticity_violations("ch"))
     assert "outside [0, 1]" in msgs and "row 0" in msgs
     # an entry above 1 in a row whose sum is within tolerance of 1 is still
-    # outside [0, 1]; the fast path reads the largest entry for such a row
+    # outside [0, 1]
     over = ChannelTable(("X1",), ("Y2",), np.array([[1.0 + 5e-10, 0.0], [0.5, 0.5]]))
     assert over.stochasticity_violations("ch") == ["ch: entries outside [0, 1]"]
     for rows in ([[np.nan, 1.0]], [[np.inf, 0.0]], [[-0.0, 1.0]], [[0.1] * 10]):
@@ -130,6 +130,20 @@ _ROW = "ch: row {} sums to {} (not 1 within 1e-09)"
 ])
 def test_stochasticity_messages_per_kind_of_violation(rows, want):
     assert ChannelTable(("X1",), ("Y2",), np.array(rows)).stochasticity_violations("ch") == want
+
+
+@pytest.mark.parametrize("table,got", [
+    (np.array([[0.5 + 0j, 0.5]]), "complex128"),  # lost its imaginary part, with a warning
+    ([[0.5j, 1.0]], "complex"),                    # a bare TypeError
+    ([["0.5", 0.5]], "str"),                       # read as 0.5
+    ([[None, 1.0]], "NoneType"),                   # read as NaN
+    ([[True, 0.0]], "bool"),                       # read as 1.0
+    (np.array([[True, False]]), "bool"),
+])
+def test_channel_table_refuses_entries_that_are_not_real(table, got):
+    with pytest.raises(DomainError, match=rf"^table of channel \('X1',\) -> \('Y2',\) must "
+                                          rf"hold real numbers, got {got} entries$"):
+        ChannelTable(("X1",), ("Y2",), table)
 
 
 def test_channel_table_copies_the_callers_array():

@@ -904,6 +904,42 @@ def test_enumeration_guard_follows_helpers_and_nested_functions():
                                            "estimate_error reads _slots"]
 
 
+def _cmi_builds(tree):
+    """Which of marginalize and JointPmf conditional_mutual_information
+    calls, itself or through any chain of the module's functions."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), ["conditional_mutual_information"]
+    while todo:
+        for name in {_called(node) for node in ast.walk(functions[todo.pop()])} - seen:
+            seen.add(name)
+            if name in functions:
+                todo.append(name)
+    return sorted(seen & {"marginalize", "JointPmf"})
+
+
+def test_a_cmi_builds_no_second_joint():
+    # conditional_mutual_information sums its (|A|, |B|, |C|) table out of
+    # the joint's array with _marginal; marginalize would build and validate
+    # a second JointPmf on every call
+    probability = ast.parse((_SRC / "probability.py").read_text(encoding="utf-8"))
+    assert _cmi_builds(probability) == []
+
+
+def test_cmi_guard_follows_helpers():
+    code = ("def conditional_mutual_information(p, a, b, c):\n    return _table(p, a + b)\n"
+            "def _table(p, keep):\n    return marginalize(p, keep).probs\n"
+            "def marginalize(p, keep):\n    return JointPmf(p.variables, p.probs)\n")
+    assert _cmi_builds(ast.parse(code)) == ["JointPmf", "marginalize"]
+    direct = ("import probability\n"
+              "def conditional_mutual_information(p, a, b, c):\n"
+              "    return probability.JointPmf(p.variables, _marginal(p, a + b))\n"
+              "def _marginal(p, keep):\n    return p.probs\n"
+              "def marginalize(p, keep):\n    return JointPmf(p.variables, p.probs)\n")
+    assert _cmi_builds(ast.parse(direct)) == ["JointPmf"]
+    clean = direct.replace("probability.JointPmf(p.variables, _marginal", "cmi_table(_marginal")
+    assert _cmi_builds(ast.parse(clean)) == []
+
+
 def _entry_points():
     """(entry point, parameter, kind, call) per number a public entry point
     takes: `call` hands the value to that parameter alone, every other

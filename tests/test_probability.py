@@ -98,6 +98,18 @@ def test_joint_refuses_malformed_variables():
             _joint(((name, 2),), [0.5, 0.5])
 
 
+def test_joint_refuses_entries_that_are_not_real():
+    # a complex numpy table lost its imaginary part after a ComplexWarning, a
+    # Python complex ended in a bare TypeError, "0.5" read as 0.5 and True as 1.0
+    for probs, got in ((np.array([0.5, 0.5j]), "complex128"), ([0.5j, 1.0], "complex"),
+                       (["0.5", "0.5"], "str"), ([True, 0.0], "bool"),
+                       (np.array([True, False]), "bool")):
+        with pytest.raises(DomainError, match=rf"^joint pmf over \('A',\) must hold real "
+                                              rf"numbers, got {got} entries$"):
+            JointPmf((("A", 2),), probs)
+    assert JointPmf((("A", 2),), [1, np.int8(0)]).probs.tolist() == [1.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # information quantities
 

@@ -10,10 +10,9 @@ import pytest
 
 from zdmn import model, networks, simulate
 from zdmn.errors import DomainError, ResourceCapError, SpecIOError
-from zdmn.model import (ChannelTable, DelayProfile, NetworkSpec, NodeSet, Partition,
-                        enumerate_feasible_profiles)
+from zdmn.model import DelayProfile, NodeSet, Partition, enumerate_feasible_profiles
 from zdmn.polar import PolarCode
-from zdmn.probability import binary_entropy, marginalize
+from zdmn.probability import JointPmf, binary_entropy, marginalize
 from zdmn.simulate import (
     TableCode,
     bscfb_capacity_region,
@@ -32,7 +31,8 @@ from zdmn.simulate import (
     wilson_half_width,
 )
 
-from oracles import bscfb_engine_code, dense_equivalence, dense_step_cmis, joint_violations
+from oracles import (bscfb_engine_code, dense_equivalence, dense_step_cmis, joint_violations,
+                     random_network)
 
 _UNIT = DelayProfile.of((1, 1))
 
@@ -41,27 +41,13 @@ def _tiny_polar(n, k):
     return PolarCode(n, k, 0.11, list_size=1, crc_bits=0)
 
 
-def _random_network(x_sizes, y_sizes, s, g, seed):
-    """The network of these alphabets and partitions S and G, every channel
-    row a Dirichlet(1, ..., 1) draw."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    channels = []
-    for _, xs, ys, outs in model.step_plan(s, g):
-        in_vars = (*map(model.x_var, xs), *map(model.y_var, ys))
-        rows = math.prod([x_sizes[i - 1] for i in xs] + [y_sizes[i - 1] for i in ys])
-        cols = math.prod(y_sizes[i - 1] for i in outs)
-        channels.append(ChannelTable(in_vars, tuple(map(model.y_var, outs)),
-                                     rng.dirichlet(np.ones(cols), size=rows)))
-    return NetworkSpec(len(x_sizes), x_sizes, y_sizes, s.alpha, s, g, tuple(channels))
-
-
 def _mixed_alphabet_spec():
     """Three nodes with alphabets of sizes 1, 2 and 3: channel 1 emits the
     ternary Y2 and the binary Y3 from the ternary X1, channel 2 emits Y1 from
     everything before it.  Nodes 2 and 3 may have zero delay."""
     s = Partition((NodeSet((1,)), NodeSet((2, 3))))
     g = Partition((NodeSet((2, 3)), NodeSet((1,))))
-    return _random_network((3, 2, 1), (2, 3, 2), s, g, 3)
+    return random_network((3, 2, 1), (2, 3, 2), s, g, 3)
 
 
 def _empty_block_spec():
@@ -69,7 +55,7 @@ def _empty_block_spec():
     reads no input and channel 2 emits no output."""
     s = Partition((NodeSet(()), NodeSet((1, 2))))
     g = Partition((NodeSet((1, 2)), NodeSet(())))
-    return _random_network((2, 2), (2, 2), s, g, 4)
+    return random_network((2, 2), (2, 2), s, g, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +601,7 @@ def test_markov_checks_pass_the_paper_groups(monkeypatch):
     code = random_table_code(spec, 2, _UNIT, seed=0)
     names = induced_joint(spec, code).names
     calls = []
-    monkeypatch.setattr(simulate, "_rows_cmi", lambda _cells, _prob, _sizes, *groups: calls.append(
+    monkeypatch.setattr(simulate, "_rows_cmi", lambda _c, _p, _s, _n, *groups: calls.append(
         tuple(tuple(names[col] for col in cols) for cols in groups)))
     past = {1: ("W1.2", "W2.1"),
             2: ("W1.2", "W2.1", "X1.1", "X2.1", "Y1.1", "Y2.1")}
@@ -682,9 +668,26 @@ def test_induced_joint_chunk_invariance(monkeypatch):
         assert np.array_equal(induced_joint(spec, code).probs, whole)
 
 
+def _compared_with_dense(spec, code) -> int:
+    """Hold the checks on `code`'s outcome rows to the oracles' same checks on
+    the dense induced joint, by variable names, within 1e-14: the memoryless
+    check always, the positive-delay check and ``equivalence_check`` at the
+    all-one profile.  Returns how many values were compared."""
+    compared = 0
+    checks = [(check_memoryless_markov, "memoryless")]
+    if set(code.delay_profile.delays) == {1}:
+        checks.append((check_positive_delay_markov, "positive-delay"))
+        assert abs(equivalence_check(spec, code) - dense_equivalence(spec, code)) <= 1e-14
+        compared += 1
+    for check, which in checks:
+        got, want = check(spec, code), dense_step_cmis(spec, code, which)
+        assert [kh for *kh, _ in got] == [kh for *kh, _ in want]
+        assert all(abs(g - w) <= 1e-14 for (*_, g), (*_, w) in zip(got, want))
+        compared += len(got)
+    return compared
+
+
 def test_checks_on_rows_equal_the_dense_reference(bundled_specs):
-    # the checks read a code's outcome rows; the oracles run the same checks
-    # on the dense induced joint, by variable names
     cases = [(spec, n, 2) for (_, spec), n in itertools.product(sorted(bundled_specs.items()),
                                                                 (1, 2))]
     cases += [(_mixed_alphabet_spec(), 1, 3)]
@@ -693,17 +696,52 @@ def test_checks_on_rows_equal_the_dense_reference(bundled_specs):
     for spec, n, m in cases:
         for r, profile in enumerate(enumerate_feasible_profiles(spec)):
             code = random_table_code(spec, n, profile, seed=30 * n + r, message_size=m)
-            checks = [(check_memoryless_markov, "memoryless")]
-            if set(profile.delays) == {1}:
-                checks.append((check_positive_delay_markov, "positive-delay"))
-                assert abs(equivalence_check(spec, code) - dense_equivalence(spec, code)) <= 1e-14
-                compared += 1
-            for check, which in checks:
-                got, want = check(spec, code), dense_step_cmis(spec, code, which)
-                assert [kh for *kh, _ in got] == [kh for *kh, _ in want]
-                assert all(abs(g - w) <= 1e-14 for (*_, g), (*_, w) in zip(got, want))
-                compared += len(got)
+            compared += _compared_with_dense(spec, code)
     assert compared == 99
+
+
+def test_checks_on_random_shapes_equal_the_dense_reference():
+    # 100 seeded networks: N in {2, 3} nodes, alpha in {1, 2, 3} channels,
+    # alphabets of 1 to 3 letters, partition blocks that may be empty, every
+    # feasible profile at n = 1 and 2; a shape whose dense joint at n = 2
+    # would pass 2^20 cells is drawn again, which keeps the dense reference
+    # to about 2 s
+    rng = np.random.Generator(np.random.Philox(43))
+    shapes, seed, compared = set(), 0, 0
+    while seed < 100:
+        nn, alpha = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        x_sizes, y_sizes = (tuple(rng.integers(1, 4, nn).tolist()) for _ in range(2))
+        s, g = (Partition(tuple(NodeSet(tuple((np.flatnonzero(block == h) + 1).tolist()))
+                                for h in range(alpha))) for block in rng.integers(0, alpha, (2, nn)))
+        if 2 ** (nn * (nn - 1)) * (math.prod(x_sizes) * math.prod(y_sizes)) ** 2 > 2 ** 20:
+            continue
+        seed += 1
+        spec = random_network(x_sizes, y_sizes, s, g, seed)
+        shapes.add((nn, alpha, 1 in x_sizes + y_sizes, not all(s.blocks + g.blocks)))
+        for n, profile in itertools.product((1, 2), enumerate_feasible_profiles(spec)):
+            compared += _compared_with_dense(spec, random_table_code(spec, n, profile, seed=seed))
+    # every (N, alpha) came with a one-letter alphabet and, where alpha > 1, an empty block
+    assert shapes >= {(nn, alpha, True, alpha > 1) for nn in (2, 3) for alpha in (1, 2, 3)}
+    assert compared == 2039
+
+
+def test_each_slot_numbers_its_past_once(monkeypatch):
+    # bscfb at n = 2: the memoryless check's A is the past alone, numbered
+    # once per slot; the positive-delay check's first channel has no B and
+    # its second an A of its own.  Each CMI builds one JointPmf, its
+    # three-variable joint, and conditional_mutual_information none
+    spec = networks.bscfb_spec(0.11)
+    code = random_table_code(spec, 2, _UNIT, seed=0)
+    numbered, joints = [], []
+    number, post_init = simulate._numbered, JointPmf.__post_init__
+    monkeypatch.setattr(simulate, "_numbered", lambda key: numbered.append(1) or number(key))
+    monkeypatch.setattr(JointPmf, "__post_init__",
+                        lambda self: joints.append(1) or post_init(self))
+    check_memoryless_markov(spec, code)
+    assert (len(numbered), len(joints)) == (2, 4)
+    numbered.clear()
+    check_positive_delay_markov(spec, code)
+    assert len(numbered) == 2
 
 
 def test_memoryless_check_reaches_the_relay_at_five_slots():
