@@ -22,8 +22,8 @@ import numpy as np
 
 from ._grid import BATCH, GridProblem
 from .errors import DomainError
-from .model import (NODE_CAP, ChannelTable, Cut, NetworkSpec, _shown, real_table,
-                    require_integer, require_real, require_within_cap)
+from .model import (NODE_CAP, ChannelTable, Cut, NetworkSpec, _shown, require_integer,
+                    require_real, require_table, require_within_cap)
 
 INSIDE = "inside"
 NOT_FOUND = "not-found-at-this-resolution"
@@ -56,7 +56,7 @@ class RateTuple:
     rates: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        r = real_table(self.rates, "rate tuple")
+        r = require_table(self.rates, "real", "rate tuple")
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DomainError("rates must be a square matrix")
         if not np.all(np.isfinite(r)):
@@ -65,7 +65,6 @@ class RateTuple:
             raise DomainError("rates must be nonnegative")
         if np.any(np.diag(r) != 0.0):
             raise DomainError("diagonal rates must be zero")
-        r.setflags(write=False)
         object.__setattr__(self, "rates", r)
 
     @classmethod

@@ -199,7 +199,7 @@ def simulate_relay(
     block leaves unread.  A trace is therefore reproducible per seed.
     """
     model.require_within_cap(3 * config.n, CELL_CAP, "3 x blocklength")
-    x1 = np.asarray(source_sequence, dtype=np.float64)
+    x1 = model.require_table(source_sequence, "real", "source sequence")
     if x1.shape != (config.n,):
         raise DomainError(
             f"source sequence must have shape ({config.n},), got {x1.shape}"

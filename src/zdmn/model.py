@@ -11,9 +11,11 @@ point refuses an invalid spec through ``require_valid``, which reads that
 stored report.  A spec holds only tuples, ints and read-only arrays, so the
 report cannot go stale.
 
-The module also keeps the three guards: every number a caller hands in goes
-through ``require_integer`` or ``require_real``, and every count checked
-against a resource cap through ``require_within_cap``.  It keeps too the one
+The module also keeps the four guards: every number a caller hands in goes
+through ``require_integer`` or ``require_real``, every table a caller or a
+file hands in through ``require_table``, which gives its holder a read-only
+copy of its own, and every count checked against a resource cap through
+``require_within_cap``.  It keeps too the one
 counter-based stream every simulator draws from (``trial_uniforms``), and
 the JSON reader and writer of the package's files.
 """
@@ -133,9 +135,9 @@ class ChannelTable:
     def __post_init__(self):
         object.__setattr__(self, "input_vars", tuple(self.input_vars))
         object.__setattr__(self, "output_vars", tuple(self.output_vars))
-        # a copy, so the caller's array stays its own; + 0.0 also turns -0.0
-        # into 0.0, which a spec file would otherwise print
-        t = real_table(self.table, f"table of channel {self.input_vars} -> {self.output_vars}")
+        # + 0.0 turns -0.0 into 0.0, which a spec file would otherwise print
+        t = require_table(self.table, "real",
+                          f"table of channel {self.input_vars} -> {self.output_vars}")
         object.__setattr__(self, "table", read_only(np.atleast_2d(t) + 0.0))
 
     def __reduce__(self):
@@ -164,15 +166,29 @@ class ChannelTable:
         return out
 
 
-def real_table(table, what: str) -> np.ndarray:
-    """`table` as a float64 array (itself, if it is one) if every entry is an integer
-    or a float; any other entry is a DomainError naming `what` (True would read as 1.0)."""
+_TABLE_KINDS = {"integer": (np.int64, numbers.Integral, "integers", "int64"),
+                "real": (np.float64, numbers.Real, "real numbers", "float")}
+
+
+def require_table(table, kind: str, what: str, error=DomainError) -> np.ndarray:
+    """`table` as a fresh read-only array its holder alone owns: int64 for `kind`
+    "integer", float64 for "real".  An entry that is not an integer (for "real",
+    an integer or a float), such as a boolean, a string, a complex, None or a
+    nested list, or an integer beyond the int64 or float range, is an `error`
+    naming the table `what`: a DomainError in memory, a SpecIOError from a file."""
+    dtype, number, plural, limit = _TABLE_KINDS[kind]
     arr = table if isinstance(table, np.ndarray) else np.asarray(table, dtype=object)
-    types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
-    bad = sorted(t.__name__ for t in types if not issubclass(t, numbers.Real) or t is bool)
+    types = set(map(type, arr.ravel())) if arr.dtype == object else {arr.dtype.type}
+    bad = sorted(t.__name__ for t in types if not issubclass(t, number) or t is bool)
     if bad:
-        raise DomainError(f"{what} must hold real numbers, got {', '.join(bad)} entries")
-    return arr.astype(np.float64, copy=False)
+        raise error(f"{what} must hold {plural}, got {', '.join(bad)} entries")
+    try:
+        fresh = arr.astype(dtype)
+        if arr.dtype.kind == "u" and fresh.size and fresh.min() < 0:  # a uint64 wrapped
+            raise OverflowError
+    except OverflowError:
+        raise error(f"{what} holds an integer beyond the {limit} range") from None
+    return read_only(fresh)
 
 
 def read_only(fresh: np.ndarray) -> np.ndarray:
@@ -529,18 +545,6 @@ def json_int(value, what: str) -> int:
     raise SpecIOError(f"{what} must be an integer, got {value!r}")
 
 
-def json_int_table(value, what: str) -> np.ndarray:
-    """A nested list of integers as an int64 array; see ``json_int``."""
-    arr = np.asarray(value, dtype=object)
-    if set(map(type, arr.flat)) - {int}:
-        for v in arr.flat:
-            json_int(v, what)
-    try:
-        return arr.astype(np.int64)
-    except OverflowError as e:
-        raise SpecIOError(f"{what}: entry out of the int64 range") from e
-
-
 def spec_from_dict(d: dict) -> NetworkSpec:
     try:
         n = json_int(d["n_nodes"], "n_nodes")
@@ -559,8 +563,8 @@ def spec_from_dict(d: dict) -> NetworkSpec:
     channels = []
     for h, ch in enumerate(raw_channels, start=1):
         try:
-            rows = np.asarray(ch["rows"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as e:
+            rows = require_table(ch["rows"], "real", f"rows of channel {h}", SpecIOError)
+        except (KeyError, TypeError) as e:
             raise SpecIOError(f"malformed channel {h}: {e}") from e
         _, xs, ys, outs = next(steps, ((), (), (), ()))
         channels.append(ChannelTable(_input_names(xs, ys), tuple(map(y_var, outs)), rows))

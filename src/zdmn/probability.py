@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, _input_names, _shown,
-                    real_table, require_integer, require_real, require_valid, x_var)
+                    require_integer, require_real, require_table, require_valid, x_var)
 
 MI_CLAMP = 1e-12
 
@@ -35,11 +35,10 @@ class JointPmf:
                               f"got {names}")
         object.__setattr__(self, "variables", tuple(
             (n, require_integer(s, f"alphabet size of {n}", 1)) for n, s in self.variables))
-        p = real_table(self.probs, f"joint pmf over {names}").reshape(-1)
+        p = require_table(self.probs, "real", f"joint pmf over {names}").reshape(-1)
         cells = math.prod(self.sizes)
         if p.size != cells:
             raise DomainError(f"{p.size} probabilities for the {_shown(cells)} cells of {names}")
-        p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
     @property
@@ -189,7 +188,8 @@ def _full_layout(spec: NetworkSpec) -> tuple[tuple[str, ...], tuple[int, ...]]:
 
 
 def _aligned_factor(spec: NetworkSpec, in_vars, out_vars, table: np.ndarray) -> np.ndarray:
-    """View a (rows, cols, *batch) conditional in the full-layout broadcast shape.
+    """View a (rows, cols, *batch) float64 conditional in the full-layout
+    broadcast shape.
 
     Each variable's axis moves to its layout position and every other layout
     axis has length 1; batch axes stay last.
@@ -198,10 +198,9 @@ def _aligned_factor(spec: NetworkSpec, in_vars, out_vars, table: np.ndarray) -> 
     pos = {n: i for i, n in enumerate(names)}
     vars_all = tuple(in_vars) + tuple(out_vars)
     dims = [spec.var_size(v) for v in vars_all]
-    arr = np.asarray(table, dtype=np.float64)
-    batch = arr.shape[2:]
+    batch = table.shape[2:]
     perm = sorted(range(len(vars_all)), key=lambda j: pos[vars_all[j]])
-    arr = arr.reshape(tuple(dims) + batch).transpose(
+    arr = table.reshape(tuple(dims) + batch).transpose(
         perm + list(range(len(dims), len(dims) + len(batch))))
     shape = [1] * len(names)
     for j in perm:

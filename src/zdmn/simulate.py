@@ -26,12 +26,10 @@ import numpy as np
 
 from .errors import DomainError, SpecIOError
 from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, _shown, is_feasible, json_int,
-                    json_int_table, read_json, read_only, require_integer, require_real,
-                    require_valid, require_within_cap, trial_uniforms, write_text,
-                    x_var, y_var)
+                    read_json, require_integer, require_real, require_table, require_valid,
+                    require_within_cap, trial_uniforms, write_text, x_var, y_var)
 from .polar import MAX_N, PolarCode
-from .probability import (JointPmf, all_delayed_network, binary_entropy,
-                          conditional_mutual_information)
+from .probability import JointPmf, all_delayed_network, binary_entropy, cmi_table
 
 JOINT_CAP = 2 ** 24
 OUTCOME_CAP = 2 ** 24  # cells of a code's outcome rows, (W, X^n, Y^n) symbols each
@@ -63,13 +61,14 @@ class TableCode:
 
     ``decode`` takes one trial's ``w_row`` and received word.  A code is
     checked once, here: every table holds integers (a float or boolean
-    table is refused, never truncated), has the shape ``table_shapes`` gives
+    entry is refused, never truncated), has the shape ``table_shapes`` gives
     it, and every encoder entry is an input symbol (exact enumeration also
     runs prefixes that never occur).  The code keeps every table as a
-    read-only int64 copy (``model.read_only``) and its decoders as a
-    read-only mapping, so that check cannot go stale.  It also derives, once,
-    ``pairs``, the ``message_pairs`` order as a tuple, and ``pair_sizes``,
-    each pair's message size as a read-only float array in that order.
+    read-only int64 copy of its own (``model.require_table``) and its
+    decoders as a read-only mapping, so that check cannot go stale.  It also
+    derives, once, ``pairs``, the ``message_pairs`` order as a tuple, and
+    ``pair_sizes``, each pair's message size as a read-only float array in
+    that order.
     """
 
     n: int
@@ -102,10 +101,11 @@ class TableCode:
             raise DomainError(f"code needs per node one delay bit, two alphabet sizes "
                               f">= 1 and {_shown(self.n)} encoder tables, one per slot")
         object.__setattr__(self, "encoder_tables", tuple(
-            tuple(_int_table(t, "encoder", f"node {i}, slot {k}") for k, t in enumerate(node, 1))
+            tuple(require_table(t, "integer", f"encoder table of node {i}, slot {k}")
+                  for k, t in enumerate(node, 1))
             for i, node in enumerate(self.encoder_tables, 1)))
         object.__setattr__(self, "decoder_tables", MappingProxyType(
-            {pair: _int_table(t, "decoder", "message {}->{}".format(*pair))
+            {pair: require_table(t, "integer", "decoder table of message {}->{}".format(*pair))
              for pair, t in self.decoder_tables.items()}))
         for kind, i, j, want in table_shapes(self.n, sizes, self.delay_profile.delays,
                                              self.output_sizes):
@@ -126,8 +126,8 @@ class TableCode:
         pairs = tuple((i, j) for i, row in enumerate(sizes, 1)
                       for j, v in enumerate(row, 1) if v > 1)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "pair_sizes", read_only(
-            np.array([sizes[i - 1][j - 1] for i, j in pairs], dtype=float)))
+        object.__setattr__(self, "pair_sizes", require_table(
+            [sizes[i - 1][j - 1] for i, j in pairs], "real", "message sizes"))
 
     def message_pairs(self):
         return list(self.pairs)
@@ -146,16 +146,6 @@ class TableCode:
         w_idx = np.ravel_multi_index(w_row, self._w_radices(j))
         y_idx = np.ravel_multi_index(y_seq, (self.output_sizes[j - 1],) * len(y_seq))
         return int(self.decoder_tables[(i, j)][w_idx, y_idx])
-
-
-def _int_table(table, kind: str, what: str) -> np.ndarray:
-    """`table` as a read-only int64 copy if it holds integers; a float
-    table (even of 1.0s), a boolean one or any other is a DomainError naming
-    it, never truncated."""
-    arr = np.asarray(table)
-    if arr.dtype.kind not in "iu":
-        raise DomainError(f"{kind} table of {what} must hold integers, got {arr.dtype} entries")
-    return read_only(arr.astype(np.int64))
 
 
 def table_shapes(n: int, message_sizes: tuple, delays: tuple, output_sizes: tuple):
@@ -236,8 +226,9 @@ def code_from_dict(data: dict) -> TableCode:
                 raise SpecIOError(f"encoder node {node} outside 1..{n_nodes}")
             if enc[node - 1] is not None:
                 raise SpecIOError(f"encoder node {node} given twice")
-            enc[node - 1] = tuple(json_int_table(t, f"encoder {node} table entry")
-                                  for t in entry["tables"])
+            enc[node - 1] = tuple(
+                require_table(t, "integer", f"encoder table of node {node}, slot {k}",
+                              SpecIOError) for k, t in enumerate(entry["tables"], 1))
         dec = {}
         for e in data["decoders"]:
             pair = (json_int(e["source"], "decoder source"), json_int(e["sink"], "decoder sink"))
@@ -245,7 +236,8 @@ def code_from_dict(data: dict) -> TableCode:
                 raise SpecIOError(f"decoder pair {pair} outside 1..{n_nodes}")
             if pair in dec:
                 raise SpecIOError(f"decoder pair {pair} given twice")
-            dec[pair] = json_int_table(e["table"], f"decoder {pair} table entry")
+            what = "decoder table of message {}->{}".format(*pair)
+            dec[pair] = require_table(e["table"], "integer", what, SpecIOError)
         return TableCode(
             n=json_int(data["n"], "n"),
             message_sizes=tuple(tuple(json_int(v, "message size") for v in row)
@@ -632,15 +624,15 @@ def induced_joint(spec: NetworkSpec, code: TableCode) -> JointPmf:
 
 def _rows_cmi(cells: np.ndarray, prob: np.ndarray, sizes, numbered: dict, a, b, c) -> float:
     """I(A; B | C) of rows `cells` of probabilities `prob`, each group a tuple of columns;
-    A's axis numbers only the tuples that occur (``numbered[a]``), B's and C's span all."""
+    A's axis numbers only the tuples that occur (``numbered[a]``), B's and C's span all.
+    ``cmi_table`` reads the (|A|, |B|, |C|) table the rows sum into, no joint built."""
     if not b:  # I(A; B | C) of no B is 0, as conditional_mutual_information returns it
         return 0.0
     rank, na = numbered[a]
     nb, nc = (math.prod(sizes[col] for col in g) for g in (b, c))
     require_within_cap(na * nb * nc, JOINT_CAP, "step joint cell count")
     flat = np.bincount(rank * (nb * nc) + _packed(cells, b + c, sizes), prob, na * nb * nc)
-    joint = JointPmf((("A", na), ("B", nb), ("C", nc)), flat)
-    return conditional_mutual_information(joint, ("A",), ("B",), ("C",))
+    return float(cmi_table(flat.reshape(na, nb, nc)))
 
 
 def _step_cmis(spec: NetworkSpec, code: TableCode, groups) -> list:

@@ -99,6 +99,20 @@ def test_validate_non_integer_field_is_an_io_error(capsys, tmp_path, path, value
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [10 ** 400, "0.11", True, None, [0.89]],
+                         ids=["huge", "string", "bool", "null", "nested"])
+def test_validate_misread_channel_row_is_an_io_error(capsys, tmp_path, value):
+    # "0.11" and True were read as numbers and the spec validated OK;
+    # 10**400 ended in an OverflowError traceback
+    d = model.spec_to_dict(networks.bscfb_spec(0.11))
+    d["channels"][0]["rows"][1][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    rc, out, err = _run(capsys, "validate", "--spec", str(bad))
+    assert rc == EXIT_IO and out == ""
+    assert err.startswith("error: rows of channel 1 ") and err.count("\n") == 1
+
+
 def test_validate_missing_file(capsys, tmp_path):
     rc, out, err = _run(capsys, "validate", "--spec", str(tmp_path / "nope.json"))
     assert rc == EXIT_IO
@@ -389,6 +403,14 @@ def _boolean_table_entry(d):
     d["decoders"][0]["table"][0][0] = True
 
 
+def _table_entry_past_int64(d):
+    d["decoders"][0]["table"][0][0] = 2 ** 63
+
+
+def _boolean_table_row(d):
+    d["decoders"][0]["table"][0][:2] = [True, 0]  # numpy reads a mixed row as int64
+
+
 def _decoder_pair_repeated(d):
     d["decoders"].append(d["decoders"][0])
 
@@ -407,6 +429,7 @@ def _fractional_delay_bit(d):
 
 @pytest.mark.parametrize("edit", [_encoder_node_zero, _encoder_node_repeated,
                                   _fractional_table_entry, _boolean_table_entry,
+                                  _table_entry_past_int64, _boolean_table_row,
                                   _decoder_pair_repeated, _decoder_source_out_of_range,
                                   _fractional_blocklength, _fractional_delay_bit])
 def test_simulate_misread_code_is_an_io_error(capsys, tmp_path, relay_files, edit):
@@ -819,7 +842,8 @@ def test_bscfb_argv_contract(argv):
     _contract(argv)
 
 
-_SPEC_VALUES = [None, True, "2", -1, 0, 1, 3, 2 ** 63, 1e308, math.nan, math.inf, [], {}]
+_SPEC_VALUES = [None, True, "2", -1, 0, 1, 3, 2 ** 63, 1e308, math.nan, math.inf, [], {},
+                10 ** 400, "0.5"]
 
 
 @st.composite

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import given, strategies as st
 
 from zdmn import model, networks, probability, simulate
 from zdmn._grid import GridProblem
-from zdmn.bounds import grid_hull
+from zdmn.bounds import RateTuple, grid_hull
 from zdmn.errors import DomainError, ResourceCapError, SpecIOError
+from zdmn.gaussian import GaussianRelayConfig, simulate_relay
 from zdmn.model import (
     ChannelTable,
     DelayProfile,
@@ -26,6 +28,7 @@ from zdmn.model import (
     save_spec,
     validate_spec,
 )
+from zdmn.probability import JointPmf
 from zdmn.simulate import random_table_code, save_code
 
 
@@ -152,6 +155,48 @@ def test_channel_table_copies_the_callers_array():
     assert c.table is not a and a.flags.writeable and not c.table.flags.writeable
     a[0, 0] = 5.0  # a later write to the caller's array does not reach the channel
     assert c.table[0, 0] == 0.3 and c.stochasticity_violations() == []
+
+
+def _table_holders():
+    """(holder, table name, integer table?, good table, build): `build` hands
+    a table to the holder and returns the array the holder keeps."""
+    code = random_table_code(networks.deterministic_two_node_spec(), 1,
+                             DelayProfile.of((1, 1)), seed=0)
+    enc, dec = code.encoder_tables, code.decoder_tables
+    relay = GaussianRelayConfig(P=5.0, n=2)
+    return [
+        ("ChannelTable", "table of channel ('X1',) -> ('Y2',)", False,
+         np.array([[0.5, 0.5], [0.25, 0.75]]), lambda t: ChannelTable(("X1",), ("Y2",), t).table),
+        ("JointPmf", "joint pmf over ('A', 'B')", False, np.full(4, 0.25),
+         lambda t: JointPmf((("A", 2), ("B", 2)), t).probs),
+        ("RateTuple", "rate tuple", False, np.array([[0.0, 0.5], [0.25, 0.0]]),
+         lambda t: RateTuple(t).rates),
+        ("encoder", "encoder table of node 1, slot 1", True, np.array(enc[0][0]),
+         lambda t: dataclasses.replace(code, encoder_tables=((t,), enc[1])).encoder_tables[0][0]),
+        ("decoder", "decoder table of message 2->1", True, np.array(dec[(2, 1)]),
+         lambda t: dataclasses.replace(code, decoder_tables={**dec, (2, 1): t}).decoder_tables[
+             (2, 1)]),
+        ("simulate_relay", "source sequence", False, np.array([0.5, -0.5]),
+         lambda t: simulate_relay(relay, t).x1),
+    ]
+
+
+@pytest.mark.parametrize("holder", _table_holders(), ids=lambda h: h[0])
+def test_every_table_holder_refuses_bad_entries_and_keeps_its_own_copy(holder):
+    # True read as 1, "0.5" as 0.5 and [[True], [0]] as an int table; 10**400
+    # ended in a bare OverflowError; RateTuple froze the caller's array and
+    # JointPmf aliased it
+    _, what, integer, good, build = holder
+    bad = [True, [[True], [0]], "0.5", 1j, None, [[1, 2], [3]], 10 ** 400]
+    for entry in bad + [2 ** 70] * integer:
+        with pytest.raises(DomainError, match=f"^{re.escape(what)} "):
+            build(entry)
+    mine = good.copy()
+    held = build(mine)
+    before = held.copy()
+    assert mine.flags.writeable and not held.flags.writeable
+    mine.flat[0] += 1  # a later write to the caller's array does not reach the holder
+    assert np.array_equal(held, before)
 
 
 # ---------------------------------------------------------------------------

@@ -647,6 +647,54 @@ def test_real_wrapper_guard_finds_float_and_isfinite():
     assert _wrapped_reals({pathlib.Path("m.py"): code}) == ["m.py:4", "m.py:5"]
 
 
+_TABLE_HOLDERS = {"__post_init__", "spec_from_dict", "code_from_dict", "simulate_relay"}
+_CONVERSIONS = {"array", "asarray", "asanyarray", "ascontiguousarray", "astype"}
+
+
+def _own_table_conversions(trees):
+    """`path:line` of every setflags(...) call outside model.read_only, and of
+    every conversion with a dtype of its own in a table holder (any
+    __post_init__, spec_from_dict, code_from_dict or simulate_relay): an
+    array, asarray, asanyarray, ascontiguousarray or astype call, or any
+    call with a dtype keyword."""
+    found = []
+    for path, tree in trees.items():
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        guard = {id(node) for fn in functions if path.name == "model.py"
+                 and fn.name == "read_only" for node in ast.walk(fn)}
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if _called(node) == "setflags" and id(node) not in guard]
+        found += [(path.name, node.lineno) for fn in functions if fn.name in _TABLE_HOLDERS
+                  for node in ast.walk(fn) if _called(node) in _CONVERSIONS
+                  or isinstance(node, ast.Call) and any(k.arg == "dtype" for k in node.keywords)]
+    return [f"{name}:{line}" for name, line in sorted(set(found))]
+
+
+def test_every_table_passes_the_table_guard():
+    # a table a caller or a file hands in becomes its holder's own read-only
+    # copy through model.require_table, the one place that converts it;
+    # model.read_only is the one place an array is made read-only
+    assert _own_table_conversions(_parsed(sorted(_SRC.glob("*.py")))) == []
+
+
+def test_table_guard_reads_holders_and_setflags():
+    code = ("import numpy as np\n"
+            "def read_only(a):\n    a.setflags(write=False)\n    return a.view()\n"
+            "class Held:\n"
+            "    def __post_init__(self):\n"
+            "        t = np.asarray(self.t, dtype=float)\n"
+            "        self.t.setflags(write=False)\n"
+            "        u = require_table(self.u, 'real', 'u')\n"
+            "        w = np.zeros(3, dtype=np.int64)\n"
+            "def spec_from_dict(d):\n    return d['rows'].astype(float)\n"
+            "def simulate_relay(c, x):\n    return np.array(x)\n"
+            "def other(x):\n    return np.asarray(x, dtype=float)\n")
+    assert _own_table_conversions({pathlib.Path("model.py"): ast.parse(code)}) == [
+        "model.py:7", "model.py:8", "model.py:10", "model.py:12", "model.py:14"]
+    assert _own_table_conversions({pathlib.Path("m.py"): ast.parse(code)}) == [
+        "m.py:3", "m.py:7", "m.py:8", "m.py:10", "m.py:12", "m.py:14"]
+
+
 def _cap_refusals(trees):
     """`path:line` of every ResourceCapError(...) built outside the body of
     model.require_within_cap."""

@@ -728,8 +728,8 @@ def test_checks_on_random_shapes_equal_the_dense_reference():
 def test_each_slot_numbers_its_past_once(monkeypatch):
     # bscfb at n = 2: the memoryless check's A is the past alone, numbered
     # once per slot; the positive-delay check's first channel has no B and
-    # its second an A of its own.  Each CMI builds one JointPmf, its
-    # three-variable joint, and conditional_mutual_information none
+    # its second an A of its own.  No CMI builds a JointPmf: cmi_table reads
+    # the (|A|, |B|, |C|) table the rows sum into
     spec = networks.bscfb_spec(0.11)
     code = random_table_code(spec, 2, _UNIT, seed=0)
     numbered, joints = [], []
@@ -738,7 +738,7 @@ def test_each_slot_numbers_its_past_once(monkeypatch):
     monkeypatch.setattr(JointPmf, "__post_init__",
                         lambda self: joints.append(1) or post_init(self))
     check_memoryless_markov(spec, code)
-    assert (len(numbered), len(joints)) == (2, 4)
+    assert (len(numbered), len(joints)) == (2, 0)
     numbered.clear()
     check_positive_delay_markov(spec, code)
     assert len(numbered) == 2
