@@ -67,6 +67,10 @@ class RateTuple:
             raise DomainError("diagonal rates must be zero")
         object.__setattr__(self, "rates", r)
 
+    def __reduce__(self):
+        # a pickled array comes back writable: rebuild through __init__
+        return RateTuple, (self.rates,)
+
     @classmethod
     def from_pairs(cls, n_nodes: int, pairs: dict) -> "RateTuple":
         n_nodes = require_integer(n_nodes, "n_nodes", 1)

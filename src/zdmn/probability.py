@@ -41,6 +41,10 @@ class JointPmf:
             raise DomainError(f"{p.size} probabilities for the {_shown(cells)} cells of {names}")
         object.__setattr__(self, "probs", p)
 
+    def __reduce__(self):
+        # a pickled array comes back writable: rebuild through __init__
+        return JointPmf, (self.variables, self.probs)
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.variables)
@@ -239,7 +243,10 @@ def all_delayed_network(spec: NetworkSpec) -> NetworkSpec:
 
     Same nodes and alphabets, alpha = 1 with S = G = ({1..N}), and one
     channel, q^(1) ... q^(alpha) (``compose_channels``).  Its capacity bound
-    is the positive-delay bound of `spec`.
+    is the positive-delay bound of `spec`.  The grid's positive-delay mode
+    and the tests' references follow this definition; no engine call builds
+    the network: ``simulate.equivalence_check`` reads its channel off
+    ``_channel_product``, one step per slot, on the spec's own outcome rows.
     """
     everyone = Partition((NodeSet(tuple(range(1, spec.n_nodes + 1))),))
     return NetworkSpec(spec.n_nodes, spec.input_alphabet_sizes, spec.output_alphabet_sizes, 1,

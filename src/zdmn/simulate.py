@@ -29,7 +29,7 @@ from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, _shown, is_feasible, 
                     read_json, require_integer, require_real, require_table, require_valid,
                     require_within_cap, trial_uniforms, write_text, x_var, y_var)
 from .polar import MAX_N, PolarCode
-from .probability import JointPmf, all_delayed_network, binary_entropy, cmi_table
+from .probability import JointPmf, _channel_product, binary_entropy, cmi_table
 
 JOINT_CAP = 2 ** 24
 OUTCOME_CAP = 2 ** 24  # cells of a code's outcome rows, (W, X^n, Y^n) symbols each
@@ -128,6 +128,12 @@ class TableCode:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "pair_sizes", require_table(
             [sizes[i - 1][j - 1] for i, j in pairs], "real", "message sizes"))
+
+    def __reduce__(self):
+        # a pickled array comes back writable and a mapping proxy does not
+        # pickle: rebuild through __init__ from a plain dict
+        return TableCode, (self.n, self.message_sizes, self.delay_profile, self.input_sizes,
+                           self.output_sizes, self.encoder_tables, dict(self.decoder_tables))
 
     def message_pairs(self):
         return list(self.pairs)
@@ -552,7 +558,7 @@ def _row_sizes(spec: NetworkSpec, code: TableCode) -> list:
             + [*spec.input_alphabet_sizes, *spec.output_alphabet_sizes] * code.n)
 
 
-def _outcomes(spec: NetworkSpec, code: TableCode):
+def _outcomes(spec: NetworkSpec, code: TableCode, composed: bool = False):
     """Every outcome of positive probability, as an int64 row of its (W, X^n,
     Y^n) symbols in ``_row_sizes`` order, and its probability.
 
@@ -561,6 +567,12 @@ def _outcomes(spec: NetworkSpec, code: TableCode):
     steps in slot-then-channel order) and run ``_TRIAL_CHUNK`` at a time.
     Its probability is p_w times the chosen channel entries, multiplied in
     step order.  Distinct outcomes give distinct (W, Y^n): no two rows agree.
+
+    With ``composed``, each row also gets its probability on the all-delayed
+    network, whose one channel is q^(1) ... q^(alpha) and fires once per
+    slot: p_w times, slot by slot, the entry of ``_channel_product`` at the
+    slot's X and Y symbols, multiplied in slot order.  A row is then kept
+    when either probability is positive, and both come back.
     """
     _check_code(spec, code)
     P = len(code.pairs)
@@ -571,6 +583,9 @@ def _outcomes(spec: NetworkSpec, code: TableCode):
     p_w = 1.0
     for (i, j) in code.pairs:
         p_w /= code.message_sizes[i - 1][j - 1]
+    if composed:  # rows X_1..X_N, columns Y_1..Y_N, the all-delayed network's channel
+        x_sizes, y_sizes = spec.input_alphabet_sizes, spec.output_alphabet_sizes
+        product = _channel_product(spec).reshape(math.prod(x_sizes), -1)
     rows, probs = [], []
     for lo in range(0, outcomes, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, outcomes - lo)
@@ -586,9 +601,17 @@ def _outcomes(spec: NetworkSpec, code: TableCode):
         x, y, _ = _slots(spec, code, _message_indices(code, w.T), count, column)
         # per slot X_1..X_N then Y_1..Y_N, the order of _row_sizes
         cells = np.concatenate([w, np.concatenate([x, y], axis=2).reshape(count, -1)], axis=1)
-        rows.append(cells[prob > 0.0])
-        probs.append(prob[prob > 0.0])
-    return np.concatenate(rows), np.concatenate(probs)
+        chunk = [prob]
+        if composed:
+            merged = np.full(count, p_w)
+            for k in range(code.n):
+                np.multiply(merged, product[np.ravel_multi_index(x[:, k].T, x_sizes),
+                                            np.ravel_multi_index(y[:, k].T, y_sizes)], out=merged)
+            chunk.append(merged)
+        keep = np.logical_or.reduce([p > 0.0 for p in chunk])
+        rows.append(cells[keep])
+        probs.append([p[keep] for p in chunk])
+    return np.concatenate(rows), *map(np.concatenate, zip(*probs))
 
 
 def _numbered(key: np.ndarray):
@@ -681,16 +704,20 @@ def check_positive_delay_markov(spec: NetworkSpec, code: TableCode) -> list:
 
 
 def equivalence_check(spec: NetworkSpec, code: TableCode) -> float:
-    """L1 distance between the stepwise and the composed-channel joint, over
-    both networks' outcome rows; zero (to rounding) for every unit-delay code."""
+    """L1 distance between the stepwise and the composed-channel joint; zero
+    (to rounding) for every unit-delay code.
+
+    One enumeration gives both: each outcome row carries its probability on
+    `spec` and on the all-delayed network (``_outcomes`` with ``composed``),
+    a row of the one being a row of the other, since a unit-delay code's
+    (W, Y^n) fixes its X^n on both.  The distance sums |p - m| over the rows
+    positive on either, in the order of their packed (W, X^n, Y^n) keys.
+    """
     if any(b != 1 for b in code.delay_profile.delays):
         raise DomainError("channel composition requires the all-one delay profile")
-    (cells, prob), (merged, merged_prob) = (_outcomes(network, code) for network
-                                            in (spec, all_delayed_network(spec)))
-    sizes = _row_sizes(spec, code)
-    rank, count = _numbered(np.concatenate([_packed(rows, range(len(sizes)), sizes)
-                                            for rows in (cells, merged)]))
-    return float(np.abs(np.bincount(rank, np.concatenate([prob, -merged_prob]), count)).sum())
+    cells, prob, merged = _outcomes(spec, code, composed=True)
+    key = _packed(cells, range(cells.shape[1]), _row_sizes(spec, code))
+    return float(np.abs((prob - merged)[np.argsort(key)]).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ handed, the spec or, for the positive-delay bound, its all-delayed network:
 writes the masked-feedback scheme as a table code, so ``bscfb_scheme`` can
 be pinned against the slot engine.  ``dense_step_cmis`` and
 ``dense_equivalence`` are the Markov and equivalence checks on the dense
-induced joint, by variable names, the reference for the checks' outcome rows.
+induced joint, by variable names, the reference for the checks' outcome rows;
+``two_network_equivalence`` is the equivalence check on the outcome rows of
+the spec and of its all-delayed network, two enumerations, the bit-for-bit
+reference for the check's one enumeration.
 ``random_network`` draws the seeded networks the tests run them on.
 """
 
@@ -28,7 +31,8 @@ from zdmn.model import (ChannelTable, Cut, DelayProfile, NetworkSpec, require_va
 from zdmn.probability import (JointPmf, _aligned_factor, _channel_product, _full_layout,
                               _group_size, _marginal, all_delayed_network,
                               conditional_mutual_information, input_conditional_vars)
-from zdmn.simulate import TableCode, _require_cells_within_cap, induced_joint, table_shapes
+from zdmn.simulate import (TableCode, _numbered, _outcomes, _packed, _require_cells_within_cap,
+                           _row_sizes, induced_joint, table_shapes)
 
 SUM_TOL = 1e-9
 FACT_TOL = 1e-9
@@ -186,6 +190,18 @@ def dense_equivalence(spec: NetworkSpec, code: TableCode) -> float:
     stepwise = induced_joint(spec, code)
     merged = induced_joint(all_delayed_network(spec), code)
     return float(np.abs(stepwise.probs - merged.probs).sum())
+
+
+def two_network_equivalence(spec: NetworkSpec, code: TableCode) -> float:
+    """L1 distance between the outcome rows of `spec` and of its all-delayed
+    network, each enumerated on its own: per distinct packed (W, X^n, Y^n)
+    key, in key order, |p - m| of the rows of either network with that key."""
+    (cells, prob), (merged, merged_prob) = (_outcomes(network, code) for network
+                                            in (spec, all_delayed_network(spec)))
+    sizes = _row_sizes(spec, code)
+    rank, count = _numbered(np.concatenate([_packed(rows, range(len(sizes)), sizes)
+                                            for rows in (cells, merged)]))
+    return float(np.abs(np.bincount(rank, np.concatenate([prob, -merged_prob]), count)).sum())
 
 
 def random_network(x_sizes, y_sizes, s, g, seed: int) -> NetworkSpec:

@@ -542,6 +542,31 @@ def test_a_pickled_spec_keeps_its_report_and_read_only_tables(monkeypatch):
             ours.table.setflags(write=True)
 
 
+def test_pickled_tables_stay_read_only_and_equal():
+    # JointPmf, RateTuple and TableCode rebuild through __init__, as
+    # ChannelTable does: a pickled array would come back writable, and a
+    # code's mapping proxy would not pickle at all
+    joint = JointPmf((("A", 2), ("B", 3)), np.arange(6) / 15.0)
+    back = pickle.loads(pickle.dumps(joint))
+    assert back.variables == joint.variables and np.array_equal(back.probs, joint.probs)
+    rates = RateTuple.from_pairs(3, {(1, 2): 0.5, (3, 1): 0.25})
+    again = pickle.loads(pickle.dumps(rates))
+    assert np.array_equal(again.rates, rates.rates)
+    code = random_table_code(networks.causal_relay_spec(), 2, DelayProfile.of((1, 0, 1)), seed=4)
+    twin = pickle.loads(pickle.dumps(code))
+    assert simulate.code_to_dict(twin) == simulate.code_to_dict(code)
+    assert (twin.pairs, twin.pair_sizes.tolist()) == (code.pairs, code.pair_sizes.tolist())
+    tables = [back.probs, again.rates, twin.pair_sizes, *itertools.chain(*twin.encoder_tables),
+              *twin.decoder_tables.values()]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table.flat[0] = 7
+        with pytest.raises(ValueError):
+            table.setflags(write=True)
+    with pytest.raises(TypeError):
+        twin.decoder_tables[(1, 2)] = twin.decoder_tables[(2, 1)]
+
+
 def _assert_derived(spec: NetworkSpec) -> None:
     """`spec`'s steps are its step_plan and its draw tables, read-only, its
     channels' cumulative tables without the last column, transposed."""

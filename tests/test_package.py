@@ -913,9 +913,10 @@ def _function_reads(tree):
 
 def _enumeration_breaches(tree):
     """Each way simulate leaves its one enumeration of a code's outcomes: a
-    check that reaches induced_joint, through any chain of the module's
-    functions, or a function besides _run_batch and _outcomes that reads
-    the slot loop."""
+    check that reaches induced_joint or builds the all-delayed network
+    (all_delayed_network, compose_channels), through any chain of the
+    module's functions, or a function besides _run_batch and _outcomes that
+    reads the slot loop."""
     reads = _function_reads(tree)
     breaches = []
     for check in ("check_memoryless_markov", "check_positive_delay_markov", "_step_cmis",
@@ -925,16 +926,16 @@ def _enumeration_breaches(tree):
             for name in reads.get(todo.pop(), set()) - seen:
                 seen.add(name)
                 todo.append(name)
-        if "induced_joint" in seen:
-            breaches.append(f"{check} reaches induced_joint")
+        breaches += [f"{check} reaches {name}" for name in
+                     ("induced_joint", "all_delayed_network", "compose_channels") if name in seen]
     return breaches + [f"{name} reads _slots" for name, names in reads.items()
                        if "_slots" in names and name not in ("_run_batch", "_outcomes")]
 
 
 def test_one_enumeration_feeds_the_joint_and_the_checks():
     # the Markov and equivalence checks read a code's outcome rows, never
-    # the dense (W, X^n, Y^n) table, and only the Monte Carlo batch and the
-    # outcome enumeration drive the slot loop
+    # the dense (W, X^n, Y^n) table or a second network's rows, and only the
+    # Monte Carlo batch and the outcome enumeration drive the slot loop
     simulate = ast.parse((_SRC / "simulate.py").read_text(encoding="utf-8"))
     assert _enumeration_breaches(simulate) == []
 
@@ -943,12 +944,14 @@ def test_enumeration_guard_follows_helpers_and_nested_functions():
     code = ast.parse("def induced_joint(s, c):\n    return _outcomes(s, c)\n"
                      "def _dense(s, c):\n    return induced_joint(s, c)\n"
                      "def _step_cmis(s, c):\n    return _dense(s, c)\n"
-                     "def equivalence_check(s, c):\n    return _outcomes(s, c)\n"
+                     "def equivalence_check(s, c):\n    return _outcomes(_twin(s), c)\n"
+                     "def _twin(s):\n    return all_delayed_network(s)\n"
                      "def _outcomes(s, c):\n    def column():\n        return _slots\n"
                      "    return column\n"
                      "def _run_batch(s, c):\n    return _slots(s, c)\n"
                      "def estimate_error(s, c):\n    return _slots(s, c)\n")
     assert _enumeration_breaches(code) == ["_step_cmis reaches induced_joint",
+                                           "equivalence_check reaches all_delayed_network",
                                            "estimate_error reads _slots"]
 
 

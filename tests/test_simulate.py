@@ -10,9 +10,10 @@ import pytest
 
 from zdmn import model, networks, simulate
 from zdmn.errors import DomainError, ResourceCapError, SpecIOError
-from zdmn.model import DelayProfile, NodeSet, Partition, enumerate_feasible_profiles
+from zdmn.model import (ChannelTable, DelayProfile, NetworkSpec, NodeSet, Partition,
+                        enumerate_feasible_profiles)
 from zdmn.polar import PolarCode
-from zdmn.probability import JointPmf, binary_entropy, marginalize
+from zdmn.probability import JointPmf, all_delayed_network, binary_entropy, marginalize
 from zdmn.simulate import (
     TableCode,
     bscfb_capacity_region,
@@ -32,7 +33,7 @@ from zdmn.simulate import (
 )
 
 from oracles import (bscfb_engine_code, dense_equivalence, dense_step_cmis, joint_violations,
-                     random_network)
+                     random_network, two_network_equivalence)
 
 _UNIT = DelayProfile.of((1, 1))
 
@@ -700,14 +701,13 @@ def test_checks_on_rows_equal_the_dense_reference(bundled_specs):
     assert compared == 99
 
 
-def test_checks_on_random_shapes_equal_the_dense_reference():
-    # 100 seeded networks: N in {2, 3} nodes, alpha in {1, 2, 3} channels,
-    # alphabets of 1 to 3 letters, partition blocks that may be empty, every
-    # feasible profile at n = 1 and 2; a shape whose dense joint at n = 2
-    # would pass 2^20 cells is drawn again, which keeps the dense reference
-    # to about 2 s
+def _random_shapes():
+    """(seed, spec) of 100 seeded networks: N in {2, 3} nodes, alpha in
+    {1, 2, 3} channels, alphabets of 1 to 3 letters, partition blocks that
+    may be empty.  A shape whose dense joint at n = 2 would pass 2^20 cells
+    is drawn again, which keeps the dense reference to about 2 s."""
     rng = np.random.Generator(np.random.Philox(43))
-    shapes, seed, compared = set(), 0, 0
+    seed = 0
     while seed < 100:
         nn, alpha = int(rng.integers(2, 4)), int(rng.integers(1, 4))
         x_sizes, y_sizes = (tuple(rng.integers(1, 4, nn).tolist()) for _ in range(2))
@@ -716,8 +716,16 @@ def test_checks_on_random_shapes_equal_the_dense_reference():
         if 2 ** (nn * (nn - 1)) * (math.prod(x_sizes) * math.prod(y_sizes)) ** 2 > 2 ** 20:
             continue
         seed += 1
-        spec = random_network(x_sizes, y_sizes, s, g, seed)
-        shapes.add((nn, alpha, 1 in x_sizes + y_sizes, not all(s.blocks + g.blocks)))
+        yield seed, random_network(x_sizes, y_sizes, s, g, seed)
+
+
+def test_checks_on_random_shapes_equal_the_dense_reference():
+    # the 100 random shapes at every feasible profile, n = 1 and 2
+    shapes, compared = set(), 0
+    for seed, spec in _random_shapes():
+        s, g = spec.input_partition, spec.output_partition
+        sizes = spec.input_alphabet_sizes + spec.output_alphabet_sizes
+        shapes.add((spec.n_nodes, spec.alpha, 1 in sizes, not all(s.blocks + g.blocks)))
         for n, profile in itertools.product((1, 2), enumerate_feasible_profiles(spec)):
             compared += _compared_with_dense(spec, random_table_code(spec, n, profile, seed=seed))
     # every (N, alpha) came with a one-letter alphabet and, where alpha > 1, an empty block
@@ -742,6 +750,77 @@ def test_each_slot_numbers_its_past_once(monkeypatch):
     numbered.clear()
     check_positive_delay_markov(spec, code)
     assert len(numbered) == 2
+
+
+def test_equivalence_check_equals_the_two_network_route_bit_for_bit(bundled_specs):
+    # one enumeration, the composed probability read off the stepwise rows,
+    # gives the very floats of enumerating the spec and its all-delayed
+    # network apart: every bundled spec at n = 1, 2, 3 and seeds 0-2, the two
+    # hand-built shapes and the 100 random shapes, at the all-one profile
+    cases = [(spec, n, seed, 2) for (_, spec), n, seed
+             in itertools.product(sorted(bundled_specs.items()), (1, 2, 3), range(3))]
+    cases += [(_mixed_alphabet_spec(), n, 0, 3) for n in (1, 2)]
+    cases += [(_empty_block_spec(), n, 0, 2) for n in (1, 2, 3)]
+    cases += [(spec, n, seed, 2) for seed, spec in _random_shapes() for n in (1, 2)]
+    nonzero = 0
+    for spec, n, seed, m in cases:
+        profile = DelayProfile.of((1,) * spec.n_nodes)
+        code = random_table_code(spec, n, profile, seed=seed, message_size=m)
+        got = equivalence_check(spec, code)
+        assert got.hex() == two_network_equivalence(spec, code).hex(), (spec, n, seed)
+        nonzero += got > 0.0
+    assert len(cases) == 241 and nonzero > 20  # rounding leaves many codes off 0
+
+
+def _repeated_rows_spec(row1, row2):
+    """bscfb's shape with ternary outputs: channel 1 emits Y2 by `row1` and
+    channel 2 emits Y1 by `row2`, whatever their inputs."""
+    s, g = Partition((NodeSet((1,)), NodeSet((2,)))), Partition((NodeSet((2,)), NodeSet((1,))))
+    return NetworkSpec(2, (2, 2), (3, 3), 2, s, g,
+                       (ChannelTable(("X1",), ("Y2",), np.tile(row1, (2, 1))),
+                        ChannelTable(("X1", "X2", "Y2"), ("Y1",), np.tile(row2, (12, 1)))))
+
+
+def test_equivalence_check_runs_one_enumeration_and_builds_no_network(monkeypatch):
+    spec = networks.bscfb_spec(0.11)
+    code = random_table_code(spec, 2, _UNIT, seed=0)
+    want = two_network_equivalence(spec, code)
+    outcomes, specs = [], []
+    enumerate_rows, post_init = simulate._outcomes, NetworkSpec.__post_init__
+    monkeypatch.setattr(simulate, "_outcomes",
+                        lambda *a, **k: outcomes.append(1) or enumerate_rows(*a, **k))
+    monkeypatch.setattr(NetworkSpec, "__post_init__",
+                        lambda self: specs.append(1) or post_init(self))
+    assert equivalence_check(spec, code).hex() == want.hex()
+    assert (len(outcomes), len(specs)) == (1, 0)
+    monkeypatch.undo()
+    # at n = 2 and p_w = 1/4 the stepwise product (((p_w a1) b1) a2) b2 and
+    # the composed one (p_w (a1 b1)) (a2 b2) of the outcome Y2, Y1 = 0, 0 in
+    # slot 1 and 1, 1 in slot 2 round to the least subnormal on one side
+    # and to 0 on the other (for every message tuple); such a row counts
+    for (a1, b1, a2, b2), stepwise_zero in (
+            ((4.442498986730774e-154, 2.5155069666139474e-169, 0.1875214984536322,
+              0.4994614262902606), True),
+            ((2.909703720613192e-152, 6.06358842981868e-171, 0.7238961149745979,
+              0.07248979232045427), False)):
+        spec = _repeated_rows_spec([a1, a2, 1.0 - a1 - a2], [b1, b2, 1.0 - b1 - b2])
+        code = random_table_code(spec, 2, _UNIT, seed=0)
+        _, prob, merged = simulate._outcomes(spec, code, composed=True)
+        lone = (prob == 0.0) & (merged > 0.0) if stepwise_zero else (prob > 0.0) & (merged == 0.0)
+        assert lone.any() and np.all(np.maximum(prob, merged)[lone] == 5e-324)
+        assert not ((prob == 0.0) & (merged == 0.0)).any()
+        got = equivalence_check(spec, code)
+        assert got > 0.0 and got.hex() == two_network_equivalence(spec, code).hex()
+
+
+def test_equivalence_check_takes_a_spec_whose_product_strays_past_the_row_tolerance():
+    # each channel row sums to 1 + 9e-10, within ROW_TOL, so the spec is
+    # valid; the product's rows sum to about 1 + 1.8e-9, so the all-delayed
+    # network built from it is not, and the check builds none to refuse
+    spec = _repeated_rows_spec([0.5 + 9e-10, 0.5, 0.0], [0.5 + 9e-10, 0.5, 0.0])
+    assert spec.validation.ok and not all_delayed_network(spec).validation.ok
+    code = random_table_code(spec, 2, _UNIT, seed=0)
+    assert equivalence_check(spec, code) <= 1e-9
 
 
 def test_memoryless_check_reaches_the_relay_at_five_slots():
