@@ -29,14 +29,29 @@ joint reads only factors 1..h, so slot h is evaluated once per distinct
 prefix of the batch, the composition indices of those factors' rows, and
 its terms are gathered to the batch rows: a batch's prefixes are one
 contiguous range, found and decoded by ``np.ravel_multi_index`` /
-``np.unravel_index``, and only the last slot runs on the full batch.  Each
-point table is one contiguous (rows, cols, count) array, taken row by row
-from its factor's composition table, which is held transposed as
-(cols, n_compositions).  The sums over a start from the first row's
-products, not from zeros, and add the other rows through one scratch
-buffer in the same order.  The point count, and the cells one scan batch
-holds, are capped from the alphabet sizes before any length-D array exists;
-prefix tables are never larger than the batch's.
+``np.unravel_index`` (``_ravel`` / ``_unravel`` take a radix of any
+length), and only the last slot runs on the full batch.
+
+Slot 1 is read off tables instead.  Its joint is factor 1's one row, p(x)
+over X_{S_1}, whose entries are counts / k, and a term splits over the
+columns c of its C: H(B|C) - sum p(a,c) h(a,c) is the sum over c of
+H_c - L_c, each read from column c's entries alone.  A column's count
+vector v (|v| <= k) takes one of C(k + |A|, |A|) values, so at set-up each
+term tabulates H_c(v) and L_c(v) for every c and every v, by the same
+a-ordered sums and the same log-sum kernel, with the count vectors as the
+batch.  A batch ranks each column's v among them, with a binomial table,
+and adds the table entries over c in column order: the same bits as
+evaluating the joint, once per term, column and count vector instead of
+once per grid point.  Every positive-delay term is a slot-1 term.
+
+Each point table is one contiguous (rows, cols, count) array, taken row by
+row from its factor's composition table, which is held as counts,
+transposed to (cols, n_compositions), and divided by k where it is read.
+The sums over a start from the first row's products, not from zeros, and
+add the other rows through one scratch buffer in the same order.  The
+point count, and the cells the column tables and one scan batch hold, are
+capped from the alphabet sizes and k before any length-D array or table
+exists; prefix tables are never larger than the batch's.
 """
 
 from __future__ import annotations
@@ -83,6 +98,31 @@ def compositions(k: int, m: int) -> np.ndarray:
         cols[j] = value[index]
         index = parent[index]
     return cols.T
+
+
+_ROWS_PER_CALL = 32  # radix entries one np.unravel_index call takes (numpy caps them)
+
+
+def _unravel(index, radix) -> tuple:
+    """``np.unravel_index(index, radix)`` for a radix of any length: past
+    ``_ROWS_PER_CALL`` entries the radix goes in groups of that many, each
+    group one entry of an outer radix, unravelled the same way."""
+    if len(radix) <= _ROWS_PER_CALL:
+        return np.unravel_index(index, radix)
+    groups = [radix[i:i + _ROWS_PER_CALL] for i in range(0, len(radix), _ROWS_PER_CALL)]
+    outer = _unravel(index, [math.prod(group) for group in groups])
+    return tuple(digit for part, group in zip(outer, groups)
+                 for digit in np.unravel_index(part, group))
+
+
+def _ravel(digits, radix):
+    """``np.ravel_multi_index(digits, radix)`` for a radix of any length, by
+    the groups of ``_unravel``."""
+    if len(radix) <= _ROWS_PER_CALL:
+        return np.ravel_multi_index(digits, radix)
+    groups = [slice(i, i + _ROWS_PER_CALL) for i in range(0, len(radix), _ROWS_PER_CALL)]
+    return _ravel([np.ravel_multi_index(digits[g], radix[g]) for g in groups],
+                  [math.prod(radix[g]) for g in groups])
 
 
 def capacity_term_groups(step, cut: NodeSet):
@@ -151,18 +191,27 @@ class GridProblem:
                     groups.append((s, ci, a, b, c, shape))
         self.names, sizes = _full_layout(spec)
         # Cells held at once: the channel product (D cells, once) while the
-        # term channels are set up; then per point of a batch the digits,
-        # the prefix and parent indices and the output terms, a factor's
-        # point table and its placed copy, the slot's input joint before and
-        # after that factor (a slot's inputs are its factor's rows and
-        # columns, so each joint has as many cells as the largest table) and
-        # a term's copy of it, and that term's p(b,c), product and entropy
-        # temporaries.  A slot evaluated per prefix holds no more.
+        # term channels are set up; slot 1's column tables, the binomial
+        # table their ranks read and the build of the largest of them (its
+        # count vectors, p(b,c), h(a,c) p(a,c) and entropy temporaries); then
+        # per point of a batch the digits, the prefix and parent indices and
+        # the output terms, a factor's point table and its placed copy, the
+        # slot's input joint before and after that factor (a slot's inputs
+        # are its factor's rows and columns, so each joint has as many cells
+        # as the largest table) and a term's copy of it, and that term's
+        # p(b,c), product and entropy temporaries.  A slot evaluated per
+        # prefix holds no more.
+        first = [(na, nb, nc, math.comb(self.k + na, na))
+                 for s, *_, (na, nb, nc) in groups if s == 0]
+        columns = sum(2 * nc * n_vectors for na, _, nc, n_vectors in first)
+        columns += max(((3 * (na + 1) + (5 * nb + 2) * nc) * n_vectors
+                        for na, nb, nc, n_vectors in first), default=0)
+        columns += max((na + 1 for na, *_ in first), default=0) * (self.k + 1)
         table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
         largest_term = max((5 * nb * nc for *_, (_, nb, nc) in groups), default=0)
         per_point = (sum(self.factor_n_rows) + 2 + self.n_cuts * self.n_slots
                      + 5 * table + largest_term)
-        cells = math.prod(sizes) + per_point * min(BATCH, n_points)
+        cells = math.prod(sizes) + columns + per_point * min(BATCH, n_points)
         require_within_cap(cells, GRID_CELL_CAP, "grid table cell count")
 
         # Every term's channel is its slot's channel, fixed by the network:
@@ -183,22 +232,67 @@ class GridProblem:
         # the channels between consecutive free factors, with a batch axis
         self._channels = [ch[..., None] for ch in channels[:len(self.factors) - 1]]
 
-        # Composition tables, held transposed as contiguous
-        # (cols, n_compositions) arrays, and the global row radix.
-        self.comp_tables = [compositions(self.k, m).T / float(self.k)
-                            for m in self.factor_n_cols]
-        self.radix = np.repeat([table.shape[1] for table in self.comp_tables],
+        # Composition tables, held as counts in contiguous (cols,
+        # n_compositions) arrays, and the global row radix.
+        self.comp_counts = [compositions(self.k, m).T for m in self.factor_n_cols]
+        self.radix = np.repeat([table.shape[1] for table in self.comp_counts],
                                self.factor_n_rows)
         self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
+        self._binom, self._columns = self._column_tables()
+
+    def _column_tables(self):
+        """(binomial table, columns) of slot 1's terms.  ``columns`` holds per
+        term (cut_idx, cols, offsets, last, H, L): the factor column of each
+        (a, c), the rank's offsets into the binomial table, per column its
+        last flat table index, and the flat (|C|, n_vectors) tables H_c(v)
+        and L_c(v) over every count vector v with |v| <= k, in
+        ``compositions(k, |A| + 1)`` order.
+
+        Slot 1's free factor has one row, p(x_{S_1}), and its joint is that
+        row's point table, counts / k; a term's A+C are X_{S_1}, so column c
+        of its p(a,c) is the counts v_a of the factor columns (a, c), over k.
+        H_c(v) = sum over b of p(b,c) log2(p(c)/p(b,c)) and
+        L_c(v) = sum over a of h(a,c) v_a / k come from the a-ordered sums
+        and the log-sum kernel of the slots after it, with the count vectors
+        as batch entries, so the table entries are those sums' own bits.
+        The flat binomial table holds at [e, s] C(k - s + e - 1, e): the
+        number of count vectors that agree with v before part j and exceed it
+        at j, where v's parts through j sum to s and e = |A| - j parts, the
+        slack among them, follow j.  So v's rank is n_vectors - 1 less their
+        sum over j, exact in int64 and below n_vectors.
+        """
+        if not self._terms[0]:
+            return None, []
+        k, (_, fout) = self.k, self.factors[0]
+        place = np.arange(self.factor_n_cols[0]).reshape([self.spec.var_size(v) for v in fout])
+        max_parts = max(w.shape[0] for _, _, w, _ in self._terms[0])
+        binom = np.zeros((max_parts + 1, k + 1), dtype=np.int64)
+        binom[0] = 1
+        for e in range(1, max_parts + 1):
+            binom[e, :k] = np.cumsum(binom[e - 1, -2::-1])[::-1]
+        vectors = {}  # |A| -> every count vector's entries over k, (|A|, 1, n_vectors)
+        out = []
+        for ci, ac, w, h in self._terms[0]:
+            na, _, nc = w.shape
+            if na not in vectors:
+                vectors[na] = (compositions(k, na + 1).T[:na] / float(k))[:, None]
+            n_vectors = vectors[na].shape[-1]
+            cols = place.transpose([fout.index(v) for v in ac]).reshape(na, nc)
+            pbc, linear = _channel_sums(w, h, vectors[na])
+            offsets = ((na - np.arange(na)) * (k + 1))[:, None, None]
+            last = (np.arange(1, nc + 1) * n_vectors - 1)[:, None]
+            out.append((ci, cols, offsets, last,
+                        cond_entropy_table(pbc[:, None]).ravel(), linear.ravel()))
+        return binom.ravel(), out
 
     # -- point decoding ----------------------------------------------------
 
-    def _tables(self, f: int, digits) -> np.ndarray:
-        """Factor f's point tables as one contiguous (rows, cols, count) array,
-        from ``digits``, the ``np.unravel_index`` of count points: one
-        composition index per row."""
+    def _counts(self, f: int, digits) -> np.ndarray:
+        """Factor f's point tables, as counts of k, in one contiguous (rows,
+        cols, count) array, from ``digits``, the ``_unravel`` of
+        count points: one composition index per row."""
         off = int(self.row_offset[f])
-        table = self.comp_tables[f]
+        table = self.comp_counts[f]
         return np.stack([table.take(row, axis=1)
                          for row in digits[off:off + self.factor_n_rows[f]]])
 
@@ -206,12 +300,13 @@ class GridProblem:
         """Per-row composition indices, first row most significant."""
         if not 0 <= point < self.n_points:
             raise DomainError(f"point {point} outside 0..{self.n_points - 1}")
-        return tuple(int(v) for v in np.unravel_index(point, self.radix))
+        return tuple(int(v) for v in _unravel(point, self.radix))
 
     def distribution_rows(self, point: int) -> list[np.ndarray]:
         """One row-stochastic table per free factor at this grid point."""
         digits = [[v] for v in self.coordinates(point)]
-        return [self._tables(f, digits)[..., 0] for f in range(len(self.factors))]
+        return [self._counts(f, digits)[..., 0] / float(self.k)
+                for f in range(len(self.factors))]
 
     # -- evaluation --------------------------------------------------------
 
@@ -227,8 +322,8 @@ class GridProblem:
         if rows == len(self.radix):
             return slice(None), digits
         radix = self.radix[:rows]
-        prefix = np.ravel_multi_index(digits[:rows], radix)
-        return prefix - prefix[0], np.unravel_index(np.arange(prefix[0], prefix[-1] + 1), radix)
+        prefix = _ravel(digits[:rows], radix)
+        return prefix - prefix[0], _unravel(np.arange(prefix[0], prefix[-1] + 1), radix)
 
     def eval_batch(self, start: int, count: int) -> np.ndarray:
         """Terms array (count, n_cuts, n_slots); terms with a constant A or B
@@ -238,42 +333,69 @@ class GridProblem:
         distinct prefix of the batch, the composition digits of those
         factors' rows, and then gathered to the batch rows.  Points run in C
         order, first row most significant, so a batch's slot-h prefixes are
-        one contiguous range; slot h's joint P_1 q_1 P_2 ... P_h is the
-        previous slot's joint taken from its prefixes to slot h's, times
-        channel h-1 and then factor h's point tables, so no variable is ever
-        summed out and the last slot runs on the full batch.
+        one contiguous range.
+
+        Slot 1's terms are read off its column tables: each column's count
+        vector is ranked in ``compositions`` order, and H_c and L_c at that
+        rank are added over c in column order.  Slot 2's joint is slot 1's
+        point tables; slot h's joint P_1 q_1 P_2 ... P_h is the previous
+        slot's joint taken from its prefixes to slot h's, times channel h-1
+        and then factor h's point tables, so no variable is ever summed out
+        and the last slot runs on the full batch.
 
         Each term is I(A;B|C) = H(B|C) - sum over (a, c) of p(a,c) h(a,c),
         with p(b,c) = sum over a of p(a,c) W(b|a,c); a and c are added in
-        row order, so a point's terms do not depend on its batch.  The sums
-        over a start from the a = 0 products themselves (0.0 + x is x for
-        x >= 0) and add each further row through one scratch buffer, so a
-        term allocates no zero-filled or per-row temporaries.
+        row order, so a point's terms do not depend on its batch, and slot
+        1's tables hold the same sums as its dense evaluation would.
         """
-        digits = np.unravel_index(start + np.arange(count), self.radix)
+        digits = _unravel(start + np.arange(count), self.radix)
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
-        joint, local = np.ones(()), None
-        for s, (fin, fout) in enumerate(self.factors):
+        local, prefix_digits = self._prefixes(digits, self.factor_n_rows[0])
+        (counts,) = self._counts(0, prefix_digits)
+        for ci, cols, offsets, last, entropy, linear in self._columns:
+            parts = counts[cols]
+            for row, prev in zip(parts[1:], parts):  # running sums over a
+                row += prev
+            parts += offsets
+            index = last - self._binom.take(parts).sum(axis=0)  # (c, rank) in the tables
+            terms = _row_sum(entropy.take(index)) - _row_sum(linear.take(index))
+            out[:, ci, 0] = _clamp_mi(terms)[local]
+        if self.n_slots > 1:
+            joint = _aligned_factor(self.spec, *self.factors[0], counts[None] / float(self.k))
+        for s in range(1, self.n_slots):
+            fin, fout = self.factors[s]
             prev_local = local
             local, prefix_digits = self._prefixes(
                 digits, int(self.row_offset[s]) + self.factor_n_rows[s])
-            if s:
-                # every batch row with one slot-s prefix has one slot s-1 prefix
-                parent = np.empty(prefix_digits[0].size, dtype=np.intp)
-                parent[local] = prev_local
-                joint = joint.take(parent, axis=-1) * self._channels[s - 1]
+            # every batch row with one slot-s prefix has one slot s-1 prefix
+            parent = np.empty(prefix_digits[0].size, dtype=np.intp)
+            parent[local] = prev_local
+            joint = joint.take(parent, axis=-1) * self._channels[s - 1]
             joint = joint * _aligned_factor(self.spec, fin, fout,
-                                            self._tables(s, prefix_digits))
+                                            self._counts(s, prefix_digits) / float(self.k))
             n = joint.shape[-1]
             for ci, ac, w, h in self._terms[s]:
-                na, nb, nc = w.shape
-                pac = _marginal(joint, self.names, ac).reshape(na, nc, n)
-                pbc = np.multiply(w[0][:, :, None], pac[0])
-                linear = np.multiply(h[0][:, None], pac[0])
-                pbc_row, linear_row = np.empty_like(pbc), np.empty_like(linear)
-                for wa, ha, pa in zip(w[1:], h[1:], pac[1:]):
-                    pbc += np.multiply(wa[:, :, None], pa, out=pbc_row)
-                    linear += np.multiply(ha[:, None], pa, out=linear_row)
+                na, _, nc = w.shape
+                pbc, linear = _channel_sums(w, h, _marginal(joint, self.names, ac)
+                                            .reshape(na, nc, n))
                 terms = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
                 out[:, ci, s] = terms[local]
         return out
+
+
+def _channel_sums(w: np.ndarray, h: np.ndarray, pac: np.ndarray):
+    """(p(b,c), h(a,c) p(a,c) summed over a) of a term's (|A|, |B|, |C|)
+    channel W, its (|A|, |C|) row entropies h and an (|A|, |C| or 1, *batch)
+    p(a,c): (|B|, |C|, *batch) and (|C|, *batch) tables.
+
+    Both sums over a start from the a = 0 products themselves (0.0 + x is x
+    for x >= 0) and add each further row through one scratch buffer, in row
+    order, so they allocate no zero-filled or per-row temporaries.
+    """
+    pbc = np.multiply(w[0][:, :, None], pac[0])
+    linear = np.multiply(h[0][:, None], pac[0])
+    pbc_row, linear_row = np.empty_like(pbc), np.empty_like(linear)
+    for wa, ha, pa in zip(w[1:], h[1:], pac[1:]):
+        pbc += np.multiply(wa[:, :, None], pa, out=pbc_row)
+        linear += np.multiply(ha[:, None], pa, out=linear_row)
+    return pbc, linear

@@ -22,8 +22,8 @@ import numpy as np
 
 from ._grid import BATCH, GridProblem
 from .errors import DomainError
-from .model import (NODE_CAP, ChannelTable, Cut, NetworkSpec, _shown, require_integer,
-                    require_real, require_table, require_within_cap)
+from .model import (NODE_CAP, ChannelTable, Cut, NetworkSpec, _shown, _value_eq,
+                    require_integer, require_real, require_table, require_within_cap)
 
 INSIDE = "inside"
 NOT_FOUND = "not-found-at-this-resolution"
@@ -54,6 +54,8 @@ class RateTuple:
     """Nonnegative R_{i,j} per ordered pair, zero diagonal."""
 
     rates: np.ndarray = field(repr=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         r = require_table(self.rates, "real", "rate tuple")

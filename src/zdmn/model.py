@@ -26,7 +26,8 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -114,6 +115,29 @@ def enumerate_cuts(n_nodes: int) -> list[Cut]:
     return [Cut(NodeSet(t)) for t in sorted(subsets)]
 
 
+def _same_value(a, b) -> bool:
+    """Equal by value: arrays by ``np.array_equal``, tuples entry by entry,
+    mappings key by key, anything else by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_value, a, b))
+    if isinstance(a, Mapping):
+        return (isinstance(b, Mapping) and a.keys() == b.keys()
+                and all(_same_value(a[key], b[key]) for key in a))
+    return bool(a == b)
+
+
+def _value_eq(self, other):
+    """``__eq__`` of a frozen dataclass that holds arrays: the compared
+    fields by ``_same_value``.  Another type is not equal; hashing stays
+    refused, as an array field does not hash."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(_same_value(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
+
+
 def _parse_blocks(blocks, what: str) -> Partition:
     return Partition(tuple(NodeSet(tuple(json_int(i, what) for i in b)) for b in blocks))
 
@@ -131,6 +155,8 @@ class ChannelTable:
     input_vars: tuple[str, ...]
     output_vars: tuple[str, ...]
     table: np.ndarray = field(repr=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         object.__setattr__(self, "input_vars", tuple(self.input_vars))
@@ -224,6 +250,8 @@ class NetworkSpec:
     validation: ValidationReport = field(init=False, compare=False, repr=False)
     steps: tuple = field(init=False, compare=False, repr=False)
     draw_tables: tuple = field(init=False, compare=False, repr=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self) -> None:
         for name in ("input_alphabet_sizes", "output_alphabet_sizes", "channels"):

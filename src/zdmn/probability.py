@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (ChannelTable, NetworkSpec, NodeSet, Partition, _input_names, _shown,
-                    require_integer, require_real, require_table, require_valid, x_var)
+                    _value_eq, require_integer, require_real, require_table, require_valid, x_var)
 
 MI_CLAMP = 1e-12
 
@@ -27,6 +27,8 @@ class JointPmf:
 
     variables: tuple[tuple[str, int], ...]
     probs: np.ndarray = field(repr=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         names = self.names

@@ -25,9 +25,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError, SpecIOError
-from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, _shown, is_feasible, json_int,
-                    read_json, require_integer, require_real, require_table, require_valid,
-                    require_within_cap, trial_uniforms, write_text, x_var, y_var)
+from .model import (DRAW_CELLS, DelayProfile, NetworkSpec, _shown, _value_eq, is_feasible,
+                    json_int, read_json, require_integer, require_real, require_table,
+                    require_valid, require_within_cap, trial_uniforms, write_text, x_var, y_var)
 from .polar import MAX_N, PolarCode
 from .probability import JointPmf, _channel_product, binary_entropy, cmi_table
 
@@ -80,6 +80,8 @@ class TableCode:
     decoder_tables: MappingProxyType  # (i, j) -> 2-D int64 array
     pairs: tuple = field(init=False, compare=False, repr=False)
     pair_sizes: np.ndarray = field(init=False, compare=False, repr=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
         sizes = tuple(tuple(require_integer(v, "message size", 1) for v in row)

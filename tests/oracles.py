@@ -14,6 +14,10 @@ induced joint, by variable names, the reference for the checks' outcome rows;
 ``two_network_equivalence`` is the equivalence check on the outcome rows of
 the spec and of its all-delayed network, two enumerations, the bit-for-bit
 reference for the check's one enumeration.
+``dense_slot_one_terms`` is the grid's slot-1 terms evaluated on the
+dense batch, the bit-for-bit reference for its column tables, and
+``positive_delay_upper`` bounds every positive-delay cut term from above by
+Blahut-Arimoto on the channel tables alone.
 ``random_network`` draws the seeded networks the tests run them on.
 """
 
@@ -23,19 +27,22 @@ import math
 
 import numpy as np
 
-from zdmn._grid import GridProblem, capacity_term_groups
+from zdmn._grid import GridProblem, capacity_term_groups, compositions
 from zdmn.bounds import CutConstraint, RateRegionReport, _point_report, _require_proper_cut
 from zdmn.errors import DomainError
 from zdmn.model import (ChannelTable, Cut, DelayProfile, NetworkSpec, require_valid, step_plan,
                         x_var, y_var)
-from zdmn.probability import (JointPmf, _aligned_factor, _channel_product, _full_layout,
-                              _group_size, _marginal, all_delayed_network,
-                              conditional_mutual_information, input_conditional_vars)
+from zdmn.probability import (JointPmf, _aligned_factor, _channel_product, _clamp_mi,
+                              _full_layout, _group_size, _marginal, _row_sum, all_delayed_network,
+                              cond_entropy_table, conditional_mutual_information,
+                              input_conditional_vars)
 from zdmn.simulate import (TableCode, _numbered, _outcomes, _packed, _require_cells_within_cap,
                            _row_sizes, induced_joint, table_shapes)
 
 SUM_TOL = 1e-9
 FACT_TOL = 1e-9
+BA_TOL = 1e-12  # Blahut-Arimoto stops once its upper and lower values are this close
+BA_MAX_ITER = 500  # or after this many steps: its upper value bounds capacity at every step
 
 
 def joint_violations(joint: JointPmf) -> list[str]:
@@ -125,6 +132,31 @@ def grid_point_report(spec: NetworkSpec, which: str, k: int, point: int) -> Rate
     return _point_report(GridProblem(spec, which, k), point)
 
 
+def dense_slot_one_terms(problem: GridProblem, start: int, count: int) -> np.ndarray:
+    """Slot 1's (count, n_cuts) terms of grid points start.., evaluated on
+    the batch as the grid did before its column tables: factor 1's point
+    tables, its compositions / k, placed in the full layout, each term's
+    p(a,c) read off them, p(b,c) and h(a,c) p(a,c) summed over a in row
+    order and H(B|C) by ``cond_entropy_table`` over the whole batch.  The
+    bit-for-bit reference for the column tables."""
+    # factor 1 has one row, the most significant digit of a point
+    first = (start + np.arange(count)) // (problem.n_points // int(problem.radix[0]))
+    fin, fout = problem.factors[0]
+    table = compositions(problem.k, problem.factor_n_cols[0]).T / float(problem.k)
+    joint = np.ones(()) * _aligned_factor(problem.spec, fin, fout, table.take(first, axis=1)[None])
+    out = np.zeros((count, problem.n_cuts))
+    for ci, ac, w, h in problem._terms[0]:
+        na, _, nc = w.shape
+        pac = _marginal(joint, problem.names, ac).reshape(na, nc, count)
+        pbc = np.multiply(w[0][:, :, None], pac[0])
+        linear = np.multiply(h[0][:, None], pac[0])
+        for wa, ha, pa in zip(w[1:], h[1:], pac[1:]):
+            pbc += wa[:, :, None] * pa
+            linear += ha[:, None] * pa
+        out[:, ci] = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
+    return out
+
+
 def bscfb_engine_code(n: int, forward_code) -> TableCode:
     """The masked-feedback scheme as an engine code: message sizes (2^k
     forward, 2^n reverse), delay profile (1, 0), binary alphabets.  Its
@@ -202,6 +234,64 @@ def two_network_equivalence(spec: NetworkSpec, code: TableCode) -> float:
     rank, count = _numbered(np.concatenate([_packed(rows, range(len(sizes)), sizes)
                                             for rows in (cells, merged)]))
     return float(np.abs(np.bincount(rank, np.concatenate([prob, -merged_prob]), count)).sum())
+
+
+def _channel_law(spec: NetworkSpec) -> np.ndarray:
+    """P(y_1..y_N | x_1..x_N) with one axis per variable, X_1..X_N then
+    Y_1..Y_N, as the product of the channel tables by ``np.einsum``."""
+    names = spec.all_x_vars() + spec.all_y_vars()
+    sizes = spec.input_alphabet_sizes + spec.output_alphabet_sizes
+    letters = dict(zip(names, "abcdefghijklmnopqrstuvwxyzABCDEF"))
+    every = "".join(letters[v] for v in names)
+    law = np.ones(sizes)
+    for ch in spec.channels:
+        own = ch.input_vars + ch.output_vars
+        table = ch.table.reshape([sizes[names.index(v)] for v in own])
+        law = np.einsum(f"{every},{''.join(letters[v] for v in own)}->{every}", law, table)
+    return law
+
+
+def _blahut_arimoto_upper(w: np.ndarray) -> np.ndarray:
+    """Upper value max_x D(w[b, x] || p w[b]) of the Blahut-Arimoto iteration
+    (Blahut 1972; Arimoto 1972) on each channel w[b] of a (batch, x, y)
+    array: at any input law p it is at least the channel's capacity, and it
+    meets the lower value sum_x p(x) D(...) at the capacity-achieving law."""
+    batch, nx, _ = w.shape
+    p = np.full((batch, nx), 1.0 / nx)
+    logw = np.log2(np.where(w > 0.0, w, 1.0))
+    for _ in range(BA_MAX_ITER):
+        q = np.einsum("bx,bxy->by", p, w)[:, None, :]
+        d = np.sum(w * (logw - np.log2(np.where(q > 0.0, q, 1.0))), axis=2)
+        upper = d.max(axis=1)
+        if np.all(upper - np.sum(p * d, axis=1) <= BA_TOL):
+            break
+        p = p * np.exp2(d - upper[:, None])
+        p /= p.sum(axis=1, keepdims=True)
+    return upper
+
+
+def positive_delay_upper(spec: NetworkSpec) -> dict:
+    """cut members -> an upper value of the positive-delay cut term
+    I(X_T; Y_{T^c} | X_{T^c}) over every input law p(x).
+
+    The term is an average over x_{T^c} of the mutual information of the
+    channel x_T -> y_{T^c} at that x_{T^c}, so it is at most the largest of
+    those channels' capacities, each bounded by Blahut-Arimoto's upper
+    value.  Built from the channel tables alone, apart from the grid."""
+    n = spec.n_nodes
+    law = _channel_law(spec)
+    out = {}
+    for mask in range(1, 2 ** n - 1):
+        cut = tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        rest = tuple(i for i in range(1, n + 1) if i not in cut)
+        # sum out Y_T, then order the axes X_{T^c}, X_T, Y_{T^c}
+        marg = law.sum(axis=tuple(n + i - 1 for i in cut))
+        arr = marg.transpose([i - 1 for i in rest] + [i - 1 for i in cut]
+                             + list(range(n, marg.ndim)))
+        w = arr.reshape(math.prod(spec.input_alphabet_sizes[i - 1] for i in rest),
+                        math.prod(spec.input_alphabet_sizes[i - 1] for i in cut), -1)
+        out[cut] = 0.0 if min(w.shape[1:]) == 1 else float(_blahut_arimoto_upper(w).max())
+    return out
 
 
 def random_network(x_sizes, y_sizes, s, g, seed: int) -> NetworkSpec:

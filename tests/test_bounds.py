@@ -24,7 +24,8 @@ from zdmn.probability import (
     marginalize,
 )
 
-from oracles import (capacity_cut_cap, check_factorization, factorized_joint, grid_point_report,
+from oracles import (capacity_cut_cap, check_factorization, dense_slot_one_terms,
+                     factorized_joint, grid_point_report, positive_delay_upper,
                      random_network)
 
 
@@ -563,21 +564,128 @@ def test_grid_windows_equal_whole_grid_rows():
 
 
 def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
-    # on the relay at k=12 slot 1 has 13 prefixes of 28,561 points each, so a
-    # batch's slot-1 terms see one or two entries, and slot 2's the batch
-    problem = GridProblem(networks.causal_relay_spec(), "capacity", 12)
-    widths = []
+    # slot 1's log-sums run once, while its column tables are built: one
+    # kernel call per slot-1 term over every (column, count vector) pair.
+    # A batch calls the kernel only for the later slots' terms, on the full
+    # batch: on the relay at k=12 a batch straddling slot 1's prefixes runs
+    # slot 2 alone, and a positive-delay batch, all slot 1, runs none
+    shapes = []
     kernel = _grid.cond_entropy_table
     monkeypatch.setattr(_grid, "cond_entropy_table",
-                        lambda pbc: widths.append(pbc.shape[-1]) or kernel(pbc))
+                        lambda pbc: shapes.append(pbc.shape) or kernel(pbc))
+    problem = GridProblem(networks.causal_relay_spec(), "capacity", 12)
+    terms = [w.shape for slot in problem._terms for _, _, w, _ in slot]
+    first = [w.shape for _, _, w, _ in problem._terms[0]]
+    assert first and len(terms) > len(first)
+    assert shapes == ([(nb, 1, na, nc) for na, nb, nc in terms]  # the row entropies h(a,c)
+                      + [(nb, 1, nc, math.comb(12 + na, na)) for na, nb, nc in first])
     for start in (0, 28561 - BATCH // 2):
-        widths.clear()
+        shapes.clear()
         problem.eval_batch(start, BATCH)
-        n_first = len(problem._terms[0])
-        assert n_first and len(widths) == n_first + len(problem._terms[1])
-        assert all(1 <= w <= 2 for w in widths[:n_first]), widths
-        assert widths[n_first:] == [BATCH] * len(problem._terms[1])
-    assert widths[:n_first] == [2] * n_first  # the second batch straddles a prefix
+        assert shapes == [(nb, nc, BATCH) for _, _, w, _ in problem._terms[1]
+                          for _, nb, nc in [w.shape]]
+    problem = GridProblem(random_network(*_TERNARY, 7), "positive-delay", 4)
+    shapes.clear()
+    problem.eval_batch(0, BATCH)
+    assert problem._terms[0] and shapes == []
+
+
+def _random_grid_shapes(count):
+    """(spec, k) of `count` seeded networks: N in {2, 3} nodes, alpha in
+    {1, 2, 3} channels, alphabets of 1 to 3 letters, partition blocks that
+    may be empty, and a grid resolution k in {1, 2, 3}."""
+    rng = np.random.Generator(np.random.Philox(46))
+    for seed in range(count):
+        nn, alpha = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        x_sizes, y_sizes = (tuple(rng.integers(1, 4, nn).tolist()) for _ in range(2))
+        s, g = (Partition(tuple(NodeSet(tuple((np.flatnonzero(block == h) + 1).tolist()))
+                                for h in range(alpha)))
+                for block in rng.integers(0, alpha, (2, nn)))
+        yield random_network(x_sizes, y_sizes, s, g, seed), int(rng.integers(1, 4))
+
+
+def _slot_one_windows(problem):
+    """(start, count) windows that visit every slot-1 prefix of a grid: the
+    whole grid when it fits two scan batches, else each prefix's first point."""
+    if problem.n_points <= 2 * BATCH:
+        return [(0, problem.n_points)]
+    span = problem.n_points // int(problem.radix[0])
+    return [(p * span, 1) for p in range(int(problem.radix[0]))]
+
+
+def test_grid_column_tables_equal_the_dense_slot_one_terms(bundled_specs):
+    # slot 1's terms read off the column tables are the dense evaluation's
+    # floats, at every slot-1 prefix: the bundled specs in both modes at five
+    # resolutions, the ternary network, and 100 random shapes in both modes,
+    # among them one-letter alphabets and terms whose C takes one value
+    cases = [(spec, mode, k) for _, spec in sorted(bundled_specs.items())
+             for mode in ("capacity", "positive-delay") for k in (1, 2, 3, 5, 8)]
+    cases += [(random_network(*_TERNARY, seed), "positive-delay", 3) for seed in (1, 2, 3)]
+    cases += [(spec, mode, k) for spec, k in _random_grid_shapes(100)
+              for mode in ("capacity", "positive-delay")]
+    compared, refused, one_letter, single_column = 0, 0, 0, 0
+    for spec, mode, k in cases:
+        try:
+            problem = GridProblem(spec, mode, k)
+        except ResourceCapError:
+            refused += 1  # a capacity grid past the point cap
+            continue
+        for start, count in _slot_one_windows(problem):
+            got = problem.eval_batch(start, count)[:, :, 0]
+            want = dense_slot_one_terms(problem, start, count)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (mode, k, start)
+        compared += 1
+        one_letter += 1 in spec.input_alphabet_sizes + spec.output_alphabet_sizes
+        single_column += any(w.shape[2] == 1 for _, _, w, _ in problem._terms[0])
+    assert (compared, refused, one_letter, single_column) == (235, 8, 194, 94)
+
+
+def test_grid_indices_past_numpy_dimension_cap():
+    # _unravel and _ravel are numpy's index maps, for radices past the 32 or
+    # 64 entries numpy takes at once: one-entry rows read digit 0
+    rng = np.random.Generator(np.random.Philox(12))
+    for length in (1, 5, 32, 33, 64, 100, 2000):
+        radix = np.ones(length, dtype=np.int64)
+        live = np.sort(rng.choice(length, min(length, 4), replace=False))
+        radix[live] = rng.integers(2, 5, live.size)
+        points = np.arange(math.prod(radix.tolist()))
+        digits = _grid._unravel(points, radix)
+        assert len(digits) == length
+        assert np.array_equal(np.array(digits)[live], np.unravel_index(points, radix[live]))
+        assert not np.array(digits)[radix == 1].any()
+        assert np.array_equal(_grid._ravel(digits, radix), points)
+
+
+def test_grid_scans_more_free_rows_than_numpy_dimensions():
+    # node 2's one-letter input is drawn per (X1, Y2) row, 2 * 128 rows of
+    # one composition each: 257 digits per point, past numpy's 64 dimensions
+    s, g = Partition((NodeSet((1,)), NodeSet((2,)))), Partition((NodeSet((2,)), NodeSet((1,))))
+    spec = random_network((2, 1), (2, 128), s, g, 3)
+    problem = GridProblem(spec, "capacity", 3)
+    assert (len(problem.radix), problem.n_points) == (257, 4)
+    hull, _, best = grid_hull(spec, "capacity", 3)
+    for c, point in zip(hull, best):
+        report = grid_point_report(spec, "capacity", 3, point)
+        assert report.coordinates == (point,) + (0,) * 256
+        want = capacity_cut_cap(spec, factorized_joint(spec, report.distribution), c.cut)
+        assert abs(c.cap - want.cap) <= 1e-12
+
+
+def test_positive_delay_grid_never_exceeds_blahut_arimoto(bundled_specs):
+    # every positive-delay grid cap is a lower value of its cut's maximum,
+    # so it lies below Blahut-Arimoto's upper value, within rounding: the
+    # bundled specs and 50 random shapes at k = 2 and 3
+    specs = [spec for _, spec in sorted(bundled_specs.items())]
+    specs += [spec for spec, _ in _random_grid_shapes(50)]
+    close = 0
+    for spec in specs:
+        upper = positive_delay_upper(spec)
+        for k in (2, 3):
+            hull, _, _ = grid_hull(spec, "positive-delay", k)
+            for c in hull:
+                assert c.cap <= upper[c.cut.nodes.members] + 1e-12, (spec, k, c)
+                close += c.cap > 0.1 and c.cap > upper[c.cut.nodes.members] - 1e-6
+    assert close >= 4  # caps of a tenth of a bit or more meet their bound: not vacuous
 
 
 def test_region_membership_golden_witness():
@@ -656,6 +764,41 @@ def test_grid_cell_count_covers_a_full_batch(monkeypatch):
         monkeypatch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
         with pytest.raises(ResourceCapError):
             GridProblem(spec, mode, k)
+
+
+def test_grid_column_tables_counted_before_they_are_built():
+    # classical-bsc at k = 10^4 has 10,001 points, but slot 1's one term
+    # has C(10^4 + 2, 2) count vectors, so its two column tables alone hold
+    # 100,030,002 cells, past the cap: refused before any table exists
+    spec = networks.classical_bsc_spec(0.25)
+    assert 2 * math.comb(10 ** 4 + 2, 2) > GRID_CELL_CAP
+    for mode in ("capacity", "positive-delay"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=f"^grid table cell count \\d+ is above "
+                                                       f"the cap of {GRID_CELL_CAP}$"):
+                GridProblem(spec, mode, 10 ** 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, mode
+
+
+def test_grid_cell_count_covers_the_column_tables(monkeypatch):
+    # the tracemalloc peak of building 45,451 count vectors' tables stays
+    # within 8 bytes per counted cell: a cap one cell below peak / 8
+    # refuses the grid
+    spec = networks.classical_bsc_spec(0.25)
+    tracemalloc.start()
+    try:
+        GridProblem(spec, "positive-delay", 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 2 ** 20
+    monkeypatch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
+    with pytest.raises(ResourceCapError):
+        GridProblem(spec, "positive-delay", 300)
 
 
 def test_grid_hull_noisy_feedback_capacity():

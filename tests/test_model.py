@@ -671,3 +671,44 @@ def test_loaded_spec_with_bad_rows_fails_validation(tmp_path):
     loaded = load_spec(p)
     report = validate_spec(loaded)
     assert not report.ok
+
+
+def _value_objects(eps: float, entry: float) -> dict:
+    """One ChannelTable, NetworkSpec, JointPmf, RateTuple and TableCode,
+    built afresh: `eps` sets the spec's channel and the code's spec, `entry`
+    one cell of the table, the pmf and the rates."""
+    spec = networks.bscfb_spec(eps)
+    table = ChannelTable(("X1",), ("Y2",), [[1.0 - entry, entry], [0.5, 0.5]])
+    return {
+        "channel": table,
+        "spec": spec,
+        "pmf": JointPmf((("A", 2), ("B", 2)), [1.0 - entry, entry, 0.0, 0.0]),
+        "rates": RateTuple.from_pairs(2, {(1, 2): entry, (2, 1): 0.5}),
+        "code": random_table_code(spec, 2, DelayProfile.of((1, 0)), seed=round(100 * eps)),
+    }
+
+
+def test_value_objects_compare_by_value():
+    # objects built apart are equal; a changed entry makes them unequal;
+    # another type is never equal; and hashing stays refused
+    first, again, changed = (_value_objects(*args)
+                             for args in ((0.11, 0.25), (0.11, 0.25), (0.12, 0.3)))
+    for name, obj in first.items():
+        assert obj == again[name] and not obj != again[name], name
+        assert obj != changed[name] and not obj == changed[name], name
+        stranger = first["rates" if name != "rates" else "pmf"]
+        for other in (None, 5, name, obj.__dict__, stranger):
+            assert (obj == other) is False and (obj != other) is True, name
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+    # one encoder symbol of one slot
+    code = first["code"]
+    tables = [list(node) for node in code.encoder_tables]
+    flipped = np.array(tables[0][1])
+    flipped.flat[0] = 1 - flipped.flat[0]
+    tables[0][1] = flipped
+    assert dataclasses.replace(code, encoder_tables=tables) != code
+    # the same values in another dtype, or as lists, are equal
+    assert first["rates"] == RateTuple(first["rates"].rates.tolist())
+    assert ChannelTable(("X1",), ("Y2",), np.eye(2, dtype=np.int64)) \
+        == ChannelTable(("X1",), ("Y2",), np.eye(2))
