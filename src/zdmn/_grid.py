@@ -36,7 +36,8 @@ Slot 1 is read off tables instead.  Its joint is factor 1's one row, p(x)
 over X_{S_1}, whose entries are counts / k, and a term splits over the
 columns c of its C: H(B|C) - sum p(a,c) h(a,c) is the sum over c of
 H_c - L_c, each read from column c's entries alone.  A column's count
-vector v (|v| <= k) takes one of C(k + |A|, |A|) values, so at set-up each
+vector v (|v| <= k) takes one of C(k + |A|, |A|) values (|v| = k, one of
+C(k + |A| - 1, |A| - 1), when C takes one value), so at set-up each
 term tabulates H_c(v) and L_c(v) for every c and every v, by the same
 a-ordered sums and the same log-sum kernel, with the count vectors as the
 batch.  A batch ranks each column's v among them, with a binomial table,
@@ -49,9 +50,9 @@ row from its factor's composition table, which is held as counts,
 transposed to (cols, n_compositions), and divided by k where it is read.
 The sums over a start from the first row's products, not from zeros, and
 add the other rows through one scratch buffer in the same order.  The
-point count, and the cells the column tables and one scan batch hold, are
-capped from the alphabet sizes and k before any length-D array or table
-exists; prefix tables are never larger than the batch's.
+point count, and the cells the composition and column tables and one scan
+batch hold, are capped from the alphabet sizes and k before any length-D
+array or table exists; prefix tables are never larger than the batch's.
 """
 
 from __future__ import annotations
@@ -191,27 +192,33 @@ class GridProblem:
                     groups.append((s, ci, a, b, c, shape))
         self.names, sizes = _full_layout(spec)
         # Cells held at once: the channel product (D cells, once) while the
-        # term channels are set up; slot 1's column tables, the binomial
-        # table their ranks read and the build of the largest of them (its
-        # count vectors, p(b,c), h(a,c) p(a,c) and entropy temporaries); then
-        # per point of a batch the digits, the prefix and parent indices and
-        # the output terms, a factor's point table and its placed copy, the
-        # slot's input joint before and after that factor (a slot's inputs
-        # are its factor's rows and columns, so each joint has as many cells
-        # as the largest table) and a term's copy of it, and that term's
-        # p(b,c), product and entropy temporaries.  A slot evaluated per
-        # prefix holds no more.
-        first = [(na, nb, nc, math.comb(self.k + na, na))
-                 for s, *_, (na, nb, nc) in groups if s == 0]
-        columns = sum(2 * nc * n_vectors for na, _, nc, n_vectors in first)
-        columns += max(((3 * (na + 1) + (5 * nb + 2) * nc) * n_vectors
-                        for na, nb, nc, n_vectors in first), default=0)
-        columns += max((na + 1 for na, *_ in first), default=0) * (self.k + 1)
+        # term channels are set up; the factors' composition tables, held as
+        # counts, slot 1's column tables and the binomial table their ranks
+        # read, and the largest build among them (a ``compositions`` call
+        # holds its levels beside the table; a column table also its count
+        # vectors over k, and p(b,c), h(a,c) p(a,c) and entropy
+        # temporaries); then per point of a batch the digits, the prefix and
+        # parent indices and the output terms, a factor's point table and
+        # its placed copy, the slot's input joint before and after that
+        # factor (a slot's inputs are its factor's rows and columns, so each
+        # joint has as many cells as the largest table) and a term's copy of
+        # it, and that term's p(b,c), product and entropy temporaries.  A
+        # slot evaluated per prefix holds no more.
+        comps = [(m, math.comb(self.k + m - 1, m - 1)) for m in self.factor_n_cols]
+        columns = []  # (m, |A|, |B|, |C|, count vectors) of each slot-1 term
+        for s, *_, (na, nb, nc) in groups:
+            if s == 0:
+                m = _column_parts(na, nc)
+                columns.append((m, na, nb, nc, math.comb(self.k + m - 1, m - 1)))
+        held = (sum(m * n for m, n in comps) + sum(2 * nc * n for *_, nc, n in columns)
+                + max((m for m, *_ in columns), default=0) * (self.k + 1))
+        build = max([(3 * m + 3) * n for m, n in comps]
+                    + [(3 * m + 3 + na + (5 * nb + 2) * nc) * n for m, na, nb, nc, n in columns])
         table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
         largest_term = max((5 * nb * nc for *_, (_, nb, nc) in groups), default=0)
         per_point = (sum(self.factor_n_rows) + 2 + self.n_cuts * self.n_slots
                      + 5 * table + largest_term)
-        cells = math.prod(sizes) + columns + per_point * min(BATCH, n_points)
+        cells = math.prod(sizes) + held + build + per_point * min(BATCH, n_points)
         require_within_cap(cells, GRID_CELL_CAP, "grid table cell count")
 
         # Every term's channel is its slot's channel, fixed by the network:
@@ -243,10 +250,12 @@ class GridProblem:
     def _column_tables(self):
         """(binomial table, columns) of slot 1's terms.  ``columns`` holds per
         term (cut_idx, cols, offsets, last, H, L): the factor column of each
-        (a, c), the rank's offsets into the binomial table, per column its
-        last flat table index, and the flat (|C|, n_vectors) tables H_c(v)
-        and L_c(v) over every count vector v with |v| <= k, in
-        ``compositions(k, |A| + 1)`` order.
+        (a, c) with a < m - 1, the rank's offsets into the binomial table,
+        per column its last flat table index, and the flat
+        (|C|, n_vectors) tables H_c(v) and L_c(v) over every count vector v
+        a column can hold, in ``compositions(k, m)`` order: each v with
+        |v| <= k, its slack k - |v| the m-th part, or with one column
+        (|C| = 1) each v with |v| = k, m = |A| (``_column_parts``).
 
         Slot 1's free factor has one row, p(x_{S_1}), and its joint is that
         row's point table, counts / k; a term's A+C are X_{S_1}, so column c
@@ -257,29 +266,30 @@ class GridProblem:
         as batch entries, so the table entries are those sums' own bits.
         The flat binomial table holds at [e, s] C(k - s + e - 1, e): the
         number of count vectors that agree with v before part j and exceed it
-        at j, where v's parts through j sum to s and e = |A| - j parts, the
-        slack among them, follow j.  So v's rank is n_vectors - 1 less their
-        sum over j, exact in int64 and below n_vectors.
+        at j, where v's parts through j sum to s and e = m - 1 - j parts
+        follow j.  So v's rank is n_vectors - 1 less their sum over the
+        parts j < m - 1, exact in int64 and below n_vectors.
         """
         if not self._terms[0]:
             return None, []
         k, (_, fout) = self.k, self.factors[0]
         place = np.arange(self.factor_n_cols[0]).reshape([self.spec.var_size(v) for v in fout])
-        max_parts = max(w.shape[0] for _, _, w, _ in self._terms[0])
-        binom = np.zeros((max_parts + 1, k + 1), dtype=np.int64)
+        parts = max(_column_parts(*w.shape[::2]) for _, _, w, _ in self._terms[0])
+        binom = np.zeros((parts, k + 1), dtype=np.int64)
         binom[0] = 1
-        for e in range(1, max_parts + 1):
+        for e in range(1, parts):
             binom[e, :k] = np.cumsum(binom[e - 1, -2::-1])[::-1]
-        vectors = {}  # |A| -> every count vector's entries over k, (|A|, 1, n_vectors)
+        vectors = {}  # (|A|, m) -> every count vector's entries over k, (|A|, 1, n_vectors)
         out = []
         for ci, ac, w, h in self._terms[0]:
             na, _, nc = w.shape
-            if na not in vectors:
-                vectors[na] = (compositions(k, na + 1).T[:na] / float(k))[:, None]
-            n_vectors = vectors[na].shape[-1]
-            cols = place.transpose([fout.index(v) for v in ac]).reshape(na, nc)
-            pbc, linear = _channel_sums(w, h, vectors[na])
-            offsets = ((na - np.arange(na)) * (k + 1))[:, None, None]
+            m = _column_parts(na, nc)
+            if (na, m) not in vectors:
+                vectors[na, m] = (compositions(k, m).T[:na] / float(k))[:, None]
+            n_vectors = vectors[na, m].shape[-1]
+            cols = place.transpose([fout.index(v) for v in ac]).reshape(na, nc)[:m - 1]
+            pbc, linear = _channel_sums(w, h, vectors[na, m])
+            offsets = ((m - 1 - np.arange(m - 1)) * (k + 1))[:, None, None]
             last = (np.arange(1, nc + 1) * n_vectors - 1)[:, None]
             out.append((ci, cols, offsets, last,
                         cond_entropy_table(pbc[:, None]).ravel(), linear.ravel()))
@@ -381,6 +391,13 @@ class GridProblem:
                 terms = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
                 out[:, ci, s] = terms[local]
         return out
+
+
+def _column_parts(na: int, nc: int) -> int:
+    """Parts m of the compositions of k that list the count vectors one
+    column of a slot-1 term with |A| = na and |C| = nc can hold: na and the
+    slack k - |v|, or with one column, which then holds all of k, na."""
+    return na + 1 if nc > 1 else na
 
 
 def _channel_sums(w: np.ndarray, h: np.ndarray, pac: np.ndarray):

@@ -565,29 +565,39 @@ def test_grid_windows_equal_whole_grid_rows():
 
 def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
     # slot 1's log-sums run once, while its column tables are built: one
-    # kernel call per slot-1 term over every (column, count vector) pair.
-    # A batch calls the kernel only for the later slots' terms, on the full
-    # batch: on the relay at k=12 a batch straddling slot 1's prefixes runs
-    # slot 2 alone, and a positive-delay batch, all slot 1, runs none
+    # kernel call per slot-1 term over every (column, count vector) pair,
+    # the count vectors of |v| <= k, or of |v| = k where the term has one
+    # column.  A batch calls the kernel only for the later slots' terms, on
+    # the full batch: on the relay at k=12 a batch straddling slot 1's
+    # prefixes runs slot 2 alone, and a positive-delay batch, all slot 1,
+    # runs none
     shapes = []
     kernel = _grid.cond_entropy_table
     monkeypatch.setattr(_grid, "cond_entropy_table",
                         lambda pbc: shapes.append(pbc.shape) or kernel(pbc))
-    problem = GridProblem(networks.causal_relay_spec(), "capacity", 12)
-    terms = [w.shape for slot in problem._terms for _, _, w, _ in slot]
-    first = [w.shape for _, _, w, _ in problem._terms[0]]
-    assert first and len(terms) > len(first)
-    assert shapes == ([(nb, 1, na, nc) for na, nb, nc in terms]  # the row entropies h(a,c)
-                      + [(nb, 1, nc, math.comb(12 + na, na)) for na, nb, nc in first])
+
+    def build(spec, mode, k):
+        shapes.clear()
+        problem = GridProblem(spec, mode, k)
+        terms = [w.shape for slot in problem._terms for _, _, w, _ in slot]
+        first = [w.shape for _, _, w, _ in problem._terms[0]]
+        vectors = {(na, nc): math.comb(k + na, na) if nc > 1 else math.comb(k + na - 1, na - 1)
+                   for na, _, nc in first}
+        assert first and shapes == ([(nb, 1, na, nc) for na, nb, nc in terms]  # h(a,c)
+                                    + [(nb, 1, nc, vectors[na, nc]) for na, nb, nc in first])
+        return problem, vectors
+
+    problem, vectors = build(networks.causal_relay_spec(), "capacity", 12)
+    assert list(vectors.values()) == [13] and problem._terms[1]
     for start in (0, 28561 - BATCH // 2):
         shapes.clear()
         problem.eval_batch(start, BATCH)
-        assert shapes == [(nb, nc, BATCH) for _, _, w, _ in problem._terms[1]
-                          for _, nb, nc in [w.shape]]
-    problem = GridProblem(random_network(*_TERNARY, 7), "positive-delay", 4)
+        assert shapes == [(*w.shape[1:], BATCH) for _, _, w, _ in problem._terms[1]]
+    problem, vectors = build(random_network(*_TERNARY, 7), "positive-delay", 4)
+    assert vectors == {(3, 9): 35, (9, 3): 715}
     shapes.clear()
     problem.eval_batch(0, BATCH)
-    assert problem._terms[0] and shapes == []
+    assert shapes == []
 
 
 def _random_grid_shapes(count):
@@ -767,38 +777,43 @@ def test_grid_cell_count_covers_a_full_batch(monkeypatch):
 
 
 def test_grid_column_tables_counted_before_they_are_built():
-    # classical-bsc at k = 10^4 has 10,001 points, but slot 1's one term
-    # has C(10^4 + 2, 2) count vectors, so its two column tables alone hold
-    # 100,030,002 cells, past the cap: refused before any table exists
+    # classical-bsc at k = 10^7 - 1 has 10^7 points, the point cap, and a
+    # scan batch of a few cells per point, but slot 1's one term has a count
+    # vector per point: its two column tables, the binomial table and their
+    # build come to about 2.2e8 cells, past the cap, and are refused before
+    # any table exists
     spec = networks.classical_bsc_spec(0.25)
-    assert 2 * math.comb(10 ** 4 + 2, 2) > GRID_CELL_CAP
+    k = _grid.POINT_CAP - 1
     for mode in ("capacity", "positive-delay"):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceCapError, match=f"^grid table cell count \\d+ is above "
                                                        f"the cap of {GRID_CELL_CAP}$"):
-                GridProblem(spec, mode, 10 ** 4)
+                GridProblem(spec, mode, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, mode
 
 
-def test_grid_cell_count_covers_the_column_tables(monkeypatch):
-    # the tracemalloc peak of building 45,451 count vectors' tables stays
-    # within 8 bytes per counted cell: a cap one cell below peak / 8
-    # refuses the grid
-    spec = networks.classical_bsc_spec(0.25)
-    tracemalloc.start()
-    try:
-        GridProblem(spec, "positive-delay", 300)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak > 2 ** 20
-    monkeypatch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
-    with pytest.raises(ResourceCapError):
-        GridProblem(spec, "positive-delay", 300)
+def test_grid_cell_count_covers_the_set_up(monkeypatch):
+    # the tracemalloc peak of building a grid, its composition and column
+    # tables included, stays within 8 bytes per counted cell: a cap one cell
+    # below peak / 8 refuses the grid.  classical-bsc's one column holds
+    # 100,001 count vectors, bscfb's two columns per term 1,891 each
+    for spec, k in ((networks.classical_bsc_spec(0.25), 10 ** 5),
+                    (networks.bscfb_spec(0.11), 60), (random_network(*_TERNARY, 7), 4)):
+        tracemalloc.start()
+        try:
+            GridProblem(spec, "positive-delay", k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 2 ** 21
+        with monkeypatch.context() as patch:
+            patch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
+            with pytest.raises(ResourceCapError):
+                GridProblem(spec, "positive-delay", k)
 
 
 def test_grid_hull_noisy_feedback_capacity():
