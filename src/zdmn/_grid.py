@@ -205,15 +205,16 @@ class GridProblem:
         # it, and that term's p(b,c), product and entropy temporaries.  A
         # slot evaluated per prefix holds no more.
         comps = [(m, math.comb(self.k + m - 1, m - 1)) for m in self.factor_n_cols]
-        columns = []  # (m, |A|, |B|, |C|, count vectors) of each slot-1 term
+        shapes = {}  # (|A|, |B|, m) -> [count vectors, columns] of slot 1's tables
         for s, *_, (na, nb, nc) in groups:
             if s == 0:
                 m = _column_parts(na, nc)
-                columns.append((m, na, nb, nc, math.comb(self.k + m - 1, m - 1)))
-        held = (sum(m * n for m, n in comps) + sum(2 * nc * n for *_, nc, n in columns)
-                + max((m for m, *_ in columns), default=0) * (self.k + 1))
+                shapes.setdefault((na, nb, m), [math.comb(self.k + m - 1, m - 1), 0])[1] += nc
+        held = (sum(m * n for m, n in comps) + sum(2 * nc * n for n, nc in shapes.values())
+                + max((m for _, _, m in shapes), default=0) * (self.k + 1))
         build = max([(3 * m + 3) * n for m, n in comps]
-                    + [(3 * m + 3 + na + (5 * nb + 2) * nc) * n for m, na, nb, nc, n in columns])
+                    + [(3 * m + 3 + na + (5 * nb + 2) * nc) * n
+                       for (na, nb, m), (n, nc) in shapes.items()])
         table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
         largest_term = max((5 * nb * nc for *_, (_, nb, nc) in groups), default=0)
         per_point = (sum(self.factor_n_rows) + 2 + self.n_cuts * self.n_slots
@@ -251,11 +252,12 @@ class GridProblem:
         """(binomial table, columns) of slot 1's terms.  ``columns`` holds per
         term (cut_idx, cols, offsets, last, H, L): the factor column of each
         (a, c) with a < m - 1, the rank's offsets into the binomial table,
-        per column its last flat table index, and the flat
-        (|C|, n_vectors) tables H_c(v) and L_c(v) over every count vector v
-        a column can hold, in ``compositions(k, m)`` order: each v with
-        |v| <= k, its slack k - |v| the m-th part, or with one column
-        (|C| = 1) each v with |v| = k, m = |A| (``_column_parts``).
+        per column its last flat table index, and the flat (|C|, n_vectors)
+        tables H_c(v) and L_c(v) over every count vector v a column can
+        hold, in ``compositions(k, m)`` order: each v with |v| <= k, its
+        slack k - |v| the m-th part, or with one column (|C| = 1) each v
+        with |v| = k, m = |A| (``_column_parts``).  The terms of one shape
+        (|A|, |B|, m) are built together, their columns side by side.
 
         Slot 1's free factor has one row, p(x_{S_1}), and its joint is that
         row's point table, counts / k; a term's A+C are X_{S_1}, so column c
@@ -279,20 +281,26 @@ class GridProblem:
         binom[0] = 1
         for e in range(1, parts):
             binom[e, :k] = np.cumsum(binom[e - 1, -2::-1])[::-1]
-        vectors = {}  # (|A|, m) -> every count vector's entries over k, (|A|, 1, n_vectors)
+        by_shape = {}  # (|A|, |B|, m) -> the slot-1 terms whose tables are built together
+        for term in self._terms[0]:
+            na, nb, nc = term[2].shape
+            by_shape.setdefault((na, nb, _column_parts(na, nc)), []).append(term)
         out = []
-        for ci, ac, w, h in self._terms[0]:
-            na, _, nc = w.shape
-            m = _column_parts(na, nc)
-            if (na, m) not in vectors:
-                vectors[na, m] = (compositions(k, m).T[:na] / float(k))[:, None]
-            n_vectors = vectors[na, m].shape[-1]
-            cols = place.transpose([fout.index(v) for v in ac]).reshape(na, nc)[:m - 1]
-            pbc, linear = _channel_sums(w, h, vectors[na, m])
-            offsets = ((m - 1 - np.arange(m - 1)) * (k + 1))[:, None, None]
-            last = (np.arange(1, nc + 1) * n_vectors - 1)[:, None]
-            out.append((ci, cols, offsets, last,
-                        cond_entropy_table(pbc[:, None]).ravel(), linear.ravel()))
+        for (na, _, m), terms in by_shape.items():
+            # the terms' columns side by side: one table build for all of them
+            pbc, linear = _channel_sums(np.concatenate([w for _, _, w, _ in terms], axis=2),
+                                        np.concatenate([h for *_, h in terms], axis=1),
+                                        compositions(k, m).T[:na, None] / float(k))
+            entropy = cond_entropy_table(pbc[:, None])
+            n_vectors = entropy.shape[1]
+            offsets = np.arange(m - 1, 0, -1)[:, None, None] * (k + 1)
+            end = 0
+            for ci, ac, w, _ in terms:
+                start, end = end, end + w.shape[2]
+                cols = place.transpose([fout.index(v) for v in ac]).reshape(na, -1)[:m - 1]
+                last = np.arange(n_vectors - 1, (end - start) * n_vectors, n_vectors)[:, None]
+                out.append((ci, cols, offsets, last,
+                            entropy[start:end].ravel(), linear[start:end].ravel()))
         return binom.ravel(), out
 
     # -- point decoding ----------------------------------------------------

@@ -565,12 +565,12 @@ def test_grid_windows_equal_whole_grid_rows():
 
 def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
     # slot 1's log-sums run once, while its column tables are built: one
-    # kernel call per slot-1 term over every (column, count vector) pair,
-    # the count vectors of |v| <= k, or of |v| = k where the term has one
-    # column.  A batch calls the kernel only for the later slots' terms, on
-    # the full batch: on the relay at k=12 a batch straddling slot 1's
-    # prefixes runs slot 2 alone, and a positive-delay batch, all slot 1,
-    # runs none
+    # kernel call per shape (|A|, |B|, m) of slot-1 terms, over every column
+    # of those terms and every count vector a column can hold (|v| <= k, or
+    # |v| = k where the term has one column).  A batch calls the kernel
+    # only for the later slots' terms, on the full batch: on the relay at
+    # k=12 a batch straddling slot 1's prefixes runs slot 2 alone, and a
+    # positive-delay batch, all slot 1, runs none
     shapes = []
     kernel = _grid.cond_entropy_table
     monkeypatch.setattr(_grid, "cond_entropy_table",
@@ -580,21 +580,22 @@ def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
         shapes.clear()
         problem = GridProblem(spec, mode, k)
         terms = [w.shape for slot in problem._terms for _, _, w, _ in slot]
-        first = [w.shape for _, _, w, _ in problem._terms[0]]
-        vectors = {(na, nc): math.comb(k + na, na) if nc > 1 else math.comb(k + na - 1, na - 1)
-                   for na, _, nc in first}
-        assert first and shapes == ([(nb, 1, na, nc) for na, nb, nc in terms]  # h(a,c)
-                                    + [(nb, 1, nc, vectors[na, nc]) for na, nb, nc in first])
-        return problem, vectors
+        tables = {}  # (|A|, |B|, count vectors) -> columns
+        for na, nb, nc in (w.shape for _, _, w, _ in problem._terms[0]):
+            vectors = math.comb(k + na, na) if nc > 1 else math.comb(k + na - 1, na - 1)
+            tables[na, nb, vectors] = tables.get((na, nb, vectors), 0) + nc
+        assert tables and shapes == ([(nb, 1, na, nc) for na, nb, nc in terms]  # h(a,c)
+                                     + [(nb, 1, nc, n) for (_, nb, n), nc in tables.items()])
+        return problem, tables
 
-    problem, vectors = build(networks.causal_relay_spec(), "capacity", 12)
-    assert list(vectors.values()) == [13] and problem._terms[1]
+    problem, tables = build(networks.causal_relay_spec(), "capacity", 12)
+    assert tables == {(2, 2, 13): 2} and problem._terms[1]
     for start in (0, 28561 - BATCH // 2):
         shapes.clear()
         problem.eval_batch(start, BATCH)
         assert shapes == [(*w.shape[1:], BATCH) for _, _, w, _ in problem._terms[1]]
-    problem, vectors = build(random_network(*_TERNARY, 7), "positive-delay", 4)
-    assert vectors == {(3, 9): 35, (9, 3): 715}
+    problem, tables = build(random_network(*_TERNARY, 7), "positive-delay", 4)
+    assert tables == {(3, 9, 35): 27, (9, 3, 715): 9}
     shapes.clear()
     problem.eval_batch(0, BATCH)
     assert shapes == []

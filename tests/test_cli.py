@@ -269,7 +269,7 @@ def test_bound_grid_cell_cap(capsys, tmp_path, binary_chain_spec):
     rc, out, err = _run(capsys, "bound", "--spec", str(path),
                         "--mode", "positive-delay", "--grid", "1")
     assert rc == EXIT_CAP and out == ""
-    assert err == "error: grid table cell count 171415536 is above the cap of 67108864\n"
+    assert err == "error: grid table cell count 186010908 is above the cap of 67108864\n"
 
 
 def test_bound_grid_resolution_cap(capsys, tmp_path, one_letter_spec):
