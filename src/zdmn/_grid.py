@@ -252,12 +252,13 @@ class GridProblem:
         """(binomial table, columns) of slot 1's terms.  ``columns`` holds per
         term (cut_idx, cols, offsets, last, H, L): the factor column of each
         (a, c) with a < m - 1, the rank's offsets into the binomial table,
-        per column its last flat table index, and the flat (|C|, n_vectors)
-        tables H_c(v) and L_c(v) over every count vector v a column can
-        hold, in ``compositions(k, m)`` order: each v with |v| <= k, its
-        slack k - |v| the m-th part, or with one column (|C| = 1) each v
-        with |v| = k, m = |A| (``_column_parts``).  The terms of one shape
-        (|A|, |B|, m) are built together, their columns side by side.
+        per column its last flat table index, and the (|C|, n_vectors)
+        tables H_c(v) and L_c(v), read by flat index, over every count
+        vector v a column can hold, in ``compositions(k, m)`` order: each v
+        with |v| <= k, its slack k - |v| the m-th part, or with one column
+        (|C| = 1) each v with |v| = k, m = |A| (``_column_parts``), the
+        factor's own compositions.  The terms of one shape (|A|, |B|, m) are
+        built together, their columns side by side.
 
         Slot 1's free factor has one row, p(x_{S_1}), and its joint is that
         row's point table, counts / k; a term's A+C are X_{S_1}, so column c
@@ -290,7 +291,8 @@ class GridProblem:
             # the terms' columns side by side: one table build for all of them
             pbc, linear = _channel_sums(np.concatenate([w for _, _, w, _ in terms], axis=2),
                                         np.concatenate([h for *_, h in terms], axis=1),
-                                        compositions(k, m).T[:na, None] / float(k))
+                                        (self.comp_counts[0] if m == self.factor_n_cols[0]
+                                         else compositions(k, m).T)[:na, None] / float(k))
             entropy = cond_entropy_table(pbc[:, None])
             n_vectors = entropy.shape[1]
             offsets = np.arange(m - 1, 0, -1)[:, None, None] * (k + 1)
@@ -300,7 +302,7 @@ class GridProblem:
                 cols = place.transpose([fout.index(v) for v in ac]).reshape(na, -1)[:m - 1]
                 last = np.arange(n_vectors - 1, (end - start) * n_vectors, n_vectors)[:, None]
                 out.append((ci, cols, offsets, last,
-                            entropy[start:end].ravel(), linear[start:end].ravel()))
+                            entropy[start:end], linear[start:end]))
         return binom.ravel(), out
 
     # -- point decoding ----------------------------------------------------
