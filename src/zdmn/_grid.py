@@ -374,7 +374,9 @@ class GridProblem:
         (counts,) = self._counts(0, prefix_digits)
         for ci, cols, offsets, last, entropy, linear in self._columns:
             parts = counts[cols]
-            for row, prev in zip(parts[1:], parts):  # running sums over a
+            # running sums over a, row by row: np.cumsum over axis 0 walks
+            # the rows one strided cell at a time
+            for row, prev in zip(parts[1:], parts):
                 row += prev
             parts += offsets
             index = last - self._binom.take(parts).sum(axis=0)  # (c, rank) in the tables
