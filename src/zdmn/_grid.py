@@ -46,8 +46,9 @@ evaluating the joint, once per term, column and count vector instead of
 once per grid point.  Every positive-delay term is a slot-1 term.
 
 Each point table is one contiguous (rows, cols, count) array, taken row by
-row from its factor's composition table, which is held as counts,
-transposed to (cols, n_compositions), and divided by k where it is read.
+row from its factor's one composition table, transposed to (cols,
+n_compositions): factor 1's held as counts, ranked by slot 1 and divided by
+k for the slots after it, the later factors' held as counts / k.
 The sums over a start from the first row's products, not from zeros, and
 add the other rows through one scratch buffer in the same order.  The
 point count, and the cells the composition and column tables and one scan
@@ -192,8 +193,8 @@ class GridProblem:
                     groups.append((s, ci, a, b, c, shape))
         self.names, sizes = _full_layout(spec)
         # Cells held at once: the channel product (D cells, once) while the
-        # term channels are set up; the factors' composition tables, held as
-        # counts, slot 1's column tables and the binomial table their ranks
+        # term channels are set up; the factors' composition tables, one
+        # each, slot 1's column tables and the binomial table their ranks
         # read, and the largest build among them (a ``compositions`` call
         # holds its levels beside the table; a column table also its count
         # vectors over k, and p(b,c), h(a,c) p(a,c) and entropy
@@ -240,10 +241,13 @@ class GridProblem:
         # the channels between consecutive free factors, with a batch axis
         self._channels = [ch[..., None] for ch in channels[:len(self.factors) - 1]]
 
-        # Composition tables, held as counts in contiguous (cols,
-        # n_compositions) arrays, and the global row radix.
-        self.comp_counts = [compositions(self.k, m).T for m in self.factor_n_cols]
-        self.radix = np.repeat([table.shape[1] for table in self.comp_counts],
+        # Composition tables, one per factor, in contiguous (cols,
+        # n_compositions) arrays: factor 1's as counts, which slot 1 ranks,
+        # the later factors' as counts / k, which their slots read as
+        # floats in every batch; and the global row radix.
+        tables = (compositions(self.k, m).T for m in self.factor_n_cols)
+        self.comp_tables = [next(tables)] + [table / float(self.k) for table in tables]
+        self.radix = np.repeat([table.shape[1] for table in self.comp_tables],
                                self.factor_n_rows)
         self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
         self._binom, self._columns = self._column_tables()
@@ -291,7 +295,7 @@ class GridProblem:
             # the terms' columns side by side: one table build for all of them
             pbc, linear = _channel_sums(np.concatenate([w for _, _, w, _ in terms], axis=2),
                                         np.concatenate([h for *_, h in terms], axis=1),
-                                        (self.comp_counts[0] if m == self.factor_n_cols[0]
+                                        (self.comp_tables[0] if m == self.factor_n_cols[0]
                                          else compositions(k, m).T)[:na, None] / float(k))
             entropy = cond_entropy_table(pbc[:, None])
             n_vectors = entropy.shape[1]
@@ -307,12 +311,13 @@ class GridProblem:
 
     # -- point decoding ----------------------------------------------------
 
-    def _counts(self, f: int, digits) -> np.ndarray:
-        """Factor f's point tables, as counts of k, in one contiguous (rows,
-        cols, count) array, from ``digits``, the ``_unravel`` of
-        count points: one composition index per row."""
+    def _tables(self, f: int, digits) -> np.ndarray:
+        """Factor f's point tables, as its composition table holds them
+        (counts of k for factor 1), in one contiguous (rows, cols, count)
+        array, from ``digits``, the ``_unravel`` of count points: one
+        composition index per row."""
         off = int(self.row_offset[f])
-        table = self.comp_counts[f]
+        table = self.comp_tables[f]
         return np.stack([table.take(row, axis=1)
                          for row in digits[off:off + self.factor_n_rows[f]]])
 
@@ -325,8 +330,9 @@ class GridProblem:
     def distribution_rows(self, point: int) -> list[np.ndarray]:
         """One row-stochastic table per free factor at this grid point."""
         digits = [[v] for v in self.coordinates(point)]
-        return [self._counts(f, digits)[..., 0] / float(self.k)
-                for f in range(len(self.factors))]
+        rows = [self._tables(f, digits)[..., 0] for f in range(len(self.factors))]
+        rows[0] = rows[0] / float(self.k)
+        return rows
 
     # -- evaluation --------------------------------------------------------
 
@@ -371,7 +377,7 @@ class GridProblem:
         digits = _unravel(start + np.arange(count), self.radix)
         out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
         local, prefix_digits = self._prefixes(digits, self.factor_n_rows[0])
-        (counts,) = self._counts(0, prefix_digits)
+        (counts,) = self._tables(0, prefix_digits)
         for ci, cols, offsets, last, entropy, linear in self._columns:
             parts = counts[cols]
             # running sums over a, row by row: np.cumsum over axis 0 walks
@@ -394,7 +400,7 @@ class GridProblem:
             parent[local] = prev_local
             joint = joint.take(parent, axis=-1) * self._channels[s - 1]
             joint = joint * _aligned_factor(self.spec, fin, fout,
-                                            self._counts(s, prefix_digits) / float(self.k))
+                                            self._tables(s, prefix_digits))
             n = joint.shape[-1]
             for ci, ac, w, h in self._terms[s]:
                 na, _, nc = w.shape
