@@ -30,20 +30,36 @@ prefix of the batch, the composition indices of those factors' rows, and
 its terms are gathered to the batch rows: a batch's prefixes are one
 contiguous range, found and decoded by ``np.ravel_multi_index`` /
 ``np.unravel_index`` (``_ravel`` / ``_unravel`` take a radix of any
-length), and only the last slot runs on the full batch.
+length), and the last slot's dense terms run on the full batch.
 
-Slot 1 is read off tables instead.  Its joint is factor 1's one row, p(x)
-over X_{S_1}, whose entries are counts / k, and a term splits over the
+Most terms are read off per-column tables instead.  A term splits over the
 columns c of its C: H(B|C) - sum p(a,c) h(a,c) is the sum over c of
-H_c - L_c, each read from column c's entries alone.  A column's count
-vector v (|v| <= k) takes one of C(k + |A|, |A|) values (|v| = k, one of
-C(k + |A| - 1, |A| - 1), when C takes one value), so at set-up each
-term tabulates H_c(v) and L_c(v) for every c and every v, by the same
-a-ordered sums and the same log-sum kernel, with the count vectors as the
-batch.  A batch ranks each column's v among them, with a binomial table,
-and adds the table entries over c in column order: the same bits as
-evaluating the joint, once per term, column and count vector instead of
-once per grid point.  Every positive-delay term is a slot-1 term.
+H_c - L_c, each read from column c's entries of p(a,c) alone.
+
+Slot 1's joint is factor 1's one row, p(x) over X_{S_1}, whose entries are
+counts / k.  A column's count vector v (|v| <= k) takes one of
+C(k + |A|, |A|) values (|v| = k, one of C(k + |A| - 1, |A| - 1), when C
+takes one value), so at set-up each slot-1 term tabulates H_c(v) and
+L_c(v) for every c and every v, by the same a-ordered sums and the same
+log-sum kernel, with the count vectors as the batch.  A batch ranks each
+column's v among them, with a binomial table, and adds the table entries
+over c in column order: the same bits as evaluating the joint, once per
+term, column and count vector instead of once per grid point.  Every
+positive-delay term is a slot-1 term.
+
+In a later slot h, column c's entries p(a,c) are products of channel
+entries and of free-factor entries from the rows of factors 1..h whose
+row variables agree with c on those in C, the ones in A ranging freely.
+So H_c and L_c read only the composition digits of those touched rows,
+and a term is tabulated when its tables, one per column over every digit
+tuple of its touched rows, hold fewer cells than its slot has prefixes
+over the whole grid, the slot's dense evaluations; any other term stays
+dense.  The tables are filled by the slot's own dense evaluation, in
+scan-sized batches, at the points whose touched rows hold each tuple and
+every other row digit 0.  A batch ravels each distinct touched-row set's
+digits once and adds H_c and L_c at those indices over c in column
+order, on the full batch, so it builds a slot's joint only when that
+slot or a later one has a dense term.
 
 Each point table is one contiguous (rows, cols, count) array, taken row by
 row from its factor's one composition table, transposed to (cols,
@@ -51,9 +67,10 @@ n_compositions): factor 1's held as counts, ranked by slot 1 and divided by
 k for the slots after it, the later factors' held as counts / k.
 The sums over a start from the first row's products, not from zeros, and
 add the other rows through one scratch buffer in the same order.  The
-point count, and the cells the composition and column tables and one scan
-batch hold, are capped from the alphabet sizes and k before any length-D
-array or table exists; prefix tables are never larger than the batch's.
+point count, and the cells the composition and column tables, a table
+fill and one scan batch hold, are capped from the alphabet sizes and k
+before any length-D array or table exists; prefix tables are never larger
+than the batch's.
 """
 
 from __future__ import annotations
@@ -203,23 +220,46 @@ class GridProblem:
         # its placed copy, the slot's input joint before and after that
         # factor (a slot's inputs are its factor's rows and columns, so each
         # joint has as many cells as the largest table) and a term's copy of
-        # it, and that term's p(b,c), product and entropy temporaries.  A
-        # slot evaluated per prefix holds no more.
+        # it, and that term's p(b,c), product and entropy temporaries, or for
+        # a tabled term its slot's touched-row indices, its own flat indices
+        # and the H_c and L_c it gathers.  A slot evaluated per prefix holds
+        # no more.  The later slots' tables and their touched rows are held
+        # too; they are filled in batches of the scan's size, never beside a
+        # scan batch, each point holding its digits and their indices, or
+        # the slot's joint and one term's dense temporaries and the entries
+        # it keeps, so a point of a fill is counted as the larger of the two.
         comps = [(m, math.comb(self.k + m - 1, m - 1)) for m in self.factor_n_cols]
         shapes = {}  # (|A|, |B|, m) -> [count vectors, columns] of slot 1's tables
-        for s, *_, (na, nb, nc) in groups:
+        # (slot, cut) -> (A, C, touched rows and table cells per column,
+        # term shape) of each later-slot term read off tables: one whose
+        # tables hold fewer cells than its slot's dense evaluations over the
+        # whole grid, its prefixes
+        tabled, columns = {}, {}  # and slot -> its tabled terms' columns
+        for s, ci, a, b, c, (na, nb, nc) in groups:
             if s == 0:
                 m = _column_parts(na, nc)
                 shapes.setdefault((na, nb, m), [math.comb(self.k + m - 1, m - 1), 0])[1] += nc
+                continue
+            prefixes = math.prod(n ** r for (_, n), r in zip(comps[:s + 1], self.factor_n_rows))
+            touched = [group_size([v for v in fin if v in a]) for fin, _ in self.factors[:s + 1]]
+            n_cells = math.prod(n ** t for (_, n), t in zip(comps, touched))
+            if nc * n_cells < prefixes:
+                tabled[s, ci] = (a, c, sum(touched), n_cells, (na, nb, nc))
+                columns[s] = columns.get(s, 0) + nc
+        table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
+        rows = sum(self.factor_n_rows)
         held = (sum(m * n for m, n in comps) + sum(2 * nc * n for n, nc in shapes.values())
-                + max((m for _, _, m in shapes), default=0) * (self.k + 1))
+                + max((m for _, _, m in shapes), default=0) * (self.k + 1)
+                + sum(nc * (2 * n + t) for _, _, t, n, (_, _, nc) in tabled.values()))
         build = max([(3 * m + 3) * n for m, n in comps]
                     + [(3 * m + 3 + na + (5 * nb + 2) * nc) * n
                        for (na, nb, m), (n, nc) in shapes.items()])
-        table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
-        largest_term = max((5 * nb * nc for *_, (_, nb, nc) in groups), default=0)
-        per_point = (sum(self.factor_n_rows) + 2 + self.n_cuts * self.n_slots
-                     + 5 * table + largest_term)
+        largest_term = max([5 * nb * nc for *_, (_, nb, nc) in groups]
+                           + [2 * columns[s] + 3 * nc + 3
+                              for (s, _), (*_, (_, _, nc)) in tabled.items()], default=0)
+        per_point = max([rows + 2 + self.n_cuts * self.n_slots + 5 * table + largest_term]
+                        + [rows + 4 + max(3 * t, 5 * table + 5 * nb * nc + 2)
+                           for _, _, t, _, (_, nb, nc) in tabled.values()])
         cells = math.prod(sizes) + held + build + per_point * min(BATCH, n_points)
         require_within_cap(cells, GRID_CELL_CAP, "grid table cell count")
 
@@ -251,6 +291,12 @@ class GridProblem:
                                self.factor_n_rows)
         self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
         self._binom, self._columns = self._column_tables()
+        # per slot after the first: (touched-row sets, tabled terms, dense
+        # terms); a batch builds the input joints of the slots up to the last
+        # one with a dense term
+        self._later = [self._later_tables(s, tabled) for s in range(1, self.n_slots)]
+        self._joint_slots = max((s for s, (*_, dense) in enumerate(self._later, 1) if dense),
+                                default=0)
 
     def _column_tables(self):
         """(binomial table, columns) of slot 1's terms.  ``columns`` holds per
@@ -309,6 +355,82 @@ class GridProblem:
                             entropy[start:end], linear[start:end]))
         return binom.ravel(), out
 
+    def _later_tables(self, s: int, tabled):
+        """(sets, tables, dense) of slot s + 1 >= 2.  ``tables`` holds per
+        term in ``tabled`` (cut_idx, which, offsets, H, L): per column c the
+        entry in ``sets`` of its touched rows and c's offset into the flat
+        (|C| * cells) tables H_c and L_c, over every digit tuple of those
+        rows in C order (``_touched_rows``, ``_fill``).  ``sets`` holds each
+        distinct touched-row set once, with its radix as a tuple, so a batch
+        ravels it once; ``dense`` holds the other terms, which run on the
+        slot's joint."""
+        sets, tables, dense = {}, [], []
+        for term in self._terms[s]:
+            if (s, term[0]) not in tabled:
+                dense.append(term)
+                continue
+            a, c, _, n_cells, _ = tabled[s, term[0]]
+            touched = self._touched_rows(s, a, c)
+            which = [sets.setdefault(tuple(rows), len(sets)) for rows in touched.tolist()]
+            offsets = np.arange(0, touched.shape[0] * n_cells, n_cells)[:, None]
+            tables.append((term[0], np.array(which), offsets,
+                           *self._fill(s, term, touched, n_cells)))
+        return [(rows, tuple(self.radix[list(rows)].tolist())) for rows in sets], tables, dense
+
+    def _touched_rows(self, s: int, a, c) -> np.ndarray:
+        """(|C|, rows) indices, in ``radix``, of the free rows column c of a
+        slot s + 1 term with A = a and C = c reads, in row order: per factor
+        1..s+1, its rows whose variables in C take c's values, those in A
+        ranging freely (each factor's row variables are channel s + 1's
+        inputs, so each lies in A or C)."""
+        size = self.spec.var_size
+
+        def values(names, axis):
+            """Each name's digit over every value of ``names`` in C order,
+            along ``axis`` of a (columns, free rows) grid."""
+            if not names:
+                return {}
+            digits = np.unravel_index(np.arange(_group_size(size, names)), list(map(size, names)))
+            return {v: np.expand_dims(d, axis) for v, d in zip(names, digits)}
+
+        fixed, nc = values(c, 1), _group_size(size, c)
+        out = []
+        for f, (fin, _) in enumerate(self.factors[:s + 1]):
+            free = [v for v in fin if v in a]
+            digits = {**fixed, **values(free, 0)}
+            rows = (np.ravel_multi_index(np.broadcast_arrays(*[digits[v] for v in fin]),
+                                         list(map(size, fin))) if fin else 0)
+            out.append(np.broadcast_to(self.row_offset[f] + rows,
+                                       (nc, _group_size(size, free))))
+        return np.concatenate(out, axis=1)
+
+    def _fill(self, s: int, term, touched, n_cells: int):
+        """The flat (|C| * cells) tables H_c and L_c of one slot s + 1 term,
+        by its dense evaluation: entry c * cells + t is column c's H_c and
+        L_c at the grid point whose touched rows of c hold digit tuple t (in
+        C order) and every other row digit 0, which is every point's column
+        c whose touched rows hold t.  Points run in batches of at most
+        ``BATCH``; each evaluates every column and keeps its own."""
+        ci, ac, w, h = term
+        na, _, nc = w.shape
+        radix = self.radix[touched[0]]
+        n_rows = int(self.row_offset[s]) + self.factor_n_rows[s]
+        entropy, linear = np.empty(nc * n_cells), np.empty(nc * n_cells)
+        for start in range(0, nc * n_cells, BATCH):
+            entries = np.arange(start, min(start + BATCH, nc * n_cells))
+            col, cell = np.unravel_index(entries, (nc, n_cells))
+            own = (col, np.arange(entries.size))
+            digits = np.zeros((n_rows, entries.size), dtype=np.intp)
+            digits[touched[col].T, own[1]] = _unravel(cell, radix)
+            joint = self._first_joint(self._tables(0, digits))
+            for f in range(1, s + 1):
+                joint = self._extend(joint, f, digits)
+            pbc, lin = _channel_sums(w, h, _marginal(joint, self.names, ac)
+                                     .reshape(na, nc, entries.size))
+            entropy[entries] = cond_entropy_table(pbc[:, None])[own]
+            linear[entries] = lin[own]
+        return entropy, linear
+
     # -- point decoding ----------------------------------------------------
 
     def _tables(self, f: int, digits) -> np.ndarray:
@@ -347,39 +469,56 @@ class GridProblem:
         """
         if rows == len(self.radix):
             return slice(None), digits
-        radix = self.radix[:rows]
+        radix = tuple(self.radix[:rows].tolist())  # numpy reads a tuple's sizes faster
         prefix = _ravel(digits[:rows], radix)
         return prefix - prefix[0], _unravel(np.arange(prefix[0], prefix[-1] + 1), radix)
 
-    def eval_batch(self, start: int, count: int) -> np.ndarray:
-        """Terms array (count, n_cuts, n_slots); terms with a constant A or B
-        stay 0.
+    def _first_joint(self, tables) -> np.ndarray:
+        """Slot 1's input joint, factor 1's point tables (counts) over k."""
+        return _aligned_factor(self.spec, *self.factors[0], tables / float(self.k))
 
-        Slot h's terms read only factors 1..h, so they are evaluated once per
-        distinct prefix of the batch, the composition digits of those
-        factors' rows, and then gathered to the batch rows.  Points run in C
-        order, first row most significant, so a batch's slot-h prefixes are
-        one contiguous range.
+    def _extend(self, joint, f: int, digits) -> np.ndarray:
+        """Slot f + 1's input joint from slot f's: times channel f and then
+        factor f + 1's point tables at ``digits``."""
+        fin, fout = self.factors[f]
+        return (joint * self._channels[f - 1]
+                * _aligned_factor(self.spec, fin, fout, self._tables(f, digits)))
+
+    def eval_batch(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Terms array (count, n_cuts, n_slots); terms with a constant A or B
+        stay 0.  ``out``, if given, is that array, its constant terms' cells
+        0, as a scan's one zeroed buffer keeps them.
+
+        Slot h's terms read only factors 1..h, so a slot evaluated densely
+        runs once per distinct prefix of the batch, the composition digits
+        of those factors' rows, and is then gathered to the batch rows.
+        Points run in C order, first row most significant, so a batch's
+        slot-h prefixes are one contiguous range.
 
         Slot 1's terms are read off its column tables: each column's count
         vector is ranked in ``compositions`` order, and H_c and L_c at that
-        rank are added over c in column order.  Slot 2's joint is slot 1's
-        point tables; slot h's joint P_1 q_1 P_2 ... P_h is the previous
-        slot's joint taken from its prefixes to slot h's, times channel h-1
-        and then factor h's point tables, so no variable is ever summed out
-        and the last slot runs on the full batch.
+        rank are added over c in column order.  A later slot's tabled term
+        ravels each column's touched-row digits, once per distinct set of
+        those rows, and adds H_c and L_c at that index over c in column
+        order, on the full batch.  Slot 2's joint is slot 1's point tables;
+        slot h's joint P_1 q_1 P_2 ... P_h is the previous slot's joint taken
+        from its prefixes to slot h's, times channel h-1 and then factor h's
+        point tables, so no variable is ever summed out; it is built up to
+        the last slot with a dense term, and that slot's dense terms run on
+        its prefixes, the full batch for the last slot.
 
         Each term is I(A;B|C) = H(B|C) - sum over (a, c) of p(a,c) h(a,c),
         with p(b,c) = sum over a of p(a,c) W(b|a,c); a and c are added in
-        row order, so a point's terms do not depend on its batch, and slot
-        1's tables hold the same sums as its dense evaluation would.
+        row order, so a point's terms do not depend on its batch, and every
+        table holds the same sums as the dense evaluation would.
         """
         digits = _unravel(start + np.arange(count), self.radix)
-        out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
+        if out is None:
+            out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
         local, prefix_digits = self._prefixes(digits, self.factor_n_rows[0])
-        (counts,) = self._tables(0, prefix_digits)
+        counts = self._tables(0, prefix_digits)
         for ci, cols, offsets, last, entropy, linear in self._columns:
-            parts = counts[cols]
+            parts = counts[0, cols]
             # running sums over a, row by row: np.cumsum over axis 0 walks
             # the rows one strided cell at a time
             for row, prev in zip(parts[1:], parts):
@@ -388,26 +527,32 @@ class GridProblem:
             index = last - self._binom.take(parts).sum(axis=0)  # (c, rank) in the tables
             terms = _row_sum(entropy.take(index)) - _row_sum(linear.take(index))
             out[:, ci, 0] = _clamp_mi(terms)[local]
-        if self.n_slots > 1:
-            joint = _aligned_factor(self.spec, *self.factors[0], counts[None] / float(self.k))
-        for s in range(1, self.n_slots):
-            fin, fout = self.factors[s]
-            prev_local = local
-            local, prefix_digits = self._prefixes(
-                digits, int(self.row_offset[s]) + self.factor_n_rows[s])
-            # every batch row with one slot-s prefix has one slot s-1 prefix
-            parent = np.empty(prefix_digits[0].size, dtype=np.intp)
-            parent[local] = prev_local
-            joint = joint.take(parent, axis=-1) * self._channels[s - 1]
-            joint = joint * _aligned_factor(self.spec, fin, fout,
-                                            self._tables(s, prefix_digits))
-            n = joint.shape[-1]
-            for ci, ac, w, h in self._terms[s]:
+        if self._joint_slots:
+            joint = self._first_joint(counts)
+        for s, (sets, tables, dense) in enumerate(self._later, 1):
+            if s <= self._joint_slots:
+                prev_local = local
+                local, prefix_digits = self._prefixes(
+                    digits, int(self.row_offset[s]) + self.factor_n_rows[s])
+                # every batch row with one slot-s prefix has one slot s-1 prefix
+                parent = np.empty(prefix_digits[0].size, dtype=np.intp)
+                parent[local] = prev_local
+                joint = self._extend(joint.take(parent, axis=-1), s, prefix_digits)
+                n = joint.shape[-1]
+            for ci, ac, w, h in dense:
                 na, _, nc = w.shape
                 pbc, linear = _channel_sums(w, h, _marginal(joint, self.names, ac)
                                             .reshape(na, nc, n))
                 terms = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
                 out[:, ci, s] = terms[local]
+            if tables:
+                index = np.stack([_ravel([digits[r] for r in rows], radix)
+                                  for rows, radix in sets])
+                for ci, which, offsets, entropy, linear in tables:
+                    flat = index[which]
+                    flat += offsets
+                    terms = _row_sum(entropy.take(flat)) - _row_sum(linear.take(flat))
+                    out[:, ci, s] = _clamp_mi(terms)
         return out
 
 

@@ -122,14 +122,23 @@ class MembershipResult:
 # Grid search.
 
 def _scan(problem: GridProblem):
-    """Yield (start, caps, terms) per batch; caps has shape (count, n_cuts)."""
+    """Yield (start, caps, terms) per batch; caps has shape (count, n_cuts).
+
+    Every batch is written into one terms buffer and one caps buffer, taken
+    once per scan rather than once per batch; the next batch overwrites what
+    the last one yielded.
+    """
+    size = min(BATCH, problem.n_points)
+    terms_buffer = np.zeros((size, problem.n_cuts, problem.n_slots))
+    caps_buffer = np.empty((size, problem.n_cuts))
     start = 0
     while start < problem.n_points:
         count = min(BATCH, problem.n_points - start)
-        terms = problem.eval_batch(start, count)
+        terms = problem.eval_batch(start, count, terms_buffer[:count])
         # a running sum over the slots, in slot order: numpy's reduction
         # over the short innermost axis costs ~25 times as much
-        caps = terms[:, :, 0].copy()
+        caps = caps_buffer[:count]
+        np.copyto(caps, terms[:, :, 0])
         for s in range(1, problem.n_slots):
             caps += terms[:, :, s]
         yield start, caps, terms

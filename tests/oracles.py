@@ -14,7 +14,7 @@ induced joint, by variable names, the reference for the checks' outcome rows;
 ``two_network_equivalence`` is the equivalence check on the outcome rows of
 the spec and of its all-delayed network, two enumerations, the bit-for-bit
 reference for the check's one enumeration.
-``dense_slot_one_terms`` is the grid's slot-1 terms evaluated on the
+``dense_grid_terms`` is the grid's terms of every slot evaluated on the
 dense batch, the bit-for-bit reference for its column tables, and
 ``positive_delay_upper`` bounds every positive-delay cut term from above by
 Blahut-Arimoto on the channel tables alone.
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from zdmn._grid import GridProblem, capacity_term_groups, compositions
+from zdmn._grid import GridProblem, _unravel, capacity_term_groups, compositions
 from zdmn.bounds import CutConstraint, RateRegionReport, _point_report, _require_proper_cut
 from zdmn.errors import DomainError
 from zdmn.model import (ChannelTable, Cut, DelayProfile, NetworkSpec, require_valid, step_plan,
@@ -132,28 +132,36 @@ def grid_point_report(spec: NetworkSpec, which: str, k: int, point: int) -> Rate
     return _point_report(GridProblem(spec, which, k), point)
 
 
-def dense_slot_one_terms(problem: GridProblem, start: int, count: int) -> np.ndarray:
-    """Slot 1's (count, n_cuts) terms of grid points start.., evaluated on
-    the batch as the grid did before its column tables: factor 1's point
-    tables, its compositions / k, placed in the full layout, each term's
-    p(a,c) read off them, p(b,c) and h(a,c) p(a,c) summed over a in row
-    order and H(B|C) by ``cond_entropy_table`` over the whole batch.  The
-    bit-for-bit reference for the column tables."""
-    # factor 1 has one row, the most significant digit of a point
-    first = (start + np.arange(count)) // (problem.n_points // int(problem.radix[0]))
-    fin, fout = problem.factors[0]
-    table = compositions(problem.k, problem.factor_n_cols[0]).T / float(problem.k)
-    joint = np.ones(()) * _aligned_factor(problem.spec, fin, fout, table.take(first, axis=1)[None])
-    out = np.zeros((count, problem.n_cuts))
-    for ci, ac, w, h in problem._terms[0]:
-        na, _, nc = w.shape
-        pac = _marginal(joint, problem.names, ac).reshape(na, nc, count)
-        pbc = np.multiply(w[0][:, :, None], pac[0])
-        linear = np.multiply(h[0][:, None], pac[0])
-        for wa, ha, pa in zip(w[1:], h[1:], pac[1:]):
-            pbc += wa[:, :, None] * pa
-            linear += ha[:, None] * pa
-        out[:, ci] = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
+def dense_grid_terms(problem: GridProblem, start: int, count: int) -> np.ndarray:
+    """(count, n_cuts, n_slots) terms of grid points start.., every slot
+    evaluated densely on the batch, as the grid did before its tables: each
+    factor's point tables, its compositions / k, placed in the full layout
+    and multiplied in slot order with the channels between them, each term's
+    p(a,c) read off its slot's joint, p(b,c) and h(a,c) p(a,c) summed over a
+    in row order and H(B|C) by ``cond_entropy_table`` over the whole batch.
+    The bit-for-bit reference for the column tables of every slot."""
+    spec = problem.spec
+    digits = _unravel(start + np.arange(count), problem.radix)
+    out = np.zeros((count, problem.n_cuts, problem.n_slots))
+    joint = np.ones(())
+    for s, ((fin, fout), rows) in enumerate(zip(problem.factors, problem.factor_n_rows)):
+        table = compositions(problem.k, problem.factor_n_cols[s]).T / float(problem.k)
+        first = int(problem.row_offset[s])
+        point = np.stack([table.take(d, axis=1) for d in digits[first:first + rows]])
+        if s:  # only a capacity grid has a second slot: channel s sits before it
+            ch = spec.channels[s - 1]
+            channel = _aligned_factor(spec, ch.input_vars, ch.output_vars, ch.table)
+            joint = joint * channel[..., None]
+        joint = joint * _aligned_factor(spec, fin, fout, point)
+        for ci, ac, w, h in problem._terms[s]:
+            na, _, nc = w.shape
+            pac = _marginal(joint, problem.names, ac).reshape(na, nc, count)
+            pbc = np.multiply(w[0][:, :, None], pac[0])
+            linear = np.multiply(h[0][:, None], pac[0])
+            for wa, ha, pa in zip(w[1:], h[1:], pac[1:]):
+                pbc += wa[:, :, None] * pa
+                linear += ha[:, None] * pa
+            out[:, ci, s] = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
     return out
 
 

@@ -24,7 +24,7 @@ from zdmn.probability import (
     marginalize,
 )
 
-from oracles import (capacity_cut_cap, check_factorization, dense_slot_one_terms,
+from oracles import (capacity_cut_cap, check_factorization, dense_grid_terms,
                      factorized_joint, grid_point_report, positive_delay_upper,
                      random_network)
 
@@ -567,14 +567,22 @@ def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
     # slot 1's log-sums run once, while its column tables are built: one
     # kernel call per shape (|A|, |B|, m) of slot-1 terms, over every column
     # of those terms and every count vector a column can hold (|v| <= k, or
-    # |v| = k where the term has one column).  A batch calls the kernel
-    # only for the later slots' terms, on the full batch: on the relay at
-    # k=12 a batch straddling slot 1's prefixes runs slot 2 alone, and a
-    # positive-delay batch, all slot 1, runs none
-    shapes = []
-    kernel = _grid.cond_entropy_table
+    # |v| = k where the term has one column).  A later slot's term whose
+    # tables hold fewer cells than its slot has prefixes is tabulated too:
+    # its kernel runs at set-up, over every column and every digit tuple of
+    # the column's touched rows, in batches of at most BATCH.  A batch calls
+    # the kernel only for the dense terms, on the full batch: on the relay
+    # at k=12 the cut-{1} and cut-{2} slot-2 terms read 3 of the 5 rows and
+    # are tabulated, and cut {1,2} reads all 5 (13^5 cells, every point) and
+    # runs dense; bscfb's one slot-2 term at k=8 reads 3 of 5 rows, so a
+    # bscfb batch calls no kernel and places no factor; a positive-delay
+    # batch, all slot 1, runs none
+    shapes, placed = [], []
+    kernel, place = _grid.cond_entropy_table, _grid._aligned_factor
     monkeypatch.setattr(_grid, "cond_entropy_table",
                         lambda pbc: shapes.append(pbc.shape) or kernel(pbc))
+    monkeypatch.setattr(_grid, "_aligned_factor",
+                        lambda *args: placed.append(args[1:3]) or place(*args))
 
     def build(spec, mode, k):
         shapes.clear()
@@ -584,18 +592,35 @@ def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
         for na, nb, nc in (w.shape for _, _, w, _ in problem._terms[0]):
             vectors = math.comb(k + na, na) if nc > 1 else math.comb(k + na - 1, na - 1)
             tables[na, nb, vectors] = tables.get((na, nb, vectors), 0) + nc
+        later, dense, fills = {}, [], []  # cut -> (columns, cells per column) of tabled terms
+        for s, (_, tabled, slot_dense) in enumerate(problem._later, 1):
+            nb_of = {ci: w.shape[1] for ci, _, w, _ in problem._terms[s]}
+            for ci, which, _, entropy, _ in tabled:
+                later[problem.cuts[ci].nodes.members] = (which.size, entropy.size // which.size)
+                fills += [(nb_of[ci], 1, which.size, min(BATCH, entropy.size - n))
+                          for n in range(0, entropy.size, BATCH)]
+            dense += [problem.cuts[ci].nodes.members for ci, *_ in slot_dense]
         assert tables and shapes == ([(nb, 1, na, nc) for na, nb, nc in terms]  # h(a,c)
-                                     + [(nb, 1, nc, n) for (_, nb, n), nc in tables.items()])
-        return problem, tables
+                                     + [(nb, 1, nc, n) for (_, nb, n), nc in tables.items()]
+                                     + fills)
+        return problem, tables, later, dense
 
-    problem, tables = build(networks.causal_relay_spec(), "capacity", 12)
-    assert tables == {(2, 2, 13): 2} and problem._terms[1]
+    problem, tables, later, dense = build(networks.causal_relay_spec(), "capacity", 12)
+    assert tables == {(2, 2, 13): 2}
+    assert later == {(1,): (4, 13 ** 3), (2,): (2, 13 ** 3)} and dense == [(1, 2)]
+    (dense_term,) = problem._later[0][2]
     for start in (0, 28561 - BATCH // 2):
         shapes.clear()
         problem.eval_batch(start, BATCH)
-        assert shapes == [(*w.shape[1:], BATCH) for _, _, w, _ in problem._terms[1]]
-    problem, tables = build(random_network(*_TERNARY, 7), "positive-delay", 4)
-    assert tables == {(3, 9, 35): 27, (9, 3, 715): 9}
+        assert shapes == [(*dense_term[2].shape[1:], BATCH)]
+    problem, tables, later, dense = build(networks.bscfb_spec(0.11), "capacity", 8)
+    assert (tables, later, dense) == ({(2, 2, 9): 1}, {(2,): (2, 9 ** 3)}, [])
+    shapes.clear()
+    placed.clear()
+    problem.eval_batch(0, BATCH)
+    assert shapes == [] and placed == []
+    problem, tables, later, dense = build(random_network(*_TERNARY, 7), "positive-delay", 4)
+    assert (tables, later, dense) == ({(3, 9, 35): 27, (9, 3, 715): 9}, {}, [])
     shapes.clear()
     problem.eval_batch(0, BATCH)
     assert shapes == []
@@ -615,13 +640,18 @@ def _random_grid_shapes(count):
         yield random_network(x_sizes, y_sizes, s, g, seed), int(rng.integers(1, 4))
 
 
-def _slot_one_windows(problem):
-    """(start, count) windows that visit every slot-1 prefix of a grid: the
-    whole grid when it fits two scan batches, else each prefix's first point."""
-    if problem.n_points <= 2 * BATCH:
-        return [(0, problem.n_points)]
-    span = problem.n_points // int(problem.radix[0])
-    return [(p * span, 1) for p in range(int(problem.radix[0]))]
+def _prefix_windows(problem):
+    """(start, count) windows of a grid: the whole grid when it fits two
+    scan batches, else the first and last batch and four points around
+    every slot-1 prefix boundary and the first slot-2 one, so each window
+    but the end ones straddles a boundary of every slot's prefixes."""
+    n = problem.n_points
+    if n <= 2 * BATCH:
+        return [(0, n)]
+    spans = [n // math.prod(problem.radix[:int(problem.row_offset[s]) + rows].tolist())
+             for s, rows in enumerate(problem.factor_n_rows[:2])]
+    edges = [p * spans[0] for p in range(1, int(problem.radix[0]))] + spans[1:]
+    return [(0, BATCH), (n - BATCH, BATCH)] + [(e - 2, 4) for e in edges if 2 <= e < n - 1]
 
 
 def test_grid_column_tables_equal_the_dense_slot_one_terms(bundled_specs):
@@ -641,14 +671,47 @@ def test_grid_column_tables_equal_the_dense_slot_one_terms(bundled_specs):
         except ResourceCapError:
             refused += 1  # a capacity grid past the point cap
             continue
-        for start, count in _slot_one_windows(problem):
+        for start, count in _prefix_windows(problem):
             got = problem.eval_batch(start, count)[:, :, 0]
-            want = dense_slot_one_terms(problem, start, count)
+            want = dense_grid_terms(problem, start, count)[:, :, 0]
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (mode, k, start)
         compared += 1
         one_letter += 1 in spec.input_alphabet_sizes + spec.output_alphabet_sizes
         single_column += any(w.shape[2] == 1 for _, _, w, _ in problem._terms[0])
     assert (compared, refused, one_letter, single_column) == (235, 8, 194, 94)
+
+
+def test_grid_terms_equal_the_dense_evaluation(bundled_specs):
+    # every slot's terms, read off tables or evaluated per prefix, are the
+    # dense evaluation's floats: every scan batch of the benchmark's
+    # capacity grids, and windows straddling the prefix boundaries of the
+    # bundled specs at five resolutions and of 100 random shapes; the
+    # ternary network's capacity grid is past the point cap at k = 1
+    benchmark = [(networks.bscfb_spec(eps), 8) for eps in (0.05, 0.11, 0.25)]
+    benchmark.append((networks.causal_relay_spec(), 12))
+    cases = [(spec, k, True) for spec, k in benchmark]
+    cases += [(spec, k, False) for _, spec in sorted(bundled_specs.items())
+              for k in (1, 2, 3, 5, 8)]
+    cases += [(random_network(*_TERNARY, seed), 1, False) for seed in (1, 2, 3)]
+    cases += [(spec, k, False) for spec, k in _random_grid_shapes(100)]
+    compared, refused, tabled, dense = 0, 0, 0, 0
+    for spec, k, every_batch in cases:
+        try:
+            problem = GridProblem(spec, "capacity", k)
+        except ResourceCapError:
+            refused += 1
+            continue
+        windows = ([(start, min(BATCH, problem.n_points - start))
+                    for start in range(0, problem.n_points, BATCH)]
+                   if every_batch else _prefix_windows(problem))
+        for start, count in windows:
+            got = problem.eval_batch(start, count)
+            want = dense_grid_terms(problem, start, count)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (k, start)
+        compared += 1
+        tabled += any(tables for _, tables, _ in problem._later)
+        dense += any(slot_dense for *_, slot_dense in problem._later)
+    assert (compared, refused, tabled, dense) == (116, 11, 29, 42)
 
 
 def test_grid_indices_past_numpy_dimension_cap():
@@ -801,20 +864,52 @@ def test_grid_cell_count_covers_the_set_up(monkeypatch):
     # the tracemalloc peak of building a grid, its composition and column
     # tables included, stays within 8 bytes per counted cell: a cap one cell
     # below peak / 8 refuses the grid.  classical-bsc's one column holds
-    # 100,001 count vectors, bscfb's two columns per term 1,891 each
-    for spec, k in ((networks.classical_bsc_spec(0.25), 10 ** 5),
-                    (networks.bscfb_spec(0.11), 60), (random_network(*_TERNARY, 7), 4)):
+    # 100,001 count vectors, bscfb's two columns per term 1,891 each; the
+    # relay's capacity grids fill later-slot tables of 6 columns of 13^3 and
+    # 25^3 digit triples, in scan-sized batches
+    for spec, mode, k in ((networks.classical_bsc_spec(0.25), "positive-delay", 10 ** 5),
+                          (networks.bscfb_spec(0.11), "positive-delay", 60),
+                          (random_network(*_TERNARY, 7), "positive-delay", 4),
+                          (networks.causal_relay_spec(), "capacity", 12),
+                          (networks.causal_relay_spec(), "capacity", 24)):
         tracemalloc.start()
         try:
-            GridProblem(spec, "positive-delay", k)
+            problem = GridProblem(spec, mode, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak > 2 ** 21
+        assert any(tables for _, tables, _ in problem._later) == (mode == "capacity")
         with monkeypatch.context() as patch:
             patch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
             with pytest.raises(ResourceCapError):
-                GridProblem(spec, "positive-delay", k)
+                GridProblem(spec, mode, k)
+
+
+def test_grid_later_tables_counted_before_they_are_built(monkeypatch):
+    # the relay's cut-{1} and cut-{2} slot-2 terms tabulate 6 columns of
+    # (k + 1)^3 digit triples, an H_c and an L_c table each: from k = 12 to
+    # k = 24 they grow by 12 (25^3 - 13^3) = 161,136 cells, 1.3 MB, and the
+    # cell count grows by at least that; with the cap one cell below the
+    # count at k = 24 the grid is refused before any table exists
+    counts = []
+    require = _grid.require_within_cap
+    monkeypatch.setattr(_grid, "require_within_cap", lambda count, limit, what: (
+        what == "grid table cell count" and counts.append(count)) or require(count, limit, what))
+    spec = networks.causal_relay_spec()
+    for k in (12, 24):
+        GridProblem(spec, "capacity", k)
+    assert counts[1] - counts[0] >= 12 * (25 ** 3 - 13 ** 3)
+    monkeypatch.setattr(_grid, "GRID_CELL_CAP", counts[1] - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=f"^grid table cell count {counts[1]} is above "
+                                                   f"the cap of {counts[1] - 1}$"):
+            GridProblem(spec, "capacity", 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_grid_hull_noisy_feedback_capacity():
