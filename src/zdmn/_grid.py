@@ -22,15 +22,24 @@ and B is part of its outputs Y_{G_h}.  So each term is
 
 where h(a,c) is the entropy of row (a, c) of the term's channel W(b|a,c)
 and p(b,c) = sum over a of p(a,c) W(b|a,c).  W and h are computed once per
-grid, so a batch of points needs only each slot's channel-input joint: the
+grid, so a set of points needs only each slot's channel-input joint: the
 product P_1 q_1 P_2 ... P_h of the free factors' point tables and the
-channels, placed by ``_aligned_factor`` with a trailing batch axis.  That
-joint reads only factors 1..h, so slot h is evaluated once per distinct
-prefix of the batch, the composition indices of those factors' rows, and
-its terms are gathered to the batch rows: a batch's prefixes are one
-contiguous range, found and decoded by ``np.ravel_multi_index`` /
-``np.unravel_index`` (``_ravel`` / ``_unravel`` take a radix of any
-length), and the last slot's dense terms run on the full batch.
+channels, placed by ``_aligned_factor`` with trailing batch axes.
+
+Points are evaluated in Cartesian blocks of the grid.  A row with one
+composition always reads digit 0; every other row (a live row) has a batch
+axis of its own.  A block holds the leading live rows at fixed digits, one
+row over a digit range [lo, hi) and every later row whole, so its points
+are one contiguous run in C order.  Each row's digits are a contiguous
+range, so its point tables are a slice of its factor's composition table
+on the row's own axis, and the block is evaluated by broadcasting: slot
+h's joint spans only the axes of factors 1..h's rows, so it is built once
+per distinct digit tuple of those rows in the block, and its terms
+broadcast to the block's points.  A scan block takes ceil(BATCH / tail)
+digits of its partial row, the first live row whose later rows hold
+tail <= BATCH points together, so it holds fewer than BATCH + tail points;
+``eval_batch`` splits any window of points into at most 2L - 1 blocks for
+L live rows, decoding only the window's first point.
 
 Most terms are read off per-column tables instead.  A term splits over the
 columns c of its C: H(B|C) - sum p(a,c) h(a,c) is the sum over c of
@@ -41,11 +50,12 @@ counts / k.  A column's count vector v (|v| <= k) takes one of
 C(k + |A|, |A|) values (|v| = k, one of C(k + |A| - 1, |A| - 1), when C
 takes one value), so at set-up each slot-1 term tabulates H_c(v) and
 L_c(v) for every c and every v, by the same a-ordered sums and the same
-log-sum kernel, with the count vectors as the batch.  A batch ranks each
-column's v among them, with a binomial table, and adds the table entries
-over c in column order: the same bits as evaluating the joint, once per
-term, column and count vector instead of once per grid point.  Every
-positive-delay term is a slot-1 term.
+log-sum kernel, with the count vectors as the batch.  A block ranks each
+column's v among them, with a binomial table, once per digit of factor 1's
+row in the block, and adds the table entries over c in column order: the
+same bits as evaluating the joint, once per term, column and count vector
+instead of once per grid point.  Every positive-delay term is a slot-1
+term.
 
 In a later slot h, column c's entries p(a,c) are products of channel
 entries and of free-factor entries from the rows of factors 1..h whose
@@ -54,27 +64,27 @@ So H_c and L_c read only the composition digits of those touched rows,
 and a term is tabulated when its tables, one per column over every digit
 tuple of its touched rows, hold fewer cells than its slot has prefixes
 over the whole grid, the slot's dense evaluations; any other term stays
-dense.  The tables are filled by the slot's own dense evaluation, in
-scan-sized batches, at the points whose touched rows hold each tuple and
-every other row digit 0.  A batch ravels each distinct touched-row set's
-digits once and adds H_c and L_c at those indices over c in column
-order, on the full batch, so it builds a slot's joint only when that
-slot or a later one has a dense term.
+dense.  Each column's tables are filled by the slot's own dense
+evaluation of that column alone, in blocks over its touched rows with
+every other row at digit 0.  A block ravels each distinct touched-row
+set's digit ranges once, by ``np.ravel_multi_index`` over their broadcast
+axes, so the index spans only those rows' axes, and adds H_c and L_c at
+those indices over c in column order; it builds a slot's joint only when
+that slot or a later one has a dense term.
 
-Each point table is one contiguous (rows, cols, count) array, taken row by
-row from its factor's one composition table, transposed to (cols,
-n_compositions): factor 1's held as counts, ranked by slot 1 and divided by
-k for the slots after it, the later factors' held as counts / k.
-The sums over a start from the first row's products, not from zeros, and
-add the other rows through one scratch buffer in the same order.  The
-point count, and the cells the composition and column tables, a table
-fill and one scan batch hold, are capped from the alphabet sizes and k
-before any length-D array or table exists; prefix tables are never larger
-than the batch's.
+Each composition table is one contiguous (cols, n_compositions) array:
+factor 1's held as counts, ranked by slot 1 and divided by k for the slots
+after it, the later factors' held as counts / k.  The sums over a start
+from the first row's products, not from zeros, and add the other rows
+through one scratch buffer in the same order.  The point count, and the
+cells the composition and column tables, a table fill and the largest
+scan block hold, are capped from the alphabet sizes and k before any
+length-D array or table exists.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -87,8 +97,8 @@ from .probability import (_aligned_factor, _channel_product, _full_layout, _grou
                           input_conditional_vars)
 
 POINT_CAP = 10 ** 7  # grid points one scan may enumerate
-BATCH = 4096  # grid points per eval_batch call of a scan
-GRID_CELL_CAP = 2 ** 26  # float64 cells one scan batch holds at once
+BATCH = 4096  # grid points a scan block reaches: ceil(BATCH / tail) partial-row digits
+GRID_CELL_CAP = 2 ** 26  # float64 cells a grid's tables and one scan block hold at once
 
 
 def compositions(k: int, m: int) -> np.ndarray:
@@ -134,14 +144,39 @@ def _unravel(index, radix) -> tuple:
                  for digit in np.unravel_index(part, group))
 
 
-def _ravel(digits, radix):
-    """``np.ravel_multi_index(digits, radix)`` for a radix of any length, by
-    the groups of ``_unravel``."""
-    if len(radix) <= _ROWS_PER_CALL:
-        return np.ravel_multi_index(digits, radix)
-    groups = [slice(i, i + _ROWS_PER_CALL) for i in range(0, len(radix), _ROWS_PER_CALL)]
-    return _ravel([np.ravel_multi_index(digits[g], radix[g]) for g in groups],
-                  [math.prod(radix[g]) for g in groups])
+def _partial_row(radix) -> tuple[int, int, int]:
+    """(row, digits, tail) of the scan blocks over a nonempty ``radix``: the
+    partial row is the first whose later rows hold tail <= BATCH points
+    together, and a block takes ceil(BATCH / tail) of its digits."""
+    row, tail = 0, math.prod(radix[1:])
+    while tail > BATCH:
+        row += 1
+        tail //= radix[row]
+    return row, -(-BATCH // tail), tail
+
+
+def _block_points(radix) -> int:
+    """Points of the largest scan block over ``radix``."""
+    if not radix:
+        return 1
+    row, digits, tail = _partial_row(radix)
+    return min(digits, radix[row]) * tail
+
+
+def _scan_blocks(radix):
+    """The scan's Cartesian blocks over ``radix``, in C order, each one
+    (lo, hi) digit range per row: the rows before the partial row at one
+    digit each, the partial row over ``_partial_row``'s digits (fewer at its
+    end) and every later row whole.  With no rows, the one empty block."""
+    if not radix:
+        yield ()
+        return
+    row, digits, _ = _partial_row(radix)
+    whole = tuple((0, n) for n in radix[row + 1:])
+    for lead in itertools.product(*map(range, radix[:row])):
+        fixed = tuple((d, d + 1) for d in lead)
+        for lo in range(0, radix[row], digits):
+            yield fixed + ((lo, min(lo + digits, radix[row])),) + whole
 
 
 def capacity_term_groups(step, cut: NodeSet):
@@ -215,25 +250,24 @@ class GridProblem:
         # read, and the largest build among them (a ``compositions`` call
         # holds its levels beside the table; a column table also its count
         # vectors over k, and p(b,c), h(a,c) p(a,c) and entropy
-        # temporaries); then per point of a batch the digits, the prefix and
-        # parent indices and the output terms, a factor's point table and
-        # its placed copy, the slot's input joint before and after that
-        # factor (a slot's inputs are its factor's rows and columns, so each
-        # joint has as many cells as the largest table) and a term's copy of
-        # it, and that term's p(b,c), product and entropy temporaries, or for
-        # a tabled term its slot's touched-row indices, its own flat indices
-        # and the H_c and L_c it gathers.  A slot evaluated per prefix holds
-        # no more.  The later slots' tables and their touched rows are held
-        # too; they are filled in batches of the scan's size, never beside a
-        # scan batch, each point holding its digits and their indices, or
-        # the slot's joint and one term's dense temporaries and the entries
-        # it keeps, so a point of a fill is counted as the larger of the two.
+        # temporaries); the later slots' tables; then per point of the
+        # largest scan block the output terms, a factor's point table and its
+        # placed copy, the slot's input joint before and after that factor
+        # (a slot's inputs are its factor's rows and columns, so each joint
+        # has as many cells as the largest table) and a term's copy of it,
+        # and that term's p(b,c), product and entropy temporaries, or for a
+        # tabled term its slot's touched-row indices, a column's flat
+        # indices and the H_c and L_c it adds.  A block's digit ranges and
+        # slot-1 ranks run over single rows, so per point they hold less
+        # than a point table.  A table is filled in blocks over one
+        # column's touched rows, never beside a scan block, each point
+        # holding the slot's joint, its copy and one column's temporaries.
         comps = [(m, math.comb(self.k + m - 1, m - 1)) for m in self.factor_n_cols]
         shapes = {}  # (|A|, |B|, m) -> [count vectors, columns] of slot 1's tables
-        # (slot, cut) -> (A, C, touched rows and table cells per column,
-        # term shape) of each later-slot term read off tables: one whose
-        # tables hold fewer cells than its slot's dense evaluations over the
-        # whole grid, its prefixes
+        # (slot, cut) -> (A, C, per column its touched live rows' radix and
+        # table cells, term shape) of each later-slot term read off tables:
+        # one whose tables hold fewer cells than its slot's dense evaluations
+        # over the whole grid, its prefixes
         tabled, columns = {}, {}  # and slot -> its tabled terms' columns
         for s, ci, a, b, c, (na, nb, nc) in groups:
             if s == 0:
@@ -242,26 +276,49 @@ class GridProblem:
                 continue
             prefixes = math.prod(n ** r for (_, n), r in zip(comps[:s + 1], self.factor_n_rows))
             touched = [group_size([v for v in fin if v in a]) for fin, _ in self.factors[:s + 1]]
-            n_cells = math.prod(n ** t for (_, n), t in zip(comps, touched))
+            radix = [n for (_, n), t in zip(comps, touched) if n > 1 for _ in range(t)]
+            n_cells = math.prod(radix)
             if nc * n_cells < prefixes:
-                tabled[s, ci] = (a, c, sum(touched), n_cells, (na, nb, nc))
+                tabled[s, ci] = (a, c, radix, n_cells, (na, nb, nc))
                 columns[s] = columns.get(s, 0) + nc
         table = max(r * c for r, c in zip(self.factor_n_rows, self.factor_n_cols))
-        rows = sum(self.factor_n_rows)
         held = (sum(m * n for m, n in comps) + sum(2 * nc * n for n, nc in shapes.values())
                 + max((m for _, _, m in shapes), default=0) * (self.k + 1)
-                + sum(nc * (2 * n + t) for _, _, t, n, (_, _, nc) in tabled.values()))
+                + sum(2 * nc * n for _, _, _, n, (_, _, nc) in tabled.values()))
         build = max([(3 * m + 3) * n for m, n in comps]
                     + [(3 * m + 3 + na + (5 * nb + 2) * nc) * n
                        for (na, nb, m), (n, nc) in shapes.items()])
         largest_term = max([5 * nb * nc for *_, (_, nb, nc) in groups]
                            + [2 * columns[s] + 3 * nc + 3
                               for (s, _), (*_, (_, _, nc)) in tabled.items()], default=0)
-        per_point = max([rows + 2 + self.n_cuts * self.n_slots + 5 * table + largest_term]
-                        + [rows + 4 + max(3 * t, 5 * table + 5 * nb * nc + 2)
-                           for _, _, t, _, (_, nb, nc) in tabled.values()])
-        cells = math.prod(sizes) + held + build + per_point * min(BATCH, n_points)
+        live_radix = [n for (_, n), r in zip(comps, self.factor_n_rows) if n > 1
+                      for _ in range(r)]
+        self.block_points = _block_points(live_radix)
+        fills = [(5 * table + 5 * nb + 2) * _block_points(radix)
+                 for _, _, radix, _, (_, nb, _) in tabled.values()]
+        cells = (math.prod(sizes) + held + build
+                 + max([(self.n_cuts * self.n_slots + 5 * table + largest_term)
+                        * self.block_points] + fills))
         require_within_cap(cells, GRID_CELL_CAP, "grid table cell count")
+
+        # Composition tables, one per factor, in contiguous (cols,
+        # n_compositions) arrays: factor 1's as counts, which slot 1 ranks,
+        # the later factors' as counts / k, which their slots read as
+        # floats; the global row radix; and per live row (one of more than
+        # one composition) its batch axis: ``_axis`` holds each row's axis
+        # or -1, ``_axis_shape`` the shape that puts a digit range on an
+        # axis.
+        tables = (compositions(self.k, m).T for m in self.factor_n_cols)
+        self.comp_tables = [next(tables)] + [table / float(self.k) for table in tables]
+        self.radix = np.repeat([table.shape[1] for table in self.comp_tables],
+                               self.factor_n_rows)
+        self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
+        self._live_radix = tuple(live_radix)
+        n_axes = len(live_radix)
+        self._axis = np.where(self.radix > 1, np.cumsum(self.radix > 1) - 1, -1)
+        self._axis_shape = [(1,) * i + (-1,) + (1,) * (n_axes - 1 - i) for i in range(n_axes)]
+        # points past each axis: the stride of one digit in C order
+        self._tails = [math.prod(live_radix[i + 1:]) for i in range(n_axes)]
 
         # Every term's channel is its slot's channel, fixed by the network:
         # in positive-delay mode the channel product q^(1) ... q^(alpha) of
@@ -278,21 +335,13 @@ class GridProblem:
             w = _marginal(channels[s], self.names, a + b + c).reshape(shape)
             h = cond_entropy_table(np.swapaxes(w, 0, 1)[:, None])
             self._terms[s].append((ci, a + c, w, h))
-        # the channels between consecutive free factors, with a batch axis
-        self._channels = [ch[..., None] for ch in channels[:len(self.factors) - 1]]
-
-        # Composition tables, one per factor, in contiguous (cols,
-        # n_compositions) arrays: factor 1's as counts, which slot 1 ranks,
-        # the later factors' as counts / k, which their slots read as
-        # floats in every batch; and the global row radix.
-        tables = (compositions(self.k, m).T for m in self.factor_n_cols)
-        self.comp_tables = [next(tables)] + [table / float(self.k) for table in tables]
-        self.radix = np.repeat([table.shape[1] for table in self.comp_tables],
-                               self.factor_n_rows)
-        self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
+        # the channels between consecutive free factors, with a length-1
+        # axis per live row
+        self._channels = [ch.reshape(ch.shape + (1,) * n_axes)
+                          for ch in channels[:len(self.factors) - 1]]
         self._binom, self._columns = self._column_tables()
         # per slot after the first: (touched-row sets, tabled terms, dense
-        # terms); a batch builds the input joints of the slots up to the last
+        # terms); a block builds the input joints of the slots up to the last
         # one with a dense term
         self._later = [self._later_tables(s, tabled) for s in range(1, self.n_slots)]
         self._joint_slots = max((s for s, (*_, dense) in enumerate(self._later, 1) if dense),
@@ -357,32 +406,30 @@ class GridProblem:
 
     def _later_tables(self, s: int, tabled):
         """(sets, tables, dense) of slot s + 1 >= 2.  ``tables`` holds per
-        term in ``tabled`` (cut_idx, which, offsets, H, L): per column c the
-        entry in ``sets`` of its touched rows and c's offset into the flat
-        (|C| * cells) tables H_c and L_c, over every digit tuple of those
-        rows in C order (``_touched_rows``, ``_fill``).  ``sets`` holds each
-        distinct touched-row set once, with its radix as a tuple, so a batch
-        ravels it once; ``dense`` holds the other terms, which run on the
-        slot's joint."""
+        term in ``tabled`` (cut_idx, which, H, L): per column c the entry in
+        ``sets`` of its touched live rows, and the (|C|, cells) tables H_c
+        and L_c, row c over every digit tuple of c's touched rows in C order
+        (``_touched_axes``, ``_fill``).  ``sets`` holds each distinct set of
+        those rows' axes once, with their radix, so a block ravels it once;
+        ``dense`` holds the other terms, which run on the slot's joint."""
         sets, tables, dense = {}, [], []
         for term in self._terms[s]:
             if (s, term[0]) not in tabled:
                 dense.append(term)
                 continue
             a, c, _, n_cells, _ = tabled[s, term[0]]
-            touched = self._touched_rows(s, a, c)
-            which = [sets.setdefault(tuple(rows), len(sets)) for rows in touched.tolist()]
-            offsets = np.arange(0, touched.shape[0] * n_cells, n_cells)[:, None]
-            tables.append((term[0], np.array(which), offsets,
-                           *self._fill(s, term, touched, n_cells)))
-        return [(rows, tuple(self.radix[list(rows)].tolist())) for rows in sets], tables, dense
+            touched = self._touched_axes(s, a, c)
+            which = [sets.setdefault(axes, len(sets)) for axes in touched]
+            tables.append((term[0], which, *self._fill(s, term, touched, n_cells)))
+        return ([(axes, tuple(self._live_radix[i] for i in axes)) for axes in sets],
+                tables, dense)
 
-    def _touched_rows(self, s: int, a, c) -> np.ndarray:
-        """(|C|, rows) indices, in ``radix``, of the free rows column c of a
-        slot s + 1 term with A = a and C = c reads, in row order: per factor
-        1..s+1, its rows whose variables in C take c's values, those in A
-        ranging freely (each factor's row variables are channel s + 1's
-        inputs, so each lies in A or C)."""
+    def _touched_axes(self, s: int, a, c) -> list[tuple[int, ...]]:
+        """Per column c of a slot s + 1 term with A = a and C = c, the axes
+        of the live free rows it reads, in row order: per factor 1..s+1, its
+        rows whose variables in C take c's values, those in A ranging freely
+        (each factor's row variables are channel s + 1's inputs, so each
+        lies in A or C)."""
         size = self.spec.var_size
 
         def values(names, axis):
@@ -394,54 +441,47 @@ class GridProblem:
             return {v: np.expand_dims(d, axis) for v, d in zip(names, digits)}
 
         fixed, nc = values(c, 1), _group_size(size, c)
-        out = []
+        rows = []
         for f, (fin, _) in enumerate(self.factors[:s + 1]):
             free = [v for v in fin if v in a]
             digits = {**fixed, **values(free, 0)}
-            rows = (np.ravel_multi_index(np.broadcast_arrays(*[digits[v] for v in fin]),
-                                         list(map(size, fin))) if fin else 0)
-            out.append(np.broadcast_to(self.row_offset[f] + rows,
-                                       (nc, _group_size(size, free))))
-        return np.concatenate(out, axis=1)
+            row = (np.ravel_multi_index(np.broadcast_arrays(*[digits[v] for v in fin]),
+                                        list(map(size, fin))) if fin else 0)
+            rows.append(np.broadcast_to(self.row_offset[f] + row,
+                                        (nc, _group_size(size, free))))
+        axes = self._axis[np.concatenate(rows, axis=1)]
+        return [tuple(col[col >= 0].tolist()) for col in axes]
 
     def _fill(self, s: int, term, touched, n_cells: int):
-        """The flat (|C| * cells) tables H_c and L_c of one slot s + 1 term,
-        by its dense evaluation: entry c * cells + t is column c's H_c and
-        L_c at the grid point whose touched rows of c hold digit tuple t (in
-        C order) and every other row digit 0, which is every point's column
-        c whose touched rows hold t.  Points run in batches of at most
-        ``BATCH``; each evaluates every column and keeps its own."""
-        ci, ac, w, h = term
+        """The (|C|, cells) tables H_c and L_c of one slot s + 1 term, by its
+        dense evaluation of one column at a time: entry (c, t) is column c's
+        H_c and L_c at the grid points whose touched rows of c hold digit
+        tuple t (in C order) and every other row digit 0, which is every
+        point's column c whose touched rows hold t.  Each column runs in the
+        scan's blocks over its touched rows (``_scan_blocks``) and sums only
+        its own slice of W, h and p(a,c)."""
+        _, ac, w, h = term
         na, _, nc = w.shape
-        radix = self.radix[touched[0]]
-        n_rows = int(self.row_offset[s]) + self.factor_n_rows[s]
-        entropy, linear = np.empty(nc * n_cells), np.empty(nc * n_cells)
-        for start in range(0, nc * n_cells, BATCH):
-            entries = np.arange(start, min(start + BATCH, nc * n_cells))
-            col, cell = np.unravel_index(entries, (nc, n_cells))
-            own = (col, np.arange(entries.size))
-            digits = np.zeros((n_rows, entries.size), dtype=np.intp)
-            digits[touched[col].T, own[1]] = _unravel(cell, radix)
-            joint = self._first_joint(self._tables(0, digits))
-            for f in range(1, s + 1):
-                joint = self._extend(joint, f, digits)
-            pbc, lin = _channel_sums(w, h, _marginal(joint, self.names, ac)
-                                     .reshape(na, nc, entries.size))
-            entropy[entries] = cond_entropy_table(pbc[:, None])[own]
-            linear[entries] = lin[own]
+        entropy, linear = np.empty((nc, n_cells)), np.empty((nc, n_cells))
+        for col, axes in enumerate(touched):
+            radix = [self._live_radix[i] for i in axes]
+            col_entropy, col_linear = entropy[col].reshape(radix), linear[col].reshape(radix)
+            ranges = [(0, 1)] * len(self._live_radix)
+            for block in _scan_blocks(radix):
+                for i, digits in zip(axes, block):
+                    ranges[i] = digits
+                joint = self._first_joint(ranges)
+                for f in range(1, s + 1):
+                    joint = self._extend(joint, f, ranges)
+                pac = _marginal(joint, self.names, ac).reshape(na, nc, -1)[:, col:col + 1]
+                pbc, lin = _channel_sums(w[:, :, col:col + 1], h[:, col:col + 1], pac)
+                where = tuple(slice(lo, hi) for lo, hi in block)
+                shape = tuple(hi - lo for lo, hi in block)
+                col_entropy[where] = cond_entropy_table(pbc).reshape(shape)
+                col_linear[where] = lin.reshape(shape)
         return entropy, linear
 
     # -- point decoding ----------------------------------------------------
-
-    def _tables(self, f: int, digits) -> np.ndarray:
-        """Factor f's point tables, as its composition table holds them
-        (counts of k for factor 1), in one contiguous (rows, cols, count)
-        array, from ``digits``, the ``_unravel`` of count points: one
-        composition index per row."""
-        off = int(self.row_offset[f])
-        table = self.comp_tables[f]
-        return np.stack([table.take(row, axis=1)
-                         for row in digits[off:off + self.factor_n_rows[f]]])
 
     def coordinates(self, point: int) -> tuple[int, ...]:
         """Per-row composition indices, first row most significant."""
@@ -451,74 +491,129 @@ class GridProblem:
 
     def distribution_rows(self, point: int) -> list[np.ndarray]:
         """One row-stochastic table per free factor at this grid point."""
-        digits = [[v] for v in self.coordinates(point)]
-        rows = [self._tables(f, digits)[..., 0] for f in range(len(self.factors))]
+        ranges = [(d, d + 1) for d, n in zip(self.coordinates(point), self.radix) if n > 1]
+        rows = [self._factor_table(f, ranges).reshape(n_rows, -1)
+                for f, n_rows in enumerate(self.factor_n_rows)]
         rows[0] = rows[0] / float(self.k)
         return rows
 
     # -- evaluation --------------------------------------------------------
 
-    def _prefixes(self, digits, rows: int):
-        """(local, prefix digits) of a batch over its first ``rows`` rows.
+    def blocks(self):
+        """(start, count) of the scan's blocks, in C order: ``_scan_blocks``
+        over the live rows, each one a window ``eval_batch`` takes whole."""
+        start = 0
+        for ranges in _scan_blocks(self._live_radix):
+            count = math.prod(hi - lo for lo, hi in ranges)
+            yield start, count
+            start += count
 
-        A batch of consecutive points has one contiguous range of distinct
-        prefixes (the digits of those rows); ``prefix digits`` holds that
-        range's digits and ``local`` maps each batch row to its entry in the
-        range.  Over every row a prefix is the point itself, so the batch's
-        own digits and the whole range serve as they are.
-        """
-        if rows == len(self.radix):
-            return slice(None), digits
-        radix = tuple(self.radix[:rows].tolist())  # numpy reads a tuple's sizes faster
-        prefix = _ravel(digits[:rows], radix)
-        return prefix - prefix[0], _unravel(np.arange(prefix[0], prefix[-1] + 1), radix)
+    def _window_blocks(self, start: int, count: int):
+        """The Cartesian blocks, (lo, hi) per live row, of the points
+        start..start + count - 1 in C order: from the window's first point
+        each block is the longest run of the first row whose later rows are
+        all at digit 0 and fit in what is left whole, so a window has at
+        most 2L - 1 blocks over L live rows.  Only the first point is
+        decoded; each block's end carries into the next one's digits."""
+        radix, tails = self._live_radix, self._tails
+        if not radix:
+            yield ()
+            return
+        digits = [int(d) for d in np.unravel_index(start, radix)]
+        left = count
+        while left:
+            row = max([next(i for i, tail in enumerate(tails) if tail <= left)]
+                      + [i for i, d in enumerate(digits) if d])
+            lo = digits[row]
+            hi = min(radix[row], lo + left // tails[row])
+            yield (tuple((d, d + 1) for d in digits[:row]) + ((lo, hi),)
+                   + tuple((0, n) for n in radix[row + 1:]))
+            left -= (hi - lo) * tails[row]
+            digits[row] = hi
+            while row and digits[row] == radix[row]:
+                digits[row] = 0
+                row -= 1
+                digits[row] += 1
 
-    def _first_joint(self, tables) -> np.ndarray:
+    def _factor_table(self, f: int, ranges) -> np.ndarray:
+        """Factor f's point tables over the block ``ranges``, as its
+        composition table holds them (counts of k for factor 1), in one
+        (rows, cols, *axes) array: each row's compositions over its digit
+        range on its own axis, every other axis of length 1."""
+        table, n_rows, n_axes = self.comp_tables[f], self.factor_n_rows[f], len(ranges)
+        first = int(self._axis[self.row_offset[f]])
+        if first < 0:  # one column, so one composition: every row of every point reads it
+            return np.broadcast_to(table, (n_rows, 1) + (1,) * n_axes)
+        axes = range(first, first + n_rows)
+        shape = [hi - lo if i in axes else 1 for i, (lo, hi) in enumerate(ranges)]
+        out = np.empty((n_rows, table.shape[0], *shape), dtype=table.dtype)
+        for row, i in zip(out, axes):
+            lo, hi = ranges[i]
+            row[...] = table[:, lo:hi].reshape((table.shape[0],) + self._axis_shape[i])
+        return out
+
+    def _first_joint(self, ranges) -> np.ndarray:
         """Slot 1's input joint, factor 1's point tables (counts) over k."""
-        return _aligned_factor(self.spec, *self.factors[0], tables / float(self.k))
+        return _aligned_factor(self.spec, *self.factors[0],
+                               self._factor_table(0, ranges) / float(self.k))
 
-    def _extend(self, joint, f: int, digits) -> np.ndarray:
+    def _extend(self, joint, f: int, ranges) -> np.ndarray:
         """Slot f + 1's input joint from slot f's: times channel f and then
-        factor f + 1's point tables at ``digits``."""
+        factor f + 1's point tables over ``ranges``."""
         fin, fout = self.factors[f]
         return (joint * self._channels[f - 1]
-                * _aligned_factor(self.spec, fin, fout, self._tables(f, digits)))
+                * _aligned_factor(self.spec, fin, fout, self._factor_table(f, ranges)))
 
     def eval_batch(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Terms array (count, n_cuts, n_slots); terms with a constant A or B
-        stay 0.  ``out``, if given, is that array, its constant terms' cells
-        0, as a scan's one zeroed buffer keeps them.
+        """Terms array (count, n_cuts, n_slots) of the points start..start +
+        count - 1; terms with a constant A or B stay 0.  ``out``, if given,
+        is that array, its constant terms' cells 0, as a scan's one zeroed
+        buffer keeps them.
 
-        Slot h's terms read only factors 1..h, so a slot evaluated densely
-        runs once per distinct prefix of the batch, the composition digits
-        of those factors' rows, and is then gathered to the batch rows.
-        Points run in C order, first row most significant, so a batch's
-        slot-h prefixes are one contiguous range.
+        The window is split into its Cartesian blocks (``_window_blocks``;
+        a scan asks for one block at a time), and each block is evaluated
+        by broadcasting, one axis per live row (``_eval_block``).
+        """
+        if not (0 <= start and 0 <= count and start + count <= self.n_points):
+            raise DomainError(f"points {start}..{start + count - 1} outside "
+                              f"0..{self.n_points - 1}")
+        if out is None:
+            out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
+        done = 0
+        for ranges in (self._window_blocks(start, count) if count else ()):
+            shape = tuple(hi - lo for lo, hi in ranges)
+            size = math.prod(shape)
+            self._eval_block(ranges, out[done:done + size].reshape(shape + out.shape[1:]))
+            done += size
+        return out
+
+    def _eval_block(self, ranges, out) -> None:
+        """Write the terms of the block ``ranges`` into ``out``, its
+        (*block axes, n_cuts, n_slots) view.
 
         Slot 1's terms are read off its column tables: each column's count
-        vector is ranked in ``compositions`` order, and H_c and L_c at that
-        rank are added over c in column order.  A later slot's tabled term
-        ravels each column's touched-row digits, once per distinct set of
-        those rows, and adds H_c and L_c at that index over c in column
-        order, on the full batch.  Slot 2's joint is slot 1's point tables;
-        slot h's joint P_1 q_1 P_2 ... P_h is the previous slot's joint taken
-        from its prefixes to slot h's, times channel h-1 and then factor h's
-        point tables, so no variable is ever summed out; it is built up to
-        the last slot with a dense term, and that slot's dense terms run on
-        its prefixes, the full batch for the last slot.
+        vector is ranked in ``compositions`` order, once per digit of
+        factor 1's row in the block, and H_c and L_c at that rank are added
+        over c in column order.  A later slot's tabled term ravels each
+        column's touched-row digit ranges, once per distinct set of those
+        rows, over their axes alone, and adds H_c and L_c at that index over
+        c in column order.  Slot 2's joint is slot 1's point tables; slot
+        h's joint P_1 q_1 P_2 ... P_h is the previous slot's joint times
+        channel h-1 and then factor h's point tables, so no variable is ever
+        summed out; it spans the axes of factors 1..h's rows alone, and it
+        is built up to the last slot with a dense term.
 
         Each term is I(A;B|C) = H(B|C) - sum over (a, c) of p(a,c) h(a,c),
         with p(b,c) = sum over a of p(a,c) W(b|a,c); a and c are added in
-        row order, so a point's terms do not depend on its batch, and every
+        row order, so a point's terms do not depend on its block, and every
         table holds the same sums as the dense evaluation would.
         """
-        digits = _unravel(start + np.arange(count), self.radix)
-        if out is None:
-            out = np.zeros((count, self.n_cuts, self.n_slots), dtype=np.float64)
-        local, prefix_digits = self._prefixes(digits, self.factor_n_rows[0])
-        counts = self._tables(0, prefix_digits)
+        axis = int(self._axis[0])
+        lo, hi = ranges[axis] if axis >= 0 else (0, 1)
+        first_shape = self._axis_shape[axis] if axis >= 0 else ()
+        counts = self.comp_tables[0][:, lo:hi]
         for ci, cols, offsets, last, entropy, linear in self._columns:
-            parts = counts[0, cols]
+            parts = counts[cols]
             # running sums over a, row by row: np.cumsum over axis 0 walks
             # the rows one strided cell at a time
             for row, prev in zip(parts[1:], parts):
@@ -526,34 +621,27 @@ class GridProblem:
             parts += offsets
             index = last - self._binom.take(parts).sum(axis=0)  # (c, rank) in the tables
             terms = _row_sum(entropy.take(index)) - _row_sum(linear.take(index))
-            out[:, ci, 0] = _clamp_mi(terms)[local]
+            out[..., ci, 0] = _clamp_mi(terms).reshape(first_shape)
         if self._joint_slots:
-            joint = self._first_joint(counts)
+            joint = self._first_joint(ranges)
         for s, (sets, tables, dense) in enumerate(self._later, 1):
             if s <= self._joint_slots:
-                prev_local = local
-                local, prefix_digits = self._prefixes(
-                    digits, int(self.row_offset[s]) + self.factor_n_rows[s])
-                # every batch row with one slot-s prefix has one slot s-1 prefix
-                parent = np.empty(prefix_digits[0].size, dtype=np.intp)
-                parent[local] = prev_local
-                joint = self._extend(joint.take(parent, axis=-1), s, prefix_digits)
-                n = joint.shape[-1]
+                joint = self._extend(joint, s, ranges)
             for ci, ac, w, h in dense:
                 na, _, nc = w.shape
                 pbc, linear = _channel_sums(w, h, _marginal(joint, self.names, ac)
-                                            .reshape(na, nc, n))
+                                            .reshape(na, nc, -1))
                 terms = _clamp_mi(cond_entropy_table(pbc) - _row_sum(linear))
-                out[:, ci, s] = terms[local]
+                out[..., ci, s] = terms.reshape(joint.shape[len(self.names):])
             if tables:
-                index = np.stack([_ravel([digits[r] for r in rows], radix)
-                                  for rows, radix in sets])
-                for ci, which, offsets, entropy, linear in tables:
-                    flat = index[which]
-                    flat += offsets
-                    terms = _row_sum(entropy.take(flat)) - _row_sum(linear.take(flat))
-                    out[:, ci, s] = _clamp_mi(terms)
-        return out
+                digits = [lo if hi - lo == 1 else np.arange(lo, hi).reshape(shape)
+                          for (lo, hi), shape in zip(ranges, self._axis_shape)]
+                index = [np.ravel_multi_index([digits[i] for i in axes], radix)
+                         for axes, radix in sets]
+                for ci, which, entropy, linear in tables:
+                    cells = [index[i] for i in which]
+                    terms = _column_sum(entropy, cells) - _column_sum(linear, cells)
+                    out[..., ci, s] = _clamp_mi(terms)
 
 
 def _column_parts(na: int, nc: int) -> int:
@@ -565,8 +653,8 @@ def _column_parts(na: int, nc: int) -> int:
 
 def _channel_sums(w: np.ndarray, h: np.ndarray, pac: np.ndarray):
     """(p(b,c), h(a,c) p(a,c) summed over a) of a term's (|A|, |B|, |C|)
-    channel W, its (|A|, |C|) row entropies h and an (|A|, |C| or 1, *batch)
-    p(a,c): (|B|, |C|, *batch) and (|C|, *batch) tables.
+    channel W, its (|A|, |C|) row entropies h and an (|A|, |C| or 1, batch)
+    p(a,c): (|B|, |C|, batch) and (|C|, batch) tables.
 
     Both sums over a start from the a = 0 products themselves (0.0 + x is x
     for x >= 0) and add each further row through one scratch buffer, in row
@@ -579,3 +667,13 @@ def _channel_sums(w: np.ndarray, h: np.ndarray, pac: np.ndarray):
         pbc += np.multiply(wa[:, :, None], pa, out=pbc_row)
         linear += np.multiply(ha[:, None], pa, out=linear_row)
     return pbc, linear
+
+
+def _column_sum(tables: np.ndarray, cells) -> np.ndarray:
+    """Sum over the columns c, in order, of row c of ``tables`` at the
+    index array ``cells[c]``, broadcast: ``_row_sum``'s additions over the
+    entries stacked, without stacking them."""
+    total = tables[0].take(cells[0])
+    for table, index in zip(tables[1:], cells[1:]):
+        total = total + table.take(index)
+    return total

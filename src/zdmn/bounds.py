@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._grid import BATCH, GridProblem
+from ._grid import GridProblem
 from .errors import DomainError
 from .model import (NODE_CAP, ChannelTable, Cut, NetworkSpec, _shown, _value_eq,
                     require_integer, require_real, require_table, require_within_cap)
@@ -122,18 +122,16 @@ class MembershipResult:
 # Grid search.
 
 def _scan(problem: GridProblem):
-    """Yield (start, caps, terms) per batch; caps has shape (count, n_cuts).
+    """Yield (start, caps, terms) per scan block; caps has shape (count, n_cuts).
 
-    Every batch is written into one terms buffer and one caps buffer, taken
-    once per scan rather than once per batch; the next batch overwrites what
+    Each ``eval_batch`` call is one Cartesian block of ``problem.blocks()``.
+    Every block is written into one terms buffer and one caps buffer, taken
+    once per scan rather than once per block; the next block overwrites what
     the last one yielded.
     """
-    size = min(BATCH, problem.n_points)
-    terms_buffer = np.zeros((size, problem.n_cuts, problem.n_slots))
-    caps_buffer = np.empty((size, problem.n_cuts))
-    start = 0
-    while start < problem.n_points:
-        count = min(BATCH, problem.n_points - start)
+    terms_buffer = np.zeros((problem.block_points, problem.n_cuts, problem.n_slots))
+    caps_buffer = np.empty((problem.block_points, problem.n_cuts))
+    for start, count in problem.blocks():
         terms = problem.eval_batch(start, count, terms_buffer[:count])
         # a running sum over the slots, in slot order: numpy's reduction
         # over the short innermost axis costs ~25 times as much
@@ -142,7 +140,6 @@ def _scan(problem: GridProblem):
         for s in range(1, problem.n_slots):
             caps += terms[:, :, s]
         yield start, caps, terms
-        start += count
 
 
 def _point_report(problem: GridProblem, point: int) -> RateRegionReport:

@@ -569,14 +569,17 @@ def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
     # of those terms and every count vector a column can hold (|v| <= k, or
     # |v| = k where the term has one column).  A later slot's term whose
     # tables hold fewer cells than its slot has prefixes is tabulated too:
-    # its kernel runs at set-up, over every column and every digit tuple of
-    # the column's touched rows, in batches of at most BATCH.  A batch calls
-    # the kernel only for the dense terms, on the full batch: on the relay
-    # at k=12 the cut-{1} and cut-{2} slot-2 terms read 3 of the 5 rows and
-    # are tabulated, and cut {1,2} reads all 5 (13^5 cells, every point) and
-    # runs dense; bscfb's one slot-2 term at k=8 reads 3 of 5 rows, so a
-    # bscfb batch calls no kernel and places no factor; a positive-delay
-    # batch, all slot 1, runs none
+    # its kernel runs at set-up once per column and fill block, over that
+    # column's own entries at every digit tuple of its touched rows, in the
+    # scan's blocks over those rows.  A block calls the kernel only for the
+    # dense terms, each once per distinct digit tuple of its slot's rows in
+    # the block: on the relay at k=12 the cut-{1} and cut-{2} slot-2 terms
+    # read 3 of the 5 rows and are tabulated, and cut {1,2} reads all 5
+    # (13^5 cells, every point) and runs dense, on every point of a block;
+    # bscfb's one slot-2 term at k=8 reads 3 of 5 rows, so a bscfb block
+    # calls no kernel and places no factor; a positive-delay block, all
+    # slot 1, runs none; on three-slot grids a slot-2 dense term runs over
+    # the block's digit tuples of factors 1 and 2's rows alone
     shapes, placed = [], []
     kernel, place = _grid.cond_entropy_table, _grid._aligned_factor
     monkeypatch.setattr(_grid, "cond_entropy_table",
@@ -593,37 +596,67 @@ def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
             vectors = math.comb(k + na, na) if nc > 1 else math.comb(k + na - 1, na - 1)
             tables[na, nb, vectors] = tables.get((na, nb, vectors), 0) + nc
         later, dense, fills = {}, [], []  # cut -> (columns, cells per column) of tabled terms
-        for s, (_, tabled, slot_dense) in enumerate(problem._later, 1):
+        for s, (sets, tabled, slot_dense) in enumerate(problem._later, 1):
             nb_of = {ci: w.shape[1] for ci, _, w, _ in problem._terms[s]}
-            for ci, which, _, entropy, _ in tabled:
-                later[problem.cuts[ci].nodes.members] = (which.size, entropy.size // which.size)
-                fills += [(nb_of[ci], 1, which.size, min(BATCH, entropy.size - n))
-                          for n in range(0, entropy.size, BATCH)]
+            for ci, which, entropy, _ in tabled:
+                later[problem.cuts[ci].nodes.members] = entropy.shape
+                fills += [(nb_of[ci], 1, math.prod(hi - lo for lo, hi in block))
+                          for i in which for block in _grid._scan_blocks(sets[i][1])]
             dense += [problem.cuts[ci].nodes.members for ci, *_ in slot_dense]
         assert tables and shapes == ([(nb, 1, na, nc) for na, nb, nc in terms]  # h(a,c)
                                      + [(nb, 1, nc, n) for (_, nb, n), nc in tables.items()]
                                      + fills)
         return problem, tables, later, dense
 
+    def dense_calls(problem, start, count):
+        """Kernel shapes of a window's dense terms, block by block: each
+        over the block's digit tuples of its slot's rows."""
+        want = []
+        for ranges in problem._window_blocks(start, count):
+            for s, (_, _, slot_dense) in enumerate(problem._later, 1):
+                axes = problem._axis[:int(problem.row_offset[s]) + problem.factor_n_rows[s]]
+                points = math.prod(hi - lo for i, (lo, hi) in enumerate(ranges) if i in axes)
+                want += [(w.shape[1], w.shape[2], points) for _, _, w, _ in slot_dense]
+        return want
+
     problem, tables, later, dense = build(networks.causal_relay_spec(), "capacity", 12)
     assert tables == {(2, 2, 13): 2}
     assert later == {(1,): (4, 13 ** 3), (2,): (2, 13 ** 3)} and dense == [(1, 2)]
-    (dense_term,) = problem._later[0][2]
-    for start in (0, 28561 - BATCH // 2):
+    assert [n for *_, n in shapes[-6:]] == [13 ** 3] * 6  # one fill block per column
+    blocks = list(problem.blocks())
+    for start, count in (blocks[0], blocks[6], (28561 - BATCH // 2, BATCH)):
         shapes.clear()
-        problem.eval_batch(start, BATCH)
-        assert shapes == [(*dense_term[2].shape[1:], BATCH)]
+        problem.eval_batch(start, count)
+        assert shapes == dense_calls(problem, start, count)
+    assert blocks[0] == (0, 4394) and blocks[6] == (6 * 4394, 2197)
+    # the last window straddles the slot-1 prefix boundary at 28,561
+    assert len(list(problem._window_blocks(28561 - BATCH // 2, BATCH))) > 2
     problem, tables, later, dense = build(networks.bscfb_spec(0.11), "capacity", 8)
     assert (tables, later, dense) == ({(2, 2, 9): 1}, {(2,): (2, 9 ** 3)}, [])
     shapes.clear()
     placed.clear()
-    problem.eval_batch(0, BATCH)
+    problem.eval_batch(0, problem.block_points)
     assert shapes == [] and placed == []
     problem, tables, later, dense = build(random_network(*_TERNARY, 7), "positive-delay", 4)
     assert (tables, later, dense) == ({(3, 9, 35): 27, (9, 3, 715): 9}, {}, [])
     shapes.clear()
     problem.eval_batch(0, BATCH)
     assert shapes == []
+    per_prefix = 0
+    for spec, k in _random_grid_shapes(100):
+        try:
+            problem = GridProblem(spec, "capacity", k)
+        except ResourceCapError:
+            continue
+        if problem.n_slots < 3 or problem.n_points < 64:
+            continue
+        for start, count in list(problem.blocks())[:2] + [(problem.n_points // 3, 40)]:
+            shapes.clear()
+            problem.eval_batch(start, count)
+            want = dense_calls(problem, start, count)
+            assert shapes == want
+            per_prefix += any(n < count for *_, n in want)
+    assert per_prefix >= 3
 
 
 def _random_grid_shapes(count):
@@ -714,9 +747,92 @@ def test_grid_terms_equal_the_dense_evaluation(bundled_specs):
     assert (compared, refused, tabled, dense) == (116, 11, 29, 42)
 
 
+def _block_windows(problem):
+    """(start, count) windows of a grid that split into more than one
+    Cartesian block: four points across each boundary between the scan's
+    blocks, two blocks' worth from inside the second block, and windows that
+    start and end inside rows."""
+    n = problem.n_points
+    edges = [start for start, _ in problem.blocks()][1:]
+    windows = [(e - 2, 4) for e in edges]
+    if edges:
+        windows.append((edges[0] + 5, min(2 * problem.block_points, n - edges[0] - 5)))
+    windows += [(1, n - 2), (n // 3, n // 3)] if n <= 2 * BATCH else [(n // 3, 100)]
+    return [(start, count) for start, count in windows if count > 0]
+
+
+def test_grid_block_windows_equal_the_dense_evaluation():
+    # a window of eval_batch splits into at most 2L - 1 Cartesian blocks over
+    # L live rows; every term of every point of windows across the scan's
+    # block boundaries and across rows is the dense evaluation's float, bit
+    # for bit: the relay at k = 3 and 12, bscfb at k = 3 and 8, and the
+    # random capacity grids of two or more live rows
+    named = [(networks.causal_relay_spec(), k) for k in (3, 12)]
+    named += [(networks.bscfb_spec(0.11), k) for k in (3, 8)]
+    compared, split, most = 0, 0, 0
+    for index, (spec, k) in enumerate(named + list(_random_grid_shapes(100))):
+        try:
+            problem = GridProblem(spec, "capacity", k)
+        except ResourceCapError:
+            continue
+        live = len(problem._live_radix)
+        if live < 2:
+            continue
+        for start, count in _block_windows(problem):
+            blocks = len(list(problem._window_blocks(start, count)))
+            assert blocks <= 2 * live - 1
+            split += blocks > 1
+            most = max(most, blocks)
+            got = problem.eval_batch(start, count)
+            want = dense_grid_terms(problem, start, count)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (index, start)
+        compared += 1
+    assert (compared, split, most) == (36, 1429, 19)
+
+
+def test_grid_scan_blocks_tile_the_grid(monkeypatch):
+    # the scan asks eval_batch for one block at a time: its windows tile the
+    # grid in C order, and each is one Cartesian block, its points' digits
+    # (decoded apart from the grid) the product of one digit range per live
+    # row, leading rows at one digit and the rows after the first range of
+    # more than one digit whole, of at most block_points points, the count
+    # the cell cap reads, and of fewer than BATCH + tail for that range's
+    # row; a window off the grid is refused
+    windows = []
+    evaluate = GridProblem.eval_batch
+    monkeypatch.setattr(GridProblem, "eval_batch", lambda self, start, count, out=None: (
+        windows.append((start, count)) or evaluate(self, start, count, out)))
+    s, g = Partition((NodeSet((1,)), NodeSet((2,)))), Partition((NodeSet((2,)), NodeSet((1,))))
+    cases = [(networks.bscfb_spec(0.11), mode, 8) for mode in ("capacity", "positive-delay")]
+    cases += [(networks.causal_relay_spec(), "capacity", k) for k in (3, 12)]
+    cases += [(random_network(*_TERNARY, 7), "positive-delay", 4),
+              (random_network((2, 1), (2, 128), s, g, 3), "capacity", 3)]
+    for spec, mode, k in cases:
+        problem = GridProblem(spec, mode, k)
+        windows.clear()
+        hull, n_points, _ = grid_hull(spec, mode, k)
+        starts, counts = zip(*windows)
+        assert list(starts) == list(itertools.accumulate(counts[:-1], initial=0))
+        assert sum(counts) == n_points and max(counts) == problem.block_points
+        radix = problem.radix[problem.radix > 1]
+        for start, count in windows:
+            digits = [np.unique(d) for d in np.unravel_index(start + np.arange(count), radix)]
+            sizes = [d.size for d in digits]
+            assert math.prod(sizes) == count
+            assert all(d[-1] - d[0] + 1 == d.size for d in digits)
+            row = next((i for i, n in enumerate(sizes) if n > 1), len(sizes) - 1)
+            assert sizes[row + 1:] == radix[row + 1:].tolist()
+            assert count < BATCH + math.prod(sizes[row + 1:])
+        assert len(windows) == len(list(problem.blocks()))
+        for start, count in ((-1, 1), (problem.n_points - 1, 2), (0, -1)):
+            with pytest.raises(DomainError, match="outside"):
+                problem.eval_batch(start, count)
+
+
 def test_grid_indices_past_numpy_dimension_cap():
-    # _unravel and _ravel are numpy's index maps, for radices past the 32 or
-    # 64 entries numpy takes at once: one-entry rows read digit 0
+    # _unravel is numpy's index map, for radices past the 32 or 64 entries
+    # numpy takes at once: one-entry rows read digit 0, and the live rows
+    # fold back to the points by np.ravel_multi_index
     rng = np.random.Generator(np.random.Philox(12))
     for length in (1, 5, 32, 33, 64, 100, 2000):
         radix = np.ones(length, dtype=np.int64)
@@ -727,7 +843,7 @@ def test_grid_indices_past_numpy_dimension_cap():
         assert len(digits) == length
         assert np.array_equal(np.array(digits)[live], np.unravel_index(points, radix[live]))
         assert not np.array(digits)[radix == 1].any()
-        assert np.array_equal(_grid._ravel(digits, radix), points)
+        assert np.array_equal(np.ravel_multi_index(np.array(digits)[live], radix[live]), points)
 
 
 def test_grid_scans_more_free_rows_than_numpy_dimensions():
@@ -823,21 +939,27 @@ def test_grid_cell_cap_checked_before_allocation():
 
 
 def test_grid_cell_count_covers_a_full_batch(monkeypatch):
-    # the tracemalloc peak of one full scan batch stays within 8 bytes per
-    # counted cell: a cap one cell below peak / 8 refuses the grid
-    for spec, mode, k in ((random_network(*_TERNARY, 7), "positive-delay", 4),
-                          (networks.causal_relay_spec(), "capacity", 12)):
+    # the tracemalloc peak of the scan's largest block stays within 8 bytes
+    # per counted cell: a cap one cell below peak / 8 refuses the grid.  The
+    # largest block holds fewer than BATCH + tail points, tail being the
+    # points of the rows after its partial row: 4,096 points of the ternary
+    # grid's one row, 2 x 13^3 = 4,394 of the relay's.  Each case lowers the
+    # cap in a context of its own, so the next one is built under the real cap
+    for spec, mode, k, tail in ((random_network(*_TERNARY, 7), "positive-delay", 4, 1),
+                                (networks.causal_relay_spec(), "capacity", 12, 13 ** 3)):
         problem = GridProblem(spec, mode, k)
-        assert problem.n_points >= BATCH
+        start, count = max(problem.blocks(), key=lambda block: block[1])
+        assert BATCH <= count == problem.block_points < BATCH + tail
         tracemalloc.start()
         try:
-            problem.eval_batch(0, BATCH)
+            problem.eval_batch(start, count)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
-        with pytest.raises(ResourceCapError):
-            GridProblem(spec, mode, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
+            with pytest.raises(ResourceCapError):
+                GridProblem(spec, mode, k)
 
 
 def test_grid_column_tables_counted_before_they_are_built():
@@ -866,7 +988,8 @@ def test_grid_cell_count_covers_the_set_up(monkeypatch):
     # below peak / 8 refuses the grid.  classical-bsc's one column holds
     # 100,001 count vectors, bscfb's two columns per term 1,891 each; the
     # relay's capacity grids fill later-slot tables of 6 columns of 13^3 and
-    # 25^3 digit triples, in scan-sized batches
+    # 25^3 digit triples, one column at a time in scan-sized blocks, so the
+    # relay at k = 12 peaks near 0.7 MB and every other case above 2 MB
     for spec, mode, k in ((networks.classical_bsc_spec(0.25), "positive-delay", 10 ** 5),
                           (networks.bscfb_spec(0.11), "positive-delay", 60),
                           (random_network(*_TERNARY, 7), "positive-delay", 4),
@@ -878,7 +1001,7 @@ def test_grid_cell_count_covers_the_set_up(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak > 2 ** 21
+        assert peak > (2 ** 19 if k == 12 else 2 ** 21)
         assert any(tables for _, tables, _ in problem._later) == (mode == "capacity")
         with monkeypatch.context() as patch:
             patch.setattr(_grid, "GRID_CELL_CAP", -(-peak // 8) - 1)
@@ -889,22 +1012,28 @@ def test_grid_cell_count_covers_the_set_up(monkeypatch):
 def test_grid_later_tables_counted_before_they_are_built(monkeypatch):
     # the relay's cut-{1} and cut-{2} slot-2 terms tabulate 6 columns of
     # (k + 1)^3 digit triples, an H_c and an L_c table each: from k = 12 to
-    # k = 24 they grow by 12 (25^3 - 13^3) = 161,136 cells, 1.3 MB, and the
-    # cell count grows by at least that; with the cap one cell below the
-    # count at k = 24 the grid is refused before any table exists
+    # k = 24 they grow by 12 (25^3 - 13^3) = 161,136 cells, 1.3 MB, and,
+    # with every block counted at BATCH points (the relay's scan blocks
+    # shrink from 4,394 to 4,375 points), the cell count grows by at least
+    # that; with the cap one cell below the count at k = 24 the grid is
+    # refused before any table exists
     counts = []
     require = _grid.require_within_cap
     monkeypatch.setattr(_grid, "require_within_cap", lambda count, limit, what: (
         what == "grid table cell count" and counts.append(count)) or require(count, limit, what))
     spec = networks.causal_relay_spec()
-    for k in (12, 24):
-        GridProblem(spec, "capacity", k)
-    assert counts[1] - counts[0] >= 12 * (25 ** 3 - 13 ** 3)
-    monkeypatch.setattr(_grid, "GRID_CELL_CAP", counts[1] - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(_grid, "_block_points", lambda radix: BATCH)
+        for k in (12, 24):
+            GridProblem(spec, "capacity", k)
+    GridProblem(spec, "capacity", 24)
+    small, large, count = counts
+    assert large - small >= 12 * (25 ** 3 - 13 ** 3)
+    monkeypatch.setattr(_grid, "GRID_CELL_CAP", count - 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match=f"^grid table cell count {counts[1]} is above "
-                                                   f"the cap of {counts[1] - 1}$"):
+        with pytest.raises(ResourceCapError, match=f"^grid table cell count {count} is above "
+                                                   f"the cap of {count - 1}$"):
             GridProblem(spec, "capacity", 24)
         _, peak = tracemalloc.get_traced_memory()
     finally:

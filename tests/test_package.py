@@ -991,6 +991,63 @@ def test_cmi_guard_follows_helpers():
     assert _cmi_builds(ast.parse(clean)) == []
 
 
+def _scan_unravels(tree):
+    """`function:line` of every unravel in the functions and methods that
+    eval_batch reaches, itself or through any chain of the module's
+    functions, called or named: a call of _unravel, or an unravel_index of
+    anything but a parameter its function never rebinds (a window's first
+    point, not its points)."""
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    seen, todo = {"eval_batch"}, ["eval_batch"]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in functions and name not in seen:
+                seen.add(name)
+                todo.append(name)
+    found = []
+    for name in sorted(seen):
+        function = functions[name]
+        kept = ({arg.arg for arg in function.args.args}
+                - {node.id for node in ast.walk(function)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)})
+        for node in ast.walk(function):
+            called = _called(node)
+            if called == "_unravel" or called == "unravel_index" and not (
+                    node.args and isinstance(node.args[0], ast.Name) and node.args[0].id in kept):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_the_scan_decodes_no_points():
+    # a scan block is a Cartesian block of the grid, evaluated by
+    # broadcasting: eval_batch and what it reaches decode at most a
+    # window's first point, never each point's digits; _unravel serves
+    # coordinates and the test oracles
+    grid = ast.parse((_SRC / "_grid.py").read_text(encoding="utf-8"))
+    assert _scan_unravels(grid) == []
+
+
+def test_scan_unravel_guard_follows_methods_and_names():
+    code = ast.parse(
+        "class Grid:\n"
+        "    def eval_batch(self, start, count):\n"
+        "        return list(map(self._block, [start])), self._again(start)\n"
+        "    def _block(self, start):\n"
+        "        first = np.unravel_index(start, self.radix)\n"
+        "        return _digits(start + np.arange(9), self.radix), first\n"
+        "    def _again(self, start):\n"
+        "        start = start + np.arange(9)\n"
+        "        return np.unravel_index(start, self.radix), _unravel(start, self.radix)\n"
+        "    def coordinates(self, point):\n"
+        "        return _unravel(point, self.radix)\n"
+        "def _digits(points, radix):\n"
+        "    return np.unravel_index(points + 0, radix)\n"
+        "def _unravel(index, radix):\n"
+        "    return np.unravel_index(index, radix)\n")
+    assert _scan_unravels(code) == ["_again:9", "_again:9", "_digits:13"]
+
+
 def _entry_points():
     """(entry point, parameter, kind, call) per number a public entry point
     takes: `call` hands the value to that parameter alone, every other
