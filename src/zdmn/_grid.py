@@ -613,13 +613,14 @@ class GridProblem:
         first_shape = self._axis_shape[axis] if axis >= 0 else ()
         counts = self.comp_tables[0][:, lo:hi]
         for ci, cols, offsets, last, entropy, linear in self._columns:
-            parts = counts[cols]
-            # running sums over a, row by row: np.cumsum over axis 0 walks
-            # the rows one strided cell at a time
-            for row, prev in zip(parts[1:], parts):
-                row += prev
-            parts += offsets
-            index = last - self._binom.take(parts).sum(axis=0)  # (c, rank) in the tables
+            # the rank, part by part over a running sum of the parts, so a
+            # block holds (|C|, digits) arrays only: np.cumsum over the parts
+            # would walk them one strided cell at a time
+            running = counts[cols[0]]
+            index = last - self._binom.take(running + offsets[0])  # (c, rank) in the tables
+            for col, offset in zip(cols[1:], offsets[1:]):
+                running += counts[col]
+                index -= self._binom.take(running + offset)
             terms = _row_sum(entropy.take(index)) - _row_sum(linear.take(index))
             out[..., ci, 0] = _clamp_mi(terms).reshape(first_shape)
         if self._joint_slots:
