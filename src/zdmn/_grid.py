@@ -305,17 +305,20 @@ class GridProblem:
         # n_compositions) arrays: factor 1's as counts, which slot 1 ranks,
         # the later factors' as counts / k, which their slots read as
         # floats; the global row radix; and per live row (one of more than
-        # one composition) its batch axis: ``_axis`` holds each row's axis
-        # or -1, ``_axis_shape`` the shape that puts a digit range on an
-        # axis.
+        # one composition) its batch axis, in row order: ``_first_axis``
+        # holds each factor's first axis, or -1 where its rows have one
+        # composition, and ``_axis_shape`` the shape that puts a digit range
+        # on an axis.
         tables = (compositions(self.k, m).T for m in self.factor_n_cols)
         self.comp_tables = [next(tables)] + [table / float(self.k) for table in tables]
         self.radix = np.repeat([table.shape[1] for table in self.comp_tables],
                                self.factor_n_rows)
         self.row_offset = np.concatenate(([0], np.cumsum(self.factor_n_rows)[:-1]))
         self._live_radix = tuple(live_radix)
-        n_axes = len(live_radix)
-        self._axis = np.where(self.radix > 1, np.cumsum(self.radix > 1) - 1, -1)
+        self._first_axis, n_axes = [], 0
+        for (_, n), rows in zip(comps, self.factor_n_rows):
+            self._first_axis.append(n_axes if n > 1 else -1)
+            n_axes += rows if n > 1 else 0
         self._axis_shape = [(1,) * i + (-1,) + (1,) * (n_axes - 1 - i) for i in range(n_axes)]
         # points past each axis: the stride of one digit in C order
         self._tails = [math.prod(live_radix[i + 1:]) for i in range(n_axes)]
@@ -429,7 +432,7 @@ class GridProblem:
         of the live free rows it reads, in row order: per factor 1..s+1, its
         rows whose variables in C take c's values, those in A ranging freely
         (each factor's row variables are channel s + 1's inputs, so each
-        lies in A or C)."""
+        lies in A or C); a factor whose rows hold one composition has none."""
         size = self.spec.var_size
 
         def values(names, axis):
@@ -441,16 +444,16 @@ class GridProblem:
             return {v: np.expand_dims(d, axis) for v, d in zip(names, digits)}
 
         fixed, nc = values(c, 1), _group_size(size, c)
-        rows = []
+        axes = [np.zeros((nc, 0), dtype=np.intp)]
         for f, (fin, _) in enumerate(self.factors[:s + 1]):
+            if self._first_axis[f] < 0:
+                continue
             free = [v for v in fin if v in a]
             digits = {**fixed, **values(free, 0)}
             row = (np.ravel_multi_index(np.broadcast_arrays(*[digits[v] for v in fin]),
                                         list(map(size, fin))) if fin else 0)
-            rows.append(np.broadcast_to(self.row_offset[f] + row,
-                                        (nc, _group_size(size, free))))
-        axes = self._axis[np.concatenate(rows, axis=1)]
-        return [tuple(col[col >= 0].tolist()) for col in axes]
+            axes.append(np.broadcast_to(self._first_axis[f] + row, (nc, _group_size(size, free))))
+        return list(map(tuple, np.concatenate(axes, axis=1).tolist()))
 
     def _fill(self, s: int, term, touched, n_cells: int):
         """The (|C|, cells) tables H_c and L_c of one slot s + 1 term, by its
@@ -541,7 +544,7 @@ class GridProblem:
         (rows, cols, *axes) array: each row's compositions over its digit
         range on its own axis, every other axis of length 1."""
         table, n_rows, n_axes = self.comp_tables[f], self.factor_n_rows[f], len(ranges)
-        first = int(self._axis[self.row_offset[f]])
+        first = self._first_axis[f]
         if first < 0:  # one column, so one composition: every row of every point reads it
             return np.broadcast_to(table, (n_rows, 1) + (1,) * n_axes)
         axes = range(first, first + n_rows)
@@ -608,7 +611,7 @@ class GridProblem:
         row order, so a point's terms do not depend on its block, and every
         table holds the same sums as the dense evaluation would.
         """
-        axis = int(self._axis[0])
+        axis = self._first_axis[0]
         lo, hi = ranges[axis] if axis >= 0 else (0, 1)
         first_shape = self._axis_shape[axis] if axis >= 0 else ()
         counts = self.comp_tables[0][:, lo:hi]

@@ -614,8 +614,8 @@ def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
         want = []
         for ranges in problem._window_blocks(start, count):
             for s, (_, _, slot_dense) in enumerate(problem._later, 1):
-                axes = problem._axis[:int(problem.row_offset[s]) + problem.factor_n_rows[s]]
-                points = math.prod(hi - lo for i, (lo, hi) in enumerate(ranges) if i in axes)
+                rows = problem.radix[:int(problem.row_offset[s]) + problem.factor_n_rows[s]]
+                points = math.prod(hi - lo for lo, hi in ranges[:int((rows > 1).sum())])
                 want += [(w.shape[1], w.shape[2], points) for _, _, w, _ in slot_dense]
         return want
 
@@ -624,13 +624,13 @@ def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
     assert later == {(1,): (4, 13 ** 3), (2,): (2, 13 ** 3)} and dense == [(1, 2)]
     assert [n for *_, n in shapes[-6:]] == [13 ** 3] * 6  # one fill block per column
     blocks = list(problem.blocks())
+    assert blocks[0] == (0, 4394) and blocks[6] == (6 * 4394, 2197)
+    # the last window straddles the slot-1 prefix boundary at 28,561
+    assert len(list(problem._window_blocks(28561 - BATCH // 2, BATCH))) > 2
     for start, count in (blocks[0], blocks[6], (28561 - BATCH // 2, BATCH)):
         shapes.clear()
         problem.eval_batch(start, count)
         assert shapes == dense_calls(problem, start, count)
-    assert blocks[0] == (0, 4394) and blocks[6] == (6 * 4394, 2197)
-    # the last window straddles the slot-1 prefix boundary at 28,561
-    assert len(list(problem._window_blocks(28561 - BATCH // 2, BATCH))) > 2
     problem, tables, later, dense = build(networks.bscfb_spec(0.11), "capacity", 8)
     assert (tables, later, dense) == ({(2, 2, 9): 1}, {(2,): (2, 9 ** 3)}, [])
     shapes.clear()
@@ -656,7 +656,7 @@ def test_grid_slot_terms_run_once_per_prefix(monkeypatch):
             want = dense_calls(problem, start, count)
             assert shapes == want
             per_prefix += any(n < count for *_, n in want)
-    assert per_prefix >= 3
+    assert per_prefix == 14  # windows whose slot-2 dense term ran on fewer points than theirs
 
 
 def _random_grid_shapes(count):
