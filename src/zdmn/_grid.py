@@ -264,10 +264,10 @@ class GridProblem:
         # holding the slot's joint, its copy and one column's temporaries.
         comps = [(m, math.comb(self.k + m - 1, m - 1)) for m in self.factor_n_cols]
         shapes = {}  # (|A|, |B|, m) -> [count vectors, columns] of slot 1's tables
-        # (slot, cut) -> (A, C, per column its touched live rows' radix and
-        # table cells, term shape) of each later-slot term read off tables:
-        # one whose tables hold fewer cells than its slot's dense evaluations
-        # over the whole grid, its prefixes
+        # (slot, cut) -> (A, C, the radix of a column's touched live rows and
+        # its table cells, term shape) of each later-slot term read off
+        # tables: one whose tables hold fewer cells than its slot's dense
+        # evaluations over the whole grid, its prefixes
         tabled, columns = {}, {}  # and slot -> its tabled terms' columns
         for s, ci, a, b, c, (na, nb, nc) in groups:
             if s == 0:
