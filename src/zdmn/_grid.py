@@ -570,7 +570,8 @@ class GridProblem:
     def eval_batch(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Terms array (count, n_cuts, n_slots) of the points start..start +
         count - 1; terms with a constant A or B stay 0.  ``out``, if given,
-        is that array, its constant terms' cells 0, as a scan's one zeroed
+        is that array, C-contiguous (each block writes through a reshaped
+        view of it), its constant terms' cells 0, as a scan's one zeroed
         buffer keeps them.
 
         The window is split into its Cartesian blocks (``_window_blocks``;
